@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
 from . import exprjet, minkowski
 from .errors import (
@@ -152,18 +151,18 @@ class SampledCurve:
     def _finish(
         cls, grid, h, closed, derivs, exact, null_tol, spec, metric_tangents=None
     ) -> "SampledCurve":
-        if not np.all(np.isfinite(derivs)):
+        if not np.isfinite(derivs).all():
             raise ValueError("curve evaluation produced non-finite values")
         tangents = derivs[1]
         q = minkowski.inner_many(tangents, tangents)
         euclid = np.einsum("ij,ij->i", tangents, tangents)
         thresh = null_tol * np.maximum(1.0, euclid)
         null_mask = (np.abs(q) <= thresh) & (euclid > 0)
-        if np.any(null_mask):
+        if null_mask.any():
             idx = int(np.argmax(null_mask))
             raise NullCurveError(f"tangent is null at sample {idx} (u={grid[idx]:.6g})")
         timelike = q < -thresh
-        if np.any(timelike) and not np.all(timelike):
+        if timelike.any() and not timelike.all():
             raise MixedCausalityError("tangent causal character varies along the curve")
         char = CausalCharacter.TIMELIKE if timelike[0] else CausalCharacter.SPACELIKE
         # Speed and arclength come from the sharper tangent estimate when one
@@ -174,7 +173,7 @@ class SampledCurve:
             speeds = np.sqrt(np.abs(q))
         else:
             speeds = minkowski.norm_many(metric_tangents)
-        if np.any(speeds <= null_tol * np.sqrt(np.maximum(1.0, euclid))):
+        if (speeds <= null_tol * np.sqrt(np.maximum(1.0, euclid))).any():
             idx = int(np.argmin(speeds))
             raise DegenerateCurveError(f"speed vanishes at sample {idx} (u={grid[idx]:.6g})")
         s, total, rule = _arclength_tables(speeds, h, closed)
@@ -244,10 +243,10 @@ def _check_index(c: SampledCurve, i: int) -> int:
 def d_du(values: np.ndarray, h: float, closed: bool) -> np.ndarray:
     """Second-order d/du of a grid function along axis 0."""
     f = np.asarray(values, dtype=float)
-    out = np.empty_like(f)
     if closed:
-        out[:] = (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2.0 * h)
-        return out
+        p = np.concatenate([f[-1:], f, f[:1]])
+        return (p[2:] - p[:-2]) / (2.0 * h)
+    out = np.empty_like(f)
     out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
     out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
     out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
@@ -257,18 +256,20 @@ def d_du(values: np.ndarray, h: float, closed: bool) -> np.ndarray:
 def d_du4(values: np.ndarray, h: float, closed: bool) -> np.ndarray:
     """Fourth-order d/du, used where the verifier needs a sharper instrument."""
     f = np.asarray(values, dtype=float)
-    out = np.empty_like(f)
     if closed:
-        fp1, fp2 = np.roll(f, -1, axis=0), np.roll(f, -2, axis=0)
-        fm1, fm2 = np.roll(f, 1, axis=0), np.roll(f, 2, axis=0)
-        out[:] = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
-        return out
-    out[2:-2] = (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * h)
+        return _central4(np.concatenate([f[-2:], f, f[:2]]), h)
+    out = np.empty_like(f)
+    out[2:-2] = _central4(f, h)
     out[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
     out[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) / (12.0 * h)
     out[-1] = (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3] - 16.0 * f[-4] + 3.0 * f[-5]) / (12.0 * h)
     out[-2] = (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3] + 6.0 * f[-4] - f[-5]) / (12.0 * h)
     return out
+
+
+def _central4(f: np.ndarray, h: float) -> np.ndarray:
+    """Five-point central difference at samples 2..len-3 of ``f``."""
+    return (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * h)
 
 
 def d_ds(values: np.ndarray, c: SampledCurve) -> np.ndarray:
@@ -291,6 +292,42 @@ def d_ds4(values: np.ndarray, c: SampledCurve) -> np.ndarray:
 
 # --------------------------------------------------------------------------
 # Quadrature
+#
+# The cumulative rules are scipy's ``cumulative_simpson`` and
+# ``cumulative_trapezoid`` (equal intervals, ``initial=0``) written in numpy:
+# the same arithmetic in the same order, so the tables match scipy's bit for
+# bit, without its per-call validation and array-API dispatch.
+
+
+def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Cumulative Simpson integral of ``y`` from sample 0 (scipy's rule).
+
+    Each interval's integral comes from the parabola through it and one
+    neighbour, h/3 (5 f_a/4 + 2 f_b - f_c/4) with f_a at the near end of the
+    interval: even intervals look right, odd ones and the last look left.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.shape[0] < 3:
+        return cumulative_trapezoid(y, dx)
+    f1, f2, f3 = y[:-2], y[1:-1], y[2:]
+    # From samples i, i+1, i+2: ``right[i]`` integrates [u_i, u_i+1] and
+    # ``left[i]`` integrates [u_i+1, u_i+2].
+    right = dx / 3 * (5 * f1 / 4 + 2 * f2 - f3 / 4)
+    left = dx / 3 * (5 * f3 / 4 + 2 * f2 - f1 / 4)
+    parts = np.empty(y.shape[0])
+    parts[0] = 0.0  # also turns a -0.0 sum into +0.0, as scipy's "+ initial" does
+    parts[1:-1:2] = right[::2]
+    parts[2::2] = left[::2]
+    parts[-1] = left[-1]
+    return np.cumsum(parts)
+
+
+def cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
+    """Cumulative trapezoid integral of ``y`` from sample 0 (scipy's rule)."""
+    y = np.asarray(y, dtype=float)
+    out = np.zeros(y.shape[0])
+    np.cumsum(dx * (y[1:] + y[:-1]) / 2.0, out=out[1:])
+    return out
 
 
 def _use_simpson(n_points: int, closed: bool) -> bool:
@@ -302,12 +339,8 @@ def _use_simpson(n_points: int, closed: bool) -> bool:
 
 
 def _arclength_tables(speeds: np.ndarray, h: float, closed: bool):
-    if _use_simpson(speeds.shape[0], closed):
-        rule = "simpson"
-        s = cumulative_simpson(speeds, dx=h, initial=0.0)
-    else:
-        rule = "trapezoid"
-        s = cumulative_trapezoid(speeds, dx=h, initial=0.0)
+    rule = "simpson" if _use_simpson(speeds.shape[0], closed) else "trapezoid"
+    s = cumulative_integral(speeds, h, rule)
     if closed:
         wrapped = np.concatenate([speeds, speeds[:1]])
         total = _integrate(wrapped, h, rule)
@@ -329,8 +362,8 @@ def cumulative_integral(values: np.ndarray, h: float, rule: str) -> np.ndarray:
     """Cumulative integral of a grid function from sample 0, matching the
     curve's quadrature rule."""
     if rule == "simpson":
-        return cumulative_simpson(values, dx=h, initial=0.0)
-    return cumulative_trapezoid(values, dx=h, initial=0.0)
+        return cumulative_simpson(values, h)
+    return cumulative_trapezoid(values, h)
 
 
 def loop_integral(values: np.ndarray, c: SampledCurve) -> float:

@@ -81,12 +81,12 @@ def frenet_apparatus(c: SampledCurve, num_vectors: int | None = None) -> FrenetD
         nw = np.sqrt(np.abs(q))
         scale = np.sqrt(np.einsum("ij,ij->i", c.derivs[i], c.derivs[i]))
         small = nw <= GENERIC_RTOL * np.maximum(1e-300, scale)
-        if np.all(small) and i == m == n:
+        if i == m == n and small.all():
             frame[i - 1], signs[i - 1] = _complete_frame(frame[:i - 1], signs[:i - 1])
             resid_norms[i - 1] = 0.0
             completed = True
             break
-        if np.any(small):
+        if small.any():
             k = int(np.argmax(small))
             raise NonGenericCurveError(
                 f"orthogonalization residual {i} vanishes or is null at sample {k} "
@@ -95,8 +95,9 @@ def frenet_apparatus(c: SampledCurve, num_vectors: int | None = None) -> FrenetD
                 sample=k,
             )
         sgn = np.where(q > 0, 1, -1)
-        if np.any(sgn != sgn[0]):
-            k = int(np.argmax(sgn != sgn[0]))
+        flips = sgn != sgn[0]
+        if flips.any():
+            k = int(np.argmax(flips))
             raise NonGenericCurveError(
                 f"causal sign of frame vector {i} flips at sample {k}", index=i, sample=k
             )
@@ -136,7 +137,12 @@ def _complete_frame(partial: np.ndarray, signs: np.ndarray):
     rows = np.transpose(partial * g, (1, 0, 2))  # (N, n-1, n); <V_j, z> = row_j . z
     # Generalized cross product of the constraint rows (cofactor expansion).
     if n == 3:
-        z = np.cross(rows[:, 0, :], rows[:, 1, :])
+        # np.cross written out: its axis handling cost more than the products.
+        a, b = rows[:, 0, :], rows[:, 1, :]
+        z = np.empty((N, 3))
+        z[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
+        z[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
+        z[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     else:
         z = np.empty((N, n))
         for k in range(n):
@@ -145,7 +151,7 @@ def _complete_frame(partial: np.ndarray, signs: np.ndarray):
     q = inner_many(z, z)
     euclid = np.einsum("ij,ij->i", z, z)
     bad = np.abs(q) <= GENERIC_RTOL * np.maximum(1e-300, euclid)
-    if np.any(bad):
+    if bad.any():
         k = int(np.argmax(bad))
         raise NonGenericCurveError(
             f"orthogonal complement is null at sample {k}; no unit completion exists",
@@ -153,13 +159,13 @@ def _complete_frame(partial: np.ndarray, signs: np.ndarray):
             sample=k,
         )
     z = z / np.sqrt(np.abs(q))[:, None]
-    basis = np.concatenate([partial, z[None]], axis=0)  # (n, N, n)
-    det = np.linalg.det(np.transpose(basis, (1, 0, 2)))
-    z = np.where(det[:, None] < 0, -z, z)
-    q0 = inner_many(z, z)
-    sgn = np.where(q0 > 0, 1, -1)
-    if np.any(sgn != sgn[0]):
-        k = int(np.argmax(sgn != sgn[0]))
+    # det[V_1..V_{n-1}, z] = (-1)^n <z, z> for the cofactor vector z, so the
+    # basis is positively oriented exactly where (-1)^n q > 0.
+    z = np.where(((-1.0) ** n * q)[:, None] < 0, -z, z)
+    sgn = np.where(q > 0, 1, -1)
+    flips = sgn != sgn[0]
+    if flips.any():
+        k = int(np.argmax(flips))
         raise NonGenericCurveError(
             f"causal sign of the completion flips at sample {k}", index=n, sample=k
         )

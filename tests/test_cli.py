@@ -248,6 +248,16 @@ def test_console_entry_point():
     assert "bundled scenarios:" in proc.stdout
 
 
+def test_cli_import_leaves_scipy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, curveflow.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_load_scenario_rejects_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.integrate import quad
 
 from curveflow.curvekit import (
@@ -10,7 +11,10 @@ from curveflow.curvekit import (
     CurveSpec,
     SampledCurve,
     arclength,
+    cumulative_simpson,
+    cumulative_trapezoid,
     d_ds,
+    d_du,
     d_du4,
     sample,
     speed,
@@ -206,3 +210,42 @@ def test_d_du4_fourth_order():
         errs.append(err)
     for a, b in zip(errs, errs[1:]):
         assert 12.0 < a / b < 20.0
+
+
+# scipy is the oracle for the cumulative rules: the package carries the same
+# equal-interval arithmetic in numpy, so the tables must agree bit for bit.
+@pytest.mark.parametrize("n", [3, 4, 5, 16, 17, 256, 257])
+def test_cumulative_rules_match_scipy_exactly(n):
+    rng = np.random.default_rng(1000 + n)
+    y = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+    h = float(rng.uniform(1e-3, 1.0))
+    simpson = cumulative_simpson(y, h)
+    trapezoid = cumulative_trapezoid(y, h)
+    ref_simpson = integrate.cumulative_simpson(y, dx=h, initial=0.0)
+    ref_trapezoid = integrate.cumulative_trapezoid(y, dx=h, initial=0.0)
+    assert np.array_equal(simpson, ref_simpson)
+    assert np.array_equal(trapezoid, ref_trapezoid)
+    # signed zeros too, since they reach the written outputs
+    assert simpson.tobytes() == ref_simpson.tobytes()
+    assert trapezoid.tobytes() == ref_trapezoid.tobytes()
+
+
+def test_cumulative_rules_keep_scipy_signed_zeros():
+    y = np.full(9, -0.0)
+    for ours, ref in ((cumulative_simpson, integrate.cumulative_simpson),
+                      (cumulative_trapezoid, integrate.cumulative_trapezoid)):
+        assert ours(y, 0.5).tobytes() == ref(y, dx=0.5, initial=0.0).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(16,), (17,), (256, 3), (33, 4)])
+def test_closed_stencils_match_roll_reference(shape):
+    f = np.random.default_rng(7).standard_normal(shape)
+    h = 0.37
+
+    def roll(k):
+        return np.roll(f, k, axis=0)
+
+    ref2 = (roll(-1) - roll(1)) / (2.0 * h)
+    ref4 = (-roll(-2) + 8.0 * roll(-1) - 8.0 * roll(1) + roll(2)) / (12.0 * h)
+    assert np.array_equal(d_du(f, h, True), ref2)
+    assert np.array_equal(d_du4(f, h, True), ref4)

@@ -6,7 +6,9 @@ import pytest
 from curveflow import catalog
 from curveflow.curvekit import OPEN, CurveSpec, sample
 from curveflow.errors import NonGenericCurveError
+from curveflow.flowsim import FlowSpec, evolve, initial_state
 from curveflow.frenet import (
+    _complete_frame,
     frenet_apparatus,
     frenet_residuals,
     orthonormality_residual,
@@ -23,6 +25,10 @@ CATALOG = {
     "spacelike_helix": lambda n: catalog.curve("spacelike_helix", n),
     "w_curve4": lambda n: CurveSpec.from_strings(
         ("cosh(u)", "sinh(u)", "cos(2*u)", "sin(2*u)"), (0.0, 2.0), OPEN, n
+    ),
+    # the catalog timelike helix inside the hyperplane x4 = 0 of E1^4
+    "timelike_helix4": lambda n: CurveSpec.from_strings(
+        ("sqrt(2)*u", "cos(u)", "sin(u)", "0"), (0.0, 2.0 * math.pi), OPEN, n
     ),
 }
 
@@ -155,3 +161,50 @@ def test_num_vectors_validation(circle_256):
         frenet_apparatus(circle_256, num_vectors=0)
     with pytest.raises(ValueError):
         frenet_apparatus(circle_256, num_vectors=4)
+
+
+def orientation(fd):
+    """Per-sample determinant of the frame basis, by LU (np.linalg.det)."""
+    return np.linalg.det(np.transpose(fd.frame, (1, 0, 2)))
+
+
+def test_hyperplane_curve_in_four_space_completes_positively():
+    _, fd = apparatus("timelike_helix4", 128)
+    assert fd.completed_last
+    assert fd.signs.tolist() == [-1, 1, 1, 1]
+    assert np.all(orientation(fd) > 0)
+    assert np.max(np.abs(fd.frame[3][:, :3])) == 0.0
+    assert np.max(np.abs(np.abs(fd.frame[3][:, 3]) - 1.0)) < 1e-12
+    assert np.max(np.abs(fd.curvatures[1] - SQRT2)) < 1e-9
+    assert np.max(np.abs(fd.curvatures[2])) == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_completion_is_positively_oriented_on_random_partial_frames(n):
+    # The completion picks its orientation from the sign identity
+    # det[V_1..V_{n-1}, z] = (-1)^n <z, z>; np.linalg.det is the oracle.
+    rng = np.random.default_rng(40 + n)
+    checked = 0
+    for _ in range(150):
+        partial = rng.standard_normal((n - 1, 1, n))
+        try:
+            z, sign = _complete_frame(partial, np.ones(n - 1, dtype=int))
+        except NonGenericCurveError:
+            continue  # complement (numerically) null: no unit completion exists
+        basis = np.concatenate([partial[:, 0], z], axis=0)
+        assert np.linalg.det(basis) > 0
+        q = float(z[0] @ (np.r_[-1.0, np.ones(n - 1)] * z[0]))
+        assert sign == (1 if q > 0 else -1)
+        assert abs(abs(q) - 1.0) < 1e-9
+        checked += 1
+    assert checked > 140
+
+
+def test_completed_frame_stays_positive_under_evolution_in_four_space():
+    curve = sample(CATALOG["timelike_helix4"](64))
+    flow = FlowSpec.inextensible(["0.05", "0", "0"])
+    traj = evolve(initial_state(curve, flow), flow, 1e-3, 5)
+    for st in traj.states:
+        assert st.frenet.completed_last
+        assert np.all(orientation(st.frenet) > 0)
+        assert np.max(np.abs(st.curve.points[:, 3])) == 0.0
