@@ -82,7 +82,7 @@ def frenet_apparatus(c: SampledCurve, num_vectors: int | None = None) -> FrenetD
         scale = np.sqrt(np.einsum("ij,ij->i", c.derivs[i], c.derivs[i]))
         small = nw <= GENERIC_RTOL * np.maximum(1e-300, scale)
         if i == m == n and small.all():
-            frame[i - 1], signs[i - 1] = _complete_frame(frame[:i - 1], signs[:i - 1])
+            frame[i - 1], signs[i - 1] = _complete_frame(frame[:i - 1])
             resid_norms[i - 1] = 0.0
             completed = True
             break
@@ -126,7 +126,7 @@ def frenet_apparatus(c: SampledCurve, num_vectors: int | None = None) -> FrenetD
     return FrenetData(frame=frame, signs=signs, curvatures=curvatures, completed_last=completed)
 
 
-def _complete_frame(partial: np.ndarray, signs: np.ndarray):
+def _complete_frame(partial: np.ndarray):
     """Unit metric-orthogonal completion of an (n-1)-vector frame.
 
     Returns the completing grid of vectors and its causal sign; the sign of

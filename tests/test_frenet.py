@@ -188,7 +188,7 @@ def test_completion_is_positively_oriented_on_random_partial_frames(n):
     for _ in range(150):
         partial = rng.standard_normal((n - 1, 1, n))
         try:
-            z, sign = _complete_frame(partial, np.ones(n - 1, dtype=int))
+            z, sign = _complete_frame(partial)
         except NonGenericCurveError:
             continue  # complement (numerically) null: no unit completion exists
         basis = np.concatenate([partial[:, 0], z], axis=0)
