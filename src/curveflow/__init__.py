@@ -1,7 +1,7 @@
 """Frenet frames and inextensible flows of non-null curves under an
 index-1 metric, with a residual-based verification harness."""
 
-from .curvekit import CLOSED, OPEN, CurveSpec, SampledCurve, arclength, d_ds, sample, speed, total_length
+from .curvekit import CLOSED, OPEN, CurveSpec, SampledCurve, d_ds, sample
 from .errors import CurveFlowError
 from .exprjet import Jet, eval_jet, eval_scalar, parse
 from .flowsim import (
@@ -47,7 +47,6 @@ __all__ = [
     "SimState",
     "Trajectory",
     "VerificationReport",
-    "arclength",
     "arclength_drift",
     "causal_character",
     "check_curvature_pde",
@@ -71,8 +70,6 @@ __all__ = [
     "run_check",
     "sample",
     "solve_inextensible_f1",
-    "speed",
     "stencil_curvatures",
-    "total_length",
     "__version__",
 ]

@@ -15,8 +15,8 @@ Exit codes: 0 all requested checks pass, 1 a check failed, 2 usage or
 configuration error, 3 numerical breakdown during evolution.
 
 Outputs are written atomically (temp file + rename) and are byte-identical
-across reruns of the same scenario: nothing here depends on wall clock,
-thread count, or iteration order of hash maps.
+across reruns of the same scenario: nothing here depends on wall clock or
+iteration order of hash maps.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -117,6 +116,10 @@ def _cross_validate(doc: dict) -> None:
         raise ConfigError(
             f"frame_vectors {fv} exceeds dimension {n}", field="integrator.frame_vectors"
         )
+    steps = doc["integrator"]["steps"]
+    for step in doc.get("output", {}).get("frames_at", []):
+        if step > steps:
+            raise ConfigError(f"frame step {step} outside [0, {steps}]", field="output.frames_at")
 
 
 def build_curve_spec(doc: dict, samples_override: int | None = None) -> CurveSpec:
@@ -273,25 +276,14 @@ def write_report(name: str, reports: list[VerificationReport], out_dir: Path) ->
 
 
 def cmd_run(args) -> int:
-    try:
-        doc = load_scenario(args.scenario)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    doc = load_scenario(args.scenario)
     out_dir = Path(args.out or doc.get("output", {}).get("directory", "."))
     try:
         traj, reports = execute(doc)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except EvolutionError as exc:
-        print(f"numerical breakdown: {exc}", file=sys.stderr)
         if exc.trajectory is not None and exc.trajectory.diagnostics:
             write_timeseries(exc.trajectory, out_dir)
-        return EXIT_NUMERICAL
-    except CurveFlowError as exc:
-        print(f"numerical breakdown: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise
 
     output = doc.get("output", {})
     formats = output.get("formats", ["csv", "json"])
@@ -299,13 +291,8 @@ def cmd_run(args) -> int:
         write_timeseries(traj, out_dir)
     frames_at = output.get("frames_at", [])
     if frames_at and "json" in formats:
-        try:
-            write_frames(traj, frames_at, out_dir)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        write_frames(traj, frames_at, out_dir)
     if reports:
-        all_pass = True
         if "json" in formats:
             all_pass = write_report(doc["name"], reports, out_dir)
         else:
@@ -317,29 +304,12 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _thread_count(levels: int) -> int:
-    raw = os.environ.get("CURVEFLOW_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = min(os.cpu_count() or 1, levels)
-    return max(1, min(n, levels))
-
-
 def cmd_convergence(args) -> int:
     if args.levels < 2:
-        print("config error: --levels must be >= 2", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        doc = load_scenario(args.scenario)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--levels must be >= 2")
+    doc = load_scenario(args.scenario)
     if not doc.get("checks"):
-        print("config error: scenario requests no checks", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("scenario requests no checks")
     out_dir = Path(args.out or doc.get("output", {}).get("directory", "."))
     base_n = doc["curve"].get("samples", 256)
     base_steps = doc["integrator"]["steps"]
@@ -347,30 +317,13 @@ def cmd_convergence(args) -> int:
     if base_dt is None:
         horizon = doc["integrator"].get("t_horizon")
         if horizon is None:
-            print("config error: convergence needs integrator.dt or t_horizon", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError("convergence needs integrator.dt or t_horizon")
         base_dt = horizon / base_steps
 
-    def level(l: int) -> list[VerificationReport]:
-        _, reports = execute(
-            doc, samples=base_n * 2**l, dt=base_dt / 2**l, steps=base_steps * 2**l
-        )
-        return reports
-
-    try:
-        workers = _thread_count(args.levels)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                per_level = list(pool.map(level, range(args.levels)))
-        else:
-            per_level = [level(l) for l in range(args.levels)]
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CurveFlowError as exc:
-        print(f"numerical breakdown: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
+    per_level = [
+        execute(doc, samples=base_n * 2**l, dt=base_dt / 2**l, steps=base_steps * 2**l)[1]
+        for l in range(args.levels)
+    ]
     merged = [
         merge_reports([per_level[l][i] for l in range(args.levels)])
         for i in range(len(per_level[0]))
@@ -396,17 +349,9 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_frenet(args) -> int:
-    try:
-        doc = load_scenario(args.scenario)
-        spec = build_curve_spec(doc)
-        curve = sample(spec)
-        fd = frenet_apparatus(curve, doc["integrator"].get("frame_vectors"))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CurveFlowError as exc:
-        print(f"numerical breakdown: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    doc = load_scenario(args.scenario)
+    curve = sample(build_curve_spec(doc))
+    fd = frenet_apparatus(curve, doc["integrator"].get("frame_vectors"))
     out_dir = Path(args.out or doc.get("output", {}).get("directory", "."))
     residuals = frenet_residuals(curve, fd)
     payload = {
@@ -487,7 +432,14 @@ def main(argv: list[str] | None = None) -> int:
     p_list.set_defaults(func=cmd_list_catalog)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except CurveFlowError as exc:
+        print(f"numerical breakdown: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

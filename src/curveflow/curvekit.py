@@ -215,27 +215,6 @@ def sample(spec: CurveSpec, null_tol: float = minkowski.DEFAULT_NULL_TOL) -> Sam
     )
 
 
-def speed(c: SampledCurve, i: int) -> float:
-    """Parametrization speed v = |d(curve)/du| at sample i."""
-    return float(c.speeds[_check_index(c, i)])
-
-
-def arclength(c: SampledCurve, up_to: int) -> float:
-    """Arclength from sample 0 to sample ``up_to`` (quadrature of v)."""
-    return float(c.s[_check_index(c, up_to)])
-
-
-def total_length(c: SampledCurve) -> float:
-    """Full arclength; for closed curves this includes the wrap segment."""
-    return c.total_length
-
-
-def _check_index(c: SampledCurve, i: int) -> int:
-    if not 0 <= i < c.samples:
-        raise IndexError(f"sample index {i} out of range [0, {c.samples})")
-    return i
-
-
 # --------------------------------------------------------------------------
 # Difference stencils (second order; a fourth-order variant for the verifier)
 

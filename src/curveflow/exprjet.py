@@ -29,6 +29,7 @@ expansion at every grid node simultaneously.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -375,63 +376,47 @@ class Jet:
     # Standard Taylor recurrences: with u the argument jet and k f_k the
     # coefficient of x^(k-1) in f', each rule convolves u' with the result.
 
-    def _sin_cos(self) -> tuple["Jet", "Jet"]:
+    def _recurrence(self, heads, sources) -> np.ndarray:
+        """Coefficients ys[i] of y_i with y_i(u0) = heads[i] and
+        y_i' = +/- u' * y_src, where (src, op) = sources[i] and op
+        (operator.add or operator.sub) gives the sign."""
         u = self.coeffs
         K = u.shape[0]
-        s = np.zeros_like(u + 0.0)
-        c = np.zeros_like(u + 0.0)
-        s[0] = np.sin(u[0])
-        c[0] = np.cos(u[0])
+        # j * u_j is shared by every y_i; each sum still runs over j = 1..k.
+        du = [j * u[j] for j in range(1, K)]
+        ys = np.zeros((len(heads),) + u.shape)
+        for i, head in enumerate(heads):
+            ys[i, 0] = head
         for k in range(1, K):
-            sk = np.zeros_like(s[0])
-            ck = np.zeros_like(c[0])
-            for j in range(1, k + 1):
-                sk = sk + j * u[j] * c[k - j]
-                ck = ck - j * u[j] * s[k - j]
-            s[k] = sk / k
-            c[k] = ck / k
-        return Jet(s), Jet(c)
+            for i, (src, op) in enumerate(sources):
+                acc = np.zeros_like(ys[i, 0])
+                for j in range(1, k + 1):
+                    acc = op(acc, du[j - 1] * ys[src, k - j])
+                ys[i, k] = acc / k
+        return ys
+
+    def _sin_cos(self) -> np.ndarray:
+        u0 = self.coeffs[0]
+        return self._recurrence((np.sin(u0), np.cos(u0)), ((1, operator.add), (0, operator.sub)))
 
     def sin(self) -> "Jet":
-        return self._sin_cos()[0]
+        return Jet(self._sin_cos()[0])
 
     def cos(self) -> "Jet":
-        return self._sin_cos()[1]
+        return Jet(self._sin_cos()[1])
 
-    def _sinh_cosh(self) -> tuple["Jet", "Jet"]:
-        u = self.coeffs
-        K = u.shape[0]
-        s = np.zeros_like(u + 0.0)
-        c = np.zeros_like(u + 0.0)
-        s[0] = np.sinh(u[0])
-        c[0] = np.cosh(u[0])
-        for k in range(1, K):
-            sk = np.zeros_like(s[0])
-            ck = np.zeros_like(c[0])
-            for j in range(1, k + 1):
-                sk = sk + j * u[j] * c[k - j]
-                ck = ck + j * u[j] * s[k - j]
-            s[k] = sk / k
-            c[k] = ck / k
-        return Jet(s), Jet(c)
+    def _sinh_cosh(self) -> np.ndarray:
+        u0 = self.coeffs[0]
+        return self._recurrence((np.sinh(u0), np.cosh(u0)), ((1, operator.add), (0, operator.add)))
 
     def sinh(self) -> "Jet":
-        return self._sinh_cosh()[0]
+        return Jet(self._sinh_cosh()[0])
 
     def cosh(self) -> "Jet":
-        return self._sinh_cosh()[1]
+        return Jet(self._sinh_cosh()[1])
 
     def exp(self) -> "Jet":
-        u = self.coeffs
-        K = u.shape[0]
-        e = np.zeros_like(u + 0.0)
-        e[0] = np.exp(u[0])
-        for k in range(1, K):
-            acc = np.zeros_like(e[0])
-            for j in range(1, k + 1):
-                acc = acc + j * u[j] * e[k - j]
-            e[k] = acc / k
-        return Jet(e)
+        return Jet(self._recurrence((np.exp(self.coeffs[0]),), ((0, operator.add),))[0])
 
     def sqrt(self) -> "Jet":
         u = self.coeffs
@@ -504,13 +489,7 @@ def eval_jet(e: Expr, var: str, point, order: int, env: dict | None = None) -> J
 
 def eval_scalar(e: Expr, **env):
     """Plain value of an expression; all variables bound through ``env``."""
-    names = variables(e)
-    if not names:
-        return float(eval_jet(e, "_", 0.0, 0).coeffs[0])
-    var = sorted(names)[0]
-    point = np.asarray(env[var], dtype=float) if var in env else None
-    if point is None:
-        raise UnboundVariable(f"variable {var!r} is not bound")
-    rest = {k: v for k, v in env.items() if k != var}
-    out = eval_jet(e, var, point, 0, rest).coeffs[0]
+    # No expression can name the variable "", so every name is looked up in env.
+    shape = np.broadcast_shapes(*(np.shape(v) for v in env.values()))
+    out = eval_jet(e, "", np.zeros(shape), 0, env).coeffs[0]
     return float(out) if np.ndim(out) == 0 else out

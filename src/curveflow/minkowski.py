@@ -1,10 +1,11 @@
 """Index-1 metric kernel: inner product, norm, causal classification.
 
 Vectors live in flat n-space whose first coordinate is the timelike axis,
-so the inner product of X and Y is -x1*y1 + x2*y2 + ... + xn*yn.  All
-functions accept plain sequences or numpy arrays; the "many" variants are
-vectorized over a leading sample axis and skip per-call validation (they
-are the hot path for sampled curves).
+so the inner product of X and Y is -x1*y1 + x2*y2 + ... + xn*yn.  The
+"many" variants are vectorized over a leading sample axis and skip
+per-call validation (they are the hot path for sampled curves).  The
+scalar calls accept plain sequences or numpy arrays, validate them, then
+delegate to the batched kernels, so both give the same numbers.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def inner(x, y) -> float:
     yv = as_vector(y)
     if xv.shape[0] != yv.shape[0]:
         raise DimensionMismatch(f"dimensions differ: {xv.shape[0]} vs {yv.shape[0]}")
-    return float(xv @ (metric_signs(xv.shape[0]) * yv))
+    return float(inner_many(xv, yv))
 
 
 def inner_many(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -65,8 +66,7 @@ def inner_many(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def norm(x) -> float:
     """sqrt(|<X,X>|); zero exactly when X is null or zero."""
-    xv = as_vector(x)
-    return float(np.sqrt(abs(inner(xv, xv))))
+    return float(norm_many(as_vector(x)))
 
 
 def norm_many(X: np.ndarray) -> np.ndarray:
@@ -81,8 +81,7 @@ def causal_character(x, tol: float = DEFAULT_NULL_TOL) -> CausalCharacter:
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    xv = as_vector(x)
-    return _classify(inner(xv, xv), float(xv @ xv), tol)
+    return causal_character_many(as_vector(x), tol).item()
 
 
 def causal_character_many(X: np.ndarray, tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
@@ -95,12 +94,3 @@ def causal_character_many(X: np.ndarray, tol: float = DEFAULT_NULL_TOL) -> np.nd
     out[(np.abs(q) <= thresh) & (euclid > 0)] = CausalCharacter.NULL
     return out
 
-
-def _classify(q: float, euclid: float, tol: float) -> CausalCharacter:
-    thresh = tol * max(1.0, euclid)
-    if abs(q) <= thresh:
-        # X = 0 is spacelike by convention.
-        return CausalCharacter.SPACELIKE if euclid == 0.0 else CausalCharacter.NULL
-    if q < 0:
-        return CausalCharacter.TIMELIKE
-    return CausalCharacter.SPACELIKE

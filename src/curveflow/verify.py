@@ -465,7 +465,7 @@ def check_curvature_pde(
             - 2.0 * e(1) * e(2) * A.dfds(t, 3) * k2
             - e(1) * e(2) * f3 * d_ds(k2, c)
             - e(1) * e(2) * f2 * k2**2
-            - e(1) * e(3) * f4 * k2 * k3
+            + e(1) * e(3) * f4 * k2 * k3
         )
         rA = max(rA, float(np.max(np.abs(kdot[t - 1, 0] - rhs_a)[A.interior])))
         k1_rate_max = max(k1_rate_max, float(np.max(np.abs(kdot[t - 1, 0])[A.interior])))

@@ -170,10 +170,12 @@ def test_frames_dump(tmp_path):
 
 def test_frames_step_out_of_range(tmp_path, capsys):
     doc = scenario_doc("circle_zero_flow.json")
-    doc["output"] = {"frames_at": [99]}
+    doc["output"] = {"frames_at": [0, 99]}
     rc = main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "o")])
     assert rc == EXIT_CONFIG
     assert "frames_at" in capsys.readouterr().err
+    # rejected while loading: nothing is evolved or written
+    assert not (tmp_path / "o").exists()
 
 
 def test_convergence_levels_validation(tmp_path):
@@ -207,15 +209,56 @@ def test_convergence_zero_flow_orders_na(tmp_path):
     assert rows and all(r.split(",")[6] == "n/a" for r in rows)
 
 
-def test_convergence_deterministic_with_threads(tmp_path, monkeypatch):
+def test_convergence_deterministic(tmp_path):
     scn = str(bundled_scenario_path("circle_zero_flow.json"))
     blobs = []
-    for threads, sub in (("1", "s"), ("2", "p")):
-        monkeypatch.setenv("CURVEFLOW_THREADS", threads)
+    for sub in ("a", "b"):
         out = tmp_path / sub
         assert main(["convergence", scn, "--levels", "2", "--out", str(out)]) == EXIT_OK
-        blobs.append((out / "convergence.csv").read_bytes())
+        blobs.append(
+            ((out / "convergence.csv").read_bytes(), (out / "report.json").read_bytes())
+        )
     assert blobs[0] == blobs[1]
+
+
+def _without_frame_vectors(doc):
+    del doc["integrator"]["frame_vectors"]
+
+
+def _unstable_steps(doc):
+    doc["integrator"] = {"dt": 0.7, "steps": 2}
+
+
+def _no_checks(doc):
+    del doc["checks"]
+
+
+def _no_time_step(doc):
+    doc["integrator"] = {"steps": 4}
+
+
+@pytest.mark.parametrize(
+    "command, scenario, edit, code, stderr",
+    [
+        (["frenet"], "line_translate.json", _without_frame_vectors, EXIT_NUMERICAL,
+         "numerical breakdown: "),
+        (["convergence", "--levels", "2"], "circle_normal_shrink.json", _unstable_steps,
+         EXIT_NUMERICAL, "numerical breakdown: "),
+        (["convergence", "--levels", "1"], "timelike_helix_convergence.json", None,
+         EXIT_CONFIG, "config error: --levels must be >= 2\n"),
+        (["convergence", "--levels", "2"], "circle_zero_flow.json", _no_checks,
+         EXIT_CONFIG, "config error: scenario requests no checks\n"),
+        (["convergence", "--levels", "2"], "circle_zero_flow.json", _no_time_step,
+         EXIT_CONFIG, "config error: convergence needs integrator.dt or t_horizon\n"),
+    ],
+)
+def test_exit_codes_per_subcommand(tmp_path, capsys, command, scenario, edit, code, stderr):
+    doc = scenario_doc(scenario)
+    if edit is not None:
+        edit(doc)
+    argv = command[:1] + [write_scenario(tmp_path, doc)] + command[1:]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err.startswith(stderr)
 
 
 def test_frenet_dump(tmp_path):

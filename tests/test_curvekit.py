@@ -10,15 +10,12 @@ from curveflow.curvekit import (
     OPEN,
     CurveSpec,
     SampledCurve,
-    arclength,
     cumulative_simpson,
     cumulative_trapezoid,
     d_ds,
     d_du,
     d_du4,
     sample,
-    speed,
-    total_length,
 )
 from curveflow.errors import (
     DegenerateCurveError,
@@ -85,31 +82,24 @@ def test_component_variable_restriction():
 
 
 def test_speed_examples(circle_256):
-    assert speed(circle_256, 0) == pytest.approx(1.0, abs=1e-12)
-    assert speed(circle_256, 100) == pytest.approx(1.0, abs=1e-12)
+    assert circle_256.speeds[0] == pytest.approx(1.0, abs=1e-12)
+    assert circle_256.speeds[100] == pytest.approx(1.0, abs=1e-12)
     c2 = sample(spec(("2*u", "0", "0"), (0, 1)))
-    assert all(speed(c2, i) == pytest.approx(2.0) for i in (0, 64, 127))
+    assert all(c2.speeds[i] == pytest.approx(2.0) for i in (0, 64, 127))
     c3 = sample(spec(("0", "cos(2*u)", "sin(2*u)"), (0, math.pi), CLOSED))
-    assert speed(c3, 5) == pytest.approx(2.0, abs=1e-12)
+    assert c3.speeds[5] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_arclength_examples(circle_256):
-    assert arclength(circle_256, 0) == 0.0
-    assert total_length(circle_256) == pytest.approx(TWO_PI, abs=1e-8)
+    assert circle_256.s[0] == 0.0
+    assert circle_256.total_length == pytest.approx(TWO_PI, abs=1e-8)
     c2 = sample(spec(("2*u", "0", "0"), (0, 1)))
-    assert total_length(c2) == pytest.approx(2.0, abs=1e-10)
+    assert c2.total_length == pytest.approx(2.0, abs=1e-10)
 
 
 def test_arclength_monotone(hyperbola_256):
-    s = [arclength(hyperbola_256, i) for i in range(hyperbola_256.samples)]
+    s = hyperbola_256.s.tolist()
     assert all(b >= a for a, b in zip(s, s[1:]))
-
-
-def test_index_bounds(circle_256):
-    with pytest.raises(IndexError):
-        speed(circle_256, 256)
-    with pytest.raises(IndexError):
-        arclength(circle_256, -1)
 
 
 def test_d_ds_constant_is_zero(circle_256):
@@ -167,7 +157,7 @@ def test_simpson_convergence_sixteenfold():
         (arc, quad(lambda u: 1 + 0.4 * np.cos(2 * u), 0, 2.7, epsabs=1e-14)[0]),
         (hyp, quad(lambda u: abs(1 + 0.4 * np.cos(2 * u)), -1, 1, epsabs=1e-14)[0]),
     ):
-        errs = [abs(total_length(sample(build(n))) - length) for n in (65, 129, 257)]
+        errs = [abs(sample(build(n)).total_length - length) for n in (65, 129, 257)]
         for a, b in zip(errs, errs[1:]):
             assert 10.0 < a / b < 22.0, errs
 
@@ -176,13 +166,13 @@ def test_quadrature_rule_recorded(circle_256):
     assert circle_256.quadrature == "simpson"
     odd_closed = sample(spec(("0", "cos(u)", "sin(u)"), (0, TWO_PI), CLOSED, 127))
     assert odd_closed.quadrature == "trapezoid"
-    assert total_length(odd_closed) == pytest.approx(TWO_PI, abs=1e-8)
+    assert odd_closed.total_length == pytest.approx(TWO_PI, abs=1e-8)
 
 
 def test_reparametrization_invariance():
     c1 = sample(spec(("0", "cos(u)", "sin(u)"), (0, TWO_PI), CLOSED, 256))
     c2 = sample(spec(("0", "cos(2*u)", "sin(2*u)"), (0, math.pi), CLOSED, 256))
-    assert abs(total_length(c1) - total_length(c2)) < 1e-8
+    assert abs(c1.total_length - c2.total_length) < 1e-8
 
 
 def test_from_points_matches_jet_sampling(circle_256):

@@ -85,6 +85,14 @@ def test_eval_jet_env_and_unbound():
         eval_jet(expr, "s", 0.3, 1)
 
 
+def test_eval_scalar_binds_every_variable():
+    # "_" is an ordinary name, and so is the alphabetically first one
+    assert eval_scalar(parse("2*_ + a"), _=1.5, a=1.0) == 4.0
+    assert eval_scalar(parse("u*v"), u=np.array([1.0, 2.0]), v=3.0).tolist() == [3.0, 6.0]
+    with pytest.raises(UnboundVariable):
+        eval_scalar(parse("u*v"), u=1.0)
+
+
 def test_eval_jet_vectorized_grid():
     grid = np.linspace(0.0, 2.0, 17)
     jet = eval_jet(parse("u*sin(u)"), "u", grid, 2)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from curveflow import catalog
-from curveflow.curvekit import sample
+from curveflow.curvekit import OPEN, CurveSpec, sample
 from curveflow.errors import InsufficientStates, NotInextensible
-from curveflow.flowsim import evolve, initial_state
+from curveflow.flowsim import FlowSpec, evolve, initial_state
 from curveflow.verify import (
     CHECKS,
     check_curvature_pde,
@@ -197,6 +197,20 @@ def test_curvature_pde_spacelike_helix_classical_agrees():
     row = check_curvature_pde(traj, tolerance=1e-2).residuals[0]
     assert row["k1_psi_classical"] < 2e-3
     assert abs(row["k1_psi_classical"] - row["k1_psi_metric"]) < 1e-3
+
+
+def test_curvature_pde_four_frame_f4_term():
+    # n = 4 with a timelike fourth frame vector: only f4 drives the flow
+    # (f1 = f2 = f3 = 0), so the k1 equation reduces to its e1 e3 f4 k2 k3 term.
+    curve = sample(CurveSpec.from_strings(
+        ("cosh(u)", "sinh(u)", "cos(2*u)", "sin(2*u)"), (0.0, 2.0), OPEN, 64
+    ))
+    flow = FlowSpec.inextensible(["0", "0", "0.05"])
+    state = initial_state(curve, flow)
+    assert state.frenet.signs.tolist() == [1, 1, 1, -1]
+    rep = check_curvature_pde(evolve(state, flow, 1e-3, 10))
+    assert rep.details["k1_rate_max"] > 1e-2
+    assert rep.residuals[0]["k1_flow_form"] < 1e-3
 
 
 # --- refinement orders ------------------------------------------------------
