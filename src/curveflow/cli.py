@@ -117,6 +117,13 @@ def _cross_validate(doc: dict) -> None:
             f"frame_vectors {fv} exceeds dimension {n}", field="integrator.frame_vectors"
         )
     steps = doc["integrator"]["steps"]
+    dt, horizon = doc["integrator"].get("dt"), doc["integrator"].get("t_horizon")
+    # Same slack as flowsim.evolve, which raises a plain ValueError for library callers.
+    if dt is not None and horizon is not None and dt * steps > horizon * (1 + 1e-12):
+        raise ConfigError(
+            f"dt*steps = {dt * steps:.6g} exceeds the time horizon {horizon:.6g}",
+            field="integrator.t_horizon",
+        )
     for step in doc.get("output", {}).get("frames_at", []):
         if step > steps:
             raise ConfigError(f"frame step {step} outside [0, {steps}]", field="output.frames_at")

@@ -13,7 +13,7 @@ and falling back to one-sided second-order stencils at open endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +96,6 @@ class SampledCurve:
     char: CausalCharacter
     exact_derivs: bool
     null_tol: float
-    spec: CurveSpec | None = field(default=None, compare=False)
 
     @property
     def n(self) -> int:
@@ -143,13 +142,12 @@ class SampledCurve:
             derivs[m] = d_du(derivs[m - 1], h, closed)
         metric_tangents = d_du4(points, h, closed)
         return cls._finish(
-            grid, h, closed, derivs, exact=False, null_tol=null_tol, spec=None,
-            metric_tangents=metric_tangents,
+            grid, h, closed, derivs, exact=False, null_tol=null_tol, metric_tangents=metric_tangents
         )
 
     @classmethod
     def _finish(
-        cls, grid, h, closed, derivs, exact, null_tol, spec, metric_tangents=None
+        cls, grid, h, closed, derivs, exact, null_tol, metric_tangents=None
     ) -> "SampledCurve":
         if not np.isfinite(derivs).all():
             raise ValueError("curve evaluation produced non-finite values")
@@ -189,7 +187,6 @@ class SampledCurve:
             char=char,
             exact_derivs=exact,
             null_tol=null_tol,
-            spec=spec,
         )
 
 
@@ -211,7 +208,7 @@ def sample(spec: CurveSpec, null_tol: float = minkowski.DEFAULT_NULL_TOL) -> Sam
         for m in range(n + 1):
             derivs[m, :, j] = jet.derivative(m)
     return SampledCurve._finish(
-        grid, h, spec.topology == CLOSED, derivs, exact=True, null_tol=null_tol, spec=spec
+        grid, h, spec.topology == CLOSED, derivs, exact=True, null_tol=null_tol
     )
 
 

@@ -5,11 +5,12 @@ in time (second-order central, matching the spatial order), and returns a
 VerificationReport with named residuals, per-name convergence orders once
 multiple resolutions are merged, and a pass flag.
 
-Time derivatives of frame vectors are gauge-sensitive: the
-orthogonalization can flip a vector's sign between steps when the last
-curvature changes sign.  Before differencing, frames are aligned with the
-previous step's frames pointwise (flips are counted in the report
-details).
+Every time derivative is a central difference over (t-1, t, t+1), so the
+checks walk a sliding window of three states in O(N) working memory.
+Frame vectors are gauge-sensitive: the orthogonalization can flip a
+vector's sign between steps when the last curvature changes sign, so each
+state's frame is aligned pointwise with the previous aligned frame as it
+enters the window (flips are counted in the report details).
 
 Two of the identities expand frame velocities in the frame itself.  In an
 indefinite frame the expansion coefficient of V_k is e_{k-1} <X, V_k>, not
@@ -100,86 +101,98 @@ class PsiMatrix:
 
 
 # --------------------------------------------------------------------------
-# Stacked trajectory arrays
+# Sliding three-state window
 
 
-class _Arrays:
-    """Per-trajectory stacks used by the checks (frames sign-aligned)."""
+class _Window:
+    """Walks t = 1..T-2 over a trajectory, holding states t-1, t, t+1.
 
-    def __init__(self, traj: Trajectory, min_states: int = 3):
-        if len(traj.states) < min_states:
-            raise InsufficientStates(
-                f"need at least {min_states} states, trajectory has {len(traj.states)}"
-            )
+    Each state's frame is sign-aligned against the previous aligned frame
+    as it enters, so at most three frames are held at a time; ``flips``
+    counts the flipped vectors so far.
+    """
+
+    def __init__(self, traj: Trajectory):
+        if len(traj.states) < 3:
+            raise InsufficientStates(f"need at least 3 states, trajectory has {len(traj.states)}")
+        first = traj.states[0]
         self.traj = traj
-        states = traj.states
-        self.T = len(states)
         self.dt = traj.dt
         self.m = traj.frame_vectors
-        self.n = states[0].curve.n
-        self.N = states[0].curve.samples
-        self.times = np.array([st.t for st in states])
-        self.curves = [st.curve for st in states]
-        self.speeds = np.stack([st.curve.speeds for st in states])
-        self.s = np.stack([st.curve.s for st in states])
-        self.f = np.stack([st.f_values for st in states])
-        self.f1_s = np.stack([st.f1_s for st in states])
-        if self.m >= 2:
-            self.k = np.stack([st.frenet.curvatures for st in states])
-        else:
-            self.k = np.zeros((self.T, 0, self.N))
-        self.signs = states[0].frenet.signs
-        for st in states:
-            if not np.array_equal(st.frenet.signs, self.signs):
-                raise CurveFlowError("frame signature changed along the trajectory")
-        frames = np.stack([st.frenet.frame for st in states])
-        self.frames, self.flips = _align_frames(frames, self.signs)
-        self.interior = _interior(states[0].curve)
-        self._dfds_cache: dict = {}
+        self.n = first.curve.n
+        self.N = first.curve.samples
+        self.signs = first.frenet.signs
+        self.interior = _interior(first.curve)
+        self.flips = 0
 
-    # 1-based accessors matching the usual index conventions; out-of-range
-    # indices read as zero
+    def walk(self, last: int | None = None):
+        """Yield self at t = 1..last (default T-2): ``prev``, ``state`` and
+        ``next`` are the states at t-1, t, t+1, ``frames`` the aligned frame
+        at t and ``fdot`` its central time difference."""
+        states = self.traj.states
+        last = len(states) - 2 if last is None else last
+        before = states[0].frenet.frame  # state 0 sets the signs and is never flipped
+        frames = self._aligned(states[1], before)
+        for t in range(1, last + 1):
+            after = self._aligned(states[t + 1], frames)
+            self.prev, self.state, self.next = states[t - 1 : t + 2]
+            self.frames = frames
+            self.fdot = (after - before) / (2.0 * self.dt)
+            self._dfds = {}
+            yield self
+            before, frames = frames, after
+
+    def _aligned(self, st, previous: np.ndarray) -> np.ndarray:
+        """st's frame, flipped pointwise so e_{i-1} <V_i(t-1), V_i(t)> > 0."""
+        if not np.array_equal(st.frenet.signs, self.signs):
+            raise CurveFlowError("frame signature changed along the trajectory")
+        frame = st.frenet.frame
+        mask = inner_many(previous, frame) * self.signs[:, None] < 0
+        if mask.any():
+            frame = frame.copy()  # the state's own frame stays as evolved
+            frame[mask] *= -1.0
+            self.flips += int(np.count_nonzero(mask))
+        return frame
+
+    # 1-based accessors at the current t matching the usual index
+    # conventions; out-of-range indices read as zero
     def eps(self, i: int) -> float:
         return float(self.signs[i]) if 0 <= i < self.m else 1.0
 
-    def k_at(self, t: int, i: int) -> np.ndarray:
+    def k_at(self, i: int) -> np.ndarray:
         if 1 <= i <= self.m - 1:
-            return self.k[t, i - 1]
+            return self.state.frenet.curvatures[i - 1]
         return np.zeros(self.N)
 
-    def f_at(self, t: int, i: int) -> np.ndarray:
+    def f_at(self, i: int) -> np.ndarray:
         if 1 <= i <= self.n:
-            return self.f[t, i - 1]
+            return self.state.f_values[i - 1]
         return np.zeros(self.N)
 
-    def V(self, t: int, i: int) -> np.ndarray:
-        return self.frames[t, i - 1]
+    def V(self, i: int) -> np.ndarray:
+        return self.frames[i - 1]
 
-    def dfds(self, t: int, i: int, order: int = 1) -> np.ndarray:
-        """order-th s-derivative of speed f_i at state t (jets where exact)."""
-        key = (t, i, order)
-        if key in self._dfds_cache:
-            return self._dfds_cache[key]
+    def dfds(self, i: int, order: int = 1) -> np.ndarray:
+        """order-th s-derivative of speed f_i at t (jets where exact)."""
+        key = (i, order)
+        if key in self._dfds:
+            return self._dfds[key]
+        st = self.state
         expr = self.traj.flow.speeds[i - 1] if 1 <= i <= self.n else None
         if expr is None:
             if i == 1 and self.traj.flow.mode == INEXTENSIBLE:
-                out = self.f1_s[t] if order == 1 else d_ds(self.f1_s[t], self.curves[t])
+                out = st.f1_s if order == 1 else d_ds(st.f1_s, st.curve)
             else:
                 out = np.zeros(self.N)
         else:
-            jet = exprjet.eval_jet(expr, "s", self.s[t], order, {"t": self.times[t]})
+            jet = exprjet.eval_jet(expr, "s", st.curve.s, order, {"t": st.t})
             out = np.asarray(jet.derivative(order))
-        self._dfds_cache[key] = out
+        self._dfds[key] = out
         return out
 
-    def psi(self, t: int) -> np.ndarray:
-        """(m, m, N) matrix of <FD_t(V_j), V_k> at interior state t."""
-        fd = (self.frames[t + 1] - self.frames[t - 1]) / (2.0 * self.dt)
-        out = np.empty((self.m, self.m, self.N))
-        for j in range(self.m):
-            for k in range(self.m):
-                out[k, j] = inner_many(fd[j], self.frames[t, k])
-        return out
+    def psi(self) -> np.ndarray:
+        """(m, m, N) matrix of <fdot_j, V_k> at t, indexed [k, j]."""
+        return inner_many(self.fdot[None], self.frames[:, None])
 
     def psi_at(self, psi: np.ndarray, k: int, j: int) -> np.ndarray:
         if 1 <= k <= self.m and 1 <= j <= self.m:
@@ -187,18 +200,11 @@ class _Arrays:
         return np.zeros(self.N)
 
 
-def _align_frames(frames: np.ndarray, signs: np.ndarray):
-    """Flip frame vectors pointwise so e_{i-1} <V_i(t-1), V_i(t)> > 0."""
-    F = frames.copy()
-    flips = 0
-    for t in range(1, F.shape[0]):
-        for i in range(F.shape[1]):
-            dots = inner_many(F[t - 1, i], F[t, i]) * signs[i]
-            mask = dots < 0
-            if np.any(mask):
-                F[t, i][mask] *= -1.0
-                flips += int(np.count_nonzero(mask))
-    return F, flips
+def _psi_residuals(psi: np.ndarray, sl: slice) -> tuple[float, float]:
+    """Worst |Psi_kj + Psi_jk| and |Psi_jj| over the samples sl."""
+    anti = float(np.max(np.abs(psi + np.swapaxes(psi, 0, 1))[:, :, sl]))
+    diag = float(np.max(np.abs(np.diagonal(psi)[sl])))  # diagonal() is (N, m)
+    return anti, diag
 
 
 def _euclid_norm(X: np.ndarray) -> np.ndarray:
@@ -254,12 +260,13 @@ def check_speed_evolution(traj: Trajectory, tolerance: float | None = None) -> V
     the two coincide on spacelike curves) is recorded alongside.
     """
     tol = DEFAULT_TOLERANCES["speed_evolution"] if tolerance is None else tolerance
-    A = _Arrays(traj, min_states=3)
-    lhs = (A.speeds[2:] - A.speeds[:-2]) / (2.0 * A.dt)
-    rhs = np.stack([dv_dt_rhs(traj.states[t]) for t in range(1, A.T - 1)])
-    e0 = float(A.signs[0])
-    r = float(np.max(np.abs(lhs - rhs)[:, A.interior]))
-    r_classical = float(np.max(np.abs(lhs - e0 * rhs)[:, A.interior]))
+    window = _Window(traj)
+    r = r_classical = 0.0
+    for w in window.walk():
+        lhs = (w.next.curve.speeds - w.prev.curve.speeds) / (2.0 * w.dt)
+        rhs = dv_dt_rhs(w.state)
+        r = max(r, float(np.max(np.abs(lhs - rhs)[w.interior])))
+        r_classical = max(r_classical, float(np.max(np.abs(lhs - w.eps(0) * rhs)[w.interior])))
     return _single(
         "speed_evolution",
         traj,
@@ -267,7 +274,7 @@ def check_speed_evolution(traj: Trajectory, tolerance: float | None = None) -> V
         {"speed_evolution": tol, "speed_evolution_classical": tol},
         r <= tol,
         ["speed_evolution"],
-        {"frame_flips": A.flips},
+        {"frame_flips": window.flips},
     )
 
 
@@ -300,28 +307,26 @@ def check_iff_condition(traj: Trajectory, tolerance: dict | None = None) -> Veri
 
 def psi_matrix(traj: Trajectory, at_step: int) -> PsiMatrix:
     """Frame rotation coefficients at one interior step (central in time)."""
-    A = _Arrays(traj, min_states=3)
-    if not 1 <= at_step <= A.T - 2:
+    window = _Window(traj)
+    if not 1 <= at_step <= len(traj.states) - 2:
         raise InsufficientStates(
-            f"at_step must be interior (1..{A.T - 2}), got {at_step}"
+            f"at_step must be interior (1..{len(traj.states) - 2}), got {at_step}"
         )
-    psi = A.psi(at_step)
-    sl = A.interior
-    anti = float(np.max(np.abs(psi + np.swapaxes(psi, 0, 1))[:, :, sl]))
-    diag = float(np.max(np.abs(psi[np.arange(A.m), np.arange(A.m)][:, sl])))
+    for w in window.walk(last=at_step):
+        pass  # frame alignment is sequential, so every earlier step is walked
+    psi = w.psi()
+    anti, diag = _psi_residuals(psi, w.interior)
     return PsiMatrix(values=psi, at_step=at_step, antisymmetry_residual=anti, diagonal_residual=diag)
 
 
 def check_psi_antisymmetry(traj: Trajectory, tolerance: float | None = None) -> VerificationReport:
     """Psi_kj + Psi_jk = 0 and Psi_jj = 0 at every interior step."""
     tol = DEFAULT_TOLERANCES["psi_antisymmetry"] if tolerance is None else tolerance
-    A = _Arrays(traj, min_states=3)
+    window = _Window(traj)
     anti = diag = 0.0
-    sl = A.interior
-    for t in range(1, A.T - 1):
-        psi = A.psi(t)
-        anti = max(anti, float(np.max(np.abs(psi + np.swapaxes(psi, 0, 1))[:, :, sl])))
-        diag = max(diag, float(np.max(np.abs(psi[np.arange(A.m), np.arange(A.m)][:, sl]))))
+    for w in window.walk():
+        anti_t, diag_t = _psi_residuals(w.psi(), w.interior)
+        anti, diag = max(anti, anti_t), max(diag, diag_t)
     r = {"antisymmetry": anti, "diagonal": diag}
     passed = anti <= tol and diag <= tol
     return _single(
@@ -331,7 +336,7 @@ def check_psi_antisymmetry(traj: Trajectory, tolerance: float | None = None) -> 
         {"antisymmetry": tol, "diagonal": tol},
         passed,
         ["antisymmetry", "diagonal"],
-        {"frame_flips": A.flips},
+        {"frame_flips": window.flips},
     )
 
 
@@ -349,60 +354,57 @@ def check_frame_evolution(
     """
     tol = DEFAULT_TOLERANCES["frame_evolution"] if tolerance is None else tolerance
     violation = _require_inextensible(traj, inextensibility_tol)
-    A = _Arrays(traj, min_states=3)
-    m = A.m
+    window = _Window(traj)
+    m = window.m
     r_tangent = 0.0
     r_mid = 0.0
     r_last = 0.0
     r_recon_metric = 0.0
     r_recon_bare = 0.0
-    for t in range(1, A.T - 1):
-        fdot = (A.frames[t + 1] - A.frames[t - 1]) / (2.0 * A.dt)
+    for w in window.walk():
+        fdot = w.fdot
         # Tangent equation: sum over the higher frame directions.
-        rhs1 = np.zeros((A.N, A.n))
+        rhs1 = np.zeros((w.N, w.n))
         for i in range(2, m):
             coef = (
-                A.f_at(t, i - 1) * A.k_at(t, i - 1)
-                + A.dfds(t, i)
-                - A.eps(i - 1) * A.eps(i) * A.f_at(t, i + 1) * A.k_at(t, i)
+                w.f_at(i - 1) * w.k_at(i - 1)
+                + w.dfds(i)
+                - w.eps(i - 1) * w.eps(i) * w.f_at(i + 1) * w.k_at(i)
             )
-            rhs1 += coef[:, None] * A.V(t, i)
+            rhs1 += coef[:, None] * w.V(i)
         if m >= 2:
-            coef_last = A.f_at(t, m - 1) * A.k_at(t, m - 1) + A.dfds(t, m)
-            rhs1 += coef_last[:, None] * A.V(t, m)
-        r_tangent = max(r_tangent, float(np.max(_euclid_norm(fdot[0] - rhs1)[A.interior])))
+            coef_last = w.f_at(m - 1) * w.k_at(m - 1) + w.dfds(m)
+            rhs1 += coef_last[:, None] * w.V(m)
+        r_tangent = max(r_tangent, float(np.max(_euclid_norm(fdot[0] - rhs1)[w.interior])))
 
         if m < 2:
             continue
-        psi = A.psi(t)
-        e0 = A.eps(0)
+        psi = w.psi()
+        e0 = w.eps(0)
         for j in range(2, m + 1):
-            c1 = e0 * inner_many(fdot[j - 1], A.V(t, 1))
+            c1 = e0 * inner_many(fdot[j - 1], w.V(1))
             if j < m:
                 target = -e0 * (
-                    A.eps(j - 1) * (A.f_at(t, j - 1) * A.k_at(t, j - 1) + A.dfds(t, j))
-                    - A.eps(j) * A.f_at(t, j + 1) * A.k_at(t, j)
+                    w.eps(j - 1) * (w.f_at(j - 1) * w.k_at(j - 1) + w.dfds(j))
+                    - w.eps(j) * w.f_at(j + 1) * w.k_at(j)
                 )
-                r_mid = max(r_mid, float(np.max(np.abs(c1 - target)[A.interior])))
+                r_mid = max(r_mid, float(np.max(np.abs(c1 - target)[w.interior])))
             else:
-                target = -e0 * A.eps(m - 1) * (
-                    A.f_at(t, m - 1) * A.k_at(t, m - 1) + A.dfds(t, m)
-                )
-                r_last = max(r_last, float(np.max(np.abs(c1 - target)[A.interior])))
-            base = target[:, None] * A.V(t, 1)
-            recon_metric = base.copy()
-            recon_bare = base.copy()
+                target = -e0 * w.eps(m - 1) * (w.f_at(m - 1) * w.k_at(m - 1) + w.dfds(m))
+                r_last = max(r_last, float(np.max(np.abs(c1 - target)[w.interior])))
+            recon_metric = target[:, None] * w.V(1)
+            recon_bare = recon_metric.copy()
             for k in range(2, m + 1):
                 if k == j:
                     continue
-                p = A.psi_at(psi, k, j)
-                recon_metric += (A.eps(k - 1) * p)[:, None] * A.V(t, k)
-                recon_bare += p[:, None] * A.V(t, k)
+                p = w.psi_at(psi, k, j)
+                recon_metric += (w.eps(k - 1) * p)[:, None] * w.V(k)
+                recon_bare += p[:, None] * w.V(k)
             r_recon_metric = max(
-                r_recon_metric, float(np.max(_euclid_norm(fdot[j - 1] - recon_metric)[A.interior]))
+                r_recon_metric, float(np.max(_euclid_norm(fdot[j - 1] - recon_metric)[w.interior]))
             )
             r_recon_bare = max(
-                r_recon_bare, float(np.max(_euclid_norm(fdot[j - 1] - recon_bare)[A.interior]))
+                r_recon_bare, float(np.max(_euclid_norm(fdot[j - 1] - recon_bare)[w.interior]))
             )
 
     residuals = {"tangent_equation": r_tangent}
@@ -423,7 +425,7 @@ def check_frame_evolution(
         {name: tol for name in residuals},
         passed,
         gated,
-        {"frame_flips": A.flips, "inextensibility_violation": violation},
+        {"frame_flips": window.flips, "inextensibility_violation": violation},
     )
 
 
@@ -443,62 +445,58 @@ def check_curvature_pde(
     """
     tol = DEFAULT_TOLERANCES["curvature_pde"] if tolerance is None else tolerance
     violation = _require_inextensible(traj, inextensibility_tol)
-    A = _Arrays(traj, min_states=3)
-    m = A.m
+    window = _Window(traj)
+    m = window.m
     if m < 2:
         raise CurveFlowError("curvature check needs at least two frame vectors")
-    kdot = (A.k[2:] - A.k[:-2]) / (2.0 * A.dt)  # (T-2, m-1, N)
     rA = 0.0
     k1_rate_max = 0.0
     k1_rhs_max = 0.0
     r_metric = {i: 0.0 for i in range(1, m)}
     r_classical = {i: 0.0 for i in range(1, m)}
-    for t in range(1, A.T - 1):
-        c = A.curves[t]
-        e = A.eps
-        k1, k2, k3 = A.k_at(t, 1), A.k_at(t, 2), A.k_at(t, 3)
-        f1, f2, f3, f4 = (A.f_at(t, i) for i in (1, 2, 3, 4))
+    for w in window.walk():
+        c = w.state.curve
+        e = w.eps
+        kdot = (w.next.frenet.curvatures - w.prev.frenet.curvatures) / (2.0 * w.dt)
+        k1, k2, k3 = w.k_at(1), w.k_at(2), w.k_at(3)
+        f1, f2, f3, f4 = (w.f_at(i) for i in (1, 2, 3, 4))
         rhs_a = (
             e(0) * e(1) * f2 * k1**2
             + f1 * d_ds(k1, c)
-            + A.dfds(t, 2, order=2)
-            - 2.0 * e(1) * e(2) * A.dfds(t, 3) * k2
+            + w.dfds(2, order=2)
+            - 2.0 * e(1) * e(2) * w.dfds(3) * k2
             - e(1) * e(2) * f3 * d_ds(k2, c)
             - e(1) * e(2) * f2 * k2**2
             + e(1) * e(3) * f4 * k2 * k3
         )
-        rA = max(rA, float(np.max(np.abs(kdot[t - 1, 0] - rhs_a)[A.interior])))
-        k1_rate_max = max(k1_rate_max, float(np.max(np.abs(kdot[t - 1, 0])[A.interior])))
-        k1_rhs_max = max(k1_rhs_max, float(np.max(np.abs(rhs_a)[A.interior])))
+        rA = max(rA, float(np.max(np.abs(kdot[0] - rhs_a)[w.interior])))
+        k1_rate_max = max(k1_rate_max, float(np.max(np.abs(kdot[0])[w.interior])))
+        k1_rhs_max = max(k1_rhs_max, float(np.max(np.abs(rhs_a)[w.interior])))
 
-        psi = A.psi(t)
-        dpsi = {}
-
-        def dpsi_ds(kk: int, jj: int) -> np.ndarray:
-            if not (1 <= kk <= m and 1 <= jj <= m):
-                return np.zeros(A.N)
-            if (kk, jj) not in dpsi:
-                dpsi[(kk, jj)] = d_ds(A.psi_at(psi, kk, jj), c)
-            return dpsi[(kk, jj)]
-
+        psi = w.psi()
+        # every entry's s-derivative in one call: d_ds runs down the columns
+        dpsi = d_ds(psi.reshape(m * m, -1).T, c).T.reshape(psi.shape)
         for i in range(1, m):
-            lhs = kdot[t - 1, i - 1]
+            lhs = kdot[i - 1]
             if i == m - 1:
                 classical_rhs = -e(m - 2) * e(m - 1) * (
-                    dpsi_ds(m - 1, m) + A.psi_at(psi, m - 2, m) * A.k_at(t, m - 2)
+                    w.psi_at(dpsi, m - 1, m) + w.psi_at(psi, m - 2, m) * w.k_at(m - 2)
                 )
             else:
-                classical_rhs = dpsi_ds(i + 1, i) - e(i) * e(i + 1) * A.psi_at(
+                classical_rhs = w.psi_at(dpsi, i + 1, i) - e(i) * e(i + 1) * w.psi_at(
                     psi, i + 2, i
-                ) * A.k_at(t, i + 1)
+                ) * w.k_at(i + 1)
             metric_rhs = e(i) * (
-                dpsi_ds(i + 1, i) - A.psi_at(psi, i + 2, i) * A.k_at(t, i + 1)
-            ) - e(i - 2) * e(i - 1) * e(i) * A.k_at(t, i - 1) * A.psi_at(psi, i - 1, i + 1)
+                w.psi_at(dpsi, i + 1, i) - w.psi_at(psi, i + 2, i) * w.k_at(i + 1)
+            ) - e(i - 2) * e(i - 1) * e(i) * w.k_at(i - 1) * w.psi_at(psi, i - 1, i + 1)
             r_classical[i] = max(
-                r_classical[i], float(np.max(np.abs(lhs - classical_rhs)[A.interior]))
+                r_classical[i], float(np.max(np.abs(lhs - classical_rhs)[w.interior]))
             )
-            r_metric[i] = max(r_metric[i], float(np.max(np.abs(lhs - metric_rhs)[A.interior])))
+            r_metric[i] = max(r_metric[i], float(np.max(np.abs(lhs - metric_rhs)[w.interior])))
 
+    k_peak = np.zeros(m - 1)  # peak |k_j| over every state, both end states included
+    for st in traj.states:
+        k_peak = np.maximum(k_peak, np.max(np.abs(st.frenet.curvatures), axis=1))
     residuals = {"k1_flow_form": rA}
     gated = ["k1_flow_form"]
     degenerate = []
@@ -507,7 +505,7 @@ def check_curvature_pde(
         residuals[f"k{i}_psi_classical"] = r_classical[i]
         gated.append(f"k{i}_psi_metric")
         needed = [j for j in (i - 1, i + 1) if 1 <= j <= m - 1]
-        if any(float(np.max(np.abs(A.k[:, j - 1]))) < 1e-10 for j in needed):
+        if any(k_peak[j - 1] < 1e-10 for j in needed):
             degenerate.append(f"k{i}")
     passed = all(residuals[name] <= tol for name in gated)
     return _single(
@@ -518,7 +516,7 @@ def check_curvature_pde(
         passed,
         gated,
         {
-            "frame_flips": A.flips,
+            "frame_flips": window.flips,
             "inextensibility_violation": violation,
             "degenerate_equations": degenerate,
             "k1_rate_max": k1_rate_max,

@@ -237,6 +237,10 @@ def _no_time_step(doc):
     doc["integrator"] = {"steps": 4}
 
 
+def _past_horizon(doc):
+    doc["integrator"] = {"dt": 0.01, "steps": 8, "t_horizon": 0.016}
+
+
 @pytest.mark.parametrize(
     "command, scenario, edit, code, stderr",
     [
@@ -250,6 +254,8 @@ def _no_time_step(doc):
          EXIT_CONFIG, "config error: scenario requests no checks\n"),
         (["convergence", "--levels", "2"], "circle_zero_flow.json", _no_time_step,
          EXIT_CONFIG, "config error: convergence needs integrator.dt or t_horizon\n"),
+        (["run"], "circle_zero_flow.json", _past_horizon, EXIT_CONFIG,
+         "config error: integrator.t_horizon: dt*steps = 0.08 exceeds the time horizon 0.016\n"),
     ],
 )
 def test_exit_codes_per_subcommand(tmp_path, capsys, command, scenario, edit, code, stderr):

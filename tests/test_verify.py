@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -247,6 +250,62 @@ def test_orthonormality_conserved_along_trajectory(sine_traj_short):
 
     worst = max(orthonormality_residual(st.frenet) for st in sine_traj_short.states)
     assert worst < 1e-6
+
+
+# --- sliding window ---------------------------------------------------------
+
+
+def _with_flipped_frame(traj, step, flips):
+    """Copy of traj whose state ``step`` has frame vector i negated at samples sl."""
+    st = traj.states[step]
+    frame = st.frenet.frame.copy()
+    for i, sl in flips:
+        frame[i - 1, sl] *= -1.0
+    states = list(traj.states)
+    states[step] = dataclasses.replace(st, frenet=dataclasses.replace(st.frenet, frame=frame))
+    return dataclasses.replace(traj, states=states)
+
+
+def test_frame_alignment_undoes_pointwise_sign_flips():
+    # Every bundled run reports frame_flips == 0, so flips are planted by hand:
+    # V_2 at samples 10-20 and V_3 at samples 30-32 of state 5 (11 + 3 flips).
+    traj = run_flow("circle", "inextensible_sine", 64, 1e-3, 12)
+    flipped = _with_flipped_frame(traj, 5, [(2, slice(10, 21)), (3, slice(30, 33))])
+    for name, check in CHECKS.items():
+        ref, rep = check(traj), check(flipped)
+        assert rep.residuals == ref.residuals, name
+        if name != "iff_condition":
+            assert ref.details["frame_flips"] == 0, name
+            assert rep.details["frame_flips"] == 14, name
+    for step in (4, 5, 6):
+        assert np.array_equal(psi_matrix(flipped, step).values, psi_matrix(traj, step).values)
+
+
+def test_psi_matrix_matches_pairwise_products(sine_traj_short):
+    # one batched inner product against the m*m loop over (k, j); no flips here
+    from curveflow.minkowski import inner_many
+
+    states = sine_traj_short.states
+    fdot = (states[8].frenet.frame - states[6].frenet.frame) / (2.0 * sine_traj_short.dt)
+    frame = states[7].frenet.frame
+    m = len(frame)
+    ref = np.array([[inner_many(fdot[j], frame[k]) for j in range(m)] for k in range(m)])
+    assert np.array_equal(psi_matrix(sine_traj_short, 7).values, ref)
+
+
+def test_check_memory_does_not_grow_with_trajectory_length():
+    # The checks hold a three-state window, not stacks of every state: the
+    # peak each one allocates stays a small multiple of one frame at 400 steps.
+    traj = run_flow("circle", "inextensible_sine", 64, 1e-3, 400)
+    frame_bytes = traj.states[0].frenet.frame.nbytes
+    for name, check in CHECKS.items():
+        tracemalloc.start()
+        try:
+            check(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * frame_bytes, (name, peak / frame_bytes)
 
 
 # --- report plumbing --------------------------------------------------------
