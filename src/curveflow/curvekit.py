@@ -13,6 +13,7 @@ and falling back to one-sided second-order stencils at open endpoints.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,7 +154,7 @@ class SampledCurve:
             raise ValueError("curve evaluation produced non-finite values")
         tangents = derivs[1]
         q = minkowski.inner_many(tangents, tangents)
-        euclid = np.einsum("ij,ij->i", tangents, tangents)
+        euclid = minkowski.dot_many(tangents, tangents)
         thresh = null_tol * np.maximum(1.0, euclid)
         null_mask = (np.abs(q) <= thresh) & (euclid > 0)
         if null_mask.any():
@@ -327,11 +328,20 @@ def _arclength_tables(speeds: np.ndarray, h: float, closed: bool):
 
 def _integrate(values: np.ndarray, h: float, rule: str) -> float:
     if rule == "simpson" and (values.shape[0] - 1) % 2 == 0:
-        w = np.ones(values.shape[0])
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return float(values @ w * h / 3.0)
+        return float(values @ _simpson_weights(values.shape[0]) * h / 3.0)
     return float(np.trapezoid(values, dx=h))
+
+
+# Memoized like ``minkowski.metric_signs``: each stage integrates twice on the
+# same grid.  Read-only, as it is shared.
+@functools.cache
+def _simpson_weights(n_points: int) -> np.ndarray:
+    """Composite Simpson weights 1, 4, 2, 4, ..., 2, 4, 1 (read-only)."""
+    w = np.ones(n_points)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w.setflags(write=False)
+    return w
 
 
 def cumulative_integral(values: np.ndarray, h: float, rule: str) -> np.ndarray:

@@ -135,14 +135,18 @@ def solve_inextensible_f1(
     f2_values: np.ndarray,
     f1_at_0: float,
     compat_rtol: float = COMPAT_RTOL,
+    *,
+    rhs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Integrate df_1/ds = e0 e1 f_2 k_1 from the curve's first sample.
 
     For closed curves the loop integral of the right-hand side must vanish
     (within compat_rtol times the total arclength), otherwise no periodic
-    f_1 exists and IncompatibleClosedFlow is raised.
+    f_1 exists and IncompatibleClosedFlow is raised.  A caller that already
+    holds ``inextensibility_rhs(c, fd, f2_values)`` passes it as ``rhs``.
     """
-    rhs = inextensibility_rhs(c, fd, f2_values)
+    if rhs is None:
+        rhs = inextensibility_rhs(c, fd, f2_values)
     integrand = rhs * c.speeds  # ds = v du
     if c.closed:
         residual = loop_integral(integrand, c)
@@ -179,7 +183,7 @@ def evaluate_speeds(
             f[i] = exprjet.eval_jet(expr, "s", c.s, 0, env).coeffs[0]
     if flow.mode == INEXTENSIBLE:
         f1_s = inextensibility_rhs(c, fd, f[1])
-        f[0] = solve_inextensible_f1(c, fd, f[1], flow.f1_at_0)
+        f[0] = solve_inextensible_f1(c, fd, f[1], flow.f1_at_0, rhs=f1_s)
     m = fd.num_vectors
     if m < n:
         stray = np.max(np.abs(f[m:])) if n > m else 0.0

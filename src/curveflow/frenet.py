@@ -29,7 +29,7 @@ import numpy as np
 
 from .curvekit import SampledCurve, d_ds
 from .errors import NonGenericCurveError
-from .minkowski import inner_many, metric_signs
+from .minkowski import dot_many, inner_many, metric_signs
 
 GENERIC_RTOL = 1e-7
 
@@ -79,7 +79,7 @@ def frenet_apparatus(c: SampledCurve, num_vectors: int | None = None) -> FrenetD
             w -= signs[j] * inner_many(w, frame[j])[:, None] * frame[j]
         q = inner_many(w, w)
         nw = np.sqrt(np.abs(q))
-        scale = np.sqrt(np.einsum("ij,ij->i", c.derivs[i], c.derivs[i]))
+        scale = np.sqrt(dot_many(c.derivs[i], c.derivs[i]))
         small = nw <= GENERIC_RTOL * np.maximum(1e-300, scale)
         if i == m == n and small.all():
             frame[i - 1], signs[i - 1] = _complete_frame(frame[:i - 1])
@@ -134,22 +134,23 @@ def _complete_frame(partial: np.ndarray):
     """
     m1, N, n = partial.shape
     g = metric_signs(n)
-    rows = np.transpose(partial * g, (1, 0, 2))  # (N, n-1, n); <V_j, z> = row_j . z
-    # Generalized cross product of the constraint rows (cofactor expansion).
+    # Generalized cross product of the constraint rows g*V_j, since
+    # <V_j, z> = (g*V_j) . z (cofactor expansion).
     if n == 3:
         # np.cross written out: its axis handling cost more than the products.
-        a, b = rows[:, 0, :], rows[:, 1, :]
+        a, b = partial[0] * g, partial[1] * g
         z = np.empty((N, 3))
         z[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
         z[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
         z[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     else:
+        rows = np.transpose(partial * g, (1, 0, 2))  # (N, n-1, n)
         z = np.empty((N, n))
         for k in range(n):
             minor = np.delete(rows, k, axis=2)
             z[:, k] = (-1.0) ** k * np.linalg.det(minor)
     q = inner_many(z, z)
-    euclid = np.einsum("ij,ij->i", z, z)
+    euclid = dot_many(z, z)
     bad = np.abs(q) <= GENERIC_RTOL * np.maximum(1e-300, euclid)
     if bad.any():
         k = int(np.argmax(bad))
@@ -204,7 +205,8 @@ def frenet_residuals(c: SampledCurve, fd: FrenetData) -> np.ndarray:
             rhs -= (e[i - 2] * e[i - 1]) * k[i - 2][:, None] * V[i - 2]
             if i < m:
                 rhs += k[i - 1][:, None] * V[i]
-        out[i - 1] = np.sqrt(np.einsum("ij,ij->i", dv - rhs, dv - rhs))
+        r = dv - rhs
+        out[i - 1] = np.sqrt(dot_many(r, r))
     return out
 
 

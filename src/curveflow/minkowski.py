@@ -6,6 +6,16 @@ so the inner product of X and Y is -x1*y1 + x2*y2 + ... + xn*yn.  The
 per-call validation (they are the hot path for sampled curves).  The
 scalar calls accept plain sequences or numpy arrays, validate them, then
 delegate to the batched kernels, so both give the same numbers.
+
+The row sums (``inner_many`` and its Euclidean twin ``dot_many``) add the
+products x_i*y_i in the order numpy's ``einsum("...i,...i->...")`` does on
+x86-64, which these kernels replaced: a two-lane accumulator that starts at
++0.0, lane 0 taking the even columns and lane 1 the odd ones (each full block
+of 8 columns in the order 6, 4, 2, 0 and 7, 5, 3, 1, the rest in order), then
+lane 0 + lane 1.  The order is pinned so that every output stayed
+byte-identical across the rewrite, signed zeros included.  Written out with
+one ufunc call per column, the sum is about twice as fast as einsum on
+(N, 3) rows, whose inner loop runs only 3 long.
 """
 
 from __future__ import annotations
@@ -60,8 +70,46 @@ def inner(x, y) -> float:
 
 def inner_many(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Row-wise inner product of two (..., n) stacks.  No validation."""
-    g = metric_signs(X.shape[-1])
-    return np.einsum("...i,...i->...", X, g * Y)
+    return _row_sum(X * Y, negate_first=True)
+
+
+def dot_many(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean dot product of two (..., n) stacks.  No validation."""
+    return _row_sum(X * Y, negate_first=False)
+
+
+@functools.cache
+def _lanes(n: int, negate_first: bool):
+    """einsum's summation plan for rows of length n (see the module docstring).
+
+    Lane 0 is a tuple of (ufunc, column) steps, with ``np.subtract`` for a
+    negated column 0; lane 1 is a tuple of columns.
+    """
+    if n < 2:
+        raise DimensionMismatch(f"dimension must be >= 2, got {n}")
+    blocked = n - n % 8
+    lane0, lane1 = [], []
+    for b in range(0, blocked, 8):
+        lane0 += [b + 6, b + 4, b + 2, b]
+        lane1 += [b + 7, b + 5, b + 3, b + 1]
+    lane0 += range(blocked, n, 2)
+    lane1 += range(blocked + 1, n, 2)
+    steps = tuple((np.subtract if negate_first and k == 0 else np.add, k) for k in lane0)
+    return steps, tuple(lane1)
+
+
+def _row_sum(P: np.ndarray, negate_first: bool) -> np.ndarray:
+    """Sum P over its last axis in einsum's order, column 0 negated if asked."""
+    lane0, lane1 = _lanes(P.shape[-1], negate_first)
+    # Lane 0 starts from +0.0, so it is never -0.0 and neither is the sum, as
+    # with einsum; lane 1 need not, since +0.0 + -0.0 is +0.0.
+    even = 0.0
+    for op, k in lane0:
+        even = op(even, P[..., k])
+    odd = P[..., lane1[0]]
+    for k in lane1[1:]:
+        odd = odd + P[..., k]
+    return even + odd
 
 
 def norm(x) -> float:
@@ -87,7 +135,7 @@ def causal_character(x, tol: float = DEFAULT_NULL_TOL) -> CausalCharacter:
 def causal_character_many(X: np.ndarray, tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
     """Vectorized classification; returns an object array of CausalCharacter."""
     q = inner_many(X, X)
-    euclid = np.einsum("...i,...i->...", X, X)
+    euclid = dot_many(X, X)
     thresh = tol * np.maximum(1.0, euclid)
     out = np.full(q.shape, CausalCharacter.SPACELIKE, dtype=object)
     out[q < -thresh] = CausalCharacter.TIMELIKE

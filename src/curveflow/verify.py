@@ -36,7 +36,7 @@ from . import exprjet
 from .curvekit import d_ds, d_ds4
 from .errors import CurveFlowError, InsufficientStates, NotInextensible
 from .flowsim import INEXTENSIBLE, Trajectory, arclength_drift, dv_dt_rhs, inextensibility_rhs
-from .minkowski import inner_many
+from .minkowski import dot_many, inner_many
 
 RESIDUAL_FLOOR = 1e-12
 
@@ -208,7 +208,7 @@ def _psi_residuals(psi: np.ndarray, sl: slice) -> tuple[float, float]:
 
 
 def _euclid_norm(X: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", X, X))
+    return np.sqrt(dot_many(X, X))
 
 
 def _pointwise_violation(traj: Trajectory) -> float:

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.integrate import quad
 
+from curveflow import curvekit
 from curveflow.curvekit import (
     CLOSED,
     OPEN,
@@ -225,6 +226,17 @@ def test_cumulative_rules_keep_scipy_signed_zeros():
     for ours, ref in ((cumulative_simpson, integrate.cumulative_simpson),
                       (cumulative_trapezoid, integrate.cumulative_trapezoid)):
         assert ours(y, 0.5).tobytes() == ref(y, dx=0.5, initial=0.0).tobytes()
+
+
+def test_simpson_weights_are_shared_and_read_only():
+    w = curvekit._simpson_weights(9)
+    assert w is curvekit._simpson_weights(9)
+    assert not w.flags.writeable
+    assert w.tolist() == [1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]
+    y = np.random.default_rng(2).standard_normal(9)
+    assert curvekit._integrate(y, 0.25, "simpson") == pytest.approx(
+        integrate.simpson(y, dx=0.25), rel=1e-13
+    )
 
 
 @pytest.mark.parametrize("shape", [(16,), (17,), (256, 3), (33, 4)])

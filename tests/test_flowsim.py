@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from curveflow import catalog
+from curveflow import catalog, flowsim
 from curveflow.curvekit import sample
 from curveflow.errors import (
     IncompatibleClosedFlow,
@@ -61,6 +61,27 @@ def test_solve_f1_incompatible_loop(circle_256):
     with pytest.raises(IncompatibleClosedFlow) as err:
         solve_inextensible_f1(circle_256, fd, np.ones(256), 0.0)
     assert err.value.residual == pytest.approx(TWO_PI, rel=1e-6)
+
+
+def test_evaluate_speeds_forms_the_f1_rhs_once(circle_256, monkeypatch):
+    fd = frenet_apparatus(circle_256)
+    sine = catalog.flow("inextensible_sine", 3)
+    f_ref, f1_s_ref = evaluate_speeds(sine, circle_256, fd, 0.0)
+    calls = []
+    rhs = flowsim.inextensibility_rhs
+
+    def counted(*args):
+        calls.append(args)
+        return rhs(*args)
+
+    monkeypatch.setattr(flowsim, "inextensibility_rhs", counted)
+    f, f1_s = evaluate_speeds(sine, circle_256, fd, 0.0)
+    assert len(calls) == 1
+    assert f.tobytes() == f_ref.tobytes() and f1_s.tobytes() == f1_s_ref.tobytes()
+    # a given rhs is the one integrated
+    f2 = np.sin(circle_256.s)
+    given = solve_inextensible_f1(circle_256, fd, f2, 0.0, rhs=rhs(circle_256, fd, f2))
+    assert given.tobytes() == solve_inextensible_f1(circle_256, fd, f2, 0.0).tobytes()
 
 
 def test_dv_dt_rhs_examples(circle_256):

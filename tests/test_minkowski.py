@@ -1,13 +1,20 @@
+import itertools
+import platform
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curveflow
 from curveflow.errors import DimensionMismatch
 from curveflow.minkowski import (
     CausalCharacter,
     causal_character,
     causal_character_many,
+    dot_many,
     inner,
     inner_many,
     metric_signs,
@@ -104,3 +111,63 @@ def test_vectorized_classification_agrees_with_scalar():
     many = causal_character_many(X)
     for i in range(X.shape[0]):
         assert many[i] is causal_character(X[i])
+
+
+# The row sums replaced np.einsum and must add in its order, so that outputs
+# written before and after agree byte for byte; tobytes() also tells -0.0
+# from 0.0, which np.array_equal does not.  einsum fuses multiply and add on
+# some other architectures, so the order is pinned for x86-64 only.
+x86_64_only = pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="the einsum summation order is pinned on x86-64",
+)
+
+
+def _einsum_inner(X, Y):
+    return np.einsum("...i,...i->...", X, metric_signs(X.shape[-1]) * Y)
+
+
+def _einsum_dot(X, Y):
+    return np.einsum("...i,...i->...", X, Y)
+
+
+def _assert_same_bytes(X, Y):
+    for ours, ref in ((inner_many, _einsum_inner), (dot_many, _einsum_dot)):
+        a, b = ours(X, Y), ref(X, Y)
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+# n = 8 and up exercise einsum's blocks of eight columns.
+@x86_64_only
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13])
+def test_row_sums_match_einsum_bytes(n):
+    rng = np.random.default_rng(50 + n)
+    m, N = 3, 66
+    # Magnitudes spread over 16 decades, so the order of the additions shows.
+    F = rng.standard_normal((m, N, n)) * 10.0 ** rng.integers(-8, 8, (m, N, n))
+    G = rng.standard_normal((m, N, n)) * 10.0 ** rng.integers(-8, 8, (m, N, n))
+    _assert_same_bytes(F[0], G[0])  # (N, n)
+    _assert_same_bytes(F[0], F[0])
+    _assert_same_bytes(F, G)  # (m, N, n)
+    _assert_same_bytes(F[None], G[:, None])  # (1, m, N, n) x (m, 1, N, n)
+    _assert_same_bytes(F[:, ::2], G[:, 1::2])  # strided views
+    _assert_same_bytes(F[0, ::3], G[1, ::3])
+    _assert_same_bytes(F[0, 0], G[0, 0])  # one vector
+
+
+@x86_64_only
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_row_sums_match_einsum_signed_zeros(n):
+    rows = np.array(list(itertools.product([0.0, -0.0, 1.0, -1.0, 2.5], repeat=n)))
+    shuffled = rows[np.random.default_rng(n).permutation(rows.shape[0])]
+    for Y in (rows, shuffled, rows[::-1], np.ones_like(rows), -np.ones_like(rows)):
+        _assert_same_bytes(rows, Y)
+    _assert_same_bytes(rows[:40, None], rows[None, :40])
+
+
+def test_no_einsum_left_in_package():
+    package = Path(curveflow.__file__).parent
+    calls = re.compile(r"\b(np|numpy)\.einsum\b")
+    found = [p.name for p in sorted(package.rglob("*.py")) if calls.search(p.read_text())]
+    assert found == []
