@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -30,6 +31,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 
 from . import catalog
 from .curvekit import CurveSpec, sample
@@ -62,9 +64,16 @@ def load_scenario(path: str | Path) -> dict:
     if not p.exists():
         raise ConfigError(f"scenario file not found: {p}")
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
+        doc = json.loads(
+            p.read_text(encoding="utf-8"),
+            parse_int=lambda text: _finite_number(text, int),
+            parse_float=_finite_number,
+            parse_constant=_finite_number,
+        )
     except json.JSONDecodeError as exc:
         raise ConfigError(f"not valid JSON: {exc}", field=str(p)) from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc), field=str(p)) from exc
     try:
         jsonschema.validate(doc, _schema("scenario.schema.json"))
     except jsonschema.ValidationError as exc:
@@ -72,6 +81,14 @@ def load_scenario(path: str | Path) -> dict:
         raise ConfigError(exc.message, field=where) from exc
     _cross_validate(doc)
     return doc
+
+
+def _finite_number(text: str, kind=float):
+    """JSON number hook: NaN, Infinity and literals that overflow a double
+    (such as 1e400) are rejected, so every scenario number is finite."""
+    if not math.isfinite(float(text)):
+        raise ValueError(f"number {text} is not finite")
+    return kind(text)
 
 
 def _const_value(raw, field: str) -> float:
@@ -83,7 +100,14 @@ def _const_value(raw, field: str) -> float:
         raise ConfigError(f"bad expression: {exc}", field=field) from exc
     if variables(expr):
         raise ConfigError("must be a constant expression", field=field)
-    return float(eval_scalar(expr))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values end below
+            value = float(eval_scalar(expr))
+    except CurveFlowError as exc:
+        raise ConfigError(str(exc), field=field) from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"evaluates to {value}, not a finite number", field=field)
+    return value
 
 
 def _cross_validate(doc: dict) -> None:
@@ -219,20 +243,22 @@ def _fmt(x: float) -> str:
 
 def write_timeseries(traj: Trajectory, out_dir: Path) -> Path:
     lines = [TIMESERIES_HEADER]
-    baseline = traj.diagnostics[0].total_arclength
+    baseline = traj.states[0].curve.total_length
     drift = 0.0
-    for d in traj.diagnostics:
-        drift = max(drift, abs(d.total_arclength - baseline))
+    for step, st in enumerate(traj.states):
+        c, fd = st.curve, st.frenet
+        drift = max(drift, abs(c.total_length - baseline))
+        max_k1 = float(np.max(np.abs(fd.curvatures[0]))) if fd.num_vectors >= 2 else 0.0
         lines.append(
             ",".join(
                 [
-                    str(d.step),
-                    _fmt(d.t),
-                    _fmt(d.total_arclength),
+                    str(step),
+                    _fmt(st.t),
+                    _fmt(c.total_length),
                     _fmt(drift),
-                    _fmt(d.min_v),
-                    _fmt(d.max_v),
-                    _fmt(d.max_k1),
+                    _fmt(float(np.min(c.speeds))),
+                    _fmt(float(np.max(c.speeds))),
+                    _fmt(max_k1),
                 ]
             )
         )
@@ -288,7 +314,7 @@ def cmd_run(args) -> int:
     try:
         traj, reports = execute(doc)
     except EvolutionError as exc:
-        if exc.trajectory is not None and exc.trajectory.diagnostics:
+        if exc.trajectory is not None and exc.trajectory.states:
             write_timeseries(exc.trajectory, out_dir)
         raise
 

@@ -82,8 +82,7 @@ class SampledCurve:
     """Curve evaluated on a uniform grid, with cached speed and arclength.
 
     ``derivs[m]`` is the (N, n) array of m-th u-derivative vectors; index 0
-    holds the points themselves.  ``exact_derivs`` records whether they came
-    from jets (True) or from repeated stencil differentiation (False).
+    holds the points themselves.
     """
 
     grid: np.ndarray
@@ -95,7 +94,6 @@ class SampledCurve:
     total_length: float
     quadrature: str
     char: CausalCharacter
-    exact_derivs: bool
     null_tol: float
 
     @property
@@ -142,14 +140,10 @@ class SampledCurve:
         for m in range(1, deriv_order + 1):
             derivs[m] = d_du(derivs[m - 1], h, closed)
         metric_tangents = d_du4(points, h, closed)
-        return cls._finish(
-            grid, h, closed, derivs, exact=False, null_tol=null_tol, metric_tangents=metric_tangents
-        )
+        return cls._finish(grid, h, closed, derivs, null_tol, metric_tangents)
 
     @classmethod
-    def _finish(
-        cls, grid, h, closed, derivs, exact, null_tol, metric_tangents=None
-    ) -> "SampledCurve":
+    def _finish(cls, grid, h, closed, derivs, null_tol, metric_tangents=None) -> "SampledCurve":
         if not np.isfinite(derivs).all():
             raise ValueError("curve evaluation produced non-finite values")
         tangents = derivs[1]
@@ -186,7 +180,6 @@ class SampledCurve:
             total_length=total,
             quadrature=rule,
             char=char,
-            exact_derivs=exact,
             null_tol=null_tol,
         )
 
@@ -208,9 +201,7 @@ def sample(spec: CurveSpec, null_tol: float = minkowski.DEFAULT_NULL_TOL) -> Sam
         jet = exprjet.eval_jet(comp, "u", grid, n)
         for m in range(n + 1):
             derivs[m, :, j] = jet.derivative(m)
-    return SampledCurve._finish(
-        grid, h, spec.topology == CLOSED, derivs, exact=True, null_tol=null_tol
-    )
+    return SampledCurve._finish(grid, h, spec.topology == CLOSED, derivs, null_tol)
 
 
 # --------------------------------------------------------------------------

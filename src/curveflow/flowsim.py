@@ -15,7 +15,7 @@ Open curves evolve with free endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,24 +102,12 @@ class SimState:
 
 
 @dataclass
-class StepDiagnostics:
-    step: int
-    t: float
-    total_arclength: float
-    min_v: float
-    max_v: float
-    max_k1: float
-
-
-@dataclass
 class Trajectory:
-    """States at uniformly spaced times, plus cheap per-step diagnostics."""
+    """States at uniformly spaced times."""
 
     states: list[SimState]
     dt: float
     flow: FlowSpec
-    frame_vectors: int
-    diagnostics: list[StepDiagnostics] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -134,14 +122,13 @@ def solve_inextensible_f1(
     fd: FrenetData,
     f2_values: np.ndarray,
     f1_at_0: float,
-    compat_rtol: float = COMPAT_RTOL,
     *,
     rhs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Integrate df_1/ds = e0 e1 f_2 k_1 from the curve's first sample.
 
     For closed curves the loop integral of the right-hand side must vanish
-    (within compat_rtol times the total arclength), otherwise no periodic
+    (within COMPAT_RTOL times the total arclength), otherwise no periodic
     f_1 exists and IncompatibleClosedFlow is raised.  A caller that already
     holds ``inextensibility_rhs(c, fd, f2_values)`` passes it as ``rhs``.
     """
@@ -150,7 +137,7 @@ def solve_inextensible_f1(
     integrand = rhs * c.speeds  # ds = v du
     if c.closed:
         residual = loop_integral(integrand, c)
-        tol = compat_rtol * c.total_length
+        tol = COMPAT_RTOL * c.total_length
         if abs(residual) > tol:
             raise IncompatibleClosedFlow(residual, tol)
     return f1_at_0 + cumulative_integral(integrand, c.h, c.quadrature)
@@ -222,13 +209,20 @@ def dv_dt_rhs(state: SimState) -> np.ndarray:
 
 
 def initial_state(
-    curve: SampledCurve, flow: FlowSpec, frame_vectors: int | None = None, t0: float = 0.0
+    curve: SampledCurve, flow: FlowSpec, frame_vectors: int | None = None
 ) -> SimState:
-    """Assemble the starting state (frame, speeds) for a flow on a curve."""
+    """Assemble the state at t = 0 (frame, speeds) for a flow on a curve."""
     flow.validate(curve.n)
+    return _build_state(curve, flow, frame_vectors, 0.0)
+
+
+def _build_state(
+    curve: SampledCurve, flow: FlowSpec, frame_vectors: int | None, t: float
+) -> SimState:
+    """Frame, then speeds: the one way a state is assembled from a curve."""
     fd = frenet_apparatus(curve, frame_vectors)
-    f, f1_s = evaluate_speeds(flow, curve, fd, t0)
-    return SimState(t=t0, curve=curve, frenet=fd, f_values=f, f1_s=f1_s)
+    f, f1_s = evaluate_speeds(flow, curve, fd, t)
+    return SimState(t=t, curve=curve, frenet=fd, f_values=f, f1_s=f1_s)
 
 
 def default_dt(state: SimState) -> float:
@@ -263,41 +257,35 @@ def evolve(
     grid = initial.curve.grid
     closed = initial.curve.closed
     null_tol = initial.curve.null_tol
-    traj = Trajectory(states=[initial], dt=dt, flow=flow, frame_vectors=m)
+    traj = Trajectory(states=[], dt=dt, flow=flow)
 
-    def stage_state(points: np.ndarray, t: float, partial: Trajectory) -> SimState:
+    def stage_state(points: np.ndarray, t: float) -> SimState:
         try:
             c = SampledCurve.from_points(points, grid, closed, m, null_tol)
         except NullCurveError as exc:
-            raise NullCurveDeveloped(str(exc), t=t, trajectory=partial) from exc
+            raise NullCurveDeveloped(str(exc), t=t, trajectory=traj) from exc
         except ValueError as exc:
-            raise StabilityError(str(exc), t=t, trajectory=partial) from exc
+            raise StabilityError(str(exc), t=t, trajectory=traj) from exc
         except CurveFlowError as exc:
             # Mixed causality / degeneracy mid-flight; genericity failures in
             # frenet_apparatus below propagate unwrapped.
-            raise EvolutionError(str(exc), t=t, trajectory=partial) from exc
-        fd = frenet_apparatus(c, m)
-        f, f1_s = evaluate_speeds(flow, c, fd, t)
-        return SimState(t=t, curve=c, frenet=fd, f_values=f, f1_s=f1_s)
+            raise EvolutionError(str(exc), t=t, trajectory=traj) from exc
+        return _build_state(c, flow, m, t)
 
-    # Every state in the trajectory (the initial one included) must use the
-    # stencil derivative estimator: mixing jet-exact and stencil speeds
+    # Every state in the trajectory, the first one included, is rebuilt by
+    # the stencil derivative estimator: mixing jet-exact and stencil speeds
     # would bias arclength comparisons by O(h^2).
-    if initial.curve.exact_derivs:
-        initial = stage_state(initial.curve.points, initial.t, traj)
-        traj.states[0] = initial
-    traj.diagnostics.append(_diagnose(0, initial))
-
-    state = initial
-    for step in range(1, steps + 1):
+    state = stage_state(initial.curve.points, initial.t)
+    traj.states.append(state)
+    for _ in range(steps):
         t = state.t
         p = state.curve.points
         k1 = velocity(state)
-        k2 = velocity(stage_state(p + 0.5 * dt * k1, t + 0.5 * dt, traj))
-        k3 = velocity(stage_state(p + 0.5 * dt * k2, t + 0.5 * dt, traj))
-        k4 = velocity(stage_state(p + dt * k3, t + dt, traj))
+        k2 = velocity(stage_state(p + 0.5 * dt * k1, t + 0.5 * dt))
+        k3 = velocity(stage_state(p + 0.5 * dt * k2, t + 0.5 * dt))
+        k4 = velocity(stage_state(p + dt * k3, t + dt))
         new_points = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        new_state = stage_state(new_points, t + dt, traj)
+        new_state = stage_state(new_points, t + dt)
         old_len = state.curve.total_length
         new_len = new_state.curve.total_length
         if abs(new_len - old_len) > MAX_STEP_LENGTH_CHANGE * old_len:
@@ -307,7 +295,6 @@ def evolve(
                 trajectory=traj,
             )
         traj.states.append(new_state)
-        traj.diagnostics.append(_diagnose(step, new_state))
         state = new_state
     return traj
 
@@ -319,18 +306,3 @@ def arclength_drift(traj: Trajectory) -> float:
     lengths = np.array([st.curve.total_length for st in traj.states])
     return float(np.max(np.abs(lengths - lengths[0])))
 
-
-def _diagnose(step: int, state: SimState) -> StepDiagnostics:
-    k1_max = (
-        float(np.max(np.abs(state.frenet.curvatures[0])))
-        if state.frenet.num_vectors >= 2
-        else 0.0
-    )
-    return StepDiagnostics(
-        step=step,
-        t=state.t,
-        total_arclength=state.curve.total_length,
-        min_v=float(np.min(state.curve.speeds)),
-        max_v=float(np.max(state.curve.speeds)),
-        max_k1=k1_max,
-    )

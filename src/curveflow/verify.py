@@ -118,7 +118,7 @@ class _Window:
         first = traj.states[0]
         self.traj = traj
         self.dt = traj.dt
-        self.m = traj.frame_vectors
+        self.m = first.frenet.num_vectors
         self.n = first.curve.n
         self.N = first.curve.samples
         self.signs = first.frenet.signs
@@ -227,10 +227,10 @@ def _pointwise_violation(traj: Trajectory) -> float:
     return worst
 
 
-def _require_inextensible(traj: Trajectory, tol: float) -> float:
+def _require_inextensible(traj: Trajectory) -> float:
     violation = _pointwise_violation(traj)
-    if violation > tol:
-        raise NotInextensible(violation, tol)
+    if violation > INEXTENSIBILITY_PRECONDITION_TOL:
+        raise NotInextensible(violation, INEXTENSIBILITY_PRECONDITION_TOL)
     return violation
 
 
@@ -340,11 +340,7 @@ def check_psi_antisymmetry(traj: Trajectory, tolerance: float | None = None) -> 
     )
 
 
-def check_frame_evolution(
-    traj: Trajectory,
-    tolerance: float | None = None,
-    inextensibility_tol: float = INEXTENSIBILITY_PRECONDITION_TOL,
-) -> VerificationReport:
+def check_frame_evolution(traj: Trajectory, tolerance: float | None = None) -> VerificationReport:
     """Frame evolution under an inextensible flow.
 
     Residuals: the full tangent-vector equation; the predicted V1
@@ -353,7 +349,7 @@ def check_frame_evolution(
     the metric-consistent and the bare-projection reading.
     """
     tol = DEFAULT_TOLERANCES["frame_evolution"] if tolerance is None else tolerance
-    violation = _require_inextensible(traj, inextensibility_tol)
+    violation = _require_inextensible(traj)
     window = _Window(traj)
     m = window.m
     r_tangent = 0.0
@@ -429,11 +425,7 @@ def check_frame_evolution(
     )
 
 
-def check_curvature_pde(
-    traj: Trajectory,
-    tolerance: float | None = None,
-    inextensibility_tol: float = INEXTENSIBILITY_PRECONDITION_TOL,
-) -> VerificationReport:
+def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> VerificationReport:
     """Time evolution of the curvatures under an inextensible flow.
 
     The first curvature is checked against its closed-form right-hand side
@@ -444,7 +436,7 @@ def check_curvature_pde(
     as degenerate in the details but still measured.
     """
     tol = DEFAULT_TOLERANCES["curvature_pde"] if tolerance is None else tolerance
-    violation = _require_inextensible(traj, inextensibility_tol)
+    violation = _require_inextensible(traj)
     window = _Window(traj)
     m = window.m
     if m < 2:

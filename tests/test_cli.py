@@ -16,7 +16,8 @@ from curveflow.cli import (
     load_scenario,
     main,
 )
-from curveflow.errors import ConfigError
+from curveflow.curvekit import SampledCurve
+from curveflow.errors import ConfigError, NullCurveError
 
 
 def scenario_doc(name):
@@ -146,13 +147,37 @@ def test_check_failure_gives_exit_one(tmp_path):
 
 
 def test_numerical_breakdown_gives_exit_three(tmp_path, capsys):
-    doc = scenario_doc("circle_normal_shrink.json")
-    doc["integrator"] = {"dt": 0.7, "steps": 2}
-    rc = main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "o")])
-    assert rc == EXIT_NUMERICAL
+    # (integrator, step column, t column) of the accepted states, which the
+    # partial timeseries still holds
+    cases = [
+        ({"dt": 0.7, "steps": 2}, ["0"], ["0"]),
+        ({"dt": 0.3, "steps": 4}, ["0", "1", "2"], ["0", "0.3", "0.6"]),
+    ]
+    for i, (integrator, steps, times) in enumerate(cases):
+        doc = scenario_doc("circle_normal_shrink.json")
+        doc["integrator"] = integrator
+        out = tmp_path / f"o{i}"
+        rc = main(["run", write_scenario(tmp_path, doc), "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert "breakdown" in capsys.readouterr().err
+        lines = (out / "timeseries.csv").read_text().splitlines()
+        assert lines[0] == TIMESERIES_HEADER
+        rows = [line.split(",") for line in lines[1:]]
+        assert [r[0] for r in rows] == steps
+        assert [r[1] for r in rows] == times
+
+
+def test_failed_first_rebuild_writes_no_timeseries(tmp_path, capsys, monkeypatch):
+    # evolve rebuilds its first state from the points; when that fails no
+    # state was accepted, so there is no row to write
+    def null_tangent(cls, *args, **kwargs):
+        raise NullCurveError("tangent is null at sample 0")
+
+    monkeypatch.setattr(SampledCurve, "from_points", classmethod(null_tangent))
+    scn = str(bundled_scenario_path("circle_normal_shrink.json"))
+    assert main(["run", scn, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
     assert "breakdown" in capsys.readouterr().err
-    # partial timeseries of the accepted states is still written
-    assert (tmp_path / "o" / "timeseries.csv").exists()
+    assert not (tmp_path / "o" / "timeseries.csv").exists()
 
 
 def test_frames_dump(tmp_path):
@@ -241,6 +266,24 @@ def _past_horizon(doc):
     doc["integrator"] = {"dt": 0.01, "steps": 8, "t_horizon": 0.016}
 
 
+def _setting(value, *keys):
+    def edit(doc):
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+
+    return edit
+
+
+SINE = "circle_inextensible_sine.json"
+
+
+def _dt_literal_1e400(doc):
+    # json.dumps cannot write an overflowing literal; hand back the text.
+    return json.dumps(doc).replace('"dt": 0.001', '"dt": 1e400')
+
+
 @pytest.mark.parametrize(
     "command, scenario, edit, code, stderr",
     [
@@ -256,15 +299,36 @@ def _past_horizon(doc):
          EXIT_CONFIG, "config error: convergence needs integrator.dt or t_horizon\n"),
         (["run"], "circle_zero_flow.json", _past_horizon, EXIT_CONFIG,
          "config error: integrator.t_horizon: dt*steps = 0.08 exceeds the time horizon 0.016\n"),
+        # Non-finite scenario numbers: rejected while loading, or where a
+        # constant expression is evaluated.
+        (["run"], SINE, _setting(float("inf"), "curve", "domain", 1), EXIT_CONFIG,
+         "config error: {path}: number Infinity is not finite\n"),
+        (["run"], SINE, _setting(10**400, "curve", "domain", 1), EXIT_CONFIG,
+         "config error: {path}: number 10000000000"),
+        (["run"], SINE, _setting("exp(1000)", "curve", "domain", 1), EXIT_CONFIG,
+         "config error: curve.domain[1]: evaluates to inf, not a finite number\n"),
+        (["run"], SINE, _setting("1/0", "curve", "domain", 1), EXIT_CONFIG,
+         "config error: curve.domain[1]: division by zero"),
+        (["run"], SINE, _setting("sqrt(-1)", "curve", "domain", 1), EXIT_CONFIG,
+         "config error: curve.domain[1]: sqrt of a negative value"),
+        (["run"], SINE, _setting(float("inf"), "integrator", "dt"), EXIT_CONFIG,
+         "config error: {path}: number Infinity is not finite\n"),
+        (["run"], SINE, _setting(float("nan"), "integrator", "dt"), EXIT_CONFIG,
+         "config error: {path}: number NaN is not finite\n"),
+        (["run"], SINE, _dt_literal_1e400, EXIT_CONFIG,
+         "config error: {path}: number 1e400 is not finite\n"),
+        (["run"], SINE, _setting(float("nan"), "flow", "f1_at_0"), EXIT_CONFIG,
+         "config error: {path}: number NaN is not finite\n"),
     ],
 )
 def test_exit_codes_per_subcommand(tmp_path, capsys, command, scenario, edit, code, stderr):
     doc = scenario_doc(scenario)
-    if edit is not None:
-        edit(doc)
-    argv = command[:1] + [write_scenario(tmp_path, doc)] + command[1:]
+    text = edit(doc) if edit is not None else None
+    path = tmp_path / "scenario.json"
+    path.write_text(text or json.dumps(doc))
+    argv = command[:1] + [str(path)] + command[1:]
     assert main(argv + ["--out", str(tmp_path / "o")]) == code
-    assert capsys.readouterr().err.startswith(stderr)
+    assert capsys.readouterr().err.startswith(stderr.format(path=path))
 
 
 def test_frenet_dump(tmp_path):

@@ -178,7 +178,6 @@ def test_reparametrization_invariance():
 
 def test_from_points_matches_jet_sampling(circle_256):
     c = SampledCurve.from_points(circle_256.points, circle_256.grid, True, 3)
-    assert not c.exact_derivs
     assert c.char is CausalCharacter.SPACELIKE
     # fourth-order metric tangents: speed and length agree to ~h^4
     assert np.max(np.abs(c.speeds - 1.0)) < 1e-7

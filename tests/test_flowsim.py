@@ -141,9 +141,8 @@ def test_trajectory_bookkeeping(rigid_traj_short):
     assert len(rigid_traj_short) == 101
     times = rigid_traj_short.times
     assert np.allclose(np.diff(times), 1e-3)
-    d = rigid_traj_short.diagnostics
-    assert [x.step for x in d] == list(range(101))
-    assert d[0].max_k1 == pytest.approx(1.0, abs=1e-6)
+    k1 = rigid_traj_short.states[0].frenet.curvatures[0]
+    assert float(np.max(np.abs(k1))) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_timestep_refinement_at_least_fourth_order():
@@ -239,5 +238,5 @@ def test_arclength_drift_single_state(circle_256):
 
     flow = catalog.flow("zero", 3)
     st = initial_state(circle_256, flow)
-    traj = Trajectory(states=[st], dt=1.0, flow=flow, frame_vectors=3)
+    traj = Trajectory(states=[st], dt=1.0, flow=flow)
     assert arclength_drift(traj) == 0.0
