@@ -54,7 +54,7 @@ def record(command: str, scenario: str, extra: list[str], out_dir: Path) -> int:
 def write_all(root: Path) -> None:
     for command, scenario, extra in commands():
         code = record(command, scenario, extra, root / command / Path(scenario).stem)
-        print(f"{command} {scenario} {' '.join(extra)}".rstrip() + f": exit {code}")
+        print(command, scenario, *extra, f"exit {code}")
 
 
 if __name__ == "__main__":
