@@ -20,6 +20,12 @@ once with the coefficients in the classical (positive-definite) convention
 metric-consistent coefficients ("metric").  Pass/fail gates on the metric
 reading; both are reported.
 
+The right-hand sides are pure functions of 1-based, zero-padded arrays:
+row i of k, f and their s-derivatives holds k_i, f_i, ... (row 0 and every
+row past the frame or the dimension read as zero, so k_m = 0), psi[k, j]
+holds psi_kj with a zero border, and e[i] is the sign e_i of V_{i+1},
+1.0 outside the frame (e[-1] reads that padding too).
+
 Residual maxima run over interior samples: on open curves the one-sided
 stencil closures (chained up to the third derivative) occupy a boundary
 layer whose error is amplified and of lower order, so a fixed margin of
@@ -35,7 +41,7 @@ import numpy as np
 from . import exprjet
 from .curvekit import d_ds, d_ds4
 from .errors import CurveFlowError, InsufficientStates, NotInextensible
-from .flowsim import INEXTENSIBLE, Trajectory, arclength_drift, dv_dt_rhs, inextensibility_rhs
+from .flowsim import Trajectory, arclength_drift, dv_dt_rhs, inextensibility_rhs
 from .minkowski import dot_many, inner_many
 
 RESIDUAL_FLOOR = 1e-12
@@ -122,6 +128,8 @@ class _Window:
         self.n = first.curve.n
         self.N = first.curve.samples
         self.signs = first.frenet.signs
+        self.e = np.ones(self.n + 3)  # padded signs, see the module docstring
+        self.e[: self.m] = self.signs
         self.interior = _interior(first.curve)
         self.flips = 0
 
@@ -138,7 +146,6 @@ class _Window:
             self.prev, self.state, self.next = states[t - 1 : t + 2]
             self.frames = frames
             self.fdot = (after - before) / (2.0 * self.dt)
-            self._dfds = {}
             yield self
             before, frames = frames, after
 
@@ -154,50 +161,76 @@ class _Window:
             self.flips += int(np.count_nonzero(mask))
         return frame
 
-    # 1-based accessors at the current t matching the usual index
-    # conventions; out-of-range indices read as zero
-    def eps(self, i: int) -> float:
-        return float(self.signs[i]) if 0 <= i < self.m else 1.0
-
-    def k_at(self, i: int) -> np.ndarray:
-        if 1 <= i <= self.m - 1:
-            return self.state.frenet.curvatures[i - 1]
-        return np.zeros(self.N)
-
-    def f_at(self, i: int) -> np.ndarray:
-        if 1 <= i <= self.n:
-            return self.state.f_values[i - 1]
-        return np.zeros(self.N)
-
-    def V(self, i: int) -> np.ndarray:
-        return self.frames[i - 1]
-
-    def dfds(self, i: int, order: int = 1) -> np.ndarray:
-        """order-th s-derivative of speed f_i at t (jets where exact)."""
-        key = (i, order)
-        if key in self._dfds:
-            return self._dfds[key]
+    def fields(self, orders: tuple[int, ...]):
+        """Padded k, f and s-derivatives of f at t: ``ds[j - 1]`` holds the
+        j-th derivatives of f_2, f_3, ..., from one jet per speed of the
+        order given in ``orders`` (zero beyond it)."""
         st = self.state
-        expr = self.traj.flow.speeds[i - 1] if 1 <= i <= self.n else None
-        if expr is None:
-            if i == 1 and self.traj.flow.mode == INEXTENSIBLE:
-                out = st.f1_s if order == 1 else d_ds(st.f1_s, st.curve)
-            else:
-                out = np.zeros(self.N)
-        else:
-            jet = exprjet.eval_jet(expr, "s", st.curve.s, order, {"t": st.t})
-            out = np.asarray(jet.derivative(order))
-        self._dfds[key] = out
-        return out
+        k = np.zeros((self.n + 3, self.N))
+        k[1 : self.m] = st.frenet.curvatures
+        f = np.zeros_like(k)
+        f[1 : self.n + 1] = st.f_values
+        ds = np.zeros((max(orders, default=1),) + k.shape)
+        for i, order in enumerate(orders[: self.n - 1], start=2):
+            jet = exprjet.eval_jet(self.traj.flow.speeds[i - 1], "s", st.curve.s, order, {"t": st.t})
+            for j in range(1, order + 1):
+                ds[j - 1, i] = jet.derivative(j)
+        return k, f, ds
 
     def psi(self) -> np.ndarray:
         """(m, m, N) matrix of <fdot_j, V_k> at t, indexed [k, j]."""
         return inner_many(self.fdot[None], self.frames[:, None])
 
-    def psi_at(self, psi: np.ndarray, k: int, j: int) -> np.ndarray:
-        if 1 <= k <= self.m and 1 <= j <= self.m:
-            return psi[k - 1, j - 1]
-        return np.zeros(self.N)
+
+# --------------------------------------------------------------------------
+# Right-hand sides (padded, 1-based arrays; see the module docstring)
+
+
+def tangent_rate_coefficients(e, k, f, fs, m: int) -> np.ndarray:
+    """c_i = f_{i-1} k_{i-1} + f_i' - e_{i-1} e_i f_{i+1} k_i for i = 2..m, in rows 0..m-2.
+
+    dV_1/dt = sum_i c_i V_i, and the V_1 coefficient of dV_j/dt is
+    -e_0 e_{j-1} c_j.  Since k_m = 0, the last index takes the same form.
+    """
+    ee = (e[1:m] * e[2 : m + 1])[:, None]
+    return f[1:m] * k[1:m] + fs[2 : m + 1] - ee * f[3 : m + 2] * k[2 : m + 1]
+
+
+def k1_rate(e, k, ks, f, fs, fss) -> np.ndarray:
+    """Closed-form dk_1/dt = c_2' - e_1 e_2 k_2 c_3, with df_1/ds = e_0 e_1 f_2 k_1
+    substituted; ks, fs and fss are the first s-derivatives of k and f and
+    the second of f."""
+    return (
+        e[0] * e[1] * f[2] * k[1] ** 2
+        + f[1] * ks[1]
+        + fss[2]
+        - 2.0 * e[1] * e[2] * fs[3] * k[2]
+        - e[1] * e[2] * f[3] * ks[2]
+        - e[1] * e[2] * f[2] * k[2] ** 2
+        + e[1] * e[3] * f[4] * k[2] * k[3]
+    )
+
+
+def curvature_rates(e, k, psi, dpsi, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (metric, classical) psi-form readings of dk_i/dt for i = 1..m-1, in rows 0..m-2.
+
+    metric:    e_i (psi_{i+1,i}' - psi_{i+2,i} k_{i+1}) - e_{i-2} e_{i-1} e_i k_{i-1} psi_{i-1,i+1}
+    classical: psi_{i+1,i}' - e_i e_{i+1} psi_{i+2,i} k_{i+1}, except that the
+    last curvature is read from column m, as
+    -e_{m-2} e_{m-1} (psi_{m-1,m}' + psi_{m-2,m} k_{m-2}).
+    """
+    metric, classical = np.empty((2, m - 1) + k.shape[1:])
+    for i in range(1, m):
+        d, p = dpsi[i + 1, i], psi[i + 2, i]
+        back = e[i - 2] * e[i - 1] * e[i] * k[i - 1] * psi[i - 1, i + 1]
+        metric[i - 1] = e[i] * (d - p * k[i + 1]) - back
+        classical[i - 1] = d - e[i] * e[i + 1] * p * k[i + 1]
+    classical[-1] = -e[m - 2] * e[m - 1] * (dpsi[m - 1, m] + psi[m - 2, m] * k[m - 2])
+    return metric, classical
+
+
+def _peak(x: np.ndarray, sl: slice) -> float:
+    return float(np.max(np.abs(x)[sl]))
 
 
 def _psi_residuals(psi: np.ndarray, sl: slice) -> tuple[float, float]:
@@ -265,8 +298,8 @@ def check_speed_evolution(traj: Trajectory, tolerance: float | None = None) -> V
     for w in window.walk():
         lhs = (w.next.curve.speeds - w.prev.curve.speeds) / (2.0 * w.dt)
         rhs = dv_dt_rhs(w.state)
-        r = max(r, float(np.max(np.abs(lhs - rhs)[w.interior])))
-        r_classical = max(r_classical, float(np.max(np.abs(lhs - w.eps(0) * rhs)[w.interior])))
+        r = max(r, _peak(lhs - rhs, w.interior))
+        r_classical = max(r_classical, _peak(lhs - w.e[0] * rhs, w.interior))
     return _single(
         "speed_evolution",
         traj,
@@ -352,56 +385,32 @@ def check_frame_evolution(traj: Trajectory, tolerance: float | None = None) -> V
     violation = _require_inextensible(traj)
     window = _Window(traj)
     m = window.m
-    r_tangent = 0.0
-    r_mid = 0.0
-    r_last = 0.0
-    r_recon_metric = 0.0
-    r_recon_bare = 0.0
+    r_tangent = r_mid = r_last = r_recon_metric = r_recon_bare = 0.0
+    e = window.e
     for w in window.walk():
-        fdot = w.fdot
-        # Tangent equation: sum over the higher frame directions.
-        rhs1 = np.zeros((w.N, w.n))
-        for i in range(2, m):
-            coef = (
-                w.f_at(i - 1) * w.k_at(i - 1)
-                + w.dfds(i)
-                - w.eps(i - 1) * w.eps(i) * w.f_at(i + 1) * w.k_at(i)
-            )
-            rhs1 += coef[:, None] * w.V(i)
-        if m >= 2:
-            coef_last = w.f_at(m - 1) * w.k_at(m - 1) + w.dfds(m)
-            rhs1 += coef_last[:, None] * w.V(m)
-        r_tangent = max(r_tangent, float(np.max(_euclid_norm(fdot[0] - rhs1)[w.interior])))
+        fdot, V, sl = w.fdot, w.frames, w.interior
+        k, f, (fs,) = w.fields((1,) * (m - 1))
+        c = tangent_rate_coefficients(e, k, f, fs, m)
+        tangent = sum(ci[:, None] * Vi for ci, Vi in zip(c, V[1:]))
+        r_tangent = max(r_tangent, _peak(_euclid_norm(fdot[0] - tangent), sl))
 
-        if m < 2:
-            continue
         psi = w.psi()
-        e0 = w.eps(0)
         for j in range(2, m + 1):
-            c1 = e0 * inner_many(fdot[j - 1], w.V(1))
+            # V1 coefficient of dV_j/dt, then dV_j/dt rebuilt from it and psi
+            target = -e[0] * e[j - 1] * c[j - 2]
+            r_v1 = _peak(e[0] * inner_many(fdot[j - 1], V[0]) - target, sl)
             if j < m:
-                target = -e0 * (
-                    w.eps(j - 1) * (w.f_at(j - 1) * w.k_at(j - 1) + w.dfds(j))
-                    - w.eps(j) * w.f_at(j + 1) * w.k_at(j)
-                )
-                r_mid = max(r_mid, float(np.max(np.abs(c1 - target)[w.interior])))
+                r_mid = max(r_mid, r_v1)
             else:
-                target = -e0 * w.eps(m - 1) * (w.f_at(m - 1) * w.k_at(m - 1) + w.dfds(m))
-                r_last = max(r_last, float(np.max(np.abs(c1 - target)[w.interior])))
-            recon_metric = target[:, None] * w.V(1)
+                r_last = max(r_last, r_v1)
+            recon_metric = target[:, None] * V[0]
             recon_bare = recon_metric.copy()
-            for k in range(2, m + 1):
-                if k == j:
-                    continue
-                p = w.psi_at(psi, k, j)
-                recon_metric += (w.eps(k - 1) * p)[:, None] * w.V(k)
-                recon_bare += p[:, None] * w.V(k)
-            r_recon_metric = max(
-                r_recon_metric, float(np.max(_euclid_norm(fdot[j - 1] - recon_metric)[w.interior]))
-            )
-            r_recon_bare = max(
-                r_recon_bare, float(np.max(_euclid_norm(fdot[j - 1] - recon_bare)[w.interior]))
-            )
+            for i in range(2, m + 1):
+                if i != j:
+                    recon_metric += (e[i - 1] * psi[i - 1, j - 1])[:, None] * V[i - 1]
+                    recon_bare += psi[i - 1, j - 1][:, None] * V[i - 1]
+            r_recon_metric = max(r_recon_metric, _peak(_euclid_norm(fdot[j - 1] - recon_metric), sl))
+            r_recon_bare = max(r_recon_bare, _peak(_euclid_norm(fdot[j - 1] - recon_bare), sl))
 
     residuals = {"tangent_equation": r_tangent}
     gated = ["tangent_equation"]
@@ -444,47 +453,27 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
     rA = 0.0
     k1_rate_max = 0.0
     k1_rhs_max = 0.0
-    r_metric = {i: 0.0 for i in range(1, m)}
-    r_classical = {i: 0.0 for i in range(1, m)}
+    r_metric = [0.0] * (m - 1)
+    r_classical = [0.0] * (m - 1)
+    e = window.e
+    psi = np.zeros((m + 2, m + 2, window.N))  # zero-padded, like k and f
+    dpsi = np.zeros_like(psi)
     for w in window.walk():
-        c = w.state.curve
-        e = w.eps
+        c, sl = w.state.curve, w.interior
         kdot = (w.next.frenet.curvatures - w.prev.frenet.curvatures) / (2.0 * w.dt)
-        k1, k2, k3 = w.k_at(1), w.k_at(2), w.k_at(3)
-        f1, f2, f3, f4 = (w.f_at(i) for i in (1, 2, 3, 4))
-        rhs_a = (
-            e(0) * e(1) * f2 * k1**2
-            + f1 * d_ds(k1, c)
-            + w.dfds(2, order=2)
-            - 2.0 * e(1) * e(2) * w.dfds(3) * k2
-            - e(1) * e(2) * f3 * d_ds(k2, c)
-            - e(1) * e(2) * f2 * k2**2
-            + e(1) * e(3) * f4 * k2 * k3
-        )
-        rA = max(rA, float(np.max(np.abs(kdot[0] - rhs_a)[w.interior])))
-        k1_rate_max = max(k1_rate_max, float(np.max(np.abs(kdot[0])[w.interior])))
-        k1_rhs_max = max(k1_rhs_max, float(np.max(np.abs(rhs_a)[w.interior])))
+        k, f, (fs, fss) = w.fields((2, 1))
+        ks = d_ds(k[:3].T, c).T
+        rhs_a = k1_rate(e, k, ks, f, fs, fss)
+        rA = max(rA, _peak(kdot[0] - rhs_a, sl))
+        k1_rate_max = max(k1_rate_max, _peak(kdot[0], sl))
+        k1_rhs_max = max(k1_rhs_max, _peak(rhs_a, sl))
 
-        psi = w.psi()
+        psi[1:-1, 1:-1] = w.psi()
         # every entry's s-derivative in one call: d_ds runs down the columns
-        dpsi = d_ds(psi.reshape(m * m, -1).T, c).T.reshape(psi.shape)
-        for i in range(1, m):
-            lhs = kdot[i - 1]
-            if i == m - 1:
-                classical_rhs = -e(m - 2) * e(m - 1) * (
-                    w.psi_at(dpsi, m - 1, m) + w.psi_at(psi, m - 2, m) * w.k_at(m - 2)
-                )
-            else:
-                classical_rhs = w.psi_at(dpsi, i + 1, i) - e(i) * e(i + 1) * w.psi_at(
-                    psi, i + 2, i
-                ) * w.k_at(i + 1)
-            metric_rhs = e(i) * (
-                w.psi_at(dpsi, i + 1, i) - w.psi_at(psi, i + 2, i) * w.k_at(i + 1)
-            ) - e(i - 2) * e(i - 1) * e(i) * w.k_at(i - 1) * w.psi_at(psi, i - 1, i + 1)
-            r_classical[i] = max(
-                r_classical[i], float(np.max(np.abs(lhs - classical_rhs)[w.interior]))
-            )
-            r_metric[i] = max(r_metric[i], float(np.max(np.abs(lhs - metric_rhs)[w.interior])))
+        dpsi[1:-1, 1:-1] = d_ds(psi[1:-1, 1:-1].reshape(m * m, -1).T, c).T.reshape(m, m, -1)
+        metric, classical = curvature_rates(e, k, psi, dpsi, m)
+        r_metric = [max(r, _peak(d, sl)) for r, d in zip(r_metric, kdot - metric)]
+        r_classical = [max(r, _peak(d, sl)) for r, d in zip(r_classical, kdot - classical)]
 
     k_peak = np.zeros(m - 1)  # peak |k_j| over every state, both end states included
     for st in traj.states:
@@ -493,8 +482,8 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
     gated = ["k1_flow_form"]
     degenerate = []
     for i in range(1, m):
-        residuals[f"k{i}_psi_metric"] = r_metric[i]
-        residuals[f"k{i}_psi_classical"] = r_classical[i]
+        residuals[f"k{i}_psi_metric"] = r_metric[i - 1]
+        residuals[f"k{i}_psi_classical"] = r_classical[i - 1]
         gated.append(f"k{i}_psi_metric")
         needed = [j for j in (i - 1, i + 1) if 1 <= j <= m - 1]
         if any(k_peak[j - 1] < 1e-10 for j in needed):

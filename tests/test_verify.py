@@ -202,6 +202,25 @@ def test_curvature_pde_spacelike_helix_classical_agrees():
     assert abs(row["k1_psi_classical"] - row["k1_psi_metric"]) < 1e-3
 
 
+def test_clamped_frame_matches_lower_dimension(helix_traj):
+    # The timelike helix in the 3-space x4 = 0 of E1^4, with the frame clamped
+    # to 3 vectors (m < n): the padded fields past the frame hold f4 = 0, and
+    # every frame and curvature residual is that of the E1^3 run.
+    curve = sample(CurveSpec.from_strings(
+        ("sqrt(2)*u", "cos(u)", "sin(u)", "0"), (0.0, 2.0 * np.pi), OPEN, 128
+    ))
+    flow = FlowSpec.inextensible(["sin(s)", "cos(s)", "0"])
+    state = initial_state(curve, flow, 3)
+    assert state.frenet.num_vectors == 3 < curve.n
+    traj = evolve(state, flow, helix_traj.dt, len(helix_traj) - 1)
+    for check in (check_frame_evolution, check_curvature_pde):
+        clamped = check(traj).residuals[0]
+        reference = check(helix_traj).residuals[0]
+        assert clamped.keys() == reference.keys()
+        for name, value in reference.items():
+            assert clamped[name] == pytest.approx(value, rel=1e-12, abs=1e-300), name
+
+
 def test_curvature_pde_four_frame_f4_term():
     # n = 4 with a timelike fourth frame vector: only f4 drives the flow
     # (f1 = f2 = f3 = 0), so the k1 equation reduces to its e1 e3 f4 k2 k3 term.
