@@ -310,16 +310,16 @@ def write_report(name: str, reports: list[VerificationReport], out_dir: Path) ->
 
 def cmd_run(args) -> int:
     doc = load_scenario(args.scenario)
-    out_dir = Path(args.out or doc.get("output", {}).get("directory", "."))
+    output = doc.get("output", {})
+    out_dir = Path(args.out or output.get("directory", "."))
+    formats = output.get("formats", ["csv", "json"])
     try:
         traj, reports = execute(doc)
     except EvolutionError as exc:
-        if exc.trajectory is not None and exc.trajectory.states:
+        if "csv" in formats and exc.trajectory is not None and exc.trajectory.states:
             write_timeseries(exc.trajectory, out_dir)
         raise
 
-    output = doc.get("output", {})
-    formats = output.get("formats", ["csv", "json"])
     if "csv" in formats:
         write_timeseries(traj, out_dir)
     frames_at = output.get("frames_at", [])

@@ -167,6 +167,16 @@ def test_numerical_breakdown_gives_exit_three(tmp_path, capsys):
         assert [r[1] for r in rows] == times
 
 
+def test_numerical_breakdown_respects_output_formats(tmp_path, capsys):
+    doc = scenario_doc("circle_normal_shrink.json")
+    doc["integrator"] = {"dt": 0.7, "steps": 2}
+    doc["output"] = {"formats": ["json"]}
+    out = tmp_path / "jsononly"
+    assert main(["run", write_scenario(tmp_path, doc), "--out", str(out)]) == EXIT_NUMERICAL
+    assert "breakdown" in capsys.readouterr().err
+    assert not (out / "timeseries.csv").exists()
+
+
 def test_failed_first_rebuild_writes_no_timeseries(tmp_path, capsys, monkeypatch):
     # evolve rebuilds its first state from the points; when that fails no
     # state was accepted, so there is no row to write
