@@ -277,21 +277,22 @@ def evolve(
     # would bias arclength comparisons by O(h^2).
     state = stage_state(initial.curve.points, initial.t)
     traj.states.append(state)
-    for _ in range(steps):
-        t = state.t
+    for step in range(steps):
+        # times count steps from the start, so rounding does not accumulate
+        t_mid, t_end = initial.t + (step + 0.5) * dt, initial.t + (step + 1) * dt
         p = state.curve.points
         k1 = velocity(state)
-        k2 = velocity(stage_state(p + 0.5 * dt * k1, t + 0.5 * dt))
-        k3 = velocity(stage_state(p + 0.5 * dt * k2, t + 0.5 * dt))
-        k4 = velocity(stage_state(p + dt * k3, t + dt))
+        k2 = velocity(stage_state(p + 0.5 * dt * k1, t_mid))
+        k3 = velocity(stage_state(p + 0.5 * dt * k2, t_mid))
+        k4 = velocity(stage_state(p + dt * k3, t_end))
         new_points = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        new_state = stage_state(new_points, t + dt)
+        new_state = stage_state(new_points, t_end)
         old_len = state.curve.total_length
         new_len = new_state.curve.total_length
         if abs(new_len - old_len) > MAX_STEP_LENGTH_CHANGE * old_len:
             raise StabilityError(
                 f"total arclength jumped from {old_len:.6g} to {new_len:.6g} in one step",
-                t=t + dt,
+                t=t_end,
                 trajectory=traj,
             )
         traj.states.append(new_state)

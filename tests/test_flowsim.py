@@ -145,6 +145,16 @@ def test_trajectory_bookkeeping(rigid_traj_short):
     assert float(np.max(np.abs(k1))) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_state_times_do_not_drift():
+    # step i sits at exactly i * dt; summing dt step by step reads
+    # 0.0720000000000001 at step 72
+    dt = 1e-3
+    curve = sample(catalog.curve("circle", 16))
+    flow = catalog.flow("zero", curve.n)
+    traj = evolve(initial_state(curve, flow), flow, dt, 250)
+    assert [st.t for st in traj.states] == [i * dt for i in range(251)]
+
+
 def test_timestep_refinement_at_least_fourth_order():
     c = sample(catalog.curve("circle", 128))
     flow = catalog.flow("rigid_rotation", 3)
