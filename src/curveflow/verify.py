@@ -128,8 +128,8 @@ class _Window:
         self.n = first.curve.n
         self.N = first.curve.samples
         self.signs = first.frenet.signs
-        self.e = np.ones(self.n + 3)  # padded signs, see the module docstring
-        self.e[: self.m] = self.signs
+        # padded signs (see the module docstring), as floats for scalar products
+        self.e = [float(x) for x in self.signs] + [1.0] * (self.n + 3 - self.m)
         self.interior = _interior(first.curve)
         self.flips = 0
 
@@ -164,17 +164,15 @@ class _Window:
     def fields(self, orders: tuple[int, ...]):
         """Padded k, f and s-derivatives of f at t: ``ds[j - 1]`` holds the
         j-th derivatives of f_2, f_3, ..., from one jet per speed of the
-        order given in ``orders`` (zero beyond it)."""
+        order given in ``orders``."""
         st = self.state
-        k = np.zeros((self.n + 3, self.N))
+        k, f, *ds = np.zeros((2 + max(orders, default=1), self.n + 3, self.N))
         k[1 : self.m] = st.frenet.curvatures
-        f = np.zeros_like(k)
         f[1 : self.n + 1] = st.f_values
-        ds = np.zeros((max(orders, default=1),) + k.shape)
         for i, order in enumerate(orders[: self.n - 1], start=2):
             jet = exprjet.eval_jet(self.traj.flow.speeds[i - 1], "s", st.curve.s, order, {"t": st.t})
             for j in range(1, order + 1):
-                ds[j - 1, i] = jet.derivative(j)
+                ds[j - 1][i] = jet.derivative(j)
         return k, f, ds
 
     def psi(self) -> np.ndarray:
@@ -192,7 +190,7 @@ def tangent_rate_coefficients(e, k, f, fs, m: int) -> np.ndarray:
     dV_1/dt = sum_i c_i V_i, and the V_1 coefficient of dV_j/dt is
     -e_0 e_{j-1} c_j.  Since k_m = 0, the last index takes the same form.
     """
-    ee = (e[1:m] * e[2 : m + 1])[:, None]
+    ee = np.multiply(e[1:m], e[2 : m + 1])[:, None]
     return f[1:m] * k[1:m] + fs[2 : m + 1] - ee * f[3 : m + 2] * k[2 : m + 1]
 
 
@@ -212,20 +210,21 @@ def k1_rate(e, k, ks, f, fs, fss) -> np.ndarray:
 
 
 def curvature_rates(e, k, psi, dpsi, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (metric, classical) psi-form readings of dk_i/dt for i = 1..m-1, in rows 0..m-2.
+    """The (metric, classical) psi-form readings of dk_i/dt, as lists over i = 1..m-1.
 
     metric:    e_i (psi_{i+1,i}' - psi_{i+2,i} k_{i+1}) - e_{i-2} e_{i-1} e_i k_{i-1} psi_{i-1,i+1}
     classical: psi_{i+1,i}' - e_i e_{i+1} psi_{i+2,i} k_{i+1}, except that the
     last curvature is read from column m, as
     -e_{m-2} e_{m-1} (psi_{m-1,m}' + psi_{m-2,m} k_{m-2}).
     """
-    metric, classical = np.empty((2, m - 1) + k.shape[1:])
+    metric, classical = [], []
     for i in range(1, m):
         d, p = dpsi[i + 1, i], psi[i + 2, i]
         back = e[i - 2] * e[i - 1] * e[i] * k[i - 1] * psi[i - 1, i + 1]
-        metric[i - 1] = e[i] * (d - p * k[i + 1]) - back
-        classical[i - 1] = d - e[i] * e[i + 1] * p * k[i + 1]
-    classical[-1] = -e[m - 2] * e[m - 1] * (dpsi[m - 1, m] + psi[m - 2, m] * k[m - 2])
+        metric.append(e[i] * (d - p * k[i + 1]) - back)
+        if i < m - 1:
+            classical.append(d - e[i] * e[i + 1] * p * k[i + 1])
+    classical.append(-e[m - 2] * e[m - 1] * (dpsi[m - 1, m] + psi[m - 2, m] * k[m - 2]))
     return metric, classical
 
 
@@ -395,10 +394,11 @@ def check_frame_evolution(traj: Trajectory, tolerance: float | None = None) -> V
         r_tangent = max(r_tangent, _peak(_euclid_norm(fdot[0] - tangent), sl))
 
         psi = w.psi()
+        v1 = e[0] * inner_many(fdot[1:], V[0])
         for j in range(2, m + 1):
             # V1 coefficient of dV_j/dt, then dV_j/dt rebuilt from it and psi
             target = -e[0] * e[j - 1] * c[j - 2]
-            r_v1 = _peak(e[0] * inner_many(fdot[j - 1], V[0]) - target, sl)
+            r_v1 = _peak(v1[j - 2] - target, sl)
             if j < m:
                 r_mid = max(r_mid, r_v1)
             else:
@@ -462,18 +462,18 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
         c, sl = w.state.curve, w.interior
         kdot = (w.next.frenet.curvatures - w.prev.frenet.curvatures) / (2.0 * w.dt)
         k, f, (fs, fss) = w.fields((2, 1))
-        ks = d_ds(k[:3].T, c).T
+        ks = (None, d_ds(k[1], c), d_ds(k[2], c))  # k1_rate reads k_1' and k_2'
         rhs_a = k1_rate(e, k, ks, f, fs, fss)
         rA = max(rA, _peak(kdot[0] - rhs_a, sl))
         k1_rate_max = max(k1_rate_max, _peak(kdot[0], sl))
         k1_rhs_max = max(k1_rhs_max, _peak(rhs_a, sl))
 
-        psi[1:-1, 1:-1] = w.psi()
+        psi[1:-1, 1:-1] = p = w.psi()
         # every entry's s-derivative in one call: d_ds runs down the columns
-        dpsi[1:-1, 1:-1] = d_ds(psi[1:-1, 1:-1].reshape(m * m, -1).T, c).T.reshape(m, m, -1)
+        dpsi[1:-1, 1:-1] = d_ds(p.reshape(m * m, -1).T, c).T.reshape(p.shape)
         metric, classical = curvature_rates(e, k, psi, dpsi, m)
-        r_metric = [max(r, _peak(d, sl)) for r, d in zip(r_metric, kdot - metric)]
-        r_classical = [max(r, _peak(d, sl)) for r, d in zip(r_classical, kdot - classical)]
+        r_metric = [max(r, _peak(a - b, sl)) for r, a, b in zip(r_metric, kdot, metric)]
+        r_classical = [max(r, _peak(a - b, sl)) for r, a, b in zip(r_classical, kdot, classical)]
 
     k_peak = np.zeros(m - 1)  # peak |k_j| over every state, both end states included
     for st in traj.states:
