@@ -169,8 +169,9 @@ class _Window:
         k, f, *ds = np.zeros((2 + max(orders, default=1), self.n + 3, self.N))
         k[1 : self.m] = st.frenet.curvatures
         f[1 : self.n + 1] = st.f_values
+        speeds = self.traj.flow.speeds
         for i, order in enumerate(orders[: self.n - 1], start=2):
-            jet = exprjet.eval_jet(self.traj.flow.speeds[i - 1], "s", st.curve.s, order, {"t": st.t})
+            jet = exprjet.eval_jet(speeds[i - 1], "s", st.curve.s, order, {"t": st.t})
             for j in range(1, order + 1):
                 ds[j - 1][i] = jet.derivative(j)
         return k, f, ds
@@ -209,7 +210,7 @@ def k1_rate(e, k, ks, f, fs, fss) -> np.ndarray:
     )
 
 
-def curvature_rates(e, k, psi, dpsi, m: int) -> tuple[np.ndarray, np.ndarray]:
+def curvature_rates(e, k, psi, dpsi, m: int) -> tuple[list, list]:
     """The (metric, classical) psi-form readings of dk_i/dt, as lists over i = 1..m-1.
 
     metric:    e_i (psi_{i+1,i}' - psi_{i+2,i} k_{i+1}) - e_{i-2} e_{i-1} e_i k_{i-1} psi_{i-1,i+1}
