@@ -463,7 +463,7 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
         c, sl = w.state.curve, w.interior
         kdot = (w.next.frenet.curvatures - w.prev.frenet.curvatures) / (2.0 * w.dt)
         k, f, (fs, fss) = w.fields((2, 1))
-        ks = (None, d_ds(k[1], c), d_ds(k[2], c))  # k1_rate reads k_1' and k_2'
+        ks = (None, d_ds(k[1], c), d_ds(k[2], c))  # k1_rate reads only k_1' and k_2'
         rhs_a = k1_rate(e, k, ks, f, fs, fss)
         rA = max(rA, _peak(kdot[0] - rhs_a, sl))
         k1_rate_max = max(k1_rate_max, _peak(kdot[0], sl))
