@@ -278,11 +278,11 @@ def write_frames(traj: Trajectory, steps: list[int], out_dir: Path) -> list[Path
         payload = {
             "step": step,
             "t": st.t,
-            "points": st.curve.points.tolist(),
+            "points": st.curve.points.T.tolist(),
             "arclength": st.curve.s.tolist(),
             "speeds": st.curve.speeds.tolist(),
             "total_arclength": st.curve.total_length,
-            "frame": st.frenet.frame.tolist(),
+            "frame": np.swapaxes(st.frenet.frame, 1, 2).tolist(),
             "signs": st.frenet.signs.tolist(),
             "curvatures": st.frenet.curvatures.tolist(),
             "speed_values": st.f_values.tolist(),
@@ -397,10 +397,10 @@ def cmd_frenet(args) -> int:
         "quadrature": curve.quadrature,
         "signs": fd.signs.tolist(),
         "completed_last": fd.completed_last,
-        "points": curve.points.tolist(),
+        "points": curve.points.T.tolist(),
         "arclength": curve.s.tolist(),
         "speeds": curve.speeds.tolist(),
-        "frame": fd.frame.tolist(),
+        "frame": np.swapaxes(fd.frame, 1, 2).tolist(),
         "curvatures": fd.curvatures.tolist(),
         "stencil_curvatures": stencil_curvatures(curve, fd).tolist(),
         "frenet_residual_max": float(residuals.max()),

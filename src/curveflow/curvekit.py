@@ -6,9 +6,13 @@ derivatives up to the ambient dimension are exact to rounding; curves that
 arise from time evolution instead carry stencil-differentiated derivatives
 (see ``SampledCurve.from_points``).
 
+Vectors are stored component-major: a grid of vectors is (n, N), with the
+sample axis last, and a scalar grid function is (N,).
+
 Derivatives with respect to arclength s use d/ds = (1/v) d/du with
-second-order central differences, wrapping periodically for closed curves
-and falling back to one-sided second-order stencils at open endpoints.
+second-order central differences along the sample axis, wrapping
+periodically for closed curves and falling back to one-sided second-order
+stencils at open endpoints.
 """
 
 from __future__ import annotations
@@ -81,14 +85,14 @@ class CurveSpec:
 class SampledCurve:
     """Curve evaluated on a uniform grid, with cached speed and arclength.
 
-    ``derivs[m]`` is the (N, n) array of m-th u-derivative vectors; index 0
+    ``derivs[m]`` is the (n, N) array of m-th u-derivative vectors; index 0
     holds the points themselves.
     """
 
     grid: np.ndarray
     h: float
     closed: bool
-    derivs: np.ndarray  # (order+1, N, n)
+    derivs: np.ndarray  # (order+1, n, N)
     speeds: np.ndarray  # (N,)
     s: np.ndarray  # (N,) arclength from sample 0
     total_length: float
@@ -98,11 +102,11 @@ class SampledCurve:
 
     @property
     def n(self) -> int:
-        return self.derivs.shape[2]
+        return self.derivs.shape[1]
 
     @property
     def samples(self) -> int:
-        return self.derivs.shape[1]
+        return self.derivs.shape[2]
 
     @property
     def points(self) -> np.ndarray:
@@ -126,7 +130,7 @@ class SampledCurve:
         deriv_order: int,
         null_tol: float = minkowski.DEFAULT_NULL_TOL,
     ) -> "SampledCurve":
-        """Build a curve from raw sample points, differentiating by stencils.
+        """Build a curve from raw (n, N) sample points, differentiating by stencils.
 
         The stencil speed carries a systematic relative bias of order h^2
         (a sinc-like factor), so stencil-backed lengths must only ever be
@@ -196,11 +200,11 @@ def sample(spec: CurveSpec, null_tol: float = minkowski.DEFAULT_NULL_TOL) -> Sam
     else:
         grid = np.linspace(u0, u1, N)
         h = float(grid[1] - grid[0])
-    derivs = np.empty((n + 1, N, n))
+    derivs = np.empty((n + 1, n, N))
     for j, comp in enumerate(spec.components):
         jet = exprjet.eval_jet(comp, "u", grid, n)
         for m in range(n + 1):
-            derivs[m, :, j] = jet.derivative(m)
+            derivs[m, j] = jet.derivative(m)
     return SampledCurve._finish(grid, h, spec.topology == CLOSED, derivs, null_tol)
 
 
@@ -209,53 +213,60 @@ def sample(spec: CurveSpec, null_tol: float = minkowski.DEFAULT_NULL_TOL) -> Sam
 
 
 def d_du(values: np.ndarray, h: float, closed: bool) -> np.ndarray:
-    """Second-order d/du of a grid function along axis 0."""
+    """Second-order d/du of a grid function along its last (sample) axis."""
     f = np.asarray(values, dtype=float)
     if closed:
-        p = np.concatenate([f[-1:], f, f[:1]])
-        return (p[2:] - p[:-2]) / (2.0 * h)
+        p = np.concatenate([f[..., -1:], f, f[..., :1]], axis=-1)
+        return (p[..., 2:] - p[..., :-2]) / (2.0 * h)
     out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h)
+    out[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * h)
+    out[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * h)
     return out
 
 
 def d_du4(values: np.ndarray, h: float, closed: bool) -> np.ndarray:
-    """Fourth-order d/du, used where the verifier needs a sharper instrument."""
+    """Fourth-order d/du along the last axis, used where the verifier needs a
+    sharper instrument."""
     f = np.asarray(values, dtype=float)
     if closed:
-        return _central4(np.concatenate([f[-2:], f, f[:2]]), h)
+        return _central4(np.concatenate([f[..., -2:], f, f[..., :2]], axis=-1), h)
     out = np.empty_like(f)
-    out[2:-2] = _central4(f, h)
-    out[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
-    out[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) / (12.0 * h)
-    out[-1] = (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3] - 16.0 * f[-4] + 3.0 * f[-5]) / (12.0 * h)
-    out[-2] = (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3] + 6.0 * f[-4] - f[-5]) / (12.0 * h)
+    out[..., 2:-2] = _central4(f, h)
+    f0, f1, f2, f3, f4 = (f[..., j] for j in range(5))
+    out[..., 0] = (-25.0 * f0 + 48.0 * f1 - 36.0 * f2 + 16.0 * f3 - 3.0 * f4) / (12.0 * h)
+    out[..., 1] = (-3.0 * f0 - 10.0 * f1 + 18.0 * f2 - 6.0 * f3 + f4) / (12.0 * h)
+    g0, g1, g2, g3, g4 = (f[..., -1 - j] for j in range(5))
+    out[..., -1] = (25.0 * g0 - 48.0 * g1 + 36.0 * g2 - 16.0 * g3 + 3.0 * g4) / (12.0 * h)
+    out[..., -2] = (3.0 * g0 + 10.0 * g1 - 18.0 * g2 + 6.0 * g3 - g4) / (12.0 * h)
     return out
 
 
 def _central4(f: np.ndarray, h: float) -> np.ndarray:
-    """Five-point central difference at samples 2..len-3 of ``f``."""
-    return (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * h)
+    """Five-point central difference at samples 2..len-3 of ``f``'s last axis."""
+    return (-f[..., 4:] + 8.0 * f[..., 3:-1] - 8.0 * f[..., 1:-3] + f[..., :-4]) / (12.0 * h)
+
+
+def _check_samples(f: np.ndarray, c: SampledCurve) -> None:
+    if f.shape[-1] != c.samples:
+        raise ValueError(
+            f"grid function has {f.shape[-1]} samples on its last axis, curve has {c.samples}"
+        )
 
 
 def d_ds(values: np.ndarray, c: SampledCurve) -> np.ndarray:
-    """Arclength derivative (1/v) d/du of a grid function on the curve."""
+    """Arclength derivative (1/v) d/du of a grid function on the curve, along
+    its last (sample) axis."""
     f = np.asarray(values, dtype=float)
-    if f.shape[0] != c.samples:
-        raise ValueError(f"grid function has {f.shape[0]} samples, curve has {c.samples}")
-    df = d_du(f, c.h, c.closed)
-    v = c.speeds if f.ndim == 1 else c.speeds[:, None]
-    return df / v
+    _check_samples(f, c)
+    return d_du(f, c.h, c.closed) / c.speeds
 
 
 def d_ds4(values: np.ndarray, c: SampledCurve) -> np.ndarray:
-    """Fourth-order arclength derivative (verifier instrument)."""
+    """Fourth-order arclength derivative along the last axis (verifier instrument)."""
     f = np.asarray(values, dtype=float)
-    df = d_du4(f, c.h, c.closed)
-    v = c.speeds if f.ndim == 1 else c.speeds[:, None]
-    return df / v
+    _check_samples(f, c)
+    return d_du4(f, c.h, c.closed) / c.speeds
 
 
 # --------------------------------------------------------------------------

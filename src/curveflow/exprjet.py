@@ -395,25 +395,26 @@ class Jet:
                 ys[i, k] = acc / k
         return ys
 
-    def _sin_cos(self) -> np.ndarray:
+    def _pair(self, f, g, g_op, which: int) -> "Jet":
+        """f(u) (which = 0) or g(u) (which = 1) for a pair with f' = g and
+        g' = +/- f, the sign given by ``g_op``.  At order 0 only the value
+        asked for is computed."""
+        if self.order == 0:
+            return Jet((f, g)[which](self.coeffs))
         u0 = self.coeffs[0]
-        return self._recurrence((np.sin(u0), np.cos(u0)), ((1, operator.add), (0, operator.sub)))
+        return Jet(self._recurrence((f(u0), g(u0)), ((1, operator.add), (0, g_op)))[which])
 
     def sin(self) -> "Jet":
-        return Jet(self._sin_cos()[0])
+        return self._pair(np.sin, np.cos, operator.sub, 0)
 
     def cos(self) -> "Jet":
-        return Jet(self._sin_cos()[1])
-
-    def _sinh_cosh(self) -> np.ndarray:
-        u0 = self.coeffs[0]
-        return self._recurrence((np.sinh(u0), np.cosh(u0)), ((1, operator.add), (0, operator.add)))
+        return self._pair(np.sin, np.cos, operator.sub, 1)
 
     def sinh(self) -> "Jet":
-        return Jet(self._sinh_cosh()[0])
+        return self._pair(np.sinh, np.cosh, operator.add, 0)
 
     def cosh(self) -> "Jet":
-        return Jet(self._sinh_cosh()[1])
+        return self._pair(np.sinh, np.cosh, operator.add, 1)
 
     def exp(self) -> "Jet":
         return Jet(self._recurrence((np.exp(self.coeffs[0]),), ((0, operator.add),))[0])
@@ -453,38 +454,37 @@ def eval_jet(e: Expr, var: str, point, order: int, env: dict | None = None) -> J
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    env = env or {}
-    point = np.asarray(point, dtype=float)
-    shape = point.shape
+    return _eval(e, var, np.asarray(point, dtype=float), order, env or {})
 
-    def ev(node: Expr) -> Jet:
-        if isinstance(node, Lit):
-            return Jet.constant(node.value, order, shape)
-        if isinstance(node, Var):
-            if node.name == var:
-                return Jet.variable(point, order)
-            if node.name in env:
-                return Jet.constant(env[node.name], order, shape)
-            raise UnboundVariable(f"variable {node.name!r} is not bound")
-        if isinstance(node, Neg):
-            return -ev(node.arg)
-        if isinstance(node, BinOp):
-            lhs = ev(node.left)
-            rhs = ev(node.right)
-            if node.op == "+":
-                return lhs + rhs
-            if node.op == "-":
-                return lhs - rhs
-            if node.op == "*":
-                return lhs * rhs
-            return lhs / rhs
-        if isinstance(node, Pow):
-            return ev(node.base).powi(node.exponent)
-        if isinstance(node, Call):
-            return _CALL_TABLE[node.fn](ev(node.arg))
-        raise TypeError(f"not an expression node: {node!r}")
 
-    return ev(e)
+# A module-level function, not a closure in eval_jet: a closure that calls
+# itself is a reference cycle, left for the cyclic collector on every call.
+def _eval(node: Expr, var: str, point: np.ndarray, order: int, env: dict) -> Jet:
+    if isinstance(node, Lit):
+        return Jet.constant(node.value, order, point.shape)
+    if isinstance(node, Var):
+        if node.name == var:
+            return Jet.variable(point, order)
+        if node.name in env:
+            return Jet.constant(env[node.name], order, point.shape)
+        raise UnboundVariable(f"variable {node.name!r} is not bound")
+    if isinstance(node, Neg):
+        return -_eval(node.arg, var, point, order, env)
+    if isinstance(node, BinOp):
+        lhs = _eval(node.left, var, point, order, env)
+        rhs = _eval(node.right, var, point, order, env)
+        if node.op == "+":
+            return lhs + rhs
+        if node.op == "-":
+            return lhs - rhs
+        if node.op == "*":
+            return lhs * rhs
+        return lhs / rhs
+    if isinstance(node, Pow):
+        return _eval(node.base, var, point, order, env).powi(node.exponent)
+    if isinstance(node, Call):
+        return _CALL_TABLE[node.fn](_eval(node.arg, var, point, order, env))
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def eval_scalar(e: Expr, **env):

@@ -182,11 +182,11 @@ def evaluate_speeds(
 
 
 def velocity(state: SimState) -> np.ndarray:
-    """Pointwise flow velocity sum_i f_i V_i, shape (N, n)."""
+    """Pointwise flow velocity sum_i f_i V_i, shape (n, N)."""
     m = state.frenet.num_vectors
     out = np.zeros_like(state.curve.points)
     for i in range(m):
-        out += state.f_values[i][:, None] * state.frenet.frame[i]
+        out += state.f_values[i] * state.frenet.frame[i]
     return out
 
 

@@ -38,12 +38,12 @@ GENERIC_RTOL = 1e-7
 class FrenetData:
     """Per-sample frame vectors, causal signs, and curvatures.
 
-    ``frame[i]`` is the (N, n) grid of the (i+1)-th frame vector;
+    ``frame[i]`` is the (n, N) grid of the (i+1)-th frame vector;
     ``signs[i]`` its constant causal sign; ``curvatures[i]`` the grid of
     the (i+1)-th curvature.
     """
 
-    frame: np.ndarray  # (m, N, n)
+    frame: np.ndarray  # (m, n, N)
     signs: np.ndarray  # (m,) of +-1
     curvatures: np.ndarray  # (m-1, N)
     completed_last: bool = False
@@ -68,15 +68,16 @@ def frenet_apparatus(c: SampledCurve, num_vectors: int | None = None) -> FrenetD
         raise ValueError(f"curve carries derivatives up to order {c.deriv_order}, need {m}")
 
     N = c.samples
-    frame = np.empty((m, N, n))
+    frame = np.empty((m, n, N))
     signs = np.empty(m, dtype=int)
     resid_norms = np.empty((m, N))
     completed = False
 
     for i in range(1, m + 1):
-        w = c.derivs[i].copy()
+        # w is only read for i = 1, so the derivative rows need no copy
+        w = c.derivs[i] if i == 1 else c.derivs[i].copy()
         for j in range(i - 1):
-            w -= signs[j] * inner_many(w, frame[j])[:, None] * frame[j]
+            w -= signs[j] * inner_many(w, frame[j]) * frame[j]
         q = inner_many(w, w)
         nw = np.sqrt(np.abs(q))
         scale = np.sqrt(dot_many(c.derivs[i], c.derivs[i]))
@@ -94,15 +95,15 @@ def frenet_apparatus(c: SampledCurve, num_vectors: int | None = None) -> FrenetD
                 index=i,
                 sample=k,
             )
-        sgn = np.where(q > 0, 1, -1)
-        flips = sgn != sgn[0]
+        positive = q > 0
+        flips = positive != positive[0]
         if flips.any():
             k = int(np.argmax(flips))
             raise NonGenericCurveError(
                 f"causal sign of frame vector {i} flips at sample {k}", index=i, sample=k
             )
-        frame[i - 1] = w / nw[:, None]
-        signs[i - 1] = int(sgn[0])
+        np.divide(w, nw, out=frame[i - 1])
+        signs[i - 1] = 1 if positive[0] else -1
         resid_norms[i - 1] = nw
 
     if signs[0] != c.sign0:
@@ -132,23 +133,23 @@ def _complete_frame(partial: np.ndarray):
     Returns the completing grid of vectors and its causal sign; the sign of
     each vector is fixed by requiring a positively oriented basis.
     """
-    m1, N, n = partial.shape
-    g = metric_signs(n)
+    m1, n, N = partial.shape
+    g = metric_signs(n)[:, None]
     # Generalized cross product of the constraint rows g*V_j, since
     # <V_j, z> = (g*V_j) . z (cofactor expansion).
     if n == 3:
         # np.cross written out: its axis handling cost more than the products.
         a, b = partial[0] * g, partial[1] * g
-        z = np.empty((N, 3))
-        z[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
-        z[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
-        z[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        z = np.empty((3, N))
+        z[0] = a[1] * b[2] - a[2] * b[1]
+        z[1] = a[2] * b[0] - a[0] * b[2]
+        z[2] = a[0] * b[1] - a[1] * b[0]
     else:
-        rows = np.transpose(partial * g, (1, 0, 2))  # (N, n-1, n)
-        z = np.empty((N, n))
+        rows = np.transpose(partial * g, (2, 0, 1))  # (N, n-1, n) for det
+        z = np.empty((n, N))
         for k in range(n):
             minor = np.delete(rows, k, axis=2)
-            z[:, k] = (-1.0) ** k * np.linalg.det(minor)
+            z[k] = (-1.0) ** k * np.linalg.det(minor)
     q = inner_many(z, z)
     euclid = dot_many(z, z)
     bad = np.abs(q) <= GENERIC_RTOL * np.maximum(1e-300, euclid)
@@ -159,18 +160,18 @@ def _complete_frame(partial: np.ndarray):
             index=n,
             sample=k,
         )
-    z = z / np.sqrt(np.abs(q))[:, None]
+    z /= np.sqrt(np.abs(q))
     # det[V_1..V_{n-1}, z] = (-1)^n <z, z> for the cofactor vector z, so the
     # basis is positively oriented exactly where (-1)^n q > 0.
-    z = np.where(((-1.0) ** n * q)[:, None] < 0, -z, z)
-    sgn = np.where(q > 0, 1, -1)
-    flips = sgn != sgn[0]
+    np.negative(z, out=z, where=(-1.0) ** n * q < 0)
+    positive = q > 0
+    flips = positive != positive[0]
     if flips.any():
         k = int(np.argmax(flips))
         raise NonGenericCurveError(
             f"causal sign of the completion flips at sample {k}", index=n, sample=k
         )
-    return z, int(sgn[0])
+    return z, 1 if positive[0] else -1
 
 
 def stencil_curvatures(c: SampledCurve, fd: FrenetData) -> np.ndarray:
@@ -200,11 +201,11 @@ def frenet_residuals(c: SampledCurve, fd: FrenetData) -> np.ndarray:
         rhs = np.zeros_like(dv)
         if i == 1:
             if m >= 2:
-                rhs += k[0][:, None] * V[1]
+                rhs += k[0] * V[1]
         else:
-            rhs -= (e[i - 2] * e[i - 1]) * k[i - 2][:, None] * V[i - 2]
+            rhs -= (e[i - 2] * e[i - 1]) * k[i - 2] * V[i - 2]
             if i < m:
-                rhs += k[i - 1][:, None] * V[i]
+                rhs += k[i - 1] * V[i]
         r = dv - rhs
         out[i - 1] = np.sqrt(dot_many(r, r))
     return out

@@ -2,20 +2,21 @@
 
 Vectors live in flat n-space whose first coordinate is the timelike axis,
 so the inner product of X and Y is -x1*y1 + x2*y2 + ... + xn*yn.  The
-"many" variants are vectorized over a leading sample axis and skip
-per-call validation (they are the hot path for sampled curves).  The
-scalar calls accept plain sequences or numpy arrays, validate them, then
-delegate to the batched kernels, so both give the same numbers.
+"many" variants take (..., n, N) stacks: the component axis is axis -2 and
+the sample axis, which is contiguous, is axis -1.  They skip per-call
+validation (they are the hot path for sampled curves).  The scalar calls
+accept plain sequences or numpy arrays, validate them, then pass an (n, 1)
+view to the batched kernels, so both give the same numbers.
 
-The row sums (``inner_many`` and its Euclidean twin ``dot_many``) add the
-products x_i*y_i in the order numpy's ``einsum("...i,...i->...")`` does on
-x86-64, which these kernels replaced: a two-lane accumulator that starts at
-+0.0, lane 0 taking the even columns and lane 1 the odd ones (each full block
-of 8 columns in the order 6, 4, 2, 0 and 7, 5, 3, 1, the rest in order), then
-lane 0 + lane 1.  The order is pinned so that every output stayed
-byte-identical across the rewrite, signed zeros included.  Written out with
-one ufunc call per column, the sum is about twice as fast as einsum on
-(N, 3) rows, whose inner loop runs only 3 long.
+The component sums (``inner_many`` and its Euclidean twin ``dot_many``) add
+the products x_i*y_i in the order numpy's ``einsum("...i,...i->...")`` does
+on x86-64 over (..., N, n) rows, which these kernels replaced: a two-lane
+accumulator that starts at +0.0, lane 0 taking the even components and
+lane 1 the odd ones (each full block of 8 components in the order 6, 4, 2, 0
+and 7, 5, 3, 1, the rest in order), then lane 0 + lane 1.  The order is
+pinned so that every output stayed byte-identical across the rewrite, signed
+zeros included.  Written out with one ufunc call per component row, each
+call runs over N contiguous samples.
 """
 
 from __future__ import annotations
@@ -65,25 +66,25 @@ def inner(x, y) -> float:
     yv = as_vector(y)
     if xv.shape[0] != yv.shape[0]:
         raise DimensionMismatch(f"dimensions differ: {xv.shape[0]} vs {yv.shape[0]}")
-    return float(inner_many(xv, yv))
+    return float(inner_many(xv[:, None], yv[:, None])[0])
 
 
 def inner_many(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Row-wise inner product of two (..., n) stacks.  No validation."""
+    """Inner product over axis -2 of two (..., n, N) stacks.  No validation."""
     return _row_sum(X * Y, negate_first=True)
 
 
 def dot_many(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Row-wise Euclidean dot product of two (..., n) stacks.  No validation."""
+    """Euclidean dot product over axis -2 of two (..., n, N) stacks.  No validation."""
     return _row_sum(X * Y, negate_first=False)
 
 
 @functools.cache
 def _lanes(n: int, negate_first: bool):
-    """einsum's summation plan for rows of length n (see the module docstring).
+    """einsum's summation plan for n components (see the module docstring).
 
-    Lane 0 is a tuple of (ufunc, column) steps, with ``np.subtract`` for a
-    negated column 0; lane 1 is a tuple of columns.
+    Lane 0 is a tuple of (ufunc, component) steps, with ``np.subtract`` for a
+    negated component 0; lane 1 is a tuple of components.
     """
     if n < 2:
         raise DimensionMismatch(f"dimension must be >= 2, got {n}")
@@ -99,25 +100,26 @@ def _lanes(n: int, negate_first: bool):
 
 
 def _row_sum(P: np.ndarray, negate_first: bool) -> np.ndarray:
-    """Sum P over its last axis in einsum's order, column 0 negated if asked."""
-    lane0, lane1 = _lanes(P.shape[-1], negate_first)
+    """Sum P over axis -2 in einsum's order, component 0 negated if asked."""
+    lane0, lane1 = _lanes(P.shape[-2], negate_first)
     # Lane 0 starts from +0.0, so it is never -0.0 and neither is the sum, as
     # with einsum; lane 1 need not, since +0.0 + -0.0 is +0.0.
     even = 0.0
     for op, k in lane0:
-        even = op(even, P[..., k])
-    odd = P[..., lane1[0]]
+        even = op(even, P[..., k, :])
+    odd = P[..., lane1[0], :]
     for k in lane1[1:]:
-        odd = odd + P[..., k]
+        odd = odd + P[..., k, :]
     return even + odd
 
 
 def norm(x) -> float:
     """sqrt(|<X,X>|); zero exactly when X is null or zero."""
-    return float(norm_many(as_vector(x)))
+    return float(norm_many(as_vector(x)[:, None])[0])
 
 
 def norm_many(X: np.ndarray) -> np.ndarray:
+    """sqrt(|<X,X>|) over axis -2 of an (..., n, N) stack."""
     return np.sqrt(np.abs(inner_many(X, X)))
 
 
@@ -129,11 +131,12 @@ def causal_character(x, tol: float = DEFAULT_NULL_TOL) -> CausalCharacter:
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    return causal_character_many(as_vector(x), tol).item()
+    return causal_character_many(as_vector(x)[:, None], tol)[0]
 
 
 def causal_character_many(X: np.ndarray, tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
-    """Vectorized classification; returns an object array of CausalCharacter."""
+    """Classification over axis -2 of an (..., n, N) stack; returns an object
+    array of CausalCharacter."""
     q = inner_many(X, X)
     euclid = dot_many(X, X)
     thresh = tol * np.maximum(1.0, euclid)

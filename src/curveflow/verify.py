@@ -154,10 +154,10 @@ class _Window:
         if not np.array_equal(st.frenet.signs, self.signs):
             raise CurveFlowError("frame signature changed along the trajectory")
         frame = st.frenet.frame
-        mask = inner_many(previous, frame) * self.signs[:, None] < 0
+        mask = inner_many(previous, frame) * self.signs[:, None] < 0  # (m, N)
         if mask.any():
-            frame = frame.copy()  # the state's own frame stays as evolved
-            frame[mask] *= -1.0
+            # a copy: the state's own frame stays as evolved
+            frame = np.negative(frame, out=frame.copy(), where=mask[:, None])
             self.flips += int(np.count_nonzero(mask))
         return frame
 
@@ -391,7 +391,7 @@ def check_frame_evolution(traj: Trajectory, tolerance: float | None = None) -> V
         fdot, V, sl = w.fdot, w.frames, w.interior
         k, f, (fs,) = w.fields((1,) * (m - 1))
         c = tangent_rate_coefficients(e, k, f, fs, m)
-        tangent = sum(ci[:, None] * Vi for ci, Vi in zip(c, V[1:]))
+        tangent = sum(ci * Vi for ci, Vi in zip(c, V[1:]))
         r_tangent = max(r_tangent, _peak(_euclid_norm(fdot[0] - tangent), sl))
 
         psi = w.psi()
@@ -404,12 +404,12 @@ def check_frame_evolution(traj: Trajectory, tolerance: float | None = None) -> V
                 r_mid = max(r_mid, r_v1)
             else:
                 r_last = max(r_last, r_v1)
-            recon_metric = target[:, None] * V[0]
+            recon_metric = target * V[0]
             recon_bare = recon_metric.copy()
             for i in range(2, m + 1):
                 if i != j:
-                    recon_metric += (e[i - 1] * psi[i - 1, j - 1])[:, None] * V[i - 1]
-                    recon_bare += psi[i - 1, j - 1][:, None] * V[i - 1]
+                    recon_metric += (e[i - 1] * psi[i - 1, j - 1]) * V[i - 1]
+                    recon_bare += psi[i - 1, j - 1] * V[i - 1]
             r_recon_metric = max(r_recon_metric, _peak(_euclid_norm(fdot[j - 1] - recon_metric), sl))
             r_recon_bare = max(r_recon_bare, _peak(_euclid_norm(fdot[j - 1] - recon_bare), sl))
 
@@ -470,8 +470,7 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
         k1_rhs_max = max(k1_rhs_max, _peak(rhs_a, sl))
 
         psi[1:-1, 1:-1] = p = w.psi()
-        # every entry's s-derivative in one call: d_ds runs down the columns
-        dpsi[1:-1, 1:-1] = d_ds(p.reshape(m * m, -1).T, c).T.reshape(p.shape)
+        dpsi[1:-1, 1:-1] = d_ds(p, c)
         metric, classical = curvature_rates(e, k, psi, dpsi, m)
         r_metric = [max(r, _peak(a - b, sl)) for r, a, b in zip(r_metric, kdot, metric)]
         r_classical = [max(r, _peak(a - b, sl)) for r, a, b in zip(r_classical, kdot, classical)]

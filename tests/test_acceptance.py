@@ -59,11 +59,11 @@ def test_criterion_01_metric_kernel_properties():
         g = metric_signs(n)
         assert g[0] == -1 and np.all(g[1:] == 1)
         basis = np.eye(n)
-        gram = inner_many(basis[:, None, :], basis[None, :, :])
+        gram = inner_many(basis[:, None, :, None], basis[None, :, :, None])[..., 0]
         assert np.array_equal(gram, np.diag(g))
-        X, Y, Z = rng.standard_normal((3, per_dim, n)) * 10.0
+        X, Y, Z = rng.standard_normal((3, n, per_dim)) * 10.0
         a, b = rng.standard_normal((2, per_dim))
-        lhs = inner_many(a[:, None] * X + b[:, None] * Z, Y)
+        lhs = inner_many(a * X + b * Z, Y)
         rhs = a * inner_many(X, Y) + b * inner_many(Z, Y)
         scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
         worst_bilinear = max(worst_bilinear, float(np.max(np.abs(lhs - rhs) / scale)))

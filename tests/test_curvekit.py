@@ -14,6 +14,7 @@ from curveflow.curvekit import (
     cumulative_simpson,
     cumulative_trapezoid,
     d_ds,
+    d_ds4,
     d_du,
     d_du4,
     sample,
@@ -138,10 +139,16 @@ def test_d_ds_linear(hyperbola_256):
 
 def test_d_ds_vector_valued(circle_256):
     out = d_ds(circle_256.points, circle_256)
-    expected = np.stack(
-        [np.zeros(256), -np.sin(circle_256.grid), np.cos(circle_256.grid)], axis=1
-    )
+    expected = np.stack([np.zeros(256), -np.sin(circle_256.grid), np.cos(circle_256.grid)])
     assert np.max(np.abs(out - expected)) < 2e-4
+
+
+@pytest.mark.parametrize("op", [d_ds, d_ds4])
+def test_arclength_derivatives_check_the_sample_axis(op, circle_256):
+    # vectors are (n, N); an (N, n) array of the old layout fails loudly
+    assert op(circle_256.points, circle_256).shape == (3, 256)
+    with pytest.raises(ValueError, match="samples"):
+        op(circle_256.points.T, circle_256)
 
 
 def test_simpson_convergence_sixteenfold():
@@ -186,7 +193,7 @@ def test_from_points_matches_jet_sampling(circle_256):
 
 def test_from_points_rejects_non_finite(circle_256):
     pts = circle_256.points.copy()
-    pts[5, 1] = np.inf
+    pts[1, 5] = np.inf
     with pytest.raises(ValueError):
         SampledCurve.from_points(pts, circle_256.grid, True, 2)
 
@@ -238,13 +245,13 @@ def test_simpson_weights_are_shared_and_read_only():
     )
 
 
-@pytest.mark.parametrize("shape", [(16,), (17,), (256, 3), (33, 4)])
+@pytest.mark.parametrize("shape", [(16,), (17,), (3, 256), (4, 33)])
 def test_closed_stencils_match_roll_reference(shape):
     f = np.random.default_rng(7).standard_normal(shape)
     h = 0.37
 
     def roll(k):
-        return np.roll(f, k, axis=0)
+        return np.roll(f, k, axis=-1)
 
     ref2 = (roll(-1) - roll(1)) / (2.0 * h)
     ref4 = (-roll(-2) + 8.0 * roll(-1) - 8.0 * roll(1) + roll(2)) / (12.0 * h)

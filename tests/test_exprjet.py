@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -75,6 +76,42 @@ def test_eval_jet_matches_central_difference():
     h = 1e-5
     fd = (eval_scalar(expr, u=0.7 + h) - eval_scalar(expr, u=0.7 - h)) / (2 * h)
     assert jet.derivative(1) == pytest.approx(fd, abs=1e-9)
+
+
+def test_eval_jet_leaves_no_reference_cycles():
+    # garbage that only the cyclic collector frees piles up between its runs
+    expr, s = parse("sin(s)+2*s"), np.linspace(0.0, 1.0, 16)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            eval_jet(expr, "s", s, 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("fn", ["sin", "cos", "sinh", "cosh"])
+def test_trig_pair_jets(fn):
+    s = np.linspace(-3.0, 3.0, 101)
+    expr = parse(f"{fn}(0.7*s - 0.2)")
+    u = 0.7 * s - 0.2
+    value = getattr(np, fn)(u)
+    # order 0 computes only the value, with no partner function or table
+    assert eval_jet(expr, "s", s, 0).coeffs.tobytes() == value[None].tobytes()
+    # d/du cycles sin -> cos -> -sin and sinh <-> cosh
+    cycle = {
+        "sin": [np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x)],
+        "cos": [np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin],
+        "sinh": [np.sinh, np.cosh] * 2,
+        "cosh": [np.cosh, np.sinh] * 2,
+    }[fn]
+    for order in (1, 2, 3):
+        jet = eval_jet(expr, "s", s, order)
+        assert jet.coeffs[0].tobytes() == value.tobytes()
+        for j in range(1, order + 1):
+            exact = 0.7**j * cycle[j](u)
+            assert np.max(np.abs(jet.derivative(j) - exact)) <= 1e-14 * np.max(np.abs(value))
 
 
 def test_eval_jet_env_and_unbound():

@@ -104,7 +104,7 @@ def test_velocity_is_frame_combination(circle_256):
     st = initial_state(circle_256, flow)
     w = velocity(st)
     p = circle_256.points
-    expected = np.stack([np.zeros(256), -p[:, 2], p[:, 1] - 1.0], axis=1)
+    expected = np.stack([np.zeros(256), -p[2], p[1] - 1.0])
     assert np.max(np.abs(w - expected)) < 1e-12
 
 
@@ -114,7 +114,7 @@ def test_evolve_translates_line():
     st = initial_state(c, flow, frame_vectors=1)
     traj = evolve(st, flow, 1e-3, 1000)
     moved = traj.states[-1].curve.points - traj.states[0].curve.points
-    assert np.max(np.abs(moved - np.array([0.0, 1.0, 0.0]))) < 1e-12
+    assert np.max(np.abs(moved - np.array([[0.0], [1.0], [0.0]]))) < 1e-12
     assert arclength_drift(traj) < 1e-9
 
 

@@ -43,9 +43,9 @@ def test_circle_completion_path():
     assert fd.completed_last
     assert fd.signs.tolist() == [1, 1, -1]
     u = c.grid
-    assert np.max(np.abs(fd.frame[0] - np.stack([0 * u, -np.sin(u), np.cos(u)], axis=1))) < 1e-12
-    assert np.max(np.abs(fd.frame[1] - np.stack([0 * u, -np.cos(u), -np.sin(u)], axis=1))) < 1e-12
-    assert np.max(np.abs(fd.frame[2] - np.array([1.0, 0.0, 0.0]))) < 1e-12
+    assert np.max(np.abs(fd.frame[0] - np.stack([0 * u, -np.sin(u), np.cos(u)]))) < 1e-12
+    assert np.max(np.abs(fd.frame[1] - np.stack([0 * u, -np.cos(u), -np.sin(u)]))) < 1e-12
+    assert np.max(np.abs(fd.frame[2] - np.array([[1.0], [0.0], [0.0]]))) < 1e-12
     assert np.max(np.abs(fd.curvatures[0] - 1.0)) < 1e-9
     assert np.max(np.abs(fd.curvatures[1])) == 0.0
 
@@ -54,8 +54,8 @@ def test_hyperbola_values():
     c, fd = apparatus("hyperbola", 256)
     assert fd.signs.tolist() == [-1, 1]
     u = c.grid
-    assert np.max(np.abs(fd.frame[0] - np.stack([np.cosh(u), np.sinh(u)], axis=1))) < 1e-9
-    assert np.max(np.abs(fd.frame[1] - np.stack([np.sinh(u), np.cosh(u)], axis=1))) < 1e-9
+    assert np.max(np.abs(fd.frame[0] - np.stack([np.cosh(u), np.sinh(u)]))) < 1e-9
+    assert np.max(np.abs(fd.frame[1] - np.stack([np.sinh(u), np.cosh(u)]))) < 1e-9
     assert np.max(np.abs(fd.curvatures[0] - 1.0)) < 1e-9
 
 
@@ -165,7 +165,7 @@ def test_num_vectors_validation(circle_256):
 
 def orientation(fd):
     """Per-sample determinant of the frame basis, by LU (np.linalg.det)."""
-    return np.linalg.det(np.transpose(fd.frame, (1, 0, 2)))
+    return np.linalg.det(np.transpose(fd.frame, (2, 0, 1)))
 
 
 def test_hyperplane_curve_in_four_space_completes_positively():
@@ -173,8 +173,8 @@ def test_hyperplane_curve_in_four_space_completes_positively():
     assert fd.completed_last
     assert fd.signs.tolist() == [-1, 1, 1, 1]
     assert np.all(orientation(fd) > 0)
-    assert np.max(np.abs(fd.frame[3][:, :3])) == 0.0
-    assert np.max(np.abs(np.abs(fd.frame[3][:, 3]) - 1.0)) < 1e-12
+    assert np.max(np.abs(fd.frame[3][:3])) == 0.0
+    assert np.max(np.abs(np.abs(fd.frame[3][3]) - 1.0)) < 1e-12
     assert np.max(np.abs(fd.curvatures[1] - SQRT2)) < 1e-9
     assert np.max(np.abs(fd.curvatures[2])) == 0.0
 
@@ -186,14 +186,14 @@ def test_completion_is_positively_oriented_on_random_partial_frames(n):
     rng = np.random.default_rng(40 + n)
     checked = 0
     for _ in range(150):
-        partial = rng.standard_normal((n - 1, 1, n))
+        partial = rng.standard_normal((n - 1, n, 1))
         try:
             z, sign = _complete_frame(partial)
         except NonGenericCurveError:
             continue  # complement (numerically) null: no unit completion exists
-        basis = np.concatenate([partial[:, 0], z], axis=0)
+        basis = np.concatenate([partial[:, :, 0], z.T], axis=0)
         assert np.linalg.det(basis) > 0
-        q = float(z[0] @ (np.r_[-1.0, np.ones(n - 1)] * z[0]))
+        q = float(z[:, 0] @ (np.r_[-1.0, np.ones(n - 1)] * z[:, 0]))
         assert sign == (1 if q > 0 else -1)
         assert abs(abs(q) - 1.0) < 1e-9
         checked += 1
@@ -207,4 +207,4 @@ def test_completed_frame_stays_positive_under_evolution_in_four_space():
     for st in traj.states:
         assert st.frenet.completed_last
         assert np.all(orientation(st.frenet) > 0)
-        assert np.max(np.abs(st.curve.points[:, 3])) == 0.0
+        assert np.max(np.abs(st.curve.points[3])) == 0.0

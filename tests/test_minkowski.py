@@ -98,37 +98,43 @@ def test_bilinearity_and_symmetry(n, seed):
 
 def test_norm_squared_matches_inner():
     rng = np.random.default_rng(3)
-    X = rng.standard_normal((500, 5))
+    X = rng.standard_normal((5, 500))
     q = np.abs(inner_many(X, X))
     assert np.allclose(norm_many(X) ** 2, q, rtol=1e-12, atol=1e-300)
 
 
 def test_vectorized_classification_agrees_with_scalar():
     rng = np.random.default_rng(11)
-    X = rng.standard_normal((200, 4))
-    X[0] = 0.0
-    X[1] = (1.0, 1.0, 0.0, 0.0)
+    X = rng.standard_normal((4, 200))
+    X[:, 0] = 0.0
+    X[:, 1] = (1.0, 1.0, 0.0, 0.0)
     many = causal_character_many(X)
-    for i in range(X.shape[0]):
-        assert many[i] is causal_character(X[i])
+    for i in range(X.shape[1]):
+        assert many[i] is causal_character(X[:, i])
 
 
-# The row sums replaced np.einsum and must add in its order, so that outputs
-# written before and after agree byte for byte; tobytes() also tells -0.0
-# from 0.0, which np.array_equal does not.  einsum fuses multiply and add on
-# some other architectures, so the order is pinned for x86-64 only.
+# The component sums replaced np.einsum over (..., N, n) rows and must add in
+# its order, so that outputs written before and after agree byte for byte;
+# tobytes() also tells -0.0 from 0.0, which np.array_equal does not.  einsum
+# fuses multiply and add on some other architectures, so the order is pinned
+# for x86-64 only.
 x86_64_only = pytest.mark.skipif(
     platform.machine().lower() not in ("x86_64", "amd64"),
     reason="the einsum summation order is pinned on x86-64",
 )
 
 
+def _rows(X):
+    """An (..., n, N) stack as the contiguous (..., N, n) rows einsum summed."""
+    return np.ascontiguousarray(np.swapaxes(X, -1, -2))
+
+
 def _einsum_inner(X, Y):
-    return np.einsum("...i,...i->...", X, metric_signs(X.shape[-1]) * Y)
+    return np.einsum("...i,...i->...", _rows(X), metric_signs(X.shape[-2]) * _rows(Y))
 
 
 def _einsum_dot(X, Y):
-    return np.einsum("...i,...i->...", X, Y)
+    return np.einsum("...i,...i->...", _rows(X), _rows(Y))
 
 
 def _assert_same_bytes(X, Y):
@@ -138,22 +144,23 @@ def _assert_same_bytes(X, Y):
         assert a.tobytes() == b.tobytes()
 
 
-# n = 8 and up exercise einsum's blocks of eight columns.
+# n = 8 and up exercise einsum's blocks of eight components.
 @x86_64_only
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13])
 def test_row_sums_match_einsum_bytes(n):
     rng = np.random.default_rng(50 + n)
     m, N = 3, 66
     # Magnitudes spread over 16 decades, so the order of the additions shows.
-    F = rng.standard_normal((m, N, n)) * 10.0 ** rng.integers(-8, 8, (m, N, n))
-    G = rng.standard_normal((m, N, n)) * 10.0 ** rng.integers(-8, 8, (m, N, n))
-    _assert_same_bytes(F[0], G[0])  # (N, n)
+    F = rng.standard_normal((m, n, N)) * 10.0 ** rng.integers(-8, 8, (m, n, N))
+    G = rng.standard_normal((m, n, N)) * 10.0 ** rng.integers(-8, 8, (m, n, N))
+    _assert_same_bytes(F[0], G[0])  # (n, N)
     _assert_same_bytes(F[0], F[0])
-    _assert_same_bytes(F, G)  # (m, N, n)
-    _assert_same_bytes(F[None], G[:, None])  # (1, m, N, n) x (m, 1, N, n)
-    _assert_same_bytes(F[:, ::2], G[:, 1::2])  # strided views
-    _assert_same_bytes(F[0, ::3], G[1, ::3])
-    _assert_same_bytes(F[0, 0], G[0, 0])  # one vector
+    _assert_same_bytes(F, G)  # (m, n, N)
+    _assert_same_bytes(F[None], G[:, None])  # (1, m, n, N) x (m, 1, n, N)
+    _assert_same_bytes(F[..., ::2], G[..., 1::2])  # strided views
+    _assert_same_bytes(F[0, :, ::3], G[1, :, ::3])
+    _assert_same_bytes(_rows(F[0]).T, G[2])  # transposed view of (N, n) rows
+    _assert_same_bytes(F[0, :, :1], G[0, :, :1])  # one vector
 
 
 @x86_64_only
@@ -162,8 +169,9 @@ def test_row_sums_match_einsum_signed_zeros(n):
     rows = np.array(list(itertools.product([0.0, -0.0, 1.0, -1.0, 2.5], repeat=n)))
     shuffled = rows[np.random.default_rng(n).permutation(rows.shape[0])]
     for Y in (rows, shuffled, rows[::-1], np.ones_like(rows), -np.ones_like(rows)):
-        _assert_same_bytes(rows, Y)
-    _assert_same_bytes(rows[:40, None], rows[None, :40])
+        _assert_same_bytes(rows.T, Y.T)
+    X = rows[:40].T
+    _assert_same_bytes(X.T[:, :, None], X[None])  # every pair: (40, n, 1) x (1, n, 40)
 
 
 def test_no_einsum_left_in_package():

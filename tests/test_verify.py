@@ -279,7 +279,7 @@ def _with_flipped_frame(traj, step, flips):
     st = traj.states[step]
     frame = st.frenet.frame.copy()
     for i, sl in flips:
-        frame[i - 1, sl] *= -1.0
+        frame[i - 1, :, sl] *= -1.0
     states = list(traj.states)
     states[step] = dataclasses.replace(st, frenet=dataclasses.replace(st.frenet, frame=frame))
     return dataclasses.replace(traj, states=states)
