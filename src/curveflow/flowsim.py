@@ -10,7 +10,9 @@ Evolution is classic RK4 with the frame (and arclength coordinate, and
 any synthesized tangential speed) recomputed at every stage.  Stage
 curves are rebuilt from raw points, so their derivatives come from
 difference stencils rather than jets; the error budget is O(dt^4 + N^-2).
-Open curves evolve with free endpoints.
+Open curves evolve with free endpoints.  Points and velocities are
+component-major (n, N) grids, as everywhere in the package (see
+``curvekit``).
 """
 
 from __future__ import annotations

@@ -13,6 +13,9 @@ extracted two ways:
   the same operator the flow verifier uses and carries its second-order
   error; it is reported alongside the exact values.
 
+Frame vectors are stored like the curve's vectors (see ``curvekit``): the
+frame is an (m, n, N) stack, each vector a component-major (n, N) grid.
+
 If the curve lies in a hyperplane, the final orthogonalization residual
 vanishes.  When that happens for exactly the last vector and the metric
 complement of the partial frame is one-dimensional and non-null, the frame
@@ -74,7 +77,7 @@ def frenet_apparatus(c: SampledCurve, num_vectors: int | None = None) -> FrenetD
     completed = False
 
     for i in range(1, m + 1):
-        # w is only read for i = 1, so the derivative rows need no copy
+        # nothing is subtracted for i = 1, so the tangent rows need no copy
         w = c.derivs[i] if i == 1 else c.derivs[i].copy()
         for j in range(i - 1):
             w -= signs[j] * inner_many(w, frame[j]) * frame[j]
@@ -128,10 +131,10 @@ def frenet_apparatus(c: SampledCurve, num_vectors: int | None = None) -> FrenetD
 
 
 def _complete_frame(partial: np.ndarray):
-    """Unit metric-orthogonal completion of an (n-1)-vector frame.
+    """Unit metric-orthogonal completion of an (n-1, n, N) partial frame.
 
-    Returns the completing grid of vectors and its causal sign; the sign of
-    each vector is fixed by requiring a positively oriented basis.
+    Returns the completing (n, N) grid of vectors and its causal sign; the
+    sign of each vector is fixed by requiring a positively oriented basis.
     """
     m1, n, N = partial.shape
     g = metric_signs(n)[:, None]

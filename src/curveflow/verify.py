@@ -12,6 +12,10 @@ vector's sign between steps when the last curvature changes sign, so each
 state's frame is aligned pointwise with the previous aligned frame as it
 enters the window (flips are counted in the report details).
 
+Frames and their time differences are (m, n, N) stacks with the sample
+axis last (see ``curvekit``), so products and s-derivatives run along
+contiguous rows.
+
 Two of the identities expand frame velocities in the frame itself.  In an
 indefinite frame the expansion coefficient of V_k is e_{k-1} <X, V_k>, not
 the bare projection, so every projection-based residual is measured twice:
@@ -135,8 +139,8 @@ class _Window:
 
     def walk(self, last: int | None = None):
         """Yield self at t = 1..last (default T-2): ``prev``, ``state`` and
-        ``next`` are the states at t-1, t, t+1, ``frames`` the aligned frame
-        at t and ``fdot`` its central time difference."""
+        ``next`` are the states at t-1, t, t+1, ``frames`` the aligned
+        (m, n, N) frame at t and ``fdot`` its central time difference."""
         states = self.traj.states
         last = len(states) - 2 if last is None else last
         before = states[0].frenet.frame  # state 0 sets the signs and is never flipped
