@@ -97,7 +97,7 @@ def test_trig_pair_jets(fn):
     expr = parse(f"{fn}(0.7*s - 0.2)")
     u = 0.7 * s - 0.2
     value = getattr(np, fn)(u)
-    # order 0 computes only the value, with no partner function or table
+    # order 0 is the plain numpy value, byte for byte
     assert eval_jet(expr, "s", s, 0).coeffs.tobytes() == value[None].tobytes()
     # d/du cycles sin -> cos -> -sin and sinh <-> cosh
     cycle = {
