@@ -22,6 +22,7 @@ iteration order of hash maps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -30,15 +31,16 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 import numpy as np
 
 from . import catalog
-from .curvekit import CurveSpec, sample
+from .curvekit import CurveSpec, SampledCurve, sample
 from .errors import ConfigError, CurveFlowError, EvolutionError, ParseError
 from .exprjet import eval_scalar, parse, variables
-from .flowsim import FlowSpec, Trajectory, default_dt, evolve, initial_state
-from .frenet import frenet_apparatus, frenet_residuals, stencil_curvatures
+from .flowsim import FlowSpec, Trajectory, check_horizon, default_dt, evolve, initial_state
+from .frenet import FrenetData, frenet_apparatus, frenet_residuals, stencil_curvatures
 from .verify import CHECKS, VerificationReport, merge_reports
 
 EXIT_OK = 0
@@ -58,6 +60,13 @@ def _schema(name: str) -> dict:
     return json.loads(text)
 
 
+@functools.cache
+def _validator(name: str):
+    """Validator of a bundled schema, built once; the tests check the schema itself."""
+    schema = _schema(name)
+    return validator_for(schema)(schema)
+
+
 def load_scenario(path: str | Path) -> dict:
     """Read and schema-validate a scenario file."""
     p = Path(path)
@@ -74,11 +83,11 @@ def load_scenario(path: str | Path) -> dict:
         raise ConfigError(f"not valid JSON: {exc}", field=str(p)) from exc
     except ValueError as exc:
         raise ConfigError(str(exc), field=str(p)) from exc
-    try:
-        jsonschema.validate(doc, _schema("scenario.schema.json"))
-    except jsonschema.ValidationError as exc:
-        where = ".".join(str(k) for k in exc.absolute_path) or "(document)"
-        raise ConfigError(exc.message, field=where) from exc
+    # the error jsonschema.validate would raise
+    error = best_match(_validator("scenario.schema.json").iter_errors(doc))
+    if error is not None:
+        where = ".".join(str(k) for k in error.absolute_path) or "(document)"
+        raise ConfigError(error.message, field=where) from error
     _cross_validate(doc)
     return doc
 
@@ -141,13 +150,12 @@ def _cross_validate(doc: dict) -> None:
             f"frame_vectors {fv} exceeds dimension {n}", field="integrator.frame_vectors"
         )
     steps = doc["integrator"]["steps"]
-    dt, horizon = doc["integrator"].get("dt"), doc["integrator"].get("t_horizon")
-    # Same slack as flowsim.evolve, which raises a plain ValueError for library callers.
-    if dt is not None and horizon is not None and dt * steps > horizon * (1 + 1e-12):
-        raise ConfigError(
-            f"dt*steps = {dt * steps:.6g} exceeds the time horizon {horizon:.6g}",
-            field="integrator.t_horizon",
-        )
+    dt = doc["integrator"].get("dt")
+    if dt is not None:
+        try:
+            check_horizon(0.0, dt, steps, doc["integrator"].get("t_horizon"))
+        except ValueError as exc:
+            raise ConfigError(str(exc), field="integrator.t_horizon") from exc
     for step in doc.get("output", {}).get("frames_at", []):
         if step > steps:
             raise ConfigError(f"frame step {step} outside [0, {steps}]", field="output.frames_at")
@@ -267,6 +275,19 @@ def write_timeseries(traj: Trajectory, out_dir: Path) -> Path:
     return path
 
 
+def _curve_payload(curve: SampledCurve, fd: FrenetData) -> dict:
+    """JSON keys of a curve and its frame, sample-first: points (N, n), frame (m, N, n)."""
+    return {
+        "points": curve.points.T.tolist(),
+        "arclength": curve.s.tolist(),
+        "speeds": curve.speeds.tolist(),
+        "total_arclength": curve.total_length,
+        "frame": np.swapaxes(fd.frame, 1, 2).tolist(),
+        "signs": fd.signs.tolist(),
+        "curvatures": fd.curvatures.tolist(),
+    }
+
+
 def write_frames(traj: Trajectory, steps: list[int], out_dir: Path) -> list[Path]:
     paths = []
     for step in steps:
@@ -278,14 +299,8 @@ def write_frames(traj: Trajectory, steps: list[int], out_dir: Path) -> list[Path
         payload = {
             "step": step,
             "t": st.t,
-            "points": st.curve.points.T.tolist(),
-            "arclength": st.curve.s.tolist(),
-            "speeds": st.curve.speeds.tolist(),
-            "total_arclength": st.curve.total_length,
-            "frame": np.swapaxes(st.frenet.frame, 1, 2).tolist(),
-            "signs": st.frenet.signs.tolist(),
-            "curvatures": st.frenet.curvatures.tolist(),
             "speed_values": st.f_values.tolist(),
+            **_curve_payload(st.curve, st.frenet),
         }
         path = out_dir / f"frames_{step}.json"
         _write_text(path, _json_text(payload))
@@ -393,15 +408,9 @@ def cmd_frenet(args) -> int:
         "samples": curve.samples,
         "topology": "closed" if curve.closed else "open",
         "causal_character": curve.char.value,
-        "total_arclength": curve.total_length,
         "quadrature": curve.quadrature,
-        "signs": fd.signs.tolist(),
         "completed_last": fd.completed_last,
-        "points": curve.points.T.tolist(),
-        "arclength": curve.s.tolist(),
-        "speeds": curve.speeds.tolist(),
-        "frame": np.swapaxes(fd.frame, 1, 2).tolist(),
-        "curvatures": fd.curvatures.tolist(),
+        **_curve_payload(curve, fd),
         "stencil_curvatures": stencil_curvatures(curve, fd).tolist(),
         "frenet_residual_max": float(residuals.max()),
     }

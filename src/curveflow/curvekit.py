@@ -86,7 +86,8 @@ class SampledCurve:
     """Curve evaluated on a uniform grid, with cached speed and arclength.
 
     ``derivs[m]`` is the (n, N) array of m-th u-derivative vectors; index 0
-    holds the points themselves.
+    holds the points themselves.  Every tangent is non-null at ``DEFAULT_NULL_TOL``
+    (``minkowski.null_test``) and of causal character ``char``.
     """
 
     grid: np.ndarray
@@ -98,7 +99,6 @@ class SampledCurve:
     total_length: float
     quadrature: str
     char: CausalCharacter
-    null_tol: float
 
     @property
     def n(self) -> int:
@@ -116,11 +116,6 @@ class SampledCurve:
     def deriv_order(self) -> int:
         return self.derivs.shape[0] - 1
 
-    @property
-    def sign0(self) -> int:
-        """Causal sign of the tangent: -1 timelike, +1 spacelike."""
-        return -1 if self.char is CausalCharacter.TIMELIKE else 1
-
     @classmethod
     def from_points(
         cls,
@@ -128,7 +123,6 @@ class SampledCurve:
         grid: np.ndarray,
         closed: bool,
         deriv_order: int,
-        null_tol: float = minkowski.DEFAULT_NULL_TOL,
     ) -> "SampledCurve":
         """Build a curve from raw (n, N) sample points, differentiating by stencils.
 
@@ -144,21 +138,16 @@ class SampledCurve:
         for m in range(1, deriv_order + 1):
             derivs[m] = d_du(derivs[m - 1], h, closed)
         metric_tangents = d_du4(points, h, closed)
-        return cls._finish(grid, h, closed, derivs, null_tol, metric_tangents)
+        return cls._finish(grid, h, closed, derivs, metric_tangents)
 
     @classmethod
-    def _finish(cls, grid, h, closed, derivs, null_tol, metric_tangents=None) -> "SampledCurve":
+    def _finish(cls, grid, h, closed, derivs, metric_tangents=None) -> "SampledCurve":
         if not np.isfinite(derivs).all():
             raise ValueError("curve evaluation produced non-finite values")
-        tangents = derivs[1]
-        q = minkowski.inner_many(tangents, tangents)
-        euclid = minkowski.dot_many(tangents, tangents)
-        thresh = null_tol * np.maximum(1.0, euclid)
-        null_mask = (np.abs(q) <= thresh) & (euclid > 0)
+        q, euclid, null_mask, timelike = minkowski.null_test(derivs[1])
         if null_mask.any():
             idx = int(np.argmax(null_mask))
             raise NullCurveError(f"tangent is null at sample {idx} (u={grid[idx]:.6g})")
-        timelike = q < -thresh
         if timelike.any() and not timelike.all():
             raise MixedCausalityError("tangent causal character varies along the curve")
         char = CausalCharacter.TIMELIKE if timelike[0] else CausalCharacter.SPACELIKE
@@ -170,7 +159,7 @@ class SampledCurve:
             speeds = np.sqrt(np.abs(q))
         else:
             speeds = minkowski.norm_many(metric_tangents)
-        if (speeds <= null_tol * np.sqrt(np.maximum(1.0, euclid))).any():
+        if (speeds <= minkowski.DEFAULT_NULL_TOL * np.sqrt(np.maximum(1.0, euclid))).any():
             idx = int(np.argmin(speeds))
             raise DegenerateCurveError(f"speed vanishes at sample {idx} (u={grid[idx]:.6g})")
         s, total, rule = _arclength_tables(speeds, h, closed)
@@ -184,11 +173,10 @@ class SampledCurve:
             total_length=total,
             quadrature=rule,
             char=char,
-            null_tol=null_tol,
         )
 
 
-def sample(spec: CurveSpec, null_tol: float = minkowski.DEFAULT_NULL_TOL) -> SampledCurve:
+def sample(spec: CurveSpec) -> SampledCurve:
     """Evaluate a CurveSpec on its grid with jet-exact derivatives."""
     spec.validate()
     u0, u1 = spec.domain
@@ -205,7 +193,7 @@ def sample(spec: CurveSpec, null_tol: float = minkowski.DEFAULT_NULL_TOL) -> Sam
         jet = exprjet.eval_jet(comp, "u", grid, n)
         for m in range(n + 1):
             derivs[m, j] = jet.derivative(m)
-    return SampledCurve._finish(grid, h, spec.topology == CLOSED, derivs, null_tol)
+    return SampledCurve._finish(grid, h, spec.topology == CLOSED, derivs)
 
 
 # --------------------------------------------------------------------------

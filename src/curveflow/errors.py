@@ -76,7 +76,8 @@ class EvolutionError(CurveFlowError):
 
 
 class NullCurveDeveloped(EvolutionError):
-    """The evolving curve's tangent became null within tolerance."""
+    """The evolving curve's tangent became null within tolerance, or changed its
+    causal character along the curve: it crossed the null cone between samples."""
 
 
 class StabilityError(EvolutionError):

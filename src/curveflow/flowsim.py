@@ -27,6 +27,7 @@ from .errors import (
     CurveFlowError,
     EvolutionError,
     IncompatibleClosedFlow,
+    MixedCausalityError,
     NullCurveDeveloped,
     NullCurveError,
     StabilityError,
@@ -174,12 +175,10 @@ def evaluate_speeds(
         f1_s = inextensibility_rhs(c, fd, f[1])
         f[0] = solve_inextensible_f1(c, fd, f[1], flow.f1_at_0, rhs=f1_s)
     m = fd.num_vectors
-    if m < n:
-        stray = np.max(np.abs(f[m:])) if n > m else 0.0
-        if stray > 0.0:
-            raise CurveFlowError(
-                f"flow drives frame direction {m + 1}..{n} but only {m} frame vectors exist"
-            )
+    if m < n and np.max(np.abs(f[m:])) > 0.0:
+        raise CurveFlowError(
+            f"flow drives frame direction {m + 1}..{n} but only {m} frame vectors exist"
+        )
     return f, f1_s
 
 
@@ -234,6 +233,12 @@ def default_dt(state: SimState) -> float:
     return 0.1 * ds_min / max(1.0, fmax)
 
 
+def check_horizon(t0: float, dt: float, steps: int, t_horizon: float | None) -> None:
+    """Raise ValueError if t0 + dt*steps passes ``t_horizon`` (if any) by more than rounding."""
+    if t_horizon is not None and t0 + dt * steps > t_horizon * (1 + 1e-12):
+        raise ValueError(f"dt*steps = {dt * steps:.6g} exceeds the time horizon {t_horizon:.6g}")
+
+
 def evolve(
     initial: SimState,
     flow: FlowSpec,
@@ -244,33 +249,30 @@ def evolve(
     """Advance the curve by explicit RK4, rebuilding the frame per stage.
 
     Stops with an EvolutionError carrying the partial trajectory if the
-    curve develops a null tangent, loses genericity, goes non-finite, or
-    changes total arclength by more than 50% in a single step.
+    tangent turns null (NullCurveDeveloped), the curve loses genericity,
+    goes non-finite, or changes total arclength by more than 50% in a step.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if t_horizon is not None and initial.t + dt * steps > t_horizon * (1 + 1e-12):
-        raise ValueError(
-            f"dt*steps = {dt * steps:.6g} exceeds the time horizon {t_horizon:.6g}"
-        )
+    check_horizon(initial.t, dt, steps, t_horizon)
     m = initial.frenet.num_vectors
     grid = initial.curve.grid
     closed = initial.curve.closed
-    null_tol = initial.curve.null_tol
     traj = Trajectory(states=[], dt=dt, flow=flow)
 
     def stage_state(points: np.ndarray, t: float) -> SimState:
         try:
-            c = SampledCurve.from_points(points, grid, closed, m, null_tol)
-        except NullCurveError as exc:
+            c = SampledCurve.from_points(points, grid, closed, m)
+        except (NullCurveError, MixedCausalityError) as exc:
+            # a causal sign change along u means the tangent crossed the null cone
             raise NullCurveDeveloped(str(exc), t=t, trajectory=traj) from exc
         except ValueError as exc:
             raise StabilityError(str(exc), t=t, trajectory=traj) from exc
         except CurveFlowError as exc:
-            # Mixed causality / degeneracy mid-flight; genericity failures in
-            # frenet_apparatus below propagate unwrapped.
+            # Degeneracy mid-flight; genericity failures in frenet_apparatus
+            # below propagate unwrapped.
             raise EvolutionError(str(exc), t=t, trajectory=traj) from exc
         return _build_state(c, flow, m, t)
 

@@ -61,7 +61,8 @@ def frenet_apparatus(c: SampledCurve, num_vectors: int | None = None) -> FrenetD
 
     ``num_vectors`` may be lowered below the ambient dimension for curves
     that are straight (or otherwise non-generic) in the trailing
-    directions; by default the full frame is built.
+    directions; by default the full frame is built.  e_0 agrees with
+    ``c.char``, since ``SampledCurve`` classified the same w_1 = derivs[1].
     """
     n = c.n
     m = n if num_vectors is None else int(num_vectors)
@@ -109,10 +110,6 @@ def frenet_apparatus(c: SampledCurve, num_vectors: int | None = None) -> FrenetD
         signs[i - 1] = 1 if positive[0] else -1
         resid_norms[i - 1] = nw
 
-    if signs[0] != c.sign0:
-        raise NonGenericCurveError(
-            "tangent sign disagrees with the curve's causal character", index=1, sample=0
-        )
     negatives = int(np.count_nonzero(signs == -1))
     if negatives > 1 or (m == n and negatives != 1):
         raise NonGenericCurveError(
@@ -125,8 +122,6 @@ def frenet_apparatus(c: SampledCurve, num_vectors: int | None = None) -> FrenetD
     curvatures = np.empty((m - 1, N))
     for i in range(1, m):
         curvatures[i - 1] = resid_norms[i] / (resid_norms[0] * resid_norms[i - 1])
-    if completed and m >= 2:
-        curvatures[m - 2] = 0.0
     return FrenetData(frame=frame, signs=signs, curvatures=curvatures, completed_last=completed)
 
 

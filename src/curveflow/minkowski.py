@@ -124,24 +124,27 @@ def norm_many(X: np.ndarray) -> np.ndarray:
 
 
 def causal_character(x, tol: float = DEFAULT_NULL_TOL) -> CausalCharacter:
-    """Classify a vector as spacelike, timelike or null.
-
-    The null test is relative: |<X,X>| <= tol * max(1, sum xi^2).  The zero
-    vector is spacelike by convention, never null.
-    """
+    """Classify a vector (see ``null_test``); the zero vector is spacelike, never null."""
     if tol < 0:
         raise ValueError("tol must be >= 0")
     return causal_character_many(as_vector(x)[:, None], tol)[0]
 
 
-def causal_character_many(X: np.ndarray, tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
-    """Classification over axis -2 of an (..., n, N) stack; returns an object
-    array of CausalCharacter."""
+def null_test(X: np.ndarray, tol: float = DEFAULT_NULL_TOL):
+    """The relative null test over axis -2 of an (..., n, N) stack: returns
+    q = <X,X>, the Euclidean |X|^2, and the masks null, |q| <= tol*max(1, |X|^2)
+    with X not zero, and timelike, q < -tol*max(1, |X|^2)."""
     q = inner_many(X, X)
     euclid = dot_many(X, X)
     thresh = tol * np.maximum(1.0, euclid)
-    out = np.full(q.shape, CausalCharacter.SPACELIKE, dtype=object)
-    out[q < -thresh] = CausalCharacter.TIMELIKE
-    out[(np.abs(q) <= thresh) & (euclid > 0)] = CausalCharacter.NULL
-    return out
+    return q, euclid, (np.abs(q) <= thresh) & (euclid > 0), q < -thresh
 
+
+def causal_character_many(X: np.ndarray, tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
+    """Classification over axis -2 of an (..., n, N) stack; returns an object
+    array of CausalCharacter."""
+    _, _, null, timelike = null_test(X, tol)
+    out = np.full(null.shape, CausalCharacter.SPACELIKE, dtype=object)
+    out[timelike] = CausalCharacter.TIMELIKE
+    out[null] = CausalCharacter.NULL
+    return out

@@ -399,7 +399,7 @@ def check_frame_evolution(traj: Trajectory, tolerance: float | None = None) -> V
         r_tangent = max(r_tangent, _peak(_euclid_norm(fdot[0] - tangent), sl))
 
         psi = w.psi()
-        v1 = e[0] * inner_many(fdot[1:], V[0])
+        v1 = e[0] * psi[0, 1:]
         for j in range(2, m + 1):
             # V1 coefficient of dV_j/dt, then dV_j/dt rebuilt from it and psi
             target = -e[0] * e[j - 1] * c[j - 2]

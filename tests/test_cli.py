@@ -12,12 +12,15 @@ from curveflow.cli import (
     EXIT_OK,
     TIMESERIES_HEADER,
     _schema,
+    build_curve_spec,
+    build_flow,
     bundled_scenario_path,
     load_scenario,
     main,
 )
-from curveflow.curvekit import SampledCurve
+from curveflow.curvekit import SampledCurve, sample
 from curveflow.errors import ConfigError, NullCurveError
+from curveflow.flowsim import evolve, initial_state
 
 
 def scenario_doc(name):
@@ -395,6 +398,34 @@ def test_output_formats_filter(tmp_path):
     assert main(["run", write_scenario(tmp_path, doc), "--out", str(out)]) == EXIT_OK
     assert not (out / "timeseries.csv").exists()
     assert (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("overshoot, accepted", [(0.5e-12, True), (2e-12, False)])
+def test_horizon_rule_is_shared_by_loader_and_evolve(tmp_path, capsys, overshoot, accepted):
+    horizon, steps = 0.016, 8
+    dt = horizon * (1 + overshoot) / steps
+    doc = scenario_doc("circle_zero_flow.json")
+    doc["integrator"] = {"dt": dt, "steps": steps, "t_horizon": horizon}
+    code = main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "o")])
+    flow = build_flow(doc)
+    st = initial_state(sample(build_curve_spec(doc)), flow)
+    if accepted:
+        assert code == EXIT_OK
+        assert len(evolve(st, flow, dt, steps, horizon)) == steps + 1
+    else:
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: integrator.t_horizon: dt*steps = 0.016 exceeds the time horizon 0.016\n"
+        )
+        with pytest.raises(ValueError, match="exceeds the time horizon"):
+            evolve(st, flow, dt, steps, horizon)
+
+
+@pytest.mark.parametrize("name", ["scenario.schema.json", "report.schema.json"])
+def test_bundled_schemas_satisfy_their_metaschema(name):
+    # load_scenario builds its validator once and does not re-check the schema.
+    schema = _schema(name)
+    jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
 def test_dt_from_horizon(tmp_path):

@@ -190,8 +190,10 @@ def test_evolve_incompatible_flow_raises(circle_256):
 
 
 def test_evolve_develops_null_tangent():
-    # contracting the speed of a timelike curve drives the tangent null
-    c = sample(catalog.curve("hyperbola", 64), null_tol=1e-4)
+    # Contracting the speed of a timelike curve drives the tangent null; at the
+    # default tolerance it crosses the cone between samples first, which ends
+    # in the same named error.
+    c = sample(catalog.curve("hyperbola", 64))
     flow = FlowSpec.explicit(["0", "-3"], name="contract")
     st = initial_state(c, flow)
     with pytest.raises(NullCurveDeveloped) as err:

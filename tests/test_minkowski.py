@@ -46,7 +46,7 @@ def test_zero_vector_is_spacelike_not_null():
     assert causal_character((0.0, 0.0, 0.0)) is CausalCharacter.SPACELIKE
 
 
-def test_null_tolerance_is_relative():
+def test_null_test_is_relative():
     # |<X,X>| = 2e5 * 1e-7 = 0.02 but the Euclidean scale is huge
     x = (1e4, 1e4 + 1e-7)
     assert causal_character(x, tol=1e-9) is CausalCharacter.NULL
