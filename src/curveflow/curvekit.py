@@ -276,16 +276,16 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape[0] < 3:
         return cumulative_trapezoid(y, dx)
-    f1, f2, f3 = y[:-2], y[1:-1], y[2:]
-    # From samples i, i+1, i+2: ``right[i]`` integrates [u_i, u_i+1] and
-    # ``left[i]`` integrates [u_i+1, u_i+2].
-    right = dx / 3 * (5 * f1 / 4 + 2 * f2 - f3 / 4)
-    left = dx / 3 * (5 * f3 / 4 + 2 * f2 - f1 / 4)
+    c = dx / 3
+    near, far, mid = 5 * y / 4, y / 4, 2 * y[1:-1]
+    # From samples i, i+1, i+2 (even i only): c*(near[i] + mid[i] - far[i+2])
+    # integrates [u_i, u_i+1] and c*(near[i+2] + mid[i] - far[i]) integrates
+    # [u_i+1, u_i+2]; the last interval always looks left.
     parts = np.empty(y.shape[0])
     parts[0] = 0.0  # also turns a -0.0 sum into +0.0, as scipy's "+ initial" does
-    parts[1:-1:2] = right[::2]
-    parts[2::2] = left[::2]
-    parts[-1] = left[-1]
+    parts[1:-1:2] = c * (near[:-2:2] + mid[::2] - far[2::2])
+    parts[2::2] = c * (near[2::2] + mid[::2] - far[:-2:2])
+    parts[-1] = c * (near[-1] + mid[-1] - far[-3])
     return np.cumsum(parts)
 
 

@@ -85,6 +85,26 @@ class StabilityError(EvolutionError):
     change of total arclength."""
 
 
+class UnresolvedClosedFlow(EvolutionError):
+    """A closed curve rebuilt from points inside ``evolve`` failed the
+    compatibility test that its jet-built initial state passed.  The loop
+    integral is then a discrete residual of the N-sample rebuild (or the flow
+    lost its periodic tangential speed at time ``t``).  ``residual`` and
+    ``tolerance`` are as in IncompatibleClosedFlow, ``samples`` is N."""
+
+    def __init__(self, residual: float, tolerance: float, samples: int, t: float, trajectory=None):
+        super().__init__(
+            f"compatibility integral of the curve rebuilt from N={samples} samples "
+            f"is {residual:.6e} (tolerance {tolerance:.3e}) at t={t:.6g}: "
+            f"under-resolved at N={samples}, or no periodic tangential speed at that time",
+            t=t,
+            trajectory=trajectory,
+        )
+        self.residual = residual
+        self.tolerance = tolerance
+        self.samples = samples
+
+
 class NotInextensible(CurveFlowError):
     """A check that presumes an inextensible flow was handed one that
     measurably violates the tangential-speed constraint."""

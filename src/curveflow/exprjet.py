@@ -18,7 +18,9 @@ Grammar (whitespace-insensitive)::
 Precedence is ``^`` above unary minus above ``*``/``/`` above ``+``/``-``;
 the binary operators associate left, ``^`` right.  Exponents must be
 integer literals.  Known functions: sin, cos, sinh, cosh, exp, sqrt; the
-name ``pi`` is a constant.
+name ``pi`` is a constant.  Nesting deeper than MAX_DEPTH levels, and an
+exponent chain that is not an integer of magnitude at most MAX_EXPONENT,
+are ParseErrors.
 
 A Jet of order K stores the K+1 Taylor coefficients of a scalar function
 at a point: ``coeffs[j]`` is the j-th derivative divided by j!.  The
@@ -127,11 +129,23 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Nesting past MAX_DEPTH levels is a ParseError: well below it, the parser
+# and the recursive walks over the tree (variables, to_text, eval_jet) stay
+# clear of Python's recursion limit.  Exponents are bounded by MAX_EXPONENT.
+MAX_DEPTH = 100
+MAX_EXPONENT = 1000
+
+
 class _Parser:
+    """Recursive descent.  Each parse method returns (node, height): the
+    levels of nesting inside the node, where a group, a call, a unary minus,
+    a power and a binary operator each add one."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # levels open around the current token
 
     def peek(self):
         return self.tokens[self.i]
@@ -147,47 +161,63 @@ class _Parser:
             raise ParseError(f"expected {op!r}, found {text!r}" if text else f"expected {op!r}", pos)
         return self.advance()
 
+    def level(self, height: int, pos: int) -> int:
+        """``height``, once the deepest leaf below it is within MAX_DEPTH."""
+        if self.depth + height > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
+        return height
+
+    def nested(self, parse_inner, pos: int):
+        """``parse_inner()`` one level deeper; checked on the way down, so the
+        parser's own recursion is bounded too."""
+        self.depth += 1
+        self.level(0, pos)
+        result = parse_inner()
+        self.depth -= 1
+        return result
+
     def parse(self) -> Expr:
-        e = self.expr()
+        e, _ = self.expr()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {text!r}", pos)
         return e
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.term())
-            else:
-                return node
+    def expr(self) -> tuple[Expr, int]:
+        return self.chain("+-", self.term)
 
-    def term(self) -> Expr:
-        node = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.unary())
-            else:
-                return node
+    def term(self) -> tuple[Expr, int]:
+        return self.chain("*/", self.unary)
 
-    def unary(self) -> Expr:
-        kind, text, _ = self.peek()
+    def chain(self, ops: str, operand) -> tuple[Expr, int]:
+        # Left associative: each operator puts everything before it a level
+        # deeper.
+        node, height = operand()
+        while True:
+            kind, text, pos = self.peek()
+            if kind != "op" or text not in ops:
+                return node, height
+            self.advance()
+            rhs, rhs_height = operand()
+            node = BinOp(text, node, rhs)
+            height = self.level(max(height, rhs_height) + 1, pos)
+
+    def unary(self) -> tuple[Expr, int]:
+        kind, text, pos = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.unary())
+            arg, height = self.nested(self.unary, pos)
+            return Neg(arg), height + 1
         return self.power()
 
-    def power(self) -> Expr:
-        base = self.atom()
-        kind, text, _ = self.peek()
+    def power(self) -> tuple[Expr, int]:
+        base, height = self.atom()
+        kind, text, pos = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            return Pow(base, self.exponent())
-        return base
+            exponent = self.nested(self.exponent, pos)
+            return Pow(base, exponent), self.level(height + 1, pos)
+        return base, height
 
     def exponent(self) -> int:
         # Integer literal, optionally negated; '^' chains associate right.
@@ -201,33 +231,45 @@ class _Parser:
             raise ParseError("exponent must be an integer literal", pos)
         self.advance()
         value = int(text)
-        kind, text, _ = self.peek()
+        kind, text, op_pos = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            value = value ** self.exponent()
+            inner = self.nested(self.exponent, op_pos)
+            if inner < 0 and value != 1:
+                raise ParseError("exponent chain is not an integer", pos)
+            # Decide before forming the power, which can be astronomically
+            # large: value**inner >= 2**inner, past the cap at this inner.
+            if value > 1 and inner >= MAX_EXPONENT.bit_length():
+                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", pos)
+            value **= max(inner, 0)
+        if value > MAX_EXPONENT:
+            raise ParseError(f"exponent exceeds {MAX_EXPONENT}", pos)
         return sign * value
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         kind, text, pos = self.advance()
         if kind == "num":
-            return Lit(float(text))
+            return Lit(float(text)), 0
         if kind == "name":
             if text in CONSTANTS:
-                return Lit(CONSTANTS[text])
+                return Lit(CONSTANTS[text]), 0
             nkind, ntext, _ = self.peek()
             if nkind == "op" and ntext == "(":
                 if text not in FUNCTIONS:
                     raise ParseError(f"unknown function {text!r}", pos)
                 self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(text, arg)
-            return Var(text)
+                arg, height = self.nested(self.group, pos)
+                return Call(text, arg), height + 1
+            return Var(text), 0
         if kind == "op" and text == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
+            e, height = self.nested(self.group, pos)
+            return e, height + 1
         raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
+
+    def group(self) -> tuple[Expr, int]:
+        inner = self.expr()
+        self.expect_op(")")
+        return inner
 
 
 def parse(text: str) -> Expr:

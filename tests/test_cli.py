@@ -332,6 +332,20 @@ def _dt_literal_1e400(doc):
          "config error: {path}: number 1e400 is not finite\n"),
         (["run"], SINE, _setting(float("nan"), "flow", "f1_at_0"), EXIT_CONFIG,
          "config error: {path}: number NaN is not finite\n"),
+        # Expressions past the parser's bounds: configuration errors, not a
+        # RecursionError or an endless power.
+        (["run"], SINE, _setting(["(" * 200 + "sin(s)" + ")" * 200, "0"], "flow", "speeds"),
+         EXIT_CONFIG, "config error: flow.speeds: bad expression: expression nests deeper"),
+        (["run"], SINE, _setting(["-" * 1000 + "sin(s)", "0"], "flow", "speeds"),
+         EXIT_CONFIG, "config error: flow.speeds: bad expression: expression nests deeper"),
+        (["run"], SINE, _setting(["sin(" * 300 + "s" + ")" * 300, "0"], "flow", "speeds"),
+         EXIT_CONFIG, "config error: flow.speeds: bad expression: expression nests deeper"),
+        (["run"], SINE, _setting(["0", "cos(u)^9^9^9", "sin(u)"], "curve", "components"),
+         EXIT_CONFIG, "config error: curve.components: bad expression: exponent exceeds 1000"),
+        # Below 48 samples the stencil rebuild of the circle at t0 misses the
+        # compatibility tolerance that the jet-built initial state meets.
+        (["run"], SINE, _setting(32, "curve", "samples"), EXIT_NUMERICAL,
+         "numerical breakdown: compatibility integral of the curve rebuilt from N=32 samples"),
     ],
 )
 def test_exit_codes_per_subcommand(tmp_path, capsys, command, scenario, edit, code, stderr):

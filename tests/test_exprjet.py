@@ -7,6 +7,7 @@ import sympy
 
 from curveflow.errors import DomainError, ParseError, UnboundVariable
 from curveflow.exprjet import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Lit,
@@ -52,12 +53,42 @@ def test_constants_and_whitespace():
         ("1 @ 2", 2),
         ("foo(u)", 0),
         ("1 2", 2),
+        # one level past MAX_DEPTH (100): offset of the construct that opens it
+        ("(" * 101 + "u" + ")" * 101, 100),
+        ("-" * 1000 + "u", 100),
+        ("sin(" * 300 + "u" + ")" * 300, 400),
+        ("+".join(["u"] * 102), 201),
+        ("u" + "^1" * 101, 201),
+        # exponent chains stay integers within MAX_EXPONENT (1000)
+        ("u^9^9^9", 4),
+        ("u^1001", 2),
+        ("u^2^10", 2),
+        ("u^2^-1", 2),
+        ("u^0^-1", 2),
     ],
 )
 def test_parse_errors_carry_offsets(text, offset):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert err.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * MAX_DEPTH + "u" + ")" * MAX_DEPTH,
+        "-" * MAX_DEPTH + "u",
+        "sin(" * MAX_DEPTH + "u" + ")" * MAX_DEPTH,
+        "+".join(["u"] * (MAX_DEPTH + 1)),
+        "u" + "^1" * MAX_DEPTH,
+        "-(" * (MAX_DEPTH // 2) + "u" + ")" * (MAX_DEPTH // 2),
+    ],
+)
+def test_nesting_at_the_depth_limit_parses_and_evaluates(text):
+    expr = parse(text)
+    assert variables(expr) == {"u"}
+    assert parse(to_text(expr)) == expr
+    assert np.isfinite(eval_jet(expr, "u", np.linspace(0.1, 0.9, 5), 2).coeffs).all()
 
 
 def test_eval_jet_polynomial():

@@ -1,4 +1,7 @@
 import math
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from curveflow.errors import (
     IncompatibleClosedFlow,
     NullCurveDeveloped,
     StabilityError,
+    UnresolvedClosedFlow,
 )
 from curveflow.flowsim import (
     FlowSpec,
@@ -208,6 +212,56 @@ def test_evolve_stability_guard(circle_256):
     with pytest.raises(StabilityError) as err:
         evolve(st, flow, 0.7, 2)  # one step shrinks the circle by 70%
     assert err.value.trajectory is not None
+
+
+def test_evolve_names_an_unresolved_closed_flow():
+    # The jet-built initial state passes the compatibility test at N=32, but
+    # the stencil rebuild of the same points at t0 misses it (2.03e-5 against
+    # a tolerance of 6.28e-6): a discrete residual, not a missing periodic f1.
+    c = sample(catalog.curve("circle", 32))
+    flow = catalog.flow("inextensible_sine", 3)
+    st = initial_state(c, flow)
+    with pytest.raises(UnresolvedClosedFlow) as err:
+        evolve(st, flow, 1e-3, 10)
+    assert err.value.t == 0.0
+    assert len(err.value.trajectory) == 0
+    assert err.value.samples == 32
+    assert err.value.residual > err.value.tolerance
+    assert "N=32" in str(err.value)
+
+
+# Run in a fresh interpreter: glibc raises its trim threshold whenever it
+# frees a block it had mapped on its own, so after other tests in this
+# process the trimming this bounds no longer happens.
+_FAULT_PROBE = """
+import resource
+import numpy as np
+from curveflow import catalog, flowsim
+from curveflow.curvekit import sample
+
+c = sample(catalog.curve("circle", 4096))
+flow = catalog.flow("inextensible_sine", 3)
+st = flowsim.initial_state(c, flow)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+traj = flowsim.evolve(st, flow, 1e-3, 10)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+held = {id(v): v for state in traj.states for obj in (state, state.curve, state.frenet)
+        for v in vars(obj).values() if isinstance(v, np.ndarray)}
+print(faults, sum(a.nbytes for a in held.values()) / resource.getpagesize())
+"""
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="bounds the page faults of glibc's allocator"
+)
+def test_evolve_recycles_stage_memory():
+    # An internal RK stage state freed as soon as its velocity is read is
+    # trimmed off the heap and faulted back in: 4.1 times the pages the
+    # trajectory's arrays hold, where recycled blocks take 1.3-1.5 times.
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    faults, pages = map(float, proc.stdout.split())
+    assert faults <= 2 * pages, (faults, pages)
 
 
 def test_evolve_argument_validation(circle_256):
