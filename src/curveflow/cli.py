@@ -41,7 +41,7 @@ from .errors import ConfigError, CurveFlowError, EvolutionError, ParseError
 from .exprjet import eval_scalar, parse, variables
 from .flowsim import FlowSpec, Trajectory, check_horizon, default_dt, evolve, initial_state
 from .frenet import FrenetData, frenet_apparatus, frenet_residuals, stencil_curvatures
-from .verify import CHECKS, VerificationReport, merge_reports
+from .verify import CHECKS, DEFAULT_TOLERANCES, VerificationReport, merge_reports
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -139,11 +139,20 @@ def _cross_validate(doc: dict) -> None:
             raise ConfigError(
                 f"unknown identity {name!r}; known: {sorted(CHECKS)}", field="checks"
             )
-    for name in doc.get("tolerances", {}):
+    for name, value in doc.get("tolerances", {}).items():
         if name not in CHECKS:
             raise ConfigError(
                 f"tolerance for unknown identity {name!r}", field="tolerances"
             )
+        # the shape of each default: a number, or an object of named numbers
+        default = DEFAULT_TOLERANCES[name]
+        if isinstance(default, dict):
+            fits = isinstance(value, dict) and set(value) <= set(default)
+            shape = f"an object with keys from {sorted(default)}"
+        else:
+            fits, shape = isinstance(value, (int, float)), "a number"
+        if not fits:
+            raise ConfigError(f"must be {shape}", field=f"tolerances.{name}")
     fv = doc["integrator"].get("frame_vectors")
     if fv is not None and fv > n:
         raise ConfigError(
@@ -308,15 +317,13 @@ def write_frames(traj: Trajectory, steps: list[int], out_dir: Path) -> list[Path
     return paths
 
 
-def write_report(name: str, reports: list[VerificationReport], out_dir: Path) -> bool:
-    all_pass = all(r.passed for r in reports)
+def write_report(name: str, reports: list[VerificationReport], out_dir: Path) -> None:
     payload = {
         "scenario": name,
         "checks": [r.to_json_dict() for r in reports],
-        "pass": all_pass,
+        "pass": all(r.passed for r in reports),
     }
     _write_text(out_dir / "report.json", _json_text(payload))
-    return all_pass
 
 
 # --------------------------------------------------------------------------
@@ -342,14 +349,12 @@ def cmd_run(args) -> int:
         write_frames(traj, frames_at, out_dir)
     if reports:
         if "json" in formats:
-            all_pass = write_report(doc["name"], reports, out_dir)
-        else:
-            all_pass = all(r.passed for r in reports)
+            write_report(doc["name"], reports, out_dir)
         for r in reports:
-            worst = max(r.residuals[-1].values()) if r.residuals[-1] else 0.0
+            row = r.residuals[-1]
+            worst = max((row[g] for g in r.gated), default=0.0)
             print(f"{'PASS' if r.passed else 'FAIL'} {r.identity} (max residual {worst:.3e})")
-        return EXIT_OK if all_pass else EXIT_CHECK_FAILED
-    return EXIT_OK
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
 def cmd_convergence(args) -> int:

@@ -137,28 +137,25 @@ class SampledCurve:
         derivs[0] = points
         for m in range(1, deriv_order + 1):
             derivs[m] = d_du(derivs[m - 1], h, closed)
-        metric_tangents = d_du4(points, h, closed)
-        return cls._finish(grid, h, closed, derivs, metric_tangents)
+        return cls._finish(grid, h, closed, derivs, d_du4(points, h, closed))
 
     @classmethod
-    def _finish(cls, grid, h, closed, derivs, metric_tangents=None) -> "SampledCurve":
+    def _finish(cls, grid, h, closed, derivs, tangents) -> "SampledCurve":
         if not np.isfinite(derivs).all():
             raise ValueError("curve evaluation produced non-finite values")
-        q, euclid, null_mask, timelike = minkowski.null_test(derivs[1])
+        _, euclid, null_mask, timelike = minkowski.null_test(derivs[1])
         if null_mask.any():
             idx = int(np.argmax(null_mask))
             raise NullCurveError(f"tangent is null at sample {idx} (u={grid[idx]:.6g})")
         if timelike.any() and not timelike.all():
             raise MixedCausalityError("tangent causal character varies along the curve")
         char = CausalCharacter.TIMELIKE if timelike[0] else CausalCharacter.SPACELIKE
-        # Speed and arclength come from the sharper tangent estimate when one
-        # is supplied: the second-order stencil speed is biased by ~h^2/6,
-        # which would make periodic flow speeds not close up around closed
-        # curves (a seam in the velocity field at the wrap).
-        if metric_tangents is None:
-            speeds = np.sqrt(np.abs(q))
-        else:
-            speeds = minkowski.norm_many(metric_tangents)
+        # Speed and arclength come from ``tangents``: the exact derivative
+        # for a sampled spec, a fourth-order stencil for raw points, since the
+        # second-order stencil speed is biased by ~h^2/6, which would make
+        # periodic flow speeds not close up around closed curves (a seam in
+        # the velocity field at the wrap).
+        speeds = minkowski.norm_many(tangents)
         if (speeds <= minkowski.DEFAULT_NULL_TOL * np.sqrt(np.maximum(1.0, euclid))).any():
             idx = int(np.argmin(speeds))
             raise DegenerateCurveError(f"speed vanishes at sample {idx} (u={grid[idx]:.6g})")
@@ -193,7 +190,7 @@ def sample(spec: CurveSpec) -> SampledCurve:
         jet = exprjet.eval_jet(comp, "u", grid, n)
         for m in range(n + 1):
             derivs[m, j] = jet.derivative(m)
-    return SampledCurve._finish(grid, h, spec.topology == CLOSED, derivs)
+    return SampledCurve._finish(grid, h, spec.topology == CLOSED, derivs, derivs[1])
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,11 @@ the bare projection, so every projection-based residual is measured twice:
 once with the coefficients in the classical (positive-definite) convention
 ("classical" / "bare") and once with the
 metric-consistent coefficients ("metric").  Pass/fail gates on the metric
-reading; both are reported.
+reading; both are reported.  ``_report`` states that gate rule once: every
+residual except the ``*_classical`` and ``*_bare`` readings is gated, and a
+check passes when each gated residual is within its tolerance (the iff
+check alone passes its equivalence instead).  ``_tol`` looks up the
+default tolerances.
 
 The right-hand sides are pure functions of 1-based, zero-padded arrays:
 row i of k, f and their s-derivatives holds k_i, f_i, ... (row 0 and every
@@ -33,7 +37,9 @@ holds psi_kj with a zero border, and e[i] is the sign e_i of V_{i+1},
 Residual maxima run over interior samples: on open curves the one-sided
 stencil closures (chained up to the third derivative) occupy a boundary
 layer whose error is amplified and of lower order, so a fixed margin of
-samples is excluded at each end.  Closed curves use every sample.
+samples is excluded at each end.  Closed curves use every sample.  Each
+window check is a per-step generator of (name, pointwise grid) pairs, and
+``_walk_peaks`` alone reduces them to running maxima over the interior.
 """
 
 from __future__ import annotations
@@ -218,30 +224,40 @@ def curvature_rates(e, k, psi, dpsi, m: int) -> tuple[list, list]:
     """The (metric, classical) psi-form readings of dk_i/dt, as lists over i = 1..m-1.
 
     metric:    e_i (psi_{i+1,i}' - psi_{i+2,i} k_{i+1}) - e_{i-2} e_{i-1} e_i k_{i-1} psi_{i-1,i+1}
-    classical: psi_{i+1,i}' - e_i e_{i+1} psi_{i+2,i} k_{i+1}, except that the
-    last curvature is read from column m, as
+    classical: psi_{i+1,i}' - e_i e_{i+1} psi_{i+2,i} k_{i+1} - k_{i-1} psi_{i-1,i+1},
+    except that the last curvature is read from column m, as
     -e_{m-2} e_{m-1} (psi_{m-1,m}' + psi_{m-2,m} k_{m-2}).
+    With every e_i = +1 the two readings coincide.
     """
     metric, classical = [], []
     for i in range(1, m):
-        d, p = dpsi[i + 1, i], psi[i + 2, i]
-        back = e[i - 2] * e[i - 1] * e[i] * k[i - 1] * psi[i - 1, i + 1]
-        metric.append(e[i] * (d - p * k[i + 1]) - back)
+        d, p, q = dpsi[i + 1, i], psi[i + 2, i], k[i - 1] * psi[i - 1, i + 1]
+        metric.append(e[i] * (d - p * k[i + 1]) - e[i - 2] * e[i - 1] * e[i] * q)
         if i < m - 1:
-            classical.append(d - e[i] * e[i + 1] * p * k[i + 1])
+            classical.append(d - e[i] * e[i + 1] * p * k[i + 1] - q)
     classical.append(-e[m - 2] * e[m - 1] * (dpsi[m - 1, m] + psi[m - 2, m] * k[m - 2]))
     return metric, classical
 
 
 def _peak(x: np.ndarray, sl: slice) -> float:
-    return float(np.max(np.abs(x)[sl]))
+    """max |x| over the samples sl of the last axis."""
+    return float(np.max(np.abs(x)[..., sl]))
 
 
-def _psi_residuals(psi: np.ndarray, sl: slice) -> tuple[float, float]:
-    """Worst |Psi_kj + Psi_jk| and |Psi_jj| over the samples sl."""
-    anti = float(np.max(np.abs(psi + np.swapaxes(psi, 0, 1))[:, :, sl]))
-    diag = float(np.max(np.abs(np.diagonal(psi)[sl])))  # diagonal() is (N, m)
-    return anti, diag
+def _walk_peaks(window: _Window, residuals_at) -> dict[str, float]:
+    """Peak over every step and interior sample of each named grid that
+    ``residuals_at(w)`` yields (a name may repeat within a step), in the
+    order the names first appear."""
+    peaks: dict[str, float] = {}
+    for w in window.walk():
+        for name, grid in residuals_at(w):
+            peaks[name] = max(peaks.get(name, 0.0), _peak(grid, w.interior))
+    return peaks
+
+
+def _psi_residuals(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise Psi_kj + Psi_jk and Psi_jj, sample axis last."""
+    return psi + np.swapaxes(psi, 0, 1), np.diagonal(psi).T  # diagonal() is (N, m)
 
 
 def _euclid_norm(X: np.ndarray) -> np.ndarray:
@@ -260,7 +276,7 @@ def _pointwise_violation(traj: Trajectory) -> float:
     for st in traj.states:
         lhs = d_ds4(st.f_values[0], st.curve)
         rhs = inextensibility_rhs(st.curve, st.frenet, st.f_values[1])
-        worst = max(worst, float(np.max(np.abs(lhs - rhs)[sl])))
+        worst = max(worst, _peak(lhs - rhs, sl))
     return worst
 
 
@@ -271,13 +287,31 @@ def _require_inextensible(traj: Trajectory) -> float:
     return violation
 
 
-def _single(identity, traj, residuals, tolerance, passed, gated, details) -> VerificationReport:
-    N = traj.states[0].curve.samples
+def _tol(identity: str, tolerance):
+    """The tolerance of a check: the caller's, else the default; a dict
+    default is updated key by key."""
+    default = DEFAULT_TOLERANCES[identity]
+    if isinstance(default, dict):
+        return {**default, **(tolerance or {})}
+    return default if tolerance is None else tolerance
+
+
+def _report(identity, traj, residuals, tolerance, details, passed=None) -> VerificationReport:
+    """One-resolution report.  Every residual is gated except the classical
+    and bare readings; unless ``passed`` is given, the check passes when
+    every gated residual is within its tolerance.  A number tolerance
+    applies to every residual."""
+    tol = _tol(identity, tolerance)
+    if not isinstance(tol, dict):
+        tol = {name: tol for name in residuals}
+    gated = [name for name in residuals if not name.endswith(("_classical", "_bare"))]
+    if passed is None:
+        passed = all(residuals[name] <= tol[name] for name in gated)
     return VerificationReport(
         identity=identity,
-        resolutions=[(N, traj.dt)],
+        resolutions=[(traj.states[0].curve.samples, traj.dt)],
         residuals=[residuals],
-        tolerance=tolerance,
+        tolerance=tol,
         orders={k: None for k in residuals},
         passed=passed,
         gated=gated,
@@ -296,23 +330,16 @@ def check_speed_evolution(traj: Trajectory, tolerance: float | None = None) -> V
     the classical variant e0 df1/du - e1 f2 v k1 (their ratio is e0, so
     the two coincide on spacelike curves) is recorded alongside.
     """
-    tol = DEFAULT_TOLERANCES["speed_evolution"] if tolerance is None else tolerance
     window = _Window(traj)
-    r = r_classical = 0.0
-    for w in window.walk():
+
+    def residuals_at(w):
         lhs = (w.next.curve.speeds - w.prev.curve.speeds) / (2.0 * w.dt)
         rhs = dv_dt_rhs(w.state)
-        r = max(r, _peak(lhs - rhs, w.interior))
-        r_classical = max(r_classical, _peak(lhs - w.e[0] * rhs, w.interior))
-    return _single(
-        "speed_evolution",
-        traj,
-        {"speed_evolution": r, "speed_evolution_classical": r_classical},
-        {"speed_evolution": tol, "speed_evolution_classical": tol},
-        r <= tol,
-        ["speed_evolution"],
-        {"frame_flips": window.flips},
-    )
+        yield "speed_evolution", lhs - rhs
+        yield "speed_evolution_classical", lhs - w.e[0] * rhs
+
+    residuals = _walk_peaks(window, residuals_at)
+    return _report("speed_evolution", traj, residuals, tolerance, {"frame_flips": window.flips})
 
 
 def check_iff_condition(traj: Trajectory, tolerance: dict | None = None) -> VerificationReport:
@@ -322,24 +349,16 @@ def check_iff_condition(traj: Trajectory, tolerance: dict | None = None) -> Veri
     (b) the arclength drift, then asserts their equivalence against the
     thresholds.  Neither side alone decides the outcome.
     """
-    tol = dict(DEFAULT_TOLERANCES["iff_condition"])
-    if tolerance:
-        tol.update(tolerance)
+    tol = _tol("iff_condition", tolerance)
     if len(traj.states) < 2:
         raise InsufficientStates("iff check needs at least 2 states")
     a = _pointwise_violation(traj)
     b = arclength_drift(traj)
     a_small = a <= tol["pointwise"]
     b_small = b <= tol["drift"]
-    return _single(
-        "iff_condition",
-        traj,
-        {"pointwise": a, "drift": b},
-        tol,
-        a_small == b_small,
-        ["pointwise", "drift"],
-        {"pointwise_small": a_small, "drift_small": b_small, "equivalence": a_small == b_small},
-    )
+    details = {"pointwise_small": a_small, "drift_small": b_small, "equivalence": a_small == b_small}
+    residuals = {"pointwise": a, "drift": b}
+    return _report("iff_condition", traj, residuals, tolerance, details, passed=a_small == b_small)
 
 
 def psi_matrix(traj: Trajectory, at_step: int) -> PsiMatrix:
@@ -352,29 +371,17 @@ def psi_matrix(traj: Trajectory, at_step: int) -> PsiMatrix:
     for w in window.walk(last=at_step):
         pass  # frame alignment is sequential, so every earlier step is walked
     psi = w.psi()
-    anti, diag = _psi_residuals(psi, w.interior)
+    anti, diag = (_peak(x, window.interior) for x in _psi_residuals(psi))
     return PsiMatrix(values=psi, at_step=at_step, antisymmetry_residual=anti, diagonal_residual=diag)
 
 
 def check_psi_antisymmetry(traj: Trajectory, tolerance: float | None = None) -> VerificationReport:
     """Psi_kj + Psi_jk = 0 and Psi_jj = 0 at every interior step."""
-    tol = DEFAULT_TOLERANCES["psi_antisymmetry"] if tolerance is None else tolerance
     window = _Window(traj)
-    anti = diag = 0.0
-    for w in window.walk():
-        anti_t, diag_t = _psi_residuals(w.psi(), w.interior)
-        anti, diag = max(anti, anti_t), max(diag, diag_t)
-    r = {"antisymmetry": anti, "diagonal": diag}
-    passed = anti <= tol and diag <= tol
-    return _single(
-        "psi_antisymmetry",
-        traj,
-        r,
-        {"antisymmetry": tol, "diagonal": tol},
-        passed,
-        ["antisymmetry", "diagonal"],
-        {"frame_flips": window.flips},
+    residuals = _walk_peaks(
+        window, lambda w: zip(("antisymmetry", "diagonal"), _psi_residuals(w.psi()))
     )
+    return _report("psi_antisymmetry", traj, residuals, tolerance, {"frame_flips": window.flips})
 
 
 def check_frame_evolution(traj: Trajectory, tolerance: float | None = None) -> VerificationReport:
@@ -385,58 +392,36 @@ def check_frame_evolution(traj: Trajectory, tolerance: float | None = None) -> V
     reconstruction of those velocities from the psi coefficients, in both
     the metric-consistent and the bare-projection reading.
     """
-    tol = DEFAULT_TOLERANCES["frame_evolution"] if tolerance is None else tolerance
     violation = _require_inextensible(traj)
     window = _Window(traj)
-    m = window.m
-    r_tangent = r_mid = r_last = r_recon_metric = r_recon_bare = 0.0
-    e = window.e
-    for w in window.walk():
-        fdot, V, sl = w.fdot, w.frames, w.interior
+    m, e = window.m, window.e
+
+    def residuals_at(w):
+        fdot, V = w.fdot, w.frames
         k, f, (fs,) = w.fields((1,) * (m - 1))
         c = tangent_rate_coefficients(e, k, f, fs, m)
         tangent = sum(ci * Vi for ci, Vi in zip(c, V[1:]))
-        r_tangent = max(r_tangent, _peak(_euclid_norm(fdot[0] - tangent), sl))
+        yield "tangent_equation", _euclid_norm(fdot[0] - tangent)
 
         psi = w.psi()
-        v1 = e[0] * psi[0, 1:]
-        for j in range(2, m + 1):
-            # V1 coefficient of dV_j/dt, then dV_j/dt rebuilt from it and psi
-            target = -e[0] * e[j - 1] * c[j - 2]
-            r_v1 = _peak(v1[j - 2] - target, sl)
-            if j < m:
-                r_mid = max(r_mid, r_v1)
-            else:
-                r_last = max(r_last, r_v1)
+        # V1 coefficient of dV_j/dt for j = 2..m, then dV_j/dt rebuilt from it and psi
+        targets = [-e[0] * e[j - 1] * c[j - 2] for j in range(2, m + 1)]
+        for j, target in enumerate(targets, start=2):
+            name = "v1_coefficient_mid" if j < m else "v1_coefficient_last"
+            yield name, e[0] * psi[0, j - 1] - target
+        for j, target in enumerate(targets, start=2):
             recon_metric = target * V[0]
             recon_bare = recon_metric.copy()
             for i in range(2, m + 1):
                 if i != j:
                     recon_metric += (e[i - 1] * psi[i - 1, j - 1]) * V[i - 1]
                     recon_bare += psi[i - 1, j - 1] * V[i - 1]
-            r_recon_metric = max(r_recon_metric, _peak(_euclid_norm(fdot[j - 1] - recon_metric), sl))
-            r_recon_bare = max(r_recon_bare, _peak(_euclid_norm(fdot[j - 1] - recon_bare), sl))
+            yield "reconstruction_metric", _euclid_norm(fdot[j - 1] - recon_metric)
+            yield "reconstruction_bare", _euclid_norm(fdot[j - 1] - recon_bare)
 
-    residuals = {"tangent_equation": r_tangent}
-    gated = ["tangent_equation"]
-    if m >= 3:
-        residuals["v1_coefficient_mid"] = r_mid
-        gated.append("v1_coefficient_mid")
-    if m >= 2:
-        residuals["v1_coefficient_last"] = r_last
-        residuals["reconstruction_metric"] = r_recon_metric
-        residuals["reconstruction_bare"] = r_recon_bare
-        gated += ["v1_coefficient_last", "reconstruction_metric"]
-    passed = all(residuals[name] <= tol for name in gated)
-    return _single(
-        "frame_evolution",
-        traj,
-        residuals,
-        {name: tol for name in residuals},
-        passed,
-        gated,
-        {"frame_flips": window.flips, "inextensibility_violation": violation},
-    )
+    residuals = _walk_peaks(window, residuals_at)
+    details = {"frame_flips": window.flips, "inextensibility_violation": violation}
+    return _report("frame_evolution", traj, residuals, tolerance, details)
 
 
 def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> VerificationReport:
@@ -449,65 +434,48 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
     Equations whose coefficient curvatures vanish identically are flagged
     as degenerate in the details but still measured.
     """
-    tol = DEFAULT_TOLERANCES["curvature_pde"] if tolerance is None else tolerance
     violation = _require_inextensible(traj)
     window = _Window(traj)
-    m = window.m
+    m, e = window.m, window.e
     if m < 2:
         raise CurveFlowError("curvature check needs at least two frame vectors")
-    rA = 0.0
-    k1_rate_max = 0.0
-    k1_rhs_max = 0.0
-    r_metric = [0.0] * (m - 1)
-    r_classical = [0.0] * (m - 1)
-    e = window.e
     psi = np.zeros((m + 2, m + 2, window.N))  # zero-padded, like k and f
     dpsi = np.zeros_like(psi)
-    for w in window.walk():
-        c, sl = w.state.curve, w.interior
+
+    def residuals_at(w):
+        c = w.state.curve
         kdot = (w.next.frenet.curvatures - w.prev.frenet.curvatures) / (2.0 * w.dt)
         k, f, (fs, fss) = w.fields((2, 1))
         ks = (None, d_ds(k[1], c), d_ds(k[2], c))  # k1_rate reads only k_1' and k_2'
         rhs_a = k1_rate(e, k, ks, f, fs, fss)
-        rA = max(rA, _peak(kdot[0] - rhs_a, sl))
-        k1_rate_max = max(k1_rate_max, _peak(kdot[0], sl))
-        k1_rhs_max = max(k1_rhs_max, _peak(rhs_a, sl))
+        yield "k1_flow_form", kdot[0] - rhs_a
+        yield "k1_rate_max", kdot[0]  # details, not residuals
+        yield "k1_flow_rhs_max", rhs_a
 
         psi[1:-1, 1:-1] = p = w.psi()
         dpsi[1:-1, 1:-1] = d_ds(p, c)
         metric, classical = curvature_rates(e, k, psi, dpsi, m)
-        r_metric = [max(r, _peak(a - b, sl)) for r, a, b in zip(r_metric, kdot, metric)]
-        r_classical = [max(r, _peak(a - b, sl)) for r, a, b in zip(r_classical, kdot, classical)]
+        for i, (rate, a, b) in enumerate(zip(kdot, metric, classical), start=1):
+            yield f"k{i}_psi_metric", rate - a
+            yield f"k{i}_psi_classical", rate - b
 
+    residuals = _walk_peaks(window, residuals_at)
     k_peak = np.zeros(m - 1)  # peak |k_j| over every state, both end states included
     for st in traj.states:
         k_peak = np.maximum(k_peak, np.max(np.abs(st.frenet.curvatures), axis=1))
-    residuals = {"k1_flow_form": rA}
-    gated = ["k1_flow_form"]
-    degenerate = []
-    for i in range(1, m):
-        residuals[f"k{i}_psi_metric"] = r_metric[i - 1]
-        residuals[f"k{i}_psi_classical"] = r_classical[i - 1]
-        gated.append(f"k{i}_psi_metric")
-        needed = [j for j in (i - 1, i + 1) if 1 <= j <= m - 1]
-        if any(k_peak[j - 1] < 1e-10 for j in needed):
-            degenerate.append(f"k{i}")
-    passed = all(residuals[name] <= tol for name in gated)
-    return _single(
-        "curvature_pde",
-        traj,
-        residuals,
-        {name: tol for name in residuals},
-        passed,
-        gated,
-        {
-            "frame_flips": window.flips,
-            "inextensibility_violation": violation,
-            "degenerate_equations": degenerate,
-            "k1_rate_max": k1_rate_max,
-            "k1_flow_rhs_max": k1_rhs_max,
-        },
-    )
+    degenerate = [
+        f"k{i}"
+        for i in range(1, m)
+        if any(k_peak[j - 1] < 1e-10 for j in (i - 1, i + 1) if 1 <= j <= m - 1)
+    ]
+    details = {
+        "frame_flips": window.flips,
+        "inextensibility_violation": violation,
+        "degenerate_equations": degenerate,
+        "k1_rate_max": residuals.pop("k1_rate_max"),
+        "k1_flow_rhs_max": residuals.pop("k1_flow_rhs_max"),
+    }
+    return _report("curvature_pde", traj, residuals, tolerance, details)
 
 
 CHECKS = {

@@ -91,6 +91,20 @@ def test_run_helix_bundle(tmp_path):
     assert report["pass"] is True
 
 
+def test_run_summary_prints_worst_gated_residual(tmp_path, capsys):
+    # the ungated classical curvature reading is about 1e5 times larger here
+    out = tmp_path / "out"
+    rc = main(["run", str(bundled_scenario_path("hyperbola_wave.json")), "--out", str(out)])
+    assert rc == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    expected = [
+        f"PASS {c['identity']} (max residual "
+        f"{max(c['residuals'][0][g] for g in c['gated']):.3e})"
+        for c in report["checks"]
+    ]
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def test_run_line_bundle(tmp_path):
     out = tmp_path / "out"
     rc = main(["run", str(bundled_scenario_path("line_translate.json")), "--out", str(out)])
@@ -115,6 +129,12 @@ def test_schema_violation_names_field(tmp_path, capsys):
     rc = main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "o")])
     assert rc == EXIT_CONFIG
     assert "curve.samples" in capsys.readouterr().err
+
+
+def test_tolerance_subset_of_default_keys_loads(tmp_path):
+    doc = scenario_doc("circle_zero_flow.json")
+    doc["tolerances"] = {"iff_condition": {"drift": 1.0}, "speed_evolution": 2}
+    assert load_scenario(write_scenario(tmp_path, doc))["tolerances"] == doc["tolerances"]
 
 
 def test_speed_count_mismatch(tmp_path, capsys):
@@ -290,6 +310,7 @@ def _setting(value, *keys):
 
 
 SINE = "circle_inextensible_sine.json"
+IFF_KEYS = "an object with keys from ['drift', 'pointwise']"
 
 
 def _dt_literal_1e400(doc):
@@ -346,6 +367,15 @@ def _dt_literal_1e400(doc):
         # compatibility tolerance that the jet-built initial state meets.
         (["run"], SINE, _setting(32, "curve", "samples"), EXIT_NUMERICAL,
          "numerical breakdown: compatibility integral of the curve rebuilt from N=32 samples"),
+        # A tolerance has the shape of its default, checked before evolving.
+        (["run"], "circle_zero_flow.json",
+         _setting({"speed_evolution": {"x": 1e-3}}, "tolerances"), EXIT_CONFIG,
+         "config error: tolerances.speed_evolution: must be a number\n"),
+        (["run"], "circle_zero_flow.json", _setting({"iff_condition": 0.5}, "tolerances"),
+         EXIT_CONFIG, f"config error: tolerances.iff_condition: must be {IFF_KEYS}\n"),
+        (["run"], "circle_zero_flow.json",
+         _setting({"iff_condition": {"drfit": 1.0}}, "tolerances"), EXIT_CONFIG,
+         f"config error: tolerances.iff_condition: must be {IFF_KEYS}\n"),
     ],
 )
 def test_exit_codes_per_subcommand(tmp_path, capsys, command, scenario, edit, code, stderr):

@@ -138,3 +138,7 @@ def test_frame_right_hand_sides_match_symbolic_derivation(n):
         _close(k1_rate(e, k, ks, f, fs, fss), k1_oracle(*signs))
         metric, _ = curvature_rates(e, k, psi, dpsi, n)
         _close(metric, np.array([fn(*signs) for fn in k_t_oracle]))
+    # the classical reading is the positive-definite equation: with every
+    # e_i = +1 it is the same dk_i/dt
+    _, classical = curvature_rates(np.ones(size), k, psi, dpsi, n)
+    _close(classical, np.array([fn(*[1.0] * n) for fn in k_t_oracle]))

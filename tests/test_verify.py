@@ -351,6 +351,34 @@ def test_run_check_registry(zero_traj):
         run_check("nope", zero_traj)
 
 
+def test_residual_names_keep_their_order(helix_traj):
+    # (residual names in report order, gated names) of every check
+    expected = {
+        "speed_evolution": (["speed_evolution", "speed_evolution_classical"], ["speed_evolution"]),
+        "iff_condition": (["pointwise", "drift"], ["pointwise", "drift"]),
+        "psi_antisymmetry": (["antisymmetry", "diagonal"], ["antisymmetry", "diagonal"]),
+        "frame_evolution": (
+            [
+                "tangent_equation",
+                "v1_coefficient_mid",
+                "v1_coefficient_last",
+                "reconstruction_metric",
+                "reconstruction_bare",
+            ],
+            ["tangent_equation", "v1_coefficient_mid", "v1_coefficient_last", "reconstruction_metric"],
+        ),
+        "curvature_pde": (
+            ["k1_flow_form", "k1_psi_metric", "k1_psi_classical", "k2_psi_metric", "k2_psi_classical"],
+            ["k1_flow_form", "k1_psi_metric", "k2_psi_metric"],
+        ),
+    }
+    assert list(expected) == list(CHECKS)
+    for name, (names, gated) in expected.items():
+        rep = run_check(name, helix_traj)
+        assert list(rep.residuals[0]) == names
+        assert rep.gated == gated
+
+
 def test_report_json_shape(rigid_traj_short):
     rep = check_iff_condition(rigid_traj_short)
     d = rep.to_json_dict()
