@@ -136,7 +136,7 @@ class SampledCurve:
         derivs = np.empty((deriv_order + 1,) + points.shape)
         derivs[0] = points
         for m in range(1, deriv_order + 1):
-            derivs[m] = d_du(derivs[m - 1], h, closed)
+            _d_du_into(derivs[m - 1], h, closed, derivs[m])
         return cls._finish(grid, h, closed, derivs, d_du4(points, h, closed))
 
     @classmethod
@@ -200,13 +200,20 @@ def sample(spec: CurveSpec) -> SampledCurve:
 def d_du(values: np.ndarray, h: float, closed: bool) -> np.ndarray:
     """Second-order d/du of a grid function along its last (sample) axis."""
     f = np.asarray(values, dtype=float)
+    return _d_du_into(f, h, closed, np.empty_like(f))
+
+
+def _d_du_into(f: np.ndarray, h: float, closed: bool, out: np.ndarray) -> np.ndarray:
+    """``d_du`` of the float array ``f``, written into ``out``, which must not
+    overlap ``f``.  Every sample is a difference divided by 2h."""
+    np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
     if closed:
-        p = np.concatenate([f[..., -1:], f, f[..., :1]], axis=-1)
-        return (p[..., 2:] - p[..., :-2]) / (2.0 * h)
-    out = np.empty_like(f)
-    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h)
-    out[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * h)
-    out[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * h)
+        out[..., 0] = f[..., 1] - f[..., -1]
+        out[..., -1] = f[..., 0] - f[..., -2]
+    else:
+        out[..., 0] = -3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]
+        out[..., -1] = 3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]
+    out /= 2.0 * h
     return out
 
 
@@ -229,7 +236,8 @@ def d_du4(values: np.ndarray, h: float, closed: bool) -> np.ndarray:
 
 def _central4(f: np.ndarray, h: float) -> np.ndarray:
     """Five-point central difference at samples 2..len-3 of ``f``'s last axis."""
-    return (-f[..., 4:] + 8.0 * f[..., 3:-1] - 8.0 * f[..., 1:-3] + f[..., :-4]) / (12.0 * h)
+    # 8 f3 - f4 is -f4 + 8 f3 bit for bit: IEEE addition commutes exactly.
+    return (8.0 * f[..., 3:-1] - f[..., 4:] - 8.0 * f[..., 1:-3] + f[..., :-4]) / (12.0 * h)
 
 
 def _check_samples(f: np.ndarray, c: SampledCurve) -> None:
@@ -274,16 +282,24 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     if y.shape[0] < 3:
         return cumulative_trapezoid(y, dx)
     c = dx / 3
-    near, far, mid = 5 * y / 4, y / 4, 2 * y[1:-1]
-    # From samples i, i+1, i+2 (even i only): c*(near[i] + mid[i] - far[i+2])
-    # integrates [u_i, u_i+1] and c*(near[i+2] + mid[i] - far[i]) integrates
+    # near = 5 f/4, far = f/4 and mid = 2 f are formed only where they are
+    # read: at the even samples i and at the odd samples i+1 between them.
+    # From samples i, i+1, i+2: c*(near[i] + mid[i+1] - far[i+2]) integrates
+    # [u_i, u_i+1] and c*(near[i+2] + mid[i+1] - far[i]) integrates
     # [u_i+1, u_i+2]; the last interval always looks left.
+    # The table is allocated before the temporaries and summed in place: a
+    # kept table allocated after them lands above their freed blocks, which
+    # raised the peak RSS of a 120-step N=4096 evolve by 0.35 MiB.
     parts = np.empty(y.shape[0])
+    even = y[::2]
+    near, far, mid = 5 * even / 4, even / 4, 2 * y[1:-1:2]
     parts[0] = 0.0  # also turns a -0.0 sum into +0.0, as scipy's "+ initial" does
-    parts[1:-1:2] = c * (near[:-2:2] + mid[::2] - far[2::2])
-    parts[2::2] = c * (near[2::2] + mid[::2] - far[:-2:2])
-    parts[-1] = c * (near[-1] + mid[-1] - far[-3])
-    return np.cumsum(parts)
+    for out, a, b in ((parts[1:-1:2], near[:-1], far[1:]), (parts[2::2], near[1:], far[:-1])):
+        np.add(a, mid, out=out)
+        out -= b
+        out *= c
+    parts[-1] = c * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)
+    return np.cumsum(parts, out=parts)
 
 
 def cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:

@@ -161,7 +161,7 @@ def evaluate_speeds(
     n = len(flow.speeds)
     N = c.samples
     f = np.zeros((n, N))
-    f1_s = np.zeros(N)
+    f1_s = None if flow.mode == INEXTENSIBLE else np.zeros(N)  # synthesized below
     env = {"t": t}
     for i, expr in enumerate(flow.speeds):
         if expr is None:
@@ -187,8 +187,9 @@ def velocity(state: SimState) -> np.ndarray:
     """Pointwise flow velocity sum_i f_i V_i, shape (n, N)."""
     m = state.frenet.num_vectors
     out = np.zeros_like(state.curve.points)
+    term = np.empty_like(out)
     for i in range(m):
-        out += state.f_values[i] * state.frenet.frame[i]
+        out += np.multiply(state.f_values[i], state.frenet.frame[i], out=term)
     return out
 
 

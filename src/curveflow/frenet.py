@@ -32,7 +32,7 @@ import numpy as np
 
 from .curvekit import SampledCurve, d_ds
 from .errors import NonGenericCurveError
-from .minkowski import dot_many, inner_many, metric_signs
+from .minkowski import dot_many, inner_many, metric_signs, self_products
 
 GENERIC_RTOL = 1e-7
 
@@ -76,39 +76,45 @@ def frenet_apparatus(c: SampledCurve, num_vectors: int | None = None) -> FrenetD
     signs = np.empty(m, dtype=int)
     resid_norms = np.empty((m, N))
     completed = False
+    # |w_i| is small below GENERIC_RTOL times the Euclidean norm of derivs[i]
+    derivs = c.derivs[1:m + 1]
+    thresholds = np.sqrt(dot_many(derivs, derivs))
+    np.maximum(1e-300, thresholds, out=thresholds)
+    thresholds *= GENERIC_RTOL
 
     for i in range(1, m + 1):
         # nothing is subtracted for i = 1, so the tangent rows need no copy
         w = c.derivs[i] if i == 1 else c.derivs[i].copy()
         for j in range(i - 1):
-            w -= signs[j] * inner_many(w, frame[j]) * frame[j]
+            # e_j is +-1, so w - e_j <w, V_j> V_j is w -+ <w, V_j> V_j bit for bit
+            step = np.subtract if signs[j] > 0 else np.add
+            step(w, inner_many(w, frame[j]) * frame[j], out=w)
         q = inner_many(w, w)
-        nw = np.sqrt(np.abs(q))
-        scale = np.sqrt(dot_many(c.derivs[i], c.derivs[i]))
-        small = nw <= GENERIC_RTOL * np.maximum(1e-300, scale)
-        if i == m == n and small.all():
-            frame[i - 1], signs[i - 1] = _complete_frame(frame[:i - 1])
-            resid_norms[i - 1] = 0.0
-            completed = True
-            break
-        if small.any():
-            k = int(np.argmax(small))
-            raise NonGenericCurveError(
-                f"orthogonalization residual {i} vanishes or is null at sample {k} "
-                f"(|w|={nw[k]:.3e}); the curve is not generic in {n} dimensions",
-                index=i,
-                sample=k,
-            )
+        nw = np.sqrt(np.abs(q), out=resid_norms[i - 1])
+        small = nw <= thresholds[i - 1]
         positive = q > 0
-        flips = positive != positive[0]
-        if flips.any():
-            k = int(np.argmax(flips))
+        # one reduction for both tests; a small residual is named first
+        bad = small | (positive != positive[0])
+        if bad.any():
+            if i == m == n and small.all():
+                frame[i - 1], signs[i - 1] = _complete_frame(frame[:i - 1])
+                resid_norms[i - 1] = 0.0
+                completed = True
+                break
+            if small.any():
+                k = int(np.argmax(small))
+                raise NonGenericCurveError(
+                    f"orthogonalization residual {i} vanishes or is null at sample {k} "
+                    f"(|w|={nw[k]:.3e}); the curve is not generic in {n} dimensions",
+                    index=i,
+                    sample=k,
+                )
+            k = int(np.argmax(bad))
             raise NonGenericCurveError(
                 f"causal sign of frame vector {i} flips at sample {k}", index=i, sample=k
             )
         np.divide(w, nw, out=frame[i - 1])
         signs[i - 1] = 1 if positive[0] else -1
-        resid_norms[i - 1] = nw
 
     negatives = int(np.count_nonzero(signs == -1))
     if negatives > 1 or (m == n and negatives != 1):
@@ -119,9 +125,11 @@ def frenet_apparatus(c: SampledCurve, num_vectors: int | None = None) -> FrenetD
     # k_i = |w_{i+1}| / (v |w_i|), with v taken from the orthogonalization
     # data itself (|w_1|): on stencil-backed curves the common stencil bias
     # of the |w| factors then cancels instead of leaking into k.
+    # Formed in the array the state keeps, with no temporary allocated
+    # before it (see ``curvekit.cumulative_simpson`` on heap layout).
     curvatures = np.empty((m - 1, N))
-    for i in range(1, m):
-        curvatures[i - 1] = resid_norms[i] / (resid_norms[0] * resid_norms[i - 1])
+    np.multiply(resid_norms[0], resid_norms[:-1], out=curvatures)
+    np.divide(resid_norms[1:], curvatures, out=curvatures)
     return FrenetData(frame=frame, signs=signs, curvatures=curvatures, completed_last=completed)
 
 
@@ -132,25 +140,25 @@ def _complete_frame(partial: np.ndarray):
     sign of each vector is fixed by requiring a positively oriented basis.
     """
     m1, n, N = partial.shape
-    g = metric_signs(n)[:, None]
     # Generalized cross product of the constraint rows g*V_j, since
     # <V_j, z> = (g*V_j) . z (cofactor expansion).
     if n == 3:
-        # np.cross written out: its axis handling cost more than the products.
-        a, b = partial[0] * g, partial[1] * g
+        # np.cross of a = g*V_1 and b = g*V_2 written out.  g negates row 0,
+        # and negation is exact, so a_2 b_0 - a_0 b_2 = x_0 y_2 - x_2 y_0 and
+        # a_0 b_1 - a_1 b_0 = x_1 y_0 - x_0 y_1 bit for bit (x = V_1, y = V_2).
+        x, y = partial
         z = np.empty((3, N))
-        z[0] = a[1] * b[2] - a[2] * b[1]
-        z[1] = a[2] * b[0] - a[0] * b[2]
-        z[2] = a[0] * b[1] - a[1] * b[0]
+        for k, (i, j) in enumerate(((1, 2), (0, 2), (1, 0))):
+            np.subtract(x[i] * y[j], x[j] * y[i], out=z[k])
     else:
-        rows = np.transpose(partial * g, (2, 0, 1))  # (N, n-1, n) for det
+        rows = np.transpose(partial * metric_signs(n)[:, None], (2, 0, 1))  # (N, n-1, n)
         z = np.empty((n, N))
         for k in range(n):
             minor = np.delete(rows, k, axis=2)
             z[k] = (-1.0) ** k * np.linalg.det(minor)
-    q = inner_many(z, z)
-    euclid = dot_many(z, z)
-    bad = np.abs(q) <= GENERIC_RTOL * np.maximum(1e-300, euclid)
+    q, euclid = self_products(z)
+    size = np.abs(q)
+    bad = size <= GENERIC_RTOL * np.maximum(1e-300, euclid)
     if bad.any():
         k = int(np.argmax(bad))
         raise NonGenericCurveError(
@@ -158,11 +166,12 @@ def _complete_frame(partial: np.ndarray):
             index=n,
             sample=k,
         )
-    z /= np.sqrt(np.abs(q))
+    z /= np.sqrt(size)
     # det[V_1..V_{n-1}, z] = (-1)^n <z, z> for the cofactor vector z, so the
-    # basis is positively oriented exactly where (-1)^n q > 0.
-    np.negative(z, out=z, where=(-1.0) ** n * q < 0)
+    # basis is positively oriented exactly where (-1)^n q > 0; z is negated
+    # where (-1)^n q < 0, that is where q > 0 for odd n and q < 0 for even n.
     positive = q > 0
+    np.negative(z, out=z, where=positive if n % 2 else q < 0)
     flips = positive != positive[0]
     if flips.any():
         k = int(np.argmax(flips))

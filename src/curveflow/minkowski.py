@@ -16,7 +16,12 @@ lane 1 the odd ones (each full block of 8 components in the order 6, 4, 2, 0
 and 7, 5, 3, 1, the rest in order), then lane 0 + lane 1.  The order is
 pinned so that every output stayed byte-identical across the rewrite, signed
 zeros included.  Written out with one ufunc call per component row, each
-call runs over N contiguous samples.
+call runs over N contiguous samples, accumulating in place.
+
+``null_test`` forms the products x_i*x_i once and sums them twice, into
+<X,X> and |X|^2; ``self_products`` returns that pair for other callers.
+Each sum is bitwise the one ``inner_many(X, X)`` or ``dot_many(X, X)``
+gives.
 """
 
 from __future__ import annotations
@@ -83,8 +88,9 @@ def dot_many(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def _lanes(n: int, negate_first: bool):
     """einsum's summation plan for n components (see the module docstring).
 
-    Lane 0 is a tuple of (ufunc, component) steps, with ``np.subtract`` for a
-    negated component 0; lane 1 is a tuple of components.
+    Lane 0 is its first (ufunc, row) step and a tuple of the other steps,
+    with ``np.subtract`` for a negated component 0; lane 1 is a tuple of
+    rows.  A row is the index of one component row of an (..., n, N) stack.
     """
     if n < 2:
         raise DimensionMismatch(f"dimension must be >= 2, got {n}")
@@ -95,22 +101,35 @@ def _lanes(n: int, negate_first: bool):
         lane1 += [b + 7, b + 5, b + 3, b + 1]
     lane0 += range(blocked, n, 2)
     lane1 += range(blocked + 1, n, 2)
-    steps = tuple((np.subtract if negate_first and k == 0 else np.add, k) for k in lane0)
-    return steps, tuple(lane1)
+    rows = [(Ellipsis, k, slice(None)) for k in range(n)]
+    steps = tuple((np.subtract if negate_first and k == 0 else np.add, rows[k]) for k in lane0)
+    return steps[0], steps[1:], tuple(rows[k] for k in lane1)
+
+
+def self_products(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """<X,X> and the Euclidean |X|^2 over axis -2 of an (..., n, N) stack, from
+    one product X*X.  No validation."""
+    P = X * X
+    return _row_sum(P, negate_first=True), _row_sum(P, negate_first=False)
 
 
 def _row_sum(P: np.ndarray, negate_first: bool) -> np.ndarray:
-    """Sum P over axis -2 in einsum's order, component 0 negated if asked."""
-    lane0, lane1 = _lanes(P.shape[-2], negate_first)
+    """Sum P over axis -2 in einsum's order, component 0 negated if asked.
+
+    P is only read, so one product can feed several sums.
+    """
+    (op, row), rest, lane1 = _lanes(P.shape[-2], negate_first)
     # Lane 0 starts from +0.0, so it is never -0.0 and neither is the sum, as
     # with einsum; lane 1 need not, since +0.0 + -0.0 is +0.0.
-    even = 0.0
-    for op, k in lane0:
-        even = op(even, P[..., k, :])
-    odd = P[..., lane1[0], :]
-    for k in lane1[1:]:
-        odd = odd + P[..., k, :]
-    return even + odd
+    even = op(0.0, P[row])
+    for op, row in rest:
+        op(even, P[row], out=even)
+    if len(lane1) == 1:
+        return np.add(even, P[lane1[0]], out=even)
+    odd = P[lane1[0]] + P[lane1[1]]
+    for row in lane1[2:]:
+        np.add(odd, P[row], out=odd)
+    return np.add(even, odd, out=even)
 
 
 def norm(x) -> float:
@@ -134,8 +153,7 @@ def null_test(X: np.ndarray, tol: float = DEFAULT_NULL_TOL):
     """The relative null test over axis -2 of an (..., n, N) stack: returns
     q = <X,X>, the Euclidean |X|^2, and the masks null, |q| <= tol*max(1, |X|^2)
     with X not zero, and timelike, q < -tol*max(1, |X|^2)."""
-    q = inner_many(X, X)
-    euclid = dot_many(X, X)
+    q, euclid = self_products(X)
     thresh = tol * np.maximum(1.0, euclid)
     return q, euclid, (np.abs(q) <= thresh) & (euclid > 0), q < -thresh
 

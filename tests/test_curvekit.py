@@ -209,6 +209,52 @@ def test_d_du4_fourth_order():
         assert 12.0 < a / b < 20.0
 
 
+def _padded_stencils(f, h, closed):
+    """The two d/du stencils written as plain padded differences: the reference
+    the package's kernels must match bit for bit."""
+    if closed:
+        p1 = np.concatenate([f[..., -1:], f, f[..., :1]], axis=-1)
+        p2 = np.concatenate([f[..., -2:], f, f[..., :2]], axis=-1)
+        return ((p1[..., 2:] - p1[..., :-2]) / (2.0 * h),
+                (-p2[..., 4:] + 8.0 * p2[..., 3:-1] - 8.0 * p2[..., 1:-3] + p2[..., :-4]) / (12.0 * h))
+    d2 = np.empty_like(f)
+    d2[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h)
+    d2[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * h)
+    d2[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * h)
+    d4 = np.empty_like(f)
+    d4[..., 2:-2] = (-f[..., 4:] + 8.0 * f[..., 3:-1] - 8.0 * f[..., 1:-3] + f[..., :-4]) / (12.0 * h)
+    f0, f1, f2, f3, f4 = (f[..., j] for j in range(5))
+    d4[..., 0] = (-25.0 * f0 + 48.0 * f1 - 36.0 * f2 + 16.0 * f3 - 3.0 * f4) / (12.0 * h)
+    d4[..., 1] = (-3.0 * f0 - 10.0 * f1 + 18.0 * f2 - 6.0 * f3 + f4) / (12.0 * h)
+    g0, g1, g2, g3, g4 = (f[..., -1 - j] for j in range(5))
+    d4[..., -1] = (25.0 * g0 - 48.0 * g1 + 36.0 * g2 - 16.0 * g3 + 3.0 * g4) / (12.0 * h)
+    d4[..., -2] = (3.0 * g0 + 10.0 * g1 - 18.0 * g2 + 6.0 * g3 - g4) / (12.0 * h)
+    return d2, d4
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_stencils_match_plain_padded_differences_bit_for_bit(closed):
+    rng = np.random.default_rng(7 if closed else 8)
+    f = rng.standard_normal((3, 40)) * 10.0 ** rng.integers(-8, 8, (3, 40))
+    f[rng.random(f.shape) < 0.2] = 0.0
+    f[rng.random(f.shape) < 0.2] = -0.0
+    h = 0.1
+    for values in (f, f[0], f[:, ::2]):
+        ref2, ref4 = _padded_stencils(values, h, closed)
+        assert d_du(values, h, closed).tobytes() == ref2.tobytes()
+        assert d_du4(values, h, closed).tobytes() == ref4.tobytes()
+
+
+@pytest.mark.parametrize("fixture", ["circle_256", "hyperbola_256"])
+def test_from_points_chains_the_reference_stencil(request, fixture):
+    jet = request.getfixturevalue(fixture)
+    c = SampledCurve.from_points(jet.points, jet.grid, jet.closed, jet.n)
+    ref = jet.points
+    for m in range(1, jet.n + 1):
+        ref = _padded_stencils(ref, c.h, c.closed)[0]
+        assert c.derivs[m].tobytes() == ref.tobytes()
+
+
 # scipy is the oracle for the cumulative rules: the package carries the same
 # equal-interval arithmetic in numpy, so the tables must agree bit for bit.
 @pytest.mark.parametrize("n", [3, 4, 5, 16, 17, 256, 257])

@@ -230,6 +230,31 @@ def test_evolve_names_an_unresolved_closed_flow():
     assert "N=32" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "flow, error",
+    [
+        # Speeds that vanish at t = 0 leave the second stage's points at the
+        # initial ones; the third stage, built at t0 + dt/2 from the second
+        # stage's velocity, tilts the circle's tangent (slope 2 at the peaks)
+        # across the light cone along the timelike binormal.
+        (FlowSpec.explicit(["0", "0", "4e6*t*sin(2*s)"]), NullCurveDeveloped),
+        # f2 = sin(s) + t is compatible at t = 0 only: at t0 + dt/2 the loop
+        # integral of k f2 ds is 2 pi t = 3.1e-3, far above its tolerance.
+        (FlowSpec.inextensible(["sin(s) + t", "0"]), UnresolvedClosedFlow),
+    ],
+    ids=["null_tangent", "closed_compatibility"],
+)
+def test_internal_stage_failure_is_raised_from_that_stage(flow, error):
+    # Every internal RK stage runs every validation: the error carries the
+    # stage time t0 + dt/2, not the next accepted time t0 + dt.
+    c = sample(catalog.curve("circle", 64))
+    dt = 1e-3
+    with pytest.raises(error) as err:
+        evolve(initial_state(c, flow), flow, dt, 3)
+    assert err.value.t == 0.5 * dt
+    assert len(err.value.trajectory) == 1  # the initial state only
+
+
 # Run in a fresh interpreter: glibc raises its trim threshold whenever it
 # frees a block it had mapped on its own, so after other tests in this
 # process the trimming this bounds no longer happens.

@@ -20,6 +20,8 @@ from curveflow.minkowski import (
     metric_signs,
     norm,
     norm_many,
+    null_test,
+    self_products,
 )
 
 
@@ -172,6 +174,24 @@ def test_row_sums_match_einsum_signed_zeros(n):
         _assert_same_bytes(rows.T, Y.T)
     X = rows[:40].T
     _assert_same_bytes(X.T[:, :, None], X[None])  # every pair: (40, n, 1) x (1, n, 40)
+
+
+# n = 8 and up run the blocks of eight components in ``_lanes``.
+@pytest.mark.parametrize("n", range(2, 11))
+def test_null_test_shares_one_product_bit_for_bit(n):
+    rng = np.random.default_rng(70 + n)
+    N = 200
+    X = rng.standard_normal((n, N)) * 10.0 ** rng.integers(-8, 8, (n, N))
+    X[rng.random((n, N)) < 0.3] = 0.0
+    X[rng.random((n, N)) < 0.3] = -0.0
+    X[:, 0], X[:, 1] = 0.0, -0.0  # an all-zero vector of each sign
+    for V in (X, X[None].repeat(2, axis=0), X[:, ::3]):
+        q, euclid, _, _ = null_test(V)
+        for ours, ref in ((q, inner_many(V, V)), (euclid, dot_many(V, V))):
+            assert ours.shape == ref.shape
+            assert ours.tobytes() == ref.tobytes()
+        for ours, ref in zip(self_products(V), (q, euclid)):
+            assert ours.tobytes() == ref.tobytes()
 
 
 def test_no_einsum_left_in_package():
