@@ -352,7 +352,7 @@ def cmd_run(args) -> int:
             write_report(doc["name"], reports, out_dir)
         for r in reports:
             row = r.residuals[-1]
-            worst = max((row[g] for g in r.gated), default=0.0)
+            worst = float(np.max([row[g] for g in r.gated], initial=0.0))  # NaN stays NaN
             print(f"{'PASS' if r.passed else 'FAIL'} {r.identity} (max residual {worst:.3e})")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 

@@ -85,6 +85,17 @@ class StabilityError(EvolutionError):
     change of total arclength."""
 
 
+class FrameBreakdown(EvolutionError):
+    """The frame of a curve rebuilt inside ``evolve`` broke down at time
+    ``t``: a NonGenericCurveError, whose ``index`` (the 1-based frame
+    vector) and ``sample`` (the grid index) it carries."""
+
+    def __init__(self, message: str, index: int, sample: int, t: float, trajectory=None):
+        super().__init__(f"frame breakdown at t={t:.6g}: {message}", t=t, trajectory=trajectory)
+        self.index = index
+        self.sample = sample
+
+
 class UnresolvedClosedFlow(EvolutionError):
     """A closed curve rebuilt from points inside ``evolve`` failed the
     compatibility test that its jet-built initial state passed.  The loop

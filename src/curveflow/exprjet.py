@@ -31,7 +31,6 @@ expansion at every grid node simultaneously.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -363,9 +362,10 @@ class Jet:
             c[1] = 1.0
         return cls(c)
 
-    def derivative(self, j: int):
-        """j-th derivative value (coefficient times j!)."""
-        return self.coeffs[j] * math.factorial(j)
+    def derivative(self, j: int, out=None):
+        """j-th derivative value (coefficient times j!), written into ``out``
+        if given."""
+        return np.multiply(self.coeffs[j], math.factorial(j), out=out)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -419,22 +419,31 @@ class Jet:
     # coefficient of x^(k-1) in f', each rule convolves u' with the result.
 
     def _recurrence(self, heads, sources) -> np.ndarray:
-        """Coefficients ys[i] of y_i with y_i(u0) = heads[i] and
+        """Coefficients ys[i] of y_i with y_i(u0) = heads[i](u0) and
         y_i' = +/- u' * y_src, where (src, op) = sources[i] and op
-        (operator.add or operator.sub) gives the sign."""
+        (np.add or np.subtract) gives the sign.
+
+        Each coefficient is (0.0 op p_1 op p_2 ... op p_k) / k over the
+        products p_j = (j u_j) y_src,k-j, summed in place in its row of
+        ``ys``: the arithmetic of the textbook recurrence.  The sum starts
+        from +0.0, not from p_1, because 0.0 + (-0.0) is +0.0."""
         u = self.coeffs
         K = u.shape[0]
+        ys = np.empty((len(heads),) + u.shape)
+        # ys[i, k, ...] is a view even for scalar jets, so out= can take it
+        for i, head in enumerate(heads):
+            head(u[0], out=ys[i, 0, ...])
         # j * u_j is shared by every y_i; each sum still runs over j = 1..k.
         du = [j * u[j] for j in range(1, K)]
-        ys = np.zeros((len(heads),) + u.shape)
-        for i, head in enumerate(heads):
-            ys[i, 0] = head
+        term = np.empty(u.shape[1:])
         for k in range(1, K):
             for i, (src, op) in enumerate(sources):
-                acc = np.zeros_like(ys[i, 0])
-                for j in range(1, k + 1):
-                    acc = op(acc, du[j - 1] * ys[src, k - j])
-                ys[i, k] = acc / k
+                acc = ys[i, k, ...]
+                np.multiply(du[0], ys[src, k - 1], out=acc)
+                op(0.0, acc, out=acc)
+                for j in range(2, k + 1):
+                    op(acc, np.multiply(du[j - 1], ys[src, k - j], out=term), out=acc)
+                np.divide(acc, k, out=acc)
         return ys
 
     def _pair(self, f, g, g_op, which: int) -> "Jet":
@@ -443,23 +452,22 @@ class Jet:
         asked for is computed."""
         if self.order == 0:
             return Jet((f, g)[which](self.coeffs))
-        u0 = self.coeffs[0]
-        return Jet(self._recurrence((f(u0), g(u0)), ((1, operator.add), (0, g_op)))[which])
+        return Jet(self._recurrence((f, g), ((1, np.add), (0, g_op)))[which])
 
     def sin(self) -> "Jet":
-        return self._pair(np.sin, np.cos, operator.sub, 0)
+        return self._pair(np.sin, np.cos, np.subtract, 0)
 
     def cos(self) -> "Jet":
-        return self._pair(np.sin, np.cos, operator.sub, 1)
+        return self._pair(np.sin, np.cos, np.subtract, 1)
 
     def sinh(self) -> "Jet":
-        return self._pair(np.sinh, np.cosh, operator.add, 0)
+        return self._pair(np.sinh, np.cosh, np.add, 0)
 
     def cosh(self) -> "Jet":
-        return self._pair(np.sinh, np.cosh, operator.add, 1)
+        return self._pair(np.sinh, np.cosh, np.add, 1)
 
     def exp(self) -> "Jet":
-        return Jet(self._recurrence((np.exp(self.coeffs[0]),), ((0, operator.add),))[0])
+        return Jet(self._recurrence((np.exp,), ((0, np.add),))[0])
 
     def sqrt(self) -> "Jet":
         u = self.coeffs

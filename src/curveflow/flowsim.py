@@ -26,8 +26,10 @@ from .curvekit import SampledCurve, cumulative_integral, loop_integral
 from .errors import (
     CurveFlowError,
     EvolutionError,
+    FrameBreakdown,
     IncompatibleClosedFlow,
     MixedCausalityError,
+    NonGenericCurveError,
     NullCurveDeveloped,
     NullCurveError,
     StabilityError,
@@ -251,9 +253,10 @@ def evolve(
     """Advance the curve by explicit RK4, rebuilding the frame per stage.
 
     Stops with an EvolutionError carrying the partial trajectory if the
-    tangent turns null (NullCurveDeveloped), the curve loses genericity,
-    goes non-finite, or changes total arclength by more than 50% in a step,
-    or if a closed curve rebuilt from points fails the compatibility test
+    tangent turns null (NullCurveDeveloped), the curve degenerates, its
+    frame breaks down (FrameBreakdown), it goes non-finite or changes total
+    arclength by more than 50% in a step (StabilityError), or if a closed
+    curve rebuilt from points fails the compatibility test
     (UnresolvedClosedFlow).
 
     Each internal RK stage's state is held until the next stage's state and
@@ -279,11 +282,12 @@ def evolve(
         except ValueError as exc:
             raise StabilityError(str(exc), t=t, trajectory=traj) from exc
         except CurveFlowError as exc:
-            # Degeneracy mid-flight; genericity failures in frenet_apparatus
-            # below propagate unwrapped.
+            # Degeneracy mid-flight
             raise EvolutionError(str(exc), t=t, trajectory=traj) from exc
         try:
             return _build_state(c, flow, m, t)
+        except NonGenericCurveError as exc:
+            raise FrameBreakdown(str(exc), exc.index, exc.sample, t=t, trajectory=traj) from exc
         except IncompatibleClosedFlow as exc:
             raise UnresolvedClosedFlow(
                 exc.residual, exc.tolerance, c.samples, t=t, trajectory=traj

@@ -39,7 +39,12 @@ stencil closures (chained up to the third derivative) occupy a boundary
 layer whose error is amplified and of lower order, so a fixed margin of
 samples is excluded at each end.  Closed curves use every sample.  Each
 window check is a per-step generator of (name, pointwise grid) pairs, and
-``_walk_peaks`` alone reduces them to running maxima over the interior.
+``_peaks`` alone reduces them: it holds one running pointwise maximum of
+|x| per name over the interior samples (``np.maximum`` with ``out=``) and
+takes the maximum of each once, at the end.  A maximum is exact, so this is
+the number a reduction at every step gives.  NaN propagates through
+``np.maximum``, so one NaN sample anywhere makes its residual NaN, and NaN
+is within no tolerance: the check fails.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exprjet
-from .curvekit import d_ds, d_ds4
+from .curvekit import _d_du_into, d_ds, d_ds4
 from .errors import CurveFlowError, InsufficientStates, NotInextensible
 from .flowsim import Trajectory, arclength_drift, dv_dt_rhs, inextensibility_rhs
 from .minkowski import dot_many, inner_many
@@ -138,6 +143,7 @@ class _Window:
         self.n = first.curve.n
         self.N = first.curve.samples
         self.signs = first.frenet.signs
+        self.sign_bytes = self.signs.tobytes()
         # padded signs (see the module docstring), as floats for scalar products
         self.e = [float(x) for x in self.signs] + [1.0] * (self.n + 3 - self.m)
         self.interior = _interior(first.curve)
@@ -161,7 +167,7 @@ class _Window:
 
     def _aligned(self, st, previous: np.ndarray) -> np.ndarray:
         """st's frame, flipped pointwise so e_{i-1} <V_i(t-1), V_i(t)> > 0."""
-        if not np.array_equal(st.frenet.signs, self.signs):
+        if st.frenet.signs.tobytes() != self.sign_bytes:
             raise CurveFlowError("frame signature changed along the trajectory")
         frame = st.frenet.frame
         mask = inner_many(previous, frame) * self.signs[:, None] < 0  # (m, N)
@@ -181,9 +187,11 @@ class _Window:
         f[1 : self.n + 1] = st.f_values
         speeds = self.traj.flow.speeds
         for i, order in enumerate(orders[: self.n - 1], start=2):
+            if isinstance(speeds[i - 1], exprjet.Lit):
+                continue  # a constant's derivatives are +0.0, which ds holds already
             jet = exprjet.eval_jet(speeds[i - 1], "s", st.curve.s, order, {"t": st.t})
             for j in range(1, order + 1):
-                ds[j - 1][i] = jet.derivative(j)
+                jet.derivative(j, out=ds[j - 1][i])
         return k, f, ds
 
     def psi(self) -> np.ndarray:
@@ -239,25 +247,32 @@ def curvature_rates(e, k, psi, dpsi, m: int) -> tuple[list, list]:
     return metric, classical
 
 
-def _peak(x: np.ndarray, sl: slice) -> float:
-    """max |x| over the samples sl of the last axis."""
-    return float(np.max(np.abs(x)[..., sl]))
+def _peaks(pairs) -> dict[str, float]:
+    """max |x| over the (name, x) pairs of each name, in the order the names
+    first appear (every x of a name has one shape): one running pointwise
+    maximum per name, reduced once.  A NaN anywhere reads NaN."""
+    running: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    for name, x in pairs:
+        held = running.get(name)
+        if held is None:
+            running[name] = np.abs(x), np.empty(x.shape)
+        else:
+            peak, scratch = held
+            np.maximum(peak, np.abs(x, out=scratch), out=peak)
+    return {name: float(np.max(peak)) for name, (peak, _) in running.items()}
 
 
 def _walk_peaks(window: _Window, residuals_at) -> dict[str, float]:
     """Peak over every step and interior sample of each named grid that
-    ``residuals_at(w)`` yields (a name may repeat within a step), in the
-    order the names first appear."""
-    peaks: dict[str, float] = {}
-    for w in window.walk():
-        for name, grid in residuals_at(w):
-            peaks[name] = max(peaks.get(name, 0.0), _peak(grid, w.interior))
-    return peaks
+    ``residuals_at(w)`` yields (a name may repeat within a step)."""
+    sl = window.interior
+    return _peaks((name, grid[..., sl]) for w in window.walk() for name, grid in residuals_at(w))
 
 
-def _psi_residuals(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise Psi_kj + Psi_jk and Psi_jj, sample axis last."""
-    return psi + np.swapaxes(psi, 0, 1), np.diagonal(psi).T  # diagonal() is (N, m)
+def _psi_residuals(psi: np.ndarray):
+    """Pointwise Psi_kj + Psi_jk and Psi_jj, named, sample axis last."""
+    yield "antisymmetry", psi + np.swapaxes(psi, 0, 1)
+    yield "diagonal", np.diagonal(psi).T  # diagonal() is (N, m)
 
 
 def _euclid_norm(X: np.ndarray) -> np.ndarray:
@@ -271,13 +286,12 @@ def _pointwise_violation(traj: Trajectory) -> float:
     produced (quadrature or expression) without drowning it in the
     second-order noise of the everyday operator.
     """
-    worst = 0.0
     sl = _interior(traj.states[0].curve)
-    for st in traj.states:
-        lhs = d_ds4(st.f_values[0], st.curve)
-        rhs = inextensibility_rhs(st.curve, st.frenet, st.f_values[1])
-        worst = max(worst, _peak(lhs - rhs, sl))
-    return worst
+    gaps = (
+        d_ds4(st.f_values[0], st.curve) - inextensibility_rhs(st.curve, st.frenet, st.f_values[1])
+        for st in traj.states
+    )
+    return _peaks(("pointwise", gap[sl]) for gap in gaps)["pointwise"]
 
 
 def _require_inextensible(traj: Trajectory) -> float:
@@ -371,16 +385,15 @@ def psi_matrix(traj: Trajectory, at_step: int) -> PsiMatrix:
     for w in window.walk(last=at_step):
         pass  # frame alignment is sequential, so every earlier step is walked
     psi = w.psi()
-    anti, diag = (_peak(x, window.interior) for x in _psi_residuals(psi))
+    sl = window.interior
+    anti, diag = _peaks((name, x[..., sl]) for name, x in _psi_residuals(psi)).values()
     return PsiMatrix(values=psi, at_step=at_step, antisymmetry_residual=anti, diagonal_residual=diag)
 
 
 def check_psi_antisymmetry(traj: Trajectory, tolerance: float | None = None) -> VerificationReport:
     """Psi_kj + Psi_jk = 0 and Psi_jj = 0 at every interior step."""
     window = _Window(traj)
-    residuals = _walk_peaks(
-        window, lambda w: zip(("antisymmetry", "diagonal"), _psi_residuals(w.psi()))
-    )
+    residuals = _walk_peaks(window, lambda w: _psi_residuals(w.psi()))
     return _report("psi_antisymmetry", traj, residuals, tolerance, {"frame_flips": window.flips})
 
 
@@ -441,19 +454,21 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
         raise CurveFlowError("curvature check needs at least two frame vectors")
     psi = np.zeros((m + 2, m + 2, window.N))  # zero-padded, like k and f
     dpsi = np.zeros_like(psi)
+    psi_core, dpsi_core = psi[1:-1, 1:-1], dpsi[1:-1, 1:-1]
 
     def residuals_at(w):
         c = w.state.curve
         kdot = (w.next.frenet.curvatures - w.prev.frenet.curvatures) / (2.0 * w.dt)
         k, f, (fs, fss) = w.fields((2, 1))
-        ks = (None, d_ds(k[1], c), d_ds(k[2], c))  # k1_rate reads only k_1' and k_2'
+        ks = d_ds(k[:3], c)  # k1_rate reads only k_1' and k_2'
         rhs_a = k1_rate(e, k, ks, f, fs, fss)
         yield "k1_flow_form", kdot[0] - rhs_a
         yield "k1_rate_max", kdot[0]  # details, not residuals
         yield "k1_flow_rhs_max", rhs_a
 
-        psi[1:-1, 1:-1] = p = w.psi()
-        dpsi[1:-1, 1:-1] = d_ds(p, c)
+        psi_core[...] = p = w.psi()
+        # d_ds(p) written in place: the same differences, then / speeds
+        np.divide(_d_du_into(p, c.h, c.closed, dpsi_core), c.speeds, out=dpsi_core)
         metric, classical = curvature_rates(e, k, psi, dpsi, m)
         for i, (rate, a, b) in enumerate(zip(kdot, metric, classical), start=1):
             yield f"k{i}_psi_metric", rate - a

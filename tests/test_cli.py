@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -19,7 +20,7 @@ from curveflow.cli import (
     main,
 )
 from curveflow.curvekit import SampledCurve, sample
-from curveflow.errors import ConfigError, NullCurveError
+from curveflow.errors import ConfigError, FrameBreakdown, NullCurveError
 from curveflow.flowsim import evolve, initial_state
 
 
@@ -103,6 +104,27 @@ def test_run_summary_prints_worst_gated_residual(tmp_path, capsys):
         for c in report["checks"]
     ]
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_run_reports_a_nan_residual_as_nan(tmp_path, capsys, monkeypatch):
+    # one NaN sample in one state: the check fails, the report holds NaN and
+    # the summary line prints it rather than the largest finite residual
+    from curveflow import verify
+
+    real = verify.CHECKS["speed_evolution"]
+
+    def planted(traj, tolerance=None):
+        traj.states[2].f1_s[5] = float("nan")
+        return real(traj, tolerance)
+
+    monkeypatch.setitem(verify.CHECKS, "speed_evolution", planted)
+    out = tmp_path / "out"
+    rc = main(["run", str(bundled_scenario_path("circle_zero_flow.json")), "--out", str(out)])
+    assert rc == EXIT_CHECK_FAILED
+    assert "FAIL speed_evolution (max residual nan)" in capsys.readouterr().out.splitlines()
+    report = json.loads((out / "report.json").read_text())
+    assert math.isnan(report["checks"][0]["residuals"][0]["speed_evolution"])
+    assert report["pass"] is False
 
 
 def test_run_line_bundle(tmp_path):
@@ -211,6 +233,30 @@ def test_failed_first_rebuild_writes_no_timeseries(tmp_path, capsys, monkeypatch
     assert main(["run", scn, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
     assert "breakdown" in capsys.readouterr().err
     assert not (tmp_path / "o" / "timeseries.csv").exists()
+
+
+def test_frame_breakdown_in_evolve_keeps_time_and_partial_timeseries(tmp_path, capsys):
+    # 2e6*t*sin(2*s) along the timelike binormal: at the second stage
+    # (t = dt/2) the rebuilt frame's second vector changes causal sign
+    doc = scenario_doc("circle_rigid_rotation.json")
+    doc["curve"]["samples"] = 64
+    doc["flow"]["speeds"] = ["0", "0", "2e6*t*sin(2*s)"]
+    doc["integrator"] = {"dt": 1e-3, "steps": 3}
+    del doc["output"]
+    scn = write_scenario(tmp_path, doc)
+    assert main(["run", scn, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical breakdown: frame breakdown at t=0.0005: " in err
+    lines = (tmp_path / "o" / "timeseries.csv").read_text().splitlines()
+    assert lines[0] == TIMESERIES_HEADER
+    assert [line.split(",")[:2] for line in lines[1:]] == [["0", "0"]]
+
+    flow = build_flow(doc)
+    with pytest.raises(FrameBreakdown) as exc:
+        evolve(initial_state(sample(build_curve_spec(doc)), flow), flow, 1e-3, 3)
+    assert exc.value.t == 0.0005
+    assert len(exc.value.trajectory) == 1
+    assert (exc.value.index, exc.value.sample) == (2, 1)
 
 
 def test_frames_dump(tmp_path):

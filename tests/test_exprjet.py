@@ -1,5 +1,6 @@
 import gc
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from curveflow.exprjet import (
     MAX_DEPTH,
     BinOp,
     Call,
+    Jet,
     Lit,
     Neg,
     Pow,
@@ -143,6 +145,57 @@ def test_trig_pair_jets(fn):
         for j in range(1, order + 1):
             exact = 0.7**j * cycle[j](u)
             assert np.max(np.abs(jet.derivative(j) - exact)) <= 1e-14 * np.max(np.abs(value))
+
+
+def _textbook_recurrence(u, heads, sources):
+    """Taylor coefficients of y_i(u) with y_i' = +/- u' y_src, the plain way:
+    zero-initialized accumulators, a new array for every operation."""
+    K = u.shape[0]
+    du = [j * u[j] for j in range(1, K)]
+    ys = np.zeros((len(heads),) + u.shape)
+    for i, head in enumerate(heads):
+        ys[i, 0] = head(u[0])
+    for k in range(1, K):
+        for i, (src, op) in enumerate(sources):
+            acc = np.zeros_like(ys[i, 0])
+            for j in range(1, k + 1):
+                acc = op(acc, du[j - 1] * ys[src, k - j])
+            ys[i, k] = acc / k
+    return ys
+
+
+TEXTBOOK = {
+    "sin": ((np.sin, np.cos), ((1, operator.add), (0, operator.sub)), 0),
+    "cos": ((np.sin, np.cos), ((1, operator.add), (0, operator.sub)), 1),
+    "sinh": ((np.sinh, np.cosh), ((1, operator.add), (0, operator.add)), 0),
+    "cosh": ((np.sinh, np.cosh), ((1, operator.add), (0, operator.add)), 1),
+    "exp": ((np.exp,), ((0, operator.add),), 0),
+}
+
+
+@pytest.mark.parametrize("fn", sorted(TEXTBOOK))
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4)], ids=["scalar", "row", "grid"])
+def test_function_jets_match_the_textbook_recurrence_bit_for_bit(fn, shape):
+    heads, sources, which = TEXTBOOK[fn]
+    rng = np.random.default_rng(7)
+    for order in range(8):
+        u = rng.normal(size=(order + 1,) + shape)
+        # signed zeros in the value and in every coefficient
+        flat = u.reshape(order + 1, -1)
+        flat[:, 0], flat[:, -1] = 0.0, -0.0
+        got = getattr(Jet(u), fn)().coeffs
+        want = _textbook_recurrence(u, heads, sources)[which]
+        assert got.shape == want.shape
+        assert np.array_equal(got, want), (fn, order)
+        assert np.array_equal(np.signbit(got), np.signbit(want)), (fn, order)
+
+
+def test_derivative_into_out_matches_the_returned_value():
+    jet = eval_jet(parse("sin(s) * exp(-s)"), "s", np.linspace(-1.0, 1.0, 9), 4)
+    out = np.empty(9)
+    for j in range(5):
+        assert jet.derivative(j, out=out) is out
+        assert out.tobytes() == jet.derivative(j).tobytes()
 
 
 def test_eval_jet_env_and_unbound():

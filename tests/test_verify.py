@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from curveflow import catalog
+from curveflow import catalog, exprjet
 from curveflow.curvekit import OPEN, CurveSpec, sample
 from curveflow.errors import InsufficientStates, NotInextensible
 from curveflow.flowsim import FlowSpec, evolve, initial_state
@@ -16,6 +16,7 @@ from curveflow.verify import (
     check_psi_antisymmetry,
     check_speed_evolution,
     merge_reports,
+    _Window,
     psi_matrix,
     run_check,
 )
@@ -325,6 +326,47 @@ def test_check_memory_does_not_grow_with_trajectory_length():
         finally:
             tracemalloc.stop()
         assert peak < 40 * frame_bytes, (name, peak / frame_bytes)
+
+
+def test_nan_speed_rate_fails_speed_evolution():
+    # a NaN sample is not a pass: the running maximum keeps it, and NaN is
+    # within no tolerance
+    traj = run_flow("circle", "inextensible_sine", 64, 1e-3, 10)
+    assert check_speed_evolution(traj).passed
+    traj.states[5].f1_s[10] = np.nan
+    rep = check_speed_evolution(traj)
+    assert np.isnan(rep.residuals[0]["speed_evolution"])
+    assert not rep.passed
+
+
+def test_nan_speed_fails_iff_condition():
+    traj = run_flow("circle", "inextensible_sine", 64, 1e-3, 10)
+    assert check_iff_condition(traj).passed
+    traj.states[4].f_values[1, 10] = np.nan
+    rep = check_iff_condition(traj)
+    assert np.isnan(rep.residuals[0]["pointwise"])
+    assert not rep.details["pointwise_small"]
+    assert not rep.passed
+
+
+@pytest.mark.parametrize("traj_name", ["helix_traj", "sine_traj_short"])
+def test_window_fields_hold_the_jet_derivatives(traj_name, request):
+    # fields() writes each derivative into its row with out=; a constant
+    # speed's rows are left at the +0.0 they start with
+    traj = request.getfixturevalue(traj_name)
+    window = _Window(traj)
+    for w in window.walk(last=3):
+        pass
+    k, f, ds = w.fields((2, 1))
+    speeds = traj.flow.speeds
+    for i, order in ((2, 2), (3, 1)):
+        for j in range(1, 3):
+            row = ds[j - 1][i]
+            if j > order or isinstance(speeds[i - 1], exprjet.Lit):
+                assert not np.any(row) and not np.any(np.signbit(row))
+                continue
+            jet = exprjet.eval_jet(speeds[i - 1], "s", w.state.curve.s, order, {"t": w.state.t})
+            assert row.tobytes() == jet.derivative(j).tobytes()
 
 
 # --- report plumbing --------------------------------------------------------

@@ -1,0 +1,143 @@
+"""Time two source trees of curveflow against each other in one process.
+
+Usage::
+
+    python tools/ab_pairs.py BASE_SRC CHANGE_SRC [--op verify|evolve]
+        [--pairs 20] [--samples 256] [--steps 250]
+
+``BASE_SRC`` and ``CHANGE_SRC`` are directories that hold a ``curveflow``
+package (the ``src`` directory of a checkout).  Each tree is imported under
+its own package name, so both live in this one interpreter, and their
+operations alternate: pair i runs base then change when i is even, change
+then base when it is odd.  Machine speed drifts over seconds to minutes,
+so timing the two trees in separate processes minutes apart can mislead;
+alternating them in one process exposes both to the same drift.
+
+Operations, timed in CPU seconds of this process:
+
+* ``verify``: the five checks (``run_check`` for every ``CHECKS`` name) on
+  a closed circle trajectory under ``sin(s)`` at ``--samples`` points over
+  ``--steps`` steps of 1e-3, and on the bundled ``timelike_helix_twist``
+  scenario, as perfbench's ``verify_replay`` does.  Each tree checks the
+  trajectories its own ``evolve`` built.
+* ``evolve``: one ``evolve`` call of that circle flow.
+
+It prints the median of each side, the median pairwise change, the pairs
+the change won, and whether the two trees' results were equal: every
+report's JSON text for ``verify``, the bytes of every state's points for
+``evolve``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+CIRCLE = "circle_inextensible_sine.json"
+HELIX = "timelike_helix_twist.json"
+
+
+def load_tree(src: Path, alias: str):
+    """The ``curveflow`` package under ``src``, imported as ``alias``."""
+    package = src / "curveflow"
+    spec = importlib.util.spec_from_file_location(
+        alias, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = module
+    spec.loader.exec_module(module)
+    importlib.import_module(f"{alias}.cli")
+    return module
+
+
+def scenario_inputs(cf, src: Path, name: str, samples: int | None = None):
+    """(initial state, flow, integrator) of a bundled scenario, built as
+    ``cli.execute`` builds them; the file is read from ``src``."""
+    doc = json.loads((src / "curveflow" / "scenarios" / name).read_text(encoding="utf-8"))
+    flow = cf.cli.build_flow(doc)
+    curve = cf.sample(cf.cli.build_curve_spec(doc, samples))
+    integ = doc["integrator"]
+    return cf.initial_state(curve, flow, integ.get("frame_vectors")), flow, integ, doc
+
+
+class Side:
+    """One tree: its inputs, built once, and its timed operation."""
+
+    def __init__(self, src: Path, alias: str, op: str, samples: int, steps: int):
+        self.cf = cf = load_tree(src, alias)
+        state, flow, _, _ = scenario_inputs(cf, src, CIRCLE, samples)
+        self.circle = (state, flow, 1e-3, steps)
+        if op == "evolve":
+            self.run = self.evolve
+            return
+        cases = [(cf.evolve(*self.circle), {})]
+        state, flow, integ, doc = scenario_inputs(cf, src, HELIX)
+        cases.append((cf.evolve(state, flow, integ["dt"], integ["steps"]), doc.get("tolerances", {})))
+        self.cases = cases
+        self.run = self.verify
+
+    def verify(self):
+        reports = [
+            self.cf.run_check(name, traj, tol.get(name))
+            for traj, tol in self.cases
+            for name in self.cf.CHECKS
+        ]
+        return lambda: [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports]
+
+    def evolve(self):
+        traj = self.cf.evolve(*self.circle)
+        return lambda: [st.curve.points.tobytes() for st in traj.states]
+
+    def timed(self):
+        """(CPU seconds of one operation, its result in comparable form); the
+        result is put in that form after the clock stops."""
+        start = time.process_time()
+        digest = self.run()
+        took = time.process_time() - start
+        return took, digest()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path, help="source directory holding the base curveflow")
+    parser.add_argument("change", type=Path, help="source directory holding the changed curveflow")
+    parser.add_argument("--op", choices=("verify", "evolve"), default="verify")
+    parser.add_argument("--pairs", type=int, default=20)
+    parser.add_argument("--samples", type=int, default=256)
+    parser.add_argument("--steps", type=int, default=250)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+
+    base = Side(args.base, "curveflow_base", args.op, args.samples, args.steps)
+    change = Side(args.change, "curveflow_change", args.op, args.samples, args.steps)
+    base.timed(), change.timed()  # warm both before timing
+
+    times = {id(base): [], id(change): []}
+    equal = True
+    for i in range(args.pairs):
+        order = (base, change) if i % 2 == 0 else (change, base)
+        results = {}
+        for side in order:
+            took, results[id(side)] = side.timed()
+            times[id(side)].append(took)
+        equal = equal and results[id(base)] == results[id(change)]
+
+    a, b = times[id(base)], times[id(change)]
+    diffs = [(y - x) / x for x, y in zip(a, b)]
+    won = sum(y < x for x, y in zip(a, b))
+    print(f"op {args.op}: {args.pairs} pairs, CPU seconds per operation")
+    print(f"base   median {statistics.median(a):.4f} s (range {min(a):.4f}-{max(a):.4f})")
+    print(f"change median {statistics.median(b):.4f} s (range {min(b):.4f}-{max(b):.4f})")
+    print(f"median pairwise change {100 * statistics.median(diffs):+.1f}%, change faster in {won}/{args.pairs} pairs")
+    print(f"results equal: {equal}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
