@@ -15,7 +15,7 @@ from .flowsim import (
     solve_inextensible_f1,
 )
 from .frenet import FrenetData, frenet_apparatus, frenet_residuals, stencil_curvatures
-from .minkowski import CausalCharacter, causal_character, inner, norm
+from .minkowski import CausalCharacter
 from .verify import (
     CHECKS,
     PsiMatrix,
@@ -48,7 +48,6 @@ __all__ = [
     "Trajectory",
     "VerificationReport",
     "arclength_drift",
-    "causal_character",
     "check_curvature_pde",
     "check_frame_evolution",
     "check_iff_condition",
@@ -62,9 +61,7 @@ __all__ = [
     "frenet_apparatus",
     "frenet_residuals",
     "initial_state",
-    "inner",
     "merge_reports",
-    "norm",
     "parse",
     "psi_matrix",
     "run_check",

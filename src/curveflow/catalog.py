@@ -119,8 +119,8 @@ def flow(name: str, dimension: int, f1_at_0: float = 0.0) -> FlowSpec:
     entry = _FLOWS[name]
     speeds = entry["speeds"](dimension)
     if entry["mode"] == "explicit":
-        return FlowSpec.explicit(speeds, name=name)
-    return FlowSpec.inextensible(speeds, f1_at_0=f1_at_0, name=name)
+        return FlowSpec.explicit(speeds)
+    return FlowSpec.inextensible(speeds, f1_at_0=f1_at_0)
 
 
 def random_explicit_flow(dimension: int, seed: int) -> FlowSpec:
@@ -133,4 +133,4 @@ def random_explicit_flow(dimension: int, seed: int) -> FlowSpec:
     for _ in range(dimension):
         a, b, c = (round(float(x), 3) for x in 0.3 * rng.standard_normal(3))
         speeds.append(f"{a}*sin(s) + {b}*cos(2*s) + {c}*cos(t)")
-    return FlowSpec.explicit(speeds, name=f"random_{seed}")
+    return FlowSpec.explicit(speeds)

@@ -194,11 +194,9 @@ def build_flow(doc: dict) -> FlowSpec:
     fl = doc["flow"]
     try:
         if fl["mode"] == "explicit":
-            flow = FlowSpec.explicit(fl["speeds"], name=fl.get("name", doc["name"]))
+            flow = FlowSpec.explicit(fl["speeds"])
         else:
-            flow = FlowSpec.inextensible(
-                fl["speeds"], f1_at_0=fl.get("f1_at_0", 0.0), name=fl.get("name", doc["name"])
-            )
+            flow = FlowSpec.inextensible(fl["speeds"], f1_at_0=fl.get("f1_at_0", 0.0))
         flow.validate(doc["dimension"])
     except ParseError as exc:
         raise ConfigError(f"bad expression: {exc}", field="flow.speeds") from exc

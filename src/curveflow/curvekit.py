@@ -136,7 +136,7 @@ class SampledCurve:
         derivs = np.empty((deriv_order + 1,) + points.shape)
         derivs[0] = points
         for m in range(1, deriv_order + 1):
-            _d_du_into(derivs[m - 1], h, closed, derivs[m])
+            d_du(derivs[m - 1], h, closed, derivs[m])
         return cls._finish(grid, h, closed, derivs, d_du4(points, h, closed))
 
     @classmethod
@@ -197,15 +197,13 @@ def sample(spec: CurveSpec) -> SampledCurve:
 # Difference stencils (second order; a fourth-order variant for the verifier)
 
 
-def d_du(values: np.ndarray, h: float, closed: bool) -> np.ndarray:
-    """Second-order d/du of a grid function along its last (sample) axis."""
+def d_du(values: np.ndarray, h: float, closed: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """Second-order d/du of a grid function along its last (sample) axis,
+    written into ``out`` if given, which must not overlap ``values``.  Every
+    sample is a difference divided by 2h."""
     f = np.asarray(values, dtype=float)
-    return _d_du_into(f, h, closed, np.empty_like(f))
-
-
-def _d_du_into(f: np.ndarray, h: float, closed: bool, out: np.ndarray) -> np.ndarray:
-    """``d_du`` of the float array ``f``, written into ``out``, which must not
-    overlap ``f``.  Every sample is a difference divided by 2h."""
+    if out is None:
+        out = np.empty_like(f)
     np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
     if closed:
         out[..., 0] = f[..., 1] - f[..., -1]
@@ -330,7 +328,9 @@ def _arclength_tables(speeds: np.ndarray, h: float, closed: bool):
 
 
 def _integrate(values: np.ndarray, h: float, rule: str) -> float:
-    if rule == "simpson" and (values.shape[0] - 1) % 2 == 0:
+    """Full-period integral of a closed grid with its wrap sample appended:
+    N + 1 points, so ``"simpson"`` (N even) always has an even interval count."""
+    if rule == "simpson":
         return float(values @ _simpson_weights(values.shape[0]) * h / 3.0)
     return float(np.trapezoid(values, dx=h))
 

@@ -58,16 +58,15 @@ class FlowSpec:
     mode: str
     speeds: tuple[Expr | None, ...]
     f1_at_0: float = 0.0
-    name: str = ""
 
     @classmethod
-    def explicit(cls, speeds, name: str = "") -> "FlowSpec":
-        return cls(EXPLICIT, tuple(_parse_speed(f) for f in speeds), name=name)
+    def explicit(cls, speeds) -> "FlowSpec":
+        return cls(EXPLICIT, tuple(_parse_speed(f) for f in speeds))
 
     @classmethod
-    def inextensible(cls, higher_speeds, f1_at_0: float = 0.0, name: str = "") -> "FlowSpec":
+    def inextensible(cls, higher_speeds, f1_at_0: float = 0.0) -> "FlowSpec":
         speeds = (None,) + tuple(_parse_speed(f) for f in higher_speeds)
-        return cls(INEXTENSIBLE, speeds, f1_at_0=f1_at_0, name=name)
+        return cls(INEXTENSIBLE, speeds, f1_at_0=f1_at_0)
 
     def validate(self, dimension: int) -> None:
         if self.mode not in (EXPLICIT, INEXTENSIBLE):
@@ -123,23 +122,14 @@ class Trajectory:
         return np.array([st.t for st in self.states])
 
 
-def solve_inextensible_f1(
-    c: SampledCurve,
-    fd: FrenetData,
-    f2_values: np.ndarray,
-    f1_at_0: float,
-    *,
-    rhs: np.ndarray | None = None,
-) -> np.ndarray:
-    """Integrate df_1/ds = e0 e1 f_2 k_1 from the curve's first sample.
+def solve_inextensible_f1(c: SampledCurve, rhs: np.ndarray, f1_at_0: float) -> np.ndarray:
+    """Integrate df_1/ds = rhs from the curve's first sample, where rhs is
+    ``inextensibility_rhs``, e0 e1 f_2 k_1.
 
     For closed curves the loop integral of the right-hand side must vanish
     (within COMPAT_RTOL times the total arclength), otherwise no periodic
-    f_1 exists and IncompatibleClosedFlow is raised.  A caller that already
-    holds ``inextensibility_rhs(c, fd, f2_values)`` passes it as ``rhs``.
+    f_1 exists and IncompatibleClosedFlow is raised.
     """
-    if rhs is None:
-        rhs = inextensibility_rhs(c, fd, f2_values)
     integrand = rhs * c.speeds  # ds = v du
     if c.closed:
         residual = loop_integral(integrand, c)
@@ -176,7 +166,7 @@ def evaluate_speeds(
             f[i] = exprjet.eval_jet(expr, "s", c.s, 0, env).coeffs[0]
     if flow.mode == INEXTENSIBLE:
         f1_s = inextensibility_rhs(c, fd, f[1])
-        f[0] = solve_inextensible_f1(c, fd, f[1], flow.f1_at_0, rhs=f1_s)
+        f[0] = solve_inextensible_f1(c, f1_s, flow.f1_at_0)
     m = fd.num_vectors
     if m < n and np.max(np.abs(f[m:])) > 0.0:
         raise CurveFlowError(
@@ -252,12 +242,13 @@ def evolve(
 ) -> Trajectory:
     """Advance the curve by explicit RK4, rebuilding the frame per stage.
 
-    Stops with an EvolutionError carrying the partial trajectory if the
-    tangent turns null (NullCurveDeveloped), the curve degenerates, its
-    frame breaks down (FrameBreakdown), it goes non-finite or changes total
-    arclength by more than 50% in a step (StabilityError), or if a closed
-    curve rebuilt from points fails the compatibility test
-    (UnresolvedClosedFlow).
+    Every failure ends in an EvolutionError carrying its time ``t`` and the
+    partial trajectory: NullCurveDeveloped if the tangent turns null,
+    FrameBreakdown if the frame breaks down, StabilityError if the curve goes
+    non-finite or changes total arclength by more than 50% in a step,
+    UnresolvedClosedFlow if a closed curve rebuilt from points fails the
+    compatibility test, and a plain EvolutionError for any other error of
+    this package (a degenerate curve, a speed leaving its domain).
 
     Each internal RK stage's state is held until the next stage's state and
     velocity exist, so the allocator recycles its memory instead of
@@ -275,23 +266,22 @@ def evolve(
 
     def stage_state(points: np.ndarray, t: float) -> SimState:
         try:
-            c = SampledCurve.from_points(points, grid, closed, m)
+            return _build_state(SampledCurve.from_points(points, grid, closed, m), flow, m, t)
         except (NullCurveError, MixedCausalityError) as exc:
             # a causal sign change along u means the tangent crossed the null cone
             raise NullCurveDeveloped(str(exc), t=t, trajectory=traj) from exc
         except ValueError as exc:
             raise StabilityError(str(exc), t=t, trajectory=traj) from exc
-        except CurveFlowError as exc:
-            # Degeneracy mid-flight
-            raise EvolutionError(str(exc), t=t, trajectory=traj) from exc
-        try:
-            return _build_state(c, flow, m, t)
         except NonGenericCurveError as exc:
             raise FrameBreakdown(str(exc), exc.index, exc.sample, t=t, trajectory=traj) from exc
         except IncompatibleClosedFlow as exc:
             raise UnresolvedClosedFlow(
-                exc.residual, exc.tolerance, c.samples, t=t, trajectory=traj
+                exc.residual, exc.tolerance, grid.shape[0], t=t, trajectory=traj
             ) from exc
+        except CurveFlowError as exc:
+            # a degenerate curve, a speed leaving its domain, a flow along a
+            # frame direction that does not exist
+            raise EvolutionError(str(exc), t=t, trajectory=traj) from exc
 
     # An internal stage's state is freed only once the next stage's state and
     # velocity exist, so the allocator hands its blocks on to the stage after.

@@ -1,12 +1,11 @@
-"""Index-1 metric kernel: inner product, norm, causal classification.
+"""Index-1 metric kernel: batched inner product, norm and null test.
 
 Vectors live in flat n-space whose first coordinate is the timelike axis,
-so the inner product of X and Y is -x1*y1 + x2*y2 + ... + xn*yn.  The
-"many" variants take (..., n, N) stacks: the component axis is axis -2 and
-the sample axis, which is contiguous, is axis -1.  They skip per-call
-validation (they are the hot path for sampled curves).  The scalar calls
-accept plain sequences or numpy arrays, validate them, then pass an (n, 1)
-view to the batched kernels, so both give the same numbers.
+so the inner product of X and Y is -x1*y1 + x2*y2 + ... + xn*yn.  Every
+kernel takes (..., n, N) stacks: the component axis is axis -2 and the
+sample axis, which is contiguous, is axis -1.  They skip per-call
+validation (they are the hot path for sampled curves).  One vector x is the
+(n, 1) column ``x[:, None]``: ``inner_many(x[:, None], y[:, None])[0]``.
 
 The component sums (``inner_many`` and its Euclidean twin ``dot_many``) add
 the products x_i*y_i in the order numpy's ``einsum("...i,...i->...")`` does
@@ -39,7 +38,6 @@ DEFAULT_NULL_TOL = 1e-9
 class CausalCharacter(enum.Enum):
     SPACELIKE = "spacelike"
     TIMELIKE = "timelike"
-    NULL = "null"
 
 
 # Memoized: the kernels below are called several times per evolution stage,
@@ -53,25 +51,6 @@ def metric_signs(n: int) -> np.ndarray:
     g[0] = -1.0
     g.setflags(write=False)
     return g
-
-
-def as_vector(x) -> np.ndarray:
-    """Validate and return a finite float vector of dimension >= 2."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1 or v.shape[0] < 2:
-        raise DimensionMismatch(f"expected a 1-d vector of dimension >= 2, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector components must be finite")
-    return v
-
-
-def inner(x, y) -> float:
-    """Indefinite inner product -x1*y1 + sum_{i>=2} xi*yi."""
-    xv = as_vector(x)
-    yv = as_vector(y)
-    if xv.shape[0] != yv.shape[0]:
-        raise DimensionMismatch(f"dimensions differ: {xv.shape[0]} vs {yv.shape[0]}")
-    return float(inner_many(xv[:, None], yv[:, None])[0])
 
 
 def inner_many(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -132,37 +111,16 @@ def _row_sum(P: np.ndarray, negate_first: bool) -> np.ndarray:
     return np.add(even, odd, out=even)
 
 
-def norm(x) -> float:
-    """sqrt(|<X,X>|); zero exactly when X is null or zero."""
-    return float(norm_many(as_vector(x)[:, None])[0])
-
-
 def norm_many(X: np.ndarray) -> np.ndarray:
     """sqrt(|<X,X>|) over axis -2 of an (..., n, N) stack."""
     return np.sqrt(np.abs(inner_many(X, X)))
 
 
-def causal_character(x, tol: float = DEFAULT_NULL_TOL) -> CausalCharacter:
-    """Classify a vector (see ``null_test``); the zero vector is spacelike, never null."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    return causal_character_many(as_vector(x)[:, None], tol)[0]
-
-
-def null_test(X: np.ndarray, tol: float = DEFAULT_NULL_TOL):
+def null_test(X: np.ndarray):
     """The relative null test over axis -2 of an (..., n, N) stack: returns
     q = <X,X>, the Euclidean |X|^2, and the masks null, |q| <= tol*max(1, |X|^2)
-    with X not zero, and timelike, q < -tol*max(1, |X|^2)."""
+    with X not zero, and timelike, q < -tol*max(1, |X|^2), for tol =
+    DEFAULT_NULL_TOL."""
     q, euclid = self_products(X)
-    thresh = tol * np.maximum(1.0, euclid)
+    thresh = DEFAULT_NULL_TOL * np.maximum(1.0, euclid)
     return q, euclid, (np.abs(q) <= thresh) & (euclid > 0), q < -thresh
-
-
-def causal_character_many(X: np.ndarray, tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
-    """Classification over axis -2 of an (..., n, N) stack; returns an object
-    array of CausalCharacter."""
-    _, _, null, timelike = null_test(X, tol)
-    out = np.full(null.shape, CausalCharacter.SPACELIKE, dtype=object)
-    out[timelike] = CausalCharacter.TIMELIKE
-    out[null] = CausalCharacter.NULL
-    return out

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exprjet
-from .curvekit import _d_du_into, d_ds, d_ds4
+from .curvekit import d_ds, d_ds4, d_du
 from .errors import CurveFlowError, InsufficientStates, NotInextensible
 from .flowsim import Trajectory, arclength_drift, dv_dt_rhs, inextensibility_rhs
 from .minkowski import dot_many, inner_many
@@ -468,7 +468,7 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
 
         psi_core[...] = p = w.psi()
         # d_ds(p) written in place: the same differences, then / speeds
-        np.divide(_d_du_into(p, c.h, c.closed, dpsi_core), c.speeds, out=dpsi_core)
+        np.divide(d_du(p, c.h, c.closed, dpsi_core), c.speeds, out=dpsi_core)
         metric, classical = curvature_rates(e, k, psi, dpsi, m)
         for i, (rate, a, b) in enumerate(zip(kdot, metric, classical), start=1):
             yield f"k{i}_psi_metric", rate - a

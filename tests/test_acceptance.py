@@ -16,7 +16,7 @@ from curveflow import catalog
 from curveflow.cli import EXIT_OK, _schema, bundled_scenario_path, main
 from curveflow.curvekit import sample
 from curveflow.errors import IncompatibleClosedFlow
-from curveflow.flowsim import arclength_drift, solve_inextensible_f1
+from curveflow.flowsim import arclength_drift, inextensibility_rhs, solve_inextensible_f1
 from curveflow.frenet import (
     frenet_apparatus,
     frenet_residuals,
@@ -138,9 +138,9 @@ def test_criterion_05_violating_flow_is_detected(shrink_traj):
 
 def test_criterion_06_closed_compatibility(circle_256):
     """No periodic tangential speed exists for f2 = 1 on the circle."""
-    fd = frenet_apparatus(circle_256)
+    rhs = inextensibility_rhs(circle_256, frenet_apparatus(circle_256), np.ones(256))
     with pytest.raises(IncompatibleClosedFlow) as err:
-        solve_inextensible_f1(circle_256, fd, np.ones(256), 0.0)
+        solve_inextensible_f1(circle_256, rhs, 0.0)
     rel = abs(err.value.residual - TWO_PI) / TWO_PI
     assert rel < 1e-6
     note(f"PASS criterion 6: incompatible loop integral {err.value.residual:.9f} (rel err {rel:.2e})")

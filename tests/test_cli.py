@@ -259,6 +259,32 @@ def test_frame_breakdown_in_evolve_keeps_time_and_partial_timeseries(tmp_path, c
     assert (exc.value.index, exc.value.sample) == (2, 1)
 
 
+@pytest.mark.parametrize(
+    "scenario, speeds, integrator, err, rows",
+    [
+        ("circle_rigid_rotation.json", ["0", "sqrt(0.002 - t)", "0"], {"dt": 1e-3, "steps": 5},
+         "sqrt of a negative value", [["0", "0"], ["1", "0.001"], ["2", "0.002"]]),
+        ("line_translate.json", ["1", "0", "0.1*t"],
+         {"dt": 1e-3, "steps": 3, "frame_vectors": 1},
+         "flow drives frame direction 2..3", [["0", "0"]]),
+    ],
+    ids=["speed_domain", "missing_frame_direction"],
+)
+def test_stage_failure_keeps_partial_timeseries(tmp_path, capsys, scenario, speeds, integrator,
+                                                err, rows):
+    doc = scenario_doc(scenario)
+    doc["curve"]["samples"] = 64
+    doc["flow"]["speeds"] = speeds
+    doc["integrator"] = integrator
+    del doc["output"]
+    scn = write_scenario(tmp_path, doc)
+    assert main(["run", scn, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    assert f"numerical breakdown: {err}" in capsys.readouterr().err
+    lines = (tmp_path / "o" / "timeseries.csv").read_text().splitlines()
+    assert lines[0] == TIMESERIES_HEADER
+    assert [line.split(",")[:2] for line in lines[1:]] == rows
+
+
 def test_frames_dump(tmp_path):
     doc = scenario_doc("circle_zero_flow.json")
     doc["output"] = {"frames_at": [0, 8]}

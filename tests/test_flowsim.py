@@ -9,6 +9,7 @@ import pytest
 from curveflow import catalog, flowsim
 from curveflow.curvekit import sample
 from curveflow.errors import (
+    EvolutionError,
     IncompatibleClosedFlow,
     NullCurveDeveloped,
     StabilityError,
@@ -21,6 +22,7 @@ from curveflow.flowsim import (
     dv_dt_rhs,
     evaluate_speeds,
     evolve,
+    inextensibility_rhs,
     initial_state,
     solve_inextensible_f1,
     velocity,
@@ -41,51 +43,59 @@ def test_flow_spec_validation():
         FlowSpec(mode="weird", speeds=(None,)).validate(1)
 
 
+def _solve_f1(c, f2, f1_at_0):
+    return solve_inextensible_f1(c, inextensibility_rhs(c, frenet_apparatus(c), f2), f1_at_0)
+
+
 def test_solve_f1_zero_normal_speed(circle_256):
-    fd = frenet_apparatus(circle_256)
-    f1 = solve_inextensible_f1(circle_256, fd, np.zeros(256), 0.25)
+    f1 = _solve_f1(circle_256, np.zeros(256), 0.25)
     assert np.allclose(f1, 0.25)
 
 
 def test_solve_f1_straight_line_any_f2():
-    c = sample(catalog.curve("line2", 64))
-    fd = frenet_apparatus(c)  # completed frame, k1 = 0
-    f1 = solve_inextensible_f1(c, fd, np.sin(3.0 * c.s) + 2.0, 0.7)
+    c = sample(catalog.curve("line2", 64))  # completed frame, k1 = 0
+    f1 = _solve_f1(c, np.sin(3.0 * c.s) + 2.0, 0.7)
     assert np.allclose(f1, 0.7)
 
 
 def test_solve_f1_circle_sine(circle_256):
-    fd = frenet_apparatus(circle_256)
-    f1 = solve_inextensible_f1(circle_256, fd, np.sin(circle_256.s), 0.0)
+    f1 = _solve_f1(circle_256, np.sin(circle_256.s), 0.0)
     assert np.max(np.abs(f1 - (1.0 - np.cos(circle_256.s)))) < 1e-6
 
 
 def test_solve_f1_incompatible_loop(circle_256):
-    fd = frenet_apparatus(circle_256)
     with pytest.raises(IncompatibleClosedFlow) as err:
-        solve_inextensible_f1(circle_256, fd, np.ones(256), 0.0)
+        _solve_f1(circle_256, np.ones(256), 0.0)
     assert err.value.residual == pytest.approx(TWO_PI, rel=1e-6)
 
 
-def test_evaluate_speeds_forms_the_f1_rhs_once(circle_256, monkeypatch):
-    fd = frenet_apparatus(circle_256)
+def test_evaluate_speeds_forms_the_f1_rhs_once(monkeypatch):
+    # one evolve step builds five states (the rebuilt initial state, three
+    # internal RK stages and the end state), each forming the constraint
+    # right-hand side once and handing that very array to the f1 solver
+    c = sample(catalog.curve("circle", 64))
     sine = catalog.flow("inextensible_sine", 3)
-    f_ref, f1_s_ref = evaluate_speeds(sine, circle_256, fd, 0.0)
-    calls = []
-    rhs = flowsim.inextensibility_rhs
+    st = initial_state(c, sine)
+    ref = evolve(st, sine, 1e-3, 1)
+    formed, integrated = [], []
+    rhs, solve = flowsim.inextensibility_rhs, flowsim.solve_inextensible_f1
 
-    def counted(*args):
-        calls.append(args)
-        return rhs(*args)
+    def counted_rhs(*args):
+        formed.append(rhs(*args))
+        return formed[-1]
 
-    monkeypatch.setattr(flowsim, "inextensibility_rhs", counted)
-    f, f1_s = evaluate_speeds(sine, circle_256, fd, 0.0)
-    assert len(calls) == 1
-    assert f.tobytes() == f_ref.tobytes() and f1_s.tobytes() == f1_s_ref.tobytes()
-    # a given rhs is the one integrated
-    f2 = np.sin(circle_256.s)
-    given = solve_inextensible_f1(circle_256, fd, f2, 0.0, rhs=rhs(circle_256, fd, f2))
-    assert given.tobytes() == solve_inextensible_f1(circle_256, fd, f2, 0.0).tobytes()
+    def counted_solve(c, rhs, f1_at_0):
+        integrated.append(rhs)
+        return solve(c, rhs, f1_at_0)
+
+    monkeypatch.setattr(flowsim, "inextensibility_rhs", counted_rhs)
+    monkeypatch.setattr(flowsim, "solve_inextensible_f1", counted_solve)
+    traj = evolve(st, sine, 1e-3, 1)
+    assert len(formed) == 5
+    assert all(a is b for a, b in zip(formed, integrated, strict=True))
+    for ours, theirs in zip(traj.states, ref.states, strict=True):
+        assert ours.f_values.tobytes() == theirs.f_values.tobytes()
+        assert ours.f1_s.tobytes() == theirs.f1_s.tobytes()
 
 
 def test_dv_dt_rhs_examples(circle_256):
@@ -188,7 +198,7 @@ def test_speed_law_on_random_explicit_flows():
 
 
 def test_evolve_incompatible_flow_raises(circle_256):
-    flow = FlowSpec.inextensible(["1", "0"], name="bad")
+    flow = FlowSpec.inextensible(["1", "0"])
     with pytest.raises(IncompatibleClosedFlow):
         initial_state(circle_256, flow)
 
@@ -198,7 +208,7 @@ def test_evolve_develops_null_tangent():
     # default tolerance it crosses the cone between samples first, which ends
     # in the same named error.
     c = sample(catalog.curve("hyperbola", 64))
-    flow = FlowSpec.explicit(["0", "-3"], name="contract")
+    flow = FlowSpec.explicit(["0", "-3"])
     st = initial_state(c, flow)
     with pytest.raises(NullCurveDeveloped) as err:
         evolve(st, flow, 2e-3, 3000)
@@ -255,6 +265,29 @@ def test_internal_stage_failure_is_raised_from_that_stage(flow, error):
     assert len(err.value.trajectory) == 1  # the initial state only
 
 
+@pytest.mark.parametrize(
+    "curve, speeds, frame_vectors, steps, t, times, message",
+    [
+        # sqrt(0.002 - t) leaves its domain at the stage t = 0.0025
+        ("circle", ["0", "sqrt(0.002 - t)", "0"], None, 5, 0.0025, [0.0, 0.001, 0.002],
+         "sqrt of a negative value"),
+        # the third speed turns on at the first internal stage, t = dt/2,
+        # along a direction a one-vector frame does not have
+        ("line3", ["1", "0", "0.1*t"], 1, 3, 0.0005, [0.0], "flow drives frame direction"),
+    ],
+    ids=["speed_domain", "missing_frame_direction"],
+)
+def test_any_stage_failure_is_an_evolution_error(curve, speeds, frame_vectors, steps, t, times,
+                                                 message):
+    c = sample(catalog.curve(curve, 64))
+    flow = FlowSpec.explicit(speeds)
+    with pytest.raises(EvolutionError, match=message) as err:
+        evolve(initial_state(c, flow, frame_vectors), flow, 1e-3, steps)
+    assert type(err.value) is EvolutionError
+    assert err.value.t == t
+    assert err.value.trajectory.times.tolist() == times
+
+
 # Run in a fresh interpreter: glibc raises its trim threshold whenever it
 # frees a block it had mapped on its own, so after other tests in this
 # process the trimming this bounds no longer happens.
@@ -302,7 +335,7 @@ def test_evolve_argument_validation(circle_256):
 
 def test_truncated_frame_rejects_active_higher_speeds():
     c = sample(catalog.curve("line3", 64))
-    flow = FlowSpec.explicit(["1", "1", "0"], name="sideways")
+    flow = FlowSpec.explicit(["1", "1", "0"])
     with pytest.raises(Exception, match="frame"):
         initial_state(c, flow, frame_vectors=1)
 

@@ -5,71 +5,66 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import curveflow
 from curveflow.errors import DimensionMismatch
 from curveflow.minkowski import (
-    CausalCharacter,
-    causal_character,
-    causal_character_many,
+    DEFAULT_NULL_TOL,
     dot_many,
-    inner,
     inner_many,
     metric_signs,
-    norm,
     norm_many,
     null_test,
     self_products,
 )
 
 
+def _columns(*vectors):
+    """Vectors as the columns of one (n, N) stack."""
+    return np.array(vectors, dtype=float).T
+
+
 def test_inner_examples():
-    assert inner((1, 0, 0), (1, 0, 0)) == -1.0
-    assert inner((0, 1, 0), (0, 0, 1)) == 0.0
-    assert inner((3, 1, 2), (1, 4, 0)) == pytest.approx(1.0)
+    X = _columns((1, 0, 0), (0, 1, 0), (3, 1, 2))
+    Y = _columns((1, 0, 0), (0, 0, 1), (1, 4, 0))
+    assert inner_many(X, Y).tolist() == [-1.0, 0.0, 1.0]
+    # one vector is an (n, 1) column
+    assert inner_many(X[:, 2:], Y[:, 2:]).tolist() == [1.0]
 
 
 def test_norm_examples():
-    assert norm((1, 0)) == 1.0
-    assert norm((1, 1)) == 0.0
-    assert norm((2, 0, 0)) == 2.0
+    assert norm_many(_columns((1, 0), (1, 1), (2, 0))).tolist() == [1.0, 0.0, 2.0]
+    assert norm_many(_columns((2, 0, 0))).tolist() == [2.0]
 
 
 def test_causal_character_examples():
-    assert causal_character((1, 0)) is CausalCharacter.TIMELIKE
-    assert causal_character((1, 1)) is CausalCharacter.NULL
-    assert causal_character((2, 1, 1)) is CausalCharacter.TIMELIKE
-    assert causal_character((1, 2)) is CausalCharacter.SPACELIKE
+    # timelike, null, timelike, spacelike
+    _, _, null, timelike = null_test(_columns((1, 0, 0), (1, 1, 0), (2, 1, 1), (1, 2, 0)))
+    assert null.tolist() == [False, True, False, False]
+    assert timelike.tolist() == [True, False, True, False]
 
 
 def test_zero_vector_is_spacelike_not_null():
-    assert causal_character((0.0, 0.0, 0.0)) is CausalCharacter.SPACELIKE
+    for zero in (0.0, -0.0):
+        q, euclid, null, timelike = null_test(np.full((3, 1), zero))
+        assert (q[0], euclid[0], null[0], timelike[0]) == (0.0, 0.0, False, False)
 
 
 def test_null_test_is_relative():
-    # |<X,X>| = 2e5 * 1e-7 = 0.02 but the Euclidean scale is huge
-    x = (1e4, 1e4 + 1e-7)
-    assert causal_character(x, tol=1e-9) is CausalCharacter.NULL
-    assert causal_character(x, tol=0.0) is CausalCharacter.SPACELIKE
+    # |<X,X>| = 2e5 * 1e-7 = 0.02, far above DEFAULT_NULL_TOL, but the
+    # Euclidean scale is huge
+    q, euclid, null, timelike = null_test(_columns((1e4, 1e4 + 1e-7)))
+    assert abs(q[0]) > 1e6 * DEFAULT_NULL_TOL
+    assert abs(q[0]) <= DEFAULT_NULL_TOL * euclid[0]
+    assert null.tolist() == [True] and timelike.tolist() == [False]
 
 
 def test_dimension_mismatch():
+    for kernel in (norm_many, lambda X: null_test(X)[0]):
+        with pytest.raises(DimensionMismatch):
+            kernel(np.ones((1, 4)))
     with pytest.raises(DimensionMismatch):
-        inner((1, 0), (1, 0, 0))
-    with pytest.raises(DimensionMismatch):
-        norm((1.0,))
-
-
-def test_rejects_non_finite():
-    with pytest.raises(ValueError):
-        inner((1, np.nan), (1, 0))
-
-
-def test_negative_tol_rejected():
-    with pytest.raises(ValueError):
-        causal_character((1, 0), tol=-1.0)
+        metric_signs(1)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -78,24 +73,8 @@ def test_signature_on_basis(n):
     for i in range(n):
         for j in range(n):
             expected = (-1.0 if i == 0 else 1.0) if i == j else 0.0
-            assert inner(basis[i], basis[j]) == expected
+            assert inner_many(basis[:, i:i + 1], basis[:, j:j + 1]).tolist() == [expected]
     assert metric_signs(n)[0] == -1 and np.all(metric_signs(n)[1:] == 1)
-
-
-@given(
-    st.integers(min_value=2, max_value=8),
-    st.integers(min_value=0, max_value=2**31 - 1),
-)
-@settings(max_examples=50, deadline=None)
-def test_bilinearity_and_symmetry(n, seed):
-    rng = np.random.default_rng(seed)
-    x, y, z = rng.standard_normal((3, n))
-    a, b = rng.standard_normal(2)
-    lhs = inner(a * x + b * z, y)
-    rhs = a * inner(x, y) + b * inner(z, y)
-    scale = max(1.0, abs(lhs), abs(rhs))
-    assert abs(lhs - rhs) <= 1e-12 * scale
-    assert inner(x, y) == inner(y, x)
 
 
 def test_norm_squared_matches_inner():
@@ -103,16 +82,6 @@ def test_norm_squared_matches_inner():
     X = rng.standard_normal((5, 500))
     q = np.abs(inner_many(X, X))
     assert np.allclose(norm_many(X) ** 2, q, rtol=1e-12, atol=1e-300)
-
-
-def test_vectorized_classification_agrees_with_scalar():
-    rng = np.random.default_rng(11)
-    X = rng.standard_normal((4, 200))
-    X[:, 0] = 0.0
-    X[:, 1] = (1.0, 1.0, 0.0, 0.0)
-    many = causal_character_many(X)
-    for i in range(X.shape[1]):
-        assert many[i] is causal_character(X[:, i])
 
 
 # The component sums replaced np.einsum over (..., N, n) rows and must add in

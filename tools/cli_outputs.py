@@ -4,8 +4,9 @@ Usage: ``python tools/cli_outputs.py <out_dir>``
 
 Runs ``curveflow.cli.main`` in-process for ``run`` and ``frenet`` on every
 bundled scenario and for the two ``convergence`` ladders, each into its own
-subdirectory ``<out_dir>/<command>/<scenario stem>/``.  Beside the files the
-command writes go its ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``.
+subdirectory ``<out_dir>/<command>/<scenario stem>/``, and ``list-catalog``
+into ``<out_dir>/list-catalog/``.  Beside the files the command writes go
+its ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``.
 
 The ``cli`` module promises byte-identical outputs across reruns, so two
 runs of this script, or one on each side of a refactor, compare with
@@ -28,19 +29,22 @@ LADDERS = (
 )
 
 
-def commands() -> list[tuple[str, str, list[str]]]:
-    """(command, scenario file name, extra arguments) of every run."""
+def commands() -> list[tuple[str, str | None, list[str]]]:
+    """(command, scenario file name or None, extra arguments) of every run."""
     base = resources.files("curveflow").joinpath("scenarios")
     names = sorted(p.name for p in base.iterdir() if p.name.endswith(".json"))
     runs = [("run", name, []) for name in names]
     runs += [("frenet", name, []) for name in names]
     runs += [("convergence", name, ["--levels", str(levels)]) for name, levels in LADDERS]
+    runs.append(("list-catalog", None, []))
     return runs
 
 
-def record(command: str, scenario: str, extra: list[str], out_dir: Path) -> int:
+def record(command: str, scenario: str | None, extra: list[str], out_dir: Path) -> int:
     """Run one command into ``out_dir`` and store its stdout, stderr and exit code."""
-    argv = [command, str(bundled_scenario_path(scenario)), *extra, "--out", str(out_dir)]
+    argv = [command]
+    if scenario is not None:
+        argv += [str(bundled_scenario_path(scenario)), *extra, "--out", str(out_dir)]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
@@ -53,8 +57,9 @@ def record(command: str, scenario: str, extra: list[str], out_dir: Path) -> int:
 
 def write_all(root: Path) -> None:
     for command, scenario, extra in commands():
-        code = record(command, scenario, extra, root / command / Path(scenario).stem)
-        print(command, scenario, *extra, f"exit {code}")
+        stem = Path(scenario).stem if scenario else ""
+        code = record(command, scenario, extra, root / command / stem)
+        print(command, scenario or "", *extra, f"exit {code}")
 
 
 if __name__ == "__main__":
