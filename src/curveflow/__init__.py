@@ -18,7 +18,6 @@ from .frenet import FrenetData, frenet_apparatus, frenet_residuals, stencil_curv
 from .minkowski import CausalCharacter
 from .verify import (
     CHECKS,
-    PsiMatrix,
     VerificationReport,
     check_curvature_pde,
     check_frame_evolution,
@@ -26,7 +25,6 @@ from .verify import (
     check_psi_antisymmetry,
     check_speed_evolution,
     merge_reports,
-    psi_matrix,
     run_check,
 )
 
@@ -42,7 +40,6 @@ __all__ = [
     "FlowSpec",
     "FrenetData",
     "Jet",
-    "PsiMatrix",
     "SampledCurve",
     "SimState",
     "Trajectory",
@@ -63,7 +60,6 @@ __all__ = [
     "initial_state",
     "merge_reports",
     "parse",
-    "psi_matrix",
     "run_check",
     "sample",
     "solve_inextensible_f1",

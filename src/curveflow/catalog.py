@@ -18,7 +18,7 @@ from .flowsim import FlowSpec
 
 TWO_PI = 2.0 * math.pi
 
-_CURVES: dict[str, dict] = {
+CURVES: dict[str, dict] = {
     "circle": {
         "components": ("0", "cos(u)", "sin(u)"),
         "domain": (0.0, TWO_PI),
@@ -57,7 +57,7 @@ _CURVES: dict[str, dict] = {
     },
 }
 
-_FLOWS: dict[str, dict] = {
+FLOWS: dict[str, dict] = {
     "zero": {
         "mode": "explicit",
         "speeds": lambda n: ["0"] * n,
@@ -91,32 +91,15 @@ _FLOWS: dict[str, dict] = {
 }
 
 
-def curve_names() -> list[str]:
-    return sorted(_CURVES)
-
-
-def flow_names() -> list[str]:
-    return sorted(_FLOWS)
-
-
-def curve_info(name: str) -> dict:
-    return dict(_CURVES[name], name=name)
-
-
-def flow_info(name: str) -> dict:
-    entry = _FLOWS[name]
-    return {"name": name, "mode": entry["mode"], "summary": entry["summary"]}
-
-
 def curve(name: str, samples: int = 256) -> CurveSpec:
-    entry = _CURVES[name]
+    entry = CURVES[name]
     return CurveSpec.from_strings(
         entry["components"], entry["domain"], entry["topology"], samples
     )
 
 
 def flow(name: str, dimension: int, f1_at_0: float = 0.0) -> FlowSpec:
-    entry = _FLOWS[name]
+    entry = FLOWS[name]
     speeds = entry["speeds"](dimension)
     if entry["mode"] == "explicit":
         return FlowSpec.explicit(speeds)

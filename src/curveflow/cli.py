@@ -70,8 +70,6 @@ def _validator(name: str):
 def load_scenario(path: str | Path) -> dict:
     """Read and schema-validate a scenario file."""
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"scenario file not found: {p}")
     try:
         doc = json.loads(
             p.read_text(encoding="utf-8"),
@@ -79,6 +77,8 @@ def load_scenario(path: str | Path) -> dict:
             parse_float=_finite_number,
             parse_constant=_finite_number,
         )
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read scenario file {p}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"not valid JSON: {exc}", field=str(p)) from exc
     except ValueError as exc:
@@ -170,6 +170,14 @@ def _cross_validate(doc: dict) -> None:
             raise ConfigError(f"frame step {step} outside [0, {steps}]", field="output.frames_at")
 
 
+def _scenario_dt(integ: dict, steps: int) -> float | None:
+    """integrator.dt, else t_horizon / steps; None when it gives neither."""
+    if "dt" in integ:
+        return integ["dt"]
+    horizon = integ.get("t_horizon")
+    return None if horizon is None else horizon / steps
+
+
 def build_curve_spec(doc: dict, samples_override: int | None = None) -> CurveSpec:
     cur = doc["curve"]
     domain = tuple(
@@ -211,7 +219,10 @@ def execute(
     dt: float | None = None,
     steps: int | None = None,
 ) -> tuple[Trajectory, list[VerificationReport]]:
-    """Evolve a scenario (optionally at overridden resolution) and run its checks."""
+    """Evolve a scenario (optionally at overridden resolution) and run its checks.
+
+    The step is ``dt`` if given, else integrator.dt, else t_horizon / steps,
+    else ``default_dt`` of the initial state."""
     spec = build_curve_spec(doc, samples)
     flow = build_flow(doc)
     integ = doc["integrator"]
@@ -219,10 +230,7 @@ def execute(
     curve = sample(spec)
     state0 = initial_state(curve, flow, integ.get("frame_vectors"))
     if dt is None:
-        dt = integ.get("dt")
-    if dt is None:
-        horizon = integ.get("t_horizon")
-        dt = horizon / steps if horizon else default_dt(state0)
+        dt = _scenario_dt(integ, steps) or default_dt(state0)
     traj = evolve(state0, flow, dt, steps, integ.get("t_horizon"))
     tolerances = doc.get("tolerances", {})
     reports = [
@@ -362,14 +370,11 @@ def cmd_convergence(args) -> int:
     if not doc.get("checks"):
         raise ConfigError("scenario requests no checks")
     out_dir = Path(args.out or doc.get("output", {}).get("directory", "."))
-    base_n = doc["curve"].get("samples", 256)
     base_steps = doc["integrator"]["steps"]
-    base_dt = doc["integrator"].get("dt")
+    base_dt = _scenario_dt(doc["integrator"], base_steps)
     if base_dt is None:
-        horizon = doc["integrator"].get("t_horizon")
-        if horizon is None:
-            raise ConfigError("convergence needs integrator.dt or t_horizon")
-        base_dt = horizon / base_steps
+        raise ConfigError("convergence needs integrator.dt or t_horizon")
+    base_n = build_curve_spec(doc).samples
 
     per_level = [
         execute(doc, samples=base_n * 2**l, dt=base_dt / 2**l, steps=base_steps * 2**l)[1]
@@ -425,14 +430,12 @@ def cmd_frenet(args) -> int:
 
 def cmd_list_catalog(_args) -> int:
     print("curves:")
-    for name in catalog.curve_names():
-        info = catalog.curve_info(name)
+    for name, info in sorted(catalog.CURVES.items()):
         comps = ", ".join(info["components"])
         print(f"  {name:16s} E_1^{len(info['components'])} {info['topology']:6s} "
               f"({comps}) on [{info['domain'][0]:.6g}, {info['domain'][1]:.6g}]  - {info['summary']}")
     print("flows:")
-    for name in catalog.flow_names():
-        info = catalog.flow_info(name)
+    for name, info in sorted(catalog.FLOWS.items()):
         print(f"  {name:20s} {info['mode']:12s} - {info['summary']}")
     print("bundled scenarios:")
     base = resources.files("curveflow").joinpath("scenarios")

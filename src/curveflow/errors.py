@@ -67,10 +67,11 @@ class IncompatibleClosedFlow(CurveFlowError):
 
 class EvolutionError(CurveFlowError):
     """Base for time-stepping failures.  ``trajectory`` holds the states
-    accepted before the failure, ``t`` the time at which it occurred."""
+    accepted before the failure, ``t`` the time at which it occurred, which
+    the message names."""
 
     def __init__(self, message: str, t: float, trajectory=None):
-        super().__init__(message)
+        super().__init__(f"{message} (at t={t:.6g})")
         self.t = t
         self.trajectory = trajectory
 
@@ -91,7 +92,7 @@ class FrameBreakdown(EvolutionError):
     vector) and ``sample`` (the grid index) it carries."""
 
     def __init__(self, message: str, index: int, sample: int, t: float, trajectory=None):
-        super().__init__(f"frame breakdown at t={t:.6g}: {message}", t=t, trajectory=trajectory)
+        super().__init__(f"frame breakdown: {message}", t=t, trajectory=trajectory)
         self.index = index
         self.sample = sample
 
@@ -106,7 +107,7 @@ class UnresolvedClosedFlow(EvolutionError):
     def __init__(self, residual: float, tolerance: float, samples: int, t: float, trajectory=None):
         super().__init__(
             f"compatibility integral of the curve rebuilt from N={samples} samples "
-            f"is {residual:.6e} (tolerance {tolerance:.3e}) at t={t:.6g}: "
+            f"is {residual:.6e} (tolerance {tolerance:.3e}): "
             f"under-resolved at N={samples}, or no periodic tangential speed at that time",
             t=t,
             trajectory=trajectory,

@@ -129,8 +129,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 # Nesting past MAX_DEPTH levels is a ParseError: well below it, the parser
-# and the recursive walks over the tree (variables, to_text, eval_jet) stay
-# clear of Python's recursion limit.  Exponents are bounded by MAX_EXPONENT.
+# and the recursive walks over the tree (variables, eval_jet) stay clear of
+# Python's recursion limit.  Exponents are bounded by MAX_EXPONENT.
 MAX_DEPTH = 100
 MAX_EXPONENT = 1000
 
@@ -274,56 +274,6 @@ class _Parser:
 def parse(text: str) -> Expr:
     """Parse expression text into an AST; raises ParseError with an offset."""
     return _Parser(text).parse()
-
-
-# --------------------------------------------------------------------------
-# Printing (for diagnostics and parse/print round trips)
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4, "atom": 5}
-
-
-def _prec_of(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        return _PREC[e.op]
-    if isinstance(e, Neg):
-        return _PREC["neg"]
-    if isinstance(e, Pow):
-        return _PREC["pow"]
-    return _PREC["atom"]
-
-
-def to_text(e: Expr) -> str:
-    """Render an AST back to parseable text (minimal parentheses)."""
-    if isinstance(e, Lit):
-        v = e.value
-        if v == int(v) and abs(v) < 1e15:
-            return str(int(v))
-        return repr(v)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        inner = to_text(e.arg)
-        if _prec_of(e.arg) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, BinOp):
-        lhs = to_text(e.left)
-        rhs = to_text(e.right)
-        p = _PREC[e.op]
-        if _prec_of(e.left) < p:
-            lhs = f"({lhs})"
-        # Left associativity: the right child needs parens at equal precedence.
-        if _prec_of(e.right) <= p:
-            rhs = f"({rhs})"
-        return f"{lhs} {e.op} {rhs}"
-    if isinstance(e, Pow):
-        base = to_text(e.base)
-        if _prec_of(e.base) < _PREC["pow"]:
-            base = f"({base})"
-        return f"{base}^{e.exponent}"
-    if isinstance(e, Call):
-        return f"{e.fn}({to_text(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 # --------------------------------------------------------------------------

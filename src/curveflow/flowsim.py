@@ -117,10 +117,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.states)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([st.t for st in self.states])
-
 
 def solve_inextensible_f1(c: SampledCurve, rhs: np.ndarray, f1_at_0: float) -> np.ndarray:
     """Integrate df_1/ds = rhs from the curve's first sample, where rhs is

@@ -111,16 +111,6 @@ class VerificationReport:
         }
 
 
-@dataclass
-class PsiMatrix:
-    """Frame rotation coefficients psi[k-1, j-1] = <dV_j/dt, V_k> at one step."""
-
-    values: np.ndarray  # (m, m, N)
-    at_step: int
-    antisymmetry_residual: float
-    diagonal_residual: float
-
-
 # --------------------------------------------------------------------------
 # Sliding three-state window
 
@@ -149,15 +139,14 @@ class _Window:
         self.interior = _interior(first.curve)
         self.flips = 0
 
-    def walk(self, last: int | None = None):
-        """Yield self at t = 1..last (default T-2): ``prev``, ``state`` and
-        ``next`` are the states at t-1, t, t+1, ``frames`` the aligned
-        (m, n, N) frame at t and ``fdot`` its central time difference."""
+    def walk(self):
+        """Yield self at t = 1..T-2: ``prev``, ``state`` and ``next`` are the
+        states at t-1, t, t+1, ``frames`` the aligned (m, n, N) frame at t
+        and ``fdot`` its central time difference."""
         states = self.traj.states
-        last = len(states) - 2 if last is None else last
         before = states[0].frenet.frame  # state 0 sets the signs and is never flipped
         frames = self._aligned(states[1], before)
-        for t in range(1, last + 1):
+        for t in range(1, len(states) - 1):
             after = self._aligned(states[t + 1], frames)
             self.prev, self.state, self.next = states[t - 1 : t + 2]
             self.frames = frames
@@ -269,12 +258,6 @@ def _walk_peaks(window: _Window, residuals_at) -> dict[str, float]:
     return _peaks((name, grid[..., sl]) for w in window.walk() for name, grid in residuals_at(w))
 
 
-def _psi_residuals(psi: np.ndarray):
-    """Pointwise Psi_kj + Psi_jk and Psi_jj, named, sample axis last."""
-    yield "antisymmetry", psi + np.swapaxes(psi, 0, 1)
-    yield "diagonal", np.diagonal(psi).T  # diagonal() is (N, m)
-
-
 def _euclid_norm(X: np.ndarray) -> np.ndarray:
     return np.sqrt(dot_many(X, X))
 
@@ -375,25 +358,16 @@ def check_iff_condition(traj: Trajectory, tolerance: dict | None = None) -> Veri
     return _report("iff_condition", traj, residuals, tolerance, details, passed=a_small == b_small)
 
 
-def psi_matrix(traj: Trajectory, at_step: int) -> PsiMatrix:
-    """Frame rotation coefficients at one interior step (central in time)."""
-    window = _Window(traj)
-    if not 1 <= at_step <= len(traj.states) - 2:
-        raise InsufficientStates(
-            f"at_step must be interior (1..{len(traj.states) - 2}), got {at_step}"
-        )
-    for w in window.walk(last=at_step):
-        pass  # frame alignment is sequential, so every earlier step is walked
-    psi = w.psi()
-    sl = window.interior
-    anti, diag = _peaks((name, x[..., sl]) for name, x in _psi_residuals(psi)).values()
-    return PsiMatrix(values=psi, at_step=at_step, antisymmetry_residual=anti, diagonal_residual=diag)
-
-
 def check_psi_antisymmetry(traj: Trajectory, tolerance: float | None = None) -> VerificationReport:
     """Psi_kj + Psi_jk = 0 and Psi_jj = 0 at every interior step."""
     window = _Window(traj)
-    residuals = _walk_peaks(window, lambda w: _psi_residuals(w.psi()))
+
+    def residuals_at(w):
+        psi = w.psi()
+        yield "antisymmetry", psi + np.swapaxes(psi, 0, 1)
+        yield "diagonal", np.diagonal(psi).T  # diagonal() is (N, m)
+
+    residuals = _walk_peaks(window, residuals_at)
     return _report("psi_antisymmetry", traj, residuals, tolerance, {"frame_flips": window.flips})
 
 

@@ -180,6 +180,15 @@ def test_missing_scenario_file(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", [["run"], ["frenet"], ["convergence", "--levels", "2"]])
+def test_unreadable_scenario_path_is_a_config_error(tmp_path, capsys, command):
+    # a directory is no scenario file: exit 2 with the path, not a traceback
+    assert main(command[:1] + [str(tmp_path)] + command[1:]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: cannot read scenario file {tmp_path}: Is a directory\n"
+    )
+
+
 def test_check_failure_gives_exit_one(tmp_path):
     doc = scenario_doc("circle_normal_shrink.json")
     # demand a drift the shrinking circle cannot satisfy while the
@@ -246,7 +255,10 @@ def test_frame_breakdown_in_evolve_keeps_time_and_partial_timeseries(tmp_path, c
     scn = write_scenario(tmp_path, doc)
     assert main(["run", scn, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
-    assert "numerical breakdown: frame breakdown at t=0.0005: " in err
+    assert err == (
+        "numerical breakdown: frame breakdown: causal sign of frame vector 2 flips at sample 1"
+        " (at t=0.0005)\n"
+    )
     lines = (tmp_path / "o" / "timeseries.csv").read_text().splitlines()
     assert lines[0] == TIMESERIES_HEADER
     assert [line.split(",")[:2] for line in lines[1:]] == [["0", "0"]]
@@ -263,10 +275,12 @@ def test_frame_breakdown_in_evolve_keeps_time_and_partial_timeseries(tmp_path, c
     "scenario, speeds, integrator, err, rows",
     [
         ("circle_rigid_rotation.json", ["0", "sqrt(0.002 - t)", "0"], {"dt": 1e-3, "steps": 5},
-         "sqrt of a negative value", [["0", "0"], ["1", "0.001"], ["2", "0.002"]]),
+         "sqrt of a negative value in jet arithmetic (at t=0.0025)",
+         [["0", "0"], ["1", "0.001"], ["2", "0.002"]]),
         ("line_translate.json", ["1", "0", "0.1*t"],
          {"dt": 1e-3, "steps": 3, "frame_vectors": 1},
-         "flow drives frame direction 2..3", [["0", "0"]]),
+         "flow drives frame direction 2..3 but only 1 frame vectors exist (at t=0.0005)",
+         [["0", "0"]]),
     ],
     ids=["speed_domain", "missing_frame_direction"],
 )
@@ -279,7 +293,7 @@ def test_stage_failure_keeps_partial_timeseries(tmp_path, capsys, scenario, spee
     del doc["output"]
     scn = write_scenario(tmp_path, doc)
     assert main(["run", scn, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
-    assert f"numerical breakdown: {err}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"numerical breakdown: {err}\n"
     lines = (tmp_path / "o" / "timeseries.csv").read_text().splitlines()
     assert lines[0] == TIMESERIES_HEADER
     assert [line.split(",")[:2] for line in lines[1:]] == rows

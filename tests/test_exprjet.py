@@ -19,7 +19,6 @@ from curveflow.exprjet import (
     eval_jet,
     eval_scalar,
     parse,
-    to_text,
     variables,
 )
 
@@ -89,7 +88,6 @@ def test_parse_errors_carry_offsets(text, offset):
 def test_nesting_at_the_depth_limit_parses_and_evaluates(text):
     expr = parse(text)
     assert variables(expr) == {"u"}
-    assert parse(to_text(expr)) == expr
     assert np.isfinite(eval_jet(expr, "u", np.linspace(0.1, 0.9, 5), 2).coeffs).all()
 
 
@@ -223,40 +221,47 @@ def test_eval_jet_vectorized_grid():
 
 
 def _random_expr(rng, depth=0):
+    """(tree, text) of a random expression: the text parenthesizes every
+    operand, so it reads as the tree with no precedence rule."""
     # literals are non-negative, as the parser produces (a leading minus
     # becomes a Neg node); negativity enters through Neg
     roll = rng.integers(0, 8 if depth < 3 else 2)
     if roll == 0:
-        return Lit(round(float(rng.uniform(0, 3)), 3))
+        value = round(float(rng.uniform(0, 3)), 3)
+        return Lit(value), repr(value)
     if roll == 1:
-        return Var("u")
+        return Var("u"), "u"
     if roll == 2:
-        return Neg(_random_expr(rng, depth + 1))
+        arg, text = _random_expr(rng, depth + 1)
+        return Neg(arg), f"-({text})"
     if roll == 3:
-        return Pow(_random_expr(rng, depth + 1), int(rng.integers(0, 4)))
+        (base, text), p = _random_expr(rng, depth + 1), int(rng.integers(0, 4))
+        return Pow(base, p), f"({text})^{p}"
     if roll == 4:
         fn = ("sin", "cos", "sinh", "cosh", "exp")[rng.integers(0, 5)]
-        return Call(fn, _random_expr(rng, depth + 1))
+        arg, text = _random_expr(rng, depth + 1)
+        return Call(fn, arg), f"{fn}({text})"
     op = "+-*"[rng.integers(0, 3)]
-    return BinOp(op, _random_expr(rng, depth + 1), _random_expr(rng, depth + 1))
+    (left, lt), (right, rt) = _random_expr(rng, depth + 1), _random_expr(rng, depth + 1)
+    return BinOp(op, left, right), f"({lt}) {op} ({rt})"
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_print_parse_round_trip(seed):
-    rng = np.random.default_rng(seed)
-    expr = _random_expr(rng)
-    assert parse(to_text(expr)) == expr
+    # the text that the sympy oracle below also reads parses to its tree
+    expr, text = _random_expr(np.random.default_rng(seed))
+    assert parse(text) == expr
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_jet_derivatives_match_sympy(seed):
     """Independent oracle: symbolic differentiation of random expressions."""
     rng = np.random.default_rng(100 + seed)
-    expr = _random_expr(rng)
+    _, text = _random_expr(rng)
     u = sympy.Symbol("u")
-    sym = sympy.sympify(to_text(expr).replace("^", "**"))
+    sym = sympy.sympify(text.replace("^", "**"))
     point = 0.37
-    jet = eval_jet(expr, "u", point, 4)
+    jet = eval_jet(parse(text), "u", point, 4)
     for order in range(5):
         expected = float(sympy.diff(sym, u, order).subs(u, point))
         got = float(jet.derivative(order))
@@ -266,11 +271,11 @@ def test_jet_derivatives_match_sympy(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_product_rule_consistency(seed):
     rng = np.random.default_rng(200 + seed)
-    f = _random_expr(rng)
-    g = _random_expr(rng)
+    _, f = _random_expr(rng)
+    _, g = _random_expr(rng)
     at = 0.81
-    prod = eval_jet(BinOp("*", f, g), "u", at, 5)
-    via_jets = eval_jet(f, "u", at, 5) * eval_jet(g, "u", at, 5)
+    prod = eval_jet(parse(f"({f}) * ({g})"), "u", at, 5)
+    via_jets = eval_jet(parse(f), "u", at, 5) * eval_jet(parse(g), "u", at, 5)
     scale = np.maximum(1.0, np.abs(prod.coeffs))
     assert np.all(np.abs(prod.coeffs - via_jets.coeffs) <= 1e-12 * scale)
 

@@ -10,6 +10,7 @@ from curveflow import catalog, flowsim
 from curveflow.curvekit import sample
 from curveflow.errors import (
     EvolutionError,
+    FrameBreakdown,
     IncompatibleClosedFlow,
     NullCurveDeveloped,
     StabilityError,
@@ -141,7 +142,7 @@ def test_evolve_shrink_rate(shrink_traj):
     assert abs(drift / 0.1 - TWO_PI) < 1e-3
     # exact solution: L(t) = 2*pi*(1 - t)
     lengths = np.array([s.curve.total_length for s in shrink_traj.states])
-    times = shrink_traj.times
+    times = np.array([s.t for s in shrink_traj.states])
     assert np.max(np.abs(lengths - TWO_PI * (1.0 - times))) < 1e-4
 
 
@@ -153,7 +154,7 @@ def test_evolve_synthesized_flow_reruns_solver_each_stage(sine_traj_short):
 
 def test_trajectory_bookkeeping(rigid_traj_short):
     assert len(rigid_traj_short) == 101
-    times = rigid_traj_short.times
+    times = [st.t for st in rigid_traj_short.states]
     assert np.allclose(np.diff(times), 1e-3)
     k1 = rigid_traj_short.states[0].frenet.curvatures[0]
     assert float(np.max(np.abs(k1))) == pytest.approx(1.0, abs=1e-6)
@@ -197,6 +198,12 @@ def test_speed_law_on_random_explicit_flows():
             assert r < 5e-3, (curve_name, seed, r)
 
 
+def _names_its_time_once(exc):
+    """The message of an EvolutionError ends in its time, written once."""
+    text = str(exc)
+    return text.count("t=") == 1 and text.endswith(f" (at t={exc.t:.6g})")
+
+
 def test_evolve_incompatible_flow_raises(circle_256):
     flow = FlowSpec.inextensible(["1", "0"])
     with pytest.raises(IncompatibleClosedFlow):
@@ -222,6 +229,7 @@ def test_evolve_stability_guard(circle_256):
     with pytest.raises(StabilityError) as err:
         evolve(st, flow, 0.7, 2)  # one step shrinks the circle by 70%
     assert err.value.trajectory is not None
+    assert _names_its_time_once(err.value)
 
 
 def test_evolve_names_an_unresolved_closed_flow():
@@ -251,8 +259,11 @@ def test_evolve_names_an_unresolved_closed_flow():
         # f2 = sin(s) + t is compatible at t = 0 only: at t0 + dt/2 the loop
         # integral of k f2 ds is 2 pi t = 3.1e-3, far above its tolerance.
         (FlowSpec.inextensible(["sin(s) + t", "0"]), UnresolvedClosedFlow),
+        # Half that binormal speed tilts the third stage less: its frame
+        # vector V_2 changes causal sign while the tangent stays spacelike.
+        (FlowSpec.explicit(["0", "0", "2e6*t*sin(2*s)"]), FrameBreakdown),
     ],
-    ids=["null_tangent", "closed_compatibility"],
+    ids=["null_tangent", "closed_compatibility", "frame_breakdown"],
 )
 def test_internal_stage_failure_is_raised_from_that_stage(flow, error):
     # Every internal RK stage runs every validation: the error carries the
@@ -263,6 +274,7 @@ def test_internal_stage_failure_is_raised_from_that_stage(flow, error):
         evolve(initial_state(c, flow), flow, dt, 3)
     assert err.value.t == 0.5 * dt
     assert len(err.value.trajectory) == 1  # the initial state only
+    assert _names_its_time_once(err.value)
 
 
 @pytest.mark.parametrize(
@@ -285,7 +297,8 @@ def test_any_stage_failure_is_an_evolution_error(curve, speeds, frame_vectors, s
         evolve(initial_state(c, flow, frame_vectors), flow, 1e-3, steps)
     assert type(err.value) is EvolutionError
     assert err.value.t == t
-    assert err.value.trajectory.times.tolist() == times
+    assert [st.t for st in err.value.trajectory.states] == times
+    assert _names_its_time_once(err.value)
 
 
 # Run in a fresh interpreter: glibc raises its trim threshold whenever it

@@ -17,7 +17,6 @@ from curveflow.verify import (
     check_speed_evolution,
     merge_reports,
     _Window,
-    psi_matrix,
     run_check,
 )
 from conftest import run_flow
@@ -91,17 +90,18 @@ def test_iff_shrink_both_sides_large(shrink_traj):
 
 
 def test_psi_zero_flow(zero_traj):
-    psi = psi_matrix(zero_traj, at_step=1)
-    assert np.max(np.abs(psi.values)) < 1e-14
+    for w in _Window(zero_traj).walk():
+        assert np.max(np.abs(w.psi())) < 1e-14
 
 
 def test_psi_rigid_rotation(rigid_traj_short):
-    psi = psi_matrix(rigid_traj_short, at_step=50)
-    # V1 rotates into V2 at unit rate
-    assert np.max(np.abs(psi.values[1, 0] - 1.0)) < 1e-3
-    assert np.max(np.abs(psi.values[0, 1] + 1.0)) < 1e-3
-    assert psi.antisymmetry_residual < 1e-6
-    assert psi.diagonal_residual < 1e-6
+    # V1 rotates into V2 at unit rate, at every step
+    for w in _Window(rigid_traj_short).walk():
+        psi = w.psi()
+        assert np.max(np.abs(psi[1, 0] - 1.0)) < 1e-3
+        assert np.max(np.abs(psi[0, 1] + 1.0)) < 1e-3
+        assert np.max(np.abs(psi + np.swapaxes(psi, 0, 1))) < 1e-6
+        assert np.max(np.abs(np.diagonal(psi))) < 1e-6
 
 
 def test_psi_antisymmetry_helix(helix_traj):
@@ -109,13 +109,6 @@ def test_psi_antisymmetry_helix(helix_traj):
     assert rep.residuals[0]["antisymmetry"] < 1e-5
     assert rep.residuals[0]["diagonal"] < 1e-5
     assert rep.passed
-
-
-def test_psi_matrix_interior_only(rigid_traj_short):
-    with pytest.raises(InsufficientStates):
-        psi_matrix(rigid_traj_short, at_step=0)
-    with pytest.raises(InsufficientStates):
-        psi_matrix(rigid_traj_short, at_step=100)
 
 
 # --- frame evolution --------------------------------------------------------
@@ -297,8 +290,8 @@ def test_frame_alignment_undoes_pointwise_sign_flips():
         if name != "iff_condition":
             assert ref.details["frame_flips"] == 0, name
             assert rep.details["frame_flips"] == 14, name
-    for step in (4, 5, 6):
-        assert np.array_equal(psi_matrix(flipped, step).values, psi_matrix(traj, step).values)
+    for a, b in zip(_Window(flipped).walk(), _Window(traj).walk(), strict=True):
+        assert np.array_equal(a.psi(), b.psi())
 
 
 def test_psi_matrix_matches_pairwise_products(sine_traj_short):
@@ -310,7 +303,10 @@ def test_psi_matrix_matches_pairwise_products(sine_traj_short):
     frame = states[7].frenet.frame
     m = len(frame)
     ref = np.array([[inner_many(fdot[j], frame[k]) for j in range(m)] for k in range(m)])
-    assert np.array_equal(psi_matrix(sine_traj_short, 7).values, ref)
+    for t, w in enumerate(_Window(sine_traj_short).walk(), start=1):
+        if t == 7:
+            break
+    assert np.array_equal(w.psi(), ref)
 
 
 def test_check_memory_does_not_grow_with_trajectory_length():
@@ -354,9 +350,9 @@ def test_window_fields_hold_the_jet_derivatives(traj_name, request):
     # fields() writes each derivative into its row with out=; a constant
     # speed's rows are left at the +0.0 they start with
     traj = request.getfixturevalue(traj_name)
-    window = _Window(traj)
-    for w in window.walk(last=3):
-        pass
+    for t, w in enumerate(_Window(traj).walk(), start=1):
+        if t == 3:
+            break
     k, f, ds = w.fields((2, 1))
     speeds = traj.flow.speeds
     for i, order in ((2, 2), (3, 1)):

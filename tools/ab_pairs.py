@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/ab_pairs.py BASE_SRC CHANGE_SRC [--op verify|evolve]
+    python tools/ab_pairs.py BASE_SRC CHANGE_SRC [--op verify|evolve|run]
         [--pairs 20] [--samples 256] [--steps 250]
 
 ``BASE_SRC`` and ``CHANGE_SRC`` are directories that hold a ``curveflow``
@@ -21,11 +21,15 @@ Operations, timed in CPU seconds of this process:
   scenario, as perfbench's ``verify_replay`` does.  Each tree checks the
   trajectories its own ``evolve`` built.
 * ``evolve``: one ``evolve`` call of that circle flow.
+* ``run``: ``cli.execute`` on every bundled scenario of the tree, each
+  read once before timing: the in-process path of perfbench's
+  ``scenario_suite`` without its output files and convergence ladders.
+  ``--samples`` and ``--steps`` do not apply.
 
 It prints the median of each side, the median pairwise change, the pairs
 the change won, and whether the two trees' results were equal: every
-report's JSON text for ``verify``, the bytes of every state's points for
-``evolve``.
+report's JSON text for ``verify`` and ``run``, the bytes of every state's
+points for ``evolve``.
 """
 
 from __future__ import annotations
@@ -70,6 +74,11 @@ class Side:
 
     def __init__(self, src: Path, alias: str, op: str, samples: int, steps: int):
         self.cf = cf = load_tree(src, alias)
+        if op == "run":
+            paths = sorted((src / "curveflow" / "scenarios").glob("*.json"))
+            self.docs = [json.loads(path.read_text(encoding="utf-8")) for path in paths]
+            self.run = self.scenarios
+            return
         state, flow, _, _ = scenario_inputs(cf, src, CIRCLE, samples)
         self.circle = (state, flow, 1e-3, steps)
         if op == "evolve":
@@ -89,6 +98,10 @@ class Side:
         ]
         return lambda: [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports]
 
+    def scenarios(self):
+        reports = [r for doc in self.docs for r in self.cf.cli.execute(doc)[1]]
+        return lambda: [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports]
+
     def evolve(self):
         traj = self.cf.evolve(*self.circle)
         return lambda: [st.curve.points.tobytes() for st in traj.states]
@@ -106,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path, help="source directory holding the base curveflow")
     parser.add_argument("change", type=Path, help="source directory holding the changed curveflow")
-    parser.add_argument("--op", choices=("verify", "evolve"), default="verify")
+    parser.add_argument("--op", choices=("verify", "evolve", "run"), default="verify")
     parser.add_argument("--pairs", type=int, default=20)
     parser.add_argument("--samples", type=int, default=256)
     parser.add_argument("--steps", type=int, default=250)
