@@ -56,7 +56,7 @@ TIMESERIES_HEADER = "step,t,total_arclength,arclength_drift,min_v,max_v,max_k1"
 
 
 def _schema(name: str) -> dict:
-    text = resources.files("curveflow").joinpath("schemas", name).read_text(encoding="utf-8")
+    text = resources.files(__package__).joinpath("schemas", name).read_text(encoding="utf-8")
     return json.loads(text)
 
 
@@ -438,7 +438,7 @@ def cmd_list_catalog(_args) -> int:
     for name, info in sorted(catalog.FLOWS.items()):
         print(f"  {name:20s} {info['mode']:12s} - {info['summary']}")
     print("bundled scenarios:")
-    base = resources.files("curveflow").joinpath("scenarios")
+    base = resources.files(__package__).joinpath("scenarios")
     for entry in sorted(p.name for p in base.iterdir() if p.name.endswith(".json")):
         print(f"  {entry}")
     print("identities:")
@@ -449,7 +449,7 @@ def cmd_list_catalog(_args) -> int:
 
 def bundled_scenario_path(name: str) -> Path:
     """Filesystem path of a bundled scenario (for tests and docs)."""
-    return Path(str(resources.files("curveflow").joinpath("scenarios", name)))
+    return Path(str(resources.files(__package__).joinpath("scenarios", name)))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -87,7 +87,10 @@ class SampledCurve:
 
     ``derivs[m]`` is the (n, N) array of m-th u-derivative vectors; index 0
     holds the points themselves.  Every tangent is non-null at ``DEFAULT_NULL_TOL``
-    (``minkowski.null_test``) and of causal character ``char``.
+    (``minkowski.null_test``) and of causal character ``char``.  The curves
+    of the states ``flowsim.evolve`` keeps hold their points only
+    (``deriv_order`` 0): the stencil rows were read by the frame when the
+    state was built, and nothing reads them after.
     """
 
     grid: np.ndarray

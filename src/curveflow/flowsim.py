@@ -96,7 +96,9 @@ class SimState:
     ``f_values[i]`` is the grid of f_{i+1}; ``f1_s`` holds the df_1/ds
     values consistent with how f_1 was produced (jet derivative of an
     explicit expression, or the defining right-hand side when f_1 was
-    synthesized).
+    synthesized).  In a state ``evolve`` keeps, ``curve`` holds its points
+    only (``deriv_order`` 0), since the frame has been built from its
+    derivatives already; ``initial_state`` keeps the whole stack.
     """
 
     t: float
@@ -108,7 +110,8 @@ class SimState:
 
 @dataclass
 class Trajectory:
-    """States at uniformly spaced times."""
+    """States at uniformly spaced times.  Those ``evolve`` builds hold curves
+    with their points only (see ``evolve``)."""
 
     states: list[SimState]
     dt: float
@@ -157,7 +160,8 @@ def evaluate_speeds(
         if i == 0:
             jet = exprjet.eval_jet(expr, "s", c.s, 1, env)
             f[0] = jet.coeffs[0]
-            f1_s = jet.coeffs[1]
+            # copied: a row view would keep the jet's whole block in the state
+            f1_s[:] = jet.coeffs[1]
         else:
             f[i] = exprjet.eval_jet(expr, "s", c.s, 0, env).coeffs[0]
     if flow.mode == INEXTENSIBLE:
@@ -246,9 +250,13 @@ def evolve(
     compatibility test, and a plain EvolutionError for any other error of
     this package (a degenerate curve, a speed leaving its domain).
 
-    Each internal RK stage's state is held until the next stage's state and
-    velocity exist, so the allocator recycles its memory instead of
-    returning it to the kernel (see the comment on ``stage_velocity``).
+    Every state the trajectory keeps, the initial one included, holds a
+    curve with its points only (``deriv_order`` 0): the stencil derivatives
+    are read once, by the frame, while the state is built, and keeping them
+    took 31% of a trajectory's bytes at N=4096, n=3.  The kept points are
+    the RK combination array itself, with no copy.  Each stage's full state
+    is held for two more stages, so the allocator recycles its memory
+    instead of returning it to the kernel (see the comment on ``held``).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -279,25 +287,49 @@ def evolve(
             # frame direction that does not exist
             raise EvolutionError(str(exc), t=t, trajectory=traj) from exc
 
-    # An internal stage's state is freed only once the next stage's state and
-    # velocity exist, so the allocator hands its blocks on to the stage after.
-    # Freed as soon as its velocity is read, they sit at the heap top, where
-    # glibc trims them and the next stage faults them back in: a 10-step
-    # N=4096 run takes 4x the pages its trajectory keeps, against 1.3-1.5x.
-    # Freed before the next velocity array exists, they are split by it: 1.6-2x.
-    held = None
+    # A stage's state, internal or accepted, is freed only once the next two
+    # stages have their states and velocities, so the allocator hands its
+    # blocks on instead of returning them.  Freed as soon as its velocity is
+    # read, they sit at the heap top, where glibc trims them and the next
+    # stage faults them back in: a 10-step N=4096 run then took 4x the pages
+    # its trajectory keeps.  Holding only the last stage took 2.1x (10 steps)
+    # and 2.0x (120 steps) once kept states gave up their stencil rows;
+    # holding two takes 1.6x and 1.1x.
+    held = (None, None)
 
     def stage_velocity(points: np.ndarray, t: float) -> np.ndarray:
         nonlocal held
         stage = stage_state(points, t)
         k = velocity(stage)
-        held = stage
+        held = (held[1], stage)
         return k
+
+    def kept_state(points: np.ndarray, t: float) -> SimState:
+        # ``points`` is what the full stack's row 0 copied, byte for byte
+        nonlocal held
+        stage = stage_state(points, t)
+        held = (held[1], stage)
+        c = stage.curve
+        curve = SampledCurve(
+            grid=c.grid,
+            h=c.h,
+            closed=c.closed,
+            derivs=points[None],
+            speeds=c.speeds,
+            s=c.s,
+            total_length=c.total_length,
+            quadrature=c.quadrature,
+            char=c.char,
+        )
+        return SimState(
+            t=t, curve=curve, frenet=stage.frenet, f_values=stage.f_values, f1_s=stage.f1_s
+        )
 
     # Every state in the trajectory, the first one included, is rebuilt by
     # the stencil derivative estimator: mixing jet-exact and stencil speeds
-    # would bias arclength comparisons by O(h^2).
-    state = stage_state(initial.curve.points, initial.t)
+    # would bias arclength comparisons by O(h^2).  The initial points are
+    # copied, so the first kept state does not pin the caller's stack.
+    state = kept_state(initial.curve.points.copy(), initial.t)
     traj.states.append(state)
     for step in range(steps):
         # times count steps from the start, so rounding does not accumulate
@@ -307,8 +339,7 @@ def evolve(
         k2 = stage_velocity(p + 0.5 * dt * k1, t_mid)
         k3 = stage_velocity(p + 0.5 * dt * k2, t_mid)
         k4 = stage_velocity(p + dt * k3, t_end)
-        new_points = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        new_state = stage_state(new_points, t_end)
+        new_state = kept_state(p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), t_end)
         old_len = state.curve.total_length
         new_len = new_state.curve.total_length
         if abs(new_len - old_len) > MAX_STEP_LENGTH_CHANGE * old_len:

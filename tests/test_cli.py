@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import curveflow
 from curveflow.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -512,6 +516,30 @@ def test_cli_import_leaves_scipy_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_runs_from_a_tree_imported_under_another_name(tmp_path):
+    # The bundled schemas and scenarios are found through the package the
+    # module belongs to, not through the name "curveflow", which may be
+    # missing or belong to another copy.
+    shutil.copytree(Path(curveflow.__file__).parent, tmp_path / "cfalias")
+    script = (
+        "import sys\n"
+        "sys.modules['curveflow'] = None  # import curveflow fails\n"
+        "import cfalias.cli\n"
+        "sys.exit(cfalias.cli.main(['run', sys.argv[1], '--out', sys.argv[2]]))\n"
+    )
+    scenario = bundled_scenario_path("circle_zero_flow.json")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(scenario), str(tmp_path / "out")],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert (tmp_path / "out" / "report.json").is_file()
 
 
 def test_load_scenario_rejects_bad_json(tmp_path):

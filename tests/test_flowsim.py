@@ -301,6 +301,40 @@ def test_any_stage_failure_is_an_evolution_error(curve, speeds, frame_vectors, s
     assert _names_its_time_once(err.value)
 
 
+def _distinct_bytes(state):
+    """Bytes of the memory blocks a state's own arrays keep alive: each array
+    is followed to the array that owns its data.  The grid, which every
+    state shares, and the signs are left out."""
+
+    def owner(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a
+
+    c, fd = state.curve, state.frenet
+    arrays = (c.derivs, c.speeds, c.s, fd.frame, fd.curvatures, state.f_values, state.f1_s)
+    return sum({id(a): a.nbytes for a in map(owner, arrays)}.values())
+
+
+def test_kept_states_hold_points_not_the_derivative_stack():
+    # points (n), frame (m n), curvatures (m - 1), speeds, s, f_values (n)
+    # and f1_s: 8 N (2n + m n + m + 2) bytes, 160 N for n = m = 3.  Keeping
+    # the stencil rows of ``derivs`` (232 N) or a row view of a speed's jet
+    # (one N more) fails.
+    N, n, m = 256, 3, 3
+    c = sample(catalog.curve("circle", N))
+    flow = catalog.flow("inextensible_sine", 3)
+    states = evolve(initial_state(c, flow), flow, 1e-3, 5).states
+    flow = FlowSpec.explicit(["0", "sqrt(0.002 - t)", "0"])
+    with pytest.raises(EvolutionError) as err:
+        evolve(initial_state(c, flow), flow, 1e-3, 5)
+    partial = err.value.trajectory.states
+    assert len(states) == 6 and len(partial) == 3
+    for st in states + partial:
+        assert st.curve.deriv_order == 0
+        assert _distinct_bytes(st) == 8 * N * (2 * n + m * n + m + 2)
+
+
 # Run in a fresh interpreter: glibc raises its trim threshold whenever it
 # frees a block it had mapped on its own, so after other tests in this
 # process the trimming this bounds no longer happens.

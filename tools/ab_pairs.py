@@ -26,10 +26,16 @@ Operations, timed in CPU seconds of this process:
   ``scenario_suite`` without its output files and convergence ladders.
   ``--samples`` and ``--steps`` do not apply.
 
+Each tree reads its scenarios with its own ``cli.load_scenario``.  A tree
+whose ``cli`` still finds its bundled files through the name ``curveflow``
+needs that name importable (``PYTHONPATH=src``).
+
 It prints the median of each side, the median pairwise change, the pairs
-the change won, and whether the two trees' results were equal: every
-report's JSON text for ``verify`` and ``run``, the bytes of every state's
-points for ``evolve``.
+the change won, each side's median minor page faults per operation, and
+whether the two trees' results were equal: every report's JSON text for
+``verify`` and ``run``, the bytes of every state's points for ``evolve``.
+For ``evolve`` it also prints the MiB of the distinct arrays each side's
+trajectory keeps, the figure perfbench reports as ``flowsim.trajectory_mb``.
 """
 
 from __future__ import annotations
@@ -37,10 +43,14 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import resource
 import statistics
 import sys
 import time
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from tracing import trajectory_bytes  # the count behind perfbench's flowsim.trajectory_mb
 
 CIRCLE = "circle_inextensible_sine.json"
 HELIX = "timelike_helix_twist.json"
@@ -62,7 +72,7 @@ def load_tree(src: Path, alias: str):
 def scenario_inputs(cf, src: Path, name: str, samples: int | None = None):
     """(initial state, flow, integrator) of a bundled scenario, built as
     ``cli.execute`` builds them; the file is read from ``src``."""
-    doc = json.loads((src / "curveflow" / "scenarios" / name).read_text(encoding="utf-8"))
+    doc = cf.cli.load_scenario(src / "curveflow" / "scenarios" / name)
     flow = cf.cli.build_flow(doc)
     curve = cf.sample(cf.cli.build_curve_spec(doc, samples))
     integ = doc["integrator"]
@@ -76,7 +86,7 @@ class Side:
         self.cf = cf = load_tree(src, alias)
         if op == "run":
             paths = sorted((src / "curveflow" / "scenarios").glob("*.json"))
-            self.docs = [json.loads(path.read_text(encoding="utf-8")) for path in paths]
+            self.docs = [cf.cli.load_scenario(path) for path in paths]
             self.run = self.scenarios
             return
         state, flow, _, _ = scenario_inputs(cf, src, CIRCLE, samples)
@@ -104,15 +114,27 @@ class Side:
 
     def evolve(self):
         traj = self.cf.evolve(*self.circle)
-        return lambda: [st.curve.points.tobytes() for st in traj.states]
+
+        def digest():
+            self.trajectory_mib = trajectory_bytes(traj) / 2**20
+            return [st.curve.points.tobytes() for st in traj.states]
+
+        return digest
 
     def timed(self):
-        """(CPU seconds of one operation, its result in comparable form); the
-        result is put in that form after the clock stops."""
+        """(CPU seconds of one operation, the minor page faults it took, its
+        result in comparable form); the result is put in that form after the
+        clock stops."""
+        faults = minor_faults()
         start = time.process_time()
         digest = self.run()
         took = time.process_time() - start
-        return took, digest()
+        faults = minor_faults() - faults
+        return took, faults, digest()
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -132,13 +154,15 @@ def main(argv: list[str] | None = None) -> int:
     base.timed(), change.timed()  # warm both before timing
 
     times = {id(base): [], id(change): []}
+    faults = {id(base): [], id(change): []}
     equal = True
     for i in range(args.pairs):
         order = (base, change) if i % 2 == 0 else (change, base)
         results = {}
         for side in order:
-            took, results[id(side)] = side.timed()
+            took, took_faults, results[id(side)] = side.timed()
             times[id(side)].append(took)
+            faults[id(side)].append(took_faults)
         equal = equal and results[id(base)] == results[id(change)]
 
     a, b = times[id(base)], times[id(change)]
@@ -148,6 +172,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"base   median {statistics.median(a):.4f} s (range {min(a):.4f}-{max(a):.4f})")
     print(f"change median {statistics.median(b):.4f} s (range {min(b):.4f}-{max(b):.4f})")
     print(f"median pairwise change {100 * statistics.median(diffs):+.1f}%, change faster in {won}/{args.pairs} pairs")
+    print(f"minor faults per operation (median): base {statistics.median(faults[id(base)]):.0f} "
+          f"change {statistics.median(faults[id(change)]):.0f}")
+    if args.op == "evolve":
+        print(f"trajectory MiB: base {base.trajectory_mib:.3f} change {change.trajectory_mib:.3f}")
     print(f"results equal: {equal}")
     return 0
 
