@@ -354,9 +354,15 @@ def evolve(
 
 
 def arclength_drift(traj: Trajectory) -> float:
-    """max_t |L(t) - L(0)| over the trajectory."""
+    """max_t |L(t) - L(0)| over the trajectory, as a running maximum, so
+    it holds no table of lengths.  A NaN length anywhere reads NaN."""
     if not traj.states:
         raise ValueError("trajectory is empty")
-    lengths = np.array([st.curve.total_length for st in traj.states])
-    return float(np.max(np.abs(lengths - lengths[0])))
+    first = traj.states[0].curve.total_length
+    drift = 0.0
+    for st in traj.states:
+        gap = abs(st.curve.total_length - first)
+        if gap > drift or gap != gap:  # a NaN drift stays: nothing compares above it
+            drift = gap
+    return float(drift)
 

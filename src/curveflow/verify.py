@@ -16,6 +16,18 @@ Frames and their time differences are (m, n, N) stacks with the sample
 axis last (see ``curvekit``), so products and s-derivatives run along
 contiguous rows.
 
+Two per-state inputs are formed for a block of up to BLOCK_STATES
+consecutive states by one set of numpy calls, not one set per state: the
+s-derivatives of each speed's jet (``_Window.fields``, one ``eval_jet`` on
+the stacked (b, N) arclength grids with a (b, 1) column of times), and the
+inextensibility gap df1/ds - e0 e1 f2 k1 (``_pointwise_violation``).  At
+N=256 most of a numpy call's cost is its fixed overhead of about a
+microsecond, so the calls, not the arithmetic, are what a block saves.  The arithmetic is
+elementwise and unchanged, so every output byte is.  A block holds b rows
+per derivative, a few frames' worth for b = 8; the working memory stays a
+small multiple of one frame and does not grow with the trajectory, and
+larger blocks bought too little speed for their memory.
+
 Two of the identities expand frame velocities in the frame itself.  In an
 indefinite frame the expansion coefficient of V_k is e_{k-1} <X, V_k>, not
 the bare projection, so every projection-based residual is measured twice:
@@ -54,9 +66,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exprjet
-from .curvekit import d_ds, d_ds4, d_du
-from .errors import CurveFlowError, InsufficientStates, NotInextensible
-from .flowsim import Trajectory, arclength_drift, dv_dt_rhs, inextensibility_rhs
+from .curvekit import d_ds, d_du, d_du4
+from .errors import CurveFlowError, DomainError, InsufficientStates, NotInextensible
+from .flowsim import Trajectory, arclength_drift, dv_dt_rhs
 from .minkowski import dot_many, inner_many
 
 RESIDUAL_FLOOR = 1e-12
@@ -72,6 +84,10 @@ DEFAULT_TOLERANCES: dict[str, float | dict] = {
 INEXTENSIBILITY_PRECONDITION_TOL = 1e-2
 
 OPEN_BOUNDARY_MARGIN = 8
+
+# States whose speed jets and inextensibility gaps are formed by one set of
+# numpy calls (see the module docstring).
+BLOCK_STATES = 8
 
 
 def _interior(curve) -> slice:
@@ -138,6 +154,7 @@ class _Window:
         self.e = [float(x) for x in self.signs] + [1.0] * (self.n + 3 - self.m)
         self.interior = _interior(first.curve)
         self.flips = 0
+        self._block = (0, 0, None, None)  # (lo, hi, orders, derivatives) of states lo..hi-1
 
     def walk(self):
         """Yield self at t = 1..T-2: ``prev``, ``state`` and ``next`` are the
@@ -148,6 +165,7 @@ class _Window:
         frames = self._aligned(states[1], before)
         for t in range(1, len(states) - 1):
             after = self._aligned(states[t + 1], frames)
+            self.step = t
             self.prev, self.state, self.next = states[t - 1 : t + 2]
             self.frames = frames
             self.fdot = (after - before) / (2.0 * self.dt)
@@ -168,20 +186,61 @@ class _Window:
 
     def fields(self, orders: tuple[int, ...]):
         """Padded k, f and s-derivatives of f at t: ``ds[j - 1]`` holds the
-        j-th derivatives of f_2, f_3, ..., from one jet per speed of the
-        order given in ``orders``."""
+        j-th derivatives of f_2, f_3, ..., copied from the jets of the
+        state's block (``_block_derivatives``) of the orders given in
+        ``orders``."""
         st = self.state
         k, f, *ds = np.zeros((2 + max(orders, default=1), self.n + 3, self.N))
         k[1 : self.m] = st.frenet.curvatures
         f[1 : self.n + 1] = st.f_values
+        lo, derivs = self._block_derivatives(orders)
+        for i, d in derivs:
+            for j in range(len(d)):
+                ds[j][i] = d[j, self.step - lo]
+        return k, f, ds
+
+    def _block_derivatives(self, orders: tuple[int, ...]):
+        """(lo, derivs) for the block of states lo, lo+1, ... that holds the
+        current step: ``derivs`` pairs each speed index i >= 2 that is not a
+        constant (whose derivatives are +0.0, which ``fields`` starts from)
+        with its (order, states, N) stack of s-derivatives 1..order.
+
+        One ``eval_jet`` per speed covers up to BLOCK_STATES states, on
+        their stacked arclength grids with a column of their times.  If a
+        block's jets raise DomainError, the current state is evaluated
+        alone, and so is each next one until the failing state raises at its
+        own step: a broken trajectory raises the error the first failing
+        step meets, as a walk of single states does.
+        """
+        t = self.step
+        lo, hi, held, derivs = self._block
+        if held == orders and lo <= t < hi:
+            return lo, derivs
+        self._block = (0, 0, None, None)  # let the old block go before the next is formed
+        states = self.traj.states
+        hi = min(t + BLOCK_STATES, len(states) - 1)
+        try:
+            derivs = self._derivatives(states[t:hi], orders)
+        except DomainError:
+            hi = t + 1
+            derivs = self._derivatives(states[t:hi], orders)
+        self._block = (t, hi, orders, derivs)
+        return t, derivs
+
+    def _derivatives(self, block, orders: tuple[int, ...]) -> list:
+        s = np.stack([st.curve.s for st in block])
+        env = {"t": np.array([[st.t] for st in block])}
         speeds = self.traj.flow.speeds
+        derivs = []
         for i, order in enumerate(orders[: self.n - 1], start=2):
             if isinstance(speeds[i - 1], exprjet.Lit):
-                continue  # a constant's derivatives are +0.0, which ds holds already
-            jet = exprjet.eval_jet(speeds[i - 1], "s", st.curve.s, order, {"t": st.t})
+                continue
+            jet = exprjet.eval_jet(speeds[i - 1], "s", s, order, env)
+            d = np.empty((order,) + s.shape)
             for j in range(1, order + 1):
-                jet.derivative(j, out=ds[j - 1][i])
-        return k, f, ds
+                jet.derivative(j, out=d[j - 1])
+            derivs.append((i, d))
+        return derivs
 
     def psi(self) -> np.ndarray:
         """(m, m, N) matrix of <fdot_j, V_k> at t, indexed [k, j]."""
@@ -267,14 +326,27 @@ def _pointwise_violation(traj: Trajectory) -> float:
 
     The sharper stencil keeps the measurement independent of how f1 was
     produced (quadrature or expression) without drowning it in the
-    second-order noise of the everyday operator.
+    second-order noise of the everyday operator.  Up to BLOCK_STATES
+    states are stacked as (b, N) rows and measured by one set of numpy
+    calls; each block's gaps are reduced over its states before the
+    running maximum.  The right-hand side is ``inextensibility_rhs`` with
+    each state's own sign product.
     """
-    sl = _interior(traj.states[0].curve)
-    gaps = (
-        d_ds4(st.f_values[0], st.curve) - inextensibility_rhs(st.curve, st.frenet, st.f_values[1])
-        for st in traj.states
-    )
-    return _peaks(("pointwise", gap[sl]) for gap in gaps)["pointwise"]
+    first = traj.states[0].curve
+    sl = _interior(first)
+
+    def block_peaks():
+        for lo in range(0, len(traj.states), BLOCK_STATES):
+            block = traj.states[lo : lo + BLOCK_STATES]
+            f1 = np.stack([st.f_values[0] for st in block])
+            gap = d_du4(f1, first.h, first.closed) / np.stack([st.curve.speeds for st in block])
+            if block[0].frenet.num_vectors >= 2:
+                e0e1 = np.array([[float(st.frenet.signs[0] * st.frenet.signs[1])] for st in block])
+                f2 = np.stack([st.f_values[1] for st in block])
+                gap -= e0e1 * f2 * np.stack([st.frenet.curvatures[0] for st in block])
+            yield np.max(np.abs(gap[:, sl]), axis=0)
+
+    return _peaks(("pointwise", peak) for peak in block_peaks())["pointwise"]
 
 
 def _require_inextensible(traj: Trajectory) -> float:

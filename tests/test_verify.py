@@ -1,13 +1,14 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from curveflow import catalog, exprjet
+from curveflow import catalog, exprjet, verify
 from curveflow.curvekit import OPEN, CurveSpec, sample
-from curveflow.errors import InsufficientStates, NotInextensible
-from curveflow.flowsim import FlowSpec, evolve, initial_state
+from curveflow.errors import CurveFlowError, DomainError, InsufficientStates, NotInextensible
+from curveflow.flowsim import FlowSpec, arclength_drift, evolve, initial_state
 from curveflow.verify import (
     CHECKS,
     check_curvature_pde,
@@ -294,6 +295,64 @@ def test_frame_alignment_undoes_pointwise_sign_flips():
         assert np.array_equal(a.psi(), b.psi())
 
 
+def _with_changed_signature(traj, step):
+    """Copy of traj whose state ``step`` reports the opposite frame signs."""
+    st = traj.states[step]
+    states = list(traj.states)
+    states[step] = dataclasses.replace(st, frenet=dataclasses.replace(st.frenet, signs=-st.frenet.signs))
+    return dataclasses.replace(traj, states=states)
+
+
+@pytest.fixture(scope="module")
+def time_dependent_traj():
+    """Closed circle under an inextensible flow whose f2 depends on t; f3 is a Lit."""
+    c = sample(catalog.curve("circle", 64))
+    flow = FlowSpec.inextensible(["(1+t)*sin(s)", "0"])
+    return evolve(initial_state(c, flow), flow, 1e-3, 20)
+
+
+@pytest.fixture(scope="module")
+def helix_traj_long():
+    """Open timelike helix under the twist, 18 states."""
+    return run_flow("timelike_helix", "helix_twist", 64, 5e-4, 17)
+
+
+@pytest.mark.parametrize("traj_name", ["time_dependent_traj", "helix_traj_long"])
+def test_blocks_of_states_give_the_reports_of_single_states(traj_name, request, monkeypatch):
+    # speed jets and inextensibility gaps are formed per block of states;
+    # blocks of one state are the reference, at lengths around the block
+    # size, so full, partial and single-state last blocks all occur
+    traj = request.getfixturevalue(traj_name)
+    by_length = {}
+    for blocks in (verify.BLOCK_STATES, 1):
+        monkeypatch.setattr(verify, "BLOCK_STATES", blocks)
+        for length in (3, 4, 9, 10, 11, 17, 18):
+            part = dataclasses.replace(traj, states=traj.states[:length])
+            reports = [json.dumps(check(part).to_json_dict(), sort_keys=True) for check in CHECKS.values()]
+            by_length.setdefault(length, []).append(reports)
+    for length, (blocked, single) in by_length.items():
+        assert blocked == single, length
+
+
+@pytest.mark.parametrize("changed_state, first", [(11, "signature"), (14, "domain")])
+def test_first_error_of_a_walk_comes_first(time_dependent_traj, changed_state, first):
+    # f2's jet divides by zero at state 12 alone, in the block of states
+    # 9..16; a frame signature change at state s is met at step s - 1, when
+    # that state enters the window.  Whichever step comes first raises, as in
+    # a walk of single states: the block's failure must not jump ahead.
+    traj = time_dependent_traj
+    flow = FlowSpec.inextensible([f"sin(s)/(t - {traj.states[12].t!r})", "0"])
+    broken = _with_changed_signature(dataclasses.replace(traj, flow=flow), changed_state)
+    expected = {
+        "signature": (CurveFlowError, "frame signature changed along the trajectory"),
+        "domain": (DomainError, "division by zero in jet arithmetic"),
+    }[first]
+    for check in (check_frame_evolution, check_curvature_pde):
+        with pytest.raises(CurveFlowError) as err:
+            check(broken)
+        assert (type(err.value), str(err.value)) == expected, check.__name__
+
+
 def test_psi_matrix_matches_pairwise_products(sine_traj_short):
     # one batched inner product against the m*m loop over (k, j); no flips here
     from curveflow.minkowski import inner_many
@@ -309,19 +368,27 @@ def test_psi_matrix_matches_pairwise_products(sine_traj_short):
     assert np.array_equal(w.psi(), ref)
 
 
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_check_memory_does_not_grow_with_trajectory_length():
-    # The checks hold a three-state window, not stacks of every state: the
-    # peak each one allocates stays a small multiple of one frame at 400 steps.
+    # The checks hold a three-state window and blocks of BLOCK_STATES
+    # states, not stacks of every state: the peak each one allocates stays a
+    # small multiple of one frame at 400 steps, and no larger than at 100.
     traj = run_flow("circle", "inextensible_sine", 64, 1e-3, 400)
+    short = dataclasses.replace(traj, states=traj.states[:101])
     frame_bytes = traj.states[0].frenet.frame.nbytes
     for name, check in CHECKS.items():
-        tracemalloc.start()
-        try:
-            check(traj)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 40 * frame_bytes, (name, peak / frame_bytes)
+        at_100, at_400 = _traced_peak(check, short), _traced_peak(check, traj)
+        assert at_400 < 40 * frame_bytes, (name, at_400 / frame_bytes)
+        assert at_400 <= at_100 + 0.1 * frame_bytes, (name, at_100 / frame_bytes, at_400 / frame_bytes)
+    assert _traced_peak(arclength_drift, traj) <= _traced_peak(arclength_drift, short)
 
 
 def test_nan_speed_rate_fails_speed_evolution():

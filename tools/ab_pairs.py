@@ -34,8 +34,10 @@ It prints the median of each side, the median pairwise change, the pairs
 the change won, each side's median minor page faults per operation, and
 whether the two trees' results were equal: every report's JSON text for
 ``verify`` and ``run``, the bytes of every state's points for ``evolve``.
-For ``evolve`` it also prints the MiB of the distinct arrays each side's
-trajectory keeps, the figure perfbench reports as ``flowsim.trajectory_mb``.
+For ``verify`` it also prints one line per ``CHECKS`` name with each side's
+median CPU seconds of that check over both trajectories.  For ``evolve`` it
+prints the MiB of the distinct arrays each side's trajectory keeps, the
+figure perfbench reports as ``flowsim.trajectory_mb``.
 """
 
 from __future__ import annotations
@@ -101,11 +103,13 @@ class Side:
         self.run = self.verify
 
     def verify(self):
-        reports = [
-            self.cf.run_check(name, traj, tol.get(name))
-            for traj, tol in self.cases
-            for name in self.cf.CHECKS
-        ]
+        reports = []
+        self.check_seconds = dict.fromkeys(self.cf.CHECKS, 0.0)  # this operation's, per check
+        for traj, tol in self.cases:
+            for name in self.cf.CHECKS:
+                start = time.process_time()
+                reports.append(self.cf.run_check(name, traj, tol.get(name)))
+                self.check_seconds[name] += time.process_time() - start
         return lambda: [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports]
 
     def scenarios(self):
@@ -155,6 +159,7 @@ def main(argv: list[str] | None = None) -> int:
 
     times = {id(base): [], id(change): []}
     faults = {id(base): [], id(change): []}
+    checks = {id(base): [], id(change): []}
     equal = True
     for i in range(args.pairs):
         order = (base, change) if i % 2 == 0 else (change, base)
@@ -163,6 +168,8 @@ def main(argv: list[str] | None = None) -> int:
             took, took_faults, results[id(side)] = side.timed()
             times[id(side)].append(took)
             faults[id(side)].append(took_faults)
+            if args.op == "verify":
+                checks[id(side)].append(side.check_seconds)
         equal = equal and results[id(base)] == results[id(change)]
 
     a, b = times[id(base)], times[id(change)]
@@ -174,6 +181,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"median pairwise change {100 * statistics.median(diffs):+.1f}%, change faster in {won}/{args.pairs} pairs")
     print(f"minor faults per operation (median): base {statistics.median(faults[id(base)]):.0f} "
           f"change {statistics.median(faults[id(change)]):.0f}")
+    if args.op == "verify":
+        for name in base.cf.CHECKS:
+            x, y = (statistics.median(c[name] for c in checks[id(side)]) for side in (base, change))
+            print(f"check {name}: base {x:.4f} s change {y:.4f} s")
     if args.op == "evolve":
         print(f"trajectory MiB: base {base.trajectory_mib:.3f} change {change.trajectory_mib:.3f}")
     print(f"results equal: {equal}")
