@@ -336,10 +336,15 @@ def write_report(name: str, reports: list[VerificationReport], out_dir: Path) ->
 # Subcommands
 
 
+def _out_dir(args, doc: dict) -> Path:
+    """``--out``, else the scenario's ``output.directory``, else the cwd."""
+    return Path(args.out or doc.get("output", {}).get("directory", "."))
+
+
 def cmd_run(args) -> int:
     doc = load_scenario(args.scenario)
     output = doc.get("output", {})
-    out_dir = Path(args.out or output.get("directory", "."))
+    out_dir = _out_dir(args, doc)
     formats = output.get("formats", ["csv", "json"])
     try:
         traj, reports = execute(doc)
@@ -369,7 +374,7 @@ def cmd_convergence(args) -> int:
     doc = load_scenario(args.scenario)
     if not doc.get("checks"):
         raise ConfigError("scenario requests no checks")
-    out_dir = Path(args.out or doc.get("output", {}).get("directory", "."))
+    out_dir = _out_dir(args, doc)
     base_steps = doc["integrator"]["steps"]
     base_dt = _scenario_dt(doc["integrator"], base_steps)
     if base_dt is None:
@@ -408,7 +413,7 @@ def cmd_frenet(args) -> int:
     doc = load_scenario(args.scenario)
     curve = sample(build_curve_spec(doc))
     fd = frenet_apparatus(curve, doc["integrator"].get("frame_vectors"))
-    out_dir = Path(args.out or doc.get("output", {}).get("directory", "."))
+    out_dir = _out_dir(args, doc)
     residuals = frenet_residuals(curve, fd)
     payload = {
         "scenario": doc["name"],

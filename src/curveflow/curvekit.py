@@ -241,26 +241,15 @@ def _central4(f: np.ndarray, h: float) -> np.ndarray:
     return (8.0 * f[..., 3:-1] - f[..., 4:] - 8.0 * f[..., 1:-3] + f[..., :-4]) / (12.0 * h)
 
 
-def _check_samples(f: np.ndarray, c: SampledCurve) -> None:
-    if f.shape[-1] != c.samples:
-        raise ValueError(
-            f"grid function has {f.shape[-1]} samples on its last axis, curve has {c.samples}"
-        )
-
-
 def d_ds(values: np.ndarray, c: SampledCurve) -> np.ndarray:
     """Arclength derivative (1/v) d/du of a grid function on the curve, along
     its last (sample) axis."""
     f = np.asarray(values, dtype=float)
-    _check_samples(f, c)
+    if f.shape[-1] != c.samples:
+        raise ValueError(
+            f"grid function has {f.shape[-1]} samples on its last axis, curve has {c.samples}"
+        )
     return d_du(f, c.h, c.closed) / c.speeds
-
-
-def d_ds4(values: np.ndarray, c: SampledCurve) -> np.ndarray:
-    """Fourth-order arclength derivative along the last axis (verifier instrument)."""
-    f = np.asarray(values, dtype=float)
-    _check_samples(f, c)
-    return d_du4(f, c.h, c.closed) / c.speeds
 
 
 # --------------------------------------------------------------------------

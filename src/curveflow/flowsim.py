@@ -17,7 +17,7 @@ component-major (n, N) grids, as everywhere in the package (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -309,21 +309,7 @@ def evolve(
         nonlocal held
         stage = stage_state(points, t)
         held = (held[1], stage)
-        c = stage.curve
-        curve = SampledCurve(
-            grid=c.grid,
-            h=c.h,
-            closed=c.closed,
-            derivs=points[None],
-            speeds=c.speeds,
-            s=c.s,
-            total_length=c.total_length,
-            quadrature=c.quadrature,
-            char=c.char,
-        )
-        return SimState(
-            t=t, curve=curve, frenet=stage.frenet, f_values=stage.f_values, f1_s=stage.f1_s
-        )
+        return replace(stage, curve=replace(stage.curve, derivs=points[None]))
 
     # Every state in the trajectory, the first one included, is rebuilt by
     # the stencil derivative estimator: mixing jet-exact and stencil speeds

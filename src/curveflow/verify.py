@@ -18,9 +18,12 @@ contiguous rows.
 
 Two per-state inputs are formed for a block of up to BLOCK_STATES
 consecutive states by one set of numpy calls, not one set per state: the
-s-derivatives of each speed's jet (``_Window.fields``, one ``eval_jet`` on
-the stacked (b, N) arclength grids with a (b, 1) column of times), and the
-inextensibility gap df1/ds - e0 e1 f2 k1 (``_pointwise_violation``).  At
+s-derivatives of each speed's jet (one ``eval_jet`` on the stacked (b, N)
+arclength grids with a (b, 1) column of times), and the inextensibility gap
+df1/ds - e0 e1 f2 k1 (``_pointwise_violation``).  The window's walk forms
+each block of jets as the block's first step begins; if the block raises
+DomainError, its states are evaluated one at a time, so a broken trajectory
+raises the error a walk of single states meets first.  At
 N=256 most of a numpy call's cost is its fixed overhead of about a
 microsecond, so the calls, not the arithmetic, are what a block saves.  The arithmetic is
 elementwise and unchanged, so every output byte is.  A block holds b rows
@@ -136,10 +139,13 @@ class _Window:
 
     Each state's frame is sign-aligned against the previous aligned frame
     as it enters, so at most three frames are held at a time; ``flips``
-    counts the flipped vectors so far.
+    counts the flipped vectors so far.  The walk forms the jets of
+    f_2, f_3, ... to the derivative ``orders`` for each block of states
+    as the block's first step begins; a block that raised DomainError
+    runs its states one at a time.
     """
 
-    def __init__(self, traj: Trajectory):
+    def __init__(self, traj: Trajectory, orders: tuple[int, ...] = ()):
         if len(traj.states) < 3:
             raise InsufficientStates(f"need at least 3 states, trajectory has {len(traj.states)}")
         first = traj.states[0]
@@ -154,7 +160,8 @@ class _Window:
         self.e = [float(x) for x in self.signs] + [1.0] * (self.n + 3 - self.m)
         self.interior = _interior(first.curve)
         self.flips = 0
-        self._block = (0, 0, None, None)  # (lo, hi, orders, derivatives) of states lo..hi-1
+        self.orders = orders
+        self.block = None  # ``_derivatives`` of the current block of states
 
     def walk(self):
         """Yield self at t = 1..T-2: ``prev``, ``state`` and ``next`` are the
@@ -165,6 +172,12 @@ class _Window:
         frames = self._aligned(states[1], before)
         for t in range(1, len(states) - 1):
             after = self._aligned(states[t + 1], frames)
+            if self.orders and (t - 1) % BLOCK_STATES == 0:
+                self.block = None  # dropped before the next is formed
+                try:
+                    self.block = self._derivatives(states[t : min(t + BLOCK_STATES, len(states) - 1)])
+                except DomainError:
+                    pass  # ``fields`` evaluates this block's states one at a time
             self.step = t
             self.prev, self.state, self.next = states[t - 1 : t + 2]
             self.frames = frames
@@ -184,55 +197,33 @@ class _Window:
             self.flips += int(np.count_nonzero(mask))
         return frame
 
-    def fields(self, orders: tuple[int, ...]):
+    def fields(self):
         """Padded k, f and s-derivatives of f at t: ``ds[j - 1]`` holds the
-        j-th derivatives of f_2, f_3, ..., copied from the jets of the
-        state's block (``_block_derivatives``) of the orders given in
-        ``orders``."""
+        j-th derivatives of f_2, f_3, ..., the state's row of the block."""
         st = self.state
-        k, f, *ds = np.zeros((2 + max(orders, default=1), self.n + 3, self.N))
+        k, f, *ds = np.zeros((2 + max(self.orders, default=1), self.n + 3, self.N))
         k[1 : self.m] = st.frenet.curvatures
         f[1 : self.n + 1] = st.f_values
-        lo, derivs = self._block_derivatives(orders)
+        if self.block is None:
+            derivs, row = self._derivatives([st]), 0
+        else:
+            derivs, row = self.block, (self.step - 1) % BLOCK_STATES
         for i, d in derivs:
             for j in range(len(d)):
-                ds[j][i] = d[j, self.step - lo]
+                ds[j][i] = d[j, row]
         return k, f, ds
 
-    def _block_derivatives(self, orders: tuple[int, ...]):
-        """(lo, derivs) for the block of states lo, lo+1, ... that holds the
-        current step: ``derivs`` pairs each speed index i >= 2 that is not a
-        constant (whose derivatives are +0.0, which ``fields`` starts from)
-        with its (order, states, N) stack of s-derivatives 1..order.
-
-        One ``eval_jet`` per speed covers up to BLOCK_STATES states, on
-        their stacked arclength grids with a column of their times.  If a
-        block's jets raise DomainError, the current state is evaluated
-        alone, and so is each next one until the failing state raises at its
-        own step: a broken trajectory raises the error the first failing
-        step meets, as a walk of single states does.
-        """
-        t = self.step
-        lo, hi, held, derivs = self._block
-        if held == orders and lo <= t < hi:
-            return lo, derivs
-        self._block = (0, 0, None, None)  # let the old block go before the next is formed
-        states = self.traj.states
-        hi = min(t + BLOCK_STATES, len(states) - 1)
-        try:
-            derivs = self._derivatives(states[t:hi], orders)
-        except DomainError:
-            hi = t + 1
-            derivs = self._derivatives(states[t:hi], orders)
-        self._block = (t, hi, orders, derivs)
-        return t, derivs
-
-    def _derivatives(self, block, orders: tuple[int, ...]) -> list:
+    def _derivatives(self, block) -> list:
+        """Pairs each speed index i >= 2 that is not a constant (whose
+        derivatives are the +0.0 ``fields`` starts from) with the (order,
+        states, N) stack of its s-derivatives 1..order on the block's
+        states: one ``eval_jet`` per speed, on their stacked arclength grids
+        with a column of their times."""
         s = np.stack([st.curve.s for st in block])
         env = {"t": np.array([[st.t] for st in block])}
         speeds = self.traj.flow.speeds
         derivs = []
-        for i, order in enumerate(orders[: self.n - 1], start=2):
+        for i, order in enumerate(self.orders[: self.n - 1], start=2):
             if isinstance(speeds[i - 1], exprjet.Lit):
                 continue
             jet = exprjet.eval_jet(speeds[i - 1], "s", s, order, env)
@@ -452,12 +443,13 @@ def check_frame_evolution(traj: Trajectory, tolerance: float | None = None) -> V
     the metric-consistent and the bare-projection reading.
     """
     violation = _require_inextensible(traj)
-    window = _Window(traj)
-    m, e = window.m, window.e
+    m = traj.states[0].frenet.num_vectors
+    window = _Window(traj, (1,) * (m - 1))
+    e = window.e
 
     def residuals_at(w):
         fdot, V = w.fdot, w.frames
-        k, f, (fs,) = w.fields((1,) * (m - 1))
+        k, f, (fs,) = w.fields()
         c = tangent_rate_coefficients(e, k, f, fs, m)
         tangent = sum(ci * Vi for ci, Vi in zip(c, V[1:]))
         yield "tangent_equation", _euclid_norm(fdot[0] - tangent)
@@ -494,7 +486,7 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
     as degenerate in the details but still measured.
     """
     violation = _require_inextensible(traj)
-    window = _Window(traj)
+    window = _Window(traj, (2, 1))
     m, e = window.m, window.e
     if m < 2:
         raise CurveFlowError("curvature check needs at least two frame vectors")
@@ -505,7 +497,7 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
     def residuals_at(w):
         c = w.state.curve
         kdot = (w.next.frenet.curvatures - w.prev.frenet.curvatures) / (2.0 * w.dt)
-        k, f, (fs, fss) = w.fields((2, 1))
+        k, f, (fs, fss) = w.fields()
         ks = d_ds(k[:3], c)  # k1_rate reads only k_1' and k_2'
         rhs_a = k1_rate(e, k, ks, f, fs, fss)
         yield "k1_flow_form", kdot[0] - rhs_a

@@ -14,7 +14,6 @@ from curveflow.curvekit import (
     cumulative_simpson,
     cumulative_trapezoid,
     d_ds,
-    d_ds4,
     d_du,
     d_du4,
     sample,
@@ -143,12 +142,11 @@ def test_d_ds_vector_valued(circle_256):
     assert np.max(np.abs(out - expected)) < 2e-4
 
 
-@pytest.mark.parametrize("op", [d_ds, d_ds4])
-def test_arclength_derivatives_check_the_sample_axis(op, circle_256):
+def test_d_ds_checks_the_sample_axis(circle_256):
     # vectors are (n, N); an (N, n) array of the old layout fails loudly
-    assert op(circle_256.points, circle_256).shape == (3, 256)
+    assert d_ds(circle_256.points, circle_256).shape == (3, 256)
     with pytest.raises(ValueError, match="samples"):
-        op(circle_256.points.T, circle_256)
+        d_ds(circle_256.points.T, circle_256)
 
 
 def test_simpson_convergence_sixteenfold():

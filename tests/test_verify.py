@@ -353,6 +353,62 @@ def test_first_error_of_a_walk_comes_first(time_dependent_traj, changed_state, f
         assert (type(err.value), str(err.value)) == expected, check.__name__
 
 
+@pytest.mark.parametrize("bad_state", [9, 12, 16, 18])
+@pytest.mark.parametrize("shift", [None, -1, 1, 2])
+def test_first_error_of_a_walk_is_the_error_of_single_states(
+    time_dependent_traj, bad_state, shift, monkeypatch
+):
+    # f2's jet divides by zero at ``bad_state`` alone: the first (9), a
+    # middle (12) or the last (16) state of the block 9..16, or a state of
+    # the last, partial block 17..19.  The frame signature changes ``shift``
+    # states after it (met at step bad_state + shift - 1), or nowhere.  A
+    # walk of blocks raises what a walk of single states raises.
+    traj = time_dependent_traj
+    flow = FlowSpec.inextensible([f"sin(s)/(t - {traj.states[bad_state].t!r})", "0"])
+    broken = dataclasses.replace(traj, flow=flow)
+    if shift is not None:
+        broken = _with_changed_signature(broken, bad_state + shift)
+
+    def outcomes():
+        found = []
+        for check in (check_frame_evolution, check_curvature_pde):
+            with pytest.raises(CurveFlowError) as err:
+                check(broken)
+            found.append((type(err.value), str(err.value)))
+        return found
+
+    blocked = outcomes()
+    monkeypatch.setattr(verify, "BLOCK_STATES", 1)
+    assert blocked == outcomes()
+
+
+@pytest.mark.parametrize(
+    "traj_name, length, varying",
+    [("helix_traj_long", 18, 2), ("helix_traj_long", 11, 2), ("time_dependent_traj", 21, 1)],
+)
+def test_walk_forms_one_jet_per_speed_per_block(traj_name, length, varying, request, monkeypatch):
+    # ``varying`` is the number of speeds f_2, f_3 that are not constants
+    # (helix twist: sin(s), cos(s); the time-dependent circle flow: f2 only).
+    # The checks that read speed jets form one per varying speed per block
+    # of states, and the others form none.
+    traj = request.getfixturevalue(traj_name)
+    part = dataclasses.replace(traj, states=traj.states[:length])
+    calls = []
+    eval_jet = exprjet.eval_jet
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return eval_jet(*args, **kwargs)
+
+    monkeypatch.setattr(verify.exprjet, "eval_jet", counted)
+    blocks = -(-(length - 2) // verify.BLOCK_STATES)
+    for name, check in CHECKS.items():
+        calls.clear()
+        check(part)
+        expected = varying * blocks if name in ("frame_evolution", "curvature_pde") else 0
+        assert len(calls) == expected, name
+
+
 def test_psi_matrix_matches_pairwise_products(sine_traj_short):
     # one batched inner product against the m*m loop over (k, j); no flips here
     from curveflow.minkowski import inner_many
@@ -417,10 +473,10 @@ def test_window_fields_hold_the_jet_derivatives(traj_name, request):
     # fields() writes each derivative into its row with out=; a constant
     # speed's rows are left at the +0.0 they start with
     traj = request.getfixturevalue(traj_name)
-    for t, w in enumerate(_Window(traj).walk(), start=1):
+    for t, w in enumerate(_Window(traj, (2, 1)).walk(), start=1):
         if t == 3:
             break
-    k, f, ds = w.fields((2, 1))
+    k, f, ds = w.fields()
     speeds = traj.flow.speeds
     for i, order in ((2, 2), (3, 1)):
         for j in range(1, 3):
