@@ -157,7 +157,10 @@ def evaluate_speeds(
     for i, expr in enumerate(flow.speeds):
         if expr is None:
             continue
-        if i == 0:
+        if isinstance(expr, exprjet.Lit):
+            # a constant's jet is its value over +0.0, the zeros f1_s starts from
+            f[i] = expr.value
+        elif i == 0:
             jet = exprjet.eval_jet(expr, "s", c.s, 1, env)
             f[0] = jet.coeffs[0]
             # copied: a row view would keep the jet's whole block in the state
@@ -178,11 +181,13 @@ def evaluate_speeds(
 def velocity(state: SimState) -> np.ndarray:
     """Pointwise flow velocity sum_i f_i V_i, shape (n, N)."""
     m = state.frenet.num_vectors
-    out = np.zeros_like(state.curve.points)
-    term = np.empty_like(out)
-    for i in range(m):
-        out += np.multiply(state.f_values[i], state.frenet.frame[i], out=term)
-    return out
+    # allocated before the products, so the kept result does not land above
+    # their freed block (see ``curvekit.cumulative_simpson`` on heap layout)
+    out = np.empty_like(state.curve.points)
+    terms = state.f_values[:m, None] * state.frenet.frame
+    # a reduce over the leading axis adds whole (n, N) terms in order:
+    # ((0 + f_1 V_1) + f_2 V_2) + ..., signed zeros as a loop from +0.0 gives
+    return np.add.reduce(terms, axis=0, initial=0.0, out=out)
 
 
 def dv_dt_rhs(state: SimState) -> np.ndarray:

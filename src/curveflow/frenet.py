@@ -83,25 +83,27 @@ def frenet_apparatus(c: SampledCurve, num_vectors: int | None = None) -> FrenetD
     thresholds *= GENERIC_RTOL
 
     for i in range(1, m + 1):
-        # nothing is subtracted for i = 1, so the tangent rows need no copy
-        w = c.derivs[i] if i == 1 else c.derivs[i].copy()
+        # the derivative rows are only read: the first projection writes a
+        # new w, the later ones update it in place
+        w = c.derivs[i]
         for j in range(i - 1):
             # e_j is +-1, so w - e_j <w, V_j> V_j is w -+ <w, V_j> V_j bit for bit
             step = np.subtract if signs[j] > 0 else np.add
-            step(w, inner_many(w, frame[j]) * frame[j], out=w)
+            w = step(w, inner_many(w, frame[j]) * frame[j], out=w if j else None)
         q = inner_many(w, w)
         nw = np.sqrt(np.abs(q), out=resid_norms[i - 1])
         small = nw <= thresholds[i - 1]
-        positive = q > 0
-        # one reduction for both tests; a small residual is named first
-        bad = small | (positive != positive[0])
-        if bad.any():
-            if i == m == n and small.all():
+        # two counts (count_nonzero is numpy's cheapest reduction) test both
+        # conditions: no small residual, and q > 0 at every sample or at none
+        n_small = np.count_nonzero(small)
+        n_positive = np.count_nonzero(q > 0)
+        if n_small or 0 < n_positive < N:
+            if i == m == n and n_small == N:
                 frame[i - 1], signs[i - 1] = _complete_frame(frame[:i - 1])
                 resid_norms[i - 1] = 0.0
                 completed = True
                 break
-            if small.any():
+            if n_small:  # named before a sign flip
                 k = int(np.argmax(small))
                 raise NonGenericCurveError(
                     f"orthogonalization residual {i} vanishes or is null at sample {k} "
@@ -109,12 +111,12 @@ def frenet_apparatus(c: SampledCurve, num_vectors: int | None = None) -> FrenetD
                     index=i,
                     sample=k,
                 )
-            k = int(np.argmax(bad))
+            k = _first_flip(q > 0)
             raise NonGenericCurveError(
                 f"causal sign of frame vector {i} flips at sample {k}", index=i, sample=k
             )
         np.divide(w, nw, out=frame[i - 1])
-        signs[i - 1] = 1 if positive[0] else -1
+        signs[i - 1] = 1 if n_positive else -1
 
     negatives = int(np.count_nonzero(signs == -1))
     if negatives > 1 or (m == n and negatives != 1):
@@ -159,7 +161,7 @@ def _complete_frame(partial: np.ndarray):
     q, euclid = self_products(z)
     size = np.abs(q)
     bad = size <= GENERIC_RTOL * np.maximum(1e-300, euclid)
-    if bad.any():
+    if np.count_nonzero(bad):
         k = int(np.argmax(bad))
         raise NonGenericCurveError(
             f"orthogonal complement is null at sample {k}; no unit completion exists",
@@ -167,18 +169,24 @@ def _complete_frame(partial: np.ndarray):
             sample=k,
         )
     z /= np.sqrt(size)
-    # det[V_1..V_{n-1}, z] = (-1)^n <z, z> for the cofactor vector z, so the
-    # basis is positively oriented exactly where (-1)^n q > 0; z is negated
-    # where (-1)^n q < 0, that is where q > 0 for odd n and q < 0 for even n.
-    positive = q > 0
-    np.negative(z, out=z, where=positive if n % 2 else q < 0)
-    flips = positive != positive[0]
-    if flips.any():
-        k = int(np.argmax(flips))
+    n_positive = np.count_nonzero(q > 0)
+    if 0 < n_positive < N:
+        k = _first_flip(q > 0)
         raise NonGenericCurveError(
             f"causal sign of the completion flips at sample {k}", index=n, sample=k
         )
-    return z, 1 if positive[0] else -1
+    # det[V_1..V_{n-1}, z] = (-1)^n <z, z> for the cofactor vector z, so the
+    # basis is positively oriented exactly where (-1)^n q > 0.  q is not zero
+    # (that is ``bad``) and has one sign along the curve, so z is negated
+    # everywhere or nowhere: where q > 0 for odd n and where q < 0 for even n.
+    if (n_positive > 0) == (n % 2 == 1):
+        np.negative(z, out=z)
+    return z, 1 if n_positive else -1
+
+
+def _first_flip(positive: np.ndarray) -> int:
+    """The first sample whose sign differs from sample 0's."""
+    return int(np.argmax(positive != positive[0]))
 
 
 def stencil_curvatures(c: SampledCurve, fd: FrenetData) -> np.ndarray:

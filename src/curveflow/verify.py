@@ -191,10 +191,11 @@ class _Window:
             raise CurveFlowError("frame signature changed along the trajectory")
         frame = st.frenet.frame
         mask = inner_many(previous, frame) * self.signs[:, None] < 0  # (m, N)
-        if mask.any():
+        flips = int(np.count_nonzero(mask))
+        if flips:
             # a copy: the state's own frame stays as evolved
             frame = np.negative(frame, out=frame.copy(), where=mask[:, None])
-            self.flips += int(np.count_nonzero(mask))
+            self.flips += flips
         return frame
 
     def fields(self):
@@ -505,8 +506,8 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
         yield "k1_flow_rhs_max", rhs_a
 
         psi_core[...] = p = w.psi()
-        # d_ds(p) written in place: the same differences, then / speeds
-        np.divide(d_du(p, c.h, c.closed, dpsi_core), c.speeds, out=dpsi_core)
+        # d_ds(p) divided into the padded view: the same differences, then / speeds
+        np.divide(d_du(p, c.h, c.closed), c.speeds, out=dpsi_core)
         metric, classical = curvature_rates(e, k, psi, dpsi, m)
         for i, (rate, a, b) in enumerate(zip(kdot, metric, classical), start=1):
             yield f"k{i}_psi_metric", rate - a

@@ -301,3 +301,43 @@ def test_closed_stencils_match_roll_reference(shape):
     ref4 = (-roll(-2) + 8.0 * roll(-1) - 8.0 * roll(1) + roll(2)) / (12.0 * h)
     assert np.array_equal(d_du(f, h, True), ref2)
     assert np.array_equal(d_du4(f, h, True), ref4)
+
+
+def _stencil_input(shape, seed):
+    """Wide exponents, signed zeros, and neighbouring rows of opposite sign
+    near 1e300, so each seam of the flat buffer sees both extremes."""
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    f[rng.random(shape) < 0.1] = 0.0
+    f[rng.random(shape) < 0.1] = -0.0
+    if len(shape) > 1:
+        rows = f.reshape(-1, shape[-1])
+        rows[::2, :3] = rows[::2, -3:] = 1e300 * (1.0 + rng.random(3))
+        rows[1::2, :3] = rows[1::2, -3:] = -1e300 * (1.0 + rng.random(3))
+    return f
+
+
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("shape", [(40,), (3, 40), (4, 4, 40)])
+def test_flat_stencils_match_the_row_formulas_bit_for_bit(shape, closed):
+    f = _stencil_input(shape, 31 + len(shape) + 10 * closed)
+    h = 0.1
+    # every input layout: contiguous, a strided view, a transposed copy's transpose
+    for values in (f, np.concatenate([f, f], axis=-1)[..., ::2], np.asfortranarray(f)):
+        ref2, ref4 = _padded_stencils(np.array(values), h, closed)
+        with np.errstate(all="raise"):  # the row-by-row formulas raise nothing here
+            d2, d4 = d_du(values, h, closed), d_du4(values, h, closed)
+            into = d_du(values, h, closed, np.empty(shape))
+        assert d2.shape == d4.shape == shape
+        assert d2.tobytes() == into.tobytes() == ref2.tobytes()
+        assert d4.tobytes() == ref4.tobytes()
+
+
+def test_d_du_rejects_an_out_it_cannot_fill_in_place():
+    # a non-contiguous out would be reshaped into a copy, so the result
+    # would never reach it; a contiguous out of another shape would be
+    # filled in the wrong order
+    f = np.random.default_rng(5).standard_normal((3, 32))
+    for out in (np.empty((32, 3)).T, np.empty((3, 64))[:, ::2], np.empty((32, 3))):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            d_du(f, 0.1, True, out)

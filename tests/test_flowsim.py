@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from curveflow import catalog, flowsim
+from curveflow import catalog, exprjet, flowsim
 from curveflow.curvekit import sample
 from curveflow.errors import (
     EvolutionError,
@@ -122,6 +122,64 @@ def test_velocity_is_frame_combination(circle_256):
     p = circle_256.points
     expected = np.stack([np.zeros(256), -p[2], p[1] - 1.0])
     assert np.max(np.abs(w - expected)) < 1e-12
+
+
+def _velocity_by_terms(state):
+    """sum_i f_i V_i as a loop from +0.0 adding one product at a time."""
+    out = np.zeros_like(state.curve.points)
+    for i in range(state.frenet.num_vectors):
+        out += state.f_values[i] * state.frenet.frame[i]
+    return out
+
+
+@pytest.mark.parametrize("frame_vectors", [3, 1])
+def test_velocity_matches_the_term_loop_bit_for_bit(frame_vectors):
+    # m = n, and m < n as in line_translate (its rows past m are zero speeds)
+    c = sample(catalog.curve("line3" if frame_vectors == 1 else "circle", 64))
+    st = initial_state(c, FlowSpec.explicit(["sin(s)", "0", "0"]), frame_vectors)
+    rng = np.random.default_rng(frame_vectors)
+    shape = st.frenet.frame.shape
+    frame = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
+    f = rng.standard_normal(st.f_values.shape)
+    # products of +-0.0 on every combination of signs, summed across terms
+    frame[:, :, :8] = [0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.0, -0.0]
+    f[:, :8] = [0.0, -0.0, -1.0, 1.0, -0.0, 0.0, -0.0, -0.0]
+    st = dataclasses.replace(st, frenet=dataclasses.replace(st.frenet, frame=frame), f_values=f)
+    assert velocity(st).tobytes() == _velocity_by_terms(st).tobytes()
+    # columns 2..6 sum only -0.0 products, which read +0.0 from a +0.0 start
+    assert velocity(st)[:, :8].tobytes() == np.zeros((3, 8)).tobytes()
+
+
+def _speeds_by_jets(flow, c, fd, t):
+    """``evaluate_speeds`` with every speed, constants too, evaluated as a jet."""
+    f, f1_s = np.zeros((len(flow.speeds), c.samples)), np.zeros(c.samples)
+    for i, expr in enumerate(flow.speeds):
+        if expr is not None:
+            jet = exprjet.eval_jet(expr, "s", c.s, 1 if i == 0 else 0, {"t": t})
+            f[i] = jet.coeffs[0]
+            if i == 0:
+                f1_s[:] = jet.coeffs[1]
+    if flow.mode == flowsim.INEXTENSIBLE:
+        f1_s = inextensibility_rhs(c, fd, f[1])
+        f[0] = solve_inextensible_f1(c, f1_s, flow.f1_at_0)
+    return f, f1_s
+
+
+@pytest.mark.parametrize("flow", [
+    FlowSpec.explicit(["2.5", "0", "-1.5"]),
+    FlowSpec.explicit(["0", "sin(s)", "1e-300"]),
+    FlowSpec.explicit([exprjet.Lit(-0.0), "t*s", "3"]),
+    FlowSpec.inextensible(["1", "0"], f1_at_0=0.25),
+    FlowSpec.inextensible(["0.5", "-(1-t)^2*s"]),
+])
+def test_constant_speeds_match_the_jet_path_bit_for_bit(flow):
+    c = sample(catalog.curve("timelike_helix", 64))  # open: f2 = const is compatible
+    fd = frenet_apparatus(c)
+    for t in (0.0, 0.3):
+        f, f1_s = evaluate_speeds(flow, c, fd, t)
+        ref_f, ref_f1_s = _speeds_by_jets(flow, c, fd, t)
+        assert f.tobytes() == ref_f.tobytes()
+        assert f1_s.tobytes() == ref_f1_s.tobytes()
 
 
 def test_evolve_translates_line():
@@ -363,9 +421,10 @@ print(faults, sum(a.nbytes for a in held.values()) / resource.getpagesize())
 def test_evolve_recycles_stage_memory():
     # An internal RK stage state freed as soon as its velocity is read is
     # trimmed off the heap and faulted back in: 4.1 times the pages the
-    # trajectory's arrays hold, where recycled blocks took 1.56 times over 5
-    # fresh runs of the probe (earlier runs read 1.51-1.89: the ratio moves
-    # with the environment, not only with the code).
+    # trajectory's arrays hold, where recycled blocks took 1.59 times over 5
+    # fresh runs of the probe (1.56 before velocity formed its terms in one
+    # (m, n, N) product; earlier runs read 1.51-1.89: the ratio moves with
+    # the environment, not only with the code).
     proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     faults, pages = map(float, proc.stdout.split())

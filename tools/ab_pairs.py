@@ -33,7 +33,8 @@ needs that name importable (``PYTHONPATH=src``).
 It prints the median of each side, the median pairwise change, the pairs
 the change won, each side's median minor page faults per operation, and
 whether the two trees' results were equal: every report's JSON text for
-``verify`` and ``run``, the bytes of every state's points for ``evolve``.
+``verify`` and ``run``, and for ``evolve`` the bytes of every array each
+state holds (``state_bytes``).
 For ``verify`` it also prints one line per ``CHECKS`` name with each side's
 median CPU seconds of that check over both trajectories.  For ``evolve`` it
 prints the MiB of the distinct arrays each side's trajectory keeps, the
@@ -121,7 +122,7 @@ class Side:
 
         def digest():
             self.trajectory_mib = trajectory_bytes(traj) / 2**20
-            return [st.curve.points.tobytes() for st in traj.states]
+            return [state_bytes(st) for st in traj.states]
 
         return digest
 
@@ -135,6 +136,15 @@ class Side:
         took = time.process_time() - start
         faults = minor_faults() - faults
         return took, faults, digest()
+
+
+def state_bytes(st) -> bytes:
+    """Every value a kept state holds, as bytes: its time, points, frame,
+    signs, curvatures, speeds f, df1/ds, metric speeds, arclength table and
+    total length.  Several of them (k2, s, f1_s) do not feed the points."""
+    c, fd = st.curve, st.frenet
+    arrays = (c.points, fd.frame, fd.signs, fd.curvatures, st.f_values, st.f1_s, c.speeds, c.s)
+    return b"".join([repr((st.t, c.total_length)).encode(), *(a.tobytes() for a in arrays)])
 
 
 def minor_faults() -> int:
