@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .curvekit import CLOSED, OPEN, CurveSpec
 from .flowsim import FlowSpec
 
@@ -105,15 +103,3 @@ def flow(name: str, dimension: int, f1_at_0: float = 0.0) -> FlowSpec:
         return FlowSpec.explicit(speeds)
     return FlowSpec.inextensible(speeds, f1_at_0=f1_at_0)
 
-
-def random_explicit_flow(dimension: int, seed: int) -> FlowSpec:
-    """Deterministic 'random' smooth flow: low-order Fourier speeds in s
-    with a slow time modulation.  Coefficients are rounded so the
-    expression text (and therefore everything downstream) is reproducible.
-    """
-    rng = np.random.default_rng(seed)
-    speeds = []
-    for _ in range(dimension):
-        a, b, c = (round(float(x), 3) for x in 0.3 * rng.standard_normal(3))
-        speeds.append(f"{a}*sin(s) + {b}*cos(2*s) + {c}*cos(t)")
-    return FlowSpec.explicit(speeds)

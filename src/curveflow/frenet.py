@@ -225,14 +225,3 @@ def frenet_residuals(c: SampledCurve, fd: FrenetData) -> np.ndarray:
         out[i - 1] = np.sqrt(dot_many(r, r))
     return out
 
-
-def orthonormality_residual(fd: FrenetData) -> float:
-    """max |<V_i, V_j> - e_{i-1} delta_ij| over samples and index pairs."""
-    m = fd.num_vectors
-    worst = 0.0
-    for i in range(m):
-        for j in range(i, m):
-            g = inner_many(fd.frame[i], fd.frame[j])
-            target = float(fd.signs[i]) if i == j else 0.0
-            worst = max(worst, float(np.max(np.abs(g - target))))
-    return worst

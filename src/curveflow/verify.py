@@ -23,9 +23,9 @@ arclength grids with a (b, 1) column of times), and the inextensibility gap
 df1/ds - e0 e1 f2 k1 (``_pointwise_violation``).  The window's walk forms
 each block of jets as the block's first step begins; if the block raises
 DomainError, its states are evaluated one at a time, so a broken trajectory
-raises the error a walk of single states meets first.  At
-N=256 most of a numpy call's cost is its fixed overhead of about a
-microsecond, so the calls, not the arithmetic, are what a block saves.  The arithmetic is
+raises the error a walk of single states meets first.  At N=256 most of a
+numpy call's cost is its fixed overhead of about a microsecond, so the
+calls, not the arithmetic, are what a block saves.  The arithmetic is
 elementwise and unchanged, so every output byte is.  A block holds b rows
 per derivative, a few frames' worth for b = 8; the working memory stays a
 small multiple of one frame and does not grow with the trajectory, and
@@ -35,9 +35,8 @@ Two of the identities expand frame velocities in the frame itself.  In an
 indefinite frame the expansion coefficient of V_k is e_{k-1} <X, V_k>, not
 the bare projection, so every projection-based residual is measured twice:
 once with the coefficients in the classical (positive-definite) convention
-("classical" / "bare") and once with the
-metric-consistent coefficients ("metric").  Pass/fail gates on the metric
-reading; both are reported.  ``_report`` states that gate rule once: every
+("classical" / "bare") and once with the metric-consistent coefficients
+("metric").  Pass/fail gates on the metric reading; both are reported.  ``_report`` states that gate rule once: every
 residual except the ``*_classical`` and ``*_bare`` readings is gated, and a
 check passes when each gated residual is within its tolerance (the iff
 check alone passes its equivalence instead).  ``_tol`` looks up the
@@ -53,13 +52,16 @@ Residual maxima run over interior samples: on open curves the one-sided
 stencil closures (chained up to the third derivative) occupy a boundary
 layer whose error is amplified and of lower order, so a fixed margin of
 samples is excluded at each end.  Closed curves use every sample.  Each
-window check is a per-step generator of (name, pointwise grid) pairs, and
-``_peaks`` alone reduces them: it holds one running pointwise maximum of
-|x| per name over the interior samples (``np.maximum`` with ``out=``) and
-takes the maximum of each once, at the end.  A maximum is exact, so this is
-the number a reduction at every step gives.  NaN propagates through
-``np.maximum``, so one NaN sample anywhere makes its residual NaN, and NaN
-is within no tolerance: the check fails.
+window check declares its residual rows once (``_Rows``), one name per row
+in report order, and at each step writes every row of one (R, N) buffer
+with ``out=``; one ``np.abs`` and one ``np.maximum`` call fold the buffer's
+interior samples into a running pointwise maximum, and a name's value is
+the maximum over its rows, taken once at the end.  A maximum is exact, so
+this is the number a reduction at every step gives; NaN propagates, so one
+NaN sample makes its residual NaN, which is within no tolerance.  A reading
+whose signs are all +1 equals another one exactly (x * 1.0 is x), so it
+reuses that reading's rows: ``speed_evolution_classical`` when e0 = +1, and
+``reconstruction_bare`` of V_j when every e_{i-1}, i not 1 or j, is +1.
 """
 
 from __future__ import annotations
@@ -287,30 +289,36 @@ def curvature_rates(e, k, psi, dpsi, m: int) -> tuple[list, list]:
     return metric, classical
 
 
-def _peaks(pairs) -> dict[str, float]:
-    """max |x| over the (name, x) pairs of each name, in the order the names
-    first appear (every x of a name has one shape): one running pointwise
-    maximum per name, reduced once.  A NaN anywhere reads NaN."""
-    running: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for name, x in pairs:
-        held = running.get(name)
-        if held is None:
-            running[name] = np.abs(x), np.empty(x.shape)
-        else:
-            peak, scratch = held
-            np.maximum(peak, np.abs(x, out=scratch), out=peak)
-    return {name: float(np.max(peak)) for name, (peak, _) in running.items()}
+class _Rows:
+    """The named residual rows of one window check (see the module docstring)."""
+
+    def __init__(self):
+        self.rows: dict[str, list[int]] = {}  # row indices per name, in report order
+        self.count = 0
+
+    def add(self, name: str, count: int = 1, same: int | None = None) -> int:
+        """The first of ``count`` new rows read as ``name``, or ``same``, the
+        first row of a reading it equals exactly, now read as ``name`` too.
+        An int, since a (N,) row is a faster ``out=`` than a (1, N) slice."""
+        if same is None:
+            same, self.count = self.count, self.count + count
+        self.rows.setdefault(name, []).extend(range(same, same + count))
+        return same
+
+    def peaks(self, window, fill) -> dict[str, float]:
+        """max |row| per name over each step's interior; ``fill(w, buf)`` writes every row."""
+        buf = np.empty((self.count, window.N))
+        inner = buf[:, window.interior]
+        peak = np.zeros(inner.shape)
+        for w in window.walk():
+            fill(w, buf)
+            np.maximum(peak, np.abs(inner, out=inner), out=peak)
+        per_row = np.max(peak, axis=1)
+        return {name: float(np.max(per_row[rows])) for name, rows in self.rows.items()}
 
 
-def _walk_peaks(window: _Window, residuals_at) -> dict[str, float]:
-    """Peak over every step and interior sample of each named grid that
-    ``residuals_at(w)`` yields (a name may repeat within a step)."""
-    sl = window.interior
-    return _peaks((name, grid[..., sl]) for w in window.walk() for name, grid in residuals_at(w))
-
-
-def _euclid_norm(X: np.ndarray) -> np.ndarray:
-    return np.sqrt(dot_many(X, X))
+def _euclid_norm(X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.sqrt(dot_many(X, X), out=out)
 
 
 def _pointwise_violation(traj: Trajectory) -> float:
@@ -326,19 +334,17 @@ def _pointwise_violation(traj: Trajectory) -> float:
     """
     first = traj.states[0].curve
     sl = _interior(first)
-
-    def block_peaks():
-        for lo in range(0, len(traj.states), BLOCK_STATES):
-            block = traj.states[lo : lo + BLOCK_STATES]
-            f1 = np.stack([st.f_values[0] for st in block])
-            gap = d_du4(f1, first.h, first.closed) / np.stack([st.curve.speeds for st in block])
-            if block[0].frenet.num_vectors >= 2:
-                e0e1 = np.array([[float(st.frenet.signs[0] * st.frenet.signs[1])] for st in block])
-                f2 = np.stack([st.f_values[1] for st in block])
-                gap -= e0e1 * f2 * np.stack([st.frenet.curvatures[0] for st in block])
-            yield np.max(np.abs(gap[:, sl]), axis=0)
-
-    return _peaks(("pointwise", peak) for peak in block_peaks())["pointwise"]
+    peak = np.zeros(first.samples)[sl]
+    for lo in range(0, len(traj.states), BLOCK_STATES):
+        block = traj.states[lo : lo + BLOCK_STATES]
+        f1 = np.stack([st.f_values[0] for st in block])
+        gap = d_du4(f1, first.h, first.closed) / np.stack([st.curve.speeds for st in block])
+        if block[0].frenet.num_vectors >= 2:
+            e0e1 = np.array([[float(st.frenet.signs[0] * st.frenet.signs[1])] for st in block])
+            f2 = np.stack([st.f_values[1] for st in block])
+            gap -= e0e1 * f2 * np.stack([st.frenet.curvatures[0] for st in block])
+        np.maximum(peak, np.max(np.abs(gap[:, sl]), axis=0), out=peak)
+    return float(np.max(peak))
 
 
 def _require_inextensible(traj: Trajectory) -> float:
@@ -392,14 +398,18 @@ def check_speed_evolution(traj: Trajectory, tolerance: float | None = None) -> V
     the two coincide on spacelike curves) is recorded alongside.
     """
     window = _Window(traj)
+    rows = _Rows()
+    metric = rows.add("speed_evolution")
+    classical = rows.add("speed_evolution_classical", same=metric if window.e[0] == 1.0 else None)
 
-    def residuals_at(w):
+    def fill(w, buf):
         lhs = (w.next.curve.speeds - w.prev.curve.speeds) / (2.0 * w.dt)
         rhs = dv_dt_rhs(w.state)
-        yield "speed_evolution", lhs - rhs
-        yield "speed_evolution_classical", lhs - w.e[0] * rhs
+        np.subtract(lhs, rhs, out=buf[metric])
+        if classical != metric:
+            np.subtract(lhs, w.e[0] * rhs, out=buf[classical])
 
-    residuals = _walk_peaks(window, residuals_at)
+    residuals = rows.peaks(window, fill)
     return _report("speed_evolution", traj, residuals, tolerance, {"frame_flips": window.flips})
 
 
@@ -425,13 +435,17 @@ def check_iff_condition(traj: Trajectory, tolerance: dict | None = None) -> Veri
 def check_psi_antisymmetry(traj: Trajectory, tolerance: float | None = None) -> VerificationReport:
     """Psi_kj + Psi_jk = 0 and Psi_jj = 0 at every interior step."""
     window = _Window(traj)
+    m = window.m
+    rows = _Rows()
+    pairs = rows.add("antisymmetry", m * m)
+    diagonal = rows.add("diagonal", m)
 
-    def residuals_at(w):
+    def fill(w, buf):
         psi = w.psi()
-        yield "antisymmetry", psi + np.swapaxes(psi, 0, 1)
-        yield "diagonal", np.diagonal(psi).T  # diagonal() is (N, m)
+        np.add(psi, np.swapaxes(psi, 0, 1), out=buf[pairs:diagonal].reshape(psi.shape))
+        buf[diagonal:] = np.diagonal(psi).T  # diagonal() is (N, m)
 
-    residuals = _walk_peaks(window, residuals_at)
+    residuals = rows.peaks(window, fill)
     return _report("psi_antisymmetry", traj, residuals, tolerance, {"frame_flips": window.flips})
 
 
@@ -447,31 +461,38 @@ def check_frame_evolution(traj: Trajectory, tolerance: float | None = None) -> V
     m = traj.states[0].frenet.num_vectors
     window = _Window(traj, (1,) * (m - 1))
     e = window.e
+    others = {j: [i for i in range(2, m + 1) if i != j] for j in range(2, m + 1)}
+    rows = _Rows()
+    tangent_row = rows.add("tangent_equation")
+    v1_rows = [rows.add("v1_coefficient_mid" if j < m else "v1_coefficient_last") for j in others]
+    readings = []  # per j: (row, signed) of each distinct reading of dV_j/dt
+    for j in others:
+        metric = rows.add("reconstruction_metric")
+        same = all(e[i - 1] == 1.0 for i in others[j])
+        bare = rows.add("reconstruction_bare", same=metric if same else None)
+        readings.append([(metric, True)] if same else [(metric, True), (bare, False)])
 
-    def residuals_at(w):
+    def fill(w, buf):
         fdot, V = w.fdot, w.frames
         k, f, (fs,) = w.fields()
         c = tangent_rate_coefficients(e, k, f, fs, m)
         tangent = sum(ci * Vi for ci, Vi in zip(c, V[1:]))
-        yield "tangent_equation", _euclid_norm(fdot[0] - tangent)
+        _euclid_norm(fdot[0] - tangent, out=buf[tangent_row])
 
         psi = w.psi()
         # V1 coefficient of dV_j/dt for j = 2..m, then dV_j/dt rebuilt from it and psi
-        targets = [-e[0] * e[j - 1] * c[j - 2] for j in range(2, m + 1)]
-        for j, target in enumerate(targets, start=2):
-            name = "v1_coefficient_mid" if j < m else "v1_coefficient_last"
-            yield name, e[0] * psi[0, j - 1] - target
-        for j, target in enumerate(targets, start=2):
-            recon_metric = target * V[0]
-            recon_bare = recon_metric.copy()
-            for i in range(2, m + 1):
-                if i != j:
-                    recon_metric += (e[i - 1] * psi[i - 1, j - 1]) * V[i - 1]
-                    recon_bare += psi[i - 1, j - 1] * V[i - 1]
-            yield "reconstruction_metric", _euclid_norm(fdot[j - 1] - recon_metric)
-            yield "reconstruction_bare", _euclid_norm(fdot[j - 1] - recon_bare)
+        targets = [-e[0] * e[j - 1] * c[j - 2] for j in others]
+        for j, target, row in zip(others, targets, v1_rows):
+            np.subtract(e[0] * psi[0, j - 1], target, out=buf[row])
+        for j, target, distinct in zip(others, targets, readings):
+            for row, signed in distinct:  # coefficients e_{i-1} psi_ij (metric) or psi_ij (bare)
+                recon = target * V[0]
+                for i in others[j]:
+                    p = psi[i - 1, j - 1]
+                    recon += (e[i - 1] * p if signed else p) * V[i - 1]
+                _euclid_norm(fdot[j - 1] - recon, out=buf[row])
 
-    residuals = _walk_peaks(window, residuals_at)
+    residuals = rows.peaks(window, fill)
     details = {"frame_flips": window.flips, "inextensibility_violation": violation}
     return _report("frame_evolution", traj, residuals, tolerance, details)
 
@@ -494,26 +515,29 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
     psi = np.zeros((m + 2, m + 2, window.N))  # zero-padded, like k and f
     dpsi = np.zeros_like(psi)
     psi_core, dpsi_core = psi[1:-1, 1:-1], dpsi[1:-1, 1:-1]
+    rows = _Rows()  # k1_rate_max and k1_flow_rhs_max go to the details, not residuals
+    flow_form, rate_max, rhs_max = map(rows.add, ("k1_flow_form", "k1_rate_max", "k1_flow_rhs_max"))
+    psi_rows = [(rows.add(f"k{i}_psi_metric"), rows.add(f"k{i}_psi_classical")) for i in range(1, m)]
 
-    def residuals_at(w):
+    def fill(w, buf):
         c = w.state.curve
         kdot = (w.next.frenet.curvatures - w.prev.frenet.curvatures) / (2.0 * w.dt)
         k, f, (fs, fss) = w.fields()
         ks = d_ds(k[:3], c)  # k1_rate reads only k_1' and k_2'
         rhs_a = k1_rate(e, k, ks, f, fs, fss)
-        yield "k1_flow_form", kdot[0] - rhs_a
-        yield "k1_rate_max", kdot[0]  # details, not residuals
-        yield "k1_flow_rhs_max", rhs_a
+        np.subtract(kdot[0], rhs_a, out=buf[flow_form])
+        buf[rate_max] = kdot[0]
+        buf[rhs_max] = rhs_a
 
         psi_core[...] = p = w.psi()
         # d_ds(p) divided into the padded view: the same differences, then / speeds
         np.divide(d_du(p, c.h, c.closed), c.speeds, out=dpsi_core)
         metric, classical = curvature_rates(e, k, psi, dpsi, m)
-        for i, (rate, a, b) in enumerate(zip(kdot, metric, classical), start=1):
-            yield f"k{i}_psi_metric", rate - a
-            yield f"k{i}_psi_classical", rate - b
+        for rate, a, b, (metric_row, classical_row) in zip(kdot, metric, classical, psi_rows):
+            np.subtract(rate, a, out=buf[metric_row])
+            np.subtract(rate, b, out=buf[classical_row])
 
-    residuals = _walk_peaks(window, residuals_at)
+    residuals = rows.peaks(window, fill)
     k_peak = np.zeros(m - 1)  # peak |k_j| over every state, both end states included
     for st in traj.states:
         k_peak = np.maximum(k_peak, np.max(np.abs(st.frenet.curvatures), axis=1))

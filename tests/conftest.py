@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from curveflow import catalog, curvekit, flowsim
+from curveflow.minkowski import inner_many
 
 
 def make_curve(name, samples):
@@ -12,6 +14,31 @@ def run_flow(curve_name, flow_name, samples, dt, steps, frame_vectors=None):
     flow = catalog.flow(flow_name, curve.n)
     state = flowsim.initial_state(curve, flow, frame_vectors)
     return flowsim.evolve(state, flow, dt, steps)
+
+
+def random_explicit_flow(dimension, seed):
+    """Deterministic 'random' smooth flow: low-order Fourier speeds in s
+    with a slow time modulation.  Coefficients are rounded so the
+    expression text (and therefore everything downstream) is reproducible.
+    """
+    rng = np.random.default_rng(seed)
+    speeds = []
+    for _ in range(dimension):
+        a, b, c = (round(float(x), 3) for x in 0.3 * rng.standard_normal(3))
+        speeds.append(f"{a}*sin(s) + {b}*cos(2*s) + {c}*cos(t)")
+    return flowsim.FlowSpec.explicit(speeds)
+
+
+def orthonormality_residual(fd):
+    """max |<V_i, V_j> - e_{i-1} delta_ij| over samples and index pairs."""
+    m = fd.num_vectors
+    worst = 0.0
+    for i in range(m):
+        for j in range(i, m):
+            g = inner_many(fd.frame[i], fd.frame[j])
+            target = float(fd.signs[i]) if i == j else 0.0
+            worst = max(worst, float(np.max(np.abs(g - target))))
+    return worst
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import run_flow
+from conftest import orthonormality_residual, run_flow
 from curveflow import catalog
 from curveflow.cli import EXIT_OK, _schema, bundled_scenario_path, main
 from curveflow.curvekit import sample
@@ -20,7 +20,6 @@ from curveflow.flowsim import arclength_drift, inextensibility_rhs, solve_inexte
 from curveflow.frenet import (
     frenet_apparatus,
     frenet_residuals,
-    orthonormality_residual,
     stencil_curvatures,
 )
 from curveflow.minkowski import inner_many, metric_signs, norm_many

@@ -30,6 +30,7 @@ from curveflow.flowsim import (
     velocity,
 )
 from curveflow.frenet import frenet_apparatus
+from conftest import random_explicit_flow
 
 TWO_PI = 2.0 * math.pi
 
@@ -251,7 +252,7 @@ def test_speed_law_on_random_explicit_flows():
     ):
         c = sample(catalog.curve(curve_name, n_s))
         for seed in (1, 2):
-            flow = catalog.random_explicit_flow(c.n, seed)
+            flow = random_explicit_flow(c.n, seed)
             traj = evolve(initial_state(c, flow), flow, dt, steps)
             r = check_speed_evolution(traj).residuals[0]["speed_evolution"]
             assert r < 5e-3, (curve_name, seed, r)

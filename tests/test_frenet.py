@@ -11,10 +11,10 @@ from curveflow.frenet import (
     _complete_frame,
     frenet_apparatus,
     frenet_residuals,
-    orthonormality_residual,
     stencil_curvatures,
 )
 from curveflow.minkowski import CausalCharacter, dot_many, inner_many
+from conftest import orthonormality_residual
 
 SQRT2 = math.sqrt(2.0)
 

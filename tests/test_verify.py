@@ -8,7 +8,8 @@ import pytest
 from curveflow import catalog, exprjet, verify
 from curveflow.curvekit import OPEN, CurveSpec, sample
 from curveflow.errors import CurveFlowError, DomainError, InsufficientStates, NotInextensible
-from curveflow.flowsim import FlowSpec, arclength_drift, evolve, initial_state
+from curveflow.flowsim import FlowSpec, arclength_drift, dv_dt_rhs, evolve, initial_state
+from curveflow.minkowski import dot_many
 from curveflow.verify import (
     CHECKS,
     check_curvature_pde,
@@ -17,10 +18,11 @@ from curveflow.verify import (
     check_psi_antisymmetry,
     check_speed_evolution,
     merge_reports,
+    _Rows,
     _Window,
     run_check,
 )
-from conftest import run_flow
+from conftest import orthonormality_residual, random_explicit_flow, run_flow
 
 
 # --- speed evolution --------------------------------------------------------
@@ -51,13 +53,19 @@ def test_speed_evolution_needs_three_states(circle_256):
         check_speed_evolution(traj)
 
 
-def test_speed_evolution_classical_variant_differs_on_timelike():
+@pytest.fixture(scope="module")
+def explicit_hyperbola_traj():
+    """An explicit flow on the timelike hyperbola: e0 = -1 and a speed that
+    changes, so the classical speed reading differs from the metric one."""
+    c = sample(catalog.curve("hyperbola", 128))
+    flow = random_explicit_flow(2, 1)
+    return evolve(initial_state(c, flow), flow, 1e-3, 20)
+
+
+def test_speed_evolution_classical_variant_differs_on_timelike(explicit_hyperbola_traj):
     # explicit tangential speed on a timelike curve separates the two
     # readings of the rate equation: only the metric one holds
-    c = sample(catalog.curve("hyperbola", 128))
-    flow = catalog.random_explicit_flow(2, 1)
-    traj = evolve(initial_state(c, flow), flow, 1e-3, 20)
-    row = check_speed_evolution(traj).residuals[0]
+    row = check_speed_evolution(explicit_hyperbola_traj).residuals[0]
     assert row["speed_evolution"] < 1e-3
     assert row["speed_evolution_classical"] > 0.5
 
@@ -260,8 +268,6 @@ def test_orders_curvature_pde():
 
 
 def test_orthonormality_conserved_along_trajectory(sine_traj_short):
-    from curveflow.frenet import orthonormality_residual
-
     worst = max(orthonormality_residual(st.frenet) for st in sine_traj_short.states)
     assert worst < 1e-6
 
@@ -538,6 +544,148 @@ def test_residual_names_keep_their_order(helix_traj):
         rep = run_check(name, helix_traj)
         assert list(rep.residuals[0]) == names
         assert rep.gated == gated
+
+
+def _traj_of(components, domain, speeds, samples, dt, steps, frame_vectors=None):
+    curve = sample(CurveSpec.from_strings(components, domain, OPEN, samples))
+    flow = FlowSpec.inextensible(speeds)
+    return evolve(initial_state(curve, flow, frame_vectors), flow, dt, steps)
+
+
+# m = 3 is test_residual_names_keep_their_order's timelike helix
+FRAME_SIZES = {
+    # m = 2: the timelike hyperbola of E1^2
+    "m2": lambda: run_flow("hyperbola", "inextensible_sine", 64, 1e-3, 4),
+    # m = 4, signs (+, +, +, -): e0 = +1 and some, not all, bare readings equal the metric ones
+    "m4": lambda: _traj_of(
+        ("cosh(u)", "sinh(u)", "cos(2*u)", "sin(2*u)"), (0.0, 2.0), ["0", "0", "0.05"], 64, 1e-3, 4
+    ),
+    # the clamped frame m = 3 < n = 4 of test_clamped_frame_matches_lower_dimension
+    "clamped": lambda: _traj_of(
+        ("sqrt(2)*u", "cos(u)", "sin(u)", "0"), (0.0, 2.0 * np.pi), ["sin(s)", "cos(s)", "0"], 64, 5e-4, 4, 3
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FRAME_SIZES))
+def test_residual_names_keep_their_order_for_every_frame_size(case):
+    # (residual names in report order, gated names) of the window checks; a
+    # name's rows are declared once, and their order is the report's
+    traj = FRAME_SIZES[case]()
+    m = {"m2": 2, "m4": 4, "clamped": 3}[case]
+    assert traj.states[0].frenet.num_vectors == m
+    mid = ["v1_coefficient_mid"] if m > 2 else []
+    frame = ["tangent_equation", *mid, "v1_coefficient_last", "reconstruction_metric"]
+    curvature = ["k1_flow_form"] + [f"k{i}_psi_{kind}" for i in range(1, m) for kind in ("metric", "classical")]
+    expected = {
+        "speed_evolution": (["speed_evolution", "speed_evolution_classical"], ["speed_evolution"]),
+        "psi_antisymmetry": (["antisymmetry", "diagonal"], ["antisymmetry", "diagonal"]),
+        "frame_evolution": (frame + ["reconstruction_bare"], frame),
+        "curvature_pde": (curvature, [name for name in curvature if not name.endswith("_classical")]),
+    }
+    for name, (names, gated) in expected.items():
+        rep = run_check(name, traj)
+        assert list(rep.residuals[0]) == names, name
+        assert rep.gated == gated, name
+    # the m = 4 lists written out, as a check on the comprehensions above
+    if case == "m4":
+        assert curvature == [
+            "k1_flow_form",
+            "k1_psi_metric", "k1_psi_classical",
+            "k2_psi_metric", "k2_psi_classical",
+            "k3_psi_metric", "k3_psi_classical",
+        ]
+
+
+def test_rows_reduce_as_a_loop_over_steps_and_names(helix_traj):
+    # "a" owns two rows declared apart, "b" one, and "c" reads b's row; one
+    # sample of one step is NaN (in a row of "b"), and values outside the
+    # open curve's interior are the largest and must not count
+    window = _Window(helix_traj)
+    sl = window.interior
+    assert sl != slice(None)
+    rows = _Rows()
+    a1 = rows.add("a")
+    b = rows.add("b")
+    a2 = rows.add("a", 2)
+    rows.add("c", same=b)
+    assert rows.count == 4
+    rng = np.random.default_rng(7)
+    steps = len(helix_traj.states) - 2
+    data = rng.standard_normal((steps, rows.count, window.N))
+    data[:, :, : sl.start] = 1e3
+    data[:, :, sl.stop :] = -1e3
+    data[3, b, sl.start + 5] = np.nan
+    clean = data.copy()
+    clean[3, b, sl.start + 5] = 0.0
+
+    def reference(values):
+        per_name = {"a": [a1, a2, a2 + 1], "b": [b], "c": [b]}
+        return {
+            name: float(np.max([np.max(np.abs(step[idx][:, sl])) for step in values]))
+            for name, idx in per_name.items()
+        }
+
+    for values, nan in ((data, True), (clean, False)):
+        peaks = rows.peaks(window, lambda w, buf: np.copyto(buf, values[w.step - 1]))
+        expected = reference(values)
+        assert list(peaks) == ["a", "b", "c"]
+        for name in expected:
+            assert np.array_equal(peaks[name], expected[name], equal_nan=True), name
+        assert [np.isnan(peaks[name]) for name in peaks] == [False, nan, nan]
+        assert peaks["a"] < 10.0  # only interior samples count
+
+
+@pytest.fixture(scope="module")
+def spacelike_helix_traj():
+    """The spacelike_helix_twist scenario: signs (+, +, -)."""
+    return run_flow("spacelike_helix", "helix_twist", 128, 5e-4, 8)
+
+
+def _unshared_readings(traj, frame):
+    """The peaks of speed_evolution_classical and, if ``frame``,
+    reconstruction_bare, each formed in full at every step from the
+    window's states, whatever the signs."""
+    m = traj.states[0].frenet.num_vectors
+    speed, bare = [], []
+    for w in _Window(traj, (1,) * (m - 1) if frame else ()).walk():
+        e, sl = w.e, w.interior
+        lhs = (w.next.curve.speeds - w.prev.curve.speeds) / (2.0 * w.dt)
+        speed.append(np.max(np.abs((lhs - e[0] * dv_dt_rhs(w.state))[sl])))
+        if not frame:
+            continue
+        k, f, (fs,) = w.fields()
+        psi, V = w.psi(), w.frames
+        for j in range(2, m + 1):
+            c = f[j - 1] * k[j - 1] + fs[j] - (e[j - 1] * e[j]) * f[j + 1] * k[j]
+            recon = (-e[0] * e[j - 1] * c) * V[0]
+            for i in range(2, m + 1):
+                if i != j:
+                    recon += psi[i - 1, j - 1] * V[i - 1]
+            r = w.fdot[j - 1] - recon
+            bare.append(np.max(np.sqrt(dot_many(r, r))[sl]))
+    return float(np.max(speed)), float(np.max(bare)) if frame else None
+
+
+@pytest.mark.parametrize(
+    "traj_name, signs",
+    [
+        ("sine_traj_short", [1, 1, -1]),  # closed circle: e0 = +1, V3 timelike
+        ("helix_traj", [-1, 1, 1]),  # the timelike_helix_twist scenario: e0 = -1
+        ("spacelike_helix_traj", [1, 1, -1]),  # the spacelike_helix_twist scenario
+        ("explicit_hyperbola_traj", [-1, 1]),  # e0 = -1 with dv/dt != 0; not inextensible
+    ],
+)
+def test_shared_readings_equal_the_readings_formed_in_full(traj_name, signs, request):
+    # a reading whose signs are all +1 reuses the row of the reading it equals;
+    # formed in full here with no shortcut, it must match the report to the bit
+    traj = request.getfixturevalue(traj_name)
+    assert traj.states[0].frenet.signs.tolist() == signs
+    frame = traj.flow.mode == "inextensible"
+    speed, bare = _unshared_readings(traj, frame)
+    assert check_speed_evolution(traj).residuals[0]["speed_evolution_classical"].hex() == speed.hex()
+    if frame:
+        assert check_frame_evolution(traj).residuals[0]["reconstruction_bare"].hex() == bare.hex()
 
 
 def test_report_json_shape(rigid_traj_short):

@@ -33,8 +33,9 @@ needs that name importable (``PYTHONPATH=src``).
 It prints the median of each side, the median pairwise change, the pairs
 the change won, each side's median minor page faults per operation, and
 whether the two trees' results were equal: every report's JSON text for
-``verify`` and ``run``, and for ``evolve`` the bytes of every array each
-state holds (``state_bytes``).
+``verify`` and ``run`` (``report_text``: keys in the report's own order, so
+a change that only reorders residuals is a change), and for ``evolve`` the
+bytes of every array each state holds (``state_bytes``).
 For ``verify`` it also prints one line per ``CHECKS`` name with each side's
 median CPU seconds of that check over both trajectories.  For ``evolve`` it
 prints the MiB of the distinct arrays each side's trajectory keeps, the
@@ -111,11 +112,11 @@ class Side:
                 start = time.process_time()
                 reports.append(self.cf.run_check(name, traj, tol.get(name)))
                 self.check_seconds[name] += time.process_time() - start
-        return lambda: [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports]
+        return lambda: [report_text(r) for r in reports]
 
     def scenarios(self):
         reports = [r for doc in self.docs for r in self.cf.cli.execute(doc)[1]]
-        return lambda: [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports]
+        return lambda: [report_text(r) for r in reports]
 
     def evolve(self):
         traj = self.cf.evolve(*self.circle)
@@ -136,6 +137,12 @@ class Side:
         took = time.process_time() - start
         faults = minor_faults() - faults
         return took, faults, digest()
+
+
+def report_text(report) -> str:
+    """A report as JSON text with every dict in its insertion order: the
+    order of residuals, orders and gated names is part of the result."""
+    return json.dumps(report.to_json_dict())
 
 
 def state_bytes(st) -> bytes:
