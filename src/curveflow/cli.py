@@ -195,6 +195,11 @@ def build_curve_spec(doc: dict, samples_override: int | None = None) -> CurveSpe
         raise ConfigError(f"bad expression: {exc}", field="curve.components") from exc
     except (ValueError, CurveFlowError) as exc:
         raise ConfigError(str(exc), field="curve") from exc
+    try:  # the stack ``sample`` fills, untouched; numpy refuses what it cannot allocate
+        np.empty((spec.dimension + 1, spec.dimension, spec.samples))
+    except (MemoryError, ValueError) as exc:
+        message = f"{spec.samples} samples cannot be allocated: {exc}"
+        raise ConfigError(message, field="curve.samples") from exc
     return spec
 
 

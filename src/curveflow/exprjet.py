@@ -26,6 +26,11 @@ A Jet of order K stores the K+1 Taylor coefficients of a scalar function
 at a point: ``coeffs[j]`` is the j-th derivative divided by j!.  The
 coefficients may be numpy arrays, in which case one Jet carries the
 expansion at every grid node simultaneously.
+
+``eval_jet``'s coefficients broadcast against the point: a literal or a
+bound variable such as ``t`` is a jet of its own shape with unit grid axes,
+so a subtree free of the jet variable is computed once and broadcasts where
+it meets the grid, with every element's arithmetic that of a full grid.
 """
 
 from __future__ import annotations
@@ -298,8 +303,10 @@ class Jet:
         return self.coeffs.shape[0] - 1
 
     @classmethod
-    def constant(cls, value, order: int, shape=()) -> "Jet":
-        c = np.zeros((order + 1,) + shape)
+    def constant(cls, value, order: int, ndim: int = 0) -> "Jet":
+        """``value`` over zero derivatives, padded with unit axes to ``ndim`` grid axes."""
+        value = np.asarray(value, dtype=float)
+        c = np.zeros((order + 1,) + (1,) * (ndim - value.ndim) + value.shape)
         c[0] = value
         return cls(c)
 
@@ -352,10 +359,10 @@ class Jet:
 
     def powi(self, p: int) -> "Jet":
         """Integer power by repeated squaring; negative p via reciprocal."""
+        grid_ndim = self.coeffs.ndim - 1
         if p < 0:
-            one = Jet.constant(1.0, self.order, self.coeffs.shape[1:])
-            return (one / self).powi(-p)
-        result = Jet.constant(1.0, self.order, self.coeffs.shape[1:])
+            return (Jet.constant(1.0, self.order, grid_ndim) / self).powi(-p)
+        result = Jet.constant(1.0, self.order, grid_ndim)
         base = self
         while p > 0:
             if p & 1:
@@ -450,7 +457,8 @@ def eval_jet(e: Expr, var: str, point, order: int, env: dict | None = None) -> J
     """Evaluate an expression as a jet in ``var`` around ``point``.
 
     ``point`` may be a scalar or an array (one expansion per grid node).
-    Other free variables take the constant values supplied in ``env``.
+    Other free variables take the values in ``env``.  The coefficients
+    broadcast against ``point``: those of ``"2"`` on an (N,) grid are (order + 1, 1).
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -461,12 +469,12 @@ def eval_jet(e: Expr, var: str, point, order: int, env: dict | None = None) -> J
 # itself is a reference cycle, left for the cyclic collector on every call.
 def _eval(node: Expr, var: str, point: np.ndarray, order: int, env: dict) -> Jet:
     if isinstance(node, Lit):
-        return Jet.constant(node.value, order, point.shape)
+        return Jet.constant(node.value, order, point.ndim)
     if isinstance(node, Var):
         if node.name == var:
             return Jet.variable(point, order)
         if node.name in env:
-            return Jet.constant(env[node.name], order, point.shape)
+            return Jet.constant(env[node.name], order, point.ndim)
         raise UnboundVariable(f"variable {node.name!r} is not bound")
     if isinstance(node, Neg):
         return -_eval(node.arg, var, point, order, env)
@@ -488,8 +496,8 @@ def _eval(node: Expr, var: str, point: np.ndarray, order: int, env: dict) -> Jet
 
 
 def eval_scalar(e: Expr, **env):
-    """Plain value of an expression; all variables bound through ``env``."""
+    """Plain value of an expression, in the broadcast shape of the ``env`` values."""
     # No expression can name the variable "", so every name is looked up in env.
     shape = np.broadcast_shapes(*(np.shape(v) for v in env.values()))
-    out = eval_jet(e, "", np.zeros(shape), 0, env).coeffs[0]
-    return float(out) if np.ndim(out) == 0 else out
+    out = np.broadcast_to(eval_jet(e, "", np.zeros(shape), 0, env).coeffs[0], shape)
+    return float(out) if out.ndim == 0 else out.copy()

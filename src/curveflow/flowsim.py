@@ -38,49 +38,41 @@ from .errors import (
 from .exprjet import Expr
 from .frenet import FrenetData, frenet_apparatus
 
-EXPLICIT = "explicit"
-INEXTENSIBLE = "inextensible"
-
 COMPAT_RTOL = 1e-6
 MAX_STEP_LENGTH_CHANGE = 0.5
 
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """Scalar speeds of a flow, one per frame direction.
+    """Scalar speeds of a flow, one per frame direction, as expressions in
+    (s, t).
 
-    In ``explicit`` mode all n speeds are expressions in (s, t).  In
-    ``inextensible`` mode the tangential entry is None and is synthesized
-    at every evaluation from the remaining speeds and the initial value
-    ``f1_at_0`` at the curve's first sample.
+    The flow is inextensible exactly when the tangential entry
+    ``speeds[0]`` is None: f_1 is then synthesized at every evaluation
+    from f_2 and the initial value ``f1_at_0`` at the curve's first
+    sample.  Every other entry is an expression.
     """
 
-    mode: str
     speeds: tuple[Expr | None, ...]
     f1_at_0: float = 0.0
 
     @classmethod
     def explicit(cls, speeds) -> "FlowSpec":
-        return cls(EXPLICIT, tuple(_parse_speed(f) for f in speeds))
+        return cls(tuple(_parse_speed(f) for f in speeds))
 
     @classmethod
     def inextensible(cls, higher_speeds, f1_at_0: float = 0.0) -> "FlowSpec":
-        speeds = (None,) + tuple(_parse_speed(f) for f in higher_speeds)
-        return cls(INEXTENSIBLE, speeds, f1_at_0=f1_at_0)
+        return cls((None,) + tuple(_parse_speed(f) for f in higher_speeds), f1_at_0)
 
     def validate(self, dimension: int) -> None:
-        if self.mode not in (EXPLICIT, INEXTENSIBLE):
-            raise ValueError(f"unknown flow mode {self.mode!r}")
         if len(self.speeds) != dimension:
             raise ValueError(
                 f"flow carries {len(self.speeds)} speeds but the curve has dimension {dimension}"
             )
         for i, f in enumerate(self.speeds):
-            if f is None:
-                if self.mode == EXPLICIT or i != 0:
-                    raise ValueError(f"speed {i + 1} is missing")
-                continue
-            extra = exprjet.variables(f) - {"s", "t"}
+            if f is None and i != 0:
+                raise ValueError(f"speed {i + 1} is missing")
+            extra = set() if f is None else exprjet.variables(f) - {"s", "t"}
             if extra:
                 raise ValueError(f"speed {i + 1} may only use s and t, found {sorted(extra)}")
 
@@ -117,9 +109,6 @@ class Trajectory:
     dt: float
     flow: FlowSpec
 
-    def __len__(self) -> int:
-        return len(self.states)
-
 
 def solve_inextensible_f1(c: SampledCurve, rhs: np.ndarray, f1_at_0: float) -> np.ndarray:
     """Integrate df_1/ds = rhs from the curve's first sample, where rhs is
@@ -152,22 +141,21 @@ def evaluate_speeds(
     n = len(flow.speeds)
     N = c.samples
     f = np.zeros((n, N))
-    f1_s = None if flow.mode == INEXTENSIBLE else np.zeros(N)  # synthesized below
+    inextensible = flow.speeds[0] is None
+    f1_s = None if inextensible else np.zeros(N)  # synthesized below
     env = {"t": t}
+    # a jet's rows broadcast against the grid: a constant's are one wide
     for i, expr in enumerate(flow.speeds):
         if expr is None:
             continue
-        if isinstance(expr, exprjet.Lit):
-            # a constant's jet is its value over +0.0, the zeros f1_s starts from
-            f[i] = expr.value
-        elif i == 0:
+        if i == 0:
             jet = exprjet.eval_jet(expr, "s", c.s, 1, env)
             f[0] = jet.coeffs[0]
             # copied: a row view would keep the jet's whole block in the state
             f1_s[:] = jet.coeffs[1]
         else:
             f[i] = exprjet.eval_jet(expr, "s", c.s, 0, env).coeffs[0]
-    if flow.mode == INEXTENSIBLE:
+    if inextensible:
         f1_s = inextensibility_rhs(c, fd, f[1])
         f[0] = solve_inextensible_f1(c, f1_s, flow.f1_at_0)
     m = fd.num_vectors

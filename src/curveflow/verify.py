@@ -217,18 +217,16 @@ class _Window:
         return k, f, ds
 
     def _derivatives(self, block) -> list:
-        """Pairs each speed index i >= 2 that is not a constant (whose
-        derivatives are the +0.0 ``fields`` starts from) with the (order,
-        states, N) stack of its s-derivatives 1..order on the block's
-        states: one ``eval_jet`` per speed, on their stacked arclength grids
-        with a column of their times."""
+        """Pairs each speed index i >= 2 with the (order, states, N) stack
+        of its s-derivatives 1..order on the block's states: one
+        ``eval_jet`` per speed, on their stacked arclength grids with a
+        column of their times.  A jet's rows broadcast into the stack, so a
+        constant's one-wide zero rows fill it with +0.0."""
         s = np.stack([st.curve.s for st in block])
         env = {"t": np.array([[st.t] for st in block])}
         speeds = self.traj.flow.speeds
         derivs = []
         for i, order in enumerate(self.orders[: self.n - 1], start=2):
-            if isinstance(speeds[i - 1], exprjet.Lit):
-                continue
             jet = exprjet.eval_jet(speeds[i - 1], "s", s, order, env)
             d = np.empty((order,) + s.shape)
             for j in range(1, order + 1):

@@ -157,6 +157,20 @@ def test_schema_violation_names_field(tmp_path, capsys):
     assert "curve.samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", [10**15, 10**20])
+@pytest.mark.parametrize("command", [["run"], ["frenet"], ["convergence", "--levels", "2"]])
+def test_unallocatable_sample_count_is_a_config_error(tmp_path, capsys, command, samples):
+    # numpy refuses both counts at once, without allocating: 10**15 samples
+    # by MemoryError, 10**20 as past its index range by ValueError
+    doc = scenario_doc("circle_inextensible_sine.json")
+    doc["curve"]["samples"] = samples
+    argv = command[:1] + [write_scenario(tmp_path, doc)] + command[1:]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: curve.samples: {samples} samples cannot be allocated: ")
+    assert err.count("\n") == 1
+
+
 def test_tolerance_subset_of_default_keys_loads(tmp_path):
     doc = scenario_doc("circle_zero_flow.json")
     doc["tolerances"] = {"iff_condition": {"drift": 1.0}, "speed_evolution": 2}
@@ -271,7 +285,7 @@ def test_frame_breakdown_in_evolve_keeps_time_and_partial_timeseries(tmp_path, c
     with pytest.raises(FrameBreakdown) as exc:
         evolve(initial_state(sample(build_curve_spec(doc)), flow), flow, 1e-3, 3)
     assert exc.value.t == 0.0005
-    assert len(exc.value.trajectory) == 1
+    assert len(exc.value.trajectory.states) == 1
     assert (exc.value.index, exc.value.sample) == (2, 1)
 
 
@@ -569,7 +583,7 @@ def test_horizon_rule_is_shared_by_loader_and_evolve(tmp_path, capsys, overshoot
     st = initial_state(sample(build_curve_spec(doc)), flow)
     if accepted:
         assert code == EXIT_OK
-        assert len(evolve(st, flow, dt, steps, horizon)) == steps + 1
+        assert len(evolve(st, flow, dt, steps, horizon).states) == steps + 1
     else:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == (

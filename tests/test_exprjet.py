@@ -1,11 +1,14 @@
 import gc
+import json
 import math
 import operator
+from importlib import resources
 
 import numpy as np
 import pytest
 import sympy
 
+from curveflow import catalog
 from curveflow.errors import DomainError, ParseError, UnboundVariable
 from curveflow.exprjet import (
     MAX_DEPTH,
@@ -208,6 +211,9 @@ def test_eval_scalar_binds_every_variable():
     # "_" is an ordinary name, and so is the alphabetically first one
     assert eval_scalar(parse("2*_ + a"), _=1.5, a=1.0) == 4.0
     assert eval_scalar(parse("u*v"), u=np.array([1.0, 2.0]), v=3.0).tolist() == [3.0, 6.0]
+    # the result takes the broadcast shape of env, constants included
+    assert eval_scalar(parse("2"), u=np.array([1.0, 2.0])).tolist() == [2.0, 2.0]
+    assert eval_scalar(parse("u*v"), u=np.zeros(2), v=np.ones((3, 1))).shape == (3, 2)
     with pytest.raises(UnboundVariable):
         eval_scalar(parse("u*v"), u=1.0)
 
@@ -315,3 +321,109 @@ def test_negative_and_zero_powers():
 def test_variables():
     assert variables(parse("sin(s)*cos(t) + 1")) == frozenset({"s", "t"})
     assert variables(parse("2 + pi")) == frozenset()
+
+
+# --------------------------------------------------------------------------
+# Constants broadcast: a jet of a subtree free of the jet variable is one
+# wide (or the shape of the bound value), and broadcasting must give every
+# grid node the bytes of the plain evaluation, which builds each constant at
+# the point's full shape.
+
+
+def _full_constant(value, order, shape) -> Jet:
+    c = np.zeros((order + 1,) + shape)
+    c[0] = value
+    return Jet(c)
+
+
+def _full_shape_jet(node, var, point, order, env) -> Jet:
+    """Reference evaluator: every literal and bound variable is an
+    (order + 1, *point.shape) jet, and integer powers multiply by such a one."""
+    def rec(child):
+        return _full_shape_jet(child, var, point, order, env)
+
+    if isinstance(node, Lit):
+        return _full_constant(node.value, order, point.shape)
+    if isinstance(node, Var):
+        if node.name == var:
+            return Jet.variable(point, order)
+        return _full_constant(env[node.name], order, point.shape)
+    if isinstance(node, Neg):
+        return -rec(node.arg)
+    if isinstance(node, BinOp):
+        ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+        return ops[node.op](rec(node.left), rec(node.right))
+    if isinstance(node, Pow):
+        base, p = rec(node.base), node.exponent
+        if p < 0:
+            base, p = _full_constant(1.0, order, point.shape) / base, -p
+        result = _full_constant(1.0, order, point.shape)
+        while p > 0:
+            if p & 1:
+                result = result * base
+            base = base * base
+            p >>= 1
+        return result
+    return getattr(rec(node.arg), node.fn)()
+
+
+def _bundled_expressions() -> list[str]:
+    """Every curve component and speed of the catalog and the bundled scenarios."""
+    texts = set()
+    for entry in catalog.CURVES.values():
+        texts.update(entry["components"])
+    for entry in catalog.FLOWS.values():
+        texts.update(entry["speeds"](4))
+    for path in resources.files("curveflow").joinpath("scenarios").iterdir():
+        if path.name.endswith(".json"):
+            doc = json.loads(path.read_text())
+            texts.update(doc["curve"]["components"] + doc["flow"]["speeds"])
+    return sorted(texts)
+
+
+CONSTANT_CASES = _bundled_expressions() + [
+    "-1.5",
+    "2*pi",
+    "2*sin(s)",
+    "sin(1)*s",
+    "(1-t)^2",
+    "-(1-t)^2*s/sqrt(1+(1-t)^2)",  # the shrinking coil's f3
+    "sin(s)/(t - 0.3)",
+    "(2 + t)^-2 * sin(s)",
+]
+
+
+def _layouts():
+    """(point, t) pairs: an (N,) grid with a scalar time, and a (b, N) stack
+    with a (b, 1) column of times; signed zeros in both."""
+    s = np.linspace(-1.0, 2.0 * math.pi, 29)
+    s[:2] = -0.0, 0.0
+    stack = s + np.array([[0.0], [0.5], [-0.25]])
+    stack[:, :2] = -0.0, 0.0
+    for t in (0.0, -0.0, 1.0, 0.7):
+        yield s, t
+    yield stack, np.array([[-0.0], [1.0], [0.7]])
+
+
+@pytest.mark.parametrize("text", CONSTANT_CASES)
+def test_constant_jets_broadcast_to_the_full_shape_evaluation(text):
+    expr = parse(text)
+    var = "u" if "u" in variables(expr) else "s"
+    for point, t in _layouts():
+        for order in range(3):
+            got = eval_jet(expr, var, point, order, {"t": t})
+            want = _full_shape_jet(expr, var, point, order, {"t": t})
+            assert want.coeffs.shape == (order + 1,) + point.shape
+            for j in range(order + 1):
+                d = np.broadcast_to(got.derivative(j), point.shape)
+                assert d.tobytes() == want.derivative(j).tobytes(), (text, order, j)
+                assert np.array_equal(np.signbit(d), np.signbit(want.derivative(j)))
+
+
+def test_a_constant_jet_is_one_wide():
+    # the constant subtree (1-t)^2 is computed once, not per grid node
+    s = np.linspace(0.0, 1.0, 64)
+    assert eval_jet(parse("(1-t)^2"), "s", s, 2, {"t": 0.5}).coeffs.shape == (3, 1)
+    t = np.array([[0.0], [0.5]])
+    assert eval_jet(parse("(1-t)^2"), "s", s + t, 2, {"t": t}).coeffs.shape == (3, 2, 1)
+    assert eval_jet(parse("2*pi"), "s", s + t, 1, {"t": t}).coeffs.shape == (2, 1, 1)

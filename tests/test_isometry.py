@@ -74,7 +74,7 @@ def differences(name: str, rapidity: float, angle: float) -> dict[str, float]:
     L = isometry(rapidity, angle)
     moved = run(name, L)
     ref = reference(name)
-    assert len(moved) == len(ref) == STEPS + 1
+    assert len(moved.states) == len(ref.states) == STEPS + 1
     worst = dict.fromkeys(BOUNDS, 0.0)
     for a, b in zip(moved.states, ref.states):
         assert a.frenet.signs.tolist() == b.frenet.signs.tolist()

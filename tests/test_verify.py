@@ -215,7 +215,7 @@ def test_clamped_frame_matches_lower_dimension(helix_traj):
     flow = FlowSpec.inextensible(["sin(s)", "cos(s)", "0"])
     state = initial_state(curve, flow, 3)
     assert state.frenet.num_vectors == 3 < curve.n
-    traj = evolve(state, flow, helix_traj.dt, len(helix_traj) - 1)
+    traj = evolve(state, flow, helix_traj.dt, len(helix_traj.states) - 1)
     for check in (check_frame_evolution, check_curvature_pde):
         clamped = check(traj).residuals[0]
         reference = check(helix_traj).residuals[0]
@@ -311,7 +311,7 @@ def _with_changed_signature(traj, step):
 
 @pytest.fixture(scope="module")
 def time_dependent_traj():
-    """Closed circle under an inextensible flow whose f2 depends on t; f3 is a Lit."""
+    """Closed circle under an inextensible flow whose f2 depends on t; f3 is a constant."""
     c = sample(catalog.curve("circle", 64))
     flow = FlowSpec.inextensible(["(1+t)*sin(s)", "0"])
     return evolve(initial_state(c, flow), flow, 1e-3, 20)
@@ -389,15 +389,15 @@ def test_first_error_of_a_walk_is_the_error_of_single_states(
 
 
 @pytest.mark.parametrize(
-    "traj_name, length, varying",
-    [("helix_traj_long", 18, 2), ("helix_traj_long", 11, 2), ("time_dependent_traj", 21, 1)],
+    "traj_name, length",
+    [("helix_traj_long", 18), ("helix_traj_long", 11), ("time_dependent_traj", 21)],
 )
-def test_walk_forms_one_jet_per_speed_per_block(traj_name, length, varying, request, monkeypatch):
-    # ``varying`` is the number of speeds f_2, f_3 that are not constants
-    # (helix twist: sin(s), cos(s); the time-dependent circle flow: f2 only).
-    # The checks that read speed jets form one per varying speed per block
-    # of states, and the others form none.
+def test_walk_forms_one_jet_per_speed_per_block(traj_name, length, request, monkeypatch):
+    # The checks that read speed jets form one per speed f_2, f_3 per block
+    # of states, a constant's too (the time-dependent circle flow's f3 is
+    # "0"), and the others form none.
     traj = request.getfixturevalue(traj_name)
+    speeds = len(traj.flow.speeds) - 1
     part = dataclasses.replace(traj, states=traj.states[:length])
     calls = []
     eval_jet = exprjet.eval_jet
@@ -411,7 +411,7 @@ def test_walk_forms_one_jet_per_speed_per_block(traj_name, length, varying, requ
     for name, check in CHECKS.items():
         calls.clear()
         check(part)
-        expected = varying * blocks if name in ("frame_evolution", "curvature_pde") else 0
+        expected = speeds * blocks if name in ("frame_evolution", "curvature_pde") else 0
         assert len(calls) == expected, name
 
 
@@ -681,7 +681,7 @@ def test_shared_readings_equal_the_readings_formed_in_full(traj_name, signs, req
     # formed in full here with no shortcut, it must match the report to the bit
     traj = request.getfixturevalue(traj_name)
     assert traj.states[0].frenet.signs.tolist() == signs
-    frame = traj.flow.mode == "inextensible"
+    frame = traj.flow.speeds[0] is None
     speed, bare = _unshared_readings(traj, frame)
     assert check_speed_evolution(traj).residuals[0]["speed_evolution_classical"].hex() == speed.hex()
     if frame:

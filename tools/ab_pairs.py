@@ -34,8 +34,8 @@ It prints the median of each side, the median pairwise change, the pairs
 the change won, each side's median minor page faults per operation, and
 whether the two trees' results were equal: every report's JSON text for
 ``verify`` and ``run`` (``report_text``: keys in the report's own order, so
-a change that only reorders residuals is a change), and for ``evolve`` the
-bytes of every array each state holds (``state_bytes``).
+a change that only reorders residuals is a change), and for ``evolve`` and
+``run`` the bytes of every array each kept state holds (``state_bytes``).
 For ``verify`` it also prints one line per ``CHECKS`` name with each side's
 median CPU seconds of that check over both trajectories.  For ``evolve`` it
 prints the MiB of the distinct arrays each side's trajectory keeps, the
@@ -115,8 +115,11 @@ class Side:
         return lambda: [report_text(r) for r in reports]
 
     def scenarios(self):
-        reports = [r for doc in self.docs for r in self.cf.cli.execute(doc)[1]]
-        return lambda: [report_text(r) for r in reports]
+        runs = [self.cf.cli.execute(doc) for doc in self.docs]
+        return lambda: [
+            ([state_bytes(st) for st in traj.states], [report_text(r) for r in reports])
+            for traj, reports in runs
+        ]
 
     def evolve(self):
         traj = self.cf.evolve(*self.circle)
