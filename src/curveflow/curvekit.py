@@ -36,6 +36,7 @@ from .errors import (
     DegenerateCurveError,
     DimensionMismatch,
     MixedCausalityError,
+    NonFiniteCurveError,
     NullCurveError,
 )
 from .exprjet import Expr
@@ -52,7 +53,6 @@ MIN_SAMPLES = 16
 class CurveSpec:
     """Expression-backed curve definition on [u0, u1]."""
 
-    dimension: int
     components: tuple[Expr, ...]
     domain: tuple[float, float]
     topology: str = OPEN
@@ -61,13 +61,15 @@ class CurveSpec:
     @classmethod
     def from_strings(cls, components, domain, topology=OPEN, samples=256) -> "CurveSpec":
         exprs = tuple(exprjet.parse(c) for c in components)
-        return cls(len(exprs), exprs, (float(domain[0]), float(domain[1])), topology, samples)
+        return cls(exprs, (float(domain[0]), float(domain[1])), topology, samples)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.components)
 
     def validate(self) -> None:
-        if self.dimension < 2 or self.dimension != len(self.components):
-            raise DimensionMismatch(
-                f"dimension {self.dimension} does not match {len(self.components)} components"
-            )
+        if self.dimension < 2:
+            raise DimensionMismatch(f"a curve needs at least 2 components, got {self.dimension}")
         if self.samples < MIN_SAMPLES:
             raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {self.samples}")
         if self.topology not in (CLOSED, OPEN):
@@ -109,7 +111,6 @@ class SampledCurve:
     speeds: np.ndarray  # (N,)
     s: np.ndarray  # (N,) arclength from sample 0
     total_length: float
-    quadrature: str
     char: CausalCharacter
 
     @property
@@ -127,6 +128,11 @@ class SampledCurve:
     @property
     def deriv_order(self) -> int:
         return self.derivs.shape[0] - 1
+
+    @property
+    def quadrature(self) -> str:
+        """The arclength rule, ``"simpson"`` or ``"trapezoid"`` (``_quadrature``)."""
+        return _quadrature(self.samples, self.closed)
 
     @classmethod
     def from_points(
@@ -156,7 +162,7 @@ class SampledCurve:
         # count_nonzero is the cheapest numpy reduction of a mask; these
         # validations run on every stage of an evolution
         if np.count_nonzero(np.isfinite(derivs)) != derivs.size:
-            raise ValueError("curve evaluation produced non-finite values")
+            raise NonFiniteCurveError("curve evaluation produced non-finite values")
         _, euclid, null_mask, timelike = minkowski.null_test(derivs[1])
         if np.count_nonzero(null_mask):
             idx = int(np.argmax(null_mask))
@@ -177,7 +183,7 @@ class SampledCurve:
         ):
             idx = int(np.argmin(speeds))
             raise DegenerateCurveError(f"speed vanishes at sample {idx} (u={grid[idx]:.6g})")
-        s, total, rule = _arclength_tables(speeds, h, closed)
+        s, total = _arclength_tables(speeds, h, closed)
         return cls(
             grid=grid,
             h=h,
@@ -186,7 +192,6 @@ class SampledCurve:
             speeds=speeds,
             s=s,
             total_length=total,
-            quadrature=rule,
             char=char,
         )
 
@@ -296,10 +301,9 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     Each interval's integral comes from the parabola through it and one
     neighbour, h/3 (5 f_a/4 + 2 f_b - f_c/4) with f_a at the near end of the
     interval: even intervals look right, odd ones and the last look left.
+    ``y`` holds three samples or more, as every curve does (``MIN_SAMPLES``).
     """
     y = np.asarray(y, dtype=float)
-    if y.shape[0] < 3:
-        return cumulative_trapezoid(y, dx)
     c = dx / 3
     # near = 5 f/4, far = f/4 and mid = 2 f are formed only where they are
     # read: at the even samples i and at the odd samples i+1 between them.
@@ -332,31 +336,30 @@ def cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _use_simpson(n_points: int, closed: bool) -> bool:
+def _quadrature(n_points: int, closed: bool) -> str:
     # Full-period composite Simpson on a closed curve needs an even number
     # of intervals, which equals the sample count once the wrap is appended.
-    if closed:
-        return n_points % 2 == 0
-    return n_points >= 3
+    return "trapezoid" if closed and n_points % 2 else "simpson"
 
 
 def _arclength_tables(speeds: np.ndarray, h: float, closed: bool):
-    rule = "simpson" if _use_simpson(speeds.shape[0], closed) else "trapezoid"
+    rule = _quadrature(speeds.shape[0], closed)
     s = cumulative_integral(speeds, h, rule)
     if closed:
-        wrapped = np.concatenate([speeds, speeds[:1]])
-        total = _integrate(wrapped, h, rule)
+        total = _period_integral(speeds, h, rule)
     else:
         total = float(s[-1])
-    return s, total, rule
+    return s, total
 
 
-def _integrate(values: np.ndarray, h: float, rule: str) -> float:
-    """Full-period integral of a closed grid with its wrap sample appended:
-    N + 1 points, so ``"simpson"`` (N even) always has an even interval count."""
+def _period_integral(values: np.ndarray, h: float, rule: str) -> float:
+    """Integral of a closed grid function over its full period: the wrap
+    sample is appended, N + 1 points, so ``"simpson"`` (N even) always has
+    an even interval count."""
+    wrapped = np.concatenate([values, values[:1]])
     if rule == "simpson":
-        return float(values @ _simpson_weights(values.shape[0])) * h / 3.0
-    return float(np.trapezoid(values, dx=h))
+        return float(wrapped @ _simpson_weights(wrapped.shape[0])) * h / 3.0
+    return float(np.trapezoid(wrapped, dx=h))
 
 
 # Memoized like ``minkowski.metric_signs``: each stage integrates twice on the
@@ -383,5 +386,4 @@ def loop_integral(values: np.ndarray, c: SampledCurve) -> float:
     """Integral of a grid function over the full period of a closed curve."""
     if not c.closed:
         raise ValueError("loop_integral requires a closed curve")
-    wrapped = np.concatenate([values, values[:1]])
-    return _integrate(wrapped, c.h, c.quadrature)
+    return _period_integral(values, c.h, c.quadrature)

@@ -39,6 +39,10 @@ class DegenerateCurveError(CurveFlowError):
     """The parametrization speed drops to (numerical) zero somewhere."""
 
 
+class NonFiniteCurveError(CurveFlowError):
+    """A curve's samples or derivatives are not all finite."""
+
+
 class NonGenericCurveError(CurveFlowError):
     """Orthogonalization broke down: a residual vector vanished or became null.
 

@@ -29,6 +29,7 @@ from .errors import (
     FrameBreakdown,
     IncompatibleClosedFlow,
     MixedCausalityError,
+    NonFiniteCurveError,
     NonGenericCurveError,
     NullCurveDeveloped,
     NullCurveError,
@@ -220,20 +221,14 @@ def default_dt(state: SimState) -> float:
     return 0.1 * ds_min / max(1.0, fmax)
 
 
-def check_horizon(t0: float, dt: float, steps: int, t_horizon: float | None) -> None:
-    """Raise ValueError if t0 + dt*steps passes ``t_horizon`` (if any) by more than rounding."""
-    if t_horizon is not None and t0 + dt * steps > t_horizon * (1 + 1e-12):
-        raise ValueError(f"dt*steps = {dt * steps:.6g} exceeds the time horizon {t_horizon:.6g}")
-
-
 def evolve(
     initial: SimState,
     flow: FlowSpec,
     dt: float,
     steps: int,
-    t_horizon: float | None = None,
 ) -> Trajectory:
     """Advance the curve by explicit RK4, rebuilding the frame per stage.
+    A scenario's time horizon is checked by its loader, ``cli._cross_validate``.
 
     Every failure ends in an EvolutionError carrying its time ``t`` and the
     partial trajectory: NullCurveDeveloped if the tangent turns null,
@@ -255,7 +250,6 @@ def evolve(
         raise ValueError("dt must be positive")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    check_horizon(initial.t, dt, steps, t_horizon)
     m = initial.frenet.num_vectors
     grid = initial.curve.grid
     closed = initial.curve.closed
@@ -267,7 +261,7 @@ def evolve(
         except (NullCurveError, MixedCausalityError) as exc:
             # a causal sign change along u means the tangent crossed the null cone
             raise NullCurveDeveloped(str(exc), t=t, trajectory=traj) from exc
-        except ValueError as exc:
+        except NonFiniteCurveError as exc:
             raise StabilityError(str(exc), t=t, trajectory=traj) from exc
         except NonGenericCurveError as exc:
             raise FrameBreakdown(str(exc), exc.index, exc.sample, t=t, trajectory=traj) from exc

@@ -36,11 +36,12 @@ indefinite frame the expansion coefficient of V_k is e_{k-1} <X, V_k>, not
 the bare projection, so every projection-based residual is measured twice:
 once with the coefficients in the classical (positive-definite) convention
 ("classical" / "bare") and once with the metric-consistent coefficients
-("metric").  Pass/fail gates on the metric reading; both are reported.  ``_report`` states that gate rule once: every
-residual except the ``*_classical`` and ``*_bare`` readings is gated, and a
-check passes when each gated residual is within its tolerance (the iff
-check alone passes its equivalence instead).  ``_tol`` looks up the
-default tolerances.
+("metric").  Pass/fail gates on the metric reading; both are reported.
+``VerificationReport.gated`` states that gate rule once: every residual
+except the ``*_classical`` and ``*_bare`` readings is gated, and a check
+passes when each gated residual is within its tolerance (the iff check
+alone passes its equivalence instead).  ``_tol`` looks up the default
+tolerances and owns the shape a tolerance must have.
 
 The right-hand sides are pure functions of 1-based, zero-padded arrays:
 row i of k, f and their s-derivatives holds k_i, f_i, ... (row 0 and every
@@ -72,7 +73,7 @@ import numpy as np
 
 from . import exprjet
 from .curvekit import d_ds, d_du, d_du4
-from .errors import CurveFlowError, DomainError, InsufficientStates, NotInextensible
+from .errors import ConfigError, CurveFlowError, DomainError, InsufficientStates, NotInextensible
 from .flowsim import Trajectory, arclength_drift, dv_dt_rhs
 from .minkowski import dot_many, inner_many
 
@@ -112,10 +113,26 @@ class VerificationReport:
     resolutions: list[tuple[int, float]]  # (samples, dt) per row
     residuals: list[dict[str, float]]  # aligned with resolutions
     tolerance: dict
-    orders: dict[str, float | None]
     passed: bool
-    gated: list[str]  # residual names that decide pass/fail
     details: dict = field(default_factory=dict)
+
+    @property
+    def gated(self) -> list[str]:
+        """Residual names that decide pass/fail: all but the classical and bare readings."""
+        return [name for name in self.residuals[-1] if not name.endswith(("_classical", "_bare"))]
+
+    @property
+    def orders(self) -> dict[str, float | None]:
+        """Per residual, the mean log2 ratio between successive resolutions;
+        None at one resolution, or once values sit at the numerical floor."""
+        orders: dict[str, float | None] = {}
+        for name in self.residuals[-1]:
+            vals = [row.get(name) for row in self.residuals]
+            if len(vals) < 2 or any(v is None or v <= RESIDUAL_FLOOR for v in vals):
+                orders[name] = None
+            else:
+                orders[name] = float(np.mean([np.log2(a / b) for a, b in zip(vals, vals[1:])]))
+        return orders
 
     def to_json_dict(self) -> dict:
         return {
@@ -354,34 +371,38 @@ def _require_inextensible(traj: Trajectory) -> float:
 
 def _tol(identity: str, tolerance):
     """The tolerance of a check: the caller's, else the default; a dict
-    default is updated key by key."""
+    default is updated key by key.  A caller's tolerance has its default's
+    shape, a number or an object with some of its keys, else ConfigError."""
     default = DEFAULT_TOLERANCES[identity]
     if isinstance(default, dict):
-        return {**default, **(tolerance or {})}
-    return default if tolerance is None else tolerance
+        if tolerance is None or (isinstance(tolerance, dict) and set(tolerance) <= set(default)):
+            return {**default, **(tolerance or {})}
+        shape = f"an object with keys from {sorted(default)}"
+    elif tolerance is None or isinstance(tolerance, (int, float)):
+        return default if tolerance is None else tolerance
+    else:
+        shape = "a number"
+    raise ConfigError(f"must be {shape}", field=f"tolerances.{identity}")
 
 
 def _report(identity, traj, residuals, tolerance, details, passed=None) -> VerificationReport:
-    """One-resolution report.  Every residual is gated except the classical
-    and bare readings; unless ``passed`` is given, the check passes when
-    every gated residual is within its tolerance.  A number tolerance
-    applies to every residual."""
+    """One-resolution report.  Unless ``passed`` is given, the check passes
+    when every gated residual (``VerificationReport.gated``) is within its
+    tolerance.  A number tolerance applies to every residual."""
     tol = _tol(identity, tolerance)
     if not isinstance(tol, dict):
         tol = {name: tol for name in residuals}
-    gated = [name for name in residuals if not name.endswith(("_classical", "_bare"))]
-    if passed is None:
-        passed = all(residuals[name] <= tol[name] for name in gated)
-    return VerificationReport(
+    report = VerificationReport(
         identity=identity,
         resolutions=[(traj.states[0].curve.samples, traj.dt)],
         residuals=[residuals],
         tolerance=tol,
-        orders={k: None for k in residuals},
         passed=passed,
-        gated=gated,
         details=details,
     )
+    if passed is None:
+        report.passed = all(residuals[name] <= tol[name] for name in report.gated)
+    return report
 
 
 # --------------------------------------------------------------------------
@@ -570,37 +591,20 @@ def run_check(name: str, traj: Trajectory, tolerance=None) -> VerificationReport
 
 
 def merge_reports(reports: list[VerificationReport]) -> VerificationReport:
-    """Combine same-identity reports at increasing resolution; fit orders.
-
-    The order for each residual is the mean log2 ratio between successive
-    resolutions, or None once values sit at the numerical floor.  The
-    merged pass flag is the finest resolution's.
-    """
+    """Combine same-identity reports at increasing resolution, whose orders
+    (``VerificationReport.orders``) fit every resolution.  The merged pass
+    flag, tolerance and details are the finest resolution's."""
     if not reports:
         raise ValueError("no reports to merge")
     identity = reports[0].identity
     if any(r.identity != identity for r in reports):
         raise ValueError("reports describe different identities")
-    resolutions = [res for r in reports for res in r.resolutions]
-    residuals = [row for r in reports for row in r.residuals]
-    orders: dict[str, float | None] = {}
-    for name in residuals[-1]:
-        vals = [row.get(name) for row in residuals]
-        ratios = []
-        for a, b in zip(vals, vals[1:]):
-            if a is None or b is None or a <= RESIDUAL_FLOOR or b <= RESIDUAL_FLOOR:
-                ratios = []
-                break
-            ratios.append(np.log2(a / b))
-        orders[name] = float(np.mean(ratios)) if ratios else None
     finest = reports[-1]
     return VerificationReport(
         identity=identity,
-        resolutions=resolutions,
-        residuals=residuals,
+        resolutions=[res for r in reports for res in r.resolutions],
+        residuals=[row for r in reports for row in r.residuals],
         tolerance=finest.tolerance,
-        orders=orders,
         passed=finest.passed,
-        gated=finest.gated,
         details=finest.details,
     )

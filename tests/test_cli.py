@@ -573,24 +573,41 @@ def test_output_formats_filter(tmp_path):
 
 
 @pytest.mark.parametrize("overshoot, accepted", [(0.5e-12, True), (2e-12, False)])
-def test_horizon_rule_is_shared_by_loader_and_evolve(tmp_path, capsys, overshoot, accepted):
+def test_loader_owns_the_horizon_rule(tmp_path, capsys, overshoot, accepted):
+    # evolve takes no horizon: the loader alone holds dt*steps to t_horizon,
+    # allowing rounding
     horizon, steps = 0.016, 8
     dt = horizon * (1 + overshoot) / steps
     doc = scenario_doc("circle_zero_flow.json")
     doc["integrator"] = {"dt": dt, "steps": steps, "t_horizon": horizon}
-    code = main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "o")])
-    flow = build_flow(doc)
-    st = initial_state(sample(build_curve_spec(doc)), flow)
+    path = write_scenario(tmp_path, doc)
+    out = tmp_path / "o"
+    code = main(["run", path, "--out", str(out)])
     if accepted:
         assert code == EXIT_OK
-        assert len(evolve(st, flow, dt, steps, horizon).states) == steps + 1
+        assert len((out / "timeseries.csv").read_text().splitlines()) == 1 + steps + 1
+        assert load_scenario(path)["integrator"]["t_horizon"] == horizon
     else:
         assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            "config error: integrator.t_horizon: dt*steps = 0.016 exceeds the time horizon 0.016\n"
-        )
-        with pytest.raises(ValueError, match="exceeds the time horizon"):
-            evolve(st, flow, dt, steps, horizon)
+        message = "integrator.t_horizon: dt*steps = 0.016 exceeds the time horizon 0.016"
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        with pytest.raises(ConfigError) as err:
+            load_scenario(path)
+        assert str(err.value) == message
+        assert not out.exists()
+
+
+# ``exp(1000*u)`` overflows while the curve is sampled, before anything evolves.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", [["run"], ["frenet"], ["convergence", "--levels", "2"]])
+def test_overflowing_curve_is_a_numerical_breakdown(tmp_path, capsys, command):
+    doc = scenario_doc("line_translate.json")
+    doc["curve"]["components"] = ["0", "exp(1000*u)", "0"]
+    argv = command[:1] + [write_scenario(tmp_path, doc)] + command[1:]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical breakdown: curve evaluation produced non-finite values\n"
+    )
 
 
 @pytest.mark.parametrize("name", ["scenario.schema.json", "report.schema.json"])

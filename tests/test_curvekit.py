@@ -22,6 +22,7 @@ from curveflow.errors import (
     DegenerateCurveError,
     DimensionMismatch,
     MixedCausalityError,
+    NonFiniteCurveError,
     NullCurveError,
 )
 from curveflow.minkowski import CausalCharacter
@@ -72,9 +73,14 @@ def test_minimum_samples():
 
 
 def test_dimension_mismatch():
-    bad = CurveSpec(3, tuple(CurveSpec.from_strings(("0", "u"), (0, 1)).components), (0, 1))
+    # the dimension is the number of components, and a curve needs two or more
+    assert CurveSpec.from_strings(("0", "u"), (0, 1)).dimension == 2
+    single = CurveSpec.from_strings(("u",), (0, 1))
+    assert single.dimension == 1
+    with pytest.raises(DimensionMismatch, match="at least 2 components, got 1"):
+        single.validate()
     with pytest.raises(DimensionMismatch):
-        bad.validate()
+        sample(single)
 
 
 def test_component_variable_restriction():
@@ -192,7 +198,7 @@ def test_from_points_matches_jet_sampling(circle_256):
 def test_from_points_rejects_non_finite(circle_256):
     pts = circle_256.points.copy()
     pts[1, 5] = np.inf
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteCurveError, match="non-finite values"):
         SampledCurve.from_points(pts, circle_256.grid, True, 2)
 
 
@@ -283,9 +289,9 @@ def test_simpson_weights_are_shared_and_read_only():
     assert w is curvekit._simpson_weights(9)
     assert not w.flags.writeable
     assert w.tolist() == [1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]
-    y = np.random.default_rng(2).standard_normal(9)
-    assert curvekit._integrate(y, 0.25, "simpson") == pytest.approx(
-        integrate.simpson(y, dx=0.25), rel=1e-13
+    y = np.random.default_rng(2).standard_normal(8)  # one period; the wrap sample is appended
+    assert curvekit._period_integral(y, 0.25, "simpson") == pytest.approx(
+        integrate.simpson(np.append(y, y[0]), dx=0.25), rel=1e-13
     )
 
 

@@ -13,6 +13,7 @@ from curveflow.errors import (
     EvolutionError,
     FrameBreakdown,
     IncompatibleClosedFlow,
+    NonFiniteCurveError,
     NullCurveDeveloped,
     StabilityError,
     UnresolvedClosedFlow,
@@ -290,6 +291,18 @@ def test_evolve_stability_guard(circle_256):
     assert _names_its_time_once(err.value)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_evolve_turns_a_non_finite_stage_into_a_stability_error(circle_256):
+    # exp(750) overflows at the first midpoint, so the next stage's points are not finite
+    flow = FlowSpec.explicit(["0", "exp(1000*t)", "0"])
+    st = initial_state(circle_256, flow)
+    with pytest.raises(StabilityError) as err:
+        evolve(st, flow, 1.5, 1)
+    assert str(err.value) == "curve evaluation produced non-finite values (at t=0.75)"
+    assert isinstance(err.value.__cause__, NonFiniteCurveError)
+    assert len(err.value.trajectory.states) == 1
+
+
 def test_evolve_names_an_unresolved_closed_flow():
     # The jet-built initial state passes the compatibility test at N=32, but
     # the stencil rebuild of the same points at t0 misses it (2.03e-5 against
@@ -437,7 +450,7 @@ def test_evolve_argument_validation(circle_256):
         evolve(st, flow, -1e-3, 10)
     with pytest.raises(ValueError):
         evolve(st, flow, 1e-3, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the horizon is the scenario loader's to check
         evolve(st, flow, 1e-3, 10, t_horizon=5e-3)
 
 

@@ -282,7 +282,7 @@ def curve_from_derivs(*columns):
     grid = np.arange(SAMPLES, dtype=float)
     return SampledCurve(
         grid=grid, h=1.0, closed=False, derivs=derivs, speeds=np.ones(SAMPLES), s=grid,
-        total_length=SAMPLES - 1.0, quadrature="simpson", char=CausalCharacter.SPACELIKE,
+        total_length=SAMPLES - 1.0, char=CausalCharacter.SPACELIKE,
     )
 
 

@@ -504,6 +504,18 @@ def test_merge_reports_floors_give_no_order(zero_traj):
     assert len(merged.resolutions) == 2
 
 
+def test_orders_and_gated_derive_from_the_residuals(helix_traj):
+    # one resolution: no ratio to fit, so every order is None, in residual order
+    rep = check_curvature_pde(helix_traj)
+    assert list(rep.orders.items()) == [(name, None) for name in rep.residuals[0]]
+    assert rep.to_json_dict()["order"] == rep.orders
+    # merged: the finest report decides the gated names
+    coarse = dataclasses.replace(rep, residuals=[{"k1_flow_form": 1.0}])
+    merged = merge_reports([coarse, rep])
+    assert merged.gated == rep.gated == ["k1_flow_form", "k1_psi_metric", "k2_psi_metric"]
+    assert list(merged.orders) == list(rep.residuals[0])
+
+
 def test_run_check_registry(zero_traj):
     assert set(CHECKS) == {
         "speed_evolution",
