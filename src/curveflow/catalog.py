@@ -1,4 +1,4 @@
-"""Bundled curves and flows used by the test-bed and example scenarios.
+"""Bundled curves and flows: the data ``curveflow list-catalog`` prints.
 
 The curve catalog covers every causal flavor the geometry supports at low
 dimension: a spacelike closed circle, a timelike open hyperbola branch,
@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .curvekit import CLOSED, OPEN, CurveSpec
-from .flowsim import FlowSpec
+from .curvekit import CLOSED, OPEN
 
 TWO_PI = 2.0 * math.pi
 
@@ -87,19 +86,3 @@ FLOWS: dict[str, dict] = {
         "summary": "arclength-preserving flow driving both normal directions",
     },
 }
-
-
-def curve(name: str, samples: int = 256) -> CurveSpec:
-    entry = CURVES[name]
-    return CurveSpec.from_strings(
-        entry["components"], entry["domain"], entry["topology"], samples
-    )
-
-
-def flow(name: str, dimension: int, f1_at_0: float = 0.0) -> FlowSpec:
-    entry = FLOWS[name]
-    speeds = entry["speeds"](dimension)
-    if entry["mode"] == "explicit":
-        return FlowSpec.explicit(speeds)
-    return FlowSpec.inextensible(speeds, f1_at_0=f1_at_0)
-

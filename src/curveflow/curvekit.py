@@ -82,14 +82,15 @@ class CurveSpec:
             if extra:
                 raise ValueError(f"curve components may only use 'u', found {sorted(extra)}")
         if self.topology == CLOSED:
-            for j, c in enumerate(self.components):
-                a = exprjet.eval_scalar(c, u=u0)
-                b = exprjet.eval_scalar(c, u=u1)
-                if abs(a - b) > ENDPOINT_MATCH_TOL * max(1.0, abs(a), abs(b)):
-                    raise ValueError(
-                        f"closed curve component {j} does not match at the endpoints "
-                        f"({a!r} vs {b!r})"
-                    )
+            with np.errstate(over="ignore", invalid="ignore"):  # ``sample`` names them
+                for j, c in enumerate(self.components):
+                    a = exprjet.eval_scalar(c, u=u0)
+                    b = exprjet.eval_scalar(c, u=u1)
+                    if abs(a - b) > ENDPOINT_MATCH_TOL * max(1.0, abs(a), abs(b)):
+                        raise ValueError(
+                            f"closed curve component {j} does not match at the endpoints "
+                            f"({a!r} vs {b!r})"
+                        )
 
 
 @dataclass(frozen=True)
@@ -209,11 +210,19 @@ def sample(spec: CurveSpec) -> SampledCurve:
         grid = np.linspace(u0, u1, N)
         h = float(grid[1] - grid[0])
     derivs = np.empty((n + 1, n, N))
-    for j, comp in enumerate(spec.components):
-        jet = exprjet.eval_jet(comp, "u", grid, n)
-        for m in range(n + 1):
-            derivs[m, j] = jet.derivative(m)
-    return SampledCurve._finish(grid, h, spec.topology == CLOSED, derivs, derivs[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # _finish finds non-finite values
+        for j, comp in enumerate(spec.components):
+            jet = exprjet.eval_jet(comp, "u", grid, n)
+            for m in range(n + 1):
+                derivs[m, j] = jet.derivative(m)
+    try:
+        return SampledCurve._finish(grid, h, spec.topology == CLOSED, derivs, derivs[1])
+    except NonFiniteCurveError:
+        j, k = np.argwhere(~np.isfinite(derivs).all(axis=0))[0]
+        raise NonFiniteCurveError(
+            "curve evaluation produced non-finite values: "
+            f"component {j + 1} at sample {k} (u={grid[k]:.6g})"
+        ) from None
 
 
 # --------------------------------------------------------------------------
@@ -362,8 +371,9 @@ def _period_integral(values: np.ndarray, h: float, rule: str) -> float:
     return float(np.trapezoid(wrapped, dx=h))
 
 
-# Memoized like ``minkowski.metric_signs``: each stage integrates twice on the
-# same grid.  Read-only, as it is shared.
+# Memoized: every stage of a closed curve's evolution integrates over a period
+# on the same grid, for its length and, in an inextensible flow, for f1's
+# compatibility.  Read-only, as it is shared.
 @functools.cache
 def _simpson_weights(n_points: int) -> np.ndarray:
     """Composite Simpson weights 1, 4, 2, 4, ..., 2, 4, 1 (read-only)."""

@@ -443,14 +443,7 @@ class Jet:
         return Jet(s)
 
 
-_CALL_TABLE = {
-    "sin": Jet.sin,
-    "cos": Jet.cos,
-    "sinh": Jet.sinh,
-    "cosh": Jet.cosh,
-    "exp": Jet.exp,
-    "sqrt": Jet.sqrt,
-}
+_CALL_TABLE = {name: getattr(Jet, name) for name in FUNCTIONS}
 
 
 def eval_jet(e: Expr, var: str, point, order: int, env: dict | None = None) -> Jet:

@@ -191,12 +191,8 @@ def _first_flip(positive: np.ndarray) -> int:
 
 def stencil_curvatures(c: SampledCurve, fd: FrenetData) -> np.ndarray:
     """Curvatures k_i = e_i <dV_i/ds, V_{i+1}> via the difference operator."""
-    m = fd.num_vectors
-    out = np.empty((m - 1, c.samples))
-    for i in range(1, m):
-        dv = d_ds(fd.frame[i - 1], c)
-        out[i - 1] = fd.signs[i] * inner_many(dv, fd.frame[i])
-    return out
+    dv = d_ds(fd.frame[:-1], c)
+    return fd.signs[1:, None] * inner_many(dv, fd.frame[1:])
 
 
 def frenet_residuals(c: SampledCurve, fd: FrenetData) -> np.ndarray:
@@ -206,22 +202,13 @@ def frenet_residuals(c: SampledCurve, fd: FrenetData) -> np.ndarray:
     for 1 < i < m; RHS_m keeps only the first term.  Returns an (m, N)
     array.
     """
-    m = fd.num_vectors
     k = fd.curvatures
     e = fd.signs
     V = fd.frame
-    out = np.empty((m, c.samples))
-    for i in range(1, m + 1):
-        dv = d_ds(V[i - 1], c)
-        rhs = np.zeros_like(dv)
-        if i == 1:
-            if m >= 2:
-                rhs += k[0] * V[1]
-        else:
-            rhs -= (e[i - 2] * e[i - 1]) * k[i - 2] * V[i - 2]
-            if i < m:
-                rhs += k[i - 1] * V[i]
-        r = dv - rhs
-        out[i - 1] = np.sqrt(dot_many(r, r))
-    return out
-
+    dv = d_ds(V, c)
+    # zeros, minus the first term, plus the second: the rounding of one vector at a time
+    rhs = np.zeros_like(dv)
+    rhs[1:] -= ((e[:-1] * e[1:])[:, None] * k)[:, None] * V[:-1]
+    rhs[:-1] += k[:, None] * V[1:]
+    r = dv - rhs
+    return np.sqrt(dot_many(r, r))

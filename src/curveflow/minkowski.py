@@ -40,16 +40,12 @@ class CausalCharacter(enum.Enum):
     TIMELIKE = "timelike"
 
 
-# Memoized: the kernels below are called several times per evolution stage,
-# and building the vector cost more than using it.  Read-only, as it is shared.
-@functools.cache
 def metric_signs(n: int) -> np.ndarray:
-    """Diagonal of the metric: (-1, +1, ..., +1) of length n (read-only)."""
+    """Diagonal of the metric: (-1, +1, ..., +1) of length n."""
     if n < 2:
         raise DimensionMismatch(f"dimension must be >= 2, got {n}")
     g = np.ones(n)
     g[0] = -1.0
-    g.setflags(write=False)
     return g
 
 

@@ -1,17 +1,33 @@
 import numpy as np
 import pytest
 
-from curveflow import catalog, curvekit, flowsim
+from curveflow import catalog, cli, curvekit, flowsim
 from curveflow.minkowski import inner_many
 
 
+def catalog_curve(name, samples):
+    """The CurveSpec of a ``catalog.CURVES`` entry at ``samples`` points."""
+    entry = catalog.CURVES[name]
+    return curvekit.CurveSpec.from_strings(
+        entry["components"], entry["domain"], entry["topology"], samples
+    )
+
+
+def catalog_flow(name, dimension):
+    """The FlowSpec of a ``catalog.FLOWS`` entry in ``dimension``, built by the
+    scenario loader's own ``cli.build_flow``."""
+    entry = catalog.FLOWS[name]
+    flow = {"mode": entry["mode"], "speeds": entry["speeds"](dimension)}
+    return cli.build_flow({"dimension": dimension, "flow": flow})
+
+
 def make_curve(name, samples):
-    return curvekit.sample(catalog.curve(name, samples))
+    return curvekit.sample(catalog_curve(name, samples))
 
 
 def run_flow(curve_name, flow_name, samples, dt, steps, frame_vectors=None):
     curve = make_curve(curve_name, samples)
-    flow = catalog.flow(flow_name, curve.n)
+    flow = catalog_flow(flow_name, curve.n)
     state = flowsim.initial_state(curve, flow, frame_vectors)
     return flowsim.evolve(state, flow, dt, steps)
 

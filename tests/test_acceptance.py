@@ -11,8 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import orthonormality_residual, run_flow
-from curveflow import catalog
+from conftest import catalog_curve, orthonormality_residual, run_flow
 from curveflow.cli import EXIT_OK, _schema, bundled_scenario_path, main
 from curveflow.curvekit import sample
 from curveflow.errors import IncompatibleClosedFlow
@@ -38,10 +37,10 @@ TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
 
 FRAME_CATALOG = {
-    "circle": lambda n: catalog.curve("circle", n),
-    "hyperbola": lambda n: catalog.curve("hyperbola", n),
-    "timelike_helix": lambda n: catalog.curve("timelike_helix", n),
-    "spacelike_helix": lambda n: catalog.curve("spacelike_helix", n),
+    "circle": lambda n: catalog_curve("circle", n),
+    "hyperbola": lambda n: catalog_curve("hyperbola", n),
+    "timelike_helix": lambda n: catalog_curve("timelike_helix", n),
+    "spacelike_helix": lambda n: catalog_curve("spacelike_helix", n),
 }
 
 

@@ -10,6 +10,8 @@ import jsonschema
 import pytest
 
 import curveflow
+from conftest import catalog_flow
+from curveflow import catalog, cli
 from curveflow.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -25,7 +27,7 @@ from curveflow.cli import (
 )
 from curveflow.curvekit import SampledCurve, sample
 from curveflow.errors import ConfigError, FrameBreakdown, NullCurveError
-from curveflow.flowsim import evolve, initial_state
+from curveflow.flowsim import FlowSpec, default_dt, evolve, initial_state
 
 
 def scenario_doc(name):
@@ -512,6 +514,19 @@ def test_list_catalog(capsys):
         assert token in text
 
 
+def test_catalog_flows_are_built_by_the_scenario_loader(monkeypatch):
+    docs = []
+    monkeypatch.setattr(cli, "build_flow", lambda doc: docs.append(doc) or build_flow(doc))
+    for name, entry in sorted(catalog.FLOWS.items()):
+        speeds = entry["speeds"](3)
+        explicit = entry["mode"] == "explicit"
+        assert catalog_flow(name, 3) == (
+            FlowSpec.explicit(speeds) if explicit else FlowSpec.inextensible(speeds)
+        )
+        assert docs[-1] == {"dimension": 3, "flow": {"mode": entry["mode"], "speeds": speeds}}
+    assert len(docs) == len(catalog.FLOWS)
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "curveflow.cli", "list-catalog"],
@@ -597,16 +612,31 @@ def test_loader_owns_the_horizon_rule(tmp_path, capsys, overshoot, accepted):
         assert not out.exists()
 
 
-# ``exp(1000*u)`` overflows while the curve is sampled, before anything evolves.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# ``exp(1000*u)``'s derivatives overflow while the curve is sampled, before
+# anything evolves.  The suite turns a RuntimeWarning into an error, so this
+# also holds that sampling prints no numpy warning.
 @pytest.mark.parametrize("command", [["run"], ["frenet"], ["convergence", "--levels", "2"]])
 def test_overflowing_curve_is_a_numerical_breakdown(tmp_path, capsys, command):
     doc = scenario_doc("line_translate.json")
     doc["curve"]["components"] = ["0", "exp(1000*u)", "0"]
     argv = command[:1] + [write_scenario(tmp_path, doc)] + command[1:]
     assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    # 1000^3 exp(1000 u) first overflows at sample 44 of 64 on [0, 1]
     assert capsys.readouterr().err == (
-        "numerical breakdown: curve evaluation produced non-finite values\n"
+        "numerical breakdown: curve evaluation produced non-finite values: "
+        "component 2 at sample 44 (u=0.698413)\n"
+    )
+
+
+def test_overflowing_closed_curve_is_named_after_its_endpoint_check(tmp_path, capsys):
+    # the endpoint check evaluates exp(1000*2*pi) = inf silently; sampling names it
+    doc = scenario_doc("circle_zero_flow.json")
+    doc["curve"]["components"] = ["0", "cos(u)", "sin(u) + exp(1000*u)"]
+    argv = ["frenet", write_scenario(tmp_path, doc), "--out", str(tmp_path)]
+    assert main(argv) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical breakdown: curve evaluation produced non-finite values: "
+        "component 3 at sample 8 (u=0.785398)\n"
     )
 
 
@@ -627,13 +657,18 @@ def test_dt_from_horizon(tmp_path):
 
 
 def test_dt_heuristic_when_unset(tmp_path):
-    doc = scenario_doc("circle_zero_flow.json")
-    doc["integrator"] = {"steps": 4}
-    out = tmp_path / "o"
-    assert main(["run", write_scenario(tmp_path, doc), "--out", str(out)]) == EXIT_OK
-    rows = (out / "timeseries.csv").read_text().splitlines()[1:]
-    # zero flow: dt = 0.1 * min arc spacing
-    assert float(rows[1].split(",")[1]) == pytest.approx(0.1 * 2 * 3.141592653589793 / 64, rel=1e-6)
+    # zero flow: dt = 0.1 * min arc spacing; the rotation's max |f| = 2 halves it
+    for name, arc_spacing, fmax in (("circle_zero_flow.json", 2 * math.pi / 64, 1.0),
+                                    ("circle_rigid_rotation.json", 2 * math.pi / 256, 2.0)):
+        doc = scenario_doc(name)
+        doc["integrator"] = {"steps": 4}  # neither dt nor t_horizon
+        doc.pop("output", None)
+        out = tmp_path / name
+        assert main(["run", write_scenario(tmp_path, doc), "--out", str(out)]) == EXIT_OK
+        dt = default_dt(initial_state(sample(build_curve_spec(doc)), build_flow(doc)))
+        assert dt == pytest.approx(0.1 * arc_spacing / fmax, rel=1e-6)
+        rows = (out / "timeseries.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == [f"{k * dt:.15g}" for k in range(5)]
 
 
 def test_output_directory_from_scenario(tmp_path, monkeypatch):

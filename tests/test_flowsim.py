@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from curveflow import catalog, exprjet, flowsim
+from curveflow import exprjet, flowsim
 from curveflow.curvekit import sample
 from curveflow.errors import (
     EvolutionError,
@@ -31,7 +31,7 @@ from curveflow.flowsim import (
     velocity,
 )
 from curveflow.frenet import frenet_apparatus
-from conftest import random_explicit_flow
+from conftest import catalog_curve, catalog_flow, random_explicit_flow
 
 TWO_PI = 2.0 * math.pi
 
@@ -55,7 +55,7 @@ def test_solve_f1_zero_normal_speed(circle_256):
 
 
 def test_solve_f1_straight_line_any_f2():
-    c = sample(catalog.curve("line2", 64))  # completed frame, k1 = 0
+    c = sample(catalog_curve("line2", 64))  # completed frame, k1 = 0
     f1 = _solve_f1(c, np.sin(3.0 * c.s) + 2.0, 0.7)
     assert np.allclose(f1, 0.7)
 
@@ -75,8 +75,8 @@ def test_evaluate_speeds_forms_the_f1_rhs_once(monkeypatch):
     # one evolve step builds five states (the rebuilt initial state, three
     # internal RK stages and the end state), each forming the constraint
     # right-hand side once and handing that very array to the f1 solver
-    c = sample(catalog.curve("circle", 64))
-    sine = catalog.flow("inextensible_sine", 3)
+    c = sample(catalog_curve("circle", 64))
+    sine = catalog_flow("inextensible_sine", 3)
     st = initial_state(c, sine)
     ref = evolve(st, sine, 1e-3, 1)
     formed, integrated = [], []
@@ -102,21 +102,21 @@ def test_evaluate_speeds_forms_the_f1_rhs_once(monkeypatch):
 
 def test_dv_dt_rhs_examples(circle_256):
     # synthesized profile makes the rate vanish identically
-    sine = catalog.flow("inextensible_sine", 3)
+    sine = catalog_flow("inextensible_sine", 3)
     st = initial_state(circle_256, sine)
     assert np.max(np.abs(dv_dt_rhs(st))) < 1e-5
 
-    shrink = catalog.flow("normal_shrink", 3)
+    shrink = catalog_flow("normal_shrink", 3)
     st2 = initial_state(circle_256, shrink)
     assert np.max(np.abs(dv_dt_rhs(st2) + 1.0)) < 1e-9
 
-    zero = catalog.flow("zero", 3)
+    zero = catalog_flow("zero", 3)
     st3 = initial_state(circle_256, zero)
     assert np.max(np.abs(dv_dt_rhs(st3))) == 0.0
 
 
 def test_velocity_is_frame_combination(circle_256):
-    flow = catalog.flow("rigid_rotation", 3)
+    flow = catalog_flow("rigid_rotation", 3)
     st = initial_state(circle_256, flow)
     w = velocity(st)
     p = circle_256.points
@@ -135,7 +135,7 @@ def _velocity_by_terms(state):
 @pytest.mark.parametrize("frame_vectors", [3, 1])
 def test_velocity_matches_the_term_loop_bit_for_bit(frame_vectors):
     # m = n, and m < n as in line_translate (its rows past m are zero speeds)
-    c = sample(catalog.curve("line3" if frame_vectors == 1 else "circle", 64))
+    c = sample(catalog_curve("line3" if frame_vectors == 1 else "circle", 64))
     st = initial_state(c, FlowSpec.explicit(["sin(s)", "0", "0"]), frame_vectors)
     rng = np.random.default_rng(frame_vectors)
     shape = st.frenet.frame.shape
@@ -173,7 +173,7 @@ def _speeds_by_jets(flow, c, fd, t):
     FlowSpec.inextensible(["0.5", "-(1-t)^2*s"]),
 ])
 def test_constant_speeds_match_the_jet_path_bit_for_bit(flow):
-    c = sample(catalog.curve("timelike_helix", 64))  # open: f2 = const is compatible
+    c = sample(catalog_curve("timelike_helix", 64))  # open: f2 = const is compatible
     fd = frenet_apparatus(c)
     for t in (0.0, 0.3):
         f, f1_s = evaluate_speeds(flow, c, fd, t)
@@ -183,8 +183,8 @@ def test_constant_speeds_match_the_jet_path_bit_for_bit(flow):
 
 
 def test_evolve_translates_line():
-    c = sample(catalog.curve("line3", 64))
-    flow = catalog.flow("tangent_translate", 3)
+    c = sample(catalog_curve("line3", 64))
+    flow = catalog_flow("tangent_translate", 3)
     st = initial_state(c, flow, frame_vectors=1)
     traj = evolve(st, flow, 1e-3, 1000)
     moved = traj.states[-1].curve.points - traj.states[0].curve.points
@@ -223,15 +223,15 @@ def test_state_times_do_not_drift():
     # step i sits at exactly i * dt; summing dt step by step reads
     # 0.0720000000000001 at step 72
     dt = 1e-3
-    curve = sample(catalog.curve("circle", 16))
-    flow = catalog.flow("zero", curve.n)
+    curve = sample(catalog_curve("circle", 16))
+    flow = catalog_flow("zero", curve.n)
     traj = evolve(initial_state(curve, flow), flow, dt, 250)
     assert [st.t for st in traj.states] == [i * dt for i in range(251)]
 
 
 def test_timestep_refinement_at_least_fourth_order():
-    c = sample(catalog.curve("circle", 128))
-    flow = catalog.flow("rigid_rotation", 3)
+    c = sample(catalog_curve("circle", 128))
+    flow = catalog_flow("rigid_rotation", 3)
     drifts = []
     for dt in (0.2, 0.1, 0.05):
         st = initial_state(c, flow)
@@ -249,7 +249,7 @@ def test_speed_law_on_random_explicit_flows():
         ("timelike_helix", 128, 5e-4, 8),
         ("hyperbola", 128, 1e-3, 20),
     ):
-        c = sample(catalog.curve(curve_name, n_s))
+        c = sample(catalog_curve(curve_name, n_s))
         for seed in (1, 2):
             flow = random_explicit_flow(c.n, seed)
             traj = evolve(initial_state(c, flow), flow, dt, steps)
@@ -273,7 +273,7 @@ def test_evolve_develops_null_tangent():
     # Contracting the speed of a timelike curve drives the tangent null; at the
     # default tolerance it crosses the cone between samples first, which ends
     # in the same named error.
-    c = sample(catalog.curve("hyperbola", 64))
+    c = sample(catalog_curve("hyperbola", 64))
     flow = FlowSpec.explicit(["0", "-3"])
     st = initial_state(c, flow)
     with pytest.raises(NullCurveDeveloped) as err:
@@ -283,7 +283,7 @@ def test_evolve_develops_null_tangent():
 
 
 def test_evolve_stability_guard(circle_256):
-    flow = catalog.flow("normal_shrink", 3)
+    flow = catalog_flow("normal_shrink", 3)
     st = initial_state(circle_256, flow)
     with pytest.raises(StabilityError) as err:
         evolve(st, flow, 0.7, 2)  # one step shrinks the circle by 70%
@@ -307,8 +307,8 @@ def test_evolve_names_an_unresolved_closed_flow():
     # The jet-built initial state passes the compatibility test at N=32, but
     # the stencil rebuild of the same points at t0 misses it (2.03e-5 against
     # a tolerance of 6.28e-6): a discrete residual, not a missing periodic f1.
-    c = sample(catalog.curve("circle", 32))
-    flow = catalog.flow("inextensible_sine", 3)
+    c = sample(catalog_curve("circle", 32))
+    flow = catalog_flow("inextensible_sine", 3)
     st = initial_state(c, flow)
     with pytest.raises(UnresolvedClosedFlow) as err:
         evolve(st, flow, 1e-3, 10)
@@ -339,7 +339,7 @@ def test_evolve_names_an_unresolved_closed_flow():
 def test_internal_stage_failure_is_raised_from_that_stage(flow, error):
     # Every internal RK stage runs every validation: the error carries the
     # stage time t0 + dt/2, not the next accepted time t0 + dt.
-    c = sample(catalog.curve("circle", 64))
+    c = sample(catalog_curve("circle", 64))
     dt = 1e-3
     with pytest.raises(error) as err:
         evolve(initial_state(c, flow), flow, dt, 3)
@@ -362,7 +362,7 @@ def test_internal_stage_failure_is_raised_from_that_stage(flow, error):
 )
 def test_any_stage_failure_is_an_evolution_error(curve, speeds, frame_vectors, steps, t, times,
                                                  message):
-    c = sample(catalog.curve(curve, 64))
+    c = sample(catalog_curve(curve, 64))
     flow = FlowSpec.explicit(speeds)
     with pytest.raises(EvolutionError, match=message) as err:
         evolve(initial_state(c, flow, frame_vectors), flow, 1e-3, steps)
@@ -393,8 +393,8 @@ def test_kept_states_hold_points_not_the_derivative_stack():
     # the stencil rows of ``derivs`` (232 N) or a row view of a speed's jet
     # (one N more) fails.
     N, n, m = 256, 3, 3
-    c = sample(catalog.curve("circle", N))
-    flow = catalog.flow("inextensible_sine", 3)
+    c = sample(catalog_curve("circle", N))
+    flow = catalog_flow("inextensible_sine", 3)
     states = evolve(initial_state(c, flow), flow, 1e-3, 5).states
     flow = FlowSpec.explicit(["0", "sqrt(0.002 - t)", "0"])
     with pytest.raises(EvolutionError) as err:
@@ -413,10 +413,11 @@ _FAULT_PROBE = """
 import resource
 import numpy as np
 from curveflow import catalog, flowsim
-from curveflow.curvekit import sample
+from curveflow.curvekit import CurveSpec, sample
 
-c = sample(catalog.curve("circle", 4096))
-flow = catalog.flow("inextensible_sine", 3)
+circle = catalog.CURVES["circle"]
+c = sample(CurveSpec.from_strings(circle["components"], circle["domain"], circle["topology"], 4096))
+flow = flowsim.FlowSpec.inextensible(catalog.FLOWS["inextensible_sine"]["speeds"](3))
 st = flowsim.initial_state(c, flow)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 traj = flowsim.evolve(st, flow, 1e-3, 10)
@@ -444,7 +445,7 @@ def test_evolve_recycles_stage_memory():
 
 
 def test_evolve_argument_validation(circle_256):
-    flow = catalog.flow("zero", 3)
+    flow = catalog_flow("zero", 3)
     st = initial_state(circle_256, flow)
     with pytest.raises(ValueError):
         evolve(st, flow, -1e-3, 10)
@@ -455,14 +456,14 @@ def test_evolve_argument_validation(circle_256):
 
 
 def test_truncated_frame_rejects_active_higher_speeds():
-    c = sample(catalog.curve("line3", 64))
+    c = sample(catalog_curve("line3", 64))
     flow = FlowSpec.explicit(["1", "1", "0"])
     with pytest.raises(Exception, match="frame"):
         initial_state(c, flow, frame_vectors=1)
 
 
 def test_default_dt_scales_with_speed(circle_256):
-    slow = initial_state(circle_256, catalog.flow("zero", 3))
+    slow = initial_state(circle_256, catalog_flow("zero", 3))
     fast = initial_state(circle_256, FlowSpec.explicit(["10", "0", "0"]))
     assert default_dt(slow) == pytest.approx(0.1 * circle_256.h, rel=1e-6)
     assert default_dt(fast) == pytest.approx(0.01 * circle_256.h, rel=1e-6)
@@ -481,7 +482,7 @@ def test_evaluate_speeds_time_dependence(circle_256):
 def test_arclength_drift_single_state(circle_256):
     from curveflow.flowsim import Trajectory
 
-    flow = catalog.flow("zero", 3)
+    flow = catalog_flow("zero", 3)
     st = initial_state(circle_256, flow)
     traj = Trajectory(states=[st], dt=1.0, flow=flow)
     assert arclength_drift(traj) == 0.0

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from curveflow import catalog, frenet
-from curveflow.curvekit import OPEN, CurveSpec, SampledCurve, sample
+from curveflow import frenet
+from curveflow.curvekit import OPEN, CurveSpec, SampledCurve, d_ds, sample
 from curveflow.errors import NonGenericCurveError
 from curveflow.flowsim import FlowSpec, evolve, initial_state
 from curveflow.frenet import (
@@ -14,16 +14,16 @@ from curveflow.frenet import (
     stencil_curvatures,
 )
 from curveflow.minkowski import CausalCharacter, dot_many, inner_many
-from conftest import orthonormality_residual
+from conftest import catalog_curve, orthonormality_residual
 
 SQRT2 = math.sqrt(2.0)
 
 # every causal flavor at low dimension, plus a generic 4-frame curve
 CATALOG = {
-    "circle": lambda n: catalog.curve("circle", n),
-    "hyperbola": lambda n: catalog.curve("hyperbola", n),
-    "timelike_helix": lambda n: catalog.curve("timelike_helix", n),
-    "spacelike_helix": lambda n: catalog.curve("spacelike_helix", n),
+    "circle": lambda n: catalog_curve("circle", n),
+    "hyperbola": lambda n: catalog_curve("hyperbola", n),
+    "timelike_helix": lambda n: catalog_curve("timelike_helix", n),
+    "spacelike_helix": lambda n: catalog_curve("spacelike_helix", n),
     "w_curve4": lambda n: CurveSpec.from_strings(
         ("cosh(u)", "sinh(u)", "cos(2*u)", "sin(2*u)"), (0.0, 2.0), OPEN, n
     ),
@@ -113,8 +113,52 @@ def test_helix_residual_reference():
     assert frenet_residuals(c, fd).max() < 3e-4
 
 
+def _looped_stencil_curvatures(c, fd):
+    """``stencil_curvatures`` with one d_ds call per frame vector."""
+    out = np.empty((fd.num_vectors - 1, c.samples))
+    for i in range(1, fd.num_vectors):
+        out[i - 1] = fd.signs[i] * inner_many(d_ds(fd.frame[i - 1], c), fd.frame[i])
+    return out
+
+
+def _looped_frenet_residuals(c, fd):
+    """``frenet_residuals`` with one d_ds call and right-hand side per vector."""
+    m, k, e, V = fd.num_vectors, fd.curvatures, fd.signs, fd.frame
+    out = np.empty((m, c.samples))
+    for i in range(1, m + 1):
+        dv = d_ds(V[i - 1], c)
+        rhs = np.zeros_like(dv)
+        if i > 1:
+            rhs -= (e[i - 2] * e[i - 1]) * k[i - 2] * V[i - 2]
+        if i < m:
+            rhs += k[i - 1] * V[i]
+        r = dv - rhs
+        out[i - 1] = np.sqrt(dot_many(r, r))
+    return out
+
+
+# the completed V3 of the circle and V2 of line2, the clamped m = 1 frame of
+# line3, both helices and the n = 2 hyperbola, at an even and an odd N
+@pytest.mark.parametrize("name, vectors", [
+    ("circle", None), ("line2", None), ("line3", 1),
+    ("timelike_helix", None), ("spacelike_helix", None), ("hyperbola", None),
+])
+@pytest.mark.parametrize("samples", [64, 257])
+def test_frame_stack_is_differentiated_once_bit_for_bit(monkeypatch, name, vectors, samples):
+    c = sample(catalog_curve(name, samples))
+    fd = frenet_apparatus(c, vectors)
+    calls = []
+    monkeypatch.setattr(frenet, "d_ds", lambda f, curve: calls.append(f.shape) or d_ds(f, curve))
+    for stacked, looped in ((stencil_curvatures, _looped_stencil_curvatures),
+                            (frenet_residuals, _looped_frenet_residuals)):
+        calls.clear()
+        got, want = stacked(c, fd), looped(c, fd)
+        assert len(calls) == 1
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_line_in_plane_completes_with_zero_curvature():
-    c = sample(catalog.curve("line2", 64))
+    c = sample(catalog_curve("line2", 64))
     fd = frenet_apparatus(c)
     assert fd.completed_last
     assert fd.signs.tolist() == [1, -1]
@@ -122,7 +166,7 @@ def test_line_in_plane_completes_with_zero_curvature():
 
 
 def test_line_needs_clamped_frame_in_three_space():
-    c = sample(catalog.curve("line3", 64))
+    c = sample(catalog_curve("line3", 64))
     with pytest.raises(NonGenericCurveError) as err:
         frenet_apparatus(c)
     assert err.value.index == 2  # breakdown before the last vector: no completion

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from curveflow import catalog
 from curveflow.curvekit import CurveSpec, sample
 from curveflow.flowsim import evolve, initial_state
+from conftest import catalog_flow
 
 N, STEPS, DT = 64, 5, 1e-3
 CURVES = ["circle", "timelike_helix"]
@@ -56,7 +57,7 @@ def run(name: str, L: np.ndarray | None = None):
         comps = [" + ".join(f"({float(L[j, k])!r})*({comps[k]})" for k in range(3))
                  for j in range(3)]
     spec = CurveSpec.from_strings(comps, entry["domain"], entry["topology"], N)
-    flow = catalog.flow("inextensible_sine", 3)
+    flow = catalog_flow("inextensible_sine", 3)
     return evolve(initial_state(sample(spec), flow), flow, DT, STEPS)
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from curveflow import catalog, exprjet, verify
+from curveflow import exprjet, verify
 from curveflow.curvekit import OPEN, CurveSpec, sample
 from curveflow.errors import CurveFlowError, DomainError, InsufficientStates, NotInextensible
 from curveflow.flowsim import FlowSpec, arclength_drift, dv_dt_rhs, evolve, initial_state
@@ -22,7 +22,13 @@ from curveflow.verify import (
     _Window,
     run_check,
 )
-from conftest import orthonormality_residual, random_explicit_flow, run_flow
+from conftest import (
+    catalog_curve,
+    catalog_flow,
+    orthonormality_residual,
+    random_explicit_flow,
+    run_flow,
+)
 
 
 # --- speed evolution --------------------------------------------------------
@@ -47,7 +53,7 @@ def test_speed_evolution_shrink(shrink_traj):
 
 
 def test_speed_evolution_needs_three_states(circle_256):
-    flow = catalog.flow("zero", 3)
+    flow = catalog_flow("zero", 3)
     traj = evolve(initial_state(circle_256, flow), flow, 1e-3, 1)
     with pytest.raises(InsufficientStates):
         check_speed_evolution(traj)
@@ -57,7 +63,7 @@ def test_speed_evolution_needs_three_states(circle_256):
 def explicit_hyperbola_traj():
     """An explicit flow on the timelike hyperbola: e0 = -1 and a speed that
     changes, so the classical speed reading differs from the metric one."""
-    c = sample(catalog.curve("hyperbola", 128))
+    c = sample(catalog_curve("hyperbola", 128))
     flow = random_explicit_flow(2, 1)
     return evolve(initial_state(c, flow), flow, 1e-3, 20)
 
@@ -312,7 +318,7 @@ def _with_changed_signature(traj, step):
 @pytest.fixture(scope="module")
 def time_dependent_traj():
     """Closed circle under an inextensible flow whose f2 depends on t; f3 is a constant."""
-    c = sample(catalog.curve("circle", 64))
+    c = sample(catalog_curve("circle", 64))
     flow = FlowSpec.inextensible(["(1+t)*sin(s)", "0"])
     return evolve(initial_state(c, flow), flow, 1e-3, 20)
 
