@@ -167,7 +167,10 @@ class SampledCurve:
         _, euclid, null_mask, timelike = minkowski.null_test(derivs[1])
         if np.count_nonzero(null_mask):
             idx = int(np.argmax(null_mask))
-            raise NullCurveError(f"tangent is null at sample {idx} (u={grid[idx]:.6g})")
+            at = f"at sample {idx} (u={grid[idx]:.6g})"
+            if not np.isfinite(euclid[idx]):  # |X|^2 overflowed, and inf <= inf marked it null
+                raise NonFiniteCurveError(f"tangent's squared norm is not finite {at}")
+            raise NullCurveError(f"tangent is null {at}")
         if 0 < np.count_nonzero(timelike) < timelike.size:
             raise MixedCausalityError("tangent causal character varies along the curve")
         char = CausalCharacter.TIMELIKE if timelike[0] else CausalCharacter.SPACELIKE
@@ -215,14 +218,17 @@ def sample(spec: CurveSpec) -> SampledCurve:
             jet = exprjet.eval_jet(comp, "u", grid, n)
             for m in range(n + 1):
                 derivs[m, j] = jet.derivative(m)
-    try:
-        return SampledCurve._finish(grid, h, spec.topology == CLOSED, derivs, derivs[1])
-    except NonFiniteCurveError:
-        j, k = np.argwhere(~np.isfinite(derivs).all(axis=0))[0]
-        raise NonFiniteCurveError(
-            "curve evaluation produced non-finite values: "
-            f"component {j + 1} at sample {k} (u={grid[k]:.6g})"
-        ) from None
+        try:
+            return SampledCurve._finish(grid, h, spec.topology == CLOSED, derivs, derivs[1])
+        except NonFiniteCurveError:
+            bad = np.argwhere(~np.isfinite(derivs).all(axis=0))
+            if not len(bad):
+                raise  # the values are finite and the tangent's norm is not: named already
+            j, k = bad[0]
+            raise NonFiniteCurveError(
+                "curve evaluation produced non-finite values: "
+                f"component {j + 1} at sample {k} (u={grid[k]:.6g})"
+            ) from None
 
 
 # --------------------------------------------------------------------------

@@ -10,38 +10,33 @@ checks walk a sliding window of three states in O(N) working memory.
 Frame vectors are gauge-sensitive: the orthogonalization can flip a
 vector's sign between steps when the last curvature changes sign, so each
 state's frame is aligned pointwise with the previous aligned frame as it
-enters the window (flips are counted in the report details).
+enters the window (flips are counted in the report details).  Frames and
+their time differences are (m, n, N) stacks, sample axis last.
 
-Frames and their time differences are (m, n, N) stacks with the sample
-axis last (see ``curvekit``), so products and s-derivatives run along
-contiguous rows.
+At N=256 most of a numpy call's cost is its fixed overhead of about a
+microsecond, so a window step is written in few calls.  The walk aligns
+the frame at t+1 and forms fdot at t; a check forms only what it reads:
+the padded fields (``fields``), the psi entries (``psi_at``) and its own
+stacks of readings or terms.  The window's fdot, fields and speed jets and
+each check's rows and stacks are buffers made once per check and written
+in place at every step.  The jets and the inextensibility gap
+(``_pointwise_violation``) are formed for a block of up to BLOCK_STATES
+states by one set of calls, the jets by one ``eval_jet`` per speed on the
+(b, N) arclength grids with a (b, 1) column of times, as the block's first
+step begins; a block that raises DomainError has its states evaluated one
+at a time, so a broken trajectory raises the error a walk of single states
+meets first.  Every element keeps its arithmetic and its order, so every
+output byte stays; the working memory is a few frames at any length.
 
-Two per-state inputs are formed for a block of up to BLOCK_STATES
-consecutive states by one set of numpy calls, not one set per state: the
-s-derivatives of each speed's jet (one ``eval_jet`` on the stacked (b, N)
-arclength grids with a (b, 1) column of times), and the inextensibility gap
-df1/ds - e0 e1 f2 k1 (``_pointwise_violation``).  The window's walk forms
-each block of jets as the block's first step begins; if the block raises
-DomainError, its states are evaluated one at a time, so a broken trajectory
-raises the error a walk of single states meets first.  At N=256 most of a
-numpy call's cost is its fixed overhead of about a microsecond, so the
-calls, not the arithmetic, are what a block saves.  The arithmetic is
-elementwise and unchanged, so every output byte is.  A block holds b rows
-per derivative, a few frames' worth for b = 8; the working memory stays a
-small multiple of one frame and does not grow with the trajectory, and
-larger blocks bought too little speed for their memory.
-
-Two of the identities expand frame velocities in the frame itself.  In an
+Two identities expand frame velocities in the frame itself.  In an
 indefinite frame the expansion coefficient of V_k is e_{k-1} <X, V_k>, not
-the bare projection, so every projection-based residual is measured twice:
-once with the coefficients in the classical (positive-definite) convention
-("classical" / "bare") and once with the metric-consistent coefficients
-("metric").  Pass/fail gates on the metric reading; both are reported.
-``VerificationReport.gated`` states that gate rule once: every residual
-except the ``*_classical`` and ``*_bare`` readings is gated, and a check
-passes when each gated residual is within its tolerance (the iff check
-alone passes its equivalence instead).  ``_tol`` looks up the default
-tolerances and owns the shape a tolerance must have.
+the bare projection, so each projection-based residual is measured with
+the classical (positive-definite) coefficients ("classical" / "bare") and
+with the metric-consistent ones ("metric").  ``VerificationReport.gated``
+states the gate rule once: every residual but the ``*_classical`` and
+``*_bare`` readings is gated, and a check passes when each gated residual
+is within its tolerance (the iff check alone passes its equivalence
+instead).  ``_tol`` owns the default tolerances and a tolerance's shape.
 
 The right-hand sides are pure functions of 1-based, zero-padded arrays:
 row i of k, f and their s-derivatives holds k_i, f_i, ... (row 0 and every
@@ -52,16 +47,16 @@ holds psi_kj with a zero border, and e[i] is the sign e_i of V_{i+1},
 Residual maxima run over interior samples: on open curves the one-sided
 stencil closures (chained up to the third derivative) occupy a boundary
 layer whose error is amplified and of lower order, so a fixed margin of
-samples is excluded at each end.  Closed curves use every sample.  Each
-window check declares its residual rows once (``_Rows``), one name per row
-in report order, and at each step writes every row of one (R, N) buffer
-with ``out=``; one ``np.abs`` and one ``np.maximum`` call fold the buffer's
-interior samples into a running pointwise maximum, and a name's value is
-the maximum over its rows, taken once at the end.  A maximum is exact, so
-this is the number a reduction at every step gives; NaN propagates, so one
-NaN sample makes its residual NaN, which is within no tolerance.  A reading
-whose signs are all +1 equals another one exactly (x * 1.0 is x), so it
-reuses that reading's rows: ``speed_evolution_classical`` when e0 = +1, and
+samples is excluded at each end; closed curves use every sample.  A window
+check declares its residual rows once (``_Rows``), one name per row in
+report order, and at each step writes every row of one (R, N) buffer; one
+``np.abs`` and one ``np.maximum`` fold its interior into a running
+pointwise maximum, and a name's value is the maximum over its rows, taken
+once at the end.  A maximum is exact, so this is the number a reduction at
+every step gives; NaN propagates, so one NaN sample makes its residual
+NaN, which is within no tolerance.  A reading whose signs are all +1
+equals another one exactly (x * 1.0 is x), so it reuses that reading's
+rows: ``speed_evolution_classical`` when e0 = +1, and
 ``reconstruction_bare`` of V_j when every e_{i-1}, i not 1 or j, is +1.
 """
 
@@ -72,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exprjet
-from .curvekit import d_ds, d_du, d_du4
+from .curvekit import d_du, d_du4
 from .errors import ConfigError, CurveFlowError, DomainError, InsufficientStates, NotInextensible
 from .flowsim import Trajectory, arclength_drift, dv_dt_rhs
 from .minkowski import dot_many, inner_many
@@ -91,9 +86,7 @@ INEXTENSIBILITY_PRECONDITION_TOL = 1e-2
 
 OPEN_BOUNDARY_MARGIN = 8
 
-# States whose speed jets and inextensibility gaps are formed by one set of
-# numpy calls (see the module docstring).
-BLOCK_STATES = 8
+BLOCK_STATES = 8  # states whose speed jets and gaps one set of calls forms
 
 
 def _interior(curve) -> slice:
@@ -138,9 +131,7 @@ class VerificationReport:
         return {
             "identity": self.identity,
             "resolutions": [[int(n), float(dt)] for n, dt in self.resolutions],
-            "residuals": [
-                {k: float(v) for k, v in row.items()} for row in self.residuals
-            ],
+            "residuals": [{k: float(v) for k, v in row.items()} for row in self.residuals],
             "order": {k: (None if v is None else float(v)) for k, v in self.orders.items()},
             "pass": bool(self.passed),
             "tolerance": {k: float(v) for k, v in self.tolerance.items()},
@@ -158,49 +149,49 @@ class _Window:
 
     Each state's frame is sign-aligned against the previous aligned frame
     as it enters, so at most three frames are held at a time; ``flips``
-    counts the flipped vectors so far.  The walk forms the jets of
-    f_2, f_3, ... to the derivative ``orders`` for each block of states
-    as the block's first step begins; a block that raised DomainError
-    runs its states one at a time.
+    counts the flipped vectors so far.  The jets of f_2, f_3, ... are taken
+    to the derivative ``orders``.
     """
 
     def __init__(self, traj: Trajectory, orders: tuple[int, ...] = ()):
         if len(traj.states) < 3:
             raise InsufficientStates(f"need at least 3 states, trajectory has {len(traj.states)}")
         first = traj.states[0]
-        self.traj = traj
-        self.dt = traj.dt
-        self.m = first.frenet.num_vectors
-        self.n = first.curve.n
-        self.N = first.curve.samples
-        self.signs = first.frenet.signs
-        self.sign_bytes = self.signs.tobytes()
+        self.traj, self.dt, self.orders = traj, traj.dt, orders
+        self.m, self.n, self.N = m, n, N = first.frenet.num_vectors, first.curve.n, first.curve.samples
+        signs = first.frenet.signs
+        self.sign_bytes = signs.tobytes()
+        self.sign_column = signs[:, None].astype(float)  # no int cast per product
         # padded signs (see the module docstring), as floats for scalar products
-        self.e = [float(x) for x in self.signs] + [1.0] * (self.n + 3 - self.m)
+        self.e = [float(x) for x in signs] + [1.0] * (n + 3 - m)
         self.interior = _interior(first.curve)
         self.flips = 0
-        self.orders = orders
-        self.block = None  # ``_derivatives`` of the current block of states
+        # kept across steps, rows nothing writes stay +0.0; jets[j - 1, b, i - 2]: d^j f_i/ds^j at state b
+        self.fdot = np.empty((m, n, N))
+        self.padded = np.zeros((2 + max(orders, default=1), n + 3, N))
+        self.jets = np.zeros((max(orders, default=0), BLOCK_STATES, n - 1, N))
+        self.grids = np.empty((BLOCK_STATES, N))
+        self.blocked = False
 
     def walk(self):
         """Yield self at t = 1..T-2: ``prev``, ``state`` and ``next`` are the
         states at t-1, t, t+1, ``frames`` the aligned (m, n, N) frame at t
-        and ``fdot`` its central time difference."""
+        and ``fdot`` its central time difference, which the next step overwrites."""
         states = self.traj.states
         before = states[0].frenet.frame  # state 0 sets the signs and is never flipped
         frames = self._aligned(states[1], before)
         for t in range(1, len(states) - 1):
             after = self._aligned(states[t + 1], frames)
             if self.orders and (t - 1) % BLOCK_STATES == 0:
-                self.block = None  # dropped before the next is formed
                 try:
-                    self.block = self._derivatives(states[t : min(t + BLOCK_STATES, len(states) - 1)])
+                    self._derivatives(states[t : min(t + BLOCK_STATES, len(states) - 1)])
+                    self.blocked = True
                 except DomainError:
-                    pass  # ``fields`` evaluates this block's states one at a time
+                    self.blocked = False  # ``fields`` evaluates this block's states one at a time
             self.step = t
             self.prev, self.state, self.next = states[t - 1 : t + 2]
             self.frames = frames
-            self.fdot = (after - before) / (2.0 * self.dt)
+            np.divide(np.subtract(after, before, out=self.fdot), 2.0 * self.dt, out=self.fdot)
             yield self
             before, frames = frames, after
 
@@ -209,7 +200,7 @@ class _Window:
         if st.frenet.signs.tobytes() != self.sign_bytes:
             raise CurveFlowError("frame signature changed along the trajectory")
         frame = st.frenet.frame
-        mask = inner_many(previous, frame) * self.signs[:, None] < 0  # (m, N)
+        mask = inner_many(previous, frame) * self.sign_column < 0  # (m, N)
         flips = int(np.count_nonzero(mask))
         if flips:
             # a copy: the state's own frame stays as evolved
@@ -219,41 +210,40 @@ class _Window:
 
     def fields(self):
         """Padded k, f and s-derivatives of f at t: ``ds[j - 1]`` holds the
-        j-th derivatives of f_2, f_3, ..., the state's row of the block."""
-        st = self.state
-        k, f, *ds = np.zeros((2 + max(self.orders, default=1), self.n + 3, self.N))
+        j-th derivatives of f_2, f_3, ...  Views of one buffer, which the
+        next call overwrites."""
+        st, (k, f, *ds) = self.state, self.padded
         k[1 : self.m] = st.frenet.curvatures
         f[1 : self.n + 1] = st.f_values
-        if self.block is None:
-            derivs, row = self._derivatives([st]), 0
-        else:
-            derivs, row = self.block, (self.step - 1) % BLOCK_STATES
-        for i, d in derivs:
-            for j in range(len(d)):
-                ds[j][i] = d[j, row]
+        row = (self.step - 1) % BLOCK_STATES
+        if not self.blocked:
+            self._derivatives([st])
+            row = 0
+        for d, jets in zip(ds, self.jets):
+            d[2 : self.n + 1] = jets[row]
         return k, f, ds
 
-    def _derivatives(self, block) -> list:
-        """Pairs each speed index i >= 2 with the (order, states, N) stack
-        of its s-derivatives 1..order on the block's states: one
-        ``eval_jet`` per speed, on their stacked arclength grids with a
-        column of their times.  A jet's rows broadcast into the stack, so a
-        constant's one-wide zero rows fill it with +0.0."""
-        s = np.stack([st.curve.s for st in block])
+    def _derivatives(self, block) -> None:
+        """Writes the s-derivatives of f_2, f_3, ... on the block's states into
+        ``jets``: one ``eval_jet`` per speed, on their arclength grids as rows
+        with a column of their times.  A constant's zero rows broadcast."""
+        s = self.grids[: len(block)]
+        for row, st in enumerate(block):
+            s[row] = st.curve.s
         env = {"t": np.array([[st.t] for st in block])}
         speeds = self.traj.flow.speeds
-        derivs = []
         for i, order in enumerate(self.orders[: self.n - 1], start=2):
             jet = exprjet.eval_jet(speeds[i - 1], "s", s, order, env)
-            d = np.empty((order,) + s.shape)
             for j in range(1, order + 1):
-                jet.derivative(j, out=d[j - 1])
-            derivs.append((i, d))
-        return derivs
+                jet.derivative(j, out=self.jets[j - 1, : len(block), i - 2])
 
     def psi(self) -> np.ndarray:
         """(m, m, N) matrix of <fdot_j, V_k> at t, indexed [k, j]."""
         return inner_many(self.fdot[None], self.frames[:, None])
+
+    def psi_at(self, rows, cols) -> np.ndarray:
+        """The entries [rows[p], cols[p]] of ``psi()`` alone, as (p, N) rows."""
+        return inner_many(self.fdot.take(cols, axis=0), self.frames.take(rows, axis=0))
 
 
 # --------------------------------------------------------------------------
@@ -332,32 +322,31 @@ class _Rows:
         return {name: float(np.max(per_row[rows])) for name, rows in self.rows.items()}
 
 
-def _euclid_norm(X: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return np.sqrt(dot_many(X, X), out=out)
-
-
 def _pointwise_violation(traj: Trajectory) -> float:
     """max |df1/ds - e0 e1 f2 k1|, with df1/ds from a fourth-order stencil.
 
     The sharper stencil keeps the measurement independent of how f1 was
     produced (quadrature or expression) without drowning it in the
-    second-order noise of the everyday operator.  Up to BLOCK_STATES
-    states are stacked as (b, N) rows and measured by one set of numpy
-    calls; each block's gaps are reduced over its states before the
-    running maximum.  The right-hand side is ``inextensibility_rhs`` with
-    each state's own sign product.
+    second-order noise of the everyday operator.  A block of states is
+    copied into rows of kept buffers, measured by one set of numpy calls
+    and reduced over its states; the right-hand side is
+    ``inextensibility_rhs`` with each state's signs.
     """
     first = traj.states[0].curve
     sl = _interior(first)
     peak = np.zeros(first.samples)[sl]
+    buffers = np.empty((4, BLOCK_STATES, first.samples))
     for lo in range(0, len(traj.states), BLOCK_STATES):
         block = traj.states[lo : lo + BLOCK_STATES]
-        f1 = np.stack([st.f_values[0] for st in block])
-        gap = d_du4(f1, first.h, first.closed) / np.stack([st.curve.speeds for st in block])
+        f1, speeds, f2, k1 = buffers[:, : len(block)]
+        for row, st in enumerate(block):
+            f1[row], speeds[row] = st.f_values[0], st.curve.speeds
+        gap = d_du4(f1, first.h, first.closed) / speeds
         if block[0].frenet.num_vectors >= 2:
             e0e1 = np.array([[float(st.frenet.signs[0] * st.frenet.signs[1])] for st in block])
-            f2 = np.stack([st.f_values[1] for st in block])
-            gap -= e0e1 * f2 * np.stack([st.frenet.curvatures[0] for st in block])
+            for row, st in enumerate(block):
+                f2[row], k1[row] = st.f_values[1], st.frenet.curvatures[0]
+            gap -= e0e1 * f2 * k1
         np.maximum(peak, np.max(np.abs(gap[:, sl]), axis=0), out=peak)
     return float(np.max(peak))
 
@@ -392,14 +381,8 @@ def _report(identity, traj, residuals, tolerance, details, passed=None) -> Verif
     tol = _tol(identity, tolerance)
     if not isinstance(tol, dict):
         tol = {name: tol for name in residuals}
-    report = VerificationReport(
-        identity=identity,
-        resolutions=[(traj.states[0].curve.samples, traj.dt)],
-        residuals=[residuals],
-        tolerance=tol,
-        passed=passed,
-        details=details,
-    )
+    resolutions = [(traj.states[0].curve.samples, traj.dt)]
+    report = VerificationReport(identity, resolutions, [residuals], tol, passed, details)
     if passed is None:
         report.passed = all(residuals[name] <= tol[name] for name in report.gated)
     return report
@@ -479,37 +462,55 @@ def check_frame_evolution(traj: Trajectory, tolerance: float | None = None) -> V
     violation = _require_inextensible(traj)
     m = traj.states[0].frenet.num_vectors
     window = _Window(traj, (1,) * (m - 1))
-    e = window.e
+    e, n, N = window.e, window.n, window.N
     others = {j: [i for i in range(2, m + 1) if i != j] for j in range(2, m + 1)}
     rows = _Rows()
     tangent_row = rows.add("tangent_equation")
-    v1_rows = [rows.add("v1_coefficient_mid" if j < m else "v1_coefficient_last") for j in others]
-    readings = []  # per j: (row, signed) of each distinct reading of dV_j/dt
+    v1 = rows.count  # the v1 rows, one per j, then the readings' rows
+    for j in others:
+        rows.add("v1_coefficient_mid" if j < m else "v1_coefficient_last")
+    readings = []  # (j, signs of psi_ij, i in others[j]) of each distinct reading of dV_j/dt
     for j in others:
         metric = rows.add("reconstruction_metric")
-        same = all(e[i - 1] == 1.0 for i in others[j])
-        bare = rows.add("reconstruction_bare", same=metric if same else None)
-        readings.append([(metric, True)] if same else [(metric, True), (bare, False)])
+        signs, bare = [e[i - 1] for i in others[j]], [1.0] * (m - 2)  # e_{i-1} psi_ij or psi_ij
+        rows.add("reconstruction_bare", same=metric if signs == bare else None)
+        readings += [(j, signs)] if signs == bare else [(j, signs), (j, bare)]
+    recon, R = v1 + m - 1, len(readings)  # the readings' rows follow the v1 rows
+    # dV_1/dt and each reading of dV_j/dt as m - 1 terms coefficient * vector, stacked
+    # [component, term, 1 + reading]: c_i V_i, i = 2..m; the V1 coefficient times V_1,
+    # then signed psi_ij V_i, i != j.  psi is formed where the v1 rows, then the terms, read it.
+    at = [(0, j - 1) for j in others] + [(others[j][t] - 1, j - 1) for t in range(m - 2) for j, _ in readings]
+    psi_rows, psi_cols = np.array(at, dtype=int).reshape(-1, 2).T
+    psi_signs = np.array([signs[t] for t in range(m - 2) for _, signs in readings]).reshape(-1, 1)
+    target_signs = np.array([-e[0] * e[j - 1] for j in others]).reshape(-1, 1)
+    # each term's coefficient is a row of [c_2..c_m, the V1 coefficients, the signed psi_ij]
+    index = [[t] + [m + j - 3 if t == 0 else 2 * m - 2 + (t - 1) * R + r for r, (j, _) in enumerate(readings)]
+             for t in range(m - 1)]
+    stacks = np.array([range(1, m)] + [[0] + [i - 1 for i in others[j]] for j, _ in readings], dtype=int).T
+    vectors = np.add.outer(np.arange(n), n * stacks).ravel()  # rows of the (m * n, N) frame
+    velocities = np.add.outer(np.arange(n), n * np.array([0] + [j - 1 for j, _ in readings])).ravel()
+    index, source = np.array(index, dtype=int).reshape(m - 1, 1 + R), np.empty((2 * m - 2 + len(psi_signs), N))
+    coefficients, sums, fdots = np.empty((m - 1, 1 + R, N)), np.empty((n, 1 + R, N)), np.empty((n, 1 + R, N))
+    terms = np.empty((n, m - 1, 1 + R, N))
 
     def fill(w, buf):
-        fdot, V = w.fdot, w.frames
         k, f, (fs,) = w.fields()
         c = tangent_rate_coefficients(e, k, f, fs, m)
-        tangent = sum(ci * Vi for ci, Vi in zip(c, V[1:]))
-        _euclid_norm(fdot[0] - tangent, out=buf[tangent_row])
-
-        psi = w.psi()
+        psi = w.psi_at(psi_rows, psi_cols)
         # V1 coefficient of dV_j/dt for j = 2..m, then dV_j/dt rebuilt from it and psi
-        targets = [-e[0] * e[j - 1] * c[j - 2] for j in others]
-        for j, target, row in zip(others, targets, v1_rows):
-            np.subtract(e[0] * psi[0, j - 1], target, out=buf[row])
-        for j, target, distinct in zip(others, targets, readings):
-            for row, signed in distinct:  # coefficients e_{i-1} psi_ij (metric) or psi_ij (bare)
-                recon = target * V[0]
-                for i in others[j]:
-                    p = psi[i - 1, j - 1]
-                    recon += (e[i - 1] * p if signed else p) * V[i - 1]
-                _euclid_norm(fdot[j - 1] - recon, out=buf[row])
+        source[: m - 1] = c
+        target = np.multiply(target_signs, c, out=source[m - 1 : 2 * m - 2])
+        np.subtract(e[0] * psi[: m - 1], target, out=buf[v1:recon])
+        np.multiply(psi[m - 1 :], psi_signs, out=source[2 * m - 2 :])
+        source.take(index, axis=0, out=coefficients, mode="clip")  # not buffered, as "raise" is
+        w.frames.reshape(-1, N).take(vectors, axis=0, out=terms.reshape(-1, N), mode="clip")
+        np.multiply(terms, coefficients, out=terms)
+        np.add.reduce(terms, axis=1, out=sums)  # sum()'s +0.0 start moves only a zero's sign
+        w.fdot.reshape(-1, N).take(velocities, axis=0, out=fdots.reshape(-1, N), mode="clip")
+        np.subtract(fdots, sums, out=sums)
+        squares = dot_many(sums.transpose(1, 0, 2), sums.transpose(1, 0, 2))
+        np.sqrt(squares[0], out=buf[tangent_row])
+        np.sqrt(squares[1:], out=buf[recon:])
 
     residuals = rows.peaks(window, fill)
     details = {"frame_flips": window.flips, "inextensibility_violation": violation}
@@ -528,12 +529,17 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
     """
     violation = _require_inextensible(traj)
     window = _Window(traj, (2, 1))
-    m, e = window.m, window.e
+    m, e, N = window.m, window.e, window.N
     if m < 2:
         raise CurveFlowError("curvature check needs at least two frame vectors")
-    psi = np.zeros((m + 2, m + 2, window.N))  # zero-padded, like k and f
-    dpsi = np.zeros_like(psi)
-    psi_core, dpsi_core = psi[1:-1, 1:-1], dpsi[1:-1, 1:-1]
+    psi, dpsi = np.zeros((2, m + 2, m + 2, N))  # zero-padded, like k and f
+    # curvature_rates reads dpsi at [i + 1, i] and [m - 1, m], psi at [i + 2, i] and [i - 1, i + 1]: only
+    # those psi entries are formed, and one d_du and one divide differentiate the first with k_0..k_2
+    slope_at = [(i + 1, i) for i in range(1, m)] + [(m - 1, m)]
+    value_at = [(i + 2, i) for i in range(1, m - 1)] + [(i - 1, i + 1) for i in range(2, m)]
+    at = np.array(slope_at + value_at, dtype=int).reshape(-1, 2).T  # padded [row, col]
+    core = at - 1  # the same entries of the unpadded psi
+    rates, slopes = np.empty((2, 3 + m, N))
     rows = _Rows()  # k1_rate_max and k1_flow_rhs_max go to the details, not residuals
     flow_form, rate_max, rhs_max = map(rows.add, ("k1_flow_form", "k1_rate_max", "k1_flow_rhs_max"))
     psi_rows = [(rows.add(f"k{i}_psi_metric"), rows.add(f"k{i}_psi_classical")) for i in range(1, m)]
@@ -542,15 +548,17 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
         c = w.state.curve
         kdot = (w.next.frenet.curvatures - w.prev.frenet.curvatures) / (2.0 * w.dt)
         k, f, (fs, fss) = w.fields()
-        ks = d_ds(k[:3], c)  # k1_rate reads only k_1' and k_2'
-        rhs_a = k1_rate(e, k, ks, f, fs, fss)
+        p = w.psi_at(*core)
+        psi[at[0, m:], at[1, m:]] = p[m:]
+        rates[:3] = k[:3]
+        rates[3:] = p[:m]
+        d_du(rates, c.h, c.closed, out=slopes)
+        np.divide(slopes, c.speeds, out=slopes)  # d/ds: the same differences, then / speeds
+        dpsi[at[0, :m], at[1, :m]] = slopes[3:]
+        rhs_a = k1_rate(e, k, slopes, f, fs, fss)  # k1_rate reads only k_1' and k_2'
         np.subtract(kdot[0], rhs_a, out=buf[flow_form])
         buf[rate_max] = kdot[0]
         buf[rhs_max] = rhs_a
-
-        psi_core[...] = p = w.psi()
-        # d_ds(p) divided into the padded view: the same differences, then / speeds
-        np.divide(d_du(p, c.h, c.closed), c.speeds, out=dpsi_core)
         metric, classical = curvature_rates(e, k, psi, dpsi, m)
         for rate, a, b, (metric_row, classical_row) in zip(kdot, metric, classical, psi_rows):
             np.subtract(rate, a, out=buf[metric_row])
@@ -560,11 +568,8 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
     k_peak = np.zeros(m - 1)  # peak |k_j| over every state, both end states included
     for st in traj.states:
         k_peak = np.maximum(k_peak, np.max(np.abs(st.frenet.curvatures), axis=1))
-    degenerate = [
-        f"k{i}"
-        for i in range(1, m)
-        if any(k_peak[j - 1] < 1e-10 for j in (i - 1, i + 1) if 1 <= j <= m - 1)
-    ]
+    flat = [j for j in range(1, m) if k_peak[j - 1] < 1e-10]
+    degenerate = [f"k{i}" for i in range(1, m) if i - 1 in flat or i + 1 in flat]
     details = {
         "frame_flips": window.flips,
         "inextensibility_violation": violation,
@@ -600,11 +605,6 @@ def merge_reports(reports: list[VerificationReport]) -> VerificationReport:
     if any(r.identity != identity for r in reports):
         raise ValueError("reports describe different identities")
     finest = reports[-1]
-    return VerificationReport(
-        identity=identity,
-        resolutions=[res for r in reports for res in r.resolutions],
-        residuals=[row for r in reports for row in r.residuals],
-        tolerance=finest.tolerance,
-        passed=finest.passed,
-        details=finest.details,
-    )
+    resolutions = [res for r in reports for res in r.resolutions]
+    residuals = [row for r in reports for row in r.residuals]
+    return VerificationReport(identity, resolutions, residuals, finest.tolerance, finest.passed, finest.details)

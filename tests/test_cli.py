@@ -628,6 +628,21 @@ def test_overflowing_curve_is_a_numerical_breakdown(tmp_path, capsys, command):
     )
 
 
+# ``exp(600*u)``'s values and derivatives are finite, but the tangent's squared
+# norm overflows: q and |X|^2 are both inf, which the null test alone reads as
+# a null tangent.  The suite turns a RuntimeWarning into an error, so this also
+# holds that the overflow prints no numpy warning.
+@pytest.mark.parametrize("command", [["run"], ["frenet"]])
+def test_overflowing_tangent_norm_is_a_non_finite_curve(tmp_path, capsys, command):
+    doc = scenario_doc("line_translate.json")
+    doc["curve"]["components"] = ["0", "exp(600*u)", "0"]
+    argv = command + [write_scenario(tmp_path, doc), "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err == "numerical breakdown: tangent's squared norm is not finite at sample 37 (u=0.587302)\n"
+    assert "null" not in err
+
+
 def test_overflowing_closed_curve_is_named_after_its_endpoint_check(tmp_path, capsys):
     # the endpoint check evaluates exp(1000*2*pi) = inf silently; sampling names it
     doc = scenario_doc("circle_zero_flow.json")

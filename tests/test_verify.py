@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from curveflow import exprjet, verify
-from curveflow.curvekit import OPEN, CurveSpec, sample
+from curveflow.curvekit import OPEN, CurveSpec, d_ds, sample
 from curveflow.errors import CurveFlowError, DomainError, InsufficientStates, NotInextensible
 from curveflow.flowsim import FlowSpec, arclength_drift, dv_dt_rhs, evolve, initial_state
 from curveflow.minkowski import dot_many
@@ -17,6 +17,7 @@ from curveflow.verify import (
     check_iff_condition,
     check_psi_antisymmetry,
     check_speed_evolution,
+    k1_rate,
     merge_reports,
     _Rows,
     _Window,
@@ -151,6 +152,19 @@ def test_frame_evolution_helix(helix_traj):
     assert rep.passed
     row = rep.residuals[0]
     assert row["reconstruction_metric"] <= row["reconstruction_bare"] + 1e-12
+
+
+def test_frame_evolution_with_one_frame_vector():
+    # m = 1: no frame vector to expand dV_1/dt in, so the tangent equation
+    # predicts 0 and reads the largest |dV_1/dt|; the check forms no other row
+    curve = sample(CurveSpec.from_strings(("sqrt(2)*u", "cos(u)", "sin(u)"), (0.0, 6.0), OPEN, 64))
+    flow = FlowSpec.inextensible(["0", "0"], f1_at_0=0.3)  # a slide along the tangent
+    traj = evolve(initial_state(curve, flow, 1), flow, 1e-3, 5)
+    window = _Window(traj)
+    peak = max(float(np.max(np.sqrt(dot_many(w.fdot[0], w.fdot[0]))[window.interior])) for w in window.walk())
+    rep = check_frame_evolution(traj)
+    assert list(rep.residuals[0]) == ["tangent_equation"]
+    assert rep.residuals[0]["tangent_equation"].hex() == peak.hex() and peak > 0.1
 
 
 def test_metric_reconstruction_beats_bare_with_timelike_vector():
@@ -704,6 +718,106 @@ def test_shared_readings_equal_the_readings_formed_in_full(traj_name, signs, req
     assert check_speed_evolution(traj).residuals[0]["speed_evolution_classical"].hex() == speed.hex()
     if frame:
         assert check_frame_evolution(traj).residuals[0]["reconstruction_bare"].hex() == bare.hex()
+
+
+# n = 4 with a timelike V4 (signs +, +, +, -): the multi-j stacks of
+# check_frame_evolution and the k3 readings of check_curvature_pde
+TIMELIKE_V4_FLOWS = {
+    "f4": ["0", "0", "0.05"],  # test_curvature_pde_four_frame_f4_term's flow
+    "f2_f3_f4": ["0.1*sin(s)", "0.05*cos(s)", "0.05"],
+}
+
+
+@pytest.fixture(scope="module", params=list(TIMELIKE_V4_FLOWS))
+def timelike_v4_traj(request):
+    components = ("cosh(u)", "sinh(u)", "cos(2*u)", "sin(2*u)")
+    return _traj_of(components, (0.0, 2.0), TIMELIKE_V4_FLOWS[request.param], 64, 1e-3, 10)
+
+
+def _rows_of(check, traj, monkeypatch):
+    """Each residual row's peak over the walk, as the check's own ``fill``
+    writes it: name -> peaks of the name's rows, in row order."""
+    found, peaks = {}, verify._Rows.peaks
+
+    def recording(rows, window, fill):
+        peak = np.zeros((rows.count, window.N))[:, window.interior]
+
+        def fill_and_keep(w, buf):
+            fill(w, buf)
+            np.maximum(peak, np.abs(buf[:, window.interior]), out=peak)
+
+        result = peaks(rows, window, fill_and_keep)
+        found.update({name: [float(np.max(peak[r])) for r in idx] for name, idx in rows.rows.items()})
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify._Rows, "peaks", recording)
+        check(traj)
+    return found
+
+
+def _rows_one_by_one(traj):
+    """The peaks of every frame_evolution row and every k1_flow_form and
+    psi-form curvature_pde row, each formed on its own at every step from
+    the window's fields and full psi matrix, as loops over rows."""
+    m = traj.states[0].frenet.num_vectors
+    window = _Window(traj, (2,) + (1,) * (m - 2))
+    peaks = {}
+
+    def keep(name, index, row):
+        rows = peaks.setdefault(name, {})
+        rows[index] = max(rows.get(index, 0.0), float(np.max(np.abs(row[window.interior]))))
+
+    def norm(r):
+        return np.sqrt(dot_many(r, r))
+
+    for w in window.walk():
+        e, V, fdot, curve = w.e, w.frames, w.fdot, w.state.curve
+        k, f, (fs, fss) = w.fields()
+        psi = w.psi()  # [k, j], 0-based
+        c = {i: f[i - 1] * k[i - 1] + fs[i] - (e[i - 1] * e[i]) * f[i + 1] * k[i] for i in range(2, m + 1)}
+        keep("tangent_equation", 0, norm(fdot[0] - sum(c[i] * V[i - 1] for i in range(2, m + 1))))
+        for j in range(2, m + 1):
+            target = -e[0] * e[j - 1] * c[j]
+            keep("v1_coefficient_mid" if j < m else "v1_coefficient_last", j, e[0] * psi[0, j - 1] - target)
+            for name, signed in (("reconstruction_metric", True), ("reconstruction_bare", False)):
+                recon = target * V[0]
+                for i in range(2, m + 1):
+                    if i != j:
+                        recon = recon + (e[i - 1] * psi[i - 1, j - 1] if signed else psi[i - 1, j - 1]) * V[i - 1]
+                keep(name, j, norm(fdot[j - 1] - recon))
+        # zero-padded and 1-based, as curvature_rates reads them
+        P, D = np.zeros((m + 2, m + 2, w.N)), np.zeros((m + 2, m + 2, w.N))
+        for a in range(m):
+            for b in range(m):
+                P[a + 1, b + 1], D[a + 1, b + 1] = psi[a, b], d_ds(psi[a, b], curve)
+        kdot = (w.next.frenet.curvatures - w.prev.frenet.curvatures) / (2.0 * w.dt)
+        keep("k1_flow_form", 0, kdot[0] - k1_rate(e, k, d_ds(k[:3], curve), f, fs, fss))
+        for i in range(1, m):
+            d, p, q = D[i + 1, i], P[i + 2, i], k[i - 1] * P[i - 1, i + 1]
+            metric = e[i] * (d - p * k[i + 1]) - e[i - 2] * e[i - 1] * e[i] * q
+            if i < m - 1:
+                classical = d - e[i] * e[i + 1] * p * k[i + 1] - q
+            else:
+                classical = -e[m - 2] * e[m - 1] * (D[m - 1, m] + P[m - 2, m] * k[m - 2])
+            keep(f"k{i}_psi_metric", 0, kdot[i - 1] - metric)
+            keep(f"k{i}_psi_classical", 0, kdot[i - 1] - classical)
+    return {name: [rows[i] for i in sorted(rows)] for name, rows in peaks.items()}
+
+
+def test_every_n4_reading_equals_the_reading_formed_row_by_row(timelike_v4_traj, monkeypatch):
+    # the checks form their readings as stacks (every j at once, only the psi
+    # entries they read, k and psi rows differentiated together); each row
+    # must match, to the bit, the row formed alone by a plain loop
+    traj = timelike_v4_traj
+    assert traj.states[0].frenet.signs.tolist() == [1, 1, 1, -1]
+    expected = _rows_one_by_one(traj)
+    found = _rows_of(check_frame_evolution, traj, monkeypatch)
+    found.update(_rows_of(check_curvature_pde, traj, monkeypatch))
+    for name, rows in expected.items():
+        assert [x.hex() for x in found[name]] == [x.hex() for x in rows], name
+    assert len(found["reconstruction_metric"]) == 3 and len(found["k3_psi_metric"]) == 1
+    assert set(found) - set(expected) == {"k1_rate_max", "k1_flow_rhs_max"}
 
 
 def test_report_json_shape(rigid_traj_short):

@@ -18,8 +18,10 @@ Operations, timed in CPU seconds of this process:
 * ``verify``: the five checks (``run_check`` for every ``CHECKS`` name) on
   a closed circle trajectory under ``sin(s)`` at ``--samples`` points over
   ``--steps`` steps of 1e-3, and on the bundled ``timelike_helix_twist``
-  scenario, as perfbench's ``verify_replay`` does.  Each tree checks the
-  trajectories its own ``evolve`` built.
+  scenario, as perfbench's ``verify_replay`` does; then on an n = 4 curve
+  with a timelike V4 under f2, f3 and f4 (``TIMELIKE_V4``), whose k3
+  readings and several-j frame readings no bundled scenario forms.  Each
+  tree checks the trajectories its own ``evolve`` built.
 * ``evolve``: one ``evolve`` call of that circle flow.
 * ``run``: ``cli.execute`` on every bundled scenario of the tree, each
   read once before timing: the in-process path of perfbench's
@@ -58,6 +60,13 @@ from tracing import trajectory_bytes  # the count behind perfbench's flowsim.tra
 
 CIRCLE = "circle_inextensible_sine.json"
 HELIX = "timelike_helix_twist.json"
+# tests/test_verify.py's timelike-V4 curve (signs +, +, +, -) under its f2, f3, f4 flow
+TIMELIKE_V4 = {
+    "dimension": 4,
+    "curve": {"components": ["cosh(u)", "sinh(u)", "cos(2*u)", "sin(2*u)"], "domain": [0, 2], "samples": 64},
+    "flow": {"mode": "inextensible", "speeds": ["0.1*sin(s)", "0.05*cos(s)", "0.05"]},
+    "integrator": {"dt": 1e-3, "steps": 10},
+}
 
 
 def load_tree(src: Path, alias: str):
@@ -74,9 +83,13 @@ def load_tree(src: Path, alias: str):
 
 
 def scenario_inputs(cf, src: Path, name: str, samples: int | None = None):
-    """(initial state, flow, integrator) of a bundled scenario, built as
+    """(initial state, flow, integrator, doc) of a bundled scenario, built as
     ``cli.execute`` builds them; the file is read from ``src``."""
-    doc = cf.cli.load_scenario(src / "curveflow" / "scenarios" / name)
+    return doc_inputs(cf, cf.cli.load_scenario(src / "curveflow" / "scenarios" / name), samples)
+
+
+def doc_inputs(cf, doc: dict, samples: int | None = None):
+    """(initial state, flow, integrator, doc) of a scenario document."""
     flow = cf.cli.build_flow(doc)
     curve = cf.sample(cf.cli.build_curve_spec(doc, samples))
     integ = doc["integrator"]
@@ -99,8 +112,8 @@ class Side:
             self.run = self.evolve
             return
         cases = [(cf.evolve(*self.circle), {})]
-        state, flow, integ, doc = scenario_inputs(cf, src, HELIX)
-        cases.append((cf.evolve(state, flow, integ["dt"], integ["steps"]), doc.get("tolerances", {})))
+        for state, flow, integ, doc in (scenario_inputs(cf, src, HELIX), doc_inputs(cf, TIMELIKE_V4)):
+            cases.append((cf.evolve(state, flow, integ["dt"], integ["steps"]), doc.get("tolerances", {})))
         self.cases = cases
         self.run = self.verify
 
