@@ -2,11 +2,14 @@
 
 Subcommands:
 
-* ``run``          evolve a scenario, emit timeseries.csv, optional frame
-                   dumps, and report.json for the requested checks.
+* ``run``          evolve a scenario, emit timeseries.csv (the accepted
+                   steps also when evolution breaks down), the frame dumps
+                   of ``output.frames_at``, and report.json for the
+                   requested checks.
 * ``convergence``  rerun a scenario at (N, dt), (2N, dt/2), ... with the
                    step count doubled per level (fixed time horizon) and
-                   emit convergence.csv with fitted orders.
+                   emit convergence.csv with fitted orders; it needs
+                   ``integrator.dt``.
 * ``frenet``       frame/curvature dump of the scenario's curve, no
                    evolution.
 * ``list-catalog`` bundled curves, flows and example scenarios.
@@ -17,6 +20,9 @@ configuration error, 3 numerical breakdown in the curve or its evolution.
 Outputs are written atomically (temp file + rename) and are byte-identical
 across reruns of the same scenario: nothing here depends on wall clock or
 iteration order of hash maps.
+
+A scenario states each fact once: its dimension n is the number of curve
+components, and ``integrator.dt`` is the only step setting.
 """
 
 from __future__ import annotations
@@ -119,13 +125,13 @@ def _const_value(raw, field: str) -> float:
     return value
 
 
+def _dimension(doc: dict) -> int:
+    """n of a scenario's E_1^n: the number of its curve components."""
+    return len(doc["curve"]["components"])
+
+
 def _cross_validate(doc: dict) -> None:
-    n = doc["dimension"]
-    comps = doc["curve"]["components"]
-    if len(comps) != n:
-        raise ConfigError(
-            f"{len(comps)} components for dimension {n}", field="curve.components"
-        )
+    n = _dimension(doc)
     speeds = doc["flow"]["speeds"]
     mode = doc["flow"]["mode"]
     want = n if mode == "explicit" else n - 1
@@ -150,27 +156,10 @@ def _cross_validate(doc: dict) -> None:
         raise ConfigError(
             f"frame_vectors {fv} exceeds dimension {n}", field="integrator.frame_vectors"
         )
-    # The only horizon check: a dt of t_horizon / steps meets it by
-    # construction, and convergence scales dt and steps by powers of two.
     steps = doc["integrator"]["steps"]
-    dt = doc["integrator"].get("dt")
-    horizon = doc["integrator"].get("t_horizon")
-    if dt is not None and horizon is not None and dt * steps > horizon * (1 + 1e-12):
-        raise ConfigError(
-            f"dt*steps = {dt * steps:.6g} exceeds the time horizon {horizon:.6g}",
-            field="integrator.t_horizon",
-        )
     for step in doc.get("output", {}).get("frames_at", []):
         if step > steps:
             raise ConfigError(f"frame step {step} outside [0, {steps}]", field="output.frames_at")
-
-
-def _scenario_dt(integ: dict, steps: int) -> float | None:
-    """integrator.dt, else t_horizon / steps; None when it gives neither."""
-    if "dt" in integ:
-        return integ["dt"]
-    horizon = integ.get("t_horizon")
-    return None if horizon is None else horizon / steps
 
 
 def build_curve_spec(doc: dict, samples_override: int | None = None) -> CurveSpec:
@@ -205,7 +194,7 @@ def build_flow(doc: dict) -> FlowSpec:
             flow = FlowSpec.explicit(fl["speeds"])
         else:
             flow = FlowSpec.inextensible(fl["speeds"], f1_at_0=fl.get("f1_at_0", 0.0))
-        flow.validate(doc["dimension"])
+        flow.validate(_dimension(doc))
     except ParseError as exc:
         raise ConfigError(f"bad expression: {exc}", field="flow.speeds") from exc
     except ValueError as exc:
@@ -221,8 +210,8 @@ def execute(
 ) -> tuple[Trajectory, list[VerificationReport]]:
     """Evolve a scenario (optionally at overridden resolution) and run its checks.
 
-    The step is ``dt`` if given, else integrator.dt, else t_horizon / steps,
-    else ``default_dt`` of the initial state."""
+    The step is ``dt`` if given, else integrator.dt, else ``default_dt`` of
+    the initial state."""
     spec = build_curve_spec(doc, samples)
     flow = build_flow(doc)
     integ = doc["integrator"]
@@ -230,7 +219,7 @@ def execute(
     curve = sample(spec)
     state0 = initial_state(curve, flow, integ.get("frame_vectors"))
     if dt is None:
-        dt = _scenario_dt(integ, steps) or default_dt(state0)
+        dt = integ.get("dt") or default_dt(state0)
     traj = evolve(state0, flow, dt, steps)
     tolerances = doc.get("tolerances", {})
     reports = [
@@ -339,24 +328,18 @@ def _out_dir(args, doc: dict) -> Path:
 
 def cmd_run(args) -> int:
     doc = load_scenario(args.scenario)
-    output = doc.get("output", {})
     out_dir = _out_dir(args, doc)
-    formats = output.get("formats", ["csv", "json"])
     try:
         traj, reports = execute(doc)
     except EvolutionError as exc:
-        if "csv" in formats and exc.trajectory is not None and exc.trajectory.states:
+        if exc.trajectory is not None and exc.trajectory.states:
             write_timeseries(exc.trajectory, out_dir)
         raise
 
-    if "csv" in formats:
-        write_timeseries(traj, out_dir)
-    frames_at = output.get("frames_at", [])
-    if frames_at and "json" in formats:
-        write_frames(traj, frames_at, out_dir)
+    write_timeseries(traj, out_dir)
+    write_frames(traj, doc.get("output", {}).get("frames_at", []), out_dir)
     if reports:
-        if "json" in formats:
-            write_report(doc["name"], reports, out_dir)
+        write_report(doc["name"], reports, out_dir)
         for r in reports:
             row = r.residuals[-1]
             worst = float(np.max([row[g] for g in r.gated], initial=0.0))  # NaN stays NaN
@@ -372,9 +355,9 @@ def cmd_convergence(args) -> int:
         raise ConfigError("scenario requests no checks")
     out_dir = _out_dir(args, doc)
     base_steps = doc["integrator"]["steps"]
-    base_dt = _scenario_dt(doc["integrator"], base_steps)
+    base_dt = doc["integrator"].get("dt")
     if base_dt is None:
-        raise ConfigError("convergence needs integrator.dt or t_horizon")
+        raise ConfigError("convergence needs integrator.dt")
     base_n = build_curve_spec(doc).samples
 
     per_level = [

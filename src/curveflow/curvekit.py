@@ -27,6 +27,7 @@ must be C-contiguous, since reshaping any other would write into a copy.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,9 @@ class CurveSpec:
                 for j, c in enumerate(self.components):
                     a = exprjet.eval_scalar(c, u=u0)
                     b = exprjet.eval_scalar(c, u=u1)
-                    if abs(a - b) > ENDPOINT_MATCH_TOL * max(1.0, abs(a), abs(b)):
+                    gap = abs(a - b)
+                    # an infinite gap (one end overflowed) reads inf > inf below
+                    if gap > ENDPOINT_MATCH_TOL * max(1.0, abs(a), abs(b)) or math.isinf(gap):
                         raise ValueError(
                             f"closed curve component {j} does not match at the endpoints "
                             f"({a!r} vs {b!r})"
@@ -168,7 +171,7 @@ class SampledCurve:
         if np.count_nonzero(null_mask):
             idx = int(np.argmax(null_mask))
             at = f"at sample {idx} (u={grid[idx]:.6g})"
-            if not np.isfinite(euclid[idx]):  # |X|^2 overflowed, and inf <= inf marked it null
+            if not np.isfinite(euclid[idx]):  # |X|^2 overflowed: q is inf or NaN, read as null
                 raise NonFiniteCurveError(f"tangent's squared norm is not finite {at}")
             raise NullCurveError(f"tangent is null {at}")
         if 0 < np.count_nonzero(timelike) < timelike.size:

@@ -114,9 +114,10 @@ def norm_many(X: np.ndarray) -> np.ndarray:
 
 def null_test(X: np.ndarray):
     """The relative null test over axis -2 of an (..., n, N) stack: returns
-    q = <X,X>, the Euclidean |X|^2, and the masks null, |q| <= tol*max(1, |X|^2)
+    q = <X,X>, the Euclidean |X|^2, and the masks null, not |q| > tol*max(1, |X|^2)
     with X not zero, and timelike, q < -tol*max(1, |X|^2), for tol =
-    DEFAULT_NULL_TOL."""
+    DEFAULT_NULL_TOL.  A NaN q (-inf + inf, from overflowing squares) is
+    null: nothing shows it to be safely away from the light cone."""
     q, euclid = self_products(X)
     thresh = DEFAULT_NULL_TOL * np.maximum(1.0, euclid)
-    return q, euclid, (np.abs(q) <= thresh) & (euclid > 0), q < -thresh
+    return q, euclid, ~(np.abs(q) > thresh) & (euclid > 0), q < -thresh

@@ -18,7 +18,7 @@ def catalog_flow(name, dimension):
     scenario loader's own ``cli.build_flow``."""
     entry = catalog.FLOWS[name]
     flow = {"mode": entry["mode"], "speeds": entry["speeds"](dimension)}
-    return cli.build_flow({"dimension": dimension, "flow": flow})
+    return cli.build_flow({"curve": {"components": ["0"] * dimension}, "flow": flow})
 
 
 def make_curve(name, samples):

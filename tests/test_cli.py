@@ -90,6 +90,16 @@ def test_every_bundled_scenario_validates():
         assert doc["name"]
 
 
+def test_readme_scenario_example_loads(tmp_path):
+    # the "Scenario files" section of the README documents the format by example
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Scenario files\n", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme_example.json"
+    path.write_text(example, encoding="utf-8")
+    assert load_scenario(path)["name"] == "circle_rigid_rotation"
+
+
 def test_run_helix_bundle(tmp_path):
     out = tmp_path / "out"
     rc = main(["run", str(bundled_scenario_path("timelike_helix_twist.json")), "--out", str(out)])
@@ -157,6 +167,16 @@ def test_schema_violation_names_field(tmp_path, capsys):
     rc = main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "o")])
     assert rc == EXIT_CONFIG
     assert "curve.samples" in capsys.readouterr().err
+    # settings a scenario no longer has: n is the component count, dt the
+    # only step, and run writes every output
+    for section, key, value in ((None, "dimension", 3), ("integrator", "t_horizon", 0.016),
+                                ("output", "formats", ["csv", "json"])):
+        doc = scenario_doc("circle_zero_flow.json")
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+        rc = main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"'{key}' was unexpected" in err
 
 
 @pytest.mark.parametrize("samples", [10**15, 10**20])
@@ -241,16 +261,6 @@ def test_numerical_breakdown_gives_exit_three(tmp_path, capsys):
         assert [r[1] for r in rows] == times
 
 
-def test_numerical_breakdown_respects_output_formats(tmp_path, capsys):
-    doc = scenario_doc("circle_normal_shrink.json")
-    doc["integrator"] = {"dt": 0.7, "steps": 2}
-    doc["output"] = {"formats": ["json"]}
-    out = tmp_path / "jsononly"
-    assert main(["run", write_scenario(tmp_path, doc), "--out", str(out)]) == EXIT_NUMERICAL
-    assert "breakdown" in capsys.readouterr().err
-    assert not (out / "timeseries.csv").exists()
-
-
 def test_failed_first_rebuild_writes_no_timeseries(tmp_path, capsys, monkeypatch):
     # evolve rebuilds its first state from the points; when that fails no
     # state was accepted, so there is no row to write
@@ -310,7 +320,7 @@ def test_stage_failure_keeps_partial_timeseries(tmp_path, capsys, scenario, spee
     doc["curve"]["samples"] = 64
     doc["flow"]["speeds"] = speeds
     doc["integrator"] = integrator
-    del doc["output"]
+    doc.pop("output", None)
     scn = write_scenario(tmp_path, doc)
     assert main(["run", scn, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
     assert capsys.readouterr().err == f"numerical breakdown: {err}\n"
@@ -401,8 +411,8 @@ def _no_time_step(doc):
     doc["integrator"] = {"steps": 4}
 
 
-def _past_horizon(doc):
-    doc["integrator"] = {"dt": 0.01, "steps": 8, "t_horizon": 0.016}
+def _fourth_component(doc):
+    doc["curve"]["components"].append("0")
 
 
 def _setting(value, *keys):
@@ -436,9 +446,10 @@ def _dt_literal_1e400(doc):
         (["convergence", "--levels", "2"], "circle_zero_flow.json", _no_checks,
          EXIT_CONFIG, "config error: scenario requests no checks\n"),
         (["convergence", "--levels", "2"], "circle_zero_flow.json", _no_time_step,
-         EXIT_CONFIG, "config error: convergence needs integrator.dt or t_horizon\n"),
-        (["run"], "circle_zero_flow.json", _past_horizon, EXIT_CONFIG,
-         "config error: integrator.t_horizon: dt*steps = 0.08 exceeds the time horizon 0.016\n"),
+         EXIT_CONFIG, "config error: convergence needs integrator.dt\n"),
+        # n is the number of curve components, and the speed count follows it
+        (["run"], "circle_zero_flow.json", _fourth_component, EXIT_CONFIG,
+         "config error: flow.speeds: explicit flow needs 4 speeds for dimension 4, got 3\n"),
         # Non-finite scenario numbers: rejected while loading, or where a
         # constant expression is evaluated.
         (["run"], SINE, _setting(float("inf"), "curve", "domain", 1), EXIT_CONFIG,
@@ -523,7 +534,8 @@ def test_catalog_flows_are_built_by_the_scenario_loader(monkeypatch):
         assert catalog_flow(name, 3) == (
             FlowSpec.explicit(speeds) if explicit else FlowSpec.inextensible(speeds)
         )
-        assert docs[-1] == {"dimension": 3, "flow": {"mode": entry["mode"], "speeds": speeds}}
+        assert docs[-1] == {"curve": {"components": ["0"] * 3},
+                            "flow": {"mode": entry["mode"], "speeds": speeds}}
     assert len(docs) == len(catalog.FLOWS)
 
 
@@ -578,40 +590,6 @@ def test_load_scenario_rejects_bad_json(tmp_path):
         load_scenario(path)
 
 
-def test_output_formats_filter(tmp_path):
-    doc = scenario_doc("circle_zero_flow.json")
-    doc["output"] = {"formats": ["json"]}
-    out = tmp_path / "jsononly"
-    assert main(["run", write_scenario(tmp_path, doc), "--out", str(out)]) == EXIT_OK
-    assert not (out / "timeseries.csv").exists()
-    assert (out / "report.json").exists()
-
-
-@pytest.mark.parametrize("overshoot, accepted", [(0.5e-12, True), (2e-12, False)])
-def test_loader_owns_the_horizon_rule(tmp_path, capsys, overshoot, accepted):
-    # evolve takes no horizon: the loader alone holds dt*steps to t_horizon,
-    # allowing rounding
-    horizon, steps = 0.016, 8
-    dt = horizon * (1 + overshoot) / steps
-    doc = scenario_doc("circle_zero_flow.json")
-    doc["integrator"] = {"dt": dt, "steps": steps, "t_horizon": horizon}
-    path = write_scenario(tmp_path, doc)
-    out = tmp_path / "o"
-    code = main(["run", path, "--out", str(out)])
-    if accepted:
-        assert code == EXIT_OK
-        assert len((out / "timeseries.csv").read_text().splitlines()) == 1 + steps + 1
-        assert load_scenario(path)["integrator"]["t_horizon"] == horizon
-    else:
-        assert code == EXIT_CONFIG
-        message = "integrator.t_horizon: dt*steps = 0.016 exceeds the time horizon 0.016"
-        assert capsys.readouterr().err == f"config error: {message}\n"
-        with pytest.raises(ConfigError) as err:
-            load_scenario(path)
-        assert str(err.value) == message
-        assert not out.exists()
-
-
 # ``exp(1000*u)``'s derivatives overflow while the curve is sampled, before
 # anything evolves.  The suite turns a RuntimeWarning into an error, so this
 # also holds that sampling prints no numpy warning.
@@ -629,29 +607,34 @@ def test_overflowing_curve_is_a_numerical_breakdown(tmp_path, capsys, command):
 
 
 # ``exp(600*u)``'s values and derivatives are finite, but the tangent's squared
-# norm overflows: q and |X|^2 are both inf, which the null test alone reads as
-# a null tangent.  The suite turns a RuntimeWarning into an error, so this also
-# holds that the overflow prints no numpy warning.
+# norm overflows: along a spacelike axis q and |X|^2 are both inf, which the
+# null test alone reads as a null tangent; along both the timelike and a
+# spacelike axis q is -inf + inf = NaN.  The suite turns a RuntimeWarning into
+# an error, so this also holds that the overflow prints no numpy warning.
 @pytest.mark.parametrize("command", [["run"], ["frenet"]])
 def test_overflowing_tangent_norm_is_a_non_finite_curve(tmp_path, capsys, command):
-    doc = scenario_doc("line_translate.json")
-    doc["curve"]["components"] = ["0", "exp(600*u)", "0"]
-    argv = command + [write_scenario(tmp_path, doc), "--out", str(tmp_path / "o")]
-    assert main(argv) == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert err == "numerical breakdown: tangent's squared norm is not finite at sample 37 (u=0.587302)\n"
-    assert "null" not in err
+    for components in (["0", "exp(600*u)", "0"], ["exp(600*u)", "2*exp(600*u)", "0"]):
+        doc = scenario_doc("line_translate.json")
+        doc["curve"]["components"] = components
+        argv = command + [write_scenario(tmp_path, doc), "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == (
+            "numerical breakdown: tangent's squared norm is not finite at sample 37 (u=0.587302)\n"
+        )
+        assert "null" not in err
 
 
 def test_overflowing_closed_curve_is_named_after_its_endpoint_check(tmp_path, capsys):
-    # the endpoint check evaluates exp(1000*2*pi) = inf silently; sampling names it
+    # exp(1000*2*pi) overflows at the far end only: the ends do not match, and
+    # the scenario is rejected before anything is sampled
     doc = scenario_doc("circle_zero_flow.json")
     doc["curve"]["components"] = ["0", "cos(u)", "sin(u) + exp(1000*u)"]
     argv = ["frenet", write_scenario(tmp_path, doc), "--out", str(tmp_path)]
-    assert main(argv) == EXIT_NUMERICAL
+    assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err == (
-        "numerical breakdown: curve evaluation produced non-finite values: "
-        "component 3 at sample 8 (u=0.785398)\n"
+        "config error: curve: closed curve component 2 does not match at the endpoints "
+        "(1.0 vs inf)\n"
     )
 
 
@@ -662,21 +645,12 @@ def test_bundled_schemas_satisfy_their_metaschema(name):
     jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
-def test_dt_from_horizon(tmp_path):
-    doc = scenario_doc("circle_zero_flow.json")
-    doc["integrator"] = {"steps": 8, "t_horizon": 0.016}
-    out = tmp_path / "o"
-    assert main(["run", write_scenario(tmp_path, doc), "--out", str(out)]) == EXIT_OK
-    rows = (out / "timeseries.csv").read_text().splitlines()[1:]
-    assert float(rows[1].split(",")[1]) == pytest.approx(0.002)
-
-
 def test_dt_heuristic_when_unset(tmp_path):
     # zero flow: dt = 0.1 * min arc spacing; the rotation's max |f| = 2 halves it
     for name, arc_spacing, fmax in (("circle_zero_flow.json", 2 * math.pi / 64, 1.0),
                                     ("circle_rigid_rotation.json", 2 * math.pi / 256, 2.0)):
         doc = scenario_doc(name)
-        doc["integrator"] = {"steps": 4}  # neither dt nor t_horizon
+        doc["integrator"] = {"steps": 4}  # no dt
         doc.pop("output", None)
         out = tmp_path / name
         assert main(["run", write_scenario(tmp_path, doc), "--out", str(out)]) == EXIT_OK

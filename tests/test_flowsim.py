@@ -451,7 +451,7 @@ def test_evolve_argument_validation(circle_256):
         evolve(st, flow, -1e-3, 10)
     with pytest.raises(ValueError):
         evolve(st, flow, 1e-3, 0)
-    with pytest.raises(TypeError):  # the horizon is the scenario loader's to check
+    with pytest.raises(TypeError):  # a step and a step count set the time span; no horizon
         evolve(st, flow, 1e-3, 10, t_horizon=5e-3)
 
 

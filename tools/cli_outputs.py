@@ -41,8 +41,6 @@ ERRORS = (
      {"speed_evolution": {"x": 1e-3}}),
     ("tolerance_keys", "run", "circle_zero_flow.json", ("tolerances",),
      {"iff_condition": {"drfit": 1.0}}),
-    ("horizon_overshoot", "run", "circle_zero_flow.json", ("integrator",),
-     {"dt": 0.01, "steps": 8, "t_horizon": 0.016}),
     ("frame_step_past_steps", "run", "circle_zero_flow.json", ("output",), {"frames_at": [0, 99]}),
     ("null_curve", "frenet", "line_translate.json", ("curve", "components"), ["u", "u", "0"]),
 )
