@@ -90,7 +90,8 @@ def frenet_apparatus(c: SampledCurve, num_vectors: int | None = None) -> FrenetD
             # e_j is +-1, so w - e_j <w, V_j> V_j is w -+ <w, V_j> V_j bit for bit
             step = np.subtract if signs[j] > 0 else np.add
             w = step(w, inner_many(w, frame[j]) * frame[j], out=w if j else None)
-        q = inner_many(w, w)
+        # w_1 is the tangent, whose product the curve's null test formed
+        q = inner_many(w, w) if i > 1 else c.take_tangent_q()
         nw = np.sqrt(np.abs(q), out=resid_norms[i - 1])
         small = nw <= thresholds[i - 1]
         # two counts (count_nonzero is numpy's cheapest reduction) test both
@@ -118,7 +119,7 @@ def frenet_apparatus(c: SampledCurve, num_vectors: int | None = None) -> FrenetD
         np.divide(w, nw, out=frame[i - 1])
         signs[i - 1] = 1 if n_positive else -1
 
-    negatives = int(np.count_nonzero(signs == -1))
+    negatives = signs.tolist().count(-1)
     if negatives > 1 or (m == n and negatives != 1):
         raise NonGenericCurveError(
             f"frame signature is not index-1 ({negatives} timelike vectors)", index=m, sample=0

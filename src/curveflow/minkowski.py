@@ -114,10 +114,20 @@ def norm_many(X: np.ndarray) -> np.ndarray:
 
 def null_test(X: np.ndarray):
     """The relative null test over axis -2 of an (..., n, N) stack: returns
-    q = <X,X>, the Euclidean |X|^2, and the masks null, not |q| > tol*max(1, |X|^2)
-    with X not zero, and timelike, q < -tol*max(1, |X|^2), for tol =
-    DEFAULT_NULL_TOL.  A NaN q (-inf + inf, from overflowing squares) is
-    null: nothing shows it to be safely away from the light cone."""
+    q = <X,X>, the Euclidean |X|^2, and the masks far, |q| > tol*max(1, |X|^2),
+    and timelike, q < -tol*max(1, |X|^2), for tol = DEFAULT_NULL_TOL.
+
+    A vector that is not far is null unless it is zero (``null_mask``).  One
+    count of ``far`` passes a stack with no vector near the light cone, so
+    the null mask need be formed only when that count falls short.  A NaN q
+    (-inf + inf, from overflowing squares) is not far, so it is null:
+    nothing shows it to be safely away from the light cone."""
     q, euclid = self_products(X)
     thresh = DEFAULT_NULL_TOL * np.maximum(1.0, euclid)
-    return q, euclid, ~(np.abs(q) > thresh) & (euclid > 0), q < -thresh
+    return q, euclid, np.abs(q) > thresh, q < -thresh
+
+
+def null_mask(far: np.ndarray, euclid: np.ndarray) -> np.ndarray:
+    """The null vectors of a ``null_test``: not far from the light cone and
+    not zero (a zero vector is neither null nor timelike)."""
+    return ~far & (euclid > 0)

@@ -347,8 +347,8 @@ def _pointwise_violation(traj: Trajectory) -> float:
             for row, st in enumerate(block):
                 f2[row], k1[row] = st.f_values[1], st.frenet.curvatures[0]
             gap -= e0e1 * f2 * k1
-        np.maximum(peak, np.max(np.abs(gap[:, sl]), axis=0), out=peak)
-    return float(np.max(peak))
+        np.maximum(peak, np.abs(gap[:, sl]).max(axis=0), out=peak)
+    return float(peak.max())
 
 
 def _require_inextensible(traj: Trajectory) -> float:
@@ -444,8 +444,8 @@ def check_psi_antisymmetry(traj: Trajectory, tolerance: float | None = None) -> 
 
     def fill(w, buf):
         psi = w.psi()
-        np.add(psi, np.swapaxes(psi, 0, 1), out=buf[pairs:diagonal].reshape(psi.shape))
-        buf[diagonal:] = np.diagonal(psi).T  # diagonal() is (N, m)
+        np.add(psi, psi.swapaxes(0, 1), out=buf[pairs:diagonal].reshape(psi.shape))
+        buf[diagonal:] = psi.diagonal().T  # diagonal() is (N, m)
 
     residuals = rows.peaks(window, fill)
     return _report("psi_antisymmetry", traj, residuals, tolerance, {"frame_flips": window.flips})
@@ -567,7 +567,7 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
     residuals = rows.peaks(window, fill)
     k_peak = np.zeros(m - 1)  # peak |k_j| over every state, both end states included
     for st in traj.states:
-        k_peak = np.maximum(k_peak, np.max(np.abs(st.frenet.curvatures), axis=1))
+        k_peak = np.maximum(k_peak, np.abs(st.frenet.curvatures).max(axis=1))
     flat = [j for j in range(1, m) if k_peak[j - 1] < 1e-10]
     degenerate = [f"k{i}" for i in range(1, m) if i - 1 in flat or i + 1 in flat]
     details = {

@@ -633,7 +633,7 @@ def test_overflowing_closed_curve_is_named_after_its_endpoint_check(tmp_path, ca
     argv = ["frenet", write_scenario(tmp_path, doc), "--out", str(tmp_path)]
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err == (
-        "config error: curve: closed curve component 2 does not match at the endpoints "
+        "config error: curve: closed curve component 3 does not match at the endpoints "
         "(1.0 vs inf)\n"
     )
 

@@ -25,7 +25,7 @@ from curveflow.errors import (
     NonFiniteCurveError,
     NullCurveError,
 )
-from curveflow.minkowski import CausalCharacter
+from curveflow.minkowski import CausalCharacter, inner_many
 
 TWO_PI = 2.0 * math.pi
 
@@ -282,6 +282,88 @@ def test_cumulative_rules_keep_scipy_signed_zeros():
     for ours, ref in ((cumulative_simpson, integrate.cumulative_simpson),
                       (cumulative_trapezoid, integrate.cumulative_trapezoid)):
         assert ours(y, 0.5).tobytes() == ref(y, dx=0.5, initial=0.0).tobytes()
+
+
+def _simpson_parts(y, dx):
+    """The cumulative Simpson rule's per-interval integrals, one interval at a
+    time in Python floats: [u_k-1, u_k] looks right from an even k-1, and
+    left otherwise and for the last interval, with sample 0's part +0.0."""
+    y, c, last = y.tolist(), dx / 3, len(y) - 1
+    parts = [0.0]
+    for k in range(1, last + 1):
+        if k % 2 and k < last:
+            parts.append(c * (5 * y[k - 1] / 4 + 2 * y[k] - y[k + 1] / 4))
+        else:
+            parts.append(c * (5 * y[k] / 4 + 2 * y[k - 1] - y[k - 2] / 4))
+    return np.array(parts)
+
+
+# The running sums are np.add.accumulate, the ufunc behind np.cumsum's Python
+# wrapper: the tables must be np.cumsum's, signed zeros and NaN included.
+@pytest.mark.parametrize("n", [3, 4, 16, 17])
+def test_cumulative_rules_accumulate_as_cumsum_bit_for_bit(n):
+    rng = np.random.default_rng(2000 + n)
+    zeros = rng.choice([0.0, -0.0], n)
+    mixed = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+    mixed[rng.random(n) < 0.3] = -0.0
+    mixed[:3] = -0.0, -0.0, 0.0  # the first interval's integral is -0.0
+    with_nan = mixed.copy()
+    with_nan[-2] = np.nan
+    h = 0.37
+    for y in (zeros, mixed, with_nan):
+        simpson = np.cumsum(_simpson_parts(y, h))
+        trapezoid = np.concatenate([[0.0], np.cumsum(h * (y[1:] + y[:-1]) / 2.0)])
+        assert cumulative_simpson(y, h).tobytes() == simpson.tobytes()
+        assert cumulative_trapezoid(y, h).tobytes() == trapezoid.tobytes()
+
+
+def _finish_with_tangents(columns, samples=16):
+    """``SampledCurve._finish`` on the open line along x2 whose tangent at
+    sample k is ``columns[k]`` instead."""
+    grid = np.linspace(0.0, 1.0, samples)
+    derivs = np.zeros((2, 3, samples))
+    derivs[0, 1] = grid
+    derivs[1, 1] = 1.0
+    for k, vector in columns.items():
+        derivs[1, :, k] = vector
+    with np.errstate(over="ignore", invalid="ignore"):  # the squares overflow on purpose
+        return SampledCurve._finish(grid, float(grid[1]), False, derivs, derivs[1])
+
+
+# ``_finish`` counts the samples far from the light cone and forms the null
+# mask only when some are not; each error still names its first sample.
+@pytest.mark.parametrize(
+    "columns, error, message",
+    [
+        ({5: (1.0, 1.0, 0.0)}, NullCurveError, "tangent is null at sample 5 (u=0.333333)"),
+        ({7: (1e200, 1e200, 0.0)}, NonFiniteCurveError,  # q = -inf + inf is NaN
+         "tangent's squared norm is not finite at sample 7 (u=0.466667)"),
+        ({3: (0.0, 0.0, 0.0)}, DegenerateCurveError, "speed vanishes at sample 3 (u=0.2)"),
+        # a zero tangent is not null: the null sample after it is named
+        ({3: (0.0, 0.0, 0.0), 9: (0.6, 0.6 + 1e-12, 0.0)}, NullCurveError,
+         "tangent is null at sample 9 (u=0.6)"),
+        ({2: (0.0, -0.0, 0.0), 11: (2.0, 2.0, 0.0), 12: (1e200, 1e200, 0.0)}, NullCurveError,
+         "tangent is null at sample 11 (u=0.733333)"),
+    ],
+    ids=["null", "nan_q", "zero", "zero_then_null", "null_then_nan_q"],
+)
+def test_finish_names_the_first_near_null_sample(columns, error, message):
+    with pytest.raises(error) as err:
+        _finish_with_tangents(columns)
+    assert str(err.value) == message
+
+
+def test_finish_hands_its_null_tests_product_to_the_frame_once(circle_256):
+    # the frame's first Gram-Schmidt product: the null test's q, handed over
+    # and not kept; a second call forms the same sum again
+    stencil = SampledCurve.from_points(circle_256.points, circle_256.grid, True, 3)
+    for c in (sample(spec(("0", "cos(u)", "sin(u)"), (0, TWO_PI), CLOSED, 64)), stencil,
+              _finish_with_tangents({4: (0.5, 1.0, 0.0)})):
+        ref = inner_many(c.derivs[1], c.derivs[1]).tobytes()
+        q = vars(c)["_tangent_q"]
+        assert c.take_tangent_q() is q and q.tobytes() == ref
+        assert all(v is not q for v in vars(c).values())
+        assert c.take_tangent_q().tobytes() == ref
 
 
 def test_simpson_weights_are_shared_and_read_only():

@@ -373,9 +373,9 @@ def test_any_stage_failure_is_an_evolution_error(curve, speeds, frame_vectors, s
 
 
 def _distinct_bytes(state):
-    """Bytes of the memory blocks a state's own arrays keep alive: each array
-    is followed to the array that owns its data.  The grid, which every
-    state shares, and the signs are left out."""
+    """Bytes of the memory blocks a state's own arrays keep alive, cached
+    attributes included: each array is followed to the array that owns its
+    data.  The grid, which every state shares, and the signs are left out."""
 
     def owner(a):
         while isinstance(a.base, np.ndarray):
@@ -383,7 +383,10 @@ def _distinct_bytes(state):
         return a
 
     c, fd = state.curve, state.frenet
-    arrays = (c.derivs, c.speeds, c.s, fd.frame, fd.curvatures, state.f_values, state.f1_s)
+    arrays = [
+        v for obj in (state, c, fd) for v in vars(obj).values()
+        if isinstance(v, np.ndarray) and v is not c.grid and v is not fd.signs
+    ]
     return sum({id(a): a.nbytes for a in map(owner, arrays)}.values())
 
 

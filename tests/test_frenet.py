@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from curveflow import frenet
-from curveflow.curvekit import OPEN, CurveSpec, SampledCurve, d_ds, sample
+from curveflow import frenet, minkowski
+from curveflow.curvekit import CLOSED, OPEN, CurveSpec, SampledCurve, d_ds, sample
 from curveflow.errors import NonGenericCurveError
 from curveflow.flowsim import FlowSpec, evolve, initial_state
 from curveflow.frenet import (
@@ -262,13 +262,53 @@ def _gram_schmidt_reference(c, m):
     return np.stack(frame), signs, np.stack(curvatures)
 
 
-@pytest.mark.parametrize("name", ["timelike_helix", "spacelike_helix", "w_curve4", "hyperbola"])
+# (components, topology, frame vectors): with the catalog curves below, open
+# timelike and spacelike curves for n = 2..6, and closed ones for n = 3..6.
+# A closed non-null curve is spacelike (a timelike curve's time coordinate is
+# monotone) and does not exist in E1^2; none of these closes generic in all
+# n directions, so they build fewer vectors.
+GENERIC_FRAMES = {
+    "timelike4": (("3*u", "cos(u)", "sin(u)", "0.5*cos(2*u)"), OPEN, 4),
+    "timelike5": (("3*u", "cos(u)", "sin(u)", "0.5*cos(2*u)", "0.5*sin(2*u)"), OPEN, 5),
+    "timelike6": (
+        ("3*u", "cos(u)", "sin(u)", "0.5*cos(2*u)", "0.5*sin(2*u)", "0.3*cos(3*u)"), OPEN, 6
+    ),
+    "spacelike2": (("cosh(u)", "sinh(u)"), OPEN, 2),
+    "spacelike5": (("cosh(u)", "sinh(u)", "cos(2*u)", "sin(2*u)", "u"), OPEN, 5),
+    "spacelike6": (
+        ("cosh(u)", "sinh(u)", "cos(2*u)", "sin(2*u)", "0.5*cos(3*u)", "0.5*sin(3*u)"), OPEN, 6
+    ),
+    "closed3": (("0.01*sin(u)", "cos(u)", "sin(u)"), CLOSED, 2),
+    "closed4": (  # a trefoil knot
+        ("0.1*sin(u)", "(2 + 0.3*cos(3*u))*cos(2*u)", "(2 + 0.3*cos(3*u))*sin(2*u)",
+         "0.3*sin(3*u)"), CLOSED, 3,
+    ),
+    "closed5": (("0.01*sin(u)", "cos(u)", "sin(u)", "0.5*cos(2*u)", "0.5*sin(2*u)"), CLOSED, 4),
+    "closed6": (
+        ("0.01*sin(u)", "cos(u)", "sin(u)", "0.5*cos(2*u)", "0.5*sin(2*u)", "0.3*cos(3*u)"),
+        CLOSED, 4,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name", ["timelike_helix", "spacelike_helix", "w_curve4", "hyperbola", *GENERIC_FRAMES]
+)
 def test_orthogonalization_matches_the_reference_bit_for_bit(name):
-    # The timelike helix projects on a timelike V_1 (e_0 = -1).
-    jet = sample(CATALOG[name](64))
-    for c in (jet, SampledCurve.from_points(jet.points, jet.grid, jet.closed, jet.n)):
-        fd = frenet_apparatus(c)
-        frame, signs, curvatures = _gram_schmidt_reference(c, c.n)
+    # The timelike helix projects on a timelike V_1 (e_0 = -1).  The first
+    # product is the one the curve's null test formed (``take_tangent_q``), on
+    # jets and on the stencils every evolution stage rebuilds alike.
+    if name in CATALOG:
+        spec, m = CATALOG[name](64), None
+    else:
+        components, topology, m = GENERIC_FRAMES[name]
+        domain = (0.0, 2.0 * math.pi) if topology == CLOSED else (0.0, 2.0)
+        spec = CurveSpec.from_strings(components, domain, topology, 64)
+    jet = sample(spec)
+    m = jet.n if m is None else m
+    for c in (jet, SampledCurve.from_points(jet.points, jet.grid, jet.closed, m)):
+        fd = frenet_apparatus(c, m)
+        frame, signs, curvatures = _gram_schmidt_reference(c, m)
         assert fd.frame.tobytes() == frame.tobytes()
         assert fd.signs.tolist() == signs
         assert fd.curvatures.tobytes() == curvatures.tobytes()
@@ -421,8 +461,10 @@ def _two_time_inner(X, Y):
 )
 def test_signature_must_be_index_one(monkeypatch, inner, num_vectors, negatives):
     # Under the index-1 product no frame has another signature, so the
-    # orthogonalization runs with a different product.
+    # orthogonalization runs with a different product, the tangent's
+    # (``SampledCurve.take_tangent_q``, formed by ``minkowski``) included.
     monkeypatch.setattr(frenet, "inner_many", inner)
+    monkeypatch.setattr(minkowski, "inner_many", inner)
     err = breakdown(curve_from_derivs(E0, E1, E2), num_vectors)
     assert (err.index, err.sample) == (num_vectors, 0)
     assert f"({negatives} timelike vectors)" in str(err)

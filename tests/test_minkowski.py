@@ -14,6 +14,7 @@ from curveflow.minkowski import (
     inner_many,
     metric_signs,
     norm_many,
+    null_mask,
     null_test,
     self_products,
 )
@@ -38,25 +39,31 @@ def test_norm_examples():
 
 
 def test_causal_character_examples():
-    # timelike, null, timelike, spacelike
-    _, _, null, timelike = null_test(_columns((1, 0, 0), (1, 1, 0), (2, 1, 1), (1, 2, 0)))
-    assert null.tolist() == [False, True, False, False]
-    assert timelike.tolist() == [True, False, True, False]
+    # timelike, null, timelike, spacelike, and a NaN q (-inf + inf), read as null
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, euclid, far, timelike = null_test(
+            _columns((1, 0, 0), (1, 1, 0), (2, 1, 1), (1, 2, 0), (1e200, 1e200, 0))
+        )
+    assert far.tolist() == [True, False, True, True, False]
+    assert null_mask(far, euclid).tolist() == [False, True, False, False, True]
+    assert timelike.tolist() == [True, False, True, False, False]
 
 
 def test_zero_vector_is_spacelike_not_null():
     for zero in (0.0, -0.0):
-        q, euclid, null, timelike = null_test(np.full((3, 1), zero))
-        assert (q[0], euclid[0], null[0], timelike[0]) == (0.0, 0.0, False, False)
+        q, euclid, far, timelike = null_test(np.full((3, 1), zero))
+        null = null_mask(far, euclid)
+        assert (q[0], euclid[0], far[0], null[0], timelike[0]) == (0.0, 0.0, False, False, False)
 
 
 def test_null_test_is_relative():
     # |<X,X>| = 2e5 * 1e-7 = 0.02, far above DEFAULT_NULL_TOL, but the
     # Euclidean scale is huge
-    q, euclid, null, timelike = null_test(_columns((1e4, 1e4 + 1e-7)))
+    q, euclid, far, timelike = null_test(_columns((1e4, 1e4 + 1e-7)))
     assert abs(q[0]) > 1e6 * DEFAULT_NULL_TOL
     assert abs(q[0]) <= DEFAULT_NULL_TOL * euclid[0]
-    assert null.tolist() == [True] and timelike.tolist() == [False]
+    assert far.tolist() == [False] and timelike.tolist() == [False]
+    assert null_mask(far, euclid).tolist() == [True]
 
 
 def test_dimension_mismatch():

@@ -22,7 +22,9 @@ Operations, timed in CPU seconds of this process:
   with a timelike V4 under f2, f3 and f4 (``TIMELIKE_V4``), whose k3
   readings and several-j frame readings no bundled scenario forms.  Each
   tree checks the trajectories its own ``evolve`` built.
-* ``evolve``: one ``evolve`` call of that circle flow.
+* ``evolve``: one ``evolve`` call of that circle flow.  The comparison
+  also covers the ``TIMELIKE_V4`` trajectory, evolved once per tree before
+  timing: a non-planar frame, not completed, with a timelike last vector.
 * ``run``: ``cli.execute`` on every bundled scenario of the tree, each
   read once before timing: the in-process path of perfbench's
   ``scenario_suite`` without its output files and convergence ladders.
@@ -96,6 +98,12 @@ def doc_inputs(cf, doc: dict, samples: int | None = None):
     return cf.initial_state(curve, flow, integ.get("frame_vectors")), flow, integ, doc
 
 
+def evolve_doc(cf, inputs):
+    """The trajectory of ``doc_inputs`` or ``scenario_inputs``, over its integrator's steps."""
+    state, flow, integ, _ = inputs
+    return cf.evolve(state, flow, integ["dt"], integ["steps"])
+
+
 class Side:
     """One tree: its inputs, built once, and its timed operation."""
 
@@ -109,11 +117,12 @@ class Side:
         state, flow, _, _ = scenario_inputs(cf, src, CIRCLE, samples)
         self.circle = (state, flow, 1e-3, steps)
         if op == "evolve":
+            self.v4_bytes = [state_bytes(st) for st in evolve_doc(cf, doc_inputs(cf, TIMELIKE_V4)).states]
             self.run = self.evolve
             return
         cases = [(cf.evolve(*self.circle), {})]
-        for state, flow, integ, doc in (scenario_inputs(cf, src, HELIX), doc_inputs(cf, TIMELIKE_V4)):
-            cases.append((cf.evolve(state, flow, integ["dt"], integ["steps"]), doc.get("tolerances", {})))
+        for inputs in (scenario_inputs(cf, src, HELIX), doc_inputs(cf, TIMELIKE_V4)):
+            cases.append((evolve_doc(cf, inputs), inputs[3].get("tolerances", {})))
         self.cases = cases
         self.run = self.verify
 
@@ -139,7 +148,7 @@ class Side:
 
         def digest():
             self.trajectory_mib = trajectory_bytes(traj) / 2**20
-            return [state_bytes(st) for st in traj.states]
+            return [state_bytes(st) for st in traj.states] + self.v4_bytes
 
         return digest
 
