@@ -14,19 +14,27 @@ enters the window (flips are counted in the report details).  Frames and
 their time differences are (m, n, N) stacks, sample axis last.
 
 At N=256 most of a numpy call's cost is its fixed overhead of about a
-microsecond, so a window step is written in few calls.  The walk aligns
-the frame at t+1 and forms fdot at t; a check forms only what it reads:
-the padded fields (``fields``), the psi entries (``psi_at``) and its own
-stacks of readings or terms.  The window's fdot, fields and speed jets and
-each check's rows and stacks are buffers made once per check and written
-in place at every step.  The jets and the inextensibility gap
-(``_pointwise_violation``) are formed for a block of up to BLOCK_STATES
-states by one set of calls, the jets by one ``eval_jet`` per speed on the
-(b, N) arclength grids with a (b, 1) column of times, as the block's first
-step begins; a block that raises DomainError has its states evaluated one
-at a time, so a broken trajectory raises the error a walk of single states
-meets first.  Every element keeps its arithmetic and its order, so every
-output byte stays; the working memory is a few frames at any length.
+microsecond, so the walk goes in blocks of up to BLOCK_STATES states, and
+what can run once per block does.  Per state runs only what is sequential
+or frame-sized: the alignment of the frame at t+1, a chain, since each
+state is aligned against the aligned frame before it; fdot at t, formed at
+a check's first read (``speed_evolution`` reads none); and what a check
+forms from them: its psi entries (``psi_at``) or stacks of frame terms,
+written into the state's slot of state-first block buffers.  Per block
+run the speed jets, one ``eval_jet`` per speed on the (b, N) arclength
+grids with a (b, 1) column of times, as the block's first step begins
+(a block that raises DomainError has its states evaluated one at a time,
+so a broken trajectory raises the error a walk of single states meets
+first); the inextensibility gap (``_pointwise_violation``); the residual
+fold below; and in ``curvature_pde`` all of its row arithmetic on (b, N)
+rows, once the block's last state is in: kdot, the stencil slopes of k
+and psi, ``k1_rate``, ``curvature_rates`` and the subtractions.  The
+right-hand sides run unedited on lists of such rows (``_Window.rows``).
+Buffers are made once per check, and a partial last block uses a prefix
+of them; only the k and f rows of ``rows`` are stacked per block, so they
+hold no memory while the next block's jets are formed.  Every element
+keeps its arithmetic and its order, so every output byte stays; the
+working memory is a few tens of frames at any length.
 
 Two identities expand frame velocities in the frame itself.  In an
 indefinite frame the expansion coefficient of V_k is e_{k-1} <X, V_k>, not
@@ -38,23 +46,27 @@ states the gate rule once: every residual but the ``*_classical`` and
 is within its tolerance (the iff check alone passes its equivalence
 instead).  ``_tol`` owns the default tolerances and a tolerance's shape.
 
-The right-hand sides are pure functions of 1-based, zero-padded arrays:
+The right-hand sides are pure functions of 1-based, zero-padded rows:
 row i of k, f and their s-derivatives holds k_i, f_i, ... (row 0 and every
 row past the frame or the dimension read as zero, so k_m = 0), psi[k, j]
 holds psi_kj with a zero border, and e[i] is the sign e_i of V_{i+1},
-1.0 outside the frame (e[-1] reads that padding too).
+1.0 outside the frame (e[-1] reads that padding too).  A row is one
+state's (N,) samples or a block's (b, N).  ``k1_rate`` and
+``curvature_rates`` index single rows, so they take lists of rows too,
+and psi and its slopes as mappings keyed [k, j].
 
 Residual maxima run over interior samples: on open curves the one-sided
 stencil closures (chained up to the third derivative) occupy a boundary
 layer whose error is amplified and of lower order, so a fixed margin of
 samples is excluded at each end; closed curves use every sample.  A window
 check declares its residual rows once (``_Rows``), one name per row in
-report order, and at each step writes every row of one (R, N) buffer; one
-``np.abs`` and one ``np.maximum`` fold its interior into a running
-pointwise maximum, and a name's value is the maximum over its rows, taken
-once at the end.  A maximum is exact, so this is the number a reduction at
-every step gives; NaN propagates, so one NaN sample makes its residual
-NaN, which is within no tolerance.  A reading whose signs are all +1
+report order, and writes every row of a block's (b, R, N) buffer; once
+per block one ``np.abs``, one ``np.maximum.reduce`` over its states and
+one ``np.maximum`` fold its interior into a running pointwise maximum,
+and a name's value is the maximum over its rows, taken once at the end.
+A maximum is exact, so this is the number a reduction at every step
+gives; NaN propagates, so one NaN sample makes its residual NaN, which
+is within no tolerance.  A reading whose signs are all +1
 equals another one exactly (x * 1.0 is x), so it reuses that reading's
 rows: ``speed_evolution_classical`` when e0 = +1, and
 ``reconstruction_bare`` of V_j when every e_{i-1}, i not 1 or j, is +1.
@@ -62,6 +74,7 @@ rows: ``speed_evolution_classical`` when e0 = +1, and
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,7 +99,7 @@ INEXTENSIBILITY_PRECONDITION_TOL = 1e-2
 
 OPEN_BOUNDARY_MARGIN = 8
 
-BLOCK_STATES = 8  # states whose speed jets and gaps one set of calls forms
+BLOCK_STATES = 8  # states whose jets, gaps and residual rows one set of calls forms
 
 
 def _interior(curve) -> slice:
@@ -149,8 +162,11 @@ class _Window:
 
     Each state's frame is sign-aligned against the previous aligned frame
     as it enters, so at most three frames are held at a time; ``flips``
-    counts the flipped vectors so far.  The jets of f_2, f_3, ... are taken
-    to the derivative ``orders``.
+    counts the flipped vectors so far.  The steps come in blocks of up to
+    BLOCK_STATES states: ``slot`` is a step's index in its block and
+    ``size`` the block's state count.  The jets of f_2, f_3, ... are taken
+    to the derivative ``orders``; ``fields`` gives them with k and f at one
+    state, ``rows`` at every state of a block.
     """
 
     def __init__(self, traj: Trajectory, orders: tuple[int, ...] = ()):
@@ -166,32 +182,35 @@ class _Window:
         self.e = [float(x) for x in signs] + [1.0] * (n + 3 - m)
         self.interior = _interior(first.curve)
         self.flips = 0
-        # kept across steps, rows nothing writes stay +0.0; jets[j - 1, b, i - 2]: d^j f_i/ds^j at state b
-        self.fdot = np.empty((m, n, N))
-        self.padded = np.zeros((2 + max(orders, default=1), n + 3, N))
+        # kept across steps, rows nothing writes stay +0.0; jets[j - 1, r, i - 2]: d^j f_i/ds^j at
+        # the block's state r
         self.jets = np.zeros((max(orders, default=0), BLOCK_STATES, n - 1, N))
         self.grids = np.empty((BLOCK_STATES, N))
+        self._fdot, self._padded = np.empty((m, n, N)), None
         self.blocked = False
 
     def walk(self):
         """Yield self at t = 1..T-2: ``prev``, ``state`` and ``next`` are the
-        states at t-1, t, t+1, ``frames`` the aligned (m, n, N) frame at t
-        and ``fdot`` its central time difference, which the next step overwrites."""
+        states at t-1, t, t+1 and ``frames`` the aligned (m, n, N) frame at t."""
         states = self.traj.states
         before = states[0].frenet.frame  # state 0 sets the signs and is never flipped
         frames = self._aligned(states[1], before)
         for t in range(1, len(states) - 1):
             after = self._aligned(states[t + 1], frames)
-            if self.orders and (t - 1) % BLOCK_STATES == 0:
-                try:
-                    self._derivatives(states[t : min(t + BLOCK_STATES, len(states) - 1)])
-                    self.blocked = True
-                except DomainError:
-                    self.blocked = False  # ``fields`` evaluates this block's states one at a time
+            self.slot = (t - 1) % BLOCK_STATES
+            if self.slot == 0:
+                self.size = min(BLOCK_STATES, len(states) - 1 - t)
+                if self.orders:
+                    try:
+                        self._derivatives(states[t : t + self.size], 0)
+                        self.blocked = True
+                    except DomainError:
+                        self.blocked = False  # this block's states are evaluated one at a time
+            if self.orders and not self.blocked:
+                self._derivatives(states[t : t + 1], self.slot)
             self.step = t
             self.prev, self.state, self.next = states[t - 1 : t + 2]
-            self.frames = frames
-            np.divide(np.subtract(after, before, out=self.fdot), 2.0 * self.dt, out=self.fdot)
+            self.frames, self._before, self._after, self._fdot_formed = frames, before, after, False
             yield self
             before, frames = frames, after
 
@@ -208,25 +227,20 @@ class _Window:
             self.flips += flips
         return frame
 
-    def fields(self):
-        """Padded k, f and s-derivatives of f at t: ``ds[j - 1]`` holds the
-        j-th derivatives of f_2, f_3, ...  Views of one buffer, which the
-        next call overwrites."""
-        st, (k, f, *ds) = self.state, self.padded
-        k[1 : self.m] = st.frenet.curvatures
-        f[1 : self.n + 1] = st.f_values
-        row = (self.step - 1) % BLOCK_STATES
-        if not self.blocked:
-            self._derivatives([st])
-            row = 0
-        for d, jets in zip(ds, self.jets):
-            d[2 : self.n + 1] = jets[row]
-        return k, f, ds
+    @property
+    def fdot(self) -> np.ndarray:
+        """The (m, n, N) central time difference of ``frames``, formed at the
+        step's first read into a buffer that the next step overwrites."""
+        if not self._fdot_formed:
+            np.divide(np.subtract(self._after, self._before, out=self._fdot), 2.0 * self.dt, out=self._fdot)
+            self._fdot_formed = True
+        return self._fdot
 
-    def _derivatives(self, block) -> None:
+    def _derivatives(self, block, slot: int) -> None:
         """Writes the s-derivatives of f_2, f_3, ... on the block's states into
-        ``jets``: one ``eval_jet`` per speed, on their arclength grids as rows
-        with a column of their times.  A constant's zero rows broadcast."""
+        ``jets`` from ``slot`` on: one ``eval_jet`` per speed, on their
+        arclength grids as rows with a column of their times.  A constant's
+        zero rows broadcast."""
         s = self.grids[: len(block)]
         for row, st in enumerate(block):
             s[row] = st.curve.s
@@ -235,7 +249,37 @@ class _Window:
         for i, order in enumerate(self.orders[: self.n - 1], start=2):
             jet = exprjet.eval_jet(speeds[i - 1], "s", s, order, env)
             for j in range(1, order + 1):
-                jet.derivative(j, out=self.jets[j - 1, : len(block), i - 2])
+                jet.derivative(j, out=self.jets[j - 1, slot : slot + len(block), i - 2])
+
+    def fields(self):
+        """Padded k, f and s-derivatives of f at t: ``ds[j - 1]`` holds the
+        j-th derivatives of f_2, f_3, ...  Views of one buffer, which the
+        next call overwrites."""
+        if self._padded is None:
+            self._padded = np.zeros((2 + max(self.orders, default=1), self.n + 3, self.N))
+        st, (k, f, *ds) = self.state, self._padded
+        k[1 : self.m] = st.frenet.curvatures
+        f[1 : self.n + 1] = st.f_values
+        for d, jets in zip(ds, self.jets):
+            d[2 : self.n + 1] = jets[self.slot]
+        return k, f, ds
+
+    def rows(self):
+        """At the block's last step: its k, f and s-derivatives of f as
+        ``fields`` gives them, but as lists of (size, N) rows over its states,
+        every padding row one read-only zero row; and the (size + 2, m - 1,
+        N) curvatures of its states and of the states before and after it.
+        The curvatures and f are stacked anew for each block, so they take
+        no memory while the next block's jets are formed."""
+        b, m, n = self.size, self.m, self.n
+        states = self.traj.states[self.step - b : self.step + 2]
+        curvatures = np.stack([st.frenet.curvatures for st in states])
+        f_values = np.stack([st.f_values for st in states[1:-1]])
+        zero = np.broadcast_to(0.0, (b, self.N))
+        k = [zero, *curvatures[1:-1].transpose(1, 0, 2)] + [zero] * (n + 3 - m)
+        f = [zero, *f_values.transpose(1, 0, 2), zero, zero]
+        ds = [[zero, zero, *jets[:b].transpose(1, 0, 2), zero, zero] for jets in self.jets]
+        return k, f, ds, curvatures
 
     def psi(self) -> np.ndarray:
         """(m, m, N) matrix of <fdot_j, V_k> at t, indexed [k, j]."""
@@ -310,14 +354,21 @@ class _Rows:
         self.rows.setdefault(name, []).extend(range(same, same + count))
         return same
 
-    def peaks(self, window, fill) -> dict[str, float]:
-        """max |row| per name over each step's interior; ``fill(w, buf)`` writes every row."""
-        buf = np.empty((self.count, window.N))
-        inner = buf[:, window.interior]
-        peak = np.zeros(inner.shape)
+    def peaks(self, window, fill, block=None) -> dict[str, float]:
+        """max |row| per name over each step's interior.  ``fill(w, rows)``
+        runs at every step with the state's (R, N) slot of a block buffer,
+        and writes every row of it unless ``block(w, rows)``, called at a
+        block's last step with the block's (size, R, N) rows, writes them."""
+        buf = np.empty((BLOCK_STATES, self.count, window.N))
+        peak, block_peak = np.zeros((2,) + buf[0, :, window.interior].shape)
         for w in window.walk():
-            fill(w, buf)
-            np.maximum(peak, np.abs(inner, out=inner), out=peak)
+            fill(w, buf[w.slot])
+            if w.slot == w.size - 1:
+                rows = buf[: w.size]
+                if block is not None:
+                    block(w, rows)
+                inner = np.abs(rows[:, :, window.interior], out=rows[:, :, window.interior])
+                np.maximum(peak, np.maximum.reduce(inner, axis=0, out=block_peak), out=peak)
         per_row = np.max(peak, axis=1)
         return {name: float(np.max(per_row[rows])) for name, rows in self.rows.items()}
 
@@ -532,42 +583,52 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
     m, e, N = window.m, window.e, window.N
     if m < 2:
         raise CurveFlowError("curvature check needs at least two frame vectors")
-    psi, dpsi = np.zeros((2, m + 2, m + 2, N))  # zero-padded, like k and f
-    # curvature_rates reads dpsi at [i + 1, i] and [m - 1, m], psi at [i + 2, i] and [i - 1, i + 1]: only
-    # those psi entries are formed, and one d_du and one divide differentiate the first with k_0..k_2
+    # curvature_rates reads dpsi at [i + 1, i] and [m - 1, m], psi at [i + 2, i] and [i - 1, i + 1]:
+    # only those psi entries are formed, and the first are differentiated
     slope_at = [(i + 1, i) for i in range(1, m)] + [(m - 1, m)]
     value_at = [(i + 2, i) for i in range(1, m - 1)] + [(i - 1, i + 1) for i in range(2, m)]
-    at = np.array(slope_at + value_at, dtype=int).reshape(-1, 2).T  # padded [row, col]
-    core = at - 1  # the same entries of the unpadded psi
-    rates, slopes = np.empty((2, 3 + m, N))
+    core = np.array(slope_at + value_at, dtype=int).reshape(-1, 2).T - 1  # entries of the unpadded psi
+    # state-first block buffers, written per state: the psi entries to differentiate, the
+    # others, the speeds; and the s-derivatives of the first and of k
+    slope_in, value_in = np.empty((BLOCK_STATES, m, N)), np.empty((BLOCK_STATES, len(value_at), N))
+    speeds = np.empty((BLOCK_STATES, 1, N))
+    psi_slopes, k_slopes = np.empty((BLOCK_STATES, m, N)), np.empty((BLOCK_STATES, m - 1, N))
     rows = _Rows()  # k1_rate_max and k1_flow_rhs_max go to the details, not residuals
     flow_form, rate_max, rhs_max = map(rows.add, ("k1_flow_form", "k1_rate_max", "k1_flow_rhs_max"))
     psi_rows = [(rows.add(f"k{i}_psi_metric"), rows.add(f"k{i}_psi_classical")) for i in range(1, m)]
-
-    def fill(w, buf):
-        c = w.state.curve
-        kdot = (w.next.frenet.curvatures - w.prev.frenet.curvatures) / (2.0 * w.dt)
-        k, f, (fs, fss) = w.fields()
-        p = w.psi_at(*core)
-        psi[at[0, m:], at[1, m:]] = p[m:]
-        rates[:3] = k[:3]
-        rates[3:] = p[:m]
-        d_du(rates, c.h, c.closed, out=slopes)
-        np.divide(slopes, c.speeds, out=slopes)  # d/ds: the same differences, then / speeds
-        dpsi[at[0, :m], at[1, :m]] = slopes[3:]
-        rhs_a = k1_rate(e, k, slopes, f, fs, fss)  # k1_rate reads only k_1' and k_2'
-        np.subtract(kdot[0], rhs_a, out=buf[flow_form])
-        buf[rate_max] = kdot[0]
-        buf[rhs_max] = rhs_a
-        metric, classical = curvature_rates(e, k, psi, dpsi, m)
-        for rate, a, b, (metric_row, classical_row) in zip(kdot, metric, classical, psi_rows):
-            np.subtract(rate, a, out=buf[metric_row])
-            np.subtract(rate, b, out=buf[classical_row])
-
-    residuals = rows.peaks(window, fill)
+    metric_rows = slice(psi_rows[0][0], None, 2)  # every other row from k1_psi_metric's on
     k_peak = np.zeros(m - 1)  # peak |k_j| over every state, both end states included
-    for st in traj.states:
-        k_peak = np.maximum(k_peak, np.abs(st.frenet.curvatures).max(axis=1))
+
+    def fill(w, _):
+        p = w.psi_at(*core)
+        slope_in[w.slot], value_in[w.slot] = p[:m], p[m:]
+        speeds[w.slot, 0] = w.state.curve.speeds
+
+    def block(w, buf):
+        b, c = w.size, w.state.curve
+        k, f, (fs, fss), curvatures = w.rows()
+        np.maximum(k_peak, np.abs(curvatures).max(axis=(0, 2)), out=k_peak)
+        # kdot is formed in the metric rows, where each metric reading is then subtracted in place
+        kdot = np.subtract(curvatures[2:], curvatures[:-2], out=buf[:, metric_rows])
+        kdot /= 2.0 * w.dt
+        # d/ds: the same differences as a d_du of each state's rows, then / speeds
+        ks = d_du(curvatures[1:-1], c.h, c.closed, out=k_slopes[:b])
+        np.divide(ks, speeds[:b], out=ks)
+        dp = d_du(slope_in[:b], c.h, c.closed, out=psi_slopes[:b])
+        np.divide(dp, speeds[:b], out=dp)
+        zero = k[0]  # the entries by padded [row, col]; every other entry reads as zero
+        dpsi = defaultdict(lambda: zero, zip(slope_at, dp.transpose(1, 0, 2)))
+        psi = defaultdict(lambda: zero, zip(value_at, value_in[:b].transpose(1, 0, 2)))
+        # k1_rate reads only k_1' and k_2'
+        buf[:, rhs_max] = k1_rate(e, k, [zero, *ks.transpose(1, 0, 2), zero], f, fs, fss)
+        np.subtract(kdot[:, 0], buf[:, rhs_max], out=buf[:, flow_form])
+        buf[:, rate_max] = kdot[:, 0]
+        metric, classical = curvature_rates(e, k, psi, dpsi, m)
+        for i, (_, classical_row) in enumerate(psi_rows):
+            np.subtract(kdot[:, i], classical[i], out=buf[:, classical_row])
+            np.subtract(kdot[:, i], metric[i], out=kdot[:, i])
+
+    residuals = rows.peaks(window, fill, block)
     flat = [j for j in range(1, m) if k_peak[j - 1] < 1e-10]
     degenerate = [f"k{i}" for i in range(1, m) if i - 1 in flat or i + 1 in flat]
     details = {

@@ -343,11 +343,20 @@ def helix_traj_long():
     return run_flow("timelike_helix", "helix_twist", 64, 5e-4, 17)
 
 
-@pytest.mark.parametrize("traj_name", ["time_dependent_traj", "helix_traj_long"])
+@pytest.fixture(scope="module")
+def timelike_v4_long():
+    """The n = 4 timelike-V4 curve under f2, f3 and f4, 18 states."""
+    components = ("cosh(u)", "sinh(u)", "cos(2*u)", "sin(2*u)")
+    return _traj_of(components, (0.0, 2.0), TIMELIKE_V4_FLOWS["f2_f3_f4"], 64, 1e-3, 17)
+
+
+@pytest.mark.parametrize("traj_name", ["time_dependent_traj", "helix_traj_long", "timelike_v4_long"])
 def test_blocks_of_states_give_the_reports_of_single_states(traj_name, request, monkeypatch):
-    # speed jets and inextensibility gaps are formed per block of states;
-    # blocks of one state are the reference, at lengths around the block
-    # size, so full, partial and single-state last blocks all occur
+    # speed jets, inextensibility gaps, residual folds and curvature_pde's
+    # row arithmetic run per block of states; blocks of one state are the
+    # reference, at lengths around the block size, so full, partial and
+    # single-state last blocks all occur.  The n = 4 flow forms the k3 and
+    # several-j readings.
     traj = request.getfixturevalue(traj_name)
     by_length = {}
     for blocks in (verify.BLOCK_STATES, 1):
@@ -358,6 +367,50 @@ def test_blocks_of_states_give_the_reports_of_single_states(traj_name, request, 
             by_length.setdefault(length, []).append(reports)
     for length, (blocked, single) in by_length.items():
         assert blocked == single, length
+
+
+def _with_nan(traj, step, where):
+    """Copy of traj with one NaN sample in state ``step``'s f2, speed or k2."""
+    st = traj.states[step]
+    if where == "f_values":
+        values = st.f_values.copy()
+        values[1, 10] = np.nan
+        st = dataclasses.replace(st, f_values=values)
+    elif where == "speeds":
+        speeds = st.curve.speeds.copy()
+        speeds[10] = np.nan
+        st = dataclasses.replace(st, curve=dataclasses.replace(st.curve, speeds=speeds))
+    else:
+        curvatures = st.frenet.curvatures.copy()
+        curvatures[1, 10] = np.nan
+        st = dataclasses.replace(st, frenet=dataclasses.replace(st.frenet, curvatures=curvatures))
+    states = list(traj.states)
+    states[step] = st
+    return dataclasses.replace(traj, states=states)
+
+
+@pytest.mark.parametrize(
+    "where, step",
+    [("f_values", 12), ("speeds", 12), ("curvatures", 12), ("curvatures", 0), ("curvatures", 20)],
+)
+def test_nan_in_a_block_reads_as_in_single_states(time_dependent_traj, where, step, monkeypatch):
+    # one NaN sample in state 12, in the middle of the block of states 9..16,
+    # or in an end state's curvature, which no window centres: the reports of
+    # a walk of blocks are those of a walk of single states, NaN included.
+    # The planar flow's k2 is flat, so k1's equation reads as degenerate; a
+    # NaN k2 is not flat.
+    assert check_curvature_pde(time_dependent_traj).details["degenerate_equations"] == ["k1"]
+    broken = _with_nan(time_dependent_traj, step, where)
+    reports = []
+    for blocks in (verify.BLOCK_STATES, 1):
+        monkeypatch.setattr(verify, "BLOCK_STATES", blocks)
+        reports.append(json.dumps({name: check(broken).to_json_dict() for name, check in CHECKS.items()}))
+    assert reports[0] == reports[1]
+    rep = check_curvature_pde(broken)
+    assert np.isnan(rep.residuals[0]["k2_psi_metric" if where == "curvatures" else "k1_flow_form"])
+    assert not rep.passed
+    if where == "curvatures":
+        assert rep.details["degenerate_equations"] == []
 
 
 @pytest.mark.parametrize("changed_state, first", [(11, "signature"), (14, "domain")])
@@ -736,17 +789,18 @@ def timelike_v4_traj(request):
 
 def _rows_of(check, traj, monkeypatch):
     """Each residual row's peak over the walk, as the check's own ``fill``
-    writes it: name -> peaks of the name's rows, in row order."""
+    and ``block`` write it: name -> peaks of the name's rows, in row order."""
     found, peaks = {}, verify._Rows.peaks
 
-    def recording(rows, window, fill):
+    def recording(rows, window, fill, block=None):
         peak = np.zeros((rows.count, window.N))[:, window.interior]
 
-        def fill_and_keep(w, buf):
-            fill(w, buf)
-            np.maximum(peak, np.abs(buf[:, window.interior]), out=peak)
+        def block_and_keep(w, buf):  # buf: the block's rows, written
+            if block is not None:
+                block(w, buf)
+            np.maximum(peak, np.abs(buf[:, :, window.interior]).max(axis=0), out=peak)
 
-        result = peaks(rows, window, fill_and_keep)
+        result = peaks(rows, window, fill, block_and_keep)
         found.update({name: [float(np.max(peak[r])) for r in idx] for name, idx in rows.rows.items()})
         return result
 
@@ -818,6 +872,19 @@ def test_every_n4_reading_equals_the_reading_formed_row_by_row(timelike_v4_traj,
         assert [x.hex() for x in found[name]] == [x.hex() for x in rows], name
     assert len(found["reconstruction_metric"]) == 3 and len(found["k3_psi_metric"]) == 1
     assert set(found) - set(expected) == {"k1_rate_max", "k1_flow_rhs_max"}
+
+
+@pytest.mark.parametrize("traj_name", ["helix_traj_long", "time_dependent_traj"])
+def test_every_reading_equals_the_reading_formed_row_by_row(traj_name, request, monkeypatch):
+    # as above, on n = 3 trajectories of 18 and 21 states: blocks of states
+    # 1..8, 9..16 and a partial last block, whose rows must each be the rows
+    # of their own state
+    traj = request.getfixturevalue(traj_name)
+    expected = _rows_one_by_one(traj)
+    found = _rows_of(check_frame_evolution, traj, monkeypatch)
+    found.update(_rows_of(check_curvature_pde, traj, monkeypatch))
+    for name, rows in expected.items():
+        assert [x.hex() for x in found[name]] == [x.hex() for x in rows], name
 
 
 def test_report_json_shape(rigid_traj_short):
