@@ -321,25 +321,19 @@ def write_report(name: str, reports: list[VerificationReport], out_dir: Path) ->
 # Subcommands
 
 
-def _out_dir(args, doc: dict) -> Path:
-    """``--out``, else the scenario's ``output.directory``, else the cwd."""
-    return Path(args.out or doc.get("output", {}).get("directory", "."))
-
-
 def cmd_run(args) -> int:
     doc = load_scenario(args.scenario)
-    out_dir = _out_dir(args, doc)
     try:
         traj, reports = execute(doc)
     except EvolutionError as exc:
         if exc.trajectory is not None and exc.trajectory.states:
-            write_timeseries(exc.trajectory, out_dir)
+            write_timeseries(exc.trajectory, args.out)
         raise
 
-    write_timeseries(traj, out_dir)
-    write_frames(traj, doc.get("output", {}).get("frames_at", []), out_dir)
+    write_timeseries(traj, args.out)
+    write_frames(traj, doc.get("output", {}).get("frames_at", []), args.out)
     if reports:
-        write_report(doc["name"], reports, out_dir)
+        write_report(doc["name"], reports, args.out)
         for r in reports:
             row = r.residuals[-1]
             worst = float(np.max([row[g] for g in r.gated], initial=0.0))  # NaN stays NaN
@@ -353,7 +347,6 @@ def cmd_convergence(args) -> int:
     doc = load_scenario(args.scenario)
     if not doc.get("checks"):
         raise ConfigError("scenario requests no checks")
-    out_dir = _out_dir(args, doc)
     base_steps = doc["integrator"]["steps"]
     base_dt = doc["integrator"].get("dt")
     if base_dt is None:
@@ -380,8 +373,8 @@ def cmd_convergence(args) -> int:
                         [rep.identity, name, str(l), str(n_s), _fmt(dt_l), _fmt(row[name]), order_text]
                     )
                 )
-    _write_text(out_dir / "convergence.csv", "\n".join(lines) + "\n")
-    write_report(doc["name"], merged, out_dir)
+    _write_text(args.out / "convergence.csv", "\n".join(lines) + "\n")
+    write_report(doc["name"], merged, args.out)
     for rep in merged:
         shown = {k: v for k, v in rep.orders.items() if k in rep.gated}
         print(f"{'PASS' if rep.passed else 'FAIL'} {rep.identity} orders="
@@ -393,7 +386,6 @@ def cmd_frenet(args) -> int:
     doc = load_scenario(args.scenario)
     curve = sample(build_curve_spec(doc))
     fd = frenet_apparatus(curve, doc["integrator"].get("frame_vectors"))
-    out_dir = _out_dir(args, doc)
     residuals = frenet_residuals(curve, fd)
     payload = {
         "scenario": doc["name"],
@@ -407,7 +399,7 @@ def cmd_frenet(args) -> int:
         "stencil_curvatures": stencil_curvatures(curve, fd).tolist(),
         "frenet_residual_max": float(residuals.max()),
     }
-    _write_text(out_dir / "frenet.json", _json_text(payload))
+    _write_text(args.out / "frenet.json", _json_text(payload))
     print(f"frenet apparatus written for {doc['name']} "
           f"(signs {fd.signs.tolist()}, max residual {residuals.max():.3e})")
     return EXIT_OK
@@ -447,18 +439,18 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="evolve a scenario and run its checks")
     p_run.add_argument("scenario", help="scenario JSON file")
-    p_run.add_argument("--out", help="output directory (default: scenario's or cwd)")
+    p_run.add_argument("--out", type=Path, default=Path("."), help="output directory (default: cwd)")
     p_run.set_defaults(func=cmd_run)
 
     p_conv = sub.add_parser("convergence", help="rerun at refined resolutions and fit orders")
     p_conv.add_argument("scenario")
     p_conv.add_argument("--levels", type=int, required=True, help="number of refinement levels (>= 2)")
-    p_conv.add_argument("--out")
+    p_conv.add_argument("--out", type=Path, default=Path("."))
     p_conv.set_defaults(func=cmd_convergence)
 
     p_fre = sub.add_parser("frenet", help="dump the frame apparatus of the scenario's curve")
     p_fre.add_argument("scenario")
-    p_fre.add_argument("--out")
+    p_fre.add_argument("--out", type=Path, default=Path("."))
     p_fre.set_defaults(func=cmd_frenet)
 
     p_list = sub.add_parser("list-catalog", help="list bundled curves, flows and scenarios")

@@ -1,12 +1,10 @@
 """Residual checks for every evolution identity the flow machinery relies on.
 
-Each check takes a Trajectory, measures one identity by finite differences
-in time (second-order central, matching the spatial order), and returns a
-VerificationReport with named residuals, per-name convergence orders once
-multiple resolutions are merged, and a pass flag.
-
-Every time derivative is a central difference over (t-1, t, t+1), so the
-checks walk a sliding window of three states in O(N) working memory.
+Each check takes a Trajectory, measures one identity with the central
+time difference over (t-1, t, t+1) (``_Window.central``, second order as in
+space), and returns a VerificationReport with named residuals, per-name
+convergence orders once multiple resolutions are merged, and a pass flag.
+The checks walk a sliding window of three states in O(N) working memory.
 Frame vectors are gauge-sensitive: the orthogonalization can flip a
 vector's sign between steps when the last curvature changes sign, so each
 state's frame is aligned pointwise with the previous aligned frame as it
@@ -14,24 +12,21 @@ enters the window (flips are counted in the report details).  Frames and
 their time differences are (m, n, N) stacks, sample axis last.
 
 At N=256 most of a numpy call's cost is its fixed overhead of about a
-microsecond, so the walk goes in blocks of up to BLOCK_STATES states, and
-what can run once per block does.  Per state runs only what is sequential
-or frame-sized: the alignment of the frame at t+1, a chain, since each
-state is aligned against the aligned frame before it; fdot at t, formed at
-a check's first read (``speed_evolution`` reads none); and what a check
-forms from them: its psi entries (``psi_at``) or stacks of frame terms,
-written into the state's slot of state-first block buffers.  Per block
-run the speed jets, one ``eval_jet`` per speed on the (b, N) arclength
-grids with a (b, 1) column of times, as the block's first step begins
-(a block that raises DomainError has its states evaluated one at a time,
+microsecond, so the walk goes in blocks of up to BLOCK_STATES states.  Per
+state runs only what is sequential or frame-sized: the alignment of the
+frame at t+1 (a chain: each state is aligned against the aligned frame
+before it), fdot at t, formed at a check's first read, and the psi entries
+(``psi_at``) or frame terms formed from them, written into the state's slot
+of state-first block buffers.  Per block run the speed jets, one
+``eval_jet`` per speed on the (b, N) arclength grids with a (b, 1) column
+of times (a block that raises DomainError is evaluated one state at a time,
 so a broken trajectory raises the error a walk of single states meets
-first); the inextensibility gap (``_pointwise_violation``); the residual
-fold below; and in ``curvature_pde`` all of its row arithmetic on (b, N)
-rows, once the block's last state is in: kdot, the stencil slopes of k
-and psi, ``k1_rate``, ``curvature_rates`` and the subtractions.  The
-right-hand sides run unedited on lists of such rows (``_Window.rows``).
-Buffers are made once per check, and a partial last block uses a prefix
-of them; only the k and f rows of ``rows`` are stacked per block, so they
+first); the inextensibility gap; the fold into maxima (``_Rows``); and
+``curvature_pde``'s row arithmetic on (b, N) rows once the block's last
+state is in: kdot, the stencil slopes of k and psi, and the right-hand
+sides, run unedited on lists of such rows (``_Window.rows``), with their
+subtractions.  Buffers are made once per check, and a partial last block
+uses a prefix of them; the k and f rows are stacked per block, so they
 hold no memory while the next block's jets are formed.  Every element
 keeps its arithmetic and its order, so every output byte stays; the
 working memory is a few tens of frames at any length.
@@ -55,20 +50,10 @@ state's (N,) samples or a block's (b, N).  ``k1_rate`` and
 ``curvature_rates`` index single rows, so they take lists of rows too,
 and psi and its slopes as mappings keyed [k, j].
 
-Residual maxima run over interior samples: on open curves the one-sided
-stencil closures (chained up to the third derivative) occupy a boundary
-layer whose error is amplified and of lower order, so a fixed margin of
-samples is excluded at each end; closed curves use every sample.  A window
-check declares its residual rows once (``_Rows``), one name per row in
-report order, and writes every row of a block's (b, R, N) buffer; once
-per block one ``np.abs``, one ``np.maximum.reduce`` over its states and
-one ``np.maximum`` fold its interior into a running pointwise maximum,
-and a name's value is the maximum over its rows, taken once at the end.
-A maximum is exact, so this is the number a reduction at every step
-gives; NaN propagates, so one NaN sample makes its residual NaN, which
-is within no tolerance.  A reading whose signs are all +1
-equals another one exactly (x * 1.0 is x), so it reuses that reading's
-rows: ``speed_evolution_classical`` when e0 = +1, and
+Every reported maximum, of a residual row, the inextensibility gap or a
+curvature, follows one reduction rule, stated at ``_Rows``.  A reading
+whose signs are all +1 equals another one exactly (x * 1.0 is x), so it
+reuses that reading's rows: ``speed_evolution_classical`` when e0 = +1, and
 ``reconstruction_bare`` of V_j when every e_{i-1}, i not 1 or j, is +1.
 """
 
@@ -82,7 +67,7 @@ import numpy as np
 from . import exprjet
 from .curvekit import d_du, d_du4
 from .errors import ConfigError, CurveFlowError, DomainError, InsufficientStates, NotInextensible
-from .flowsim import Trajectory, arclength_drift, dv_dt_rhs
+from .flowsim import Trajectory, arclength_drift, dv_dt_rhs, inextensibility_rhs
 from .minkowski import dot_many, inner_many
 
 RESIDUAL_FLOOR = 1e-12
@@ -103,8 +88,10 @@ BLOCK_STATES = 8  # states whose jets, gaps and residual rows one set of calls f
 
 
 def _interior(curve) -> slice:
-    """Sample range for residual maxima: trims stencil-closure layers on
-    open curves, keeps everything on closed ones."""
+    """Sample range for residual maxima.  On open curves the one-sided
+    stencil closures (chained up to the third derivative) occupy a boundary
+    layer whose error is amplified and of lower order, so a fixed margin is
+    trimmed at each end; closed curves keep every sample."""
     if curve.closed:
         return slice(None)
     margin = min(OPEN_BOUNDARY_MARGIN, curve.samples // 8)
@@ -227,12 +214,17 @@ class _Window:
             self.flips += flips
         return frame
 
+    def central(self, after, before, out=None) -> np.ndarray:
+        """The central time difference (after - before) / (2 dt), into ``out``."""
+        out = np.subtract(after, before, out=out)
+        return np.divide(out, 2.0 * self.dt, out=out)
+
     @property
     def fdot(self) -> np.ndarray:
         """The (m, n, N) central time difference of ``frames``, formed at the
         step's first read into a buffer that the next step overwrites."""
         if not self._fdot_formed:
-            np.divide(np.subtract(self._after, self._before, out=self._fdot), 2.0 * self.dt, out=self._fdot)
+            self.central(self._after, self._before, out=self._fdot)
             self._fdot_formed = True
         return self._fdot
 
@@ -339,11 +331,22 @@ def curvature_rates(e, k, psi, dpsi, m: int) -> tuple[list, list]:
 
 
 class _Rows:
-    """The named residual rows of one window check (see the module docstring)."""
+    """The named rows of one measurement and the one rule for its maxima.
+
+    Rows are declared once (``add``), one name per row in report order.
+    ``fold`` takes a block of states' (b, R, N) rows: one ``np.abs`` over
+    the given samples, one ``np.maximum.reduce`` over the states and one
+    ``np.maximum`` into a running pointwise maximum, whatever R is.
+    ``maxima`` takes each name's maximum over its rows once, at the end.
+    A maximum is exact, so this is the number a reduction at every step
+    gives; NaN propagates, so one NaN sample makes its name's maximum NaN,
+    which is within no tolerance and below no threshold.
+    """
 
     def __init__(self):
         self.rows: dict[str, list[int]] = {}  # row indices per name, in report order
         self.count = 0
+        self.peak = None  # the running (R, samples) maximum
 
     def add(self, name: str, count: int = 1, same: int | None = None) -> int:
         """The first of ``count`` new rows read as ``name``, or ``same``, the
@@ -354,52 +357,54 @@ class _Rows:
         self.rows.setdefault(name, []).extend(range(same, same + count))
         return same
 
+    def fold(self, block: np.ndarray, samples: slice) -> None:
+        """Folds ``samples`` of the rows in; they are left holding |row|."""
+        inner = np.abs(block[:, :, samples], out=block[:, :, samples])
+        if self.peak is None:
+            self.peak, self._block_peak = np.zeros((2,) + inner.shape[1:])
+        np.maximum(self.peak, np.maximum.reduce(inner, axis=0, out=self._block_peak), out=self.peak)
+
+    def maxima(self) -> dict[str, float]:
+        per_row = np.max(self.peak, axis=1)
+        return {name: float(np.max(per_row[rows])) for name, rows in self.rows.items()}
+
     def peaks(self, window, fill, block=None) -> dict[str, float]:
-        """max |row| per name over each step's interior.  ``fill(w, rows)``
+        """``maxima`` of one walk, over each step's interior.  ``fill(w, rows)``
         runs at every step with the state's (R, N) slot of a block buffer,
         and writes every row of it unless ``block(w, rows)``, called at a
         block's last step with the block's (size, R, N) rows, writes them."""
-        buf = np.empty((BLOCK_STATES, self.count, window.N))
-        peak, block_peak = np.zeros((2,) + buf[0, :, window.interior].shape)
+        buf, self.peak = np.empty((BLOCK_STATES, self.count, window.N)), None
         for w in window.walk():
             fill(w, buf[w.slot])
             if w.slot == w.size - 1:
                 rows = buf[: w.size]
                 if block is not None:
                     block(w, rows)
-                inner = np.abs(rows[:, :, window.interior], out=rows[:, :, window.interior])
-                np.maximum(peak, np.maximum.reduce(inner, axis=0, out=block_peak), out=peak)
-        per_row = np.max(peak, axis=1)
-        return {name: float(np.max(per_row[rows])) for name, rows in self.rows.items()}
+                self.fold(rows, window.interior)
+        return self.maxima()
 
 
 def _pointwise_violation(traj: Trajectory) -> float:
-    """max |df1/ds - e0 e1 f2 k1|, with df1/ds from a fourth-order stencil.
-
-    The sharper stencil keeps the measurement independent of how f1 was
-    produced (quadrature or expression) without drowning it in the
-    second-order noise of the everyday operator.  A block of states is
-    copied into rows of kept buffers, measured by one set of numpy calls
-    and reduced over its states; the right-hand side is
-    ``inextensibility_rhs`` with each state's signs.
-    """
+    """max |df1/ds - e0 e1 f2 k1| (``inextensibility_rhs``) over each state's
+    interior, with df1/ds from a fourth-order stencil: sharp enough to keep
+    the measurement independent of how f1 was produced (quadrature or
+    expression) without drowning it in the everyday operator's second-order
+    noise.  A block of states is copied into kept buffers and measured by
+    one set of numpy calls."""
     first = traj.states[0].curve
-    sl = _interior(first)
-    peak = np.zeros(first.samples)[sl]
-    buffers = np.empty((4, BLOCK_STATES, first.samples))
+    rows = _Rows()
+    rows.add("pointwise")
+    buffers = np.empty((3, BLOCK_STATES, first.samples))
     for lo in range(0, len(traj.states), BLOCK_STATES):
         block = traj.states[lo : lo + BLOCK_STATES]
-        f1, speeds, f2, k1 = buffers[:, : len(block)]
+        f1, speeds, rhs = buffers[:, : len(block)]
         for row, st in enumerate(block):
             f1[row], speeds[row] = st.f_values[0], st.curve.speeds
+            rhs[row] = inextensibility_rhs(st.curve, st.frenet, st.f_values[1])
         gap = d_du4(f1, first.h, first.closed) / speeds
-        if block[0].frenet.num_vectors >= 2:
-            e0e1 = np.array([[float(st.frenet.signs[0] * st.frenet.signs[1])] for st in block])
-            for row, st in enumerate(block):
-                f2[row], k1[row] = st.f_values[1], st.frenet.curvatures[0]
-            gap -= e0e1 * f2 * k1
-        np.maximum(peak, np.abs(gap[:, sl]).max(axis=0), out=peak)
-    return float(peak.max())
+        gap -= rhs
+        rows.fold(gap[:, None], _interior(first))
+    return rows.maxima()["pointwise"]
 
 
 def _require_inextensible(traj: Trajectory) -> float:
@@ -456,7 +461,7 @@ def check_speed_evolution(traj: Trajectory, tolerance: float | None = None) -> V
     classical = rows.add("speed_evolution_classical", same=metric if window.e[0] == 1.0 else None)
 
     def fill(w, buf):
-        lhs = (w.next.curve.speeds - w.prev.curve.speeds) / (2.0 * w.dt)
+        lhs = w.central(w.next.curve.speeds, w.prev.curve.speeds)
         rhs = dv_dt_rhs(w.state)
         np.subtract(lhs, rhs, out=buf[metric])
         if classical != metric:
@@ -597,7 +602,9 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
     flow_form, rate_max, rhs_max = map(rows.add, ("k1_flow_form", "k1_rate_max", "k1_flow_rhs_max"))
     psi_rows = [(rows.add(f"k{i}_psi_metric"), rows.add(f"k{i}_psi_classical")) for i in range(1, m)]
     metric_rows = slice(psi_rows[0][0], None, 2)  # every other row from k1_psi_metric's on
-    k_peak = np.zeros(m - 1)  # peak |k_j| over every state, both end states included
+    k_rows = _Rows()  # |k_j| over every sample of every state, both end states included
+    for j in range(1, m):
+        k_rows.add(f"k{j}")
 
     def fill(w, _):
         p = w.psi_at(*core)
@@ -607,10 +614,8 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
     def block(w, buf):
         b, c = w.size, w.state.curve
         k, f, (fs, fss), curvatures = w.rows()
-        np.maximum(k_peak, np.abs(curvatures).max(axis=(0, 2)), out=k_peak)
         # kdot is formed in the metric rows, where each metric reading is then subtracted in place
-        kdot = np.subtract(curvatures[2:], curvatures[:-2], out=buf[:, metric_rows])
-        kdot /= 2.0 * w.dt
+        kdot = w.central(curvatures[2:], curvatures[:-2], out=buf[:, metric_rows])
         # d/ds: the same differences as a d_du of each state's rows, then / speeds
         ks = d_du(curvatures[1:-1], c.h, c.closed, out=k_slopes[:b])
         np.divide(ks, speeds[:b], out=ks)
@@ -627,9 +632,10 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
         for i, (_, classical_row) in enumerate(psi_rows):
             np.subtract(kdot[:, i], classical[i], out=buf[:, classical_row])
             np.subtract(kdot[:, i], metric[i], out=kdot[:, i])
+        k_rows.fold(curvatures, slice(None))  # last: k and the slopes' inputs are views of it
 
     residuals = rows.peaks(window, fill, block)
-    flat = [j for j in range(1, m) if k_peak[j - 1] < 1e-10]
+    flat = [int(name[1:]) for name, peak in k_rows.maxima().items() if peak < 1e-10]
     degenerate = [f"k{i}" for i in range(1, m) if i - 1 in flat or i + 1 in flat]
     details = {
         "frame_flips": window.flips,

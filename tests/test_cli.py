@@ -168,9 +168,10 @@ def test_schema_violation_names_field(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     assert "curve.samples" in capsys.readouterr().err
     # settings a scenario no longer has: n is the component count, dt the
-    # only step, and run writes every output
+    # only step, run writes every output, and --out alone names their directory
     for section, key, value in ((None, "dimension", 3), ("integrator", "t_horizon", 0.016),
-                                ("output", "formats", ["csv", "json"])):
+                                ("output", "formats", ["csv", "json"]),
+                                ("output", "directory", str(tmp_path / "d"))):
         doc = scenario_doc("circle_zero_flow.json")
         (doc.setdefault(section, {}) if section else doc)[key] = value
         rc = main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "o")])
@@ -658,10 +659,3 @@ def test_dt_heuristic_when_unset(tmp_path):
         assert dt == pytest.approx(0.1 * arc_spacing / fmax, rel=1e-6)
         rows = (out / "timeseries.csv").read_text().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == [f"{k * dt:.15g}" for k in range(5)]
-
-
-def test_output_directory_from_scenario(tmp_path, monkeypatch):
-    doc = scenario_doc("circle_zero_flow.json")
-    doc["output"] = {"directory": str(tmp_path / "from_scenario")}
-    assert main(["run", write_scenario(tmp_path, doc)]) == EXIT_OK
-    assert (tmp_path / "from_scenario" / "timeseries.csv").exists()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from curveflow import exprjet, verify
-from curveflow.curvekit import OPEN, CurveSpec, d_ds, sample
+from curveflow.curvekit import OPEN, CurveSpec, d_ds, d_du4, sample
 from curveflow.errors import CurveFlowError, DomainError, InsufficientStates, NotInextensible
 from curveflow.flowsim import FlowSpec, arclength_drift, dv_dt_rhs, evolve, initial_state
 from curveflow.minkowski import dot_many
@@ -727,31 +727,6 @@ def spacelike_helix_traj():
     return run_flow("spacelike_helix", "helix_twist", 128, 5e-4, 8)
 
 
-def _unshared_readings(traj, frame):
-    """The peaks of speed_evolution_classical and, if ``frame``,
-    reconstruction_bare, each formed in full at every step from the
-    window's states, whatever the signs."""
-    m = traj.states[0].frenet.num_vectors
-    speed, bare = [], []
-    for w in _Window(traj, (1,) * (m - 1) if frame else ()).walk():
-        e, sl = w.e, w.interior
-        lhs = (w.next.curve.speeds - w.prev.curve.speeds) / (2.0 * w.dt)
-        speed.append(np.max(np.abs((lhs - e[0] * dv_dt_rhs(w.state))[sl])))
-        if not frame:
-            continue
-        k, f, (fs,) = w.fields()
-        psi, V = w.psi(), w.frames
-        for j in range(2, m + 1):
-            c = f[j - 1] * k[j - 1] + fs[j] - (e[j - 1] * e[j]) * f[j + 1] * k[j]
-            recon = (-e[0] * e[j - 1] * c) * V[0]
-            for i in range(2, m + 1):
-                if i != j:
-                    recon += psi[i - 1, j - 1] * V[i - 1]
-            r = w.fdot[j - 1] - recon
-            bare.append(np.max(np.sqrt(dot_many(r, r))[sl]))
-    return float(np.max(speed)), float(np.max(bare)) if frame else None
-
-
 @pytest.mark.parametrize(
     "traj_name, signs",
     [
@@ -761,16 +736,14 @@ def _unshared_readings(traj, frame):
         ("explicit_hyperbola_traj", [-1, 1]),  # e0 = -1 with dv/dt != 0; not inextensible
     ],
 )
-def test_shared_readings_equal_the_readings_formed_in_full(traj_name, signs, request):
+def test_shared_readings_equal_the_readings_formed_in_full(traj_name, signs, request, monkeypatch):
     # a reading whose signs are all +1 reuses the row of the reading it equals;
-    # formed in full here with no shortcut, it must match the report to the bit
+    # formed in full with no shortcut, its rows must match to the bit
     traj = request.getfixturevalue(traj_name)
     assert traj.states[0].frenet.signs.tolist() == signs
-    frame = traj.flow.speeds[0] is None
-    speed, bare = _unshared_readings(traj, frame)
-    assert check_speed_evolution(traj).residuals[0]["speed_evolution_classical"].hex() == speed.hex()
-    if frame:
-        assert check_frame_evolution(traj).residuals[0]["reconstruction_bare"].hex() == bare.hex()
+    found = _assert_rows_formed_alone(traj, monkeypatch)
+    assert "speed_evolution_classical" in found
+    assert ("reconstruction_bare" in found) == (traj.flow.speeds[0] is None)
 
 
 # n = 4 with a timelike V4 (signs +, +, +, -): the multi-j stacks of
@@ -788,45 +761,48 @@ def timelike_v4_traj(request):
 
 
 def _rows_of(check, traj, monkeypatch):
-    """Each residual row's peak over the walk, as the check's own ``fill``
-    and ``block`` write it: name -> peaks of the name's rows, in row order."""
-    found, peaks = {}, verify._Rows.peaks
+    """Every row the check hands the reducer (``_Rows.fold``), at every step
+    or state: name -> (steps, rows of the name, N)."""
+    blocks, fold = {}, verify._Rows.fold
 
-    def recording(rows, window, fill, block=None):
-        peak = np.zeros((rows.count, window.N))[:, window.interior]
-
-        def block_and_keep(w, buf):  # buf: the block's rows, written
-            if block is not None:
-                block(w, buf)
-            np.maximum(peak, np.abs(buf[:, :, window.interior]).max(axis=0), out=peak)
-
-        result = peaks(rows, window, fill, block_and_keep)
-        found.update({name: [float(np.max(peak[r])) for r in idx] for name, idx in rows.rows.items()})
-        return result
+    def recording(rows, block, samples):
+        blocks.setdefault(rows, []).append(block.copy())
+        fold(rows, block, samples)
 
     with monkeypatch.context() as patch:
-        patch.setattr(verify._Rows, "peaks", recording)
+        patch.setattr(verify._Rows, "fold", recording)
         check(traj)
+    found = {}
+    for rows, kept in blocks.items():
+        steps = np.concatenate(kept)
+        found.update({name: steps[:, idx] for name, idx in rows.rows.items()})
     return found
 
 
 def _rows_one_by_one(traj):
-    """The peaks of every frame_evolution row and every k1_flow_form and
-    psi-form curvature_pde row, each formed on its own at every step from
-    the window's fields and full psi matrix, as loops over rows."""
+    """Every speed_evolution row and, on an inextensible flow, every
+    frame_evolution and curvature_pde row and the inextensibility gap, each
+    formed on its own at every step (every state, for the gap) from the
+    window's fields and full psi matrix, as loops over rows, with every
+    reading formed in full whatever its signs: name -> (steps, rows, N)."""
     m = traj.states[0].frenet.num_vectors
-    window = _Window(traj, (2,) + (1,) * (m - 2))
-    peaks = {}
+    inextensible = traj.flow.speeds[0] is None
+    window = _Window(traj, (2,) + (1,) * (m - 2) if inextensible else ())
+    kept = {}
 
     def keep(name, index, row):
-        rows = peaks.setdefault(name, {})
-        rows[index] = max(rows.get(index, 0.0), float(np.max(np.abs(row[window.interior]))))
+        kept.setdefault(name, {}).setdefault(index, []).append(row)
 
     def norm(r):
         return np.sqrt(dot_many(r, r))
 
     for w in window.walk():
         e, V, fdot, curve = w.e, w.frames, w.fdot, w.state.curve
+        vdot = (w.next.curve.speeds - w.prev.curve.speeds) / (2.0 * w.dt)
+        keep("speed_evolution", 0, vdot - dv_dt_rhs(w.state))
+        keep("speed_evolution_classical", 0, vdot - e[0] * dv_dt_rhs(w.state))
+        if not inextensible:
+            continue
         k, f, (fs, fss) = w.fields()
         psi = w.psi()  # [k, j], 0-based
         c = {i: f[i - 1] * k[i - 1] + fs[i] - (e[i - 1] * e[i]) * f[i + 1] * k[i] for i in range(2, m + 1)}
@@ -846,7 +822,10 @@ def _rows_one_by_one(traj):
             for b in range(m):
                 P[a + 1, b + 1], D[a + 1, b + 1] = psi[a, b], d_ds(psi[a, b], curve)
         kdot = (w.next.frenet.curvatures - w.prev.frenet.curvatures) / (2.0 * w.dt)
-        keep("k1_flow_form", 0, kdot[0] - k1_rate(e, k, d_ds(k[:3], curve), f, fs, fss))
+        rate = k1_rate(e, k, d_ds(k[:3], curve), f, fs, fss)
+        keep("k1_flow_form", 0, kdot[0] - rate)
+        keep("k1_rate_max", 0, kdot[0])
+        keep("k1_flow_rhs_max", 0, rate)
         for i in range(1, m):
             d, p, q = D[i + 1, i], P[i + 2, i], k[i - 1] * P[i - 1, i + 1]
             metric = e[i] * (d - p * k[i + 1]) - e[i - 2] * e[i - 1] * e[i] * q
@@ -856,22 +835,35 @@ def _rows_one_by_one(traj):
                 classical = -e[m - 2] * e[m - 1] * (D[m - 1, m] + P[m - 2, m] * k[m - 2])
             keep(f"k{i}_psi_metric", 0, kdot[i - 1] - metric)
             keep(f"k{i}_psi_classical", 0, kdot[i - 1] - classical)
-    return {name: [rows[i] for i in sorted(rows)] for name, rows in peaks.items()}
+    for st in traj.states if inextensible else ():
+        c, (e0, e1), (f1, f2) = st.curve, st.frenet.signs[:2], st.f_values[:2]
+        keep("pointwise", 0, d_du4(f1, c.h, c.closed) / c.speeds - float(e0 * e1) * f2 * st.frenet.curvatures[0])
+    return {name: np.stack([rows[i] for i in sorted(rows)], axis=1) for name, rows in kept.items()}
+
+
+def _assert_rows_formed_alone(traj, monkeypatch):
+    """Each row every check hands the reducer, at every step, equals to the
+    bit the row ``_rows_one_by_one`` forms; returns the checks' rows."""
+    expected = _rows_one_by_one(traj)
+    found = _rows_of(check_speed_evolution, traj, monkeypatch)
+    if traj.flow.speeds[0] is None:
+        found.update(_rows_of(check_frame_evolution, traj, monkeypatch))
+        found.update(_rows_of(check_curvature_pde, traj, monkeypatch))
+    for name, rows in expected.items():
+        assert found[name].shape == rows.shape and found[name].tobytes() == rows.tobytes(), name
+    m = traj.states[0].frenet.num_vectors
+    assert set(found) - set(expected) <= {f"k{j}" for j in range(1, m)}  # the flat-curvature test
+    return found
 
 
 def test_every_n4_reading_equals_the_reading_formed_row_by_row(timelike_v4_traj, monkeypatch):
     # the checks form their readings as stacks (every j at once, only the psi
     # entries they read, k and psi rows differentiated together); each row
-    # must match, to the bit, the row formed alone by a plain loop
+    # must match, to the bit and at every step, the row formed alone by a plain loop
     traj = timelike_v4_traj
     assert traj.states[0].frenet.signs.tolist() == [1, 1, 1, -1]
-    expected = _rows_one_by_one(traj)
-    found = _rows_of(check_frame_evolution, traj, monkeypatch)
-    found.update(_rows_of(check_curvature_pde, traj, monkeypatch))
-    for name, rows in expected.items():
-        assert [x.hex() for x in found[name]] == [x.hex() for x in rows], name
-    assert len(found["reconstruction_metric"]) == 3 and len(found["k3_psi_metric"]) == 1
-    assert set(found) - set(expected) == {"k1_rate_max", "k1_flow_rhs_max"}
+    found = _assert_rows_formed_alone(traj, monkeypatch)
+    assert found["reconstruction_metric"].shape[1] == 3 and found["k3_psi_metric"].shape[1] == 1
 
 
 @pytest.mark.parametrize("traj_name", ["helix_traj_long", "time_dependent_traj"])
@@ -880,11 +872,8 @@ def test_every_reading_equals_the_reading_formed_row_by_row(traj_name, request, 
     # 1..8, 9..16 and a partial last block, whose rows must each be the rows
     # of their own state
     traj = request.getfixturevalue(traj_name)
-    expected = _rows_one_by_one(traj)
-    found = _rows_of(check_frame_evolution, traj, monkeypatch)
-    found.update(_rows_of(check_curvature_pde, traj, monkeypatch))
-    for name, rows in expected.items():
-        assert [x.hex() for x in found[name]] == [x.hex() for x in rows], name
+    found = _assert_rows_formed_alone(traj, monkeypatch)
+    assert found["k1_flow_form"].shape[0] == len(traj.states) - 2
 
 
 def test_report_json_shape(rigid_traj_short):

@@ -8,7 +8,9 @@ subdirectory ``<out_dir>/<command>/<scenario stem>/``, and ``list-catalog``
 into ``<out_dir>/list-catalog/``.  Each failing command of ``ERRORS`` runs
 on an edited copy of a bundled scenario into ``<out_dir>/errors/<case>/``.
 Beside the files the command writes go its ``stdout.txt``, ``stderr.txt``
-and ``exit_code.txt``.
+and ``exit_code.txt``, and beside each ``frenet.json``, which keeps only
+their maximum, the per-sample ``frenet_residuals`` as exact text
+(``frenet_residuals.txt``), so a change of their rounding shows.
 
 The ``cli`` module promises byte-identical outputs across reruns, so two
 runs of this script, or one on each side of a refactor, compare with
@@ -25,7 +27,9 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 
-from curveflow.cli import bundled_scenario_path, main
+from curveflow.cli import build_curve_spec, bundled_scenario_path, load_scenario, main
+from curveflow.curvekit import sample
+from curveflow.frenet import frenet_apparatus, frenet_residuals
 
 LADDERS = (
     ("timelike_helix_convergence.json", 4),
@@ -82,11 +86,23 @@ def record(command: str, scenario: Path | None, extra: list[str], out_dir: Path)
     return code
 
 
+def write_frenet_residuals(scenario: Path, out_dir: Path) -> None:
+    """The scenario's ``frenet_residuals`` as ``frenet`` forms them, one line
+    per frame vector of ``float.hex`` samples."""
+    doc = load_scenario(scenario)
+    curve = sample(build_curve_spec(doc))
+    residuals = frenet_residuals(curve, frenet_apparatus(curve, doc["integrator"].get("frame_vectors")))
+    text = "".join(" ".join(float(x).hex() for x in row) + "\n" for row in residuals)
+    (out_dir / "frenet_residuals.txt").write_text(text, encoding="utf-8")
+
+
 def write_all(root: Path) -> None:
     for command, scenario, extra in commands():
         stem = Path(scenario).stem if scenario else ""
         path = bundled_scenario_path(scenario) if scenario else None
         code = record(command, path, extra, root / command / stem)
+        if command == "frenet" and code == 0:
+            write_frenet_residuals(path, root / command / stem)
         print(command, scenario or "", *extra, f"exit {code}")
     with tempfile.TemporaryDirectory() as scratch:
         for case, command, scenario, keys, value in ERRORS:
