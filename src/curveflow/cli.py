@@ -33,7 +33,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from importlib import resources
 from pathlib import Path
 
@@ -233,20 +232,66 @@ def execute(
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    """Write ``text`` to a new file beside ``path`` and rename it there.  The
+    file is made by a plain ``open``, so it gets 0o666 less the umask; a path
+    that cannot be written is a ConfigError."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "x", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, where
+    ``obj`` may hold ndarrays (written as their ``tolist()``) and its dict
+    keys are strings.  ``indent`` keeps json off its C encoder, one Python
+    call per float; a finite float64 array is written from one
+    ``repr(a.tolist())`` instead, reshaped by ``str.replace``: both print
+    floats with ``float.__repr__``, and no float text holds ``[``, ``]``
+    or ``", "``.  Everything else goes through ``json.dumps``."""
+    return _json_value(obj, "\n") + "\n"
+
+
+def _json_value(obj, pad: str) -> str:
+    """JSON text of ``obj`` at the indent whose newline is ``pad``."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.ndim and obj.size and np.isfinite(obj).all():
+            return _float_array_text(obj, pad)
+        obj = obj.tolist()
+    try:  # no ndarray inside: json's own text, each line moved to this indent
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
+    except TypeError:  # json cannot write an ndarray: each item on its own
+        if not isinstance(obj, (dict, list, tuple)):
+            raise
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+        return "{" + ",".join(f"{inner}{json.dumps(k)}: {_json_value(v, inner)}" for k, v in items) + pad + "}"
+    return "[" + ",".join(inner + _json_value(v, inner) for v in obj) + pad + "]"
+
+
+def _float_array_text(a: np.ndarray, pad: str) -> str:
+    """``json.dumps`` layout of a non-empty float64 array's nested lists.
+    Between two items of the list at depth d - m, ``repr`` writes m closing
+    brackets, ``", "`` and m opening ones; json puts each bracket on its own
+    line."""
+    d = a.ndim
+    line = [pad + "  " * j for j in range(d + 1)]  # line[j]: the indent of depth j + 1's items
+    closes, opens = [""], [""]  # closes[m], opens[m]: the runs of m brackets
+    for m in range(1, d + 1):
+        closes.append(closes[-1] + line[d - m] + "]")
+        opens.append(line[d - m] + "[" + opens[-1])
+    text = repr(a.tolist())[d:-d]
+    for m in range(d - 1, -1, -1):  # longest runs first, so no shorter one matches inside one
+        text = text.replace("]" * m + ", " + "[" * m, closes[m] + "," + opens[m] + line[d])
+    return "[" + opens[d - 1] + line[d] + text + closes[d]
 
 
 def _fmt(x: float) -> str:
@@ -282,13 +327,13 @@ def write_timeseries(traj: Trajectory, out_dir: Path) -> Path:
 def _curve_payload(curve: SampledCurve, fd: FrenetData) -> dict:
     """JSON keys of a curve and its frame, sample-first: points (N, n), frame (m, N, n)."""
     return {
-        "points": curve.points.T.tolist(),
-        "arclength": curve.s.tolist(),
-        "speeds": curve.speeds.tolist(),
+        "points": curve.points.T,
+        "arclength": curve.s,
+        "speeds": curve.speeds,
         "total_arclength": curve.total_length,
-        "frame": np.swapaxes(fd.frame, 1, 2).tolist(),
-        "signs": fd.signs.tolist(),
-        "curvatures": fd.curvatures.tolist(),
+        "frame": np.swapaxes(fd.frame, 1, 2),
+        "signs": fd.signs,
+        "curvatures": fd.curvatures,
     }
 
 
@@ -299,7 +344,7 @@ def write_frames(traj: Trajectory, steps: list[int], out_dir: Path) -> list[Path
         payload = {
             "step": step,
             "t": st.t,
-            "speed_values": st.f_values.tolist(),
+            "speed_values": st.f_values,
             **_curve_payload(st.curve, st.frenet),
         }
         path = out_dir / f"frames_{step}.json"
@@ -396,7 +441,7 @@ def cmd_frenet(args) -> int:
         "quadrature": curve.quadrature,
         "completed_last": fd.completed_last,
         **_curve_payload(curve, fd),
-        "stencil_curvatures": stencil_curvatures(curve, fd).tolist(),
+        "stencil_curvatures": stencil_curvatures(curve, fd),
         "frenet_residual_max": float(residuals.max()),
     }
     _write_text(args.out / "frenet.json", _json_text(payload))

@@ -7,7 +7,11 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import curveflow
 from conftest import catalog_flow
@@ -228,6 +232,42 @@ def test_unreadable_scenario_path_is_a_config_error(tmp_path, capsys, command):
     assert capsys.readouterr().err == (
         f"config error: cannot read scenario file {tmp_path}: Is a directory\n"
     )
+
+
+@pytest.mark.parametrize("command", ["run", "frenet"])
+@pytest.mark.parametrize("below", [False, True])
+def test_unwritable_output_directory_is_a_config_error(tmp_path, capsys, command, below):
+    # --out names a file, or a directory below one: exit 2 with the path, not a traceback
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "sub" if below else blocker
+    name = "timeseries.csv" if command == "run" else "frenet.json"
+    reason = "Not a directory" if below else "File exists"
+    scn = str(bundled_scenario_path("circle_zero_flow.json"))
+    assert main([command, scn, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: cannot write {out / name}: {reason}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+
+
+def test_output_files_get_the_mode_of_a_plain_open(tmp_path):
+    doc = scenario_doc("circle_zero_flow.json")
+    doc["output"] = {"frames_at": [0, 8]}
+    scn = write_scenario(tmp_path, doc)
+    out = tmp_path / "o"
+    umask = os.umask(0o022)
+    try:
+        assert main(["run", scn, "--out", str(out)]) == EXIT_OK
+        assert main(["frenet", scn, "--out", str(out)]) == EXIT_OK
+        with open(out / "plain", "w"):
+            pass
+    finally:
+        os.umask(umask)
+    want = (out / "plain").stat().st_mode
+    assert want & 0o777 == 0o644
+    names = ["frames_0.json", "frames_8.json", "frenet.json", "plain", "report.json", "timeseries.csv"]
+    assert sorted(p.name for p in out.iterdir()) == names  # no temporary file is left
+    for name in names:
+        assert (out / name).stat().st_mode == want, name
 
 
 def test_check_failure_gives_exit_one(tmp_path):
@@ -659,3 +699,38 @@ def test_dt_heuristic_when_unset(tmp_path):
         assert dt == pytest.approx(0.1 * arc_spacing / fmax, rel=1e-6)
         rows = (out / "timeseries.csv").read_text().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == [f"{k * dt:.15g}" for k in range(5)]
+
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300]
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3)
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from("\x00\x1f\x7f\"\\é名\u2028\U0001f600")), max_size=6)
+_LEAVES = st.one_of(
+    hnp.arrays(np.float64, _SHAPES, elements=st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))),
+    hnp.arrays(np.float64, _SHAPES, elements=st.floats(allow_nan=False, allow_infinity=False)),
+    hnp.arrays(np.int64, _SHAPES),
+    st.booleans(),
+    st.none(),
+    st.integers(),
+    st.floats(),
+    _TEXT,
+)
+
+
+def _as_lists(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_as_lists(v) for v in obj]
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=8,
+))
+def test_json_text_equals_json_dumps_of_the_lists(obj):
+    assert cli._json_text(obj) == json.dumps(_as_lists(obj), indent=2, sort_keys=True) + "\n"

@@ -6,7 +6,9 @@ Runs ``curveflow.cli.main`` in-process for ``run`` and ``frenet`` on every
 bundled scenario and for the two ``convergence`` ladders, each into its own
 subdirectory ``<out_dir>/<command>/<scenario stem>/``, and ``list-catalog``
 into ``<out_dir>/list-catalog/``.  Each failing command of ``ERRORS`` runs
-on an edited copy of a bundled scenario into ``<out_dir>/errors/<case>/``.
+on an edited copy of a bundled scenario into ``<out_dir>/errors/<case>/``,
+and ``run`` and ``frenet`` run on the n = 4 copy ``V4_EDITS`` into
+``<out_dir>/<command>/timelike_v4/``.
 Beside the files the command writes go its ``stdout.txt``, ``stderr.txt``
 and ``exit_code.txt``, and beside each ``frenet.json``, which keeps only
 their maximum, the per-sample ``frenet_residuals`` as exact text
@@ -27,6 +29,7 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 
+from ab_pairs import TIMELIKE_V4  # this script's directory is first on sys.path
 from curveflow.cli import build_curve_spec, bundled_scenario_path, load_scenario, main
 from curveflow.curvekit import sample
 from curveflow.frenet import frenet_apparatus, frenet_residuals
@@ -36,18 +39,30 @@ LADDERS = (
     ("circle_inextensible_sine.json", 2),
 )
 
-# (case, command, bundled scenario, key path, value set there): scenarios the
-# loader or the curve sampler rejects, each with its message on stderr.  CI
-# runs this script on the base tree too, so a case must exit through ``main``
-# there as well, not in a traceback.
+# (case, command, bundled scenario, {key path: value set there}): scenarios
+# the loader or the curve sampler rejects, each with its message on stderr.
+# CI runs this script on the base tree too, so a case must exit through
+# ``main`` there as well, not in a traceback.
 ERRORS = (
-    ("tolerance_number", "run", "circle_zero_flow.json", ("tolerances",),
-     {"speed_evolution": {"x": 1e-3}}),
-    ("tolerance_keys", "run", "circle_zero_flow.json", ("tolerances",),
-     {"iff_condition": {"drfit": 1.0}}),
-    ("frame_step_past_steps", "run", "circle_zero_flow.json", ("output",), {"frames_at": [0, 99]}),
-    ("null_curve", "frenet", "line_translate.json", ("curve", "components"), ["u", "u", "0"]),
+    ("tolerance_number", "run", "circle_zero_flow.json",
+     {("tolerances",): {"speed_evolution": {"x": 1e-3}}}),
+    ("tolerance_keys", "run", "circle_zero_flow.json",
+     {("tolerances",): {"iff_condition": {"drfit": 1.0}}}),
+    ("frame_step_past_steps", "run", "circle_zero_flow.json", {("output",): {"frames_at": [0, 99]}}),
+    ("null_curve", "frenet", "line_translate.json", {("curve", "components"): ["u", "u", "0"]}),
 )
+
+# The curve, flow and steps of ab_pairs' n = 4 flow put in the open helix's
+# scenario, its frames dumped at the first and last step: four-component
+# points and a (4, N, 4) frame whose last vector is timelike, which no
+# bundled scenario writes.
+V4_EDITS = {
+    ("name",): "timelike_v4",
+    ("curve",): TIMELIKE_V4["curve"],
+    ("flow",): TIMELIKE_V4["flow"],
+    ("integrator",): TIMELIKE_V4["integrator"],
+    ("output",): {"frames_at": [0, TIMELIKE_V4["integrator"]["steps"]]},
+}
 
 
 def commands() -> list[tuple[str, str | None, list[str]]]:
@@ -61,18 +76,20 @@ def commands() -> list[tuple[str, str | None, list[str]]]:
     return runs
 
 
-def edited_scenario(name: str, keys: tuple[str, ...], value) -> dict:
-    """The bundled scenario ``name`` with ``value`` set at the key path ``keys``."""
+def edited_scenario(name: str, edits: dict) -> dict:
+    """The bundled scenario ``name`` with each value of ``edits`` set at its key path."""
     doc = json.loads(bundled_scenario_path(name).read_text(encoding="utf-8"))
-    target = doc
-    for key in keys[:-1]:
-        target = target[key]
-    target[keys[-1]] = value
+    for keys, value in edits.items():
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
     return doc
 
 
 def record(command: str, scenario: Path | None, extra: list[str], out_dir: Path) -> int:
-    """Run one command into ``out_dir`` and store its stdout, stderr and exit code."""
+    """Run one command into ``out_dir`` and store its stdout, stderr and exit
+    code, and after a ``frenet`` that succeeds its residuals."""
     argv = [command]
     if scenario is not None:
         argv += [str(scenario), *extra, "--out", str(out_dir)]
@@ -83,6 +100,8 @@ def record(command: str, scenario: Path | None, extra: list[str], out_dir: Path)
     (out_dir / "stdout.txt").write_text(stdout.getvalue(), encoding="utf-8")
     (out_dir / "stderr.txt").write_text(stderr.getvalue(), encoding="utf-8")
     (out_dir / "exit_code.txt").write_text(f"{code}\n", encoding="utf-8")
+    if command == "frenet" and code == 0:
+        write_frenet_residuals(scenario, out_dir)
     return code
 
 
@@ -101,14 +120,19 @@ def write_all(root: Path) -> None:
         stem = Path(scenario).stem if scenario else ""
         path = bundled_scenario_path(scenario) if scenario else None
         code = record(command, path, extra, root / command / stem)
-        if command == "frenet" and code == 0:
-            write_frenet_residuals(path, root / command / stem)
         print(command, scenario or "", *extra, f"exit {code}")
     with tempfile.TemporaryDirectory() as scratch:
-        for case, command, scenario, keys, value in ERRORS:
+        def edited(case: str, scenario: str, edits: dict) -> Path:
             path = Path(scratch) / f"{case}.json"
-            path.write_text(json.dumps(edited_scenario(scenario, keys, value)), encoding="utf-8")
-            code = record(command, path, [], root / "errors" / case)
+            path.write_text(json.dumps(edited_scenario(scenario, edits)), encoding="utf-8")
+            return path
+
+        path = edited("timelike_v4", "timelike_helix_twist.json", V4_EDITS)
+        for command in ("run", "frenet"):
+            code = record(command, path, [], root / command / "timelike_v4")
+            print(command, "timelike_v4", f"exit {code}")
+        for case, command, scenario, edits in ERRORS:
+            code = record(command, edited(case, scenario, edits), [], root / "errors" / case)
             print("errors", case, command, f"exit {code}")
 
 
