@@ -128,11 +128,11 @@ def solve_inextensible_f1(c: SampledCurve, rhs: np.ndarray, f1_at_0: float) -> n
     return f1_at_0 + cumulative_integral(integrand, c.h, c.quadrature)
 
 
-def inextensibility_rhs(c: SampledCurve, fd: FrenetData, f2_values: np.ndarray) -> np.ndarray:
-    """The constraint right-hand side e0 e1 f_2 k_1 on the grid."""
-    if fd.num_vectors < 2:
-        return np.zeros(c.samples)
-    return float(fd.signs[0] * fd.signs[1]) * np.asarray(f2_values) * fd.curvatures[0]
+def inextensibility_rhs(e0e1: float, f2: np.ndarray, k1: np.ndarray) -> np.ndarray:
+    """The constraint right-hand side e0 e1 f_2 k_1, as (e0e1 * f_2) * k_1, on
+    (N,) or (b, N) rows; e0e1 is a float or a (b, 1) column.  Without k_1
+    (one frame vector) callers take it as zero."""
+    return e0e1 * f2 * k1
 
 
 def evaluate_speeds(
@@ -156,10 +156,13 @@ def evaluate_speeds(
             f1_s[:] = jet.coeffs[1]
         else:
             f[i] = exprjet.eval_jet(expr, "s", c.s, 0, env).coeffs[0]
-    if inextensible:
-        f1_s = inextensibility_rhs(c, fd, f[1])
-        f[0] = solve_inextensible_f1(c, f1_s, flow.f1_at_0)
     m = fd.num_vectors
+    if inextensible:
+        if m < 2:
+            f1_s = np.zeros(N)  # no k_1
+        else:
+            f1_s = inextensibility_rhs(float(fd.signs[0] * fd.signs[1]), f[1], fd.curvatures[0])
+        f[0] = solve_inextensible_f1(c, f1_s, flow.f1_at_0)
     if m < n and np.abs(f[m:]).max() > 0.0:
         raise CurveFlowError(
             f"flow drives frame direction {m + 1}..{n} but only {m} frame vectors exist"
@@ -179,6 +182,14 @@ def velocity(state: SimState) -> np.ndarray:
     return np.add.reduce(terms, axis=0, initial=0.0, out=out)
 
 
+def speed_rate(v: np.ndarray, f1_s: np.ndarray, e0e1: float, f2: np.ndarray, k1: np.ndarray) -> np.ndarray:
+    """``dv_dt_rhs``'s rule v f1_s - e0 e1 f2 v k1 (f1_s = df1/ds), as
+    v * f1_s - ((e0e1 * f2) * v) * k1 on (N,) or (b, N) rows; without k_1
+    callers take v * f1_s.  Its product is not ``inextensibility_rhs``'s
+    bit for bit: it multiplies by v before k_1."""
+    return v * f1_s - e0e1 * f2 * v * k1
+
+
 def dv_dt_rhs(state: SimState) -> np.ndarray:
     """Predicted time derivative of the speed: df1/du - e0 e1 f2 v k1.
 
@@ -188,13 +199,11 @@ def dv_dt_rhs(state: SimState) -> np.ndarray:
     matches the measured dv/dt.  Both are reported by the speed-evolution
     check; this function returns the one that holds.
     """
-    c = state.curve
-    fd = state.frenet
-    out = c.speeds * state.f1_s
-    if fd.num_vectors >= 2:
-        e0e1 = float(fd.signs[0] * fd.signs[1])
-        out = out - e0e1 * state.f_values[1] * c.speeds * fd.curvatures[0]
-    return out
+    c, fd = state.curve, state.frenet
+    if fd.num_vectors < 2:
+        return c.speeds * state.f1_s
+    e0e1 = float(fd.signs[0] * fd.signs[1])
+    return speed_rate(c.speeds, state.f1_s, e0e1, state.f_values[1], fd.curvatures[0])
 
 
 def initial_state(

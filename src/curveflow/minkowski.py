@@ -51,12 +51,12 @@ def metric_signs(n: int) -> np.ndarray:
 
 def inner_many(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Inner product over axis -2 of two (..., n, N) stacks.  No validation."""
-    return _row_sum(X * Y, negate_first=True)
+    return row_sum(X * Y, negate_first=True)
 
 
 def dot_many(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Euclidean dot product over axis -2 of two (..., n, N) stacks.  No validation."""
-    return _row_sum(X * Y, negate_first=False)
+    return row_sum(X * Y, negate_first=False)
 
 
 @functools.cache
@@ -85,13 +85,15 @@ def self_products(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """<X,X> and the Euclidean |X|^2 over axis -2 of an (..., n, N) stack, from
     one product X*X.  No validation."""
     P = X * X
-    return _row_sum(P, negate_first=True), _row_sum(P, negate_first=False)
+    return row_sum(P, negate_first=True), row_sum(P, negate_first=False)
 
 
-def _row_sum(P: np.ndarray, negate_first: bool) -> np.ndarray:
+def row_sum(P: np.ndarray, negate_first: bool) -> np.ndarray:
     """Sum P over axis -2 in einsum's order, component 0 negated if asked.
 
-    P is only read, so one product can feed several sums.
+    P is only read, so one product can feed several sums, and a caller may
+    form the products X*Y into a buffer of its own: ``row_sum(P, True)`` is
+    then ``inner_many(X, Y)`` bit for bit.
     """
     (op, row), rest, lane1 = _lanes(P.shape[-2], negate_first)
     # Lane 0 starts from +0.0, so it is never -0.0 and neither is the sum, as

@@ -13,23 +13,25 @@ their time differences are (m, n, N) stacks, sample axis last.
 
 At N=256 most of a numpy call's cost is its fixed overhead of about a
 microsecond, so the walk goes in blocks of up to BLOCK_STATES states.  Per
-state runs only what is sequential or frame-sized: the alignment of the
-frame at t+1 (a chain: each state is aligned against the aligned frame
-before it), fdot at t, formed at a check's first read, and the psi entries
-(``psi_at``) or frame terms formed from them, written into the state's slot
-of state-first block buffers.  Per block run the speed jets, one
-``eval_jet`` per speed on the (b, N) arclength grids with a (b, 1) column
-of times (a block that raises DomainError is evaluated one state at a time,
-so a broken trajectory raises the error a walk of single states meets
-first); the inextensibility gap; the fold into maxima (``_Rows``); and
-``curvature_pde``'s row arithmetic on (b, N) rows once the block's last
-state is in: kdot, the stencil slopes of k and psi, and the right-hand
-sides, run unedited on lists of such rows (``_Window.rows``), with their
-subtractions.  Buffers are made once per check, and a partial last block
-uses a prefix of them; the k and f rows are stacked per block, so they
-hold no memory while the next block's jets are formed.  Every element
-keeps its arithmetic and its order, so every output byte stays; the
-working memory is a few tens of frames at any length.
+state runs only what is sequential or frame-sized: fdot at t, formed at a
+check's first read, and the psi entries (``psi_at``) or frame terms formed
+from them, written into the state's slot of state-first block buffers.  Per
+block run the frames' flip tests (``_Window._keeps_frames``); the speed
+jets, one ``eval_jet`` per speed on the (b, N) arclength grids with a (b, 1)
+column of times; the inextensibility gap and ``speed_evolution``'s rows, by
+flowsim's rules on stacked (b, N) rows; the fold into maxima (``_Rows``); and
+``curvature_pde``'s row arithmetic once the block's last state is in:
+kdot, the stencil slopes of k and psi, and the right-hand sides, run
+unedited on lists of such rows (``_Window.rows``).  A block whose flip test
+or jets fail is walked a state at a time, so every flip and error comes at
+the step a walk of single states meets it.  The flip tests and the rules
+run per state too once a block's stacked rows would pass STACK_SAMPLES
+(``_stacks_rows``): there the copies cost more than the calls they save.
+Buffers are made once per check, and a partial last block uses a prefix of
+them; the k and f rows are stacked per block, so they hold no memory while
+the next block's jets are formed.  Every element keeps its arithmetic and
+its order, so every output byte stays; the working memory is a few tens of
+frames at any length.
 
 Two identities expand frame velocities in the frame itself.  In an
 indefinite frame the expansion coefficient of V_k is e_{k-1} <X, V_k>, not
@@ -67,8 +69,8 @@ import numpy as np
 from . import exprjet
 from .curvekit import d_du, d_du4
 from .errors import ConfigError, CurveFlowError, DomainError, InsufficientStates, NotInextensible
-from .flowsim import Trajectory, arclength_drift, dv_dt_rhs, inextensibility_rhs
-from .minkowski import dot_many, inner_many
+from .flowsim import Trajectory, arclength_drift, dv_dt_rhs, inextensibility_rhs, speed_rate
+from .minkowski import dot_many, inner_many, row_sum
 
 RESIDUAL_FLOOR = 1e-12
 
@@ -85,6 +87,7 @@ INEXTENSIBILITY_PRECONDITION_TOL = 1e-2
 OPEN_BOUNDARY_MARGIN = 8
 
 BLOCK_STATES = 8  # states whose jets, gaps and residual rows one set of calls forms
+STACK_SAMPLES = 2**12  # most samples a block's stacked rows hold: past it the copies cost more than the calls
 
 
 def _interior(curve) -> slice:
@@ -96,6 +99,13 @@ def _interior(curve) -> slice:
         return slice(None)
     margin = min(OPEN_BOUNDARY_MARGIN, curve.samples // 8)
     return slice(margin, curve.samples - margin)
+
+
+def _stacks_rows(samples: int) -> bool:
+    """Whether the flip tests and the gap and speed rules run on a block's
+    stacked (b, N) rows, not per state: while those hold at most
+    STACK_SAMPLES.  Blocks of one state, the tests' reference, never do."""
+    return 1 < BLOCK_STATES and BLOCK_STATES * samples <= STACK_SAMPLES
 
 
 @dataclass
@@ -182,17 +192,22 @@ class _Window:
         states = self.traj.states
         before = states[0].frenet.frame  # state 0 sets the signs and is never flipped
         frames = self._aligned(states[1], before)
+        stacked = _stacks_rows(self.N)
         for t in range(1, len(states) - 1):
-            after = self._aligned(states[t + 1], frames)
             self.slot = (t - 1) % BLOCK_STATES
             if self.slot == 0:
                 self.size = min(BLOCK_STATES, len(states) - 1 - t)
-                if self.orders:
-                    try:
-                        self._derivatives(states[t : t + self.size], 0)
-                        self.blocked = True
-                    except DomainError:
-                        self.blocked = False  # this block's states are evaluated one at a time
+                # the state at t, then the states the block aligns; the chain enters
+                # the block unflipped when the frame at t is the state's own
+                block = states[t : t + self.size + 1]
+                kept = stacked and frames is block[0].frenet.frame and self._keeps_frames(block)
+            after = states[t + 1].frenet.frame if kept else self._aligned(states[t + 1], frames)
+            if self.slot == 0 and self.orders:
+                try:
+                    self._derivatives(states[t : t + self.size], 0)
+                    self.blocked = True
+                except DomainError:
+                    self.blocked = False  # this block's states are evaluated one at a time
             if self.orders and not self.blocked:
                 self._derivatives(states[t : t + 1], self.slot)
             self.step = t
@@ -200,6 +215,22 @@ class _Window:
             self.frames, self._before, self._after, self._fdot_formed = frames, before, after, False
             yield self
             before, frames = frames, after
+
+    def _keeps_frames(self, block) -> bool:
+        """Whether the states of ``block`` after the first keep their own
+        frames when the first does: no signature changes, and ``_aligned``'s
+        test against each state's own predecessor, its aligned frame then,
+        finds no flip."""
+        if any(st.frenet.signs.tobytes() != self.sign_bytes for st in block[1:]):
+            return False
+        # (b, m, n, N) products, component-first in memory: numpy iterates
+        # row_sum's contiguous slabs with no buffer of their size
+        products = np.empty((self.n, len(block) - 1, self.m, self.N)).transpose(1, 2, 0, 3)
+        for j in range(len(block) - 1):
+            np.multiply(block[j].frenet.frame, block[j + 1].frenet.frame, out=products[j])
+        dots = row_sum(products, negate_first=True)  # inner_many of each pair, bit for bit
+        del products  # freed before the test's buffers are taken
+        return not np.less(np.multiply(dots, self.sign_column, out=dots), 0.0).any()
 
     def _aligned(self, st, previous: np.ndarray) -> np.ndarray:
         """st's frame, flipped pointwise so e_{i-1} <V_i(t-1), V_i(t)> > 0."""
@@ -369,13 +400,15 @@ class _Rows:
         return {name: float(np.max(per_row[rows])) for name, rows in self.rows.items()}
 
     def peaks(self, window, fill, block=None) -> dict[str, float]:
-        """``maxima`` of one walk, over each step's interior.  ``fill(w, rows)``
-        runs at every step with the state's (R, N) slot of a block buffer,
-        and writes every row of it unless ``block(w, rows)``, called at a
-        block's last step with the block's (size, R, N) rows, writes them."""
+        """``maxima`` of one walk, over each step's interior.  ``fill(w, rows)``,
+        unless None, runs at every step with the state's (R, N) slot of a
+        block buffer, and writes every row of it unless ``block(w, rows)``,
+        called at a block's last step with the block's (size, R, N) rows,
+        writes them."""
         buf, self.peak = np.empty((BLOCK_STATES, self.count, window.N)), None
         for w in window.walk():
-            fill(w, buf[w.slot])
+            if fill is not None:
+                fill(w, buf[w.slot])
             if w.slot == w.size - 1:
                 rows = buf[: w.size]
                 if block is not None:
@@ -389,20 +422,26 @@ def _pointwise_violation(traj: Trajectory) -> float:
     interior, with df1/ds from a fourth-order stencil: sharp enough to keep
     the measurement independent of how f1 was produced (quadrature or
     expression) without drowning it in the everyday operator's second-order
-    noise.  A block of states is copied into kept buffers and measured by
-    one set of numpy calls."""
+    noise.  A block of states is stacked into (b, N) rows and measured by
+    one set of numpy calls; the right-hand side is formed on those rows
+    while ``_stacks_rows``, else per state, each by the state's own signs."""
     first = traj.states[0].curve
+    has_k1 = traj.states[0].frenet.num_vectors >= 2  # else the right-hand side is zero, and x - 0.0 is x
+    stacked = _stacks_rows(first.samples)
     rows = _Rows()
     rows.add("pointwise")
-    buffers = np.empty((3, BLOCK_STATES, first.samples))
     for lo in range(0, len(traj.states), BLOCK_STATES):
         block = traj.states[lo : lo + BLOCK_STATES]
-        f1, speeds, rhs = buffers[:, : len(block)]
-        for row, st in enumerate(block):
-            f1[row], speeds[row] = st.f_values[0], st.curve.speeds
-            rhs[row] = inextensibility_rhs(st.curve, st.frenet, st.f_values[1])
-        gap = d_du4(f1, first.h, first.closed) / speeds
-        gap -= rhs
+        f1 = np.array([st.f_values[0] for st in block])
+        gap = d_du4(f1, first.h, first.closed) / np.array([st.curve.speeds for st in block])
+        if has_k1:
+            signs = [float(st.frenet.signs[0] * st.frenet.signs[1]) for st in block]  # each state's own
+            if stacked:
+                f2, k1 = np.array([st.f_values[1] for st in block]), np.array([st.frenet.curvatures[0] for st in block])
+                gap -= inextensibility_rhs(np.array(signs)[:, None], f2, k1)
+            else:
+                for row, (e0e1, st) in enumerate(zip(signs, block)):
+                    gap[row] -= inextensibility_rhs(e0e1, st.f_values[1], st.frenet.curvatures[0])
         rows.fold(gap[:, None], _interior(first))
     return rows.maxima()["pointwise"]
 
@@ -456,18 +495,33 @@ def check_speed_evolution(traj: Trajectory, tolerance: float | None = None) -> V
     the two coincide on spacelike curves) is recorded alongside.
     """
     window = _Window(traj)
+    e = window.e
     rows = _Rows()
     metric = rows.add("speed_evolution")
-    classical = rows.add("speed_evolution_classical", same=metric if window.e[0] == 1.0 else None)
+    classical = rows.add("speed_evolution_classical", same=metric if e[0] == 1.0 else None)
 
-    def fill(w, buf):
-        lhs = w.central(w.next.curve.speeds, w.prev.curve.speeds)
-        rhs = dv_dt_rhs(w.state)
-        np.subtract(lhs, rhs, out=buf[metric])
+    def write(buf, lhs, rhs):
+        """The rows into buf (..., R, N), from one state's (N,) rows or a block's (b, N)."""
+        np.subtract(lhs, rhs, out=buf[..., metric, :])
         if classical != metric:
-            np.subtract(lhs, w.e[0] * rhs, out=buf[classical])
+            np.subtract(lhs, e[0] * rhs, out=buf[..., classical, :])
 
-    residuals = rows.peaks(window, fill)
+    def block(w, buf):
+        # the block's states with the states before and after it, each past the walk's signature test
+        states = traj.states[w.step - w.size : w.step + 2]
+        v, middle = np.array([st.curve.speeds for st in states]), states[1:-1]
+        f1_s = np.array([st.f1_s for st in middle])
+        if w.m < 2:
+            rhs = v[1:-1] * f1_s  # no k_1, as in dv_dt_rhs
+        else:
+            f2, k1 = np.array([st.f_values[1] for st in middle]), np.array([st.frenet.curvatures[0] for st in middle])
+            rhs = speed_rate(v[1:-1], f1_s, e[0] * e[1], f2, k1)
+        write(buf, w.central(v[2:], v[:-2]), rhs)
+
+    def fill(w, buf):  # a state's own rows, with no copy
+        write(buf, w.central(w.next.curve.speeds, w.prev.curve.speeds), dv_dt_rhs(w.state))
+
+    residuals = rows.peaks(window, None, block) if _stacks_rows(window.N) else rows.peaks(window, fill)
     return _report("speed_evolution", traj, residuals, tolerance, {"frame_flips": window.flips})
 
 

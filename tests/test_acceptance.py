@@ -136,7 +136,8 @@ def test_criterion_05_violating_flow_is_detected(shrink_traj):
 
 def test_criterion_06_closed_compatibility(circle_256):
     """No periodic tangential speed exists for f2 = 1 on the circle."""
-    rhs = inextensibility_rhs(circle_256, frenet_apparatus(circle_256), np.ones(256))
+    fd = frenet_apparatus(circle_256)
+    rhs = inextensibility_rhs(float(fd.signs[0] * fd.signs[1]), np.ones(256), fd.curvatures[0])
     with pytest.raises(IncompatibleClosedFlow) as err:
         solve_inextensible_f1(circle_256, rhs, 0.0)
     rel = abs(err.value.residual - TWO_PI) / TWO_PI

@@ -29,16 +29,31 @@ last factor falls from about 4 to 2.77.  The ends do not converge, and are
 not bounded here: in k1 at the final state the first eighth of the curve
 stays at 5.3e-2 for N >= 128 and the second eighth at 7.3e-3, and the last
 eighth, maximized over t, at 1.6e-1 to 2.1e-1 (see ROADMAP, F8).
+
+One closed curve moves non-rigidly in E_1^5: the Clifford flow
+X(u, t) = (0, cos θ cos u, cos θ sin u, ½ sin θ cos 2u, ½ sin θ sin 2u),
+θ = π/4 + t, on [0, 2π).  |X_u| = 1 at every t, so s = u stays fixed and the
+flow is inextensible.  V1..V4 are spacelike and V5 is the completed timelike
+axis (signs +, +, +, +, -); f1 = f2 = f3 = f5 = 0 and
+f4 = sqrt(3 sin 2t + 5) / (2 sqrt 2).  ``test_clifford_flow_is_the_sympy_derivation``
+derives these and the curvatures from the Gram determinants of the
+u-derivatives of X.  Over every state and sample the curvature error reads
+2.02e-2 and 4.92e-3 at N = 32 and 64 (T = 0.1, dt = 2.5e-3 * 64 / N), and the
+point error 1.06e-3 and 2.62e-4: second order.  It is the only n = 5 run
+under evolution, with a completed timelike last vector that moves.
 """
 
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
+import sympy as sp
 
+from curveflow import verify
 from curveflow.cli import bundled_scenario_path, execute
-from curveflow.curvekit import OPEN, CurveSpec, sample
+from curveflow.curvekit import CLOSED, OPEN, CurveSpec, sample
 from curveflow.flowsim import FlowSpec, evolve, initial_state
 
 ROTATIONS = ["circle_rigid_rotation.json", "circle_inextensible_sine.json"]
@@ -128,3 +143,112 @@ def test_shrinking_timelike_coil_curvatures_converge_at_second_order():
         assert errors[coarse][0] > 3.5 * errors[fine][0], errors
         # k2's last factor is 2.77: its middle third meets the ends' error first
         assert errors[coarse][1] > (3.5 if fine < 512 else 2.5) * errors[fine][1], errors
+
+
+CLIFFORD = ["0", "cos(pi/4)*cos(u)", "cos(pi/4)*sin(u)", "sin(pi/4)*cos(2*u)/2", "sin(pi/4)*sin(2*u)/2"]
+CLIFFORD_F4 = "sqrt(3*sin(2*t)+5)/(2*sqrt(2))"
+# N -> (curvature, point) error bound over every state and sample, twice the measured value
+CLIFFORD_BOUND = {32: (4.0e-2, 2.12e-3), 64: (9.8e-3, 5.2e-4)}
+
+
+def _clifford_closed_form(u, t):
+    """The points X(u, t), the speed f4 and the curvatures k1..k4 of the Clifford flow."""
+    theta, sin2t = math.pi / 4 + t, np.sin(2.0 * t)
+    points = [0.0 * u, np.cos(theta) * np.cos(u), np.cos(theta) * np.sin(u),
+              np.sin(theta) * np.cos(2.0 * u) / 2.0, np.sin(theta) * np.sin(2.0 * u) / 2.0]
+    f4 = np.sqrt(3.0 * sin2t + 5.0) / (2.0 * math.sqrt(2.0))
+    k = [np.sqrt(6.0 * sin2t + 10.0) / 2.0,
+         3.0 * np.sqrt(np.cos(4.0 * t) + 1.0) / (2.0 * np.sqrt(3.0 * sin2t + 5.0)),
+         2.0 * math.sqrt(2.0) / np.sqrt(3.0 * sin2t + 5.0),
+         0.0 * t]
+    return points, f4, k
+
+
+def test_clifford_flow_is_the_sympy_derivation():
+    # With D_i the Gram determinant of the first i u-derivatives of X
+    # (D_0 = 1), a unit-speed curve has k_i = sqrt(D_{i-1} D_{i+1}) / D_i.
+    # X_t is orthogonal to the first three derivatives and to the time axis,
+    # so f1 = f2 = f3 = f5 = 0, and f4 = <X_t, V4> is |X_t| with the sign of
+    # <X_t, d^4X/du^4>.  Each closed form is compared with the derivation on
+    # a grid of (u, t).
+    u, t = sp.symbols("u t", real=True)
+    theta = sp.pi / 4 + t
+    X = sp.Matrix([0, sp.cos(theta) * sp.cos(u), sp.cos(theta) * sp.sin(u),
+                   sp.sin(theta) * sp.cos(2 * u) / 2, sp.sin(theta) * sp.sin(2 * u) / 2])
+    G = sp.diag(-1, 1, 1, 1, 1)
+
+    def inner(a, b):
+        return (a.T * G * b)[0]
+
+    D = [X.diff(u, j) for j in range(1, 6)]
+    Xt = X.diff(t)
+    gram = [sp.Integer(1)] + [
+        sp.Matrix(i, i, lambda a, b: inner(D[a], D[b])).det(method="berkowitz") for i in range(1, 6)
+    ]
+    derived = {
+        "speed^2": inner(D[0], D[0]),
+        "f1..f3": [inner(Xt, d) for d in D[:3]],
+        "f5": Xt[0],
+        "f4^2": inner(Xt, Xt),
+        "sign f4": inner(Xt, D[3]),
+        "k1..k3": [sp.sqrt(gram[i - 1] * gram[i + 1]) / gram[i] for i in range(1, 4)],
+        "D5/D4": gram[5] / gram[4],
+    }
+    U, T = np.meshgrid(np.linspace(0.0, 2.0 * math.pi, 13), np.linspace(0.0, 0.1, 5))
+    at = {}
+    for name, expr in derived.items():
+        values = sp.lambdify((u, t), expr, "numpy")(U, T)
+        at[name] = np.array([np.broadcast_to(v, U.shape) for v in values] if isinstance(expr, list)
+                            else np.broadcast_to(values, U.shape))
+    _, f4, k = _clifford_closed_form(U, T)
+    np.testing.assert_allclose(at["speed^2"], 1.0, rtol=0, atol=1e-15)  # s = u: inextensible
+    np.testing.assert_allclose(at["f1..f3"], 0.0, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(at["f5"], 0.0)
+    np.testing.assert_allclose(np.sqrt(at["f4^2"]), f4, rtol=1e-14)
+    assert np.all(at["sign f4"] > 1.0)
+    np.testing.assert_allclose(at["k1..k3"], k[:3], rtol=1e-13)
+    # the fifth derivative lies in the span of the first four (X spans four
+    # axes), so D_5 = 0 and k4 = 0
+    np.testing.assert_allclose(at["D5/D4"], 0.0, rtol=0, atol=1e-11)
+
+
+@functools.cache
+def _clifford(samples):
+    spec = CurveSpec.from_strings(CLIFFORD, (0.0, 2.0 * math.pi), CLOSED, samples)
+    flow = FlowSpec.explicit(["0", "0", "0", CLIFFORD_F4, "0"])
+    state = initial_state(sample(spec), flow)
+    assert state.frenet.signs.tolist() == [1, 1, 1, 1, -1] and state.frenet.completed_last
+    dt = 2.5e-3 * 64 / samples
+    return evolve(state, flow, dt, round(0.1 / dt))
+
+
+def _clifford_errors(traj):
+    """max over states and samples of the curvature and the point error."""
+    k_err = points_err = 0.0
+    for st in traj.states:
+        points, _, k = _clifford_closed_form(st.curve.grid, st.t)
+        k_err = max(k_err, max(float(np.max(np.abs(st.frenet.curvatures[i] - k[i]))) for i in range(4)))
+        points_err = max(points_err, float(np.max(np.abs(st.curve.points - np.array(points)))))
+    return k_err, points_err
+
+
+def test_clifford_flow_in_e15_converges_at_second_order():
+    errors = {n: _clifford_errors(_clifford(n)) for n in CLIFFORD_BOUND}
+    for n, (k_err, points_err) in errors.items():
+        assert k_err < CLIFFORD_BOUND[n][0], (n, k_err)
+        assert points_err < CLIFFORD_BOUND[n][1], (n, points_err)
+    # measured: both fall 4.1x
+    assert errors[32][0] > 3.5 * errors[64][0], errors
+    assert errors[32][1] > 3.5 * errors[64][1], errors
+
+
+@pytest.mark.parametrize("samples", sorted(CLIFFORD_BOUND))
+def test_clifford_flow_blocks_of_states_give_the_reports_of_single_states(samples, monkeypatch):
+    # the m = 5 frame through the checks' block paths (flip tests, jets,
+    # gaps and rows per block of states) against blocks of one state
+    traj = _clifford(samples)
+    reports = []
+    for blocks in (verify.BLOCK_STATES, 1):
+        monkeypatch.setattr(verify, "BLOCK_STATES", blocks)
+        reports.append([json.dumps(check(traj).to_json_dict()) for check in verify.CHECKS.values()])
+    assert reports[0] == reports[1]

@@ -46,7 +46,9 @@ def test_flow_spec_validation():
 
 
 def _solve_f1(c, f2, f1_at_0):
-    return solve_inextensible_f1(c, inextensibility_rhs(c, frenet_apparatus(c), f2), f1_at_0)
+    fd = frenet_apparatus(c)
+    e0e1 = float(fd.signs[0] * fd.signs[1])
+    return solve_inextensible_f1(c, inextensibility_rhs(e0e1, f2, fd.curvatures[0]), f1_at_0)
 
 
 def test_solve_f1_zero_normal_speed(circle_256):
@@ -160,7 +162,7 @@ def _speeds_by_jets(flow, c, fd, t):
             if i == 0:
                 f1_s[:] = jet.coeffs[1]
     if flow.speeds[0] is None:
-        f1_s = inextensibility_rhs(c, fd, f[1])
+        f1_s = inextensibility_rhs(float(fd.signs[0] * fd.signs[1]), f[1], fd.curvatures[0])
         f[0] = solve_inextensible_f1(c, f1_s, flow.f1_at_0)
     return f, f1_s
 

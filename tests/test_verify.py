@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -350,23 +351,68 @@ def timelike_v4_long():
     return _traj_of(components, (0.0, 2.0), TIMELIKE_V4_FLOWS["f2_f3_f4"], 64, 1e-3, 17)
 
 
-@pytest.mark.parametrize("traj_name", ["time_dependent_traj", "helix_traj_long", "timelike_v4_long"])
+def _flipped_from(traj, steps):
+    """traj with V_2 flipped at samples 10-20 and the last frame vector at
+    30-32 (timelike in the n = 4 flow) in each state of ``steps``."""
+    m = traj.states[0].frenet.num_vectors
+    for step in steps:
+        traj = _with_flipped_frame(traj, step, [(2, slice(10, 21)), (m, slice(30, 33))])
+    return traj
+
+
+# Frame flips and a signature change planted around the second block of steps,
+# 9..16, whose flip test takes states 10..17 against the frames before them.
+PLANTS = {
+    "flip_first": lambda traj: _flipped_from(traj, [10]),
+    "flip_middle": lambda traj: _flipped_from(traj, [13]),
+    "flip_last": lambda traj: _flipped_from(traj, [17]),
+    "flip_before": lambda traj: _flipped_from(traj, [9]),
+    # flipped from state 9 on: the block's products show no flip, but the chain enters it flipped
+    "flipped_on_entry": lambda traj: _flipped_from(traj, range(9, len(traj.states))),
+    "signature_inside": lambda traj: _with_changed_signature(traj, 13),
+}
+FLIP_PLANTS = [name for name in PLANTS if name.startswith("flip")]
+
+
+def _outcomes(traj) -> list:
+    """Each check's report JSON, or the type and message of its error."""
+    found = []
+    for check in CHECKS.values():
+        try:
+            found.append(json.dumps(check(traj).to_json_dict(), sort_keys=True))
+        except CurveFlowError as err:
+            found.append((type(err).__name__, str(err)))
+    return found
+
+
+@pytest.mark.parametrize(
+    "traj_name",
+    ["time_dependent_traj", "helix_traj_long", "timelike_v4_long"]
+    + [f"{name}:{plant}" for name in ("time_dependent_traj", "timelike_v4_long") for plant in PLANTS],
+)
 def test_blocks_of_states_give_the_reports_of_single_states(traj_name, request, monkeypatch):
-    # speed jets, inextensibility gaps, residual folds and curvature_pde's
-    # row arithmetic run per block of states; blocks of one state are the
-    # reference, at lengths around the block size, so full, partial and
-    # single-state last blocks all occur.  The n = 4 flow forms the k3 and
-    # several-j readings.
-    traj = request.getfixturevalue(traj_name)
+    # speed jets, flip tests, inextensibility gaps, residual folds and
+    # curvature_pde's row arithmetic run per block of states; blocks of one
+    # state are the reference, at lengths around the block size, so full,
+    # partial and single-state last blocks all occur.  The n = 4 flow forms
+    # the k3 and several-j readings, and its last frame vector is timelike.
+    # A planted flip or signature change (``PLANTS``) sends its block down
+    # the per-state path: the reports, flip counts included, or the first
+    # errors are those of single states.
+    name, _, plant = traj_name.partition(":")
+    traj = request.getfixturevalue(name)
+    if plant:
+        traj = PLANTS[plant](traj)
     by_length = {}
     for blocks in (verify.BLOCK_STATES, 1):
         monkeypatch.setattr(verify, "BLOCK_STATES", blocks)
         for length in (3, 4, 9, 10, 11, 17, 18):
             part = dataclasses.replace(traj, states=traj.states[:length])
-            reports = [json.dumps(check(part).to_json_dict(), sort_keys=True) for check in CHECKS.values()]
-            by_length.setdefault(length, []).append(reports)
+            by_length.setdefault(length, []).append(_outcomes(part))
     for length, (blocked, single) in by_length.items():
         assert blocked == single, length
+    if plant in FLIP_PLANTS:
+        assert json.loads(by_length[18][0][0])["details"]["frame_flips"] > 0
 
 
 def _with_nan(traj, step, where):
@@ -413,15 +459,29 @@ def test_nan_in_a_block_reads_as_in_single_states(time_dependent_traj, where, st
         assert rep.details["degenerate_equations"] == []
 
 
-@pytest.mark.parametrize("changed_state, first", [(11, "signature"), (14, "domain")])
-def test_first_error_of_a_walk_comes_first(time_dependent_traj, changed_state, first):
+@pytest.mark.parametrize(
+    "changed_state, first, plant",
+    [
+        pytest.param(11, "signature", None, id="11-signature"),
+        pytest.param(14, "domain", None, id="14-domain"),
+        *(
+            pytest.param(state, first, plant, id=f"{state}-{first}-{plant}")
+            for state, first in ((11, "signature"), (14, "domain"))
+            for plant in FLIP_PLANTS
+        ),
+    ],
+)
+def test_first_error_of_a_walk_comes_first(time_dependent_traj, changed_state, first, plant):
     # f2's jet divides by zero at state 12 alone, in the block of states
     # 9..16; a frame signature change at state s is met at step s - 1, when
     # that state enters the window.  Whichever step comes first raises, as in
-    # a walk of single states: the block's failure must not jump ahead.
+    # a walk of single states: the block's failure must not jump ahead, with
+    # or without frame flips planted around the block (``PLANTS``).
     traj = time_dependent_traj
     flow = FlowSpec.inextensible([f"sin(s)/(t - {traj.states[12].t!r})", "0"])
     broken = _with_changed_signature(dataclasses.replace(traj, flow=flow), changed_state)
+    if plant is not None:
+        broken = PLANTS[plant](broken)
     expected = {
         "signature": (CurveFlowError, "frame signature changed along the trajectory"),
         "domain": (DomainError, "division by zero in jet arithmetic"),
@@ -432,21 +492,34 @@ def test_first_error_of_a_walk_comes_first(time_dependent_traj, changed_state, f
         assert (type(err.value), str(err.value)) == expected, check.__name__
 
 
-@pytest.mark.parametrize("bad_state", [9, 12, 16, 18])
-@pytest.mark.parametrize("shift", [None, -1, 1, 2])
+@pytest.mark.parametrize(
+    "bad_state, shift, plant",
+    [
+        *(pytest.param(bad, shift, None, id=f"{shift}-{bad}") for shift in (None, -1, 1, 2) for bad in (9, 12, 16, 18)),
+        *(
+            pytest.param(bad, shift, plant, id=f"{shift}-{bad}-{plant}")
+            for plant in FLIP_PLANTS
+            for shift in (None, 1)
+            for bad in (12, 16)
+        ),
+    ],
+)
 def test_first_error_of_a_walk_is_the_error_of_single_states(
-    time_dependent_traj, bad_state, shift, monkeypatch
+    time_dependent_traj, bad_state, shift, plant, monkeypatch
 ):
     # f2's jet divides by zero at ``bad_state`` alone: the first (9), a
     # middle (12) or the last (16) state of the block 9..16, or a state of
     # the last, partial block 17..19.  The frame signature changes ``shift``
-    # states after it (met at step bad_state + shift - 1), or nowhere.  A
-    # walk of blocks raises what a walk of single states raises.
+    # states after it (met at step bad_state + shift - 1), or nowhere.  Frame
+    # flips may be planted around the block (``PLANTS``).  A walk of blocks
+    # raises what a walk of single states raises.
     traj = time_dependent_traj
     flow = FlowSpec.inextensible([f"sin(s)/(t - {traj.states[bad_state].t!r})", "0"])
     broken = dataclasses.replace(traj, flow=flow)
     if shift is not None:
         broken = _with_changed_signature(broken, bad_state + shift)
+    if plant is not None:
+        broken = PLANTS[plant](broken)
 
     def outcomes():
         found = []
@@ -524,6 +597,39 @@ def test_check_memory_does_not_grow_with_trajectory_length():
         assert at_400 < 40 * frame_bytes, (name, at_400 / frame_bytes)
         assert at_400 <= at_100 + 0.1 * frame_bytes, (name, at_100 / frame_bytes, at_400 / frame_bytes)
     assert _traced_peak(arclength_drift, traj) <= _traced_peak(arclength_drift, short)
+
+
+# Upper bounds on the Python-level and C-level calls (sys.setprofile events)
+# of each window check over the 59 walked states of the 61-state circle at
+# N=64: the counts of this code under Python 3.11 and numpy 2.4 (per state:
+# 4.47 and 3.54, 9.39 and 7.00, 19.51 and 22.78, 19.59 and 18.42).  ufunc
+# calls and array operators are not C-level calls to the profiler, so they
+# do not show.
+CALL_BUDGET = {
+    "speed_evolution": (264, 209),
+    "psi_antisymmetry": (554, 413),
+    "frame_evolution": (1151, 1344),
+    "curvature_pde": (1156, 1087),
+}
+
+
+def test_window_checks_stay_within_their_calls_per_state():
+    traj = run_flow("circle", "inextensible_sine", 64, 1e-3, 60)
+    for name, budget in CALL_BUDGET.items():
+        CHECKS[name](traj)  # caches and imports first
+        counts = {"call": 0, "c_call": 0}
+
+        def count(frame, event, arg):
+            if event in counts:
+                counts[event] += 1
+
+        sys.setprofile(count)
+        try:
+            CHECKS[name](traj)
+        finally:
+            sys.setprofile(None)
+        walked = len(traj.states) - 2
+        assert counts["call"] <= budget[0] and counts["c_call"] <= budget[1], (name, counts, walked)
 
 
 def test_nan_speed_rate_fails_speed_evolution():

@@ -20,8 +20,10 @@ Operations, timed in CPU seconds of this process:
   ``--steps`` steps of 1e-3, and on the bundled ``timelike_helix_twist``
   scenario, as perfbench's ``verify_replay`` does; then on an n = 4 curve
   with a timelike V4 under f2, f3 and f4 (``TIMELIKE_V4``), whose k3
-  readings and several-j frame readings no bundled scenario forms.  Each
-  tree checks the trajectories its own ``evolve`` built.
+  readings and several-j frame readings no bundled scenario forms; and on
+  the circle's first states with frame flips planted (``with_flips``), so
+  the checks' per-state alignment path runs too.  Each tree checks the
+  trajectories its own ``evolve`` built, with the same flips planted.
 * ``evolve``: one ``evolve`` call of that circle flow.  The comparison
   also covers the ``TIMELIKE_V4`` trajectory, evolved once per tree before
   timing: a non-planar frame, not completed, with a timelike last vector.
@@ -49,6 +51,7 @@ figure perfbench reports as ``flowsim.trajectory_mb``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.util
 import json
 import resource
@@ -104,6 +107,24 @@ def evolve_doc(cf, inputs):
     return cf.evolve(state, flow, integ["dt"], integ["steps"])
 
 
+def with_flips(traj, states: int = 20):
+    """The first ``states`` states of traj, with frame vectors negated as
+    ``tests/test_verify.py`` plants flips: V_2 over an eighth of the samples
+    in state 5, and the last vector over three samples in every state from
+    9 on, so a block of states is entered flipped while its own products
+    show no flip."""
+    kept = list(traj.states[:states])
+    m, N = kept[0].frenet.num_vectors, kept[0].curve.samples
+    for step, (i, samples) in [(5, (1, slice(N // 8, N // 4)))] + [
+        (step, (m - 1, slice(N // 2, N // 2 + 3))) for step in range(9, len(kept))
+    ]:
+        st = kept[step]
+        frame = st.frenet.frame.copy()
+        frame[i, :, samples] *= -1.0
+        kept[step] = dataclasses.replace(st, frenet=dataclasses.replace(st.frenet, frame=frame))
+    return dataclasses.replace(traj, states=kept)
+
+
 class Side:
     """One tree: its inputs, built once, and its timed operation."""
 
@@ -120,9 +141,11 @@ class Side:
             self.v4_bytes = [state_bytes(st) for st in evolve_doc(cf, doc_inputs(cf, TIMELIKE_V4)).states]
             self.run = self.evolve
             return
-        cases = [(cf.evolve(*self.circle), {})]
+        circle = cf.evolve(*self.circle)
+        cases = [(circle, {})]
         for inputs in (scenario_inputs(cf, src, HELIX), doc_inputs(cf, TIMELIKE_V4)):
             cases.append((evolve_doc(cf, inputs), inputs[3].get("tolerances", {})))
+        cases.append((with_flips(circle), {}))
         self.cases = cases
         self.run = self.verify
 
