@@ -128,10 +128,29 @@ def solve_inextensible_f1(c: SampledCurve, rhs: np.ndarray, f1_at_0: float) -> n
     return f1_at_0 + cumulative_integral(integrand, c.h, c.quadrature)
 
 
-def inextensibility_rhs(e0e1: float, f2: np.ndarray, k1: np.ndarray) -> np.ndarray:
+def k1_terms(fd: FrenetData) -> tuple[float, np.ndarray | None]:
+    """e0 e1 and k_1 as the rules below take them: (1.0, None) with one
+    frame vector, which has no k_1."""
+    if fd.num_vectors < 2:
+        return 1.0, None
+    return float(fd.signs[0] * fd.signs[1]), fd.curvatures[0]
+
+
+def stacked_k1_terms(fds: list[FrenetData]) -> tuple[np.ndarray, np.ndarray | None]:
+    """``k1_terms`` of frames with one vector count: each frame's e0 e1 as a
+    (b, 1) column and its k_1 as a row of a (b, N) stack, or None."""
+    if fds[0].num_vectors < 2:
+        return np.ones((len(fds), 1)), None
+    e0e1 = np.array([[float(fd.signs[0] * fd.signs[1])] for fd in fds])
+    return e0e1, np.array([fd.curvatures[0] for fd in fds])
+
+
+def inextensibility_rhs(e0e1: float, f2: np.ndarray, k1: np.ndarray | None) -> np.ndarray:
     """The constraint right-hand side e0 e1 f_2 k_1, as (e0e1 * f_2) * k_1, on
-    (N,) or (b, N) rows; e0e1 is a float or a (b, 1) column.  Without k_1
-    (one frame vector) callers take it as zero."""
+    (N,) or (b, N) rows; e0e1 is a float or a (b, 1) column.  Zero rows
+    without k_1 (None)."""
+    if k1 is None:
+        return np.zeros(f2.shape)
     return e0e1 * f2 * k1
 
 
@@ -156,13 +175,11 @@ def evaluate_speeds(
             f1_s[:] = jet.coeffs[1]
         else:
             f[i] = exprjet.eval_jet(expr, "s", c.s, 0, env).coeffs[0]
-    m = fd.num_vectors
     if inextensible:
-        if m < 2:
-            f1_s = np.zeros(N)  # no k_1
-        else:
-            f1_s = inextensibility_rhs(float(fd.signs[0] * fd.signs[1]), f[1], fd.curvatures[0])
+        e0e1, k1 = k1_terms(fd)
+        f1_s = inextensibility_rhs(e0e1, f[1], k1)
         f[0] = solve_inextensible_f1(c, f1_s, flow.f1_at_0)
+    m = fd.num_vectors
     if m < n and np.abs(f[m:]).max() > 0.0:
         raise CurveFlowError(
             f"flow drives frame direction {m + 1}..{n} but only {m} frame vectors exist"
@@ -182,11 +199,15 @@ def velocity(state: SimState) -> np.ndarray:
     return np.add.reduce(terms, axis=0, initial=0.0, out=out)
 
 
-def speed_rate(v: np.ndarray, f1_s: np.ndarray, e0e1: float, f2: np.ndarray, k1: np.ndarray) -> np.ndarray:
+def speed_rate(
+    v: np.ndarray, f1_s: np.ndarray, e0e1: float, f2: np.ndarray, k1: np.ndarray | None
+) -> np.ndarray:
     """``dv_dt_rhs``'s rule v f1_s - e0 e1 f2 v k1 (f1_s = df1/ds), as
-    v * f1_s - ((e0e1 * f2) * v) * k1 on (N,) or (b, N) rows; without k_1
-    callers take v * f1_s.  Its product is not ``inextensibility_rhs``'s
-    bit for bit: it multiplies by v before k_1."""
+    v * f1_s - ((e0e1 * f2) * v) * k1 on (N,) or (b, N) rows; v * f1_s
+    without k_1 (None).  Its product is not ``inextensibility_rhs``'s bit
+    for bit: it multiplies by v before k_1."""
+    if k1 is None:
+        return v * f1_s
     return v * f1_s - e0e1 * f2 * v * k1
 
 
@@ -199,11 +220,8 @@ def dv_dt_rhs(state: SimState) -> np.ndarray:
     matches the measured dv/dt.  Both are reported by the speed-evolution
     check; this function returns the one that holds.
     """
-    c, fd = state.curve, state.frenet
-    if fd.num_vectors < 2:
-        return c.speeds * state.f1_s
-    e0e1 = float(fd.signs[0] * fd.signs[1])
-    return speed_rate(c.speeds, state.f1_s, e0e1, state.f_values[1], fd.curvatures[0])
+    e0e1, k1 = k1_terms(state.frenet)
+    return speed_rate(state.curve.speeds, state.f1_s, e0e1, state.f_values[1], k1)
 
 
 def initial_state(

@@ -26,7 +26,8 @@ unedited on lists of such rows (``_Window.rows``).  A block whose flip test
 or jets fail is walked a state at a time, so every flip and error comes at
 the step a walk of single states meets it.  The flip tests and the rules
 run per state too once a block's stacked rows would pass STACK_SAMPLES
-(``_stacks_rows``): there the copies cost more than the calls they save.
+(``_stacks_rows``, N > 512): there the copies cost more than the calls
+they save.
 Buffers are made once per check, and a partial last block uses a prefix of
 them; the k and f rows are stacked per block, so they hold no memory while
 the next block's jets are formed.  Every element keeps its arithmetic and
@@ -69,7 +70,15 @@ import numpy as np
 from . import exprjet
 from .curvekit import d_du, d_du4
 from .errors import ConfigError, CurveFlowError, DomainError, InsufficientStates, NotInextensible
-from .flowsim import Trajectory, arclength_drift, dv_dt_rhs, inextensibility_rhs, speed_rate
+from .flowsim import (
+    Trajectory,
+    arclength_drift,
+    dv_dt_rhs,
+    inextensibility_rhs,
+    k1_terms,
+    speed_rate,
+    stacked_k1_terms,
+)
 from .minkowski import dot_many, inner_many, row_sum
 
 RESIDUAL_FLOOR = 1e-12
@@ -87,7 +96,8 @@ INEXTENSIBILITY_PRECONDITION_TOL = 1e-2
 OPEN_BOUNDARY_MARGIN = 8
 
 BLOCK_STATES = 8  # states whose jets, gaps and residual rows one set of calls forms
-STACK_SAMPLES = 2**12  # most samples a block's stacked rows hold: past it the copies cost more than the calls
+# most samples a block's stacked rows hold, N = 512: from N = 1024 on some checks ran slower stacked
+STACK_SAMPLES = 2**12
 
 
 def _interior(curve) -> slice:
@@ -426,7 +436,6 @@ def _pointwise_violation(traj: Trajectory) -> float:
     one set of numpy calls; the right-hand side is formed on those rows
     while ``_stacks_rows``, else per state, each by the state's own signs."""
     first = traj.states[0].curve
-    has_k1 = traj.states[0].frenet.num_vectors >= 2  # else the right-hand side is zero, and x - 0.0 is x
     stacked = _stacks_rows(first.samples)
     rows = _Rows()
     rows.add("pointwise")
@@ -434,16 +443,21 @@ def _pointwise_violation(traj: Trajectory) -> float:
         block = traj.states[lo : lo + BLOCK_STATES]
         f1 = np.array([st.f_values[0] for st in block])
         gap = d_du4(f1, first.h, first.closed) / np.array([st.curve.speeds for st in block])
-        if has_k1:
-            signs = [float(st.frenet.signs[0] * st.frenet.signs[1]) for st in block]  # each state's own
-            if stacked:
-                f2, k1 = np.array([st.f_values[1] for st in block]), np.array([st.frenet.curvatures[0] for st in block])
-                gap -= inextensibility_rhs(np.array(signs)[:, None], f2, k1)
-            else:
-                for row, (e0e1, st) in enumerate(zip(signs, block)):
-                    gap[row] -= inextensibility_rhs(e0e1, st.f_values[1], st.frenet.curvatures[0])
+        if stacked:
+            gap -= inextensibility_rhs(*_rule_rows(block))
+        else:
+            for row, st in enumerate(block):
+                e0e1, k1 = k1_terms(st.frenet)
+                gap[row] -= inextensibility_rhs(e0e1, st.f_values[1], k1)
         rows.fold(gap[:, None], _interior(first))
     return rows.maxima()["pointwise"]
+
+
+def _rule_rows(states) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The e0 e1, f_2 and k_1 arguments of flowsim's rules for a list of
+    states, stacked: each state's own e0 e1 and (b, N) rows."""
+    e0e1, k1 = stacked_k1_terms([st.frenet for st in states])
+    return e0e1, np.array([st.f_values[1] for st in states]), k1
 
 
 def _require_inextensible(traj: Trajectory) -> float:
@@ -507,16 +521,10 @@ def check_speed_evolution(traj: Trajectory, tolerance: float | None = None) -> V
             np.subtract(lhs, e[0] * rhs, out=buf[..., classical, :])
 
     def block(w, buf):
-        # the block's states with the states before and after it, each past the walk's signature test
+        # the block's states with the states before and after it
         states = traj.states[w.step - w.size : w.step + 2]
-        v, middle = np.array([st.curve.speeds for st in states]), states[1:-1]
-        f1_s = np.array([st.f1_s for st in middle])
-        if w.m < 2:
-            rhs = v[1:-1] * f1_s  # no k_1, as in dv_dt_rhs
-        else:
-            f2, k1 = np.array([st.f_values[1] for st in middle]), np.array([st.frenet.curvatures[0] for st in middle])
-            rhs = speed_rate(v[1:-1], f1_s, e[0] * e[1], f2, k1)
-        write(buf, w.central(v[2:], v[:-2]), rhs)
+        v, f1_s = np.array([st.curve.speeds for st in states]), np.array([st.f1_s for st in states[1:-1]])
+        write(buf, w.central(v[2:], v[:-2]), speed_rate(v[1:-1], f1_s, *_rule_rows(states[1:-1])))
 
     def fill(w, buf):  # a state's own rows, with no copy
         write(buf, w.central(w.next.curve.speeds, w.prev.curve.speeds), dv_dt_rhs(w.state))
