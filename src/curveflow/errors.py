@@ -104,21 +104,33 @@ class FrameBreakdown(EvolutionError):
 class UnresolvedClosedFlow(EvolutionError):
     """A closed curve rebuilt from points inside ``evolve`` failed the
     compatibility test that its jet-built initial state passed.  The loop
-    integral is then a discrete residual of the N-sample rebuild (or the flow
-    lost its periodic tangential speed at time ``t``).  ``residual`` and
-    ``tolerance`` are as in IncompatibleClosedFlow, ``samples`` is N."""
+    integral is then a discrete residual of the N-sample rebuild, or the flow
+    lost its periodic tangential speed at time ``t``.  ``coarse_residual``,
+    the integral of the same points rebuilt from every other sample (None
+    when N is odd or that rebuild fails), tells them apart: a discrete
+    residual at least halves from N/2 to N; one that does not fall with N
+    is the flow's.  ``residual`` and ``tolerance`` are as in
+    IncompatibleClosedFlow, ``samples`` is N."""
 
-    def __init__(self, residual: float, tolerance: float, samples: int, t: float, trajectory=None):
+    def __init__(self, residual: float, tolerance: float, samples: int, coarse_residual: float | None,
+                 t: float, trajectory=None):
+        if coarse_residual is None:
+            cause = f": under-resolved at N={samples}, or no periodic tangential speed at that time"
+        elif abs(coarse_residual) >= 2.0 * abs(residual):
+            cause = f" and {coarse_residual:.6e} from N={samples // 2}: under-resolved at N={samples}"
+        else:
+            cause = (f" and {coarse_residual:.6e} from N={samples // 2}: it does not fall with N, "
+                     f"so no periodic tangential speed exists at that time")
         super().__init__(
             f"compatibility integral of the curve rebuilt from N={samples} samples "
-            f"is {residual:.6e} (tolerance {tolerance:.3e}): "
-            f"under-resolved at N={samples}, or no periodic tangential speed at that time",
+            f"is {residual:.6e} (tolerance {tolerance:.3e}){cause}",
             t=t,
             trajectory=trajectory,
         )
         self.residual = residual
         self.tolerance = tolerance
         self.samples = samples
+        self.coarse_residual = coarse_residual
 
 
 class NotInextensible(CurveFlowError):

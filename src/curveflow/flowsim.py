@@ -241,6 +241,25 @@ def _build_state(
     return SimState(t=t, curve=curve, frenet=fd, f_values=f, f1_s=f1_s)
 
 
+def _coarse_loop_integral(
+    points: np.ndarray, grid: np.ndarray, frame_vectors: int, flow: FlowSpec, t: float
+) -> float | None:
+    """The compatibility integral of closed (n, N) stage points rebuilt from
+    every other sample, as ``solve_inextensible_f1`` forms it; None when N
+    is odd or that rebuild fails otherwise.  Read only once a stage has
+    failed the compatibility test."""
+    if grid.shape[0] % 2:
+        return None
+    try:
+        half = SampledCurve.from_points(points[:, ::2], grid[::2], True, frame_vectors)
+        st = _build_state(half, flow, frame_vectors, t)
+    except IncompatibleClosedFlow as exc:
+        return exc.residual
+    except CurveFlowError:
+        return None
+    return loop_integral(st.f1_s * st.curve.speeds, st.curve)
+
+
 def default_dt(state: SimState) -> float:
     """Step heuristic: a tenth of the smallest arc spacing over the speed scale."""
     ds_min = float(np.min(state.curve.speeds)) * state.curve.h
@@ -293,8 +312,9 @@ def evolve(
         except NonGenericCurveError as exc:
             raise FrameBreakdown(str(exc), exc.index, exc.sample, t=t, trajectory=traj) from exc
         except IncompatibleClosedFlow as exc:
+            coarse = _coarse_loop_integral(points, grid, m, flow, t)
             raise UnresolvedClosedFlow(
-                exc.residual, exc.tolerance, grid.shape[0], t=t, trajectory=traj
+                exc.residual, exc.tolerance, grid.shape[0], coarse, t=t, trajectory=traj
             ) from exc
         except CurveFlowError as exc:
             # a degenerate curve, a speed leaving its domain, a flow along a

@@ -19,15 +19,14 @@ from them, written into the state's slot of state-first block buffers.  Per
 block run the frames' flip tests (``_Window._keeps_frames``); the speed
 jets, one ``eval_jet`` per speed on the (b, N) arclength grids with a (b, 1)
 column of times; the inextensibility gap and ``speed_evolution``'s rows, by
-flowsim's rules on stacked (b, N) rows; the fold into maxima (``_Rows``); and
-``curvature_pde``'s row arithmetic once the block's last state is in:
-kdot, the stencil slopes of k and psi, and the right-hand sides, run
-unedited on lists of such rows (``_Window.rows``).  A block whose flip test
-or jets fail is walked a state at a time, so every flip and error comes at
-the step a walk of single states meets it.  The flip tests and the rules
-run per state too once a block's stacked rows would pass STACK_SAMPLES
-(``_stacks_rows``, N > 512): there the copies cost more than the calls
-they save.
+flowsim's rules on stacked (b, N) rows; ``frame_evolution``'s c_i rows; the
+fold into maxima (``_Rows``); and ``curvature_pde``'s row arithmetic once
+the block's last state is in: kdot, the stencil slopes of k and psi, and
+the right-hand sides.  The rules take lists of (b, N) rows unedited
+(``_Window.rows``).  A block whose flip test or jets fail is walked a state
+at a time, so every flip and error comes at the step a walk of single
+states meets it.  This is the one path at every N: past N = 512 the
+stacked copies cost more than the calls they save, STACK_COST_NOTE
 Buffers are made once per check, and a partial last block uses a prefix of
 them; the k and f rows are stacked per block, so they hold no memory while
 the next block's jets are formed.  Every element keeps its arithmetic and
@@ -49,9 +48,9 @@ row i of k, f and their s-derivatives holds k_i, f_i, ... (row 0 and every
 row past the frame or the dimension read as zero, so k_m = 0), psi[k, j]
 holds psi_kj with a zero border, and e[i] is the sign e_i of V_{i+1},
 1.0 outside the frame (e[-1] reads that padding too).  A row is one
-state's (N,) samples or a block's (b, N).  ``k1_rate`` and
-``curvature_rates`` index single rows, so they take lists of rows too,
-and psi and its slopes as mappings keyed [k, j].
+state's (N,) samples or a block's (b, N).  ``tangent_rate_coefficients``,
+``k1_rate`` and ``curvature_rates`` index single rows, so they take lists
+of rows too, and psi and its slopes as mappings keyed [k, j].
 
 Every reported maximum, of a residual row, the inextensibility gap or a
 curvature, follows one reduction rule, stated at ``_Rows``.  A reading
@@ -73,9 +72,7 @@ from .errors import ConfigError, CurveFlowError, DomainError, InsufficientStates
 from .flowsim import (
     Trajectory,
     arclength_drift,
-    dv_dt_rhs,
     inextensibility_rhs,
-    k1_terms,
     speed_rate,
     stacked_k1_terms,
 )
@@ -96,8 +93,6 @@ INEXTENSIBILITY_PRECONDITION_TOL = 1e-2
 OPEN_BOUNDARY_MARGIN = 8
 
 BLOCK_STATES = 8  # states whose jets, gaps and residual rows one set of calls forms
-# most samples a block's stacked rows hold, N = 512: from N = 1024 on some checks ran slower stacked
-STACK_SAMPLES = 2**12
 
 
 def _interior(curve) -> slice:
@@ -109,13 +104,6 @@ def _interior(curve) -> slice:
         return slice(None)
     margin = min(OPEN_BOUNDARY_MARGIN, curve.samples // 8)
     return slice(margin, curve.samples - margin)
-
-
-def _stacks_rows(samples: int) -> bool:
-    """Whether the flip tests and the gap and speed rules run on a block's
-    stacked (b, N) rows, not per state: while those hold at most
-    STACK_SAMPLES.  Blocks of one state, the tests' reference, never do."""
-    return 1 < BLOCK_STATES and BLOCK_STATES * samples <= STACK_SAMPLES
 
 
 @dataclass
@@ -172,8 +160,8 @@ class _Window:
     counts the flipped vectors so far.  The steps come in blocks of up to
     BLOCK_STATES states: ``slot`` is a step's index in its block and
     ``size`` the block's state count.  The jets of f_2, f_3, ... are taken
-    to the derivative ``orders``; ``fields`` gives them with k and f at one
-    state, ``rows`` at every state of a block.
+    to the derivative ``orders``; ``rows`` gives them with k and f at every
+    state of the block.
     """
 
     def __init__(self, traj: Trajectory, orders: tuple[int, ...] = ()):
@@ -189,11 +177,11 @@ class _Window:
         self.e = [float(x) for x in signs] + [1.0] * (n + 3 - m)
         self.interior = _interior(first.curve)
         self.flips = 0
-        # kept across steps, rows nothing writes stay +0.0; jets[j - 1, r, i - 2]: d^j f_i/ds^j at
+        # kept across steps, rows nothing writes stay +0.0; jets[j - 1, i - 2, r]: d^j f_i/ds^j at
         # the block's state r
-        self.jets = np.zeros((max(orders, default=0), BLOCK_STATES, n - 1, N))
+        self.jets = np.zeros((max(orders, default=0), n - 1, BLOCK_STATES, N))
         self.grids = np.empty((BLOCK_STATES, N))
-        self._fdot, self._padded = np.empty((m, n, N)), None
+        self._fdot = np.empty((m, n, N))
         self.blocked = False
 
     def walk(self):
@@ -202,7 +190,6 @@ class _Window:
         states = self.traj.states
         before = states[0].frenet.frame  # state 0 sets the signs and is never flipped
         frames = self._aligned(states[1], before)
-        stacked = _stacks_rows(self.N)
         for t in range(1, len(states) - 1):
             self.slot = (t - 1) % BLOCK_STATES
             if self.slot == 0:
@@ -210,7 +197,7 @@ class _Window:
                 # the state at t, then the states the block aligns; the chain enters
                 # the block unflipped when the frame at t is the state's own
                 block = states[t : t + self.size + 1]
-                kept = stacked and frames is block[0].frenet.frame and self._keeps_frames(block)
+                kept = frames is block[0].frenet.frame and self._keeps_frames(block)
             after = states[t + 1].frenet.frame if kept else self._aligned(states[t + 1], frames)
             if self.slot == 0 and self.orders:
                 try:
@@ -282,36 +269,25 @@ class _Window:
         for i, order in enumerate(self.orders[: self.n - 1], start=2):
             jet = exprjet.eval_jet(speeds[i - 1], "s", s, order, env)
             for j in range(1, order + 1):
-                jet.derivative(j, out=self.jets[j - 1, slot : slot + len(block), i - 2])
-
-    def fields(self):
-        """Padded k, f and s-derivatives of f at t: ``ds[j - 1]`` holds the
-        j-th derivatives of f_2, f_3, ...  Views of one buffer, which the
-        next call overwrites."""
-        if self._padded is None:
-            self._padded = np.zeros((2 + max(self.orders, default=1), self.n + 3, self.N))
-        st, (k, f, *ds) = self.state, self._padded
-        k[1 : self.m] = st.frenet.curvatures
-        f[1 : self.n + 1] = st.f_values
-        for d, jets in zip(ds, self.jets):
-            d[2 : self.n + 1] = jets[self.slot]
-        return k, f, ds
+                jet.derivative(j, out=self.jets[j - 1, i - 2, slot : slot + len(block)])
 
     def rows(self):
-        """At the block's last step: its k, f and s-derivatives of f as
-        ``fields`` gives them, but as lists of (size, N) rows over its states,
-        every padding row one read-only zero row; and the (size + 2, m - 1,
-        N) curvatures of its states and of the states before and after it.
-        The curvatures and f are stacked anew for each block, so they take
-        no memory while the next block's jets are formed."""
+        """At any step of a block: its padded k, f and s-derivatives of f
+        (``ds[j - 1]`` holds the j-th derivatives of f_2, f_3, ...), as lists
+        of (size, N) rows over its states, every padding row one read-only
+        zero row; and the (size + 2, m - 1, N) curvatures of its states and
+        of the states before and after it.  The curvatures and f are stacked
+        anew for each call, so they take no memory while the next block's
+        jets are formed."""
         b, m, n = self.size, self.m, self.n
-        states = self.traj.states[self.step - b : self.step + 2]
+        first = self.step - self.slot
+        states = self.traj.states[first - 1 : first + b + 1]
         curvatures = np.stack([st.frenet.curvatures for st in states])
-        f_values = np.stack([st.f_values for st in states[1:-1]])
+        f_values = np.stack([st.f_values for st in states[1:-1]], axis=1)  # component-first
         zero = np.broadcast_to(0.0, (b, self.N))
         k = [zero, *curvatures[1:-1].transpose(1, 0, 2)] + [zero] * (n + 3 - m)
-        f = [zero, *f_values.transpose(1, 0, 2), zero, zero]
-        ds = [[zero, zero, *jets[:b].transpose(1, 0, 2), zero, zero] for jets in self.jets]
+        f = [zero, *f_values, zero, zero]
+        ds = [[zero, zero, *jets[:, :b], zero, zero] for jets in self.jets]
         return k, f, ds, curvatures
 
     def psi(self) -> np.ndarray:
@@ -327,14 +303,13 @@ class _Window:
 # Right-hand sides (padded, 1-based arrays; see the module docstring)
 
 
-def tangent_rate_coefficients(e, k, f, fs, m: int) -> np.ndarray:
-    """c_i = f_{i-1} k_{i-1} + f_i' - e_{i-1} e_i f_{i+1} k_i for i = 2..m, in rows 0..m-2.
+def tangent_rate_coefficients(e, k, f, fs, m: int) -> list:
+    """c_i = f_{i-1} k_{i-1} + f_i' - e_{i-1} e_i f_{i+1} k_i, as a list over i = 2..m.
 
     dV_1/dt = sum_i c_i V_i, and the V_1 coefficient of dV_j/dt is
     -e_0 e_{j-1} c_j.  Since k_m = 0, the last index takes the same form.
     """
-    ee = np.multiply(e[1:m], e[2 : m + 1])[:, None]
-    return f[1:m] * k[1:m] + fs[2 : m + 1] - ee * f[3 : m + 2] * k[2 : m + 1]
+    return [f[i - 1] * k[i - 1] + fs[i] - (e[i - 1] * e[i]) * f[i + 1] * k[i] for i in range(2, m + 1)]
 
 
 def k1_rate(e, k, ks, f, fs, fss) -> np.ndarray:
@@ -433,22 +408,15 @@ def _pointwise_violation(traj: Trajectory) -> float:
     the measurement independent of how f1 was produced (quadrature or
     expression) without drowning it in the everyday operator's second-order
     noise.  A block of states is stacked into (b, N) rows and measured by
-    one set of numpy calls; the right-hand side is formed on those rows
-    while ``_stacks_rows``, else per state, each by the state's own signs."""
+    one set of numpy calls, the right-hand side by each state's own signs."""
     first = traj.states[0].curve
-    stacked = _stacks_rows(first.samples)
     rows = _Rows()
     rows.add("pointwise")
     for lo in range(0, len(traj.states), BLOCK_STATES):
         block = traj.states[lo : lo + BLOCK_STATES]
         f1 = np.array([st.f_values[0] for st in block])
         gap = d_du4(f1, first.h, first.closed) / np.array([st.curve.speeds for st in block])
-        if stacked:
-            gap -= inextensibility_rhs(*_rule_rows(block))
-        else:
-            for row, st in enumerate(block):
-                e0e1, k1 = k1_terms(st.frenet)
-                gap[row] -= inextensibility_rhs(e0e1, st.f_values[1], k1)
+        gap -= inextensibility_rhs(*_rule_rows(block))
         rows.fold(gap[:, None], _interior(first))
     return rows.maxima()["pointwise"]
 
@@ -514,22 +482,16 @@ def check_speed_evolution(traj: Trajectory, tolerance: float | None = None) -> V
     metric = rows.add("speed_evolution")
     classical = rows.add("speed_evolution_classical", same=metric if e[0] == 1.0 else None)
 
-    def write(buf, lhs, rhs):
-        """The rows into buf (..., R, N), from one state's (N,) rows or a block's (b, N)."""
-        np.subtract(lhs, rhs, out=buf[..., metric, :])
-        if classical != metric:
-            np.subtract(lhs, e[0] * rhs, out=buf[..., classical, :])
-
     def block(w, buf):
         # the block's states with the states before and after it
         states = traj.states[w.step - w.size : w.step + 2]
         v, f1_s = np.array([st.curve.speeds for st in states]), np.array([st.f1_s for st in states[1:-1]])
-        write(buf, w.central(v[2:], v[:-2]), speed_rate(v[1:-1], f1_s, *_rule_rows(states[1:-1])))
+        vdot, rhs = w.central(v[2:], v[:-2]), speed_rate(v[1:-1], f1_s, *_rule_rows(states[1:-1]))
+        np.subtract(vdot, rhs, out=buf[:, metric])
+        if classical != metric:
+            np.subtract(vdot, e[0] * rhs, out=buf[:, classical])
 
-    def fill(w, buf):  # a state's own rows, with no copy
-        write(buf, w.central(w.next.curve.speeds, w.prev.curve.speeds), dv_dt_rhs(w.state))
-
-    residuals = rows.peaks(window, None, block) if _stacks_rows(window.N) else rows.peaks(window, fill)
+    residuals = rows.peaks(window, None, block)
     return _report("speed_evolution", traj, residuals, tolerance, {"frame_flips": window.flips})
 
 
@@ -610,23 +572,29 @@ def check_frame_evolution(traj: Trajectory, tolerance: float | None = None) -> V
     index, source = np.array(index, dtype=int).reshape(m - 1, 1 + R), np.empty((2 * m - 2 + len(psi_signs), N))
     coefficients, sums, fdots = np.empty((m - 1, 1 + R, N)), np.empty((n, 1 + R, N)), np.empty((n, 1 + R, N))
     terms = np.empty((n, m - 1, 1 + R, N))
+    # views of the buffers, made once: (m * n, N) and (n, N) rows, and [reading, component]
+    term_rows, fdot_rows, paired = terms.reshape(-1, N), fdots.reshape(-1, N), sums.transpose(1, 0, 2)
+    # per block, state-first: c_2..c_m, then the predicted V1 coefficients -e0 e_{j-1} c_j
+    rates = np.empty((BLOCK_STATES, 2 * m - 2, N))
 
     def fill(w, buf):
-        k, f, (fs,) = w.fields()
-        c = tangent_rate_coefficients(e, k, f, fs, m)
+        if w.slot == 0 and m > 1:  # one frame vector has no c_i
+            k, f, (fs,), _ = w.rows()
+            for i, c in enumerate(tangent_rate_coefficients(e, k, f, fs, m)):
+                rates[: w.size, i] = c
+            np.multiply(target_signs, rates[: w.size, : m - 1], out=rates[: w.size, m - 1 :])
         psi = w.psi_at(psi_rows, psi_cols)
         # V1 coefficient of dV_j/dt for j = 2..m, then dV_j/dt rebuilt from it and psi
-        source[: m - 1] = c
-        target = np.multiply(target_signs, c, out=source[m - 1 : 2 * m - 2])
-        np.subtract(e[0] * psi[: m - 1], target, out=buf[v1:recon])
+        source[: 2 * m - 2] = rates[w.slot]
+        np.subtract(e[0] * psi[: m - 1], source[m - 1 : 2 * m - 2], out=buf[v1:recon])
         np.multiply(psi[m - 1 :], psi_signs, out=source[2 * m - 2 :])
         source.take(index, axis=0, out=coefficients, mode="clip")  # not buffered, as "raise" is
-        w.frames.reshape(-1, N).take(vectors, axis=0, out=terms.reshape(-1, N), mode="clip")
+        w.frames.reshape(-1, N).take(vectors, axis=0, out=term_rows, mode="clip")
         np.multiply(terms, coefficients, out=terms)
         np.add.reduce(terms, axis=1, out=sums)  # sum()'s +0.0 start moves only a zero's sign
-        w.fdot.reshape(-1, N).take(velocities, axis=0, out=fdots.reshape(-1, N), mode="clip")
+        w.fdot.reshape(-1, N).take(velocities, axis=0, out=fdot_rows, mode="clip")
         np.subtract(fdots, sums, out=sums)
-        squares = dot_many(sums.transpose(1, 0, 2), sums.transpose(1, 0, 2))
+        squares = dot_many(paired, paired)
         np.sqrt(squares[0], out=buf[tangent_row])
         np.sqrt(squares[1:], out=buf[recon:])
 

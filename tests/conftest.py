@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -55,6 +58,29 @@ def orthonormality_residual(fd):
             target = float(fd.signs[i]) if i == j else 0.0
             worst = max(worst, float(np.max(np.abs(g - target))))
     return worst
+
+
+def package_calls(fn, package: Path = Path(flowsim.__file__).parent) -> tuple[int, int]:
+    """The Python-level and C-level calls (``sys.setprofile``'s "call" and
+    "c_call" events) that code of the curveflow package, the one under
+    ``package``, makes while fn() runs.  Calls made inside numpy's own
+    Python functions are not counted, so the counts do not move with numpy's
+    version; ufunc calls and array operators are no C-level calls to the
+    profiler and do not show.  ``tools/ab_pairs.py`` prints the same counts."""
+    package = str(package)
+    counts = {"call": 0, "c_call": 0}
+
+    def count(frame, event, arg):
+        caller = frame.f_back if event == "call" else frame
+        if event in counts and caller is not None and caller.f_code.co_filename.startswith(package):
+            counts[event] += 1
+
+    sys.setprofile(count)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return counts["call"], counts["c_call"]
 
 
 @pytest.fixture(scope="session")

@@ -40,7 +40,17 @@ derives these and the curvatures from the Gram determinants of the
 u-derivatives of X.  Over every state and sample the curvature error reads
 2.02e-2 and 4.92e-3 at N = 32 and 64 (T = 0.1, dt = 2.5e-3 * 64 / N), and the
 point error 1.06e-3 and 2.62e-4: second order.  It is the only n = 5 run
-under evolution, with a completed timelike last vector that moves.
+under evolution, with a completed timelike last vector that moves.  On a
+ladder over N = 16, 32 and 64 every reading of the five checks that is not
+exactly zero falls at second order (fitted orders 1.94 to 2.47), the
+failing ``speed_evolution`` and ``iff_condition`` drift among them: their
+misses are discretization error.
+
+Its open twin X = (sqrt(1 + 2 r^2) u, r cos u, r sin u, (r/2) cos 2u,
+(r/2) sin 2u), r = 1 - t, on [0, 2 pi], is timelike and inextensible too,
+but its one-sided end closures are O(1) wrong (ROADMAP F2), and ``evolve``
+ends in ``NullCurveDeveloped`` long before T = 0.1: a strict xfail until
+ROADMAP item 2 mends the ends.
 """
 
 import functools
@@ -54,6 +64,7 @@ import sympy as sp
 from curveflow import verify
 from curveflow.cli import bundled_scenario_path, execute
 from curveflow.curvekit import CLOSED, OPEN, CurveSpec, sample
+from curveflow.errors import NullCurveDeveloped
 from curveflow.flowsim import FlowSpec, evolve, initial_state
 
 ROTATIONS = ["circle_rigid_rotation.json", "circle_inextensible_sine.json"]
@@ -252,3 +263,53 @@ def test_clifford_flow_blocks_of_states_give_the_reports_of_single_states(sample
         monkeypatch.setattr(verify, "BLOCK_STATES", blocks)
         reports.append([json.dumps(check(traj).to_json_dict()) for check in verify.CHECKS.values()])
     assert reports[0] == reports[1]
+
+
+# readings that read exactly 0 at every level: f1 = f2 = 0, and V5 is the fixed time axis with k4 = 0
+CLIFFORD_ZEROS = {"pointwise", "v1_coefficient_last", "k4_psi_metric", "k4_psi_classical"}
+
+
+def test_clifford_flow_checks_converge_at_second_order():
+    # the five checks on a ladder over N = 16, 32, 64 (dt = 2.5e-3 * 64 / N,
+    # T = 0.1): every reading but the exact zeros has a fitted order of at
+    # least 1.8 (measured 1.94 to 2.47), including speed_evolution and the
+    # iff drift, which miss their default tolerances at every level
+    for name, check in verify.CHECKS.items():
+        merged = verify.merge_reports([check(_clifford(n)) for n in (16, 32, 64)])
+        for reading, order in merged.orders.items():
+            if reading in CLIFFORD_ZEROS:
+                assert order is None and all(row[reading] == 0.0 for row in merged.residuals), reading
+            else:
+                assert order >= 1.8, (name, reading, order)
+
+
+TWIN = ["sqrt(3)*u", "cos(u)", "sin(u)", "cos(2*u)/2", "sin(2*u)/2"]
+TWIN_SPEEDS = ["2/sqrt(5)", "-10*(1-t)^2*s/sqrt(25*(1-t)^2+17)", "3*sqrt(5)/10",
+               "-6*(1-t)^2*s/sqrt(50*(1-t)^4+59*(1-t)^2+17)"]
+
+
+def _twin_points_error(samples):
+    """max over states of the middle-third |X - X_exact| of the open twin."""
+    spec = CurveSpec.from_strings(TWIN, (0.0, 2.0 * math.pi), OPEN, samples)
+    flow = FlowSpec.inextensible(TWIN_SPEEDS)
+    dt = 2.5e-3 * 64 / samples
+    traj = evolve(initial_state(sample(spec), flow), flow, dt, round(0.1 / dt))
+    middle = slice(samples // 3, 2 * samples // 3)
+    err = 0.0
+    for st in traj.states:
+        u, r = st.curve.grid[middle], 1.0 - st.t
+        exact = np.array([math.sqrt(1.0 + 2.0 * r * r) * u, r * np.cos(u), r * np.sin(u),
+                          r * np.cos(2.0 * u) / 2.0, r * np.sin(2.0 * u) / 2.0])
+        err = max(err, float(np.max(np.abs(st.curve.points[:, middle] - exact))))
+    return err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NullCurveDeveloped,
+    reason="ROADMAP item 2: the open ends' one-sided closures are O(1) wrong (F2); evolve ends in "
+    "NullCurveDeveloped at t = 0.06 (N=64) and 0.0175 (N=128)",
+)
+def test_open_clifford_twin_converges_at_second_order():
+    errors = {n: _twin_points_error(n) for n in (64, 128)}
+    assert errors[64] > 3.5 * errors[128], errors

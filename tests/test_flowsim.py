@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from curveflow import exprjet, flowsim
-from curveflow.curvekit import sample
+from curveflow.curvekit import CLOSED, CurveSpec, SampledCurve, sample
 from curveflow.errors import (
     EvolutionError,
     FrameBreakdown,
@@ -31,7 +31,8 @@ from curveflow.flowsim import (
     velocity,
 )
 from curveflow.frenet import frenet_apparatus
-from conftest import catalog_curve, catalog_flow, random_explicit_flow
+from conftest import catalog_curve, catalog_flow, package_calls, random_explicit_flow
+from test_closed_form import CLIFFORD, CLIFFORD_F4
 
 TWO_PI = 2.0 * math.pi
 
@@ -309,6 +310,7 @@ def test_evolve_names_an_unresolved_closed_flow():
     # The jet-built initial state passes the compatibility test at N=32, but
     # the stencil rebuild of the same points at t0 misses it (2.03e-5 against
     # a tolerance of 6.28e-6): a discrete residual, not a missing periodic f1.
+    # Rebuilt from every other sample it reads 6.5e-4, so it falls with N.
     c = sample(catalog_curve("circle", 32))
     flow = catalog_flow("inextensible_sine", 3)
     st = initial_state(c, flow)
@@ -318,33 +320,54 @@ def test_evolve_names_an_unresolved_closed_flow():
     assert len(err.value.trajectory.states) == 0
     assert err.value.samples == 32
     assert err.value.residual > err.value.tolerance
-    assert "N=32" in str(err.value)
+    assert abs(err.value.coarse_residual) >= 2.0 * abs(err.value.residual)
+    assert "from N=16: under-resolved at N=32 (at t=0)" in str(err.value)
+    assert "does not fall" not in str(err.value)
+
+
+@pytest.mark.parametrize("samples", [64, 128, 256])
+def test_evolve_says_when_a_closed_flow_does_not_fall_with_n(samples):
+    # ROADMAP F14: the circle under f2 = 0.1 sin 2s loses its periodic f1 as
+    # soon as it deforms.  The loop integral reads -9.18e-6, -9.39e-6 and
+    # -9.42e-6 at N = 64, 128 and 256, and -4.90e-6, -9.18e-6 and -9.39e-6
+    # rebuilt from every other sample: it does not fall with N.
+    c = sample(catalog_curve("circle", samples))
+    flow = FlowSpec.inextensible(["0.1*sin(2*s)", "0"])
+    with pytest.raises(UnresolvedClosedFlow) as err:
+        evolve(initial_state(c, flow), flow, 1e-4, 3)
+    assert err.value.t == 1e-4
+    assert abs(err.value.coarse_residual) < 2.0 * abs(err.value.residual)
+    assert f"from N={samples // 2}: it does not fall with N" in str(err.value)
+    assert "under-resolved" not in str(err.value)
 
 
 @pytest.mark.parametrize(
-    "flow, error",
+    "flow, error, words",
     [
         # Speeds that vanish at t = 0 leave the second stage's points at the
         # initial ones; the third stage, built at t0 + dt/2 from the second
         # stage's velocity, tilts the circle's tangent (slope 2 at the peaks)
         # across the light cone along the timelike binormal.
-        (FlowSpec.explicit(["0", "0", "4e6*t*sin(2*s)"]), NullCurveDeveloped),
+        (FlowSpec.explicit(["0", "0", "4e6*t*sin(2*s)"]), NullCurveDeveloped,
+         "tangent causal character varies"),
         # f2 = sin(s) + t is compatible at t = 0 only: at t0 + dt/2 the loop
-        # integral of k f2 ds is 2 pi t = 3.1e-3, far above its tolerance.
-        (FlowSpec.inextensible(["sin(s) + t", "0"]), UnresolvedClosedFlow),
+        # integral of k f2 ds is 2 pi t = 3.1e-3, far above its tolerance, at
+        # N=32 as at N=64.
+        (FlowSpec.inextensible(["sin(s) + t", "0"]), UnresolvedClosedFlow, "from N=32: it does not fall with N"),
         # Half that binormal speed tilts the third stage less: its frame
         # vector V_2 changes causal sign while the tangent stays spacelike.
-        (FlowSpec.explicit(["0", "0", "2e6*t*sin(2*s)"]), FrameBreakdown),
+        (FlowSpec.explicit(["0", "0", "2e6*t*sin(2*s)"]), FrameBreakdown, "frame breakdown"),
     ],
     ids=["null_tangent", "closed_compatibility", "frame_breakdown"],
 )
-def test_internal_stage_failure_is_raised_from_that_stage(flow, error):
+def test_internal_stage_failure_is_raised_from_that_stage(flow, error, words):
     # Every internal RK stage runs every validation: the error carries the
     # stage time t0 + dt/2, not the next accepted time t0 + dt.
     c = sample(catalog_curve("circle", 64))
     dt = 1e-3
     with pytest.raises(error) as err:
         evolve(initial_state(c, flow), flow, dt, 3)
+    assert words in str(err.value)
     assert err.value.t == 0.5 * dt
     assert len(err.value.trajectory.states) == 1  # the initial state only
     assert _names_its_time_once(err.value)
@@ -447,6 +470,39 @@ def test_evolve_recycles_stage_memory():
     assert proc.returncode == 0, proc.stderr
     faults, pages = map(float, proc.stdout.split())
     assert faults <= 2 * pages, (faults, pages)
+
+
+# Upper bounds on package_calls of one RK stage rebuild, the curve that
+# from_points makes of a state's points and the state built on it, as every
+# stage of evolve builds them: this code's counts, the same in every repeat.
+STAGE_CALL_BUDGET = {
+    "circle_inextensible_sine": (100, 66),
+    "circle_rigid_rotation": (102, 87),
+    "clifford_e15": (201, 157),  # n = 5, explicit f4, a completed timelike V5
+}
+
+
+def _stage_initial_state(case):
+    if case == "clifford_e15":
+        curve = sample(CurveSpec.from_strings(CLIFFORD, (0.0, TWO_PI), CLOSED, 64))
+        flow = FlowSpec.explicit(["0", "0", "0", CLIFFORD_F4, "0"])
+    else:
+        curve, flow = sample(catalog_curve("circle", 256)), catalog_flow(case.removeprefix("circle_"), 3)
+    return initial_state(curve, flow), flow
+
+
+@pytest.mark.parametrize("case", list(STAGE_CALL_BUDGET))
+def test_stage_rebuild_stays_within_its_calls(case):
+    st, flow = _stage_initial_state(case)
+    c, m = st.curve, st.frenet.num_vectors
+
+    def stage():
+        flowsim._build_state(SampledCurve.from_points(c.points, c.grid, c.closed, m), flow, m, st.t)
+
+    stage()  # caches and imports first
+    counts = package_calls(stage)
+    budget = STAGE_CALL_BUDGET[case]
+    assert counts[0] <= budget[0] and counts[1] <= budget[1], (case, counts)
 
 
 def test_evolve_argument_validation(circle_256):

@@ -1,8 +1,6 @@
 import dataclasses
 import json
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +27,7 @@ from conftest import (
     catalog_curve,
     catalog_flow,
     orthonormality_residual,
+    package_calls,
     random_explicit_flow,
     run_flow,
 )
@@ -600,36 +599,14 @@ def test_check_memory_does_not_grow_with_trajectory_length():
     assert _traced_peak(arclength_drift, traj) <= _traced_peak(arclength_drift, short)
 
 
-def _package_calls(fn) -> tuple[int, int]:
-    """The Python-level and C-level calls (``sys.setprofile``'s "call" and
-    "c_call" events) that code of the curveflow package makes while fn()
-    runs.  Calls made inside numpy's own Python functions are not counted,
-    so the counts do not move with numpy's version; ufunc calls and array
-    operators are no C-level calls to the profiler and do not show."""
-    package = str(Path(verify.__file__).parent)
-    counts = {"call": 0, "c_call": 0}
-
-    def count(frame, event, arg):
-        caller = frame.f_back if event == "call" else frame
-        if event in counts and caller is not None and caller.f_code.co_filename.startswith(package):
-            counts[event] += 1
-
-    sys.setprofile(count)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return counts["call"], counts["c_call"]
-
-
-# Upper bounds on _package_calls of each window check over the 59 walked
+# Upper bounds on package_calls of each window check over the 59 walked
 # states of the 61-state circle at N=64: this code's counts (per state:
-# 5.03 and 3.41, 9.27 and 6.73, 19.75 and 22.34, 17.49 and 14.19).
+# 4.86 and 3.41, 9.25 and 6.73, 19.32 and 18.51, 17.44 and 13.78).
 CALL_BUDGET = {
-    "speed_evolution": (297, 201),
-    "psi_antisymmetry": (547, 397),
-    "frame_evolution": (1165, 1318),
-    "curvature_pde": (1032, 837),
+    "speed_evolution": (287, 201),
+    "psi_antisymmetry": (546, 397),
+    "frame_evolution": (1140, 1092),
+    "curvature_pde": (1029, 813),
 }
 
 
@@ -637,7 +614,7 @@ def test_window_checks_stay_within_their_calls_per_state():
     traj = run_flow("circle", "inextensible_sine", 64, 1e-3, 60)
     for name, budget in CALL_BUDGET.items():
         CHECKS[name](traj)  # caches and imports first
-        counts = _package_calls(lambda: CHECKS[name](traj))
+        counts = package_calls(lambda: CHECKS[name](traj))
         walked = len(traj.states) - 2
         assert counts[0] <= budget[0] and counts[1] <= budget[1], (name, counts, walked)
 
@@ -665,17 +642,19 @@ def test_nan_speed_fails_iff_condition():
 
 @pytest.mark.parametrize("traj_name", ["helix_traj", "sine_traj_short"])
 def test_window_fields_hold_the_jet_derivatives(traj_name, request):
-    # fields() writes each derivative into its row with out=; a constant
-    # speed's rows are left at the +0.0 they start with
+    # the window writes each derivative into its row with out=; a constant
+    # speed's rows are left at the +0.0 they start with.  rows() hands them
+    # out as (size, N) rows over the block's states
     traj = request.getfixturevalue(traj_name)
     for t, w in enumerate(_Window(traj, (2, 1)).walk(), start=1):
         if t == 3:
             break
-    k, f, ds = w.fields()
+    k, f, ds, _ = w.rows()
+    assert w.slot == 2 and len(ds) == 2
     speeds = traj.flow.speeds
     for i, order in ((2, 2), (3, 1)):
         for j in range(1, 3):
-            row = ds[j - 1][i]
+            row = ds[j - 1][i][w.slot]
             if j > order or isinstance(speeds[i - 1], exprjet.Lit):
                 assert not np.any(row) and not np.any(np.signbit(row))
                 continue
@@ -895,15 +874,30 @@ def _rows_of(check, traj, monkeypatch):
     return found
 
 
+def _fields(traj, st):
+    """One state's zero-padded, 1-based k, f, f' and f'' (the verify module
+    docstring's rows), each speed's derivatives from its own ``eval_jet``
+    call on the state's arclength grid."""
+    m, n = st.frenet.num_vectors, st.curve.n
+    k, f, fs, fss = np.zeros((4, n + 3, st.curve.samples))
+    k[1:m] = st.frenet.curvatures
+    f[1 : n + 1] = st.f_values
+    for i in range(2, n + 1):
+        jet = exprjet.eval_jet(traj.flow.speeds[i - 1], "s", st.curve.s, 2, {"t": st.t})
+        fs[i], fss[i] = jet.derivative(1), jet.derivative(2)
+    return k, f, fs, fss
+
+
 def _rows_one_by_one(traj):
     """Every speed_evolution row and, on an inextensible flow, every
     frame_evolution and curvature_pde row and the inextensibility gap, each
     formed on its own at every step (every state, for the gap) from the
-    window's fields and full psi matrix, as loops over rows, with every
-    reading formed in full whatever its signs: name -> (steps, rows, N)."""
+    state's own fields (``_fields``) and the window's full psi matrix, as
+    loops over rows, with every reading formed in full whatever its signs:
+    name -> (steps, rows, N)."""
     m = traj.states[0].frenet.num_vectors
     inextensible = traj.flow.speeds[0] is None
-    window = _Window(traj, (2,) + (1,) * (m - 2) if inextensible else ())
+    window = _Window(traj)
     kept = {}
 
     def keep(name, index, row):
@@ -919,7 +913,7 @@ def _rows_one_by_one(traj):
         keep("speed_evolution_classical", 0, vdot - e[0] * dv_dt_rhs(w.state))
         if not inextensible:
             continue
-        k, f, (fs, fss) = w.fields()
+        k, f, fs, fss = _fields(traj, w.state)
         psi = w.psi()  # [k, j], 0-based
         c = {i: f[i - 1] * k[i - 1] + fs[i] - (e[i - 1] * e[i]) * f[i + 1] * k[i] for i in range(2, m + 1)}
         keep("tangent_equation", 0, norm(fdot[0] - sum(c[i] * V[i - 1] for i in range(2, m + 1))))
@@ -982,11 +976,19 @@ def test_every_n4_reading_equals_the_reading_formed_row_by_row(timelike_v4_traj,
     assert found["reconstruction_metric"].shape[1] == 3 and found["k3_psi_metric"].shape[1] == 1
 
 
-@pytest.mark.parametrize("traj_name", ["helix_traj_long", "time_dependent_traj"])
+@pytest.fixture(scope="module")
+def circle_1024_traj():
+    """The closed circle under the inextensible sine flow at N=1024, 12 states."""
+    return run_flow("circle", "inextensible_sine", 1024, 1e-3, 11)
+
+
+@pytest.mark.parametrize("traj_name", ["helix_traj_long", "time_dependent_traj", "circle_1024_traj"])
 def test_every_reading_equals_the_reading_formed_row_by_row(traj_name, request, monkeypatch):
-    # as above, on n = 3 trajectories of 18 and 21 states: blocks of states
-    # 1..8, 9..16 and a partial last block, whose rows must each be the rows
-    # of their own state
+    # as above, on n = 3 trajectories of 18, 21 and 12 states: blocks of
+    # states 1..8, then 9..16 and a partial last block, or a partial block
+    # 9..10, whose rows must each be the rows of their own state.  The
+    # circle's blocks hold 8 * 1024 samples per row, where the checks take
+    # the same stacked path as at any N
     traj = request.getfixturevalue(traj_name)
     found = _assert_rows_formed_alone(traj, monkeypatch)
     assert found["k1_flow_form"].shape[0] == len(traj.states) - 2

@@ -45,7 +45,14 @@ a change that only reorders residuals is a change), and for ``evolve`` and
 For ``verify`` it also prints one line per ``CHECKS`` name with each side's
 median CPU seconds of that check over both trajectories.  For ``evolve`` it
 prints the MiB of the distinct arrays each side's trajectory keeps, the
-figure perfbench reports as ``flowsim.trajectory_mb``.
+figure perfbench reports as ``flowsim.trajectory_mb``.  Beside the times it
+prints each side's Python-level and C-level calls made by the tree's own
+code, counted after warm-up as ``tests/conftest.py``'s ``package_calls``
+counts them (so ``pytest`` and a ``curveflow`` must be importable): per
+check over one ``verify`` operation, and for ``evolve`` per RK stage
+rebuild (``_build_state`` of ``SampledCurve.from_points``) of the circle's
+initial state.  Counts are deterministic, so they show a change of a few
+calls that the times cannot resolve.
 """
 
 from __future__ import annotations
@@ -60,7 +67,9 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
+from conftest import package_calls  # the count the tests' call budgets pin
 from tracing import trajectory_bytes  # the count behind perfbench's flowsim.trajectory_mb
 
 CIRCLE = "circle_inextensible_sine.json"
@@ -130,6 +139,7 @@ class Side:
 
     def __init__(self, src: Path, alias: str, op: str, samples: int, steps: int):
         self.cf = cf = load_tree(src, alias)
+        self.op = op
         if op == "run":
             paths = sorted((src / "curveflow" / "scenarios").glob("*.json"))
             self.docs = [cf.cli.load_scenario(path) for path in paths]
@@ -174,6 +184,23 @@ class Side:
             return [state_bytes(st) for st in traj.states] + self.v4_bytes
 
         return digest
+
+    def calls(self) -> dict[str, tuple[int, int]]:
+        """(Python-level, C-level) calls the tree's code makes: per check over
+        every case for ``verify``, in one stage rebuild for ``evolve``."""
+        package = Path(self.cf.__file__).parent
+        if self.op == "verify":
+            return {
+                name: package_calls(lambda: [self.cf.run_check(name, traj, tol.get(name)) for traj, tol in self.cases],
+                                    package)
+                for name in self.cf.CHECKS
+            }
+        if self.op == "evolve":
+            state, flow = self.circle[:2]
+            c, m = state.curve, state.frenet.num_vectors
+            curve = lambda: self.cf.SampledCurve.from_points(c.points, c.grid, c.closed, m)  # noqa: E731
+            return {"per stage": package_calls(lambda: self.cf.flowsim._build_state(curve(), flow, m, state.t), package)}
+        return {}
 
     def timed(self):
         """(CPU seconds of one operation, the minor page faults it took, its
@@ -220,7 +247,8 @@ def main(argv: list[str] | None = None) -> int:
 
     base = Side(args.base, "curveflow_base", args.op, args.samples, args.steps)
     change = Side(args.change, "curveflow_change", args.op, args.samples, args.steps)
-    base.timed(), change.timed()  # warm both before timing
+    base.timed(), change.timed()  # warm both before timing and counting
+    calls = {id(side): side.calls() for side in (base, change)}
 
     times = {id(base): [], id(change): []}
     faults = {id(base): [], id(change): []}
@@ -252,6 +280,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"check {name}: base {x:.4f} s change {y:.4f} s")
     if args.op == "evolve":
         print(f"trajectory MiB: base {base.trajectory_mib:.3f} change {change.trajectory_mib:.3f}")
+    for name, (x, y) in calls[id(base)].items():
+        z, w = calls[id(change)][name]
+        print(f"calls {name}: base {x}/{y} change {z}/{w} (Python-level/C-level)")
     print(f"results equal: {equal}")
     return 0
 
