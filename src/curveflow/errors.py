@@ -103,14 +103,12 @@ class FrameBreakdown(EvolutionError):
 
 class UnresolvedClosedFlow(EvolutionError):
     """A closed curve rebuilt from points inside ``evolve`` failed the
-    compatibility test that its jet-built initial state passed.  The loop
-    integral is then a discrete residual of the N-sample rebuild, or the flow
-    lost its periodic tangential speed at time ``t``.  ``coarse_residual``,
-    the integral of the same points rebuilt from every other sample (None
-    when N is odd or that rebuild fails), tells them apart: a discrete
-    residual at least halves from N/2 to N; one that does not fall with N
-    is the flow's.  ``residual`` and ``tolerance`` are as in
-    IncompatibleClosedFlow, ``samples`` is N."""
+    compatibility test that its jet-built initial state passed: a discrete
+    residual of the N-sample rebuild, which at least halves from N/2 to N,
+    or the flow lost its periodic tangential speed at time ``t``.
+    ``coarse_residual`` is the integral rebuilt from every other sample
+    (None when N is odd or that rebuild fails).  ``residual`` and
+    ``tolerance`` are as in IncompatibleClosedFlow, ``samples`` is N."""
 
     def __init__(self, residual: float, tolerance: float, samples: int, coarse_residual: float | None,
                  t: float, trajectory=None):

@@ -241,25 +241,6 @@ def _build_state(
     return SimState(t=t, curve=curve, frenet=fd, f_values=f, f1_s=f1_s)
 
 
-def _coarse_loop_integral(
-    points: np.ndarray, grid: np.ndarray, frame_vectors: int, flow: FlowSpec, t: float
-) -> float | None:
-    """The compatibility integral of closed (n, N) stage points rebuilt from
-    every other sample, as ``solve_inextensible_f1`` forms it; None when N
-    is odd or that rebuild fails otherwise.  Read only once a stage has
-    failed the compatibility test."""
-    if grid.shape[0] % 2:
-        return None
-    try:
-        half = SampledCurve.from_points(points[:, ::2], grid[::2], True, frame_vectors)
-        st = _build_state(half, flow, frame_vectors, t)
-    except IncompatibleClosedFlow as exc:
-        return exc.residual
-    except CurveFlowError:
-        return None
-    return loop_integral(st.f1_s * st.curve.speeds, st.curve)
-
-
 def default_dt(state: SimState) -> float:
     """Step heuristic: a tenth of the smallest arc spacing over the speed scale."""
     ds_min = float(np.min(state.curve.speeds)) * state.curve.h
@@ -281,8 +262,10 @@ def evolve(
     FrameBreakdown if the frame breaks down, StabilityError if the curve goes
     non-finite or changes total arclength by more than 50% in a step,
     UnresolvedClosedFlow if a closed curve rebuilt from points fails the
-    compatibility test, and a plain EvolutionError for any other error of
-    this package (a degenerate curve, a speed leaving its domain).
+    compatibility test (with the integral from every other sample, which
+    tells an under-resolved N from a flow that lost its periodic f1), and a
+    plain EvolutionError for any other error of this package (a degenerate
+    curve, a speed leaving its domain).
 
     Every state the trajectory keeps, the initial one included, holds a
     curve with its points only (``deriv_order`` 0): the stencil derivatives
@@ -312,14 +295,26 @@ def evolve(
         except NonGenericCurveError as exc:
             raise FrameBreakdown(str(exc), exc.index, exc.sample, t=t, trajectory=traj) from exc
         except IncompatibleClosedFlow as exc:
-            coarse = _coarse_loop_integral(points, grid, m, flow, t)
             raise UnresolvedClosedFlow(
-                exc.residual, exc.tolerance, grid.shape[0], coarse, t=t, trajectory=traj
+                exc.residual, exc.tolerance, grid.shape[0], coarse_loop_integral(points, t), t=t, trajectory=traj
             ) from exc
         except CurveFlowError as exc:
             # a degenerate curve, a speed leaving its domain, a flow along a
             # frame direction that does not exist
             raise EvolutionError(str(exc), t=t, trajectory=traj) from exc
+
+    def coarse_loop_integral(points: np.ndarray, t: float) -> float | None:
+        """The compatibility integral of the stage points rebuilt from every
+        other sample; None when N is odd or that rebuild fails otherwise."""
+        if grid.shape[0] % 2:
+            return None
+        try:
+            st = _build_state(SampledCurve.from_points(points[:, ::2], grid[::2], closed, m), flow, m, t)
+        except IncompatibleClosedFlow as exc:
+            return exc.residual
+        except CurveFlowError:
+            return None
+        return loop_integral(st.f1_s * st.curve.speeds, st.curve)  # as solve_inextensible_f1 forms it
 
     # A stage's state, internal or accepted, is freed only once the next two
     # stages have their states and velocities, so the allocator hands its

@@ -25,8 +25,12 @@ the block's last state is in: kdot, the stencil slopes of k and psi, and
 the right-hand sides.  The rules take lists of (b, N) rows unedited
 (``_Window.rows``).  A block whose flip test or jets fail is walked a state
 at a time, so every flip and error comes at the step a walk of single
-states meets it.  This is the one path at every N: past N = 512 the
-stacked copies cost more than the calls they save, STACK_COST_NOTE
+states meets it.  This is the one path at every N, also past N = 512,
+where the stacked copies cost more than the calls they save: against the
+per-state flip tests, gaps and speed rows it replaced there, the
+``--op verify`` operation of ``tools/ab_pairs.py`` took 4.8% longer at
+N = 4096 and 0.7% less at N = 1024 (2-CPU x86-64; ``speed_evolution`` 5.1
+against 3.9 ms on a 31-state circle at N = 4096).
 Buffers are made once per check, and a partial last block uses a prefix of
 them; the k and f rows are stacked per block, so they hold no memory while
 the next block's jets are formed.  Every element keeps its arithmetic and
