@@ -582,6 +582,7 @@ def check_frame_evolution(traj: Trajectory, tolerance: float | None = None) -> V
     rates = np.empty((BLOCK_STATES, 2 * m - 2, N))
 
     def fill(w, buf):
+        # a block whose jets raised raises at one of its states before these rates are read
         if w.slot == 0 and m > 1:  # one frame vector has no c_i
             k, f, (fs,), _ = w.rows()
             for i, c in enumerate(tangent_rate_coefficients(e, k, f, fs, m)):

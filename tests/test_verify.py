@@ -987,8 +987,8 @@ def test_every_reading_equals_the_reading_formed_row_by_row(traj_name, request, 
     # as above, on n = 3 trajectories of 18, 21 and 12 states: blocks of
     # states 1..8, then 9..16 and a partial last block, or a partial block
     # 9..10, whose rows must each be the rows of their own state.  The
-    # circle's blocks hold 8 * 1024 samples per row, where the checks take
-    # the same stacked path as at any N
+    # circle's stacked rows hold 8 states of 1024 samples: the checks take
+    # the one block path at every N
     traj = request.getfixturevalue(traj_name)
     found = _assert_rows_formed_alone(traj, monkeypatch)
     assert found["k1_flow_form"].shape[0] == len(traj.states) - 2

@@ -198,8 +198,12 @@ class Side:
         if self.op == "evolve":
             state, flow = self.circle[:2]
             c, m = state.curve, state.frenet.num_vectors
-            curve = lambda: self.cf.SampledCurve.from_points(c.points, c.grid, c.closed, m)  # noqa: E731
-            return {"per stage": package_calls(lambda: self.cf.flowsim._build_state(curve(), flow, m, state.t), package)}
+
+            def stage():
+                curve = self.cf.SampledCurve.from_points(c.points, c.grid, c.closed, m)
+                self.cf.flowsim._build_state(curve, flow, m, state.t)
+
+            return {"per stage": package_calls(stage, package)}
         return {}
 
     def timed(self):
