@@ -95,15 +95,16 @@ def frenet_apparatus(c: SampledCurve, num_vectors: int | None = None) -> FrenetD
         nw = np.sqrt(np.abs(q), out=resid_norms[i - 1])
         small = nw <= thresholds[i - 1]
         # two counts (count_nonzero is numpy's cheapest reduction) test both
-        # conditions: no small residual, and q > 0 at every sample or at none
+        # conditions: no small residual, and q > 0 at every sample or at none;
+        # a vanishing last residual completes the frame, whose sign no count reads
         n_small = np.count_nonzero(small)
+        if i == m == n and n_small == N:
+            frame[i - 1], signs[i - 1] = _complete_frame(frame[:i - 1])
+            resid_norms[i - 1] = 0.0
+            completed = True
+            break
         n_positive = np.count_nonzero(q > 0)
         if n_small or 0 < n_positive < N:
-            if i == m == n and n_small == N:
-                frame[i - 1], signs[i - 1] = _complete_frame(frame[:i - 1])
-                resid_norms[i - 1] = 0.0
-                completed = True
-                break
             if n_small:  # named before a sign flip
                 k = int(np.argmax(small))
                 raise NonGenericCurveError(

@@ -4,38 +4,34 @@ Each check takes a Trajectory, measures one identity with the central
 time difference over (t-1, t, t+1) (``_Window.central``, second order as in
 space), and returns a VerificationReport with named residuals, per-name
 convergence orders once multiple resolutions are merged, and a pass flag.
-The checks walk a sliding window of three states in O(N) working memory.
-Frame vectors are gauge-sensitive: the orthogonalization can flip a
-vector's sign between steps when the last curvature changes sign, so each
-state's frame is aligned pointwise with the previous aligned frame as it
-enters the window (flips are counted in the report details).  Frames and
-their time differences are (m, n, N) stacks, sample axis last.
+The checks walk the steps t = 1..T-2 in blocks of up to BLOCK_STATES steps
+(``_Window.walk``), in O(N) working memory: at N=256 most of a numpy
+call's cost is its fixed overhead of about a microsecond, so one set of
+calls serves a block.  Each window check is one function of a block, which
+writes the block's state-first (size, R, N) residual rows for
+``_Rows.peaks`` to fold into maxima.  A block gives its states with the
+states just before and after it, and their aligned frames; the central
+time difference ``fdot(r)`` and the psi entries (``psi``, ``psi_at``) at its
+state r, the only work done per state; the speed jets, one ``eval_jet`` per
+speed on the (b, N) arclength grids with a (b, 1) column of times; and the
+padded k, f and jet rows (``rows``), which flowsim's rules and this
+module's right-hand sides take as (b, N) rows unedited.  This is the one
+path at every N, also past N = 512, where the stacked copies cost more
+than the calls they save (``tools/ab_pairs.py --op verify``: +4.8% at
+N = 4096 against per-state flip tests, gaps and speed rows).  Every element
+keeps its arithmetic and its order, so every output byte stays.
 
-At N=256 most of a numpy call's cost is its fixed overhead of about a
-microsecond, so the walk goes in blocks of up to BLOCK_STATES states.  Per
-state runs only what is sequential or frame-sized: fdot at t, formed at a
-check's first read, and the psi entries (``psi_at``) or frame terms formed
-from them, written into the state's slot of state-first block buffers.  Per
-block run the frames' flip tests (``_Window._keeps_frames``); the speed
-jets, one ``eval_jet`` per speed on the (b, N) arclength grids with a (b, 1)
-column of times; the inextensibility gap and ``speed_evolution``'s rows, by
-flowsim's rules on stacked (b, N) rows; ``frame_evolution``'s c_i rows; the
-fold into maxima (``_Rows``); and ``curvature_pde``'s row arithmetic once
-the block's last state is in: kdot, the stencil slopes of k and psi, and
-the right-hand sides.  The rules take lists of (b, N) rows unedited
-(``_Window.rows``).  A block whose flip test or jets fail is walked a state
-at a time, so every flip and error comes at the step a walk of single
-states meets it.  This is the one path at every N, also past N = 512,
-where the stacked copies cost more than the calls they save: against the
-per-state flip tests, gaps and speed rows it replaced there, the
-``--op verify`` operation of ``tools/ab_pairs.py`` took 4.8% longer at
-N = 4096 and 0.7% less at N = 1024 (2-CPU x86-64; ``speed_evolution`` 5.1
-against 3.9 ms on a 31-state circle at N = 4096).
-Buffers are made once per check, and a partial last block uses a prefix of
-them; the k and f rows are stacked per block, so they hold no memory while
-the next block's jets are formed.  Every element keeps its arithmetic and
-its order, so every output byte stays; the working memory is a few tens of
-frames at any length.
+Frame vectors are gauge-sensitive: the orthogonalization can flip a
+vector's sign between steps when the last curvature changes sign.  So one
+rule aligns each state's frame with the aligned frame before it
+(``_Window._align``), from products of consecutive states' own frames
+formed once per block: V_i is negated at the samples where the previous
+state's flip sign times e_{i-1} <V_i(t-1), V_i(t)> is below zero, so a zero
+or NaN product clears a flip.  Flips are counted in the report details.
+Errors come at the step a walk of single states meets them: a changed
+frame signature of state s at step s - 1, ahead of that step's jet
+DomainError.  Frames and their time differences are (m, n, N) stacks,
+sample axis last.
 
 Two identities expand frame velocities in the frame itself.  In an
 indefinite frame the expansion coefficient of V_k is e_{k-1} <X, V_k>, not
@@ -153,19 +149,19 @@ class VerificationReport:
 
 
 # --------------------------------------------------------------------------
-# Sliding three-state window
+# The walk over blocks of states
 
 
 class _Window:
-    """Walks t = 1..T-2 over a trajectory, holding states t-1, t, t+1.
+    """Walks t = 1..T-2 over a trajectory in blocks of up to BLOCK_STATES
+    steps, step t reading the states t-1, t and t+1.
 
-    Each state's frame is sign-aligned against the previous aligned frame
-    as it enters, so at most three frames are held at a time; ``flips``
-    counts the flipped vectors so far.  The steps come in blocks of up to
-    BLOCK_STATES states: ``slot`` is a step's index in its block and
-    ``size`` the block's state count.  The jets of f_2, f_3, ... are taken
-    to the derivative ``orders``; ``rows`` gives them with k and f at every
-    state of the block.
+    At each block, ``size`` is its step count, ``states`` holds the states
+    of its steps with the states just before and after them, and ``frames``
+    their aligned frames (``_align``): the block's state r is
+    ``states[r + 1]``.  ``flips`` counts the flipped vectors so far.  The
+    jets of f_2, f_3, ... are taken to the derivative ``orders``; ``rows``
+    gives them with k and f at every state of the block.
     """
 
     def __init__(self, traj: Trajectory, orders: tuple[int, ...] = ()):
@@ -181,126 +177,120 @@ class _Window:
         self.e = [float(x) for x in signs] + [1.0] * (n + 3 - m)
         self.interior = _interior(first.curve)
         self.flips = 0
-        # kept across steps, rows nothing writes stay +0.0; jets[j - 1, i - 2, r]: d^j f_i/ds^j at
+        # kept across blocks, rows nothing writes stay +0.0; jets[j - 1, i - 2, r]: d^j f_i/ds^j at
         # the block's state r
         self.jets = np.zeros((max(orders, default=0), n - 1, BLOCK_STATES, N))
         self.grids = np.empty((BLOCK_STATES, N))
         self._fdot = np.empty((m, n, N))
-        self.blocked = False
 
     def walk(self):
-        """Yield self at t = 1..T-2: ``prev``, ``state`` and ``next`` are the
-        states at t-1, t, t+1 and ``frames`` the aligned (m, n, N) frame at t."""
+        """Yield self at each block.  Before it, raise the first error that a
+        walk of single states meets in the block: a changed frame signature
+        of state s at step s - 1, ahead of that step's jet DomainError."""
         states = self.traj.states
-        before = states[0].frenet.frame  # state 0 sets the signs and is never flipped
-        frames = self._aligned(states[1], before)
-        for t in range(1, len(states) - 1):
-            self.slot = (t - 1) % BLOCK_STATES
-            if self.slot == 0:
-                self.size = min(BLOCK_STATES, len(states) - 1 - t)
-                # the state at t, then the states the block aligns; the chain enters
-                # the block unflipped when the frame at t is the state's own
-                block = states[t : t + self.size + 1]
-                kept = frames is block[0].frenet.frame and self._keeps_frames(block)
-            after = states[t + 1].frenet.frame if kept else self._aligned(states[t + 1], frames)
-            if self.slot == 0 and self.orders:
-                try:
-                    self._derivatives(states[t : t + self.size], 0)
-                    self.blocked = True
-                except DomainError:
-                    self.blocked = False  # this block's states are evaluated one at a time
-            if self.orders and not self.blocked:
-                self._derivatives(states[t : t + 1], self.slot)
-            self.step = t
-            self.prev, self.state, self.next = states[t - 1 : t + 2]
-            self.frames, self._before, self._after, self._fdot_formed = frames, before, after, False
+        frames, flip = [states[0].frenet.frame], None  # state 0 sets the signs and is never flipped
+        for t in range(1, len(states) - 1, BLOCK_STATES):
+            self.size = min(BLOCK_STATES, len(states) - 1 - t)
+            self.states = block = states[t - 1 : t + self.size + 1]
+            # the state that enters at step s - 1 with a changed signature stops the walk there,
+            # after the jets of the block's states before that step
+            held = len(frames)
+            same = [st.frenet.signs.tobytes() == self.sign_bytes for st in block[held:]]
+            ready = same.index(False) + held - 2 if False in same else self.size
+            if self.orders and ready > 0:
+                self._derivatives(block[1 : ready + 1])
+            if ready < self.size:
+                raise CurveFlowError("frame signature changed along the trajectory")
+            aligned, flip = self._align(block[held - 1 :], flip)
+            self.frames = frames = frames + aligned
             yield self
-            before, frames = frames, after
+            frames = frames[-2:]
 
-    def _keeps_frames(self, block) -> bool:
-        """Whether the states of ``block`` after the first keep their own
-        frames when the first does: no signature changes, and ``_aligned``'s
-        test against each state's own predecessor, its aligned frame then,
-        finds no flip."""
-        if any(st.frenet.signs.tobytes() != self.sign_bytes for st in block[1:]):
-            return False
-        # (b, m, n, N) products, component-first in memory: numpy iterates
-        # row_sum's contiguous slabs with no buffer of their size
-        products = np.empty((self.n, len(block) - 1, self.m, self.N)).transpose(1, 2, 0, 3)
-        for j in range(len(block) - 1):
-            np.multiply(block[j].frenet.frame, block[j + 1].frenet.frame, out=products[j])
-        dots = row_sum(products, negate_first=True)  # inner_many of each pair, bit for bit
+    def _align(self, chain, flip):
+        """The aligned frames of chain[1:], and the flip signs of the last,
+        None if it keeps its frame: a state's frame is negated where the
+        previous state's flip sign times e_{i-1} <V_i(t-1), V_i(t)> of their
+        own frames is below zero, so a zero or NaN product clears a flip.
+        ``flip`` is chain[0]'s flip signs."""
+        b = len(chain) - 1
+        products = np.empty((self.n, b, self.m, self.N)).transpose(1, 2, 0, 3)
+        for j in range(b):
+            np.multiply(chain[j].frenet.frame, chain[j + 1].frenet.frame, out=products[j])
+        # (b, m, N) products of each pair, bit for bit inner_many's: numpy iterates row_sum's
+        # contiguous component-first slabs with no buffer of their size
+        dots = row_sum(products, negate_first=True)
         del products  # freed before the test's buffers are taken
-        return not np.less(np.multiply(dots, self.sign_column, out=dots), 0.0).any()
-
-    def _aligned(self, st, previous: np.ndarray) -> np.ndarray:
-        """st's frame, flipped pointwise so e_{i-1} <V_i(t-1), V_i(t)> > 0."""
-        if st.frenet.signs.tobytes() != self.sign_bytes:
-            raise CurveFlowError("frame signature changed along the trajectory")
-        frame = st.frenet.frame
-        mask = inner_many(previous, frame) * self.sign_column < 0  # (m, N)
-        flips = int(np.count_nonzero(mask))
-        if flips:
-            # a copy: the state's own frame stays as evolved
-            frame = np.negative(frame, out=frame.copy(), where=mask[:, None])
+        np.multiply(dots, self.sign_column, out=dots)
+        if flip is None and not np.less(dots, 0.0).any():  # no mask has a sample: one test
+            return [st.frenet.frame for st in chain[1:]], None
+        frames = []
+        for st, dot in zip(chain[1:], dots):
+            # the product against the previous aligned frame, whose flips negate it exactly
+            mask = np.less(dot if flip is None else np.multiply(dot, flip, out=dot), 0.0)
+            flips = int(np.count_nonzero(mask))
             self.flips += flips
-        return frame
+            frame, flip = st.frenet.frame, None
+            if flips:  # a copy: the state's own frame stays as evolved
+                frame, flip = np.negative(frame, out=frame.copy(), where=mask[:, None]), np.where(mask, -1.0, 1.0)
+            frames.append(frame)
+        return frames, flip
 
     def central(self, after, before, out=None) -> np.ndarray:
         """The central time difference (after - before) / (2 dt), into ``out``."""
         out = np.subtract(after, before, out=out)
         return np.divide(out, 2.0 * self.dt, out=out)
 
-    @property
-    def fdot(self) -> np.ndarray:
-        """The (m, n, N) central time difference of ``frames``, formed at the
-        step's first read into a buffer that the next step overwrites."""
-        if not self._fdot_formed:
-            self.central(self._after, self._before, out=self._fdot)
-            self._fdot_formed = True
-        return self._fdot
+    def fdot(self, r: int) -> np.ndarray:
+        """The (m, n, N) central time difference of ``frames`` at the block's
+        state r, into a buffer that the next call overwrites."""
+        return self.central(self.frames[r + 2], self.frames[r], out=self._fdot)
 
-    def _derivatives(self, block, slot: int) -> None:
+    def _derivatives(self, block, slot: int = 0) -> None:
         """Writes the s-derivatives of f_2, f_3, ... on the block's states into
         ``jets`` from ``slot`` on: one ``eval_jet`` per speed, on their
         arclength grids as rows with a column of their times.  A constant's
-        zero rows broadcast."""
+        zero rows broadcast.  A block that raises DomainError is evaluated
+        again a state at a time, so the first state that fails raises."""
         s = self.grids[: len(block)]
         for row, st in enumerate(block):
             s[row] = st.curve.s
         env = {"t": np.array([[st.t] for st in block])}
         speeds = self.traj.flow.speeds
-        for i, order in enumerate(self.orders[: self.n - 1], start=2):
-            jet = exprjet.eval_jet(speeds[i - 1], "s", s, order, env)
-            for j in range(1, order + 1):
-                jet.derivative(j, out=self.jets[j - 1, i - 2, slot : slot + len(block)])
+        try:
+            for i, order in enumerate(self.orders[: self.n - 1], start=2):
+                jet = exprjet.eval_jet(speeds[i - 1], "s", s, order, env)
+                for j in range(1, order + 1):
+                    jet.derivative(j, out=self.jets[j - 1, i - 2, slot : slot + len(block)])
+        except DomainError:
+            if len(block) == 1:
+                raise
+            for r, st in enumerate(block):
+                self._derivatives([st], r)
 
     def rows(self):
-        """At any step of a block: its padded k, f and s-derivatives of f
-        (``ds[j - 1]`` holds the j-th derivatives of f_2, f_3, ...), as lists
-        of (size, N) rows over its states, every padding row one read-only
-        zero row; and the (size + 2, m - 1, N) curvatures of its states and
-        of the states before and after it.  The curvatures and f are stacked
-        anew for each call, so they take no memory while the next block's
-        jets are formed."""
+        """The block's padded k, f and s-derivatives of f (``ds[j - 1]``
+        holds the j-th derivatives of f_2, f_3, ...), as lists of (size, N)
+        rows over its states, every padding row one read-only zero row; and
+        the (size + 2, m - 1, N) curvatures of ``states``.  The curvatures
+        and f are stacked anew for each call, so they take no memory while
+        the next block's jets are formed."""
         b, m, n = self.size, self.m, self.n
-        first = self.step - self.slot
-        states = self.traj.states[first - 1 : first + b + 1]
-        curvatures = np.stack([st.frenet.curvatures for st in states])
-        f_values = np.stack([st.f_values for st in states[1:-1]], axis=1)  # component-first
+        curvatures = np.stack([st.frenet.curvatures for st in self.states])
+        f_values = np.stack([st.f_values for st in self.states[1:-1]], axis=1)  # component-first
         zero = np.broadcast_to(0.0, (b, self.N))
         k = [zero, *curvatures[1:-1].transpose(1, 0, 2)] + [zero] * (n + 3 - m)
         f = [zero, *f_values, zero, zero]
         ds = [[zero, zero, *jets[:, :b], zero, zero] for jets in self.jets]
         return k, f, ds, curvatures
 
-    def psi(self) -> np.ndarray:
-        """(m, m, N) matrix of <fdot_j, V_k> at t, indexed [k, j]."""
-        return inner_many(self.fdot[None], self.frames[:, None])
+    def psi(self, r: int) -> np.ndarray:
+        """(m, m, N) matrix of <fdot_j, V_k> at the block's state r, indexed [k, j]."""
+        return inner_many(self.fdot(r)[None], self.frames[r + 1][:, None])
 
-    def psi_at(self, rows, cols) -> np.ndarray:
-        """The entries [rows[p], cols[p]] of ``psi()`` alone, as (p, N) rows."""
-        return inner_many(self.fdot.take(cols, axis=0), self.frames.take(rows, axis=0))
+    def psi_at(self, r: int, rows, cols, fdot: np.ndarray) -> np.ndarray:
+        """The entries [rows[p], cols[p]] of ``psi(r)`` alone, as (p, N) rows,
+        from ``fdot``, the caller's ``fdot(r)``."""
+        return inner_many(fdot.take(cols, axis=0), self.frames[r + 1].take(rows, axis=0))
 
 
 # --------------------------------------------------------------------------
@@ -388,21 +378,14 @@ class _Rows:
         per_row = np.max(self.peak, axis=1)
         return {name: float(np.max(per_row[rows])) for name, rows in self.rows.items()}
 
-    def peaks(self, window, fill, block=None) -> dict[str, float]:
-        """``maxima`` of one walk, over each step's interior.  ``fill(w, rows)``,
-        unless None, runs at every step with the state's (R, N) slot of a
-        block buffer, and writes every row of it unless ``block(w, rows)``,
-        called at a block's last step with the block's (size, R, N) rows,
-        writes them."""
+    def peaks(self, window, block) -> dict[str, float]:
+        """``maxima`` of one walk, over each step's interior: ``block(w, rows)``
+        writes every row of each block of states, (size, R, N)."""
         buf, self.peak = np.empty((BLOCK_STATES, self.count, window.N)), None
         for w in window.walk():
-            if fill is not None:
-                fill(w, buf[w.slot])
-            if w.slot == w.size - 1:
-                rows = buf[: w.size]
-                if block is not None:
-                    block(w, rows)
-                self.fold(rows, window.interior)
+            rows = buf[: w.size]
+            block(w, rows)
+            self.fold(rows, window.interior)
         return self.maxima()
 
 
@@ -487,15 +470,13 @@ def check_speed_evolution(traj: Trajectory, tolerance: float | None = None) -> V
     classical = rows.add("speed_evolution_classical", same=metric if e[0] == 1.0 else None)
 
     def block(w, buf):
-        # the block's states with the states before and after it
-        states = traj.states[w.step - w.size : w.step + 2]
-        v, f1_s = np.array([st.curve.speeds for st in states]), np.array([st.f1_s for st in states[1:-1]])
-        vdot, rhs = w.central(v[2:], v[:-2]), speed_rate(v[1:-1], f1_s, *_rule_rows(states[1:-1]))
+        v, f1_s = np.array([st.curve.speeds for st in w.states]), np.array([st.f1_s for st in w.states[1:-1]])
+        vdot, rhs = w.central(v[2:], v[:-2]), speed_rate(v[1:-1], f1_s, *_rule_rows(w.states[1:-1]))
         np.subtract(vdot, rhs, out=buf[:, metric])
         if classical != metric:
             np.subtract(vdot, e[0] * rhs, out=buf[:, classical])
 
-    residuals = rows.peaks(window, None, block)
+    residuals = rows.peaks(window, block)
     return _report("speed_evolution", traj, residuals, tolerance, {"frame_flips": window.flips})
 
 
@@ -526,12 +507,13 @@ def check_psi_antisymmetry(traj: Trajectory, tolerance: float | None = None) -> 
     pairs = rows.add("antisymmetry", m * m)
     diagonal = rows.add("diagonal", m)
 
-    def fill(w, buf):
-        psi = w.psi()
-        np.add(psi, psi.swapaxes(0, 1), out=buf[pairs:diagonal].reshape(psi.shape))
-        buf[diagonal:] = psi.diagonal().T  # diagonal() is (N, m)
+    def block(w, buf):
+        for r in range(w.size):
+            psi = w.psi(r)
+            np.add(psi, psi.swapaxes(0, 1), out=buf[r, pairs:diagonal].reshape(psi.shape))
+            buf[r, diagonal:] = psi.diagonal().T  # diagonal() is (N, m)
 
-    residuals = rows.peaks(window, fill)
+    residuals = rows.peaks(window, block)
     return _report("psi_antisymmetry", traj, residuals, tolerance, {"frame_flips": window.flips})
 
 
@@ -581,29 +563,30 @@ def check_frame_evolution(traj: Trajectory, tolerance: float | None = None) -> V
     # per block, state-first: c_2..c_m, then the predicted V1 coefficients -e0 e_{j-1} c_j
     rates = np.empty((BLOCK_STATES, 2 * m - 2, N))
 
-    def fill(w, buf):
-        # a block whose jets raised raises at one of its states before these rates are read
-        if w.slot == 0 and m > 1:  # one frame vector has no c_i
+    def block(w, buf):
+        if m > 1:  # one frame vector has no c_i
             k, f, (fs,), _ = w.rows()
             for i, c in enumerate(tangent_rate_coefficients(e, k, f, fs, m)):
                 rates[: w.size, i] = c
             np.multiply(target_signs, rates[: w.size, : m - 1], out=rates[: w.size, m - 1 :])
-        psi = w.psi_at(psi_rows, psi_cols)
-        # V1 coefficient of dV_j/dt for j = 2..m, then dV_j/dt rebuilt from it and psi
-        source[: 2 * m - 2] = rates[w.slot]
-        np.subtract(e[0] * psi[: m - 1], source[m - 1 : 2 * m - 2], out=buf[v1:recon])
-        np.multiply(psi[m - 1 :], psi_signs, out=source[2 * m - 2 :])
-        source.take(index, axis=0, out=coefficients, mode="clip")  # not buffered, as "raise" is
-        w.frames.reshape(-1, N).take(vectors, axis=0, out=term_rows, mode="clip")
-        np.multiply(terms, coefficients, out=terms)
-        np.add.reduce(terms, axis=1, out=sums)  # sum()'s +0.0 start moves only a zero's sign
-        w.fdot.reshape(-1, N).take(velocities, axis=0, out=fdot_rows, mode="clip")
-        np.subtract(fdots, sums, out=sums)
-        squares = dot_many(paired, paired)
-        np.sqrt(squares[0], out=buf[tangent_row])
-        np.sqrt(squares[1:], out=buf[recon:])
+        for r, row in enumerate(buf):
+            fdot = w.fdot(r)
+            psi = w.psi_at(r, psi_rows, psi_cols, fdot)
+            # V1 coefficient of dV_j/dt for j = 2..m, then dV_j/dt rebuilt from it and psi
+            source[: 2 * m - 2] = rates[r]
+            np.subtract(e[0] * psi[: m - 1], source[m - 1 : 2 * m - 2], out=row[v1:recon])
+            np.multiply(psi[m - 1 :], psi_signs, out=source[2 * m - 2 :])
+            source.take(index, axis=0, out=coefficients, mode="clip")  # not buffered, as "raise" is
+            w.frames[r + 1].reshape(-1, N).take(vectors, axis=0, out=term_rows, mode="clip")
+            np.multiply(terms, coefficients, out=terms)
+            np.add.reduce(terms, axis=1, out=sums)  # sum()'s +0.0 start moves only a zero's sign
+            fdot.reshape(-1, N).take(velocities, axis=0, out=fdot_rows, mode="clip")
+            np.subtract(fdots, sums, out=sums)
+            squares = dot_many(paired, paired)
+            np.sqrt(squares[0], out=row[tangent_row])
+            np.sqrt(squares[1:], out=row[recon:])
 
-    residuals = rows.peaks(window, fill)
+    residuals = rows.peaks(window, block)
     details = {"frame_flips": window.flips, "inextensibility_violation": violation}
     return _report("frame_evolution", traj, residuals, tolerance, details)
 
@@ -641,13 +624,11 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
     for j in range(1, m):
         k_rows.add(f"k{j}")
 
-    def fill(w, _):
-        p = w.psi_at(*core)
-        slope_in[w.slot], value_in[w.slot] = p[:m], p[m:]
-        speeds[w.slot, 0] = w.state.curve.speeds
-
     def block(w, buf):
-        b, c = w.size, w.state.curve
+        b, c = w.size, w.states[1].curve
+        for r, st in enumerate(w.states[1:-1]):
+            p = w.psi_at(r, *core, w.fdot(r))
+            slope_in[r], value_in[r], speeds[r, 0] = p[:m], p[m:], st.curve.speeds
         k, f, (fs, fss), curvatures = w.rows()
         # kdot is formed in the metric rows, where each metric reading is then subtracted in place
         kdot = w.central(curvatures[2:], curvatures[:-2], out=buf[:, metric_rows])
@@ -669,7 +650,7 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
             np.subtract(kdot[:, i], metric[i], out=kdot[:, i])
         k_rows.fold(curvatures, slice(None))  # last: k and the slopes' inputs are views of it
 
-    residuals = rows.peaks(window, fill, block)
+    residuals = rows.peaks(window, block)
     flat = [int(name[1:]) for name, peak in k_rows.maxima().items() if peak < 1e-10]
     degenerate = [f"k{i}" for i in range(1, m) if i - 1 in flat or i + 1 in flat]
     details = {

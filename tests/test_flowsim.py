@@ -476,9 +476,9 @@ def test_evolve_recycles_stage_memory():
 # from_points makes of a state's points and the state built on it, as every
 # stage of evolve builds them: this code's counts, the same in every repeat.
 STAGE_CALL_BUDGET = {
-    "circle_inextensible_sine": (100, 66),
-    "circle_rigid_rotation": (102, 87),
-    "clifford_e15": (201, 157),  # n = 5, explicit f4, a completed timelike V5
+    "circle_inextensible_sine": (98, 66),
+    "circle_rigid_rotation": (100, 87),
+    "clifford_e15": (199, 157),  # n = 5, explicit f4, a completed timelike V5
 }
 
 

@@ -22,8 +22,9 @@ Operations, timed in CPU seconds of this process:
   with a timelike V4 under f2, f3 and f4 (``TIMELIKE_V4``), whose k3
   readings and several-j frame readings no bundled scenario forms; and on
   the circle's first states with frame flips planted (``with_flips``), so
-  the checks' per-state alignment path runs too.  Each tree checks the
-  trajectories its own ``evolve`` built, with the same flips planted.
+  the checks' flip alignment runs too, up to a zero product that clears a
+  flip.  Each tree checks the trajectories its own ``evolve`` built, with
+  the same flips planted.
 * ``evolve``: one ``evolve`` call of that circle flow.  The comparison
   also covers the ``TIMELIKE_V4`` trajectory, evolved once per tree before
   timing: a non-planar frame, not completed, with a timelike last vector.
@@ -117,19 +118,20 @@ def evolve_doc(cf, inputs):
 
 
 def with_flips(traj, states: int = 20):
-    """The first ``states`` states of traj, with frame vectors negated as
-    ``tests/test_verify.py`` plants flips: V_2 over an eighth of the samples
-    in state 5, and the last vector over three samples in every state from
-    9 on, so a block of states is entered flipped while its own products
-    show no flip."""
+    """The first ``states`` states of traj, with frame vectors planted as
+    ``tests/test_verify.py`` plants them: V_2 negated over an eighth of the
+    samples in state 5, and the last vector negated over three samples in
+    every state from 9 on, so a block of states is entered flipped while its
+    own products show no flip, then zeroed there in state 13, whose zero
+    products clear the flip the chain carries."""
     kept = list(traj.states[:states])
     m, N = kept[0].frenet.num_vectors, kept[0].curve.samples
-    for step, (i, samples) in [(5, (1, slice(N // 8, N // 4)))] + [
-        (step, (m - 1, slice(N // 2, N // 2 + 3))) for step in range(9, len(kept))
-    ]:
+    last = (m - 1, slice(N // 2, N // 2 + 3))
+    plants = [(5, (1, slice(N // 8, N // 4)), -1.0)] + [(step, last, -1.0) for step in range(9, len(kept))]
+    for step, (i, samples), factor in plants + [(13, last, 0.0)]:
         st = kept[step]
         frame = st.frenet.frame.copy()
-        frame[i, :, samples] *= -1.0
+        frame[i, :, samples] *= factor
         kept[step] = dataclasses.replace(st, frenet=dataclasses.replace(st.frenet, frame=frame))
     return dataclasses.replace(traj, states=kept)
 
