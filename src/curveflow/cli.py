@@ -44,7 +44,7 @@ from . import catalog
 from .curvekit import CurveSpec, SampledCurve, sample
 from .errors import ConfigError, CurveFlowError, EvolutionError, ParseError
 from .exprjet import eval_scalar, parse, variables
-from .flowsim import FlowSpec, Trajectory, default_dt, evolve, initial_state
+from .flowsim import FlowSpec, Trajectory, default_dt, evolve, initial_state, k1_terms
 from .frenet import FrenetData, frenet_apparatus, frenet_residuals, stencil_curvatures
 from .verify import CHECKS, VerificationReport, _tol, merge_reports
 
@@ -192,7 +192,7 @@ def build_flow(doc: dict) -> FlowSpec:
         if fl["mode"] == "explicit":
             flow = FlowSpec.explicit(fl["speeds"])
         else:
-            flow = FlowSpec.inextensible(fl["speeds"], f1_at_0=fl.get("f1_at_0", 0.0))
+            flow = FlowSpec.inextensible(fl["speeds"])
         flow.validate(_dimension(doc))
     except ParseError as exc:
         raise ConfigError(f"bad expression: {exc}", field="flow.speeds") from exc
@@ -303,9 +303,9 @@ def write_timeseries(traj: Trajectory, out_dir: Path) -> Path:
     baseline = traj.states[0].curve.total_length
     drift = 0.0
     for step, st in enumerate(traj.states):
-        c, fd = st.curve, st.frenet
+        c, k1 = st.curve, k1_terms(st.frenet)[1]
         drift = max(drift, abs(c.total_length - baseline))
-        max_k1 = float(np.max(np.abs(fd.curvatures[0]))) if fd.num_vectors >= 2 else 0.0
+        max_k1 = 0.0 if k1 is None else float(np.max(np.abs(k1)))
         lines.append(
             ",".join(
                 [

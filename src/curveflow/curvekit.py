@@ -203,7 +203,9 @@ class SampledCurve:
         ):
             idx = int(np.argmin(speeds))
             raise DegenerateCurveError(f"speed vanishes at sample {idx} (u={grid[idx]:.6g})")
-        s, total = _arclength_tables(speeds, h, closed)
+        rule = _quadrature(speeds.shape[0], closed)
+        s = cumulative_integral(speeds, h, rule)
+        total = _period_integral(speeds, h, rule) if closed else float(s[-1])
         curve = cls(
             grid=grid,
             h=h,
@@ -376,16 +378,6 @@ def _quadrature(n_points: int, closed: bool) -> str:
     # Full-period composite Simpson on a closed curve needs an even number
     # of intervals, which equals the sample count once the wrap is appended.
     return "trapezoid" if closed and n_points % 2 else "simpson"
-
-
-def _arclength_tables(speeds: np.ndarray, h: float, closed: bool):
-    rule = _quadrature(speeds.shape[0], closed)
-    s = cumulative_integral(speeds, h, rule)
-    if closed:
-        total = _period_integral(speeds, h, rule)
-    else:
-        total = float(s[-1])
-    return s, total
 
 
 def _period_integral(values: np.ndarray, h: float, rule: str) -> float:

@@ -50,20 +50,19 @@ class FlowSpec:
 
     The flow is inextensible exactly when the tangential entry
     ``speeds[0]`` is None: f_1 is then synthesized at every evaluation
-    from f_2 and the initial value ``f1_at_0`` at the curve's first
-    sample.  Every other entry is an expression.
+    from f_2, starting at 0 on the curve's first sample.  Every other entry
+    is an expression.
     """
 
     speeds: tuple[Expr | None, ...]
-    f1_at_0: float = 0.0
 
     @classmethod
     def explicit(cls, speeds) -> "FlowSpec":
         return cls(tuple(_parse_speed(f) for f in speeds))
 
     @classmethod
-    def inextensible(cls, higher_speeds, f1_at_0: float = 0.0) -> "FlowSpec":
-        return cls((None,) + tuple(_parse_speed(f) for f in higher_speeds), f1_at_0)
+    def inextensible(cls, higher_speeds) -> "FlowSpec":
+        return cls((None,) + tuple(_parse_speed(f) for f in higher_speeds))
 
     def validate(self, dimension: int) -> None:
         if len(self.speeds) != dimension:
@@ -111,9 +110,9 @@ class Trajectory:
     flow: FlowSpec
 
 
-def solve_inextensible_f1(c: SampledCurve, rhs: np.ndarray, f1_at_0: float) -> np.ndarray:
-    """Integrate df_1/ds = rhs from the curve's first sample, where rhs is
-    ``inextensibility_rhs``, e0 e1 f_2 k_1.
+def solve_inextensible_f1(c: SampledCurve, rhs: np.ndarray) -> np.ndarray:
+    """Integrate df_1/ds = rhs from 0 at the curve's first sample, where rhs
+    is ``inextensibility_rhs``, e0 e1 f_2 k_1.
 
     For closed curves the loop integral of the right-hand side must vanish
     (within COMPAT_RTOL times the total arclength), otherwise no periodic
@@ -125,7 +124,11 @@ def solve_inextensible_f1(c: SampledCurve, rhs: np.ndarray, f1_at_0: float) -> n
         tol = COMPAT_RTOL * c.total_length
         if abs(residual) > tol:
             raise IncompatibleClosedFlow(residual, tol)
-    return f1_at_0 + cumulative_integral(integrand, c.h, c.quadrature)
+    f1 = cumulative_integral(integrand, c.h, c.quadrature)
+    # a trapezoid table keeps scipy's -0.0 sums, where a Simpson table's +0.0
+    # start clears them; adding +0.0 clears them on either rule
+    f1 += 0.0
+    return f1
 
 
 def k1_terms(fd: FrenetData) -> tuple[float, np.ndarray | None]:
@@ -178,7 +181,7 @@ def evaluate_speeds(
     if inextensible:
         e0e1, k1 = k1_terms(fd)
         f1_s = inextensibility_rhs(e0e1, f[1], k1)
-        f[0] = solve_inextensible_f1(c, f1_s, flow.f1_at_0)
+        f[0] = solve_inextensible_f1(c, f1_s)
     m = fd.num_vectors
     if m < n and np.abs(f[m:]).max() > 0.0:
         raise CurveFlowError(

@@ -485,7 +485,8 @@ def check_iff_condition(traj: Trajectory, tolerance: dict | None = None) -> Veri
 
     Reports (a) the worst pointwise violation of df1/ds = e0 e1 f2 k1 and
     (b) the arclength drift, then asserts their equivalence against the
-    thresholds.  Neither side alone decides the outcome.
+    thresholds.  Neither side alone decides the outcome, and a NaN reading
+    on either side fails it: NaN is neither small nor large.
     """
     tol = _tol("iff_condition", tolerance)
     if len(traj.states) < 2:
@@ -494,9 +495,10 @@ def check_iff_condition(traj: Trajectory, tolerance: dict | None = None) -> Veri
     b = arclength_drift(traj)
     a_small = a <= tol["pointwise"]
     b_small = b <= tol["drift"]
-    details = {"pointwise_small": a_small, "drift_small": b_small, "equivalence": a_small == b_small}
+    holds = a_small == b_small and not (np.isnan(a) or np.isnan(b))
+    details = {"pointwise_small": a_small, "drift_small": b_small, "equivalence": holds}
     residuals = {"pointwise": a, "drift": b}
-    return _report("iff_condition", traj, residuals, tolerance, details, passed=a_small == b_small)
+    return _report("iff_condition", traj, residuals, tolerance, details, passed=holds)
 
 
 def check_psi_antisymmetry(traj: Trajectory, tolerance: float | None = None) -> VerificationReport:

@@ -139,7 +139,7 @@ def test_criterion_06_closed_compatibility(circle_256):
     fd = frenet_apparatus(circle_256)
     rhs = inextensibility_rhs(float(fd.signs[0] * fd.signs[1]), np.ones(256), fd.curvatures[0])
     with pytest.raises(IncompatibleClosedFlow) as err:
-        solve_inextensible_f1(circle_256, rhs, 0.0)
+        solve_inextensible_f1(circle_256, rhs)
     rel = abs(err.value.residual - TWO_PI) / TWO_PI
     assert rel < 1e-6
     note(f"PASS criterion 6: incompatible loop integral {err.value.residual:.9f} (rel err {rel:.2e})")

@@ -172,10 +172,12 @@ def test_schema_violation_names_field(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     assert "curve.samples" in capsys.readouterr().err
     # settings a scenario no longer has: n is the component count, dt the
-    # only step, run writes every output, and --out alone names their directory
+    # only step, run writes every output, --out alone names their directory,
+    # and a synthesized f1 starts at 0 on the first sample
     for section, key, value in ((None, "dimension", 3), ("integrator", "t_horizon", 0.016),
                                 ("output", "formats", ["csv", "json"]),
-                                ("output", "directory", str(tmp_path / "d"))):
+                                ("output", "directory", str(tmp_path / "d")),
+                                ("flow", "f1_at_0", 0.3)):
         doc = scenario_doc("circle_zero_flow.json")
         (doc.setdefault(section, {}) if section else doc)[key] = value
         rc = main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "o")])
@@ -509,7 +511,7 @@ def _dt_literal_1e400(doc):
          "config error: {path}: number NaN is not finite\n"),
         (["run"], SINE, _dt_literal_1e400, EXIT_CONFIG,
          "config error: {path}: number 1e400 is not finite\n"),
-        (["run"], SINE, _setting(float("nan"), "flow", "f1_at_0"), EXIT_CONFIG,
+        (["run"], SINE, _setting(float("nan"), "curve", "domain", 0), EXIT_CONFIG,
          "config error: {path}: number NaN is not finite\n"),
         # Expressions past the parser's bounds: configuration errors, not a
         # RecursionError or an endless power.

@@ -31,7 +31,7 @@ from curveflow.flowsim import (
     velocity,
 )
 from curveflow.frenet import frenet_apparatus
-from conftest import catalog_curve, catalog_flow, package_calls, random_explicit_flow
+from conftest import catalog_curve, catalog_flow, package_calls, random_explicit_flow, run_flow
 from test_closed_form import CLIFFORD, CLIFFORD_F4
 
 TWO_PI = 2.0 * math.pi
@@ -46,31 +46,31 @@ def test_flow_spec_validation():
         FlowSpec.explicit(["sin(q)"]).validate(1)
 
 
-def _solve_f1(c, f2, f1_at_0):
+def _solve_f1(c, f2):
     fd = frenet_apparatus(c)
     e0e1 = float(fd.signs[0] * fd.signs[1])
-    return solve_inextensible_f1(c, inextensibility_rhs(e0e1, f2, fd.curvatures[0]), f1_at_0)
+    return solve_inextensible_f1(c, inextensibility_rhs(e0e1, f2, fd.curvatures[0]))
 
 
 def test_solve_f1_zero_normal_speed(circle_256):
-    f1 = _solve_f1(circle_256, np.zeros(256), 0.25)
-    assert np.allclose(f1, 0.25)
+    f1 = _solve_f1(circle_256, np.zeros(256))
+    assert not np.any(f1)
 
 
 def test_solve_f1_straight_line_any_f2():
     c = sample(catalog_curve("line2", 64))  # completed frame, k1 = 0
-    f1 = _solve_f1(c, np.sin(3.0 * c.s) + 2.0, 0.7)
-    assert np.allclose(f1, 0.7)
+    f1 = _solve_f1(c, np.sin(3.0 * c.s) + 2.0)
+    assert not np.any(f1)
 
 
 def test_solve_f1_circle_sine(circle_256):
-    f1 = _solve_f1(circle_256, np.sin(circle_256.s), 0.0)
+    f1 = _solve_f1(circle_256, np.sin(circle_256.s))
     assert np.max(np.abs(f1 - (1.0 - np.cos(circle_256.s)))) < 1e-6
 
 
 def test_solve_f1_incompatible_loop(circle_256):
     with pytest.raises(IncompatibleClosedFlow) as err:
-        _solve_f1(circle_256, np.ones(256), 0.0)
+        _solve_f1(circle_256, np.ones(256))
     assert err.value.residual == pytest.approx(TWO_PI, rel=1e-6)
 
 
@@ -89,9 +89,9 @@ def test_evaluate_speeds_forms_the_f1_rhs_once(monkeypatch):
         formed.append(rhs(*args))
         return formed[-1]
 
-    def counted_solve(c, rhs, f1_at_0):
+    def counted_solve(c, rhs):
         integrated.append(rhs)
-        return solve(c, rhs, f1_at_0)
+        return solve(c, rhs)
 
     monkeypatch.setattr(flowsim, "inextensibility_rhs", counted_rhs)
     monkeypatch.setattr(flowsim, "solve_inextensible_f1", counted_solve)
@@ -101,6 +101,27 @@ def test_evaluate_speeds_forms_the_f1_rhs_once(monkeypatch):
     for ours, theirs in zip(traj.states, ref.states, strict=True):
         assert ours.f_values.tobytes() == theirs.f_values.tobytes()
         assert ours.f1_s.tobytes() == theirs.f1_s.tobytes()
+
+
+@pytest.mark.parametrize("curve, flow, samples", [
+    ("timelike_helix", "helix_twist", 64),  # open
+    ("circle", "inextensible_sine", 64),  # closed, Simpson's rule
+    ("circle", "inextensible_sine", 65),  # closed, odd N: the trapezoid rule
+])
+def test_synthesized_f1_starts_at_zero_in_every_kept_state(curve, flow, samples):
+    traj = run_flow(curve, flow, samples, 5e-4, 6)
+    assert len(traj.states) == 7
+    for st in traj.states:
+        assert st.f_values[0, 0].tobytes() == np.float64(0.0).tobytes()
+        assert np.max(np.abs(st.f_values[0])) > 0.1
+
+
+@pytest.mark.parametrize("samples", [64, 65])  # Simpson's rule, the trapezoid rule
+def test_synthesized_f1_holds_no_negative_zero(samples):
+    # f2 = -0 integrates to a table of -0.0 sums under the trapezoid rule
+    st = initial_state(sample(catalog_curve("circle", samples)), FlowSpec.inextensible(["-0", "0"]))
+    assert np.all(np.signbit(st.f1_s)) and not np.any(st.f_values[0])
+    assert not np.any(np.signbit(st.f_values[0]))
 
 
 def test_dv_dt_rhs_examples(circle_256):
@@ -164,7 +185,7 @@ def _speeds_by_jets(flow, c, fd, t):
                 f1_s[:] = jet.coeffs[1]
     if flow.speeds[0] is None:
         f1_s = inextensibility_rhs(float(fd.signs[0] * fd.signs[1]), f[1], fd.curvatures[0])
-        f[0] = solve_inextensible_f1(c, f1_s, flow.f1_at_0)
+        f[0] = solve_inextensible_f1(c, f1_s)
     return f, f1_s
 
 
@@ -172,7 +193,7 @@ def _speeds_by_jets(flow, c, fd, t):
     FlowSpec.explicit(["2.5", "0", "-1.5"]),
     FlowSpec.explicit(["0", "sin(s)", "1e-300"]),
     FlowSpec.explicit([exprjet.Lit(-0.0), "t*s", "3"]),
-    FlowSpec.inextensible(["1", "0"], f1_at_0=0.25),
+    FlowSpec.inextensible(["1", "0"]),
     FlowSpec.inextensible(["0.5", "-(1-t)^2*s"]),
 ])
 def test_constant_speeds_match_the_jet_path_bit_for_bit(flow):
@@ -476,9 +497,9 @@ def test_evolve_recycles_stage_memory():
 # from_points makes of a state's points and the state built on it, as every
 # stage of evolve builds them: this code's counts, the same in every repeat.
 STAGE_CALL_BUDGET = {
-    "circle_inextensible_sine": (98, 66),
-    "circle_rigid_rotation": (100, 87),
-    "clifford_e15": (199, 157),  # n = 5, explicit f4, a completed timelike V5
+    "circle_inextensible_sine": (97, 66),
+    "circle_rigid_rotation": (99, 87),
+    "clifford_e15": (198, 157),  # n = 5, explicit f4, a completed timelike V5
 }
 
 

@@ -161,7 +161,7 @@ def test_frame_evolution_with_one_frame_vector():
     # m = 1: no frame vector to expand dV_1/dt in, so the tangent equation
     # predicts 0 and reads the largest |dV_1/dt|; the check forms no other row
     curve = sample(CurveSpec.from_strings(("sqrt(2)*u", "cos(u)", "sin(u)"), (0.0, 6.0), OPEN, 64))
-    flow = FlowSpec.inextensible(["0", "0"], f1_at_0=0.3)  # a slide along the tangent
+    flow = FlowSpec.explicit(["0.3", "0", "0"])  # a slide along the tangent
     traj = evolve(initial_state(curve, flow, 1), flow, 1e-3, 5)
     window = _Window(traj)
     peak = max(
@@ -651,6 +651,30 @@ def test_nan_speed_fails_iff_condition():
     rep = check_iff_condition(traj)
     assert np.isnan(rep.residuals[0]["pointwise"])
     assert not rep.details["pointwise_small"]
+    assert not rep.passed
+
+
+def test_nan_speed_fails_iff_condition_with_a_large_drift():
+    # the shrinking circle's drift is not small, and NaN is not small
+    # either: the sides would agree, yet a NaN reading fails the gate
+    traj = run_flow("circle", "normal_shrink", 64, 1e-3, 10)
+    traj.states[4].f_values[1, 10] = np.nan
+    rep = check_iff_condition(traj)
+    assert np.isnan(rep.residuals[0]["pointwise"])
+    assert rep.residuals[0]["drift"] > 0.05 and not rep.details["drift_small"]
+    assert not rep.details["equivalence"]
+    assert not rep.passed
+
+
+def test_nan_on_both_sides_fails_iff_condition():
+    traj = run_flow("circle", "inextensible_sine", 64, 1e-3, 10)
+    traj.states[4].f_values[1, 10] = np.nan
+    st = traj.states[6]
+    traj.states[6] = dataclasses.replace(
+        st, curve=dataclasses.replace(st.curve, total_length=float("nan"))
+    )
+    rep = check_iff_condition(traj)
+    assert np.isnan(rep.residuals[0]["pointwise"]) and np.isnan(rep.residuals[0]["drift"])
     assert not rep.passed
 
 
