@@ -8,8 +8,7 @@ Subcommands:
                    requested checks.
 * ``convergence``  rerun a scenario at (N, dt), (2N, dt/2), ... with the
                    step count doubled per level (fixed time horizon) and
-                   emit convergence.csv with fitted orders; it needs
-                   ``integrator.dt``.
+                   emit convergence.csv with fitted orders.
 * ``frenet``       frame/curvature dump of the scenario's curve, no
                    evolution.
 * ``list-catalog`` bundled curves, flows and example scenarios.
@@ -22,7 +21,7 @@ across reruns of the same scenario: nothing here depends on wall clock or
 iteration order of hash maps.
 
 A scenario states each fact once: its dimension n is the number of curve
-components, and ``integrator.dt`` is the only step setting.
+components, and ``integrator.dt``, which every scenario sets, is its step.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from . import catalog
 from .curvekit import CurveSpec, SampledCurve, sample
 from .errors import ConfigError, CurveFlowError, EvolutionError, ParseError
 from .exprjet import eval_scalar, parse, variables
-from .flowsim import FlowSpec, Trajectory, default_dt, evolve, initial_state, k1_terms
+from .flowsim import FlowSpec, Trajectory, evolve, initial_state, k1_terms
 from .frenet import FrenetData, frenet_apparatus, frenet_residuals, stencil_curvatures
 from .verify import CHECKS, VerificationReport, _tol, merge_reports
 
@@ -201,25 +200,15 @@ def build_flow(doc: dict) -> FlowSpec:
     return flow
 
 
-def execute(
-    doc: dict,
-    samples: int | None = None,
-    dt: float | None = None,
-    steps: int | None = None,
-) -> tuple[Trajectory, list[VerificationReport]]:
-    """Evolve a scenario (optionally at overridden resolution) and run its checks.
-
-    The step is ``dt`` if given, else integrator.dt, else ``default_dt`` of
-    the initial state."""
+def execute(doc: dict, samples: int | None = None) -> tuple[Trajectory, list[VerificationReport]]:
+    """Evolve a scenario (optionally at an overridden sample count) by its
+    integrator.dt and steps, and run its checks."""
     spec = build_curve_spec(doc, samples)
     flow = build_flow(doc)
     integ = doc["integrator"]
-    steps = steps or integ["steps"]
     curve = sample(spec)
     state0 = initial_state(curve, flow, integ.get("frame_vectors"))
-    if dt is None:
-        dt = integ.get("dt") or default_dt(state0)
-    traj = evolve(state0, flow, dt, steps)
+    traj = evolve(state0, flow, integ["dt"], integ["steps"])
     tolerances = doc.get("tolerances", {})
     reports = [
         CHECKS[name](traj, tolerances.get(name)) for name in doc.get("checks", [])
@@ -392,16 +381,13 @@ def cmd_convergence(args) -> int:
     doc = load_scenario(args.scenario)
     if not doc.get("checks"):
         raise ConfigError("scenario requests no checks")
-    base_steps = doc["integrator"]["steps"]
-    base_dt = doc["integrator"].get("dt")
-    if base_dt is None:
-        raise ConfigError("convergence needs integrator.dt")
+    integ = doc["integrator"]
     base_n = build_curve_spec(doc).samples
 
-    per_level = [
-        execute(doc, samples=base_n * 2**l, dt=base_dt / 2**l, steps=base_steps * 2**l)[1]
-        for l in range(args.levels)
-    ]
+    per_level = []
+    for l in range(args.levels):  # level l: 2**l times the samples and steps, dt / 2**l
+        level = {**integ, "dt": integ["dt"] / 2**l, "steps": integ["steps"] * 2**l}
+        per_level.append(execute({**doc, "integrator": level}, samples=base_n * 2**l)[1])
     merged = [
         merge_reports([per_level[l][i] for l in range(args.levels)])
         for i in range(len(per_level[0]))

@@ -244,13 +244,6 @@ def _build_state(
     return SimState(t=t, curve=curve, frenet=fd, f_values=f, f1_s=f1_s)
 
 
-def default_dt(state: SimState) -> float:
-    """Step heuristic: a tenth of the smallest arc spacing over the speed scale."""
-    ds_min = float(np.min(state.curve.speeds)) * state.curve.h
-    fmax = float(np.max(np.abs(state.f_values))) if state.f_values.size else 0.0
-    return 0.1 * ds_min / max(1.0, fmax)
-
-
 def evolve(
     initial: SimState,
     flow: FlowSpec,

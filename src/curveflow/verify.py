@@ -607,7 +607,7 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
     window = _Window(traj, (2, 1))
     m, e, N = window.m, window.e, window.N
     if m < 2:
-        raise CurveFlowError("curvature check needs at least two frame vectors")
+        raise ConfigError("curvature check needs at least two frame vectors", field="checks")
     # curvature_rates reads dpsi at [i + 1, i] and [m - 1, m], psi at [i + 2, i] and [i - 1, i + 1]:
     # only those psi entries are formed, and the first are differentiated
     slope_at = [(i + 1, i) for i in range(1, m)] + [(m - 1, m)]

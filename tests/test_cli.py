@@ -31,7 +31,7 @@ from curveflow.cli import (
 )
 from curveflow.curvekit import SampledCurve, sample
 from curveflow.errors import ConfigError, FrameBreakdown, NullCurveError
-from curveflow.flowsim import FlowSpec, default_dt, evolve, initial_state
+from curveflow.flowsim import FlowSpec, evolve, initial_state
 
 
 def scenario_doc(name):
@@ -173,11 +173,11 @@ def test_schema_violation_names_field(tmp_path, capsys):
     assert "curve.samples" in capsys.readouterr().err
     # settings a scenario no longer has: n is the component count, dt the
     # only step, run writes every output, --out alone names their directory,
-    # and a synthesized f1 starts at 0 on the first sample
+    # a synthesized f1 starts at 0 on the first sample, and a flow has no label
     for section, key, value in ((None, "dimension", 3), ("integrator", "t_horizon", 0.016),
                                 ("output", "formats", ["csv", "json"]),
                                 ("output", "directory", str(tmp_path / "d")),
-                                ("flow", "f1_at_0", 0.3)):
+                                ("flow", "f1_at_0", 0.3), ("flow", "name", "no motion")):
         doc = scenario_doc("circle_zero_flow.json")
         (doc.setdefault(section, {}) if section else doc)[key] = value
         rc = main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "o")])
@@ -489,7 +489,7 @@ def _dt_literal_1e400(doc):
         (["convergence", "--levels", "2"], "circle_zero_flow.json", _no_checks,
          EXIT_CONFIG, "config error: scenario requests no checks\n"),
         (["convergence", "--levels", "2"], "circle_zero_flow.json", _no_time_step,
-         EXIT_CONFIG, "config error: convergence needs integrator.dt\n"),
+         EXIT_CONFIG, "config error: integrator: 'dt' is a required property\n"),
         # n is the number of curve components, and the speed count follows it
         (["run"], "circle_zero_flow.json", _fourth_component, EXIT_CONFIG,
          "config error: flow.speeds: explicit flow needs 4 speeds for dimension 4, got 3\n"),
@@ -536,6 +536,27 @@ def _dt_literal_1e400(doc):
         (["run"], "circle_zero_flow.json",
          _setting({"iff_condition": {"drfit": 1.0}}, "tolerances"), EXIT_CONFIG,
          f"config error: tolerances.iff_condition: must be {IFF_KEYS}\n"),
+        (["run"], "circle_zero_flow.json", _setting({"nonsense": 1.0}, "tolerances"),
+         EXIT_CONFIG, "config error: tolerances: tolerance for unknown identity 'nonsense'\n"),
+        (["run"], "circle_zero_flow.json", _setting(4, "integrator", "frame_vectors"),
+         EXIT_CONFIG, "config error: integrator.frame_vectors: frame_vectors 4 exceeds dimension 3\n"),
+        # A domain end is a constant expression, and the domain runs forward.
+        (["run"], SINE, _setting("2*", "curve", "domain", 1), EXIT_CONFIG,
+         "config error: curve.domain[1]: bad expression: unexpected end of input (at offset 2)\n"),
+        (["run"], SINE, _setting("u", "curve", "domain", 1), EXIT_CONFIG,
+         "config error: curve.domain[1]: must be a constant expression\n"),
+        (["run"], SINE, _setting([1, 0], "curve", "domain"), EXIT_CONFIG,
+         "config error: curve: domain must satisfy u1 > u0, got (1.0, 0.0)\n"),
+        (["run"], SINE, _setting(["sin(u)", "0"], "flow", "speeds"), EXIT_CONFIG,
+         "config error: flow: speed 2 may only use s and t, found ['u']\n"),
+        # Every command reads a scenario with its step, even one that does not evolve.
+        (["run"], "circle_zero_flow.json", _no_time_step,
+         EXIT_CONFIG, "config error: integrator: 'dt' is a required property\n"),
+        (["frenet"], "circle_zero_flow.json", _no_time_step,
+         EXIT_CONFIG, "config error: integrator: 'dt' is a required property\n"),
+        # A one-vector frame has no second curvature to evolve: found after evolving.
+        (["run"], "line_translate.json", _setting(["curvature_pde"], "checks"), EXIT_CONFIG,
+         "config error: checks: curvature check needs at least two frame vectors\n"),
     ],
 )
 def test_exit_codes_per_subcommand(tmp_path, capsys, command, scenario, edit, code, stderr):
@@ -686,21 +707,6 @@ def test_bundled_schemas_satisfy_their_metaschema(name):
     # load_scenario builds its validator once and does not re-check the schema.
     schema = _schema(name)
     jsonschema.validators.validator_for(schema).check_schema(schema)
-
-
-def test_dt_heuristic_when_unset(tmp_path):
-    # zero flow: dt = 0.1 * min arc spacing; the rotation's max |f| = 2 halves it
-    for name, arc_spacing, fmax in (("circle_zero_flow.json", 2 * math.pi / 64, 1.0),
-                                    ("circle_rigid_rotation.json", 2 * math.pi / 256, 2.0)):
-        doc = scenario_doc(name)
-        doc["integrator"] = {"steps": 4}  # no dt
-        doc.pop("output", None)
-        out = tmp_path / name
-        assert main(["run", write_scenario(tmp_path, doc), "--out", str(out)]) == EXIT_OK
-        dt = default_dt(initial_state(sample(build_curve_spec(doc)), build_flow(doc)))
-        assert dt == pytest.approx(0.1 * arc_spacing / fmax, rel=1e-6)
-        rows = (out / "timeseries.csv").read_text().splitlines()[1:]
-        assert [row.split(",")[1] for row in rows] == [f"{k * dt:.15g}" for k in range(5)]
 
 
 _SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300]

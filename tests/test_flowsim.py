@@ -21,7 +21,6 @@ from curveflow.errors import (
 from curveflow.flowsim import (
     FlowSpec,
     arclength_drift,
-    default_dt,
     dv_dt_rhs,
     evaluate_speeds,
     evolve,
@@ -362,6 +361,19 @@ def test_evolve_says_when_a_closed_flow_does_not_fall_with_n(samples):
     assert "under-resolved" not in str(err.value)
 
 
+def test_evolve_cannot_halve_a_closed_flow_at_odd_n():
+    # The F14 flow above at N = 65: no rebuild from every other sample, so
+    # the error names both causes it cannot tell apart.
+    c = sample(catalog_curve("circle", 65))
+    flow = FlowSpec.inextensible(["0.1*sin(2*s)", "0"])
+    with pytest.raises(UnresolvedClosedFlow) as err:
+        evolve(initial_state(c, flow), flow, 1e-4, 3)
+    assert err.value.coarse_residual is None
+    assert err.value.samples == 65
+    assert err.value.t == 1e-4
+    assert ": under-resolved at N=65, or no periodic tangential speed at that time" in str(err.value)
+
+
 @pytest.mark.parametrize(
     "flow, error, words",
     [
@@ -542,13 +554,6 @@ def test_truncated_frame_rejects_active_higher_speeds():
     flow = FlowSpec.explicit(["1", "1", "0"])
     with pytest.raises(Exception, match="frame"):
         initial_state(c, flow, frame_vectors=1)
-
-
-def test_default_dt_scales_with_speed(circle_256):
-    slow = initial_state(circle_256, catalog_flow("zero", 3))
-    fast = initial_state(circle_256, FlowSpec.explicit(["10", "0", "0"]))
-    assert default_dt(slow) == pytest.approx(0.1 * circle_256.h, rel=1e-6)
-    assert default_dt(fast) == pytest.approx(0.01 * circle_256.h, rel=1e-6)
 
 
 def test_evaluate_speeds_time_dependence(circle_256):
