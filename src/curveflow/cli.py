@@ -40,9 +40,9 @@ from jsonschema.validators import validator_for
 import numpy as np
 
 from . import catalog
-from .curvekit import CurveSpec, SampledCurve, sample
+from .curvekit import CurveSpec, SampledCurve, ends_differ, sample
 from .errors import ConfigError, CurveFlowError, EvolutionError, ParseError
-from .exprjet import eval_scalar, parse, variables
+from .exprjet import eval_jet, eval_scalar, parse, variables
 from .flowsim import FlowSpec, Trajectory, evolve, initial_state, k1_terms
 from .frenet import FrenetData, frenet_apparatus, frenet_residuals, stencil_curvatures
 from .verify import CHECKS, VerificationReport, _tol, merge_reports
@@ -149,11 +149,6 @@ def _cross_validate(doc: dict) -> None:
                 f"tolerance for unknown identity {name!r}", field="tolerances"
             )
         _tol(name, value)  # raises ConfigError unless it has its default's shape
-    fv = doc["integrator"].get("frame_vectors")
-    if fv is not None and fv > n:
-        raise ConfigError(
-            f"frame_vectors {fv} exceeds dimension {n}", field="integrator.frame_vectors"
-        )
     steps = doc["integrator"]["steps"]
     for step in doc.get("output", {}).get("frames_at", []):
         if step > steps:
@@ -200,6 +195,29 @@ def build_flow(doc: dict) -> FlowSpec:
     return flow
 
 
+def _check_seam(flow: FlowSpec, curve: SampledCurve) -> None:
+    """On a closed curve every given speed closes up: at t = 0 its value and
+    the s-derivatives the checks read (f2's to the second, the others' to the
+    first) meet at s = 0 and s = L by the curve's own endpoint rule.  Checked
+    once, before evolving, since a test per stage would add to every stage's
+    calls."""
+    if not curve.closed:
+        return
+    ends = np.array([0.0, curve.total_length])
+    for i, expr in enumerate(flow.speeds):
+        if expr is None:
+            continue
+        jet = eval_jet(expr, "s", ends, 2 if i == 1 else 1, {"t": 0.0})
+        for order in range(jet.order + 1):
+            a, b = np.broadcast_to(jet.derivative(order), (2,)).tolist()
+            if ends_differ(a, b):
+                raise ConfigError(
+                    f"speed f{i + 1} does not close up on the closed curve: its s-derivative "
+                    f"of order {order} is {a!r} at s = 0 and {b!r} at s = L = {curve.total_length!r}",
+                    field="flow.speeds",
+                )
+
+
 def execute(doc: dict, samples: int | None = None) -> tuple[Trajectory, list[VerificationReport]]:
     """Evolve a scenario (optionally at an overridden sample count) by its
     integrator.dt and steps, and run its checks."""
@@ -207,7 +225,8 @@ def execute(doc: dict, samples: int | None = None) -> tuple[Trajectory, list[Ver
     flow = build_flow(doc)
     integ = doc["integrator"]
     curve = sample(spec)
-    state0 = initial_state(curve, flow, integ.get("frame_vectors"))
+    _check_seam(flow, curve)
+    state0 = initial_state(curve, flow)
     traj = evolve(state0, flow, integ["dt"], integ["steps"])
     tolerances = doc.get("tolerances", {})
     reports = [
@@ -416,7 +435,7 @@ def cmd_convergence(args) -> int:
 def cmd_frenet(args) -> int:
     doc = load_scenario(args.scenario)
     curve = sample(build_curve_spec(doc))
-    fd = frenet_apparatus(curve, doc["integrator"].get("frame_vectors"))
+    fd = frenet_apparatus(curve)
     residuals = frenet_residuals(curve, fd)
     payload = {
         "scenario": doc["name"],

@@ -50,6 +50,14 @@ ENDPOINT_MATCH_TOL = 1e-9
 MIN_SAMPLES = 16
 
 
+def ends_differ(a: float, b: float) -> bool:
+    """Whether a value at a closed curve's two ends (a component's, a speed's)
+    fails to meet: the gap exceeds ENDPOINT_MATCH_TOL relative to
+    max(1, |a|, |b|), or is infinite (one end overflowed, which reads inf > inf)."""
+    gap = abs(a - b)
+    return gap > ENDPOINT_MATCH_TOL * max(1.0, abs(a), abs(b)) or math.isinf(gap)
+
+
 @dataclass(frozen=True)
 class CurveSpec:
     """Expression-backed curve definition on [u0, u1]."""
@@ -87,9 +95,7 @@ class CurveSpec:
                 for j, c in enumerate(self.components):
                     a = exprjet.eval_scalar(c, u=u0)
                     b = exprjet.eval_scalar(c, u=u1)
-                    gap = abs(a - b)
-                    # an infinite gap (one end overflowed) reads inf > inf below
-                    if gap > ENDPOINT_MATCH_TOL * max(1.0, abs(a), abs(b)) or math.isinf(gap):
+                    if ends_differ(a, b):
                         raise ValueError(
                             f"closed curve component {j + 1} does not match at the endpoints "
                             f"({a!r} vs {b!r})"

@@ -16,12 +16,12 @@ extracted two ways:
 Frame vectors are stored like the curve's vectors (see ``curvekit``): the
 frame is an (m, n, N) stack, each vector a component-major (n, N) grid.
 
-If the curve lies in a hyperplane, the final orthogonalization residual
-vanishes.  When that happens for exactly the last vector and the metric
-complement of the partial frame is one-dimensional and non-null, the frame
-is completed with the unique unit vector that makes the basis positively
-oriented (and the last curvature is zero).  Any other breakdown raises
-NonGenericCurveError.
+The curve sets the frame's size.  In a hyperplane the last residual of
+the orthogonalization vanishes and, where the metric complement of the
+partial frame is non-null, the unit vector that orients the basis
+positively completes the frame (its last curvature is zero).  An earlier
+residual that is zero at every sample (a line, a circle in n >= 4) ends
+the frame before it.  Any other breakdown raises NonGenericCurveError.
 """
 
 from __future__ import annotations
@@ -59,10 +59,10 @@ class FrenetData:
 def frenet_apparatus(c: SampledCurve, num_vectors: int | None = None) -> FrenetData:
     """Orthogonalize the curve's derivative vectors into a moving frame.
 
-    ``num_vectors`` may be lowered below the ambient dimension for curves
-    that are straight (or otherwise non-generic) in the trailing
-    directions; by default the full frame is built.  e_0 agrees with
-    ``c.char``, since ``SampledCurve`` classified the same w_1 = derivs[1].
+    By default the curve sizes the frame: a residual w_i whose Euclidean
+    norm is small at every sample ends it at i - 1 vectors.  An explicit
+    ``num_vectors`` builds exactly that many.  e_0 agrees with ``c.char``,
+    since ``SampledCurve`` classified the same w_1 = derivs[1].
     """
     n = c.n
     m = n if num_vectors is None else int(num_vectors)
@@ -96,12 +96,17 @@ def frenet_apparatus(c: SampledCurve, num_vectors: int | None = None) -> FrenetD
         small = nw <= thresholds[i - 1]
         # two counts (count_nonzero is numpy's cheapest reduction) test both
         # conditions: no small residual, and q > 0 at every sample or at none;
-        # a vanishing last residual completes the frame, whose sign no count reads
+        # a vanishing last residual completes the frame, whose sign no count
+        # reads, and an earlier zero (not null) one ends an unsized frame
         n_small = np.count_nonzero(small)
-        if i == m == n and n_small == N:
+        if n_small == N and i == n:
             frame[i - 1], signs[i - 1] = _complete_frame(frame[:i - 1])
             resid_norms[i - 1] = 0.0
             completed = True
+            break
+        if n_small == N and num_vectors is None and np.all(np.sqrt(dot_many(w, w)) <= thresholds[i - 1]):
+            m = i - 1
+            frame, signs, resid_norms = frame[:m], signs[:m], resid_norms[:m]
             break
         n_positive = np.count_nonzero(q > 0)
         if n_small or 0 < n_positive < N:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import curveflow
-from conftest import catalog_flow
+from conftest import catalog_curve, catalog_flow
 from curveflow import catalog, cli
 from curveflow.cli import (
     EXIT_CHECK_FAILED,
@@ -350,8 +350,7 @@ def test_frame_breakdown_in_evolve_keeps_time_and_partial_timeseries(tmp_path, c
         ("circle_rigid_rotation.json", ["0", "sqrt(0.002 - t)", "0"], {"dt": 1e-3, "steps": 5},
          "sqrt of a negative value in jet arithmetic (at t=0.0025)",
          [["0", "0"], ["1", "0.001"], ["2", "0.002"]]),
-        ("line_translate.json", ["1", "0", "0.1*t"],
-         {"dt": 1e-3, "steps": 3, "frame_vectors": 1},
+        ("line_translate.json", ["1", "0", "0.1*t"], {"dt": 1e-3, "steps": 3},
          "flow drives frame direction 2..3 but only 1 frame vectors exist (at t=0.0005)",
          [["0", "0"]]),
     ],
@@ -438,10 +437,6 @@ def test_convergence_deterministic(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def _without_frame_vectors(doc):
-    del doc["integrator"]["frame_vectors"]
-
-
 def _unstable_steps(doc):
     doc["integrator"] = {"dt": 0.7, "steps": 2}
 
@@ -480,8 +475,9 @@ def _dt_literal_1e400(doc):
 @pytest.mark.parametrize(
     "command, scenario, edit, code, stderr",
     [
-        (["frenet"], "line_translate.json", _without_frame_vectors, EXIT_NUMERICAL,
-         "numerical breakdown: "),
+        # The curve sizes its frame: a scenario that states the size names the key.
+        (["frenet"], "line_translate.json", _setting(1, "integrator", "frame_vectors"), EXIT_CONFIG,
+         "config error: integrator: Additional properties are not allowed ('frame_vectors' was unexpected)\n"),
         (["convergence", "--levels", "2"], "circle_normal_shrink.json", _unstable_steps,
          EXIT_NUMERICAL, "numerical breakdown: "),
         (["convergence", "--levels", "1"], "timelike_helix_convergence.json", None,
@@ -539,7 +535,7 @@ def _dt_literal_1e400(doc):
         (["run"], "circle_zero_flow.json", _setting({"nonsense": 1.0}, "tolerances"),
          EXIT_CONFIG, "config error: tolerances: tolerance for unknown identity 'nonsense'\n"),
         (["run"], "circle_zero_flow.json", _setting(4, "integrator", "frame_vectors"),
-         EXIT_CONFIG, "config error: integrator.frame_vectors: frame_vectors 4 exceeds dimension 3\n"),
+         EXIT_CONFIG, "config error: integrator: Additional properties are not allowed ('frame_vectors' was unexpected)\n"),
         # A domain end is a constant expression, and the domain runs forward.
         (["run"], SINE, _setting("2*", "curve", "domain", 1), EXIT_CONFIG,
          "config error: curve.domain[1]: bad expression: unexpected end of input (at offset 2)\n"),
@@ -579,6 +575,54 @@ def test_frenet_dump(tmp_path):
     assert dump["curvatures"][0][10] == pytest.approx(1.0, abs=1e-9)
     assert dump["curvatures"][1][10] == pytest.approx(2**0.5, abs=1e-9)
     assert len(dump["stencil_curvatures"]) == 2
+
+
+def test_frenet_dump_of_a_line_has_one_vector(tmp_path):
+    # the shipped line states no frame size: its frame is one vector long
+    out = tmp_path / "fr"
+    assert main(["frenet", str(bundled_scenario_path("line_translate.json")), "--out", str(out)]) == EXIT_OK
+    dump = json.loads((out / "frenet.json").read_text())
+    assert dump["signs"] == [1] and dump["curvatures"] == [] and dump["completed_last"] is False
+    assert dump["frenet_residual_max"] < 1e-14
+
+
+W5 = ["0", "cos(u)", "sin(u)", "cos(2*u)/2", "sin(2*u)/2"]
+
+
+@pytest.mark.parametrize("f3, code, stderr", [
+    # L = 2 sqrt(2) pi, so sin(s) jumps at the seam
+    ("0.05*sin(s)", EXIT_CONFIG,
+     "config error: flow.speeds: speed f3 does not close up on the closed curve: its s-derivative "
+     "of order 0 is 0.0 at s = 0 and 0.0256644198578"),
+    ("0.05*sin(s/sqrt(2))", EXIT_OK, ""),
+], ids=["seam", "periodic"])
+def test_a_speed_with_a_seam_on_a_closed_curve_is_a_config_error(tmp_path, capsys, f3, code, stderr):
+    doc = {"name": "w5", "curve": {"components": W5, "domain": [0, "2*pi"], "topology": "closed", "samples": 64},
+           "flow": {"mode": "inextensible", "speeds": ["0", f3, "0", "0"]},
+           "integrator": {"dt": 1e-5, "steps": 2}, "checks": ["curvature_pde"]}
+    assert main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err.startswith(stderr)
+
+
+# on the unit circle, L = 2 pi: sin(s/2) meets at the seam and its slope does
+# not; BUMP and its slope meet, its second derivative does not
+BUMP = "s^2*(2*pi - s)^3"
+
+
+@pytest.mark.parametrize("index, speed, order", [
+    (0, "sin(s/2)", 1), (0, BUMP, None),  # f1 and f3 to their first derivative
+    (2, "sin(s/2)", 1), (2, BUMP, None),
+    (1, "sin(s/2)", 1), (1, BUMP, 2),  # f2 to its second
+])
+def test_seam_check_reads_each_speed_to_the_order_the_checks_read(index, speed, order):
+    speeds = ["0", "0", "0"]
+    speeds[index] = speed
+    curve = sample(catalog_curve("circle", 64))
+    if order is None:
+        cli._check_seam(FlowSpec.explicit(speeds), curve)
+        return
+    with pytest.raises(ConfigError, match=f"speed f{index + 1} does not close up .* of order {order} "):
+        cli._check_seam(FlowSpec.explicit(speeds), curve)
 
 
 def test_list_catalog(capsys):

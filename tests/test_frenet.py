@@ -166,13 +166,30 @@ def test_line_in_plane_completes_with_zero_curvature():
 
 
 def test_line_needs_clamped_frame_in_three_space():
+    # w_2 is zero at every sample, so the line sizes its frame to one vector
     c = sample(catalog_curve("line3", 64))
-    with pytest.raises(NonGenericCurveError) as err:
-        frenet_apparatus(c)
-    assert err.value.index == 2  # breakdown before the last vector: no completion
-    fd = frenet_apparatus(c, num_vectors=1)
-    assert fd.num_vectors == 1
+    fd = frenet_apparatus(c)
+    assert fd.num_vectors == 1 and fd.signs.tolist() == [1] and fd.curvatures.shape == (0, 64)
+    assert not fd.completed_last
     assert np.max(frenet_residuals(c, fd)) < 1e-14
+    # an explicit size is built exactly: three vectors break down at w_2
+    with pytest.raises(NonGenericCurveError) as err:
+        frenet_apparatus(c, 3)
+    assert (err.value.index, err.value.sample) == (2, 0)
+
+
+def test_circle_in_four_space_sizes_its_frame_to_two_vectors():
+    # (0, cos u, sin u, 0) in E1^4: w_3, the third derivative less its V_1
+    # part, is zero at every sample, before the last vector
+    c = sample(CurveSpec.from_strings(("0", "cos(u)", "sin(u)", "0"), (0.0, 2.0 * math.pi), CLOSED, 64))
+    fd = frenet_apparatus(c)
+    assert fd.num_vectors == 2 and fd.signs.tolist() == [1, 1] and not fd.completed_last
+    assert fd.curvatures.shape == (1, 64)
+    assert np.max(np.abs(fd.curvatures[0] - 1.0)) < 1e-12
+    # the frame two vectors asked for gives, bit for bit
+    asked = frenet_apparatus(c, 2)
+    assert fd.frame.tobytes() == asked.frame.tobytes()
+    assert fd.curvatures.tobytes() == asked.curvatures.tobytes()
 
 
 def test_null_residual_is_non_generic():
@@ -182,7 +199,8 @@ def test_null_residual_is_non_generic():
     ))
     with pytest.raises(NonGenericCurveError) as err:
         frenet_apparatus(c)
-    assert err.value.index == 2
+    # w_2 is null at every sample but not zero: it does not end the frame
+    assert (err.value.index, err.value.sample) == (2, 0)
 
 
 def test_null_second_derivative_is_non_generic():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from curveflow import exprjet, verify
-from curveflow.curvekit import OPEN, CurveSpec, d_ds, d_du4, sample
+from curveflow.curvekit import CLOSED, OPEN, CurveSpec, d_ds, d_du4, sample
 from curveflow.errors import CurveFlowError, DomainError, InsufficientStates, NotInextensible
 from curveflow.flowsim import FlowSpec, arclength_drift, dv_dt_rhs, evolve, initial_state
 from curveflow.minkowski import dot_many
@@ -812,6 +812,49 @@ def test_residual_names_keep_their_order_for_every_frame_size(case):
             "k2_psi_metric", "k2_psi_classical",
             "k3_psi_metric", "k3_psi_classical",
         ]
+
+
+def _closed_flow_checks(components, speeds, samples, dt, steps):
+    """The initial state of an inextensible flow on a closed curve on [0, 2 pi]
+    that sizes its own frame, and the worst gated reading of each check."""
+    curve = sample(CurveSpec.from_strings(components, (0.0, 2.0 * np.pi), CLOSED, samples))
+    flow = FlowSpec.inextensible(speeds)
+    state = initial_state(curve, flow)
+    traj = evolve(state, flow, dt, steps)
+    worst = {}
+    for name, check in CHECKS.items():
+        rep = check(traj)
+        assert rep.passed, (name, samples, rep.residuals[-1])
+        worst[name] = max(rep.residuals[-1][g] for g in rep.gated)
+    return state, worst
+
+
+def test_circle_in_four_space_flows_on_its_two_vector_frame():
+    # (0, cos u, sin u, 0) in E1^4: the frame stops at V_2, the flow along it
+    # passes every check, and a flow along V_3 has no frame vector to follow
+    circle = ("0", "cos(u)", "sin(u)", "0")
+    state, _ = _closed_flow_checks(circle, ["sin(s)", "0", "0"], 64, 1e-3, 10)
+    assert state.frenet.num_vectors == 2
+    curve = sample(CurveSpec.from_strings(circle, (0.0, 2.0 * np.pi), CLOSED, 64))
+    with pytest.raises(CurveFlowError, match=r"flow drives frame direction 3\.\.4 but only 2"):
+        initial_state(curve, FlowSpec.inextensible(["sin(s)", "0.05", "0"]))
+
+
+W7 = ("0", "cos(u)", "sin(u)", "cos(2*u)/2", "sin(2*u)/2", "cos(3*u)/3", "sin(3*u)/3")
+
+
+def test_closed_w_curve_in_seven_space_converges_along_v3():
+    # n = 7: a completed timelike V_7 from cofactors (ROADMAP F18c). The
+    # W-curve has L = 2 sqrt(3) pi, so the speed along V_3 closes up; 10
+    # steps of dt = 1e-5 * 64 / N.  curvature_pde's worst reading measured
+    # 3.5e-3 at N = 64 and 1.2e-3 at N = 128.
+    worst = {}
+    for samples in (64, 128):
+        speeds = ["0", "0.05*sin(s/sqrt(3))", "0", "0", "0", "0"]
+        state, worst[samples] = _closed_flow_checks(W7, speeds, samples, 1e-5 * 64 / samples, 10)
+        assert state.frenet.signs.tolist() == [1, 1, 1, 1, 1, 1, -1]
+        assert state.frenet.completed_last
+    assert worst[64]["curvature_pde"] > 2.0 * worst[128]["curvature_pde"], worst
 
 
 def test_rows_reduce_as_a_loop_over_steps_and_names(helix_traj):

@@ -77,7 +77,6 @@ CIRCLE = "circle_inextensible_sine.json"
 HELIX = "timelike_helix_twist.json"
 # tests/test_verify.py's timelike-V4 curve (signs +, +, +, -) under its f2, f3, f4 flow
 TIMELIKE_V4 = {
-    "dimension": 4,  # read by the build_flow of trees from before n was the component count
     "curve": {"components": ["cosh(u)", "sinh(u)", "cos(2*u)", "sin(2*u)"], "domain": [0, 2], "samples": 64},
     "flow": {"mode": "inextensible", "speeds": ["0.1*sin(s)", "0.05*cos(s)", "0.05"]},
     "integrator": {"dt": 1e-3, "steps": 10},
