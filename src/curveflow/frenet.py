@@ -22,17 +22,26 @@ partial frame is non-null, the unit vector that orients the basis
 positively completes the frame (its last curvature is zero).  An earlier
 residual that is zero at every sample (a line, a circle in n >= 4) ends
 the frame before it.  Any other breakdown raises NonGenericCurveError.
+
+The completion is the vector of metric cofactors of the partial frame,
+formed by one Laplace expansion for every n (``_cofactor_plan``) from
+products and sums only: at n = 3 it is the written-out metric cross
+product, bit for bit, and at n = 2 the entries of V_1 swapped.  A
+projector completion, I - sum_j e_j V_j (g V_j)^T, costs less at large n
+but does not keep the n = 3 bits, so it is not used.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curvekit import SampledCurve, d_ds
 from .errors import NonGenericCurveError
-from .minkowski import dot_many, inner_many, metric_signs, self_products
+from .minkowski import dot_many, inner_many, self_products
 
 GENERIC_RTOL = 1e-7
 
@@ -149,22 +158,15 @@ def _complete_frame(partial: np.ndarray):
     sign of each vector is fixed by requiring a positively oriented basis.
     """
     m1, n, N = partial.shape
-    # Generalized cross product of the constraint rows g*V_j, since
-    # <V_j, z> = (g*V_j) . z (cofactor expansion).
-    if n == 3:
-        # np.cross of a = g*V_1 and b = g*V_2 written out.  g negates row 0,
-        # and negation is exact, so a_2 b_0 - a_0 b_2 = x_0 y_2 - x_2 y_0 and
-        # a_0 b_1 - a_1 b_0 = x_1 y_0 - x_0 y_1 bit for bit (x = V_1, y = V_2).
-        x, y = partial
-        z = np.empty((3, N))
-        for k, (i, j) in enumerate(((1, 2), (0, 2), (1, 0))):
-            np.subtract(x[i] * y[j], x[j] * y[i], out=z[k])
-    else:
-        rows = np.transpose(partial * metric_signs(n)[:, None], (2, 0, 1))  # (N, n-1, n)
-        z = np.empty((n, N))
-        for k in range(n):
-            minor = np.delete(rows, k, axis=2)
-            z[k] = (-1.0) ** k * np.linalg.det(minor)
+    # the cofactors z_k of the rows g*V_j, so <V_j, z> = 0: products and sums
+    levels, count = _cofactor_plan(n)
+    z, buffer = partial[0, ::-1], np.empty((count, N))
+    for r, (rows, level) in enumerate(levels, 1):
+        row, minors, z = partial[r], z, buffer[rows]
+        for out, (c, i, rest) in zip(z, level):
+            np.multiply(row[c], minors[i], out=out)
+            for op, c, i in rest:
+                op(out, row[c] * minors[i], out=out)
     q, euclid = self_products(z)
     size = np.abs(q)
     bad = size <= GENERIC_RTOL * np.maximum(1e-300, euclid)
@@ -175,7 +177,7 @@ def _complete_frame(partial: np.ndarray):
             index=n,
             sample=k,
         )
-    z /= np.sqrt(size)
+    z = z / np.sqrt(size)  # at n = 2, z is a view of V_1
     n_positive = np.count_nonzero(q > 0)
     if 0 < n_positive < N:
         k = _first_flip(q > 0)
@@ -189,6 +191,40 @@ def _complete_frame(partial: np.ndarray):
     if (n_positive > 0) == (n % 2 == 1):
         np.negative(z, out=z)
     return z, 1 if n_positive else -1
+
+
+@functools.cache
+def _cofactor_plan(n: int):
+    """The Laplace expansion of the n cofactors of n - 1 rows of length n,
+    as (levels, count).
+
+    Level 0's minors are the entries of row 0.  Level r, for r = 1..n-2,
+    expands every minor of rows 0..r over r + 1 columns along row r, into
+    the rows ``rows`` of one (count, N) buffer: a minor (c, i, rest) is
+    row[c] * minors[i], then op(out, row[c] * minors[i]) in place for each
+    (op, c, i) of rest, where ``minors`` are level r - 1's.  Each level,
+    level 0 too, lists its column sets in reverse lexicographic order, so
+    the last level's k-th set leaves out column k: its minors are the
+    cofactors z_k = (-1)^k det(g*V without column k), in the order of k.
+    g negates column 0, which every cofactor but z_0 holds once in each
+    term, so that sign and (-1)^k are folded into the term signs.  Every
+    sum starts with a positive term, so no product is negated.  At n = 3
+    this is z_k = x_i y_j - x_j y_i, the metric cross product of the rows x
+    and y; at n = 2 level 0 is the last, and z is row 0 reversed.
+    """
+    columns, levels, count = [(c,) for c in reversed(range(n))], [], 0
+    for r in range(1, n - 1):
+        below, columns = columns, list(itertools.combinations(range(n), r + 1))[::-1]
+        level = []
+        for k, cols in enumerate(columns):
+            # the sign of term 0: (-1)^r, at the last level times (-1)^k and g's -1
+            sign = (-1) ** (r + k) * (-1 if k else 1) if r == n - 2 else (-1) ** r
+            (_, c, i), *rest = sorted(  # (negative, column, minor below) per term t
+                (sign * (-1) ** t < 0, c, below.index(cols[:t] + cols[t + 1:])) for t, c in enumerate(cols))
+            level.append((c, i, tuple((np.subtract if neg else np.add, c, i) for neg, c, i in rest)))
+        levels.append((slice(count, count + len(level)), tuple(level)))
+        count += len(level)
+    return tuple(levels), count
 
 
 def _first_flip(positive: np.ndarray) -> int:

@@ -3,6 +3,7 @@ import math
 import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from curveflow.flowsim import (
 from curveflow.frenet import frenet_apparatus
 from conftest import catalog_curve, catalog_flow, package_calls, random_explicit_flow, run_flow
 from test_closed_form import CLIFFORD, CLIFFORD_F4
+from test_verify import W7, W7_V3_SPEEDS
 
 TWO_PI = 2.0 * math.pi
 
@@ -511,7 +513,8 @@ def test_evolve_recycles_stage_memory():
 STAGE_CALL_BUDGET = {
     "circle_inextensible_sine": (97, 66),
     "circle_rigid_rotation": (99, 87),
-    "clifford_e15": (198, 157),  # n = 5, explicit f4, a completed timelike V5
+    "clifford_e15": (174, 157),  # n = 5, explicit f4, a completed timelike V5
+    "w7_v3": (202, 151),  # n = 7, inextensible f3, a completed timelike V7
 }
 
 
@@ -519,6 +522,9 @@ def _stage_initial_state(case):
     if case == "clifford_e15":
         curve = sample(CurveSpec.from_strings(CLIFFORD, (0.0, TWO_PI), CLOSED, 64))
         flow = FlowSpec.explicit(["0", "0", "0", CLIFFORD_F4, "0"])
+    elif case == "w7_v3":
+        curve = sample(CurveSpec.from_strings(W7, (0.0, TWO_PI), CLOSED, 64))
+        flow = FlowSpec.inextensible(W7_V3_SPEEDS)
     else:
         curve, flow = sample(catalog_curve("circle", 256)), catalog_flow(case.removeprefix("circle_"), 3)
     return initial_state(curve, flow), flow
@@ -536,6 +542,19 @@ def test_stage_rebuild_stays_within_its_calls(case):
     counts = package_calls(stage)
     budget = STAGE_CALL_BUDGET[case]
     assert counts[0] <= budget[0] and counts[1] <= budget[1], (case, counts)
+
+
+def test_call_counter_imports_no_curveflow():
+    # tools/ab_pairs.py counts the calls of two trees, each imported under a
+    # name of its own, with this counter: from a checkout, no curveflow need
+    # be importable
+    code = (
+        f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); import callcount; "
+        "print(sorted(name for name in sys.modules if name.partition('.')[0] == 'curveflow'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_evolve_argument_validation(circle_256):

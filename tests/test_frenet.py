@@ -242,7 +242,7 @@ def test_hyperplane_curve_in_four_space_completes_positively():
     assert np.max(np.abs(fd.curvatures[2])) == 0.0
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_completion_is_positively_oriented_on_random_partial_frames(n):
     # The completion picks its orientation from the sign identity
     # det[V_1..V_{n-1}, z] = (-1)^n <z, z>; np.linalg.det is the oracle.
@@ -261,6 +261,53 @@ def test_completion_is_positively_oriented_on_random_partial_frames(n):
         assert abs(abs(q) - 1.0) < 1e-9
         checked += 1
     assert checked > 140
+
+
+def _det_cofactors(partial):
+    """z_k = (-1)^k det(g*V without column k) of an (n-1, n, N) partial
+    frame, by LU (np.linalg.det): a reference that shares no code with the
+    completion's Laplace expansion."""
+    n = partial.shape[1]
+    rows = np.transpose(partial * np.r_[-1.0, np.ones(n - 1)][:, None], (2, 0, 1))
+    return np.stack([(-1.0) ** k * np.linalg.det(np.delete(rows, k, axis=2)) for k in range(n)])
+
+
+@pytest.mark.parametrize("n", [2, 4, 5, 6, 7, 8])
+def test_completion_is_the_determinant_cofactor_vector(n):
+    # n = 3 is pinned bit for bit to the cross product below.  Elsewhere the
+    # completion has the direction of the LU cofactors to 1e-14 relative
+    # (each scaled to Euclidean length 1, which the metric normalization,
+    # ill-conditioned near the light cone, does not enter) and the
+    # orientation the determinant of the basis gives them.
+    rng = np.random.default_rng(60 + n)
+    checked = 0
+    for _ in range(100):
+        partial = rng.standard_normal((n - 1, n, 1))
+        try:
+            z, _ = _complete_frame(partial)
+        except NonGenericCurveError:
+            continue
+        ref = _det_cofactors(partial)
+        if np.linalg.det(np.concatenate([partial[:, :, 0], ref.T])) < 0:
+            ref = -ref
+        assert np.max(np.abs(z / np.linalg.norm(z) - ref / np.linalg.norm(ref))) <= 1e-14
+        checked += 1
+    assert checked > 90
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_completion_of_a_hyperplane_frame_is_its_axis_exactly(n):
+    # rows with a zero column j: every cofactor but z_j multiplies or adds
+    # only zeros, so it reads 0.0 exactly, and the completion is +-E_j
+    rng = np.random.default_rng(80 + n)
+    for j in range(n):
+        partial = rng.standard_normal((n - 1, n, 16))
+        partial[:, j] = 0.0
+        z, sign = _complete_frame(partial)
+        assert np.all(np.delete(z, j, axis=0) == 0.0)
+        assert np.all(np.abs(z[j]) == 1.0)
+        assert sign == (-1 if j == 0 else 1)
+        assert np.all(np.linalg.det(np.concatenate([partial, z[None]]).transpose(2, 0, 1)) > 0)
 
 
 def _gram_schmidt_reference(c, m):
@@ -441,29 +488,33 @@ def test_small_residual_is_named_before_a_sign_flip():
     assert "vanishes or is null" in str(err)
 
 
-def partial_frames(*pairs):
-    """(2, 3, N) partial frames: sample k holds ``pairs[k]``."""
-    return np.stack([np.stack(pair) for pair in pairs], axis=-1)
+def partial_frames(n, *pairs):
+    """(n-1, n, N) partial frames: sample k holds ``pairs[k]``, two vectors
+    of E1^3 taken into E1^n, and the unit vectors E3..E_{n-1}."""
+    rest = list(np.eye(n)[3:])
+    return np.stack([np.stack([np.r_[v, np.zeros(n - 3)] for v in pair] + rest) for pair in pairs], axis=-1)
 
 
 def test_completion_rejects_a_null_complement():
     # The plane of E1 and the null E0 + E2 is degenerate; its metric
-    # complement E0 + E2 is null.
-    partial = partial_frames(*[(E1, E2)] * 5, (E1, E0 + E2), (E1, E2))
-    with pytest.raises(NonGenericCurveError) as err:
-        _complete_frame(partial)
-    assert (err.value.index, err.value.sample) == (3, 5)
-    assert "null" in str(err.value)
+    # complement E0 + E2 is null, in E1^5 beside E3 and E4 too.
+    for n in (3, 5):
+        partial = partial_frames(n, *[(E1, E2)] * 5, (E1, E0 + E2), (E1, E2))
+        with pytest.raises(NonGenericCurveError) as err:
+            _complete_frame(partial)
+        assert (err.value.index, err.value.sample) == (n, 5)
+        assert "null" in str(err.value)
 
 
 def test_completion_sign_flip_names_its_sample():
     # The complement of (E0, E2) is the spacelike E1, that of (E1, E2) the
-    # timelike E0.
-    partial = partial_frames(*[(E0, E2)] * 4, *[(E1, E2)] * 3)
-    with pytest.raises(NonGenericCurveError) as err:
-        _complete_frame(partial)
-    assert (err.value.index, err.value.sample) == (3, 4)
-    assert "completion flips" in str(err.value)
+    # timelike E0, in E1^3 and in E1^5.
+    for n in (3, 5):
+        partial = partial_frames(n, *[(E0, E2)] * 4, *[(E1, E2)] * 3)
+        with pytest.raises(NonGenericCurveError) as err:
+            _complete_frame(partial)
+        assert (err.value.index, err.value.sample) == (n, 4)
+        assert "completion flips" in str(err.value)
 
 
 def _two_time_inner(X, Y):

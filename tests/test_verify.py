@@ -841,6 +841,8 @@ def test_circle_in_four_space_flows_on_its_two_vector_frame():
 
 
 W7 = ("0", "cos(u)", "sin(u)", "cos(2*u)/2", "sin(2*u)/2", "cos(3*u)/3", "sin(3*u)/3")
+# f2..f7 along V3: the W-curve has L = 2 sqrt(3) pi, so the speed closes up
+W7_V3_SPEEDS = ["0", "0.05*sin(s/sqrt(3))", "0", "0", "0", "0"]
 
 
 def test_closed_w_curve_in_seven_space_converges_along_v3():
@@ -850,11 +852,25 @@ def test_closed_w_curve_in_seven_space_converges_along_v3():
     # 3.5e-3 at N = 64 and 1.2e-3 at N = 128.
     worst = {}
     for samples in (64, 128):
-        speeds = ["0", "0.05*sin(s/sqrt(3))", "0", "0", "0", "0"]
-        state, worst[samples] = _closed_flow_checks(W7, speeds, samples, 1e-5 * 64 / samples, 10)
+        state, worst[samples] = _closed_flow_checks(W7, W7_V3_SPEEDS, samples, 1e-5 * 64 / samples, 10)
         assert state.frenet.signs.tolist() == [1, 1, 1, 1, 1, 1, -1]
         assert state.frenet.completed_last
     assert worst[64]["curvature_pde"] > 2.0 * worst[128]["curvature_pde"], worst
+
+
+def test_w7_flow_blocks_of_states_give_the_reports_of_single_states(monkeypatch):
+    # the n = 7 frame, its completed timelike V7 included, through every
+    # check's block paths against blocks of one state: 11 walked states, a
+    # full block of 8 and a partial one
+    curve = sample(CurveSpec.from_strings(W7, (0.0, 2.0 * np.pi), CLOSED, 64))
+    flow = FlowSpec.inextensible(W7_V3_SPEEDS)
+    traj = evolve(initial_state(curve, flow), flow, 1e-5, 12)
+    reports = []
+    for blocks in (verify.BLOCK_STATES, 1):
+        monkeypatch.setattr(verify, "BLOCK_STATES", blocks)
+        reports.append([json.dumps(check(traj).to_json_dict()) for check in CHECKS.values()])
+    assert reports[0] == reports[1]
+    assert all(json.loads(text)["pass"] for text in reports[0])
 
 
 def test_rows_reduce_as_a_loop_over_steps_and_names(helix_traj):

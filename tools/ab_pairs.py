@@ -48,12 +48,12 @@ median CPU seconds of that check over both trajectories.  For ``evolve`` it
 prints the MiB of the distinct arrays each side's trajectory keeps, the
 figure perfbench reports as ``flowsim.trajectory_mb``.  Beside the times it
 prints each side's Python-level and C-level calls made by the tree's own
-code, counted after warm-up as ``tests/conftest.py``'s ``package_calls``
-counts them (so ``pytest`` and a ``curveflow`` must be importable): per
-check over one ``verify`` operation, and for ``evolve`` per RK stage
-rebuild (``_build_state`` of ``SampledCurve.from_points``) of the circle's
-initial state.  Counts are deterministic, so they show a change of a few
-calls that the times cannot resolve.
+code, counted after warm-up by ``tests/callcount.py``'s ``package_calls``,
+the count the tests' call budgets pin: per check over one ``verify``
+operation, and for ``evolve`` per RK stage rebuild (``_build_state`` of
+``SampledCurve.from_points``) of the circle's initial state.  Counts are
+deterministic, so they show a change of a few calls that the times cannot
+resolve.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
-from conftest import package_calls  # the count the tests' call budgets pin
+from callcount import package_calls  # the count the tests' call budgets pin
 from tracing import trajectory_bytes  # the count behind perfbench's flowsim.trajectory_mb
 
 CIRCLE = "circle_inextensible_sine.json"
