@@ -218,10 +218,10 @@ def _check_seam(flow: FlowSpec, curve: SampledCurve) -> None:
                 )
 
 
-def execute(doc: dict, samples: int | None = None) -> tuple[Trajectory, list[VerificationReport]]:
-    """Evolve a scenario (optionally at an overridden sample count) by its
-    integrator.dt and steps, and run its checks."""
-    spec = build_curve_spec(doc, samples)
+def execute(doc: dict) -> tuple[Trajectory, list[VerificationReport]]:
+    """Evolve a scenario at its curve.samples by its integrator.dt and
+    steps, and run its checks."""
+    spec = build_curve_spec(doc)
     flow = build_flow(doc)
     integ = doc["integrator"]
     curve = sample(spec)
@@ -400,13 +400,14 @@ def cmd_convergence(args) -> int:
     doc = load_scenario(args.scenario)
     if not doc.get("checks"):
         raise ConfigError("scenario requests no checks")
-    integ = doc["integrator"]
+    curve, integ = doc["curve"], doc["integrator"]
     base_n = build_curve_spec(doc).samples
 
     per_level = []
     for l in range(args.levels):  # level l: 2**l times the samples and steps, dt / 2**l
-        level = {**integ, "dt": integ["dt"] / 2**l, "steps": integ["steps"] * 2**l}
-        per_level.append(execute({**doc, "integrator": level}, samples=base_n * 2**l)[1])
+        level = {"curve": {**curve, "samples": base_n * 2**l},
+                 "integrator": {**integ, "dt": integ["dt"] / 2**l, "steps": integ["steps"] * 2**l}}
+        per_level.append(execute({**doc, **level})[1])
     merged = [
         merge_reports([per_level[l][i] for l in range(args.levels)])
         for i in range(len(per_level[0]))

@@ -139,19 +139,21 @@ def k1_terms(fd: FrenetData) -> tuple[float, np.ndarray | None]:
     return float(fd.signs[0] * fd.signs[1]), fd.curvatures[0]
 
 
-def stacked_k1_terms(fds: list[FrenetData]) -> tuple[np.ndarray, np.ndarray | None]:
-    """``k1_terms`` of frames with one vector count: each frame's e0 e1 as a
-    (b, 1) column and its k_1 as a row of a (b, N) stack, or None."""
-    if fds[0].num_vectors < 2:
-        return np.ones((len(fds), 1)), None
-    e0e1 = np.array([[float(fd.signs[0] * fd.signs[1])] for fd in fds])
-    return e0e1, np.array([fd.curvatures[0] for fd in fds])
+def stacked_rule_terms(states: list[SimState]) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The e0 e1, f_2 and k_1 arguments of the rules below, stacked over states
+    of one frame size: e0 e1 as a (b, 1) column, f_2 and k_1 as (b, N) rows,
+    k_1 None with one frame vector, as in ``k1_terms``."""
+    f2 = np.array([st.f_values[1] for st in states])
+    if states[0].frenet.num_vectors < 2:
+        return np.ones((len(states), 1)), f2, None
+    e0e1 = np.array([[float(st.frenet.signs[0] * st.frenet.signs[1])] for st in states])
+    return e0e1, f2, np.array([st.frenet.curvatures[0] for st in states])
 
 
 def inextensibility_rhs(e0e1: float, f2: np.ndarray, k1: np.ndarray | None) -> np.ndarray:
     """The constraint right-hand side e0 e1 f_2 k_1, as (e0e1 * f_2) * k_1, on
-    (N,) or (b, N) rows; e0e1 is a float or a (b, 1) column.  Zero rows
-    without k_1 (None)."""
+    (N,) or (b, N) rows, e0e1 a float or a (b, 1) column; zero rows without
+    k_1 (None).  The package's one copy of the product: see ``speed_rate``."""
     if k1 is None:
         return np.zeros(f2.shape)
     return e0e1 * f2 * k1
@@ -183,7 +185,7 @@ def evaluate_speeds(
         f1_s = inextensibility_rhs(e0e1, f[1], k1)
         f[0] = solve_inextensible_f1(c, f1_s)
     m = fd.num_vectors
-    if m < n and np.abs(f[m:]).max() > 0.0:
+    if m < n and f[m:].any():  # a NaN is nonzero too
         raise CurveFlowError(
             f"flow drives frame direction {m + 1}..{n} but only {m} frame vectors exist"
         )
@@ -205,13 +207,10 @@ def velocity(state: SimState) -> np.ndarray:
 def speed_rate(
     v: np.ndarray, f1_s: np.ndarray, e0e1: float, f2: np.ndarray, k1: np.ndarray | None
 ) -> np.ndarray:
-    """``dv_dt_rhs``'s rule v f1_s - e0 e1 f2 v k1 (f1_s = df1/ds), as
-    v * f1_s - ((e0e1 * f2) * v) * k1 on (N,) or (b, N) rows; v * f1_s
-    without k_1 (None).  Its product is not ``inextensibility_rhs``'s bit
-    for bit: it multiplies by v before k_1."""
-    if k1 is None:
-        return v * f1_s
-    return v * f1_s - e0e1 * f2 * v * k1
+    """``dv_dt_rhs``'s rule v f1_s - e0 e1 f2 v k1 (f1_s = df1/ds) on (N,) or
+    (b, N) rows, as v * f1_s minus ``inextensibility_rhs`` of f_2 v: e0e1 is
+    +-1, so scaling by it first is exact, and x - (+0.0) is x without k_1."""
+    return v * f1_s - inextensibility_rhs(e0e1, f2 * v, k1)
 
 
 def dv_dt_rhs(state: SimState) -> np.ndarray:

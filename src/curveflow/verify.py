@@ -14,8 +14,9 @@ states just before and after it, and their aligned frames; the central
 time difference ``fdot(r)`` and the psi entries (``psi``, ``psi_at``) at its
 state r, the only work done per state; the speed jets, one ``eval_jet`` per
 speed on the (b, N) arclength grids with a (b, 1) column of times; and the
-padded k, f and jet rows (``rows``), which flowsim's rules and this
-module's right-hand sides take as (b, N) rows unedited.  This is the one
+padded k, f and jet rows (``rows``), which this module's right-hand sides
+take as (b, N) rows unedited, as flowsim's rules (the one e0 e1 f2 k1
+product) take the rows of ``flowsim.stacked_rule_terms``.  This is the one
 path at every N, also past N = 512, where the stacked copies cost more
 than the calls they save (``tools/ab_pairs.py --op verify``: +4.8% at
 N = 4096 against per-state flip tests, gaps and speed rows).  Every element
@@ -69,13 +70,7 @@ import numpy as np
 from . import exprjet
 from .curvekit import d_du, d_du4
 from .errors import ConfigError, CurveFlowError, DomainError, InsufficientStates, NotInextensible
-from .flowsim import (
-    Trajectory,
-    arclength_drift,
-    inextensibility_rhs,
-    speed_rate,
-    stacked_k1_terms,
-)
+from .flowsim import Trajectory, arclength_drift, inextensibility_rhs, speed_rate, stacked_rule_terms
 from .minkowski import dot_many, inner_many, row_sum
 
 RESIDUAL_FLOOR = 1e-12
@@ -403,16 +398,9 @@ def _pointwise_violation(traj: Trajectory) -> float:
         block = traj.states[lo : lo + BLOCK_STATES]
         f1 = np.array([st.f_values[0] for st in block])
         gap = d_du4(f1, first.h, first.closed) / np.array([st.curve.speeds for st in block])
-        gap -= inextensibility_rhs(*_rule_rows(block))
+        gap -= inextensibility_rhs(*stacked_rule_terms(block))
         rows.fold(gap[:, None], _interior(first))
     return rows.maxima()["pointwise"]
-
-
-def _rule_rows(states) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The e0 e1, f_2 and k_1 arguments of flowsim's rules for a list of
-    states, stacked: each state's own e0 e1 and (b, N) rows."""
-    e0e1, k1 = stacked_k1_terms([st.frenet for st in states])
-    return e0e1, np.array([st.f_values[1] for st in states]), k1
 
 
 def _require_inextensible(traj: Trajectory) -> float:
@@ -471,7 +459,7 @@ def check_speed_evolution(traj: Trajectory, tolerance: float | None = None) -> V
 
     def block(w, buf):
         v, f1_s = np.array([st.curve.speeds for st in w.states]), np.array([st.f1_s for st in w.states[1:-1]])
-        vdot, rhs = w.central(v[2:], v[:-2]), speed_rate(v[1:-1], f1_s, *_rule_rows(w.states[1:-1]))
+        vdot, rhs = w.central(v[2:], v[:-2]), speed_rate(v[1:-1], f1_s, *stacked_rule_terms(w.states[1:-1]))
         np.subtract(vdot, rhs, out=buf[:, metric])
         if classical != metric:
             np.subtract(vdot, e[0] * rhs, out=buf[:, classical])

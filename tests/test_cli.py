@@ -371,6 +371,23 @@ def test_stage_failure_keeps_partial_timeseries(tmp_path, capsys, scenario, spee
     assert [line.split(",")[:2] for line in lines[1:]] == rows
 
 
+def test_a_nan_speed_along_a_missing_frame_direction_is_a_numerical_breakdown(tmp_path, capsys):
+    # 0 * exp(1000 s) turns NaN where exp overflows, along V_2, which the
+    # line does not have: the run stops before it evolves, not with NaN
+    # frames and every check passing.  The suite turns a RuntimeWarning into
+    # an error, and the speed's overflow warns.
+    doc = scenario_doc("line_translate.json")
+    doc["flow"]["speeds"] = ["1", "0*exp(1000*s)", "0"]
+    doc["output"] = {"frames_at": [0]}
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "o")])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical breakdown: flow drives frame direction 2..3 but only 1 frame vectors exist\n"
+    )
+    assert not (tmp_path / "o" / "frames_0.json").exists()
+
+
 def test_frames_dump(tmp_path):
     doc = scenario_doc("circle_zero_flow.json")
     doc["output"] = {"frames_at": [0, 8]}

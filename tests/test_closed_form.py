@@ -77,7 +77,8 @@ F1_BOUND = {128: 6.9e-7, 256: 4.3e-8}
 def _evolve(name, samples):
     doc = json.loads(bundled_scenario_path(name).read_text())
     doc["checks"] = []
-    return execute(doc, samples=samples)[0]
+    doc["curve"]["samples"] = samples
+    return execute(doc)[0]
 
 
 def _rotation_errors(traj):

@@ -28,6 +28,7 @@ from curveflow.flowsim import (
     inextensibility_rhs,
     initial_state,
     solve_inextensible_f1,
+    speed_rate,
     velocity,
 )
 from curveflow.frenet import frenet_apparatus
@@ -138,6 +139,48 @@ def test_dv_dt_rhs_examples(circle_256):
     zero = catalog_flow("zero", 3)
     st3 = initial_state(circle_256, zero)
     assert np.max(np.abs(dv_dt_rhs(st3))) == 0.0
+
+
+def _wide_values(rng, shape):
+    """Doubles of every exponent, subnormals included, with +-0, +-inf and
+    NaNs of both signs planted at random samples."""
+    x = np.ldexp(rng.uniform(-1.0, 1.0, shape), rng.integers(-1080, 1025, shape))
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, np.inf, -np.inf, np.nan, -np.nan])
+    plant = rng.random(shape) < 0.05
+    x[plant] = rng.choice(special, int(plant.sum()))
+    return x
+
+
+@pytest.mark.parametrize("e0e1", [1.0, -1.0, "column"])
+def test_speed_rate_folds_the_inextensibility_product_bit_for_bit(e0e1):
+    # e0e1 is exactly +-1, so (e0e1 f2) v is e0e1 (f2 v) to the bit, NaN
+    # payloads and signed zeros included: speed_rate's f2 v k1 term is
+    # inextensibility_rhs of f2 v, and without k1 it is v f1_s itself
+    rng = np.random.default_rng(7)
+    v, f1_s, f2, k1 = (_wide_values(rng, (5, 4000)) for _ in range(4))
+    if e0e1 == "column":  # a block's per-state signs
+        e0e1 = rng.choice([-1.0, 1.0], (5, 1))
+    else:
+        v, f1_s, f2, k1 = v.ravel(), f1_s.ravel(), f2.ravel(), k1.ravel()
+    with np.errstate(all="ignore"):
+        folded = inextensibility_rhs(e0e1, f2 * v, k1)
+        assert np.array_equal(folded.view(np.uint64), (e0e1 * f2 * v * k1).view(np.uint64))
+        rate = speed_rate(v, f1_s, e0e1, f2, k1)
+        assert np.array_equal(rate.view(np.uint64), (v * f1_s - e0e1 * f2 * v * k1).view(np.uint64))
+        assert np.array_equal(speed_rate(v, f1_s, e0e1, f2, None).view(np.uint64), (v * f1_s).view(np.uint64))
+
+
+def test_dv_dt_rhs_on_a_timelike_frame_is_the_rule_written_out():
+    # the timelike helix has e0 e1 = -1; an explicit flow keeps the rate
+    # away from zero, so the sign of its f2 v k1 term shows
+    st = initial_state(sample(catalog_curve("timelike_helix", 128)), FlowSpec.explicit(["s", "cos(s)", "0.5"]))
+    signs, k1 = st.frenet.signs, st.frenet.curvatures[0]
+    e0e1, v, f2 = float(signs[0] * signs[1]), st.curve.speeds, st.f_values[1]
+    assert e0e1 == -1.0
+    expected = v * st.f1_s - e0e1 * f2 * v * k1  # ((e0 e1 f2) v) k1, as the rule was formed
+    rate = dv_dt_rhs(st)
+    assert np.array_equal(rate.view(np.uint64), expected.view(np.uint64))
+    assert np.max(np.abs(rate - v * st.f1_s)) > 0.1
 
 
 def test_velocity_is_frame_combination(circle_256):

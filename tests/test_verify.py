@@ -615,12 +615,12 @@ def test_check_memory_does_not_grow_with_trajectory_length():
 
 # Upper bounds on package_calls of each window check over the 59 walked
 # states of the 61-state circle at N=64: this code's counts (per state:
-# 3.05 and 3.25, 6.58 and 6.58, 15.64 and 18.36, 14.63 and 13.63).
+# 2.92 and 3.25, 6.58 and 6.58, 15.37 and 18.36, 14.36 and 13.63).
 CALL_BUDGET = {
-    "speed_evolution": (180, 192),
+    "speed_evolution": (172, 192),
     "psi_antisymmetry": (388, 388),
-    "frame_evolution": (923, 1083),
-    "curvature_pde": (863, 804),
+    "frame_evolution": (907, 1083),
+    "curvature_pde": (847, 804),
 }
 
 
@@ -871,6 +871,35 @@ def test_w7_flow_blocks_of_states_give_the_reports_of_single_states(monkeypatch)
         reports.append([json.dumps(check(traj).to_json_dict()) for check in CHECKS.values()])
     assert reports[0] == reports[1]
     assert all(json.loads(text)["pass"] for text in reports[0])
+
+
+# F18b's open curve in E1^6, with a timelike tangent and a six-vector frame,
+# under f2 = 0.05: 40 steps of dt = 1e-4 at N = 128
+X6 = ("2*u", "cos(u)", "sin(u)", "cos(2*u)/2", "sin(2*u)/2", "u^2/4")
+
+
+@pytest.fixture(scope="module")
+def x6_traj():
+    curve = sample(CurveSpec.from_strings(X6, (0.2, 1.8), OPEN, 128))
+    flow = FlowSpec.inextensible(["0.05", "0", "0", "0", "0"])
+    state = initial_state(curve, flow)
+    assert state.frenet.signs.tolist() == [-1, 1, 1, 1, 1, 1] and not state.frenet.completed_last
+    return evolve(state, flow, 1e-4, 40)
+
+
+@pytest.mark.parametrize("name", [
+    *(name for name in CHECKS if name != "curvature_pde"),
+    pytest.param("curvature_pde", marks=pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 2: the 8-sample open margin keeps the one-sided closures' boundary layer "
+        "(F18b); k4_psi_metric reads 0.508 and k5_psi_metric 0.596, and with a margin of N/4 the check "
+        "passes (6.4e-5 and 3.0e-4)",
+    )),
+])
+def test_open_curve_in_six_space_passes_each_check(x6_traj, name):
+    rep = run_check(name, x6_traj)
+    assert rep.passed, rep.residuals[-1]
 
 
 def test_rows_reduce_as_a_loop_over_steps_and_names(helix_traj):

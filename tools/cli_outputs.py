@@ -8,7 +8,8 @@ subdirectory ``<out_dir>/<command>/<scenario stem>/``, and ``list-catalog``
 into ``<out_dir>/list-catalog/``.  Each failing command of ``ERRORS`` runs
 on an edited copy of a bundled scenario into ``<out_dir>/errors/<case>/``,
 and ``run`` and ``frenet`` run on the n = 4 copy ``V4_EDITS`` into
-``<out_dir>/<command>/timelike_v4/``.
+``<out_dir>/<command>/timelike_v4/`` and on the n = 5 copy ``W5_EDITS``
+into ``<out_dir>/<command>/w5_v3/``.
 Beside the files the command writes go its ``stdout.txt``, ``stderr.txt``
 and ``exit_code.txt``, and beside each ``frenet.json``, which keeps only
 their maximum, the per-sample ``frenet_residuals`` as exact text
@@ -62,6 +63,18 @@ V4_EDITS = {
     ("flow",): TIMELIKE_V4["flow"],
     ("integrator",): TIMELIKE_V4["integrator"],
     ("output",): {"frames_at": [0, TIMELIKE_V4["integrator"]["steps"]]},
+}
+
+# The closed W-curve in E1^5 (L = 2 sqrt(2) pi) under a periodic speed along
+# V_3, its frames dumped at the first and last step: a frame whose timelike
+# V_5 is completed from the metric cofactors, which no other case writes.
+W5_EDITS = {
+    ("name",): "w5_v3",
+    ("curve",): {"components": ["0", "cos(u)", "sin(u)", "cos(2*u)/2", "sin(2*u)/2"],
+                 "domain": [0, "2*pi"], "topology": "closed", "samples": 64},
+    ("flow",): {"mode": "inextensible", "speeds": ["0", "0.05*sin(s/sqrt(2))", "0", "0"]},
+    ("integrator",): {"dt": 1e-4, "steps": 10},
+    ("output",): {"frames_at": [0, 10]},
 }
 
 
@@ -127,10 +140,12 @@ def write_all(root: Path) -> None:
             path.write_text(json.dumps(edited_scenario(scenario, edits)), encoding="utf-8")
             return path
 
-        path = edited("timelike_v4", "timelike_helix_twist.json", V4_EDITS)
-        for command in ("run", "frenet"):
-            code = record(command, path, [], root / command / "timelike_v4")
-            print(command, "timelike_v4", f"exit {code}")
+        for case, scenario, edits in (("timelike_v4", "timelike_helix_twist.json", V4_EDITS),
+                                      ("w5_v3", "circle_inextensible_sine.json", W5_EDITS)):
+            path = edited(case, scenario, edits)
+            for command in ("run", "frenet"):
+                code = record(command, path, [], root / command / case)
+                print(command, case, f"exit {code}")
         for case, command, scenario, edits in ERRORS:
             code = record(command, edited(case, scenario, edits), [], root / "errors" / case)
             print("errors", case, command, f"exit {code}")
