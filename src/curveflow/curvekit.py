@@ -12,7 +12,7 @@ sample axis last, and a scalar grid function is (N,).
 Derivatives with respect to arclength s use d/ds = (1/v) d/du with
 second-order central differences along the sample axis, wrapping
 periodically for closed curves and falling back to one-sided second-order
-stencils at open endpoints.
+stencils at open endpoints.  A closed curve closes up at its seam (``seam_mismatch``).
 
 The stencils run on the flat C-contiguous buffer of a stack of rows: one
 ufunc pass over ``f.reshape(-1)`` forms the central differences of every
@@ -51,11 +51,22 @@ MIN_SAMPLES = 16
 
 
 def ends_differ(a: float, b: float) -> bool:
-    """Whether a value at a closed curve's two ends (a component's, a speed's)
-    fails to meet: the gap exceeds ENDPOINT_MATCH_TOL relative to
-    max(1, |a|, |b|), or is infinite (one end overflowed, which reads inf > inf)."""
+    """Whether a value at a closed curve's two ends fails to meet: the gap is
+    not finite (an end overflowed or is NaN), or exceeds ENDPOINT_MATCH_TOL * max(1, |a|, |b|)."""
     gap = abs(a - b)
-    return gap > ENDPOINT_MATCH_TOL * max(1.0, abs(a), abs(b)) or math.isinf(gap)
+    return not math.isfinite(gap) or gap > ENDPOINT_MATCH_TOL * max(1.0, abs(a), abs(b))
+
+
+def seam_mismatch(expr: Expr, var: str, ends, order: int, env: dict | None = None):
+    """(m, a, b) for the lowest derivative order m <= ``order`` whose values a, b
+    of ``expr`` in ``var`` at a closed curve's two ``ends`` differ; None if all meet."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite end differs
+        jet = exprjet.eval_jet(expr, var, np.array(ends, dtype=float), order, env)
+        for m in range(order + 1):
+            a, b = np.broadcast_to(jet.derivative(m), (2,)).tolist()
+            if ends_differ(a, b):
+                return m, a, b
+    return None
 
 
 @dataclass(frozen=True)
@@ -90,16 +101,13 @@ class CurveSpec:
             extra = exprjet.variables(c) - {"u"}
             if extra:
                 raise ValueError(f"curve components may only use 'u', found {sorted(extra)}")
-        if self.topology == CLOSED:
-            with np.errstate(over="ignore", invalid="ignore"):  # ``sample`` names them
-                for j, c in enumerate(self.components):
-                    a = exprjet.eval_scalar(c, u=u0)
-                    b = exprjet.eval_scalar(c, u=u1)
-                    if ends_differ(a, b):
-                        raise ValueError(
-                            f"closed curve component {j + 1} does not match at the endpoints "
-                            f"({a!r} vs {b!r})"
-                        )
+        for j, c in enumerate(self.components if self.topology == CLOSED else ()):
+            if mismatch := seam_mismatch(c, "u", self.domain, self.dimension):  # the orders ``sample`` takes
+                order, a, b = mismatch
+                raise ValueError(
+                    f"closed curve component {j + 1} does not close up: its u-derivative "
+                    f"of order {order} is {a!r} at u = {u0!r} and {b!r} at u = {u1!r}"
+                )
 
 
 @dataclass(frozen=True)

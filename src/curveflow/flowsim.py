@@ -186,8 +186,10 @@ def evaluate_speeds(
         f[0] = solve_inextensible_f1(c, f1_s)
     m = fd.num_vectors
     if m < n and f[m:].any():  # a NaN is nonzero too
+        i, k = np.argwhere(f[m:])[0] + (m, 0)
         raise CurveFlowError(
-            f"flow drives frame direction {m + 1}..{n} but only {m} frame vectors exist"
+            f"flow drives frame direction {m + 1}..{n} but only {m} frame vectors exist: "
+            f"speed f{i + 1} is {float(f[i, k])!r} at sample {k} (s={c.s[k]:.6g})"
         )
     return f, f1_s
 

@@ -29,8 +29,9 @@ from curveflow.cli import (
     load_scenario,
     main,
 )
-from curveflow.curvekit import SampledCurve, sample
+from curveflow.curvekit import SampledCurve, sample, seam_mismatch
 from curveflow.errors import ConfigError, FrameBreakdown, NullCurveError
+from curveflow.exprjet import parse
 from curveflow.flowsim import FlowSpec, evolve, initial_state
 
 
@@ -351,7 +352,8 @@ def test_frame_breakdown_in_evolve_keeps_time_and_partial_timeseries(tmp_path, c
          "sqrt of a negative value in jet arithmetic (at t=0.0025)",
          [["0", "0"], ["1", "0.001"], ["2", "0.002"]]),
         ("line_translate.json", ["1", "0", "0.1*t"], {"dt": 1e-3, "steps": 3},
-         "flow drives frame direction 2..3 but only 1 frame vectors exist (at t=0.0005)",
+         "flow drives frame direction 2..3 but only 1 frame vectors exist: speed f3 is 5e-05 "
+         "at sample 0 (s=0) (at t=0.0005)",
          [["0", "0"]]),
     ],
     ids=["speed_domain", "missing_frame_direction"],
@@ -375,15 +377,15 @@ def test_a_nan_speed_along_a_missing_frame_direction_is_a_numerical_breakdown(tm
     # 0 * exp(1000 s) turns NaN where exp overflows, along V_2, which the
     # line does not have: the run stops before it evolves, not with NaN
     # frames and every check passing.  The suite turns a RuntimeWarning into
-    # an error, and the speed's overflow warns.
+    # an error, so this also shows the overflow prints no numpy warning.
     doc = scenario_doc("line_translate.json")
     doc["flow"]["speeds"] = ["1", "0*exp(1000*s)", "0"]
     doc["output"] = {"frames_at": [0]}
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "o")])
+    code = main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "o")])
     assert code == EXIT_NUMERICAL
     assert capsys.readouterr().err == (
-        "numerical breakdown: flow drives frame direction 2..3 but only 1 frame vectors exist\n"
+        "numerical breakdown: flow drives frame direction 2..3 but only 1 frame vectors exist: "
+        "speed f2 is nan at sample 45 (s=0.714286)\n"
     )
     assert not (tmp_path / "o" / "frames_0.json").exists()
 
@@ -612,7 +614,11 @@ W5 = ["0", "cos(u)", "sin(u)", "cos(2*u)/2", "sin(2*u)/2"]
      "config error: flow.speeds: speed f3 does not close up on the closed curve: its s-derivative "
      "of order 0 is 0.0 at s = 0 and 0.0256644198578"),
     ("0.05*sin(s/sqrt(2))", EXIT_OK, ""),
-], ids=["seam", "periodic"])
+    # exp overflows at s = L only: a NaN end does not close up
+    ("0*exp(1000*s)", EXIT_CONFIG,
+     "config error: flow.speeds: speed f3 does not close up on the closed curve: its s-derivative "
+     "of order 0 is 0.0 at s = 0 and nan at s = L"),
+], ids=["seam", "periodic", "nan"])
 def test_a_speed_with_a_seam_on_a_closed_curve_is_a_config_error(tmp_path, capsys, f3, code, stderr):
     doc = {"name": "w5", "curve": {"components": W5, "domain": [0, "2*pi"], "topology": "closed", "samples": 64},
            "flow": {"mode": "inextensible", "speeds": ["0", f3, "0", "0"]},
@@ -632,9 +638,13 @@ BUMP = "s^2*(2*pi - s)^3"
     (1, "sin(s/2)", 1), (1, BUMP, 2),  # f2 to its second
 ])
 def test_seam_check_reads_each_speed_to_the_order_the_checks_read(index, speed, order):
+    # curvekit.seam_mismatch decides, to the order cli._check_seam reads
+    curve = sample(catalog_curve("circle", 64))
+    reads = 2 if index == 1 else 1
+    mismatch = seam_mismatch(parse(speed), "s", (0.0, curve.total_length), reads, {"t": 0.0})
+    assert (mismatch and mismatch[0]) == order
     speeds = ["0", "0", "0"]
     speeds[index] = speed
-    curve = sample(catalog_curve("circle", 64))
     if order is None:
         cli._check_seam(FlowSpec.explicit(speeds), curve)
         return
@@ -758,9 +768,25 @@ def test_overflowing_closed_curve_is_named_after_its_endpoint_check(tmp_path, ca
     argv = ["frenet", write_scenario(tmp_path, doc), "--out", str(tmp_path)]
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err == (
-        "config error: curve: closed curve component 3 does not match at the endpoints "
-        "(1.0 vs inf)\n"
+        "config error: curve: closed curve component 3 does not close up: its u-derivative "
+        "of order 0 is 1.0 at u = 0.0 and inf at u = 6.283185307179586\n"
     )
+
+
+@pytest.mark.parametrize("command", [["run"], ["frenet"], ["convergence", "--levels", "2"]])
+def test_a_closed_curve_whose_tangent_jumps_at_the_seam_is_a_config_error(tmp_path, capsys, command):
+    # the points meet at u = 2 pi and the u-derivatives 1 +- 0.1 pi do not:
+    # unchecked, the seam reads as a flow residual (run) or a frame residual (frenet)
+    doc = scenario_doc("circle_zero_flow.json")
+    doc["curve"]["components"] = ["0", "cos(u)", "sin(u) + 0.05*u*(2*pi - u)"]
+    doc["flow"]["speeds"] = ["0", "0.01", "0"]
+    argv = command + [write_scenario(tmp_path, doc), "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: curve: closed curve component 3 does not close up: its u-derivative "
+        "of order 1 is 1.3141592653589793 at u = 0.0 and 0.6858407346410207 at u = 6.283185307179586\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("name", ["scenario.schema.json", "report.schema.json"])

@@ -16,6 +16,7 @@ from curveflow.curvekit import (
     d_ds,
     d_du,
     d_du4,
+    ends_differ,
     sample,
 )
 from curveflow.errors import (
@@ -65,6 +66,31 @@ def test_sample_degenerate_speed_rejected():
 def test_closed_requires_matching_endpoints():
     with pytest.raises(ValueError):
         sample(spec(("0", "u", "0"), (0, 1), CLOSED))
+
+
+# on the unit circle (n = 3) each bump meets at the seam below its order
+# and not at it; sample takes derivatives up to order n
+@pytest.mark.parametrize("bump, order", [
+    ("0.05*u*(2*pi - u)", 1),  # the tangent jumps
+    ("1e-3*u^2*(2*pi - u)^3", 2),
+    ("1e-4*u^3*(2*pi - u)^4", 3),
+    ("1e-4*u^4*(2*pi - u)^5", None),  # a jump above order n passes
+])
+def test_closed_curve_components_close_up_to_the_order_sample_takes(bump, order):
+    closed = spec(("0", "cos(u)", f"sin(u) + {bump}"), (0, TWO_PI), CLOSED, 64)
+    if order is None:
+        assert sample(closed).closed
+        return
+    with pytest.raises(ValueError, match=f"component 3 does not close up: its u-derivative of order {order} "):
+        closed.validate()
+
+
+def test_ends_differ_on_non_finite_values():
+    # a NaN or infinite gap is no match, whatever the tolerance
+    assert ends_differ(0.0, math.nan) and ends_differ(math.nan, 0.0) and ends_differ(math.nan, math.nan)
+    assert ends_differ(1.0, math.inf) and ends_differ(math.inf, math.inf) and ends_differ(-math.inf, math.inf)
+    assert not ends_differ(1.0, 1.0 + 1e-12) and not ends_differ(1e300, 1e300 * (1 + 1e-12))
+    assert ends_differ(0.0, 2e-9)
 
 
 def test_minimum_samples():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,21 @@ def test_completion_is_positively_oriented_on_random_partial_frames(n):
         assert abs(abs(q) - 1.0) < 1e-9
         checked += 1
     assert checked > 140
+
+
+def test_completion_keeps_two_levels_of_minors():
+    # at n = 8 the expansion forms 246 minors in six levels; the buffer holds
+    # the widest odd and the widest even level, 126 rows, and the peak stays
+    # below 160 (263 with every level kept)
+    n, N = 8, 4096
+    partial = np.eye(n)[: n - 1, :, None] + 1e-3 * np.random.default_rng(8).standard_normal((n - 1, n, N))
+    tracemalloc.start()
+    try:
+        _complete_frame(partial)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * N * 8
 
 
 def _det_cofactors(partial):

@@ -107,7 +107,7 @@ def doc_inputs(cf, doc: dict, samples: int | None = None):
     flow = cf.cli.build_flow(doc)
     curve = cf.sample(cf.cli.build_curve_spec(doc, samples))
     integ = doc["integrator"]
-    return cf.initial_state(curve, flow, integ.get("frame_vectors")), flow, integ, doc
+    return cf.initial_state(curve, flow), flow, integ, doc
 
 
 def evolve_doc(cf, inputs):

@@ -123,7 +123,7 @@ def write_frenet_residuals(scenario: Path, out_dir: Path) -> None:
     per frame vector of ``float.hex`` samples."""
     doc = load_scenario(scenario)
     curve = sample(build_curve_spec(doc))
-    residuals = frenet_residuals(curve, frenet_apparatus(curve, doc["integrator"].get("frame_vectors")))
+    residuals = frenet_residuals(curve, frenet_apparatus(curve))
     text = "".join(" ".join(float(x).hex() for x in row) + "\n" for row in residuals)
     (out_dir / "frenet_residuals.txt").write_text(text, encoding="utf-8")
 
