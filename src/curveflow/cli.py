@@ -40,12 +40,12 @@ from jsonschema.validators import validator_for
 import numpy as np
 
 from . import catalog
-from .curvekit import CurveSpec, SampledCurve, sample, seam_mismatch
+from .curvekit import CurveSpec, SampledCurve, seam_mismatch
 from .errors import ConfigError, CurveFlowError, EvolutionError, ParseError
 from .exprjet import eval_scalar, parse, variables
-from .flowsim import FlowSpec, Trajectory, evolve, initial_state, k1_terms
+from .flowsim import FlowSpec, SimState, evolve, initial_state, k1_terms
 from .frenet import FrenetData, frenet_apparatus, frenet_residuals, stencil_curvatures
-from .verify import CHECKS, VerificationReport, _tol, merge_reports
+from .verify import ACCUMULATORS, CHECKS, VerificationReport, _tol, merge_reports
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -53,6 +53,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 TIMESERIES_HEADER = "step,t,total_arclength,arclength_drift,min_v,max_v,max_k1"
+DEFAULT_SAMPLES = 256  # curve.samples when a scenario leaves it out
 
 
 # --------------------------------------------------------------------------
@@ -165,7 +166,7 @@ def build_curve_spec(doc: dict, samples_override: int | None = None) -> CurveSpe
             cur["components"],
             domain,
             cur.get("topology", "open"),
-            samples_override or cur.get("samples", 256),
+            samples_override or cur.get("samples", DEFAULT_SAMPLES),
         )
         spec.validate()
     except ParseError as exc:
@@ -208,19 +209,53 @@ def _check_seam(flow: FlowSpec, curve: SampledCurve) -> None:
             )
 
 
-def execute(doc: dict) -> tuple[Trajectory, list[VerificationReport]]:
+class Run:
+    """What ``execute`` keeps of an evolution, which ``evolve`` hands each
+    accepted state as it comes (its ``into``): the state goes to every
+    requested check (``checks``, in the scenario's order) and makes one
+    ``timeseries.csv`` row (``rows``), and only the states of
+    ``output.frames_at`` stay (``states``, by step in ``frames``).  So a run
+    holds the states the checks' window still needs, not its trajectory."""
+
+    def __init__(self, doc: dict, flow: FlowSpec):
+        dt, tolerances = doc["integrator"]["dt"], doc.get("tolerances", {})
+        self.checks = [ACCUMULATORS[name](dt, flow, tolerances.get(name)) for name in doc.get("checks", [])]
+        self.frames_at = doc.get("output", {}).get("frames_at", [])
+        self.frames: dict[int, SimState] = {}
+        self.rows: list[str] = []
+        self.drift = 0.0
+
+    @property
+    def states(self) -> list[SimState]:
+        return list(self.frames.values())
+
+    def add(self, state: SimState) -> None:
+        step, c, k1 = len(self.rows), state.curve, k1_terms(state.frenet)[1]
+        if not step:
+            self.baseline = c.total_length
+        if step in self.frames_at:
+            self.frames[step] = state
+        self.drift = max(self.drift, abs(c.total_length - self.baseline))
+        max_k1 = 0.0 if k1 is None else float(np.max(np.abs(k1)))
+        values = [state.t, c.total_length, self.drift, float(np.min(c.speeds)), float(np.max(c.speeds)), max_k1]
+        self.rows.append(",".join([str(step), *map(_fmt, values)]))
+        for check in self.checks:
+            check.feed([state])
+
+
+def execute(doc: dict) -> tuple[Run, list[VerificationReport]]:
     """Evolve a scenario at its curve.samples by its integrator.dt and
-    steps, and run its checks."""
+    steps, and run its checks on each state as it is accepted (``Run``).
+    Evolution errors come first, then the checks' in the scenario's order."""
     spec = build_curve_spec(doc)
     flow = build_flow(doc)
     integ = doc["integrator"]
-    curve = sample(spec)
+    curve = SampledCurve.from_spec(spec)  # ``build_curve_spec`` validated it
     _check_seam(flow, curve)
-    tolerances = doc.get("tolerances", {})
     with np.errstate(over="ignore", invalid="ignore"):  # once, not per stage; errors name non-finite values
-        traj = evolve(initial_state(curve, flow), flow, integ["dt"], integ["steps"])
-        reports = [CHECKS[name](traj, tolerances.get(name)) for name in doc.get("checks", [])]
-    return traj, reports
+        run = evolve(initial_state(curve, flow), flow, integ["dt"], integ["steps"], into=Run(doc, flow))
+        reports = [check.finish() for check in run.checks]
+    return run, reports
 
 
 # --------------------------------------------------------------------------
@@ -294,29 +329,9 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
-def write_timeseries(traj: Trajectory, out_dir: Path) -> Path:
-    lines = [TIMESERIES_HEADER]
-    baseline = traj.states[0].curve.total_length
-    drift = 0.0
-    for step, st in enumerate(traj.states):
-        c, k1 = st.curve, k1_terms(st.frenet)[1]
-        drift = max(drift, abs(c.total_length - baseline))
-        max_k1 = 0.0 if k1 is None else float(np.max(np.abs(k1)))
-        lines.append(
-            ",".join(
-                [
-                    str(step),
-                    _fmt(st.t),
-                    _fmt(c.total_length),
-                    _fmt(drift),
-                    _fmt(float(np.min(c.speeds))),
-                    _fmt(float(np.max(c.speeds))),
-                    _fmt(max_k1),
-                ]
-            )
-        )
+def write_timeseries(run: Run, out_dir: Path) -> Path:
     path = out_dir / "timeseries.csv"
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, "\n".join([TIMESERIES_HEADER, *run.rows]) + "\n")
     return path
 
 
@@ -333,10 +348,10 @@ def _curve_payload(curve: SampledCurve, fd: FrenetData) -> dict:
     }
 
 
-def write_frames(traj: Trajectory, steps: list[int], out_dir: Path) -> list[Path]:
+def write_frames(run: Run, out_dir: Path) -> list[Path]:
     paths = []
-    for step in steps:
-        st = traj.states[step]  # the loader keeps every step within [0, steps]
+    for step in run.frames_at:
+        st = run.frames[step]  # the loader keeps every step within [0, steps]
         payload = {
             "step": step,
             "t": st.t,
@@ -365,14 +380,14 @@ def write_report(name: str, reports: list[VerificationReport], out_dir: Path) ->
 def cmd_run(args) -> int:
     doc = load_scenario(args.scenario)
     try:
-        traj, reports = execute(doc)
-    except EvolutionError as exc:
-        if exc.trajectory is not None and exc.trajectory.states:
+        run, reports = execute(doc)
+    except EvolutionError as exc:  # its trajectory is the Run, with the accepted steps' rows
+        if exc.trajectory.rows:
             write_timeseries(exc.trajectory, args.out)
         raise
 
-    write_timeseries(traj, args.out)
-    write_frames(traj, doc.get("output", {}).get("frames_at", []), args.out)
+    write_timeseries(run, args.out)
+    write_frames(run, args.out)
     if reports:
         write_report(doc["name"], reports, args.out)
         for r in reports:
@@ -389,7 +404,7 @@ def cmd_convergence(args) -> int:
     if not doc.get("checks"):
         raise ConfigError("scenario requests no checks")
     curve, integ = doc["curve"], doc["integrator"]
-    base_n = build_curve_spec(doc).samples
+    base_n = curve.get("samples", DEFAULT_SAMPLES)
 
     per_level = []
     for l in range(args.levels):  # level l: 2**l times the samples and steps, dt / 2**l
@@ -423,7 +438,7 @@ def cmd_convergence(args) -> int:
 
 def cmd_frenet(args) -> int:
     doc = load_scenario(args.scenario)
-    curve = sample(build_curve_spec(doc))
+    curve = SampledCurve.from_spec(build_curve_spec(doc))
     fd = frenet_apparatus(curve)
     residuals = frenet_residuals(curve, fd)
     payload = {

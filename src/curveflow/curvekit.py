@@ -164,6 +164,37 @@ class SampledCurve:
         return _quadrature(self.samples, self.closed)
 
     @classmethod
+    def from_spec(cls, spec: CurveSpec) -> "SampledCurve":
+        """Evaluate a spec that ``CurveSpec.validate`` passed on its grid, with
+        jet-exact derivatives; ``sample`` validates it first."""
+        u0, u1 = spec.domain
+        N = spec.samples
+        n = spec.dimension
+        if spec.topology == CLOSED:
+            h = (u1 - u0) / N
+            grid = u0 + h * np.arange(N)
+        else:
+            grid = np.linspace(u0, u1, N)
+            h = float(grid[1] - grid[0])
+        derivs = np.empty((n + 1, n, N))
+        with np.errstate(over="ignore", invalid="ignore"):  # _finish finds non-finite values
+            for j, comp in enumerate(spec.components):
+                jet = exprjet.eval_jet(comp, "u", grid, n)
+                for m in range(n + 1):
+                    derivs[m, j] = jet.derivative(m)
+            try:
+                return cls._finish(grid, h, spec.topology == CLOSED, derivs, derivs[1])
+            except NonFiniteCurveError:
+                bad = np.argwhere(~np.isfinite(derivs).all(axis=0))
+                if not len(bad):
+                    raise  # the values are finite and the tangent's norm is not: named already
+                j, k = bad[0]
+                raise NonFiniteCurveError(
+                    "curve evaluation produced non-finite values: "
+                    f"component {j + 1} at sample {k} (u={grid[k]:.6g})"
+                ) from None
+
+    @classmethod
     def from_points(
         cls,
         points: np.ndarray,
@@ -235,34 +266,9 @@ class SampledCurve:
 
 
 def sample(spec: CurveSpec) -> SampledCurve:
-    """Evaluate a CurveSpec on its grid with jet-exact derivatives."""
+    """Validate a CurveSpec and evaluate it on its grid (``SampledCurve.from_spec``)."""
     spec.validate()
-    u0, u1 = spec.domain
-    N = spec.samples
-    n = spec.dimension
-    if spec.topology == CLOSED:
-        h = (u1 - u0) / N
-        grid = u0 + h * np.arange(N)
-    else:
-        grid = np.linspace(u0, u1, N)
-        h = float(grid[1] - grid[0])
-    derivs = np.empty((n + 1, n, N))
-    with np.errstate(over="ignore", invalid="ignore"):  # _finish finds non-finite values
-        for j, comp in enumerate(spec.components):
-            jet = exprjet.eval_jet(comp, "u", grid, n)
-            for m in range(n + 1):
-                derivs[m, j] = jet.derivative(m)
-        try:
-            return SampledCurve._finish(grid, h, spec.topology == CLOSED, derivs, derivs[1])
-        except NonFiniteCurveError:
-            bad = np.argwhere(~np.isfinite(derivs).all(axis=0))
-            if not len(bad):
-                raise  # the values are finite and the tangent's norm is not: named already
-            j, k = bad[0]
-            raise NonFiniteCurveError(
-                "curve evaluation produced non-finite values: "
-                f"component {j + 1} at sample {k} (u={grid[k]:.6g})"
-            ) from None
+    return SampledCurve.from_spec(spec)
 
 
 # --------------------------------------------------------------------------

@@ -109,6 +109,10 @@ class Trajectory:
     dt: float
     flow: FlowSpec
 
+    def add(self, state: SimState) -> None:
+        """Keeps the next accepted state: ``evolve``'s default ``into``."""
+        self.states.append(state)
+
 
 def solve_inextensible_f1(c: SampledCurve, rhs: np.ndarray) -> np.ndarray:
     """Integrate df_1/ds = rhs from 0 at the curve's first sample, where rhs
@@ -245,17 +249,18 @@ def _build_state(
     return SimState(t=t, curve=curve, frenet=fd, f_values=f, f1_s=f1_s)
 
 
-def evolve(
-    initial: SimState,
-    flow: FlowSpec,
-    dt: float,
-    steps: int,
-) -> Trajectory:
+def evolve(initial: SimState, flow: FlowSpec, dt: float, steps: int, into=None):
     """Advance the curve by explicit RK4, rebuilding the frame per stage.
     A scenario's time horizon is checked by its loader, ``cli._cross_validate``.
 
-    Every failure ends in an EvolutionError carrying its time ``t`` and the
-    partial trajectory: NullCurveDeveloped if the tangent turns null,
+    Each accepted state, the initial one first, goes to ``into.add`` as it
+    is accepted, and ``into`` is returned.  By default it is a new
+    Trajectory, which keeps every state; ``cli.execute`` passes one that
+    feeds the checks and keeps a few states, so a run holds a window of
+    states.
+
+    Every failure ends in an EvolutionError carrying its time ``t`` and
+    ``into`` as its ``trajectory``, the states accepted so far: NullCurveDeveloped if the tangent turns null,
     FrameBreakdown if the frame breaks down, StabilityError if the curve goes
     non-finite or changes total arclength by more than 50% in a step,
     UnresolvedClosedFlow if a closed curve rebuilt from points fails the
@@ -279,7 +284,7 @@ def evolve(
     m = initial.frenet.num_vectors
     grid = initial.curve.grid
     closed = initial.curve.closed
-    traj = Trajectory(states=[], dt=dt, flow=flow)
+    traj = Trajectory(states=[], dt=dt, flow=flow) if into is None else into
 
     def stage_state(points: np.ndarray, t: float) -> SimState:
         try:
@@ -348,7 +353,7 @@ def evolve(
     # would bias arclength comparisons by O(h^2).  The initial points are
     # copied, so the first kept state does not pin the caller's stack.
     state = kept_state(initial.curve.points.copy(), initial.t)
-    traj.states.append(state)
+    traj.add(state)
     for step in range(steps):
         # times count steps from the start, so rounding does not accumulate
         t_mid, t_end = initial.t + (step + 0.5) * dt, initial.t + (step + 1) * dt
@@ -366,21 +371,24 @@ def evolve(
                 t=t_end,
                 trajectory=traj,
             )
-        traj.states.append(new_state)
+        traj.add(new_state)
         state = new_state
     return traj
 
 
 def arclength_drift(traj: Trajectory) -> float:
-    """max_t |L(t) - L(0)| over the trajectory, as a running maximum, so
-    it holds no table of lengths.  A NaN length anywhere reads NaN."""
+    """max_t |L(t) - L(0)| over the trajectory (``running_drift``)."""
     if not traj.states:
         raise ValueError("trajectory is empty")
-    first = traj.states[0].curve.total_length
-    drift = 0.0
-    for st in traj.states:
+    return running_drift(traj.states, traj.states[0].curve.total_length)
+
+
+def running_drift(states: list[SimState], first: float, drift: float = 0.0) -> float:
+    """The larger of ``drift`` and max |L - first| over the states, as a
+    running maximum, so it holds no table of lengths.  A NaN length anywhere
+    reads NaN, and a NaN ``drift`` stays."""
+    for st in states:
         gap = abs(st.curve.total_length - first)
         if gap > drift or gap != gap:  # a NaN drift stays: nothing compares above it
             drift = gap
     return float(drift)
-

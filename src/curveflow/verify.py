@@ -1,26 +1,33 @@
 """Residual checks for every evolution identity the flow machinery relies on.
 
-Each check takes a Trajectory, measures one identity with the central
-time difference over (t-1, t, t+1) (``_Window.central``, second order as in
-space), and returns a VerificationReport with named residuals, per-name
-convergence orders once multiple resolutions are merged, and a pass flag.
-The checks walk the steps t = 1..T-2 in blocks of up to BLOCK_STATES steps
-(``_Window.walk``), in O(N) working memory: at N=256 most of a numpy
-call's cost is its fixed overhead of about a microsecond, so one set of
-calls serves a block.  Each window check is one function of a block, which
-writes the block's state-first (size, R, N) residual rows for
-``_Rows.peaks`` to fold into maxima.  A block gives its states with the
-states just before and after it, and their aligned frames; the central
-time difference ``fdot(r)`` and the psi entries (``psi``, ``psi_at``) at its
-state r, the only work done per state; the speed jets, one ``eval_jet`` per
-speed on the (b, N) arclength grids with a (b, 1) column of times; and the
-padded k, f and jet rows (``rows``), which this module's right-hand sides
-take as (b, N) rows unedited, as flowsim's rules (the one e0 e1 f2 k1
-product) take the rows of ``flowsim.stacked_rule_terms``.  This is the one
-path at every N, also past N = 512, where the stacked copies cost more
-than the calls they save (``tools/ab_pairs.py --op verify``: +4.8% at
-N = 4096 against per-state flip tests, gaps and speed rows).  Every element
-keeps its arithmetic and its order, so every output byte stays.
+Each check is an accumulator of states: ``feed`` takes the next states of a
+trajectory in order, any number at a time, and ``finish`` returns a
+VerificationReport with named residuals, per-name convergence orders once
+multiple resolutions are merged, and a pass flag.  ``cli.execute`` feeds
+each state as ``evolve`` accepts it, so a run holds a window of states and
+not its trajectory; ``CHECKS[name](traj)`` and ``run_check`` feed a whole
+trajectory in one call.  It is the one walk either way, with one report.
+
+A check measures one identity with the central time difference over
+(t-1, t, t+1) (``_Window.central``, second order as in space).  The window
+checks walk the steps t = 1..T-2 in blocks of up to BLOCK_STATES steps
+(``_Window._walk``), each once the state after it has arrived, holding at
+most BLOCK_STATES + 2 states: at N=256 most of a numpy call's cost is its
+fixed overhead of about a microsecond, so one set of calls serves a block.
+Each window check is one function of a block (``plan``), which writes the
+block's state-first (size, R, N) residual rows for ``_Rows.fold`` to fold
+into maxima.  A block gives its states with the states just before and
+after it, and their aligned frames; the central time difference
+``fdot(r)`` and the psi entries (``psi``, ``psi_at``) at its state r, the
+only work done per state; the speed jets, one ``eval_jet`` per speed on the
+(b, N) arclength grids with a (b, 1) column of times; and the padded k, f
+and jet rows (``rows``), which this module's right-hand sides take as
+(b, N) rows unedited, as flowsim's rules (the one e0 e1 f2 k1 product)
+take the rows of ``flowsim.stacked_rule_terms``.  This is the one path at
+every N, also past N = 512, where the stacked copies cost more than the
+calls they save (``tools/ab_pairs.py --op verify``: +4.8% at N = 4096
+against per-state flip tests, gaps and speed rows).  Every element keeps
+its arithmetic and its order, so every output byte stays.
 
 Frame vectors are gauge-sensitive: the orthogonalization can flip a
 vector's sign between steps when the last curvature changes sign.  So one
@@ -29,10 +36,13 @@ rule aligns each state's frame with the aligned frame before it
 formed once per block: V_i is negated at the samples where the previous
 state's flip sign times e_{i-1} <V_i(t-1), V_i(t)> is below zero, so a zero
 or NaN product clears a flip.  Flips are counted in the report details.
+Frames and their time differences are (m, n, N) stacks, sample axis last.
+
 Errors come at the step a walk of single states meets them: a changed
 frame signature of state s at step s - 1, ahead of that step's jet
-DomainError.  Frames and their time differences are (m, n, N) stacks,
-sample axis last.
+DomainError.  The inextensibility gap (``_Gap``) is known only once every
+state is in, so a check holds the first error of its walk for ``finish``,
+which raises NotInextensible, then InsufficientStates, then that error.
 
 Two identities expand frame velocities in the frame itself.  In an
 indefinite frame the expansion coefficient of V_k is e_{k-1} <X, V_k>, not
@@ -70,7 +80,7 @@ import numpy as np
 from . import exprjet
 from .curvekit import d_du, d_du4
 from .errors import ConfigError, CurveFlowError, DomainError, InsufficientStates, NotInextensible
-from .flowsim import Trajectory, arclength_drift, inextensibility_rhs, speed_rate, stacked_rule_terms
+from .flowsim import FlowSpec, SimState, Trajectory, inextensibility_rhs, running_drift, speed_rate, stacked_rule_terms
 from .minkowski import dot_many, inner_many, row_sum
 
 RESIDUAL_FLOOR = 1e-12
@@ -144,62 +154,142 @@ class VerificationReport:
 
 
 # --------------------------------------------------------------------------
-# The walk over blocks of states
+# Checks as accumulators, and the walk over blocks of states
 
 
-class _Window:
-    """Walks t = 1..T-2 over a trajectory in blocks of up to BLOCK_STATES
-    steps, step t reading the states t-1, t and t+1.
+class _Check:
+    """A check of one identity, fed a trajectory's states in order: ``feed``
+    takes the next states, ``finish`` returns the report once every state is
+    in.  ``of`` feeds a whole trajectory in one call.  A check keeps its
+    ``dt``, ``flow``, ``tolerance`` and the count of states ``taken``; the
+    report reads its resolution from ``N`` and ``dt``."""
+
+    identity = ""
+
+    @classmethod
+    def of(cls, traj: Trajectory, tolerance=None) -> VerificationReport:
+        """The report on a whole trajectory."""
+        check = cls(traj.dt, traj.flow, tolerance)
+        check.feed(traj.states)
+        return check.finish()
+
+    def _report(self, residuals, details, passed=None) -> VerificationReport:
+        """One-resolution report.  Unless ``passed`` is given, the check passes
+        when every gated residual (``VerificationReport.gated``) is within its
+        tolerance.  A number tolerance applies to every residual."""
+        tol = _tol(self.identity, self.tolerance)
+        if not isinstance(tol, dict):
+            tol = {name: tol for name in residuals}
+        report = VerificationReport(self.identity, [(self.N, self.dt)], [residuals], tol, passed, details)
+        if passed is None:
+            report.passed = all(residuals[name] <= tol[name] for name in report.gated)
+        return report
+
+
+class _Window(_Check):
+    """Walks t = 1..T-2 in blocks of up to BLOCK_STATES steps, step t
+    reading the states t-1, t and t+1, as the states are fed: a block is
+    walked once the state after it is in, the last, partial one by
+    ``finish``, so the window holds at most BLOCK_STATES + 2 states.
 
     At each block, ``size`` is its step count, ``states`` holds the states
     of its steps with the states just before and after them, and ``frames``
     their aligned frames (``_align``): the block's state r is
     ``states[r + 1]``.  ``flips`` counts the flipped vectors so far.  The
     jets of f_2, f_3, ... are taken to the derivative ``orders``; ``rows``
-    gives them with k and f at every state of the block.
+    gives them with k and f at every state of the block.  ``block(w, buf)``
+    writes the block's (size, R, N) rows of ``results``, which are folded
+    into its maxima.  A window check declares its rows and returns its block
+    function from ``plan``, once the first state gives the sizes; a check
+    of the inextensible flows (``inextensible``) measures the gap too.
     """
 
-    def __init__(self, traj: Trajectory, orders: tuple[int, ...] = ()):
-        if len(traj.states) < 3:
-            raise InsufficientStates(f"need at least 3 states, trajectory has {len(traj.states)}")
-        first = traj.states[0]
-        self.traj, self.dt, self.orders = traj, traj.dt, orders
-        self.m, self.n, self.N = m, n, N = first.frenet.num_vectors, first.curve.n, first.curve.samples
-        signs = first.frenet.signs
-        self.sign_bytes = signs.tobytes()
-        self.sign_column = signs[:, None].astype(float)  # no int cast per product
-        # padded signs (see the module docstring), as floats for scalar products
-        self.e = [float(x) for x in signs] + [1.0] * (n + 3 - m)
-        self.interior = _interior(first.curve)
-        self.flips = 0
-        # kept across blocks, rows nothing writes stay +0.0; jets[j - 1, i - 2, r]: d^j f_i/ds^j at
-        # the block's state r
-        self.jets = np.zeros((max(orders, default=0), n - 1, BLOCK_STATES, N))
-        self.grids = np.empty((BLOCK_STATES, N))
-        self._fdot = np.empty((m, n, N))
+    inextensible = False
 
-    def walk(self):
-        """Yield self at each block.  Before it, raise the first error that a
-        walk of single states meets in the block: a changed frame signature
-        of state s at step s - 1, ahead of that step's jet DomainError."""
-        states = self.traj.states
-        frames, flip = [states[0].frenet.frame], None  # state 0 sets the signs and is never flipped
-        for t in range(1, len(states) - 1, BLOCK_STATES):
-            self.size = min(BLOCK_STATES, len(states) - 1 - t)
-            self.states = block = states[t - 1 : t + self.size + 1]
-            # the state that enters at step s - 1 with a changed signature stops the walk there,
-            # after the jets of the block's states before that step
-            held = len(frames)
-            same = [st.frenet.signs.tobytes() == self.sign_bytes for st in block[held:]]
-            ready = same.index(False) + held - 2 if False in same else self.size
-            if self.orders and ready > 0:
-                self._derivatives(block[1 : ready + 1])
-            if ready < self.size:
-                raise CurveFlowError("frame signature changed along the trajectory")
-            aligned, flip = self._align(block[held - 1 :], flip)
-            self.frames = frames = frames + aligned
-            yield self
-            frames = frames[-2:]
+    def __init__(self, dt: float, flow: FlowSpec, tolerance=None, orders: tuple[int, ...] = (), block=None):
+        self.dt, self.flow, self.tolerance, self.taken = dt, flow, tolerance, 0
+        self.orders, self.block = orders, block
+        self.results = _Rows()
+        self.gap = _Gap() if self.inextensible else None
+        self.flips, self.error = 0, None  # the first error of the walk, raised by ``finish``
+        self.pending = []  # the states not walked yet, from the two before the next block's steps
+
+    def feed(self, states: list[SimState]) -> None:
+        """Takes the next states and walks each block they complete.  The
+        first error of the walk is held for ``finish``; the states after it
+        are counted, and measured by the gap."""
+        if not self.taken:  # the first state sets the sizes and the signs
+            first = states[0]
+            self.m, self.n, self.N = m, n, N = first.frenet.frame.shape
+            signs = first.frenet.signs
+            self.sign_bytes = signs.tobytes()
+            self.sign_column = signs[:, None].astype(float)  # no int cast per product
+            # padded signs (see the module docstring), as floats for scalar products
+            self.e = [float(x) for x in signs] + [1.0] * (n + 3 - m)
+            self.interior = _interior(first.curve)
+            self.frames, self.flip = [first.frenet.frame], None  # state 0 is never flipped
+            if self.block is None:
+                self.block = self.plan()
+            # kept across blocks, rows nothing writes stay +0.0; jets[j - 1, i - 2, r]: d^j f_i/ds^j
+            # at the block's state r
+            self.jets = np.zeros((max(self.orders, default=0), n - 1, BLOCK_STATES, N))
+            self.grids = np.empty((BLOCK_STATES, N))
+            self._fdot = np.empty((m, n, N))
+            self.buf = np.empty((BLOCK_STATES, self.results.count, N))
+        self.taken += len(states)
+        if self.gap is not None:
+            self.gap.feed(states)
+        if self.error is None:
+            # no copy of a whole trajectory's list, which holds a pointer per state
+            chain, lo = self.pending + states if self.pending else states, 0
+            left = len(chain)
+            try:
+                while left - lo > BLOCK_STATES + 1:
+                    self._walk(chain[lo : lo + BLOCK_STATES + 2], BLOCK_STATES)
+                    lo += BLOCK_STATES
+            except CurveFlowError as exc:
+                self.error, chain = exc, []
+            self.pending = chain[lo:]
+
+    def finish(self) -> VerificationReport:
+        """The report, once every state is in, or the first error: NotInextensible,
+        InsufficientStates, then the error of the walk, the last block's included."""
+        violation = None if self.gap is None else self.gap.violation()
+        if self.taken < 3:
+            raise InsufficientStates(f"need at least 3 states, trajectory has {self.taken}")
+        if self.error is not None:
+            raise self.error
+        if len(self.pending) > 2:
+            self._walk(self.pending, len(self.pending) - 2)
+        residuals = self.results.maxima()
+        return self._report(residuals, self.details(residuals, violation))
+
+    def details(self, residuals, violation) -> dict:
+        return {"frame_flips": self.flips}
+
+    def _walk(self, block: list[SimState], size: int) -> None:
+        """Walks the block of ``size`` steps whose states, with the states
+        just before and after them, are ``block``.  Before its rows, it raises
+        the first error that a walk of single states meets in the block: a
+        changed frame signature of state s at step s - 1, ahead of that
+        step's jet DomainError."""
+        self.size, self.states = size, block
+        # the state that enters at step s - 1 with a changed signature stops the walk there,
+        # after the jets of the block's states before that step
+        frames = self.frames
+        held = len(frames)
+        same = [st.frenet.signs.tobytes() == self.sign_bytes for st in block[held:]]
+        ready = same.index(False) + held - 2 if False in same else size
+        if self.orders and ready > 0:
+            self._derivatives(block[1 : ready + 1])
+        if ready < size:
+            raise CurveFlowError("frame signature changed along the trajectory")
+        aligned, self.flip = self._align(block[held - 1 :], self.flip)
+        self.frames = frames + aligned
+        buf = self.buf[:size]
+        self.block(self, buf)
+        self.results.fold(buf, self.interior)
+        self.frames = self.frames[-2:]
 
     def _align(self, chain, flip):
         """The aligned frames of chain[1:], and the flip signs of the last,
@@ -250,7 +340,7 @@ class _Window:
         for row, st in enumerate(block):
             s[row] = st.curve.s
         env = {"t": np.array([[st.t] for st in block])}
-        speeds = self.traj.flow.speeds
+        speeds = self.flow.speeds
         try:
             for i, order in enumerate(self.orders[: self.n - 1], start=2):
                 jet = exprjet.eval_jet(speeds[i - 1], "s", s, order, env)
@@ -373,41 +463,49 @@ class _Rows:
         per_row = np.max(self.peak, axis=1)
         return {name: float(np.max(per_row[rows])) for name, rows in self.rows.items()}
 
-    def peaks(self, window, block) -> dict[str, float]:
-        """``maxima`` of one walk, over each step's interior: ``block(w, rows)``
-        writes every row of each block of states, (size, R, N)."""
-        buf, self.peak = np.empty((BLOCK_STATES, self.count, window.N)), None
-        for w in window.walk():
-            rows = buf[: w.size]
-            block(w, rows)
-            self.fold(rows, window.interior)
-        return self.maxima()
 
-
-def _pointwise_violation(traj: Trajectory) -> float:
+class _Gap:
     """max |df1/ds - e0 e1 f2 k1| (``inextensibility_rhs``) over each state's
     interior, with df1/ds from a fourth-order stencil: sharp enough to keep
     the measurement independent of how f1 was produced (quadrature or
     expression) without drowning it in the everyday operator's second-order
-    noise.  A block of states is stacked into (b, N) rows and measured by
-    one set of numpy calls, the right-hand side by each state's own signs."""
-    first = traj.states[0].curve
-    rows = _Rows()
-    rows.add("pointwise")
-    for lo in range(0, len(traj.states), BLOCK_STATES):
-        block = traj.states[lo : lo + BLOCK_STATES]
-        f1 = np.array([st.f_values[0] for st in block])
-        gap = d_du4(f1, first.h, first.closed) / np.array([st.curve.speeds for st in block])
-        gap -= inextensibility_rhs(*stacked_rule_terms(block))
-        rows.fold(gap[:, None], _interior(first))
-    return rows.maxima()["pointwise"]
+    noise.  States are fed in order; each block of BLOCK_STATES states from
+    state 0 on is stacked into (b, N) rows and measured by one set of numpy
+    calls, the right-hand side by each state's own signs, and ``finish``
+    measures the rest."""
 
+    def __init__(self):
+        self.rows = _Rows()
+        self.rows.add("pointwise")
+        self.pending, self.h = [], None
 
-def _require_inextensible(traj: Trajectory) -> float:
-    violation = _pointwise_violation(traj)
-    if violation > INEXTENSIBILITY_PRECONDITION_TOL:
-        raise NotInextensible(violation, INEXTENSIBILITY_PRECONDITION_TOL)
-    return violation
+    def feed(self, states: list[SimState], end: bool = False) -> None:
+        """Measures each block of BLOCK_STATES states that ``states`` complete,
+        and at the ``end`` of the trajectory the partial block left."""
+        if self.h is None:  # the first states
+            first = states[0].curve
+            self.h, self.closed, self.interior = first.h, first.closed, _interior(first)
+        chain, lo = self.pending + states if self.pending else states, 0  # as ``_Window.feed``
+        left = len(chain)
+        while left - lo >= BLOCK_STATES or end and lo < left:
+            block = chain[lo : lo + BLOCK_STATES]
+            f1 = np.array([st.f_values[0] for st in block])
+            gap = d_du4(f1, self.h, self.closed) / np.array([st.curve.speeds for st in block])
+            gap -= inextensibility_rhs(*stacked_rule_terms(block))
+            self.rows.fold(gap[:, None], self.interior)
+            lo += BLOCK_STATES
+        self.pending = chain[lo:]
+
+    def finish(self) -> float:
+        self.feed([], end=True)
+        return self.rows.maxima()["pointwise"]
+
+    def violation(self) -> float:
+        """``finish``, or NotInextensible above INEXTENSIBILITY_PRECONDITION_TOL."""
+        violation = self.finish()
+        if violation > INEXTENSIBILITY_PRECONDITION_TOL:
+            raise NotInextensible(violation, INEXTENSIBILITY_PRECONDITION_TOL)
+        return violation
 
 
 def _tol(identity: str, tolerance):
@@ -426,22 +524,221 @@ def _tol(identity: str, tolerance):
     raise ConfigError(f"must be {shape}", field=f"tolerances.{identity}")
 
 
-def _report(identity, traj, residuals, tolerance, details, passed=None) -> VerificationReport:
-    """One-resolution report.  Unless ``passed`` is given, the check passes
-    when every gated residual (``VerificationReport.gated``) is within its
-    tolerance.  A number tolerance applies to every residual."""
-    tol = _tol(identity, tolerance)
-    if not isinstance(tol, dict):
-        tol = {name: tol for name in residuals}
-    resolutions = [(traj.states[0].curve.samples, traj.dt)]
-    report = VerificationReport(identity, resolutions, [residuals], tol, passed, details)
-    if passed is None:
-        report.passed = all(residuals[name] <= tol[name] for name in report.gated)
-    return report
-
-
 # --------------------------------------------------------------------------
 # Checks
+
+
+class SpeedEvolution(_Window):
+    """``check_speed_evolution``, fed state by state."""
+
+    identity = "speed_evolution"
+
+    def plan(self):
+        e = self.e
+        rows = self.results
+        metric = rows.add("speed_evolution")
+        classical = rows.add("speed_evolution_classical", same=metric if e[0] == 1.0 else None)
+
+        def block(w, buf):
+            v, f1_s = np.array([st.curve.speeds for st in w.states]), np.array([st.f1_s for st in w.states[1:-1]])
+            vdot, rhs = w.central(v[2:], v[:-2]), speed_rate(v[1:-1], f1_s, *stacked_rule_terms(w.states[1:-1]))
+            np.subtract(vdot, rhs, out=buf[:, metric])
+            if classical != metric:
+                np.subtract(vdot, e[0] * rhs, out=buf[:, classical])
+
+        return block
+
+
+class IffCondition(_Check):
+    """``check_iff_condition``, fed state by state: the gap and the drift
+    are running maxima."""
+
+    identity = "iff_condition"
+
+    def __init__(self, dt: float, flow: FlowSpec, tolerance=None):
+        self.dt, self.flow, self.tolerance, self.taken = dt, flow, tolerance, 0
+        self.gap, self.drift = _Gap(), 0.0
+
+    def feed(self, states: list[SimState]) -> None:
+        if not self.taken:
+            self.N, self.first = states[0].curve.samples, states[0].curve.total_length
+        self.taken += len(states)
+        self.gap.feed(states)
+        self.drift = running_drift(states, self.first, self.drift)
+
+    def finish(self) -> VerificationReport:
+        tol = _tol("iff_condition", self.tolerance)
+        if self.taken < 2:
+            raise InsufficientStates("iff check needs at least 2 states")
+        a = self.gap.finish()
+        b = self.drift
+        a_small = a <= tol["pointwise"]
+        b_small = b <= tol["drift"]
+        holds = a_small == b_small and not (np.isnan(a) or np.isnan(b))
+        details = {"pointwise_small": a_small, "drift_small": b_small, "equivalence": holds}
+        return self._report({"pointwise": a, "drift": b}, details, passed=holds)
+
+
+class PsiAntisymmetry(_Window):
+    """``check_psi_antisymmetry``, fed state by state."""
+
+    identity = "psi_antisymmetry"
+
+    def plan(self):
+        m = self.m
+        rows = self.results
+        pairs = rows.add("antisymmetry", m * m)
+        diagonal = rows.add("diagonal", m)
+
+        def block(w, buf):
+            for r in range(w.size):
+                psi = w.psi(r)
+                np.add(psi, psi.swapaxes(0, 1), out=buf[r, pairs:diagonal].reshape(psi.shape))
+                buf[r, diagonal:] = psi.diagonal().T  # diagonal() is (N, m)
+
+        return block
+
+
+class FrameEvolution(_Window):
+    """``check_frame_evolution``, fed state by state."""
+
+    identity, inextensible = "frame_evolution", True
+
+    def plan(self):
+        m = self.m
+        self.orders = (1,) * (m - 1)
+        e, n, N = self.e, self.n, self.N
+        others = {j: [i for i in range(2, m + 1) if i != j] for j in range(2, m + 1)}
+        rows = self.results
+        tangent_row = rows.add("tangent_equation")
+        v1 = rows.count  # the v1 rows, one per j, then the readings' rows
+        for j in others:
+            rows.add("v1_coefficient_mid" if j < m else "v1_coefficient_last")
+        readings = []  # (j, signs of psi_ij, i in others[j]) of each distinct reading of dV_j/dt
+        for j in others:
+            metric = rows.add("reconstruction_metric")
+            signs, bare = [e[i - 1] for i in others[j]], [1.0] * (m - 2)  # e_{i-1} psi_ij or psi_ij
+            rows.add("reconstruction_bare", same=metric if signs == bare else None)
+            readings += [(j, signs)] if signs == bare else [(j, signs), (j, bare)]
+        recon, R = v1 + m - 1, len(readings)  # the readings' rows follow the v1 rows
+        # dV_1/dt and each reading of dV_j/dt as m - 1 terms coefficient * vector, stacked
+        # [component, term, 1 + reading]: c_i V_i, i = 2..m; the V1 coefficient times V_1,
+        # then signed psi_ij V_i, i != j.  psi is formed where the v1 rows, then the terms, read it.
+        at = [(0, j - 1) for j in others] + [(others[j][t] - 1, j - 1) for t in range(m - 2) for j, _ in readings]
+        psi_rows, psi_cols = np.array(at, dtype=int).reshape(-1, 2).T
+        psi_signs = np.array([signs[t] for t in range(m - 2) for _, signs in readings]).reshape(-1, 1)
+        target_signs = np.array([-e[0] * e[j - 1] for j in others]).reshape(-1, 1)
+        # each term's coefficient is a row of [c_2..c_m, the V1 coefficients, the signed psi_ij]
+        index = [[t] + [m + j - 3 if t == 0 else 2 * m - 2 + (t - 1) * R + r for r, (j, _) in enumerate(readings)]
+                 for t in range(m - 1)]
+        stacks = np.array([range(1, m)] + [[0] + [i - 1 for i in others[j]] for j, _ in readings], dtype=int).T
+        vectors = np.add.outer(np.arange(n), n * stacks).ravel()  # rows of the (m * n, N) frame
+        velocities = np.add.outer(np.arange(n), n * np.array([0] + [j - 1 for j, _ in readings])).ravel()
+        index, source = np.array(index, dtype=int).reshape(m - 1, 1 + R), np.empty((2 * m - 2 + len(psi_signs), N))
+        coefficients, sums, fdots = np.empty((m - 1, 1 + R, N)), np.empty((n, 1 + R, N)), np.empty((n, 1 + R, N))
+        terms = np.empty((n, m - 1, 1 + R, N))
+        # views of the buffers, made once: (m * n, N) and (n, N) rows, and [reading, component]
+        term_rows, fdot_rows, paired = terms.reshape(-1, N), fdots.reshape(-1, N), sums.transpose(1, 0, 2)
+        # per block, state-first: c_2..c_m, then the predicted V1 coefficients -e0 e_{j-1} c_j
+        rates = np.empty((BLOCK_STATES, 2 * m - 2, N))
+
+        def block(w, buf):
+            if m > 1:  # one frame vector has no c_i
+                k, f, (fs,), _ = w.rows()
+                for i, c in enumerate(tangent_rate_coefficients(e, k, f, fs, m)):
+                    rates[: w.size, i] = c
+                np.multiply(target_signs, rates[: w.size, : m - 1], out=rates[: w.size, m - 1 :])
+            for r, row in enumerate(buf):
+                fdot = w.fdot(r)
+                psi = w.psi_at(r, psi_rows, psi_cols, fdot)
+                # V1 coefficient of dV_j/dt for j = 2..m, then dV_j/dt rebuilt from it and psi
+                source[: 2 * m - 2] = rates[r]
+                np.subtract(e[0] * psi[: m - 1], source[m - 1 : 2 * m - 2], out=row[v1:recon])
+                np.multiply(psi[m - 1 :], psi_signs, out=source[2 * m - 2 :])
+                source.take(index, axis=0, out=coefficients, mode="clip")  # not buffered, as "raise" is
+                w.frames[r + 1].reshape(-1, N).take(vectors, axis=0, out=term_rows, mode="clip")
+                np.multiply(terms, coefficients, out=terms)
+                np.add.reduce(terms, axis=1, out=sums)  # sum()'s +0.0 start moves only a zero's sign
+                fdot.reshape(-1, N).take(velocities, axis=0, out=fdot_rows, mode="clip")
+                np.subtract(fdots, sums, out=sums)
+                squares = dot_many(paired, paired)
+                np.sqrt(squares[0], out=row[tangent_row])
+                np.sqrt(squares[1:], out=row[recon:])
+
+        return block
+
+    def details(self, residuals, violation) -> dict:
+        return {"frame_flips": self.flips, "inextensibility_violation": violation}
+
+
+class CurvaturePde(_Window):
+    """``check_curvature_pde``, fed state by state.  A frame of one vector
+    is a ConfigError, raised by ``finish`` after InsufficientStates."""
+
+    identity, inextensible = "curvature_pde", True
+
+    def plan(self):
+        self.orders = (2, 1)
+        m, e, N = self.m, self.e, self.N
+        if m < 2:
+            self.error = ConfigError("curvature check needs at least two frame vectors", field="checks")
+            return None
+        # curvature_rates reads dpsi at [i + 1, i] and [m - 1, m], psi at [i + 2, i] and [i - 1, i + 1]:
+        # only those psi entries are formed, and the first are differentiated
+        slope_at = [(i + 1, i) for i in range(1, m)] + [(m - 1, m)]
+        value_at = [(i + 2, i) for i in range(1, m - 1)] + [(i - 1, i + 1) for i in range(2, m)]
+        core = np.array(slope_at + value_at, dtype=int).reshape(-1, 2).T - 1  # entries of the unpadded psi
+        # state-first block buffers, written per state: the psi entries to differentiate, the
+        # others, the speeds; and the s-derivatives of the first and of k
+        slope_in, value_in = np.empty((BLOCK_STATES, m, N)), np.empty((BLOCK_STATES, len(value_at), N))
+        speeds = np.empty((BLOCK_STATES, 1, N))
+        psi_slopes, k_slopes = np.empty((BLOCK_STATES, m, N)), np.empty((BLOCK_STATES, m - 1, N))
+        rows = self.results  # k1_rate_max and k1_flow_rhs_max go to the details, not residuals
+        flow_form, rate_max, rhs_max = map(rows.add, ("k1_flow_form", "k1_rate_max", "k1_flow_rhs_max"))
+        psi_rows = [(rows.add(f"k{i}_psi_metric"), rows.add(f"k{i}_psi_classical")) for i in range(1, m)]
+        metric_rows = slice(psi_rows[0][0], None, 2)  # every other row from k1_psi_metric's on
+        self.k_rows = k_rows = _Rows()  # |k_j| over every sample of every state, both end states included
+        for j in range(1, m):
+            k_rows.add(f"k{j}")
+
+        def block(w, buf):
+            b, c = w.size, w.states[1].curve
+            for r, st in enumerate(w.states[1:-1]):
+                p = w.psi_at(r, *core, w.fdot(r))
+                slope_in[r], value_in[r], speeds[r, 0] = p[:m], p[m:], st.curve.speeds
+            k, f, (fs, fss), curvatures = w.rows()
+            # kdot is formed in the metric rows, where each metric reading is then subtracted in place
+            kdot = w.central(curvatures[2:], curvatures[:-2], out=buf[:, metric_rows])
+            # d/ds: the same differences as a d_du of each state's rows, then / speeds
+            ks = d_du(curvatures[1:-1], c.h, c.closed, out=k_slopes[:b])
+            np.divide(ks, speeds[:b], out=ks)
+            dp = d_du(slope_in[:b], c.h, c.closed, out=psi_slopes[:b])
+            np.divide(dp, speeds[:b], out=dp)
+            zero = k[0]  # the entries by padded [row, col]; every other entry reads as zero
+            dpsi = defaultdict(lambda: zero, zip(slope_at, dp.transpose(1, 0, 2)))
+            psi = defaultdict(lambda: zero, zip(value_at, value_in[:b].transpose(1, 0, 2)))
+            # k1_rate reads only k_1' and k_2'
+            buf[:, rhs_max] = k1_rate(e, k, [zero, *ks.transpose(1, 0, 2), zero], f, fs, fss)
+            np.subtract(kdot[:, 0], buf[:, rhs_max], out=buf[:, flow_form])
+            buf[:, rate_max] = kdot[:, 0]
+            metric, classical = curvature_rates(e, k, psi, dpsi, m)
+            for i, (_, classical_row) in enumerate(psi_rows):
+                np.subtract(kdot[:, i], classical[i], out=buf[:, classical_row])
+                np.subtract(kdot[:, i], metric[i], out=kdot[:, i])
+            k_rows.fold(curvatures, slice(None))  # last: k and the slopes' inputs are views of it
+
+        return block
+
+    def details(self, residuals, violation) -> dict:
+        flat = [int(name[1:]) for name, peak in self.k_rows.maxima().items() if peak < 1e-10]
+        degenerate = [f"k{i}" for i in range(1, self.m) if i - 1 in flat or i + 1 in flat]
+        return {
+            "frame_flips": self.flips,
+            "inextensibility_violation": violation,
+            "degenerate_equations": degenerate,
+            "k1_rate_max": residuals.pop("k1_rate_max"),
+            "k1_flow_rhs_max": residuals.pop("k1_flow_rhs_max"),
+        }
 
 
 def check_speed_evolution(traj: Trajectory, tolerance: float | None = None) -> VerificationReport:
@@ -451,21 +748,7 @@ def check_speed_evolution(traj: Trajectory, tolerance: float | None = None) -> V
     the classical variant e0 df1/du - e1 f2 v k1 (their ratio is e0, so
     the two coincide on spacelike curves) is recorded alongside.
     """
-    window = _Window(traj)
-    e = window.e
-    rows = _Rows()
-    metric = rows.add("speed_evolution")
-    classical = rows.add("speed_evolution_classical", same=metric if e[0] == 1.0 else None)
-
-    def block(w, buf):
-        v, f1_s = np.array([st.curve.speeds for st in w.states]), np.array([st.f1_s for st in w.states[1:-1]])
-        vdot, rhs = w.central(v[2:], v[:-2]), speed_rate(v[1:-1], f1_s, *stacked_rule_terms(w.states[1:-1]))
-        np.subtract(vdot, rhs, out=buf[:, metric])
-        if classical != metric:
-            np.subtract(vdot, e[0] * rhs, out=buf[:, classical])
-
-    residuals = rows.peaks(window, block)
-    return _report("speed_evolution", traj, residuals, tolerance, {"frame_flips": window.flips})
+    return SpeedEvolution.of(traj, tolerance)
 
 
 def check_iff_condition(traj: Trajectory, tolerance: dict | None = None) -> VerificationReport:
@@ -476,35 +759,12 @@ def check_iff_condition(traj: Trajectory, tolerance: dict | None = None) -> Veri
     thresholds.  Neither side alone decides the outcome, and a NaN reading
     on either side fails it: NaN is neither small nor large.
     """
-    tol = _tol("iff_condition", tolerance)
-    if len(traj.states) < 2:
-        raise InsufficientStates("iff check needs at least 2 states")
-    a = _pointwise_violation(traj)
-    b = arclength_drift(traj)
-    a_small = a <= tol["pointwise"]
-    b_small = b <= tol["drift"]
-    holds = a_small == b_small and not (np.isnan(a) or np.isnan(b))
-    details = {"pointwise_small": a_small, "drift_small": b_small, "equivalence": holds}
-    residuals = {"pointwise": a, "drift": b}
-    return _report("iff_condition", traj, residuals, tolerance, details, passed=holds)
+    return IffCondition.of(traj, tolerance)
 
 
 def check_psi_antisymmetry(traj: Trajectory, tolerance: float | None = None) -> VerificationReport:
     """Psi_kj + Psi_jk = 0 and Psi_jj = 0 at every interior step."""
-    window = _Window(traj)
-    m = window.m
-    rows = _Rows()
-    pairs = rows.add("antisymmetry", m * m)
-    diagonal = rows.add("diagonal", m)
-
-    def block(w, buf):
-        for r in range(w.size):
-            psi = w.psi(r)
-            np.add(psi, psi.swapaxes(0, 1), out=buf[r, pairs:diagonal].reshape(psi.shape))
-            buf[r, diagonal:] = psi.diagonal().T  # diagonal() is (N, m)
-
-    residuals = rows.peaks(window, block)
-    return _report("psi_antisymmetry", traj, residuals, tolerance, {"frame_flips": window.flips})
+    return PsiAntisymmetry.of(traj, tolerance)
 
 
 def check_frame_evolution(traj: Trajectory, tolerance: float | None = None) -> VerificationReport:
@@ -515,70 +775,7 @@ def check_frame_evolution(traj: Trajectory, tolerance: float | None = None) -> V
     reconstruction of those velocities from the psi coefficients, in both
     the metric-consistent and the bare-projection reading.
     """
-    violation = _require_inextensible(traj)
-    m = traj.states[0].frenet.num_vectors
-    window = _Window(traj, (1,) * (m - 1))
-    e, n, N = window.e, window.n, window.N
-    others = {j: [i for i in range(2, m + 1) if i != j] for j in range(2, m + 1)}
-    rows = _Rows()
-    tangent_row = rows.add("tangent_equation")
-    v1 = rows.count  # the v1 rows, one per j, then the readings' rows
-    for j in others:
-        rows.add("v1_coefficient_mid" if j < m else "v1_coefficient_last")
-    readings = []  # (j, signs of psi_ij, i in others[j]) of each distinct reading of dV_j/dt
-    for j in others:
-        metric = rows.add("reconstruction_metric")
-        signs, bare = [e[i - 1] for i in others[j]], [1.0] * (m - 2)  # e_{i-1} psi_ij or psi_ij
-        rows.add("reconstruction_bare", same=metric if signs == bare else None)
-        readings += [(j, signs)] if signs == bare else [(j, signs), (j, bare)]
-    recon, R = v1 + m - 1, len(readings)  # the readings' rows follow the v1 rows
-    # dV_1/dt and each reading of dV_j/dt as m - 1 terms coefficient * vector, stacked
-    # [component, term, 1 + reading]: c_i V_i, i = 2..m; the V1 coefficient times V_1,
-    # then signed psi_ij V_i, i != j.  psi is formed where the v1 rows, then the terms, read it.
-    at = [(0, j - 1) for j in others] + [(others[j][t] - 1, j - 1) for t in range(m - 2) for j, _ in readings]
-    psi_rows, psi_cols = np.array(at, dtype=int).reshape(-1, 2).T
-    psi_signs = np.array([signs[t] for t in range(m - 2) for _, signs in readings]).reshape(-1, 1)
-    target_signs = np.array([-e[0] * e[j - 1] for j in others]).reshape(-1, 1)
-    # each term's coefficient is a row of [c_2..c_m, the V1 coefficients, the signed psi_ij]
-    index = [[t] + [m + j - 3 if t == 0 else 2 * m - 2 + (t - 1) * R + r for r, (j, _) in enumerate(readings)]
-             for t in range(m - 1)]
-    stacks = np.array([range(1, m)] + [[0] + [i - 1 for i in others[j]] for j, _ in readings], dtype=int).T
-    vectors = np.add.outer(np.arange(n), n * stacks).ravel()  # rows of the (m * n, N) frame
-    velocities = np.add.outer(np.arange(n), n * np.array([0] + [j - 1 for j, _ in readings])).ravel()
-    index, source = np.array(index, dtype=int).reshape(m - 1, 1 + R), np.empty((2 * m - 2 + len(psi_signs), N))
-    coefficients, sums, fdots = np.empty((m - 1, 1 + R, N)), np.empty((n, 1 + R, N)), np.empty((n, 1 + R, N))
-    terms = np.empty((n, m - 1, 1 + R, N))
-    # views of the buffers, made once: (m * n, N) and (n, N) rows, and [reading, component]
-    term_rows, fdot_rows, paired = terms.reshape(-1, N), fdots.reshape(-1, N), sums.transpose(1, 0, 2)
-    # per block, state-first: c_2..c_m, then the predicted V1 coefficients -e0 e_{j-1} c_j
-    rates = np.empty((BLOCK_STATES, 2 * m - 2, N))
-
-    def block(w, buf):
-        if m > 1:  # one frame vector has no c_i
-            k, f, (fs,), _ = w.rows()
-            for i, c in enumerate(tangent_rate_coefficients(e, k, f, fs, m)):
-                rates[: w.size, i] = c
-            np.multiply(target_signs, rates[: w.size, : m - 1], out=rates[: w.size, m - 1 :])
-        for r, row in enumerate(buf):
-            fdot = w.fdot(r)
-            psi = w.psi_at(r, psi_rows, psi_cols, fdot)
-            # V1 coefficient of dV_j/dt for j = 2..m, then dV_j/dt rebuilt from it and psi
-            source[: 2 * m - 2] = rates[r]
-            np.subtract(e[0] * psi[: m - 1], source[m - 1 : 2 * m - 2], out=row[v1:recon])
-            np.multiply(psi[m - 1 :], psi_signs, out=source[2 * m - 2 :])
-            source.take(index, axis=0, out=coefficients, mode="clip")  # not buffered, as "raise" is
-            w.frames[r + 1].reshape(-1, N).take(vectors, axis=0, out=term_rows, mode="clip")
-            np.multiply(terms, coefficients, out=terms)
-            np.add.reduce(terms, axis=1, out=sums)  # sum()'s +0.0 start moves only a zero's sign
-            fdot.reshape(-1, N).take(velocities, axis=0, out=fdot_rows, mode="clip")
-            np.subtract(fdots, sums, out=sums)
-            squares = dot_many(paired, paired)
-            np.sqrt(squares[0], out=row[tangent_row])
-            np.sqrt(squares[1:], out=row[recon:])
-
-    residuals = rows.peaks(window, block)
-    details = {"frame_flips": window.flips, "inextensibility_violation": violation}
-    return _report("frame_evolution", traj, residuals, tolerance, details)
+    return FrameEvolution.of(traj, tolerance)
 
 
 def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> VerificationReport:
@@ -591,66 +788,7 @@ def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> Ver
     Equations whose coefficient curvatures vanish identically are flagged
     as degenerate in the details but still measured.
     """
-    violation = _require_inextensible(traj)
-    window = _Window(traj, (2, 1))
-    m, e, N = window.m, window.e, window.N
-    if m < 2:
-        raise ConfigError("curvature check needs at least two frame vectors", field="checks")
-    # curvature_rates reads dpsi at [i + 1, i] and [m - 1, m], psi at [i + 2, i] and [i - 1, i + 1]:
-    # only those psi entries are formed, and the first are differentiated
-    slope_at = [(i + 1, i) for i in range(1, m)] + [(m - 1, m)]
-    value_at = [(i + 2, i) for i in range(1, m - 1)] + [(i - 1, i + 1) for i in range(2, m)]
-    core = np.array(slope_at + value_at, dtype=int).reshape(-1, 2).T - 1  # entries of the unpadded psi
-    # state-first block buffers, written per state: the psi entries to differentiate, the
-    # others, the speeds; and the s-derivatives of the first and of k
-    slope_in, value_in = np.empty((BLOCK_STATES, m, N)), np.empty((BLOCK_STATES, len(value_at), N))
-    speeds = np.empty((BLOCK_STATES, 1, N))
-    psi_slopes, k_slopes = np.empty((BLOCK_STATES, m, N)), np.empty((BLOCK_STATES, m - 1, N))
-    rows = _Rows()  # k1_rate_max and k1_flow_rhs_max go to the details, not residuals
-    flow_form, rate_max, rhs_max = map(rows.add, ("k1_flow_form", "k1_rate_max", "k1_flow_rhs_max"))
-    psi_rows = [(rows.add(f"k{i}_psi_metric"), rows.add(f"k{i}_psi_classical")) for i in range(1, m)]
-    metric_rows = slice(psi_rows[0][0], None, 2)  # every other row from k1_psi_metric's on
-    k_rows = _Rows()  # |k_j| over every sample of every state, both end states included
-    for j in range(1, m):
-        k_rows.add(f"k{j}")
-
-    def block(w, buf):
-        b, c = w.size, w.states[1].curve
-        for r, st in enumerate(w.states[1:-1]):
-            p = w.psi_at(r, *core, w.fdot(r))
-            slope_in[r], value_in[r], speeds[r, 0] = p[:m], p[m:], st.curve.speeds
-        k, f, (fs, fss), curvatures = w.rows()
-        # kdot is formed in the metric rows, where each metric reading is then subtracted in place
-        kdot = w.central(curvatures[2:], curvatures[:-2], out=buf[:, metric_rows])
-        # d/ds: the same differences as a d_du of each state's rows, then / speeds
-        ks = d_du(curvatures[1:-1], c.h, c.closed, out=k_slopes[:b])
-        np.divide(ks, speeds[:b], out=ks)
-        dp = d_du(slope_in[:b], c.h, c.closed, out=psi_slopes[:b])
-        np.divide(dp, speeds[:b], out=dp)
-        zero = k[0]  # the entries by padded [row, col]; every other entry reads as zero
-        dpsi = defaultdict(lambda: zero, zip(slope_at, dp.transpose(1, 0, 2)))
-        psi = defaultdict(lambda: zero, zip(value_at, value_in[:b].transpose(1, 0, 2)))
-        # k1_rate reads only k_1' and k_2'
-        buf[:, rhs_max] = k1_rate(e, k, [zero, *ks.transpose(1, 0, 2), zero], f, fs, fss)
-        np.subtract(kdot[:, 0], buf[:, rhs_max], out=buf[:, flow_form])
-        buf[:, rate_max] = kdot[:, 0]
-        metric, classical = curvature_rates(e, k, psi, dpsi, m)
-        for i, (_, classical_row) in enumerate(psi_rows):
-            np.subtract(kdot[:, i], classical[i], out=buf[:, classical_row])
-            np.subtract(kdot[:, i], metric[i], out=kdot[:, i])
-        k_rows.fold(curvatures, slice(None))  # last: k and the slopes' inputs are views of it
-
-    residuals = rows.peaks(window, block)
-    flat = [int(name[1:]) for name, peak in k_rows.maxima().items() if peak < 1e-10]
-    degenerate = [f"k{i}" for i in range(1, m) if i - 1 in flat or i + 1 in flat]
-    details = {
-        "frame_flips": window.flips,
-        "inextensibility_violation": violation,
-        "degenerate_equations": degenerate,
-        "k1_rate_max": residuals.pop("k1_rate_max"),
-        "k1_flow_rhs_max": residuals.pop("k1_flow_rhs_max"),
-    }
-    return _report("curvature_pde", traj, residuals, tolerance, details)
+    return CurvaturePde.of(traj, tolerance)
 
 
 CHECKS = {
@@ -660,6 +798,9 @@ CHECKS = {
     "frame_evolution": check_frame_evolution,
     "curvature_pde": check_curvature_pde,
 }
+
+# the checks as accumulators, by identity: what ``cli.execute`` feeds state by state
+ACCUMULATORS = {cls.identity: cls for cls in (SpeedEvolution, IffCondition, PsiAntisymmetry, FrameEvolution, CurvaturePde)}
 
 
 def run_check(name: str, traj: Trajectory, tolerance=None) -> VerificationReport:

@@ -132,13 +132,13 @@ def test_run_reports_a_nan_residual_as_nan(tmp_path, capsys, monkeypatch):
     # the summary line prints it rather than the largest finite residual
     from curveflow import verify
 
-    real = verify.CHECKS["speed_evolution"]
+    class Planted(verify.SpeedEvolution):  # fed state by state, as ``execute`` feeds it
+        def feed(self, states):
+            if self.taken == 2:
+                states[0].f1_s[5] = float("nan")
+            super().feed(states)
 
-    def planted(traj, tolerance=None):
-        traj.states[2].f1_s[5] = float("nan")
-        return real(traj, tolerance)
-
-    monkeypatch.setitem(verify.CHECKS, "speed_evolution", planted)
+    monkeypatch.setitem(verify.ACCUMULATORS, "speed_evolution", Planted)
     out = tmp_path / "out"
     rc = main(["run", str(bundled_scenario_path("circle_zero_flow.json")), "--out", str(out)])
     assert rc == EXIT_CHECK_FAILED

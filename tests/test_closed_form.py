@@ -62,7 +62,7 @@ import pytest
 import sympy as sp
 
 from curveflow import verify
-from curveflow.cli import bundled_scenario_path, execute
+from curveflow.cli import build_curve_spec, build_flow, bundled_scenario_path
 from curveflow.curvekit import CLOSED, OPEN, CurveSpec, sample
 from curveflow.errors import NullCurveDeveloped
 from curveflow.flowsim import FlowSpec, evolve, initial_state
@@ -75,10 +75,13 @@ F1_BOUND = {128: 6.9e-7, 256: 4.3e-8}
 
 
 def _evolve(name, samples):
+    """The whole trajectory of a bundled scenario at ``samples`` points, from
+    the inputs ``cli.execute`` builds."""
     doc = json.loads(bundled_scenario_path(name).read_text())
-    doc["checks"] = []
     doc["curve"]["samples"] = samples
-    return execute(doc)[0]
+    flow = build_flow(doc)
+    state = initial_state(sample(build_curve_spec(doc)), flow)
+    return evolve(state, flow, doc["integrator"]["dt"], doc["integrator"]["steps"])
 
 
 def _rotation_errors(traj):

@@ -19,8 +19,6 @@ from curveflow.verify import (
     check_speed_evolution,
     k1_rate,
     merge_reports,
-    _Rows,
-    _Window,
     run_check,
 )
 from conftest import (
@@ -106,15 +104,49 @@ def test_iff_shrink_both_sides_large(shrink_traj):
 # --- psi matrix -------------------------------------------------------------
 
 
+def _probe(traj, plan, orders=()):
+    """The report of a window check whose ``plan(w)`` declares its rows on
+    ``w.results`` and returns its block function, with jets to ``orders``;
+    it reads speed_evolution's tolerance.  traj is fed in one call."""
+
+    class Probe(verify.SpeedEvolution):
+        def plan(self):
+            self.orders = orders
+            return plan(self)
+
+    return Probe.of(traj)
+
+
+def _blocks(traj, read, orders=()):
+    """read(w) at each block of states that a window walks over traj, in order."""
+    found = []
+
+    def plan(w):
+        w.results.add("nothing")
+
+        def block(w, buf):
+            buf[...] = 0.0
+            found.append(read(w))
+
+        return block
+
+    _probe(traj, plan, orders)
+    return found
+
+
+def _each_state(traj, read, orders=()):
+    """read(w, r) at each step r of each block of states a window walks over traj."""
+    return [x for block in _blocks(traj, lambda w: [read(w, r) for r in range(w.size)], orders) for x in block]
+
+
 def test_psi_zero_flow(zero_traj):
-    for w in _Window(zero_traj).walk():
-        for r in range(w.size):
-            assert np.max(np.abs(w.psi(r))) < 1e-14
+    for psi in _each_state(zero_traj, lambda w, r: w.psi(r)):
+        assert np.max(np.abs(psi)) < 1e-14
 
 
 def test_psi_rigid_rotation(rigid_traj_short):
     # V1 rotates into V2 at unit rate, at every step
-    psis = [w.psi(r) for w in _Window(rigid_traj_short).walk() for r in range(w.size)]
+    psis = _each_state(rigid_traj_short, lambda w, r: w.psi(r))
     assert len(psis) == len(rigid_traj_short.states) - 2
     for psi in psis:
         assert np.max(np.abs(psi[1, 0] - 1.0)) < 1e-3
@@ -163,12 +195,7 @@ def test_frame_evolution_with_one_frame_vector():
     curve = sample(CurveSpec.from_strings(("sqrt(2)*u", "cos(u)", "sin(u)"), (0.0, 6.0), OPEN, 64))
     flow = FlowSpec.explicit(["0.3", "0", "0"])  # a slide along the tangent
     traj = evolve(initial_state(curve, flow, 1), flow, 1e-3, 5)
-    window = _Window(traj)
-    peak = max(
-        float(np.max(np.sqrt(dot_many(w.fdot(r)[0], w.fdot(r)[0]))[window.interior]))
-        for w in window.walk()
-        for r in range(w.size)
-    )
+    peak = max(_each_state(traj, lambda w, r: float(np.max(np.sqrt(dot_many(w.fdot(r)[0], w.fdot(r)[0]))[w.interior]))))
     rep = check_frame_evolution(traj)
     assert list(rep.residuals[0]) == ["tangent_equation"]
     assert rep.residuals[0]["tangent_equation"].hex() == peak.hex() and peak > 0.1
@@ -325,9 +352,8 @@ def test_frame_alignment_undoes_pointwise_sign_flips():
         if name != "iff_condition":
             assert ref.details["frame_flips"] == 0, name
             assert rep.details["frame_flips"] == 14, name
-    for a, b in zip(_Window(flipped).walk(), _Window(traj).walk(), strict=True):
-        for r in range(a.size):
-            assert np.array_equal(a.psi(r), b.psi(r))
+    for a, b in zip(_each_state(flipped, lambda w, r: w.psi(r)), _each_state(traj, lambda w, r: w.psi(r)), strict=True):
+        assert np.array_equal(a, b)
 
 
 def _with_changed_signature(traj, step):
@@ -586,8 +612,8 @@ def test_psi_matrix_matches_pairwise_products(sine_traj_short):
     frame = states[7].frenet.frame
     m = len(frame)
     ref = np.array([[inner_many(fdot[j], frame[k]) for j in range(m)] for k in range(m)])
-    w = next(_Window(sine_traj_short).walk())  # the block of steps 1..8
-    assert np.array_equal(w.psi(6), ref)
+    psi = _blocks(sine_traj_short, lambda w: w.psi(6) if w.size > 6 else None)[0]  # the block of steps 1..8
+    assert np.array_equal(psi, ref)
 
 
 def _traced_peak(fn, *args) -> int:
@@ -684,19 +710,23 @@ def test_window_fields_hold_the_jet_derivatives(traj_name, request):
     # speed's rows are left at the +0.0 they start with.  rows() hands them
     # out as (size, N) rows over the block's states
     traj = request.getfixturevalue(traj_name)
-    w = next(_Window(traj, (2, 1)).walk())
-    k, f, ds, _ = w.rows()
-    assert len(ds) == 2
-    r, st = 2, w.states[3]  # the block's state 2, at step 3
     speeds = traj.flow.speeds
-    for i, order in ((2, 2), (3, 1)):
-        for j in range(1, 3):
-            row = ds[j - 1][i][r]
-            if j > order or isinstance(speeds[i - 1], exprjet.Lit):
-                assert not np.any(row) and not np.any(np.signbit(row))
-                continue
-            jet = exprjet.eval_jet(speeds[i - 1], "s", st.curve.s, order, {"t": st.t})
-            assert row.tobytes() == jet.derivative(j).tobytes()
+
+    def first_block(w):
+        k, f, ds, _ = w.rows()
+        assert len(ds) == 2
+        r, st = 2, w.states[3]  # the block's state 2, at step 3
+        for i, order in ((2, 2), (3, 1)):
+            for j in range(1, 3):
+                row = ds[j - 1][i][r]
+                if j > order or isinstance(speeds[i - 1], exprjet.Lit):
+                    assert not np.any(row) and not np.any(np.signbit(row))
+                    continue
+                jet = exprjet.eval_jet(speeds[i - 1], "s", st.curve.s, order, {"t": st.t})
+                assert row.tobytes() == jet.derivative(j).tobytes()
+        return True
+
+    assert _blocks(traj, lambda w: w.states[0] is traj.states[0] and first_block(w), (2, 1))[0]
 
 
 # --- report plumbing --------------------------------------------------------
@@ -906,18 +936,20 @@ def test_rows_reduce_as_a_loop_over_steps_and_names(helix_traj):
     # "a" owns two rows declared apart, "b" one, and "c" reads b's row; one
     # sample of one step is NaN (in a row of "b"), and values outside the
     # open curve's interior are the largest and must not count
-    window = _Window(helix_traj)
-    sl = window.interior
+    first = helix_traj.states[0].curve
+    sl = verify._interior(first)
     assert sl != slice(None)
-    rows = _Rows()
-    a1 = rows.add("a")
-    b = rows.add("b")
-    a2 = rows.add("a", 2)
-    rows.add("c", same=b)
+
+    def declare(rows):
+        a1, b, a2 = rows.add("a"), rows.add("b"), rows.add("a", 2)
+        rows.add("c", same=b)
+        return rows, a1, b, a2
+
+    rows, a1, b, a2 = declare(verify._Rows())
     assert rows.count == 4
     rng = np.random.default_rng(7)
     steps = len(helix_traj.states) - 2
-    data = rng.standard_normal((steps, rows.count, window.N))
+    data = rng.standard_normal((steps, rows.count, first.samples))
     data[:, :, : sl.start] = 1e3
     data[:, :, sl.stop :] = -1e3
     data[3, b, sl.start + 5] = np.nan
@@ -933,7 +965,12 @@ def test_rows_reduce_as_a_loop_over_steps_and_names(helix_traj):
 
     for values, nan in ((data, True), (clean, False)):
         steps = iter(values)
-        peaks = rows.peaks(window, lambda w, buf: [np.copyto(row, next(steps)) for row in buf])
+
+        def plan(w):
+            declare(w.results)
+            return lambda w, buf: [np.copyto(row, next(steps)) for row in buf]
+
+        peaks = _probe(helix_traj, plan).residuals[0]
         expected = reference(values)
         assert list(peaks) == ["a", "b", "c"]
         for name in expected:
@@ -1023,7 +1060,6 @@ def _rows_one_by_one(traj):
     name -> (steps, rows, N)."""
     m = traj.states[0].frenet.num_vectors
     inextensible = traj.flow.speeds[0] is None
-    window = _Window(traj)
     kept = {}
 
     def keep(name, index, row):
@@ -1032,47 +1068,48 @@ def _rows_one_by_one(traj):
     def norm(r):
         return np.sqrt(dot_many(r, r))
 
-    for w in window.walk():
-        for r in range(w.size):
-            prev, state, after = w.states[r : r + 3]
-            e, V, fdot, curve = w.e, w.frames[r + 1], w.fdot(r), state.curve
-            vdot = (after.curve.speeds - prev.curve.speeds) / (2.0 * w.dt)
-            keep("speed_evolution", 0, vdot - dv_dt_rhs(state))
-            keep("speed_evolution_classical", 0, vdot - e[0] * dv_dt_rhs(state))
-            if not inextensible:
-                continue
-            k, f, fs, fss = _fields(traj, state)
-            psi = w.psi(r)  # [k, j], 0-based
-            c = {i: f[i - 1] * k[i - 1] + fs[i] - (e[i - 1] * e[i]) * f[i + 1] * k[i] for i in range(2, m + 1)}
-            keep("tangent_equation", 0, norm(fdot[0] - sum(c[i] * V[i - 1] for i in range(2, m + 1))))
-            for j in range(2, m + 1):
-                target = -e[0] * e[j - 1] * c[j]
-                keep("v1_coefficient_mid" if j < m else "v1_coefficient_last", j, e[0] * psi[0, j - 1] - target)
-                for name, signed in (("reconstruction_metric", True), ("reconstruction_bare", False)):
-                    recon = target * V[0]
-                    for i in range(2, m + 1):
-                        if i != j:
-                            recon = recon + (e[i - 1] * psi[i - 1, j - 1] if signed else psi[i - 1, j - 1]) * V[i - 1]
-                    keep(name, j, norm(fdot[j - 1] - recon))
-            # zero-padded and 1-based, as curvature_rates reads them
-            P, D = np.zeros((m + 2, m + 2, w.N)), np.zeros((m + 2, m + 2, w.N))
-            for a in range(m):
-                for b in range(m):
-                    P[a + 1, b + 1], D[a + 1, b + 1] = psi[a, b], d_ds(psi[a, b], curve)
-            kdot = (after.frenet.curvatures - prev.frenet.curvatures) / (2.0 * w.dt)
-            rate = k1_rate(e, k, d_ds(k[:3], curve), f, fs, fss)
-            keep("k1_flow_form", 0, kdot[0] - rate)
-            keep("k1_rate_max", 0, kdot[0])
-            keep("k1_flow_rhs_max", 0, rate)
-            for i in range(1, m):
-                d, p, q = D[i + 1, i], P[i + 2, i], k[i - 1] * P[i - 1, i + 1]
-                metric = e[i] * (d - p * k[i + 1]) - e[i - 2] * e[i - 1] * e[i] * q
-                if i < m - 1:
-                    classical = d - e[i] * e[i + 1] * p * k[i + 1] - q
-                else:
-                    classical = -e[m - 2] * e[m - 1] * (D[m - 1, m] + P[m - 2, m] * k[m - 2])
-                keep(f"k{i}_psi_metric", 0, kdot[i - 1] - metric)
-                keep(f"k{i}_psi_classical", 0, kdot[i - 1] - classical)
+    def at_state(w, r):
+        prev, state, after = w.states[r : r + 3]
+        e, V, fdot, curve = w.e, w.frames[r + 1], w.fdot(r), state.curve
+        vdot = (after.curve.speeds - prev.curve.speeds) / (2.0 * w.dt)
+        keep("speed_evolution", 0, vdot - dv_dt_rhs(state))
+        keep("speed_evolution_classical", 0, vdot - e[0] * dv_dt_rhs(state))
+        if not inextensible:
+            return
+        k, f, fs, fss = _fields(traj, state)
+        psi = w.psi(r)  # [k, j], 0-based
+        c = {i: f[i - 1] * k[i - 1] + fs[i] - (e[i - 1] * e[i]) * f[i + 1] * k[i] for i in range(2, m + 1)}
+        keep("tangent_equation", 0, norm(fdot[0] - sum(c[i] * V[i - 1] for i in range(2, m + 1))))
+        for j in range(2, m + 1):
+            target = -e[0] * e[j - 1] * c[j]
+            keep("v1_coefficient_mid" if j < m else "v1_coefficient_last", j, e[0] * psi[0, j - 1] - target)
+            for name, signed in (("reconstruction_metric", True), ("reconstruction_bare", False)):
+                recon = target * V[0]
+                for i in range(2, m + 1):
+                    if i != j:
+                        recon = recon + (e[i - 1] * psi[i - 1, j - 1] if signed else psi[i - 1, j - 1]) * V[i - 1]
+                keep(name, j, norm(fdot[j - 1] - recon))
+        # zero-padded and 1-based, as curvature_rates reads them
+        P, D = np.zeros((m + 2, m + 2, w.N)), np.zeros((m + 2, m + 2, w.N))
+        for a in range(m):
+            for b in range(m):
+                P[a + 1, b + 1], D[a + 1, b + 1] = psi[a, b], d_ds(psi[a, b], curve)
+        kdot = (after.frenet.curvatures - prev.frenet.curvatures) / (2.0 * w.dt)
+        rate = k1_rate(e, k, d_ds(k[:3], curve), f, fs, fss)
+        keep("k1_flow_form", 0, kdot[0] - rate)
+        keep("k1_rate_max", 0, kdot[0])
+        keep("k1_flow_rhs_max", 0, rate)
+        for i in range(1, m):
+            d, p, q = D[i + 1, i], P[i + 2, i], k[i - 1] * P[i - 1, i + 1]
+            metric = e[i] * (d - p * k[i + 1]) - e[i - 2] * e[i - 1] * e[i] * q
+            if i < m - 1:
+                classical = d - e[i] * e[i + 1] * p * k[i + 1] - q
+            else:
+                classical = -e[m - 2] * e[m - 1] * (D[m - 1, m] + P[m - 2, m] * k[m - 2])
+            keep(f"k{i}_psi_metric", 0, kdot[i - 1] - metric)
+            keep(f"k{i}_psi_classical", 0, kdot[i - 1] - classical)
+
+    _each_state(traj, at_state)
     for st in traj.states if inextensible else ():
         c, (e0, e1), (f1, f2) = st.curve, st.frenet.signs[:2], st.f_values[:2]
         keep("pointwise", 0, d_du4(f1, c.h, c.closed) / c.speeds - float(e0 * e1) * f2 * st.frenet.curvatures[0])

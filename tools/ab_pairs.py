@@ -31,7 +31,9 @@ Operations, timed in CPU seconds of this process:
 * ``run``: ``cli.execute`` on every bundled scenario of the tree, each
   read once before timing: the in-process path of perfbench's
   ``scenario_suite`` without its output files and convergence ladders.
-  ``--samples`` and ``--steps`` do not apply.
+  ``--samples`` and ``--steps`` do not apply.  ``execute`` may keep no
+  trajectory, so the states compared are those of the tree's ``evolve`` on
+  ``execute``'s inputs, run once before timing.
 
 Each tree reads its scenarios with its own ``cli.load_scenario``.  A tree
 whose ``cli`` still finds its bundled files through the name ``curveflow``
@@ -41,12 +43,16 @@ It prints the median of each side, the median pairwise change, the pairs
 the change won, each side's median minor page faults per operation, and
 whether the two trees' results were equal: every report's JSON text for
 ``verify`` and ``run`` (``report_text``: keys in the report's own order, so
-a change that only reorders residuals is a change), and for ``evolve`` and
-``run`` the bytes of every array each kept state holds (``state_bytes``).
+a change that only reorders residuals is a change), for ``evolve`` and
+``run`` the bytes of every array each kept state holds (``state_bytes``;
+their SHA-256 for ``run``), and for ``run`` the text ``write_timeseries``
+writes of each ``execute``.
 For ``verify`` it also prints one line per ``CHECKS`` name with each side's
 median CPU seconds of that check over both trajectories.  For ``evolve`` it
 prints the MiB of the distinct arrays each side's trajectory keeps, the
-figure perfbench reports as ``flowsim.trajectory_mb``.  Beside the times it
+figure perfbench reports as ``flowsim.trajectory_mb``.  For ``run`` it
+prints each side's ``tracemalloc`` peak of one ``execute`` per scenario,
+taken before timing.  Beside the times it
 prints each side's Python-level and C-level calls made by the tree's own
 code, counted after warm-up by ``tests/callcount.py``'s ``package_calls``,
 the count the tests' call budgets pin: per check over one ``verify``
@@ -60,12 +66,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import resource
 import statistics
 import sys
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -143,7 +152,13 @@ class Side:
         self.op = op
         if op == "run":
             paths = sorted((src / "curveflow" / "scenarios").glob("*.json"))
+            self.names = [path.stem for path in paths]
             self.docs = [cf.cli.load_scenario(path) for path in paths]
+            self.state_digests = [
+                [hashlib.sha256(state_bytes(st)).digest() for st in evolve_doc(cf, doc_inputs(cf, doc)).states]
+                for doc in self.docs
+            ]
+            self.execute_mib = [traced_mib(cf.cli.execute, doc) for doc in self.docs]
             self.run = self.scenarios
             return
         state, flow, _, _ = scenario_inputs(cf, src, CIRCLE, samples)
@@ -173,9 +188,14 @@ class Side:
     def scenarios(self):
         runs = [self.cf.cli.execute(doc) for doc in self.docs]
         return lambda: [
-            ([state_bytes(st) for st in traj.states], [report_text(r) for r in reports])
-            for traj, reports in runs
+            (digests, [report_text(r) for r in reports], self.timeseries_text(run))
+            for digests, (run, reports) in zip(self.state_digests, runs)
         ]
+
+    def timeseries_text(self, run) -> str:
+        """What the tree's ``write_timeseries`` writes of ``execute``'s first result."""
+        with tempfile.TemporaryDirectory() as out:
+            return self.cf.cli.write_timeseries(run, Path(out)).read_text(encoding="utf-8")
 
     def evolve(self):
         traj = self.cf.evolve(*self.circle)
@@ -234,6 +254,16 @@ def state_bytes(st) -> bytes:
     return b"".join([repr((st.t, c.total_length)).encode(), *(a.tobytes() for a in arrays)])
 
 
+def traced_mib(fn, *args) -> float:
+    """The ``tracemalloc`` peak of fn(*args), in MiB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
@@ -285,6 +315,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"check {name}: base {x:.4f} s change {y:.4f} s")
     if args.op == "evolve":
         print(f"trajectory MiB: base {base.trajectory_mib:.3f} change {change.trajectory_mib:.3f}")
+    if args.op == "run":
+        for name, x, y in zip(base.names, base.execute_mib, change.execute_mib):
+            print(f"execute tracemalloc peak MiB {name}: base {x:.3f} change {y:.3f}")
     for name, (x, y) in calls[id(base)].items():
         z, w = calls[id(change)][name]
         print(f"calls {name}: base {x}/{y} change {z}/{w} (Python-level/C-level)")
