@@ -20,6 +20,12 @@ Outputs are written atomically (temp file + rename) and are byte-identical
 across reruns of the same scenario: nothing here depends on wall clock or
 iteration order of hash maps.
 
+``run`` and ``convergence`` stream: ``execute`` hands every state that
+``evolve`` accepts to the requested checks and to the timeseries as it
+arrives (``Run``), so they hold a window of states, the ``frames_at``
+states and the six timeseries numbers of each step, never the trajectory.  ``evolve``
+called on its own still returns every state.
+
 A scenario states each fact once: its dimension n is the number of curve
 components, and ``integrator.dt``, which every scenario sets, is its step.
 """
@@ -27,6 +33,7 @@ components, and ``integrator.dt``, which every scenario sets, is its step.
 from __future__ import annotations
 
 import argparse
+from array import array
 import functools
 import json
 import math
@@ -212,33 +219,34 @@ def _check_seam(flow: FlowSpec, curve: SampledCurve) -> None:
 class Run:
     """What ``execute`` keeps of an evolution, which ``evolve`` hands each
     accepted state as it comes (its ``into``): the state goes to every
-    requested check (``checks``, in the scenario's order) and makes one
-    ``timeseries.csv`` row (``rows``), and only the states of
-    ``output.frames_at`` stay (``states``, by step in ``frames``).  So a run
-    holds the states the checks' window still needs, not its trajectory."""
+    requested check (``checks``, in the scenario's order) and gives the six
+    numbers of its ``timeseries.csv`` row (``series``, ``steps`` rows), and
+    only the states of ``output.frames_at`` stay (``states``, by step in
+    ``frames``).  So a run holds the states the checks' window still needs,
+    not its trajectory."""
 
     def __init__(self, doc: dict, flow: FlowSpec):
         dt, tolerances = doc["integrator"]["dt"], doc.get("tolerances", {})
         self.checks = [ACCUMULATORS[name](dt, flow, tolerances.get(name)) for name in doc.get("checks", [])]
         self.frames_at = doc.get("output", {}).get("frames_at", [])
         self.frames: dict[int, SimState] = {}
-        self.rows: list[str] = []
-        self.drift = 0.0
+        self.series, self.steps, self.drift = array("d"), 0, 0.0
 
     @property
     def states(self) -> list[SimState]:
+        """The states kept, those of ``output.frames_at``."""
         return list(self.frames.values())
 
     def add(self, state: SimState) -> None:
-        step, c, k1 = len(self.rows), state.curve, k1_terms(state.frenet)[1]
+        step, c, k1 = self.steps, state.curve, k1_terms(state.frenet)[1]
         if not step:
             self.baseline = c.total_length
         if step in self.frames_at:
             self.frames[step] = state
         self.drift = max(self.drift, abs(c.total_length - self.baseline))
         max_k1 = 0.0 if k1 is None else float(np.max(np.abs(k1)))
-        values = [state.t, c.total_length, self.drift, float(np.min(c.speeds)), float(np.max(c.speeds)), max_k1]
-        self.rows.append(",".join([str(step), *map(_fmt, values)]))
+        self.series.extend((state.t, c.total_length, self.drift, float(np.min(c.speeds)), float(np.max(c.speeds)), max_k1))
+        self.steps += 1
         for check in self.checks:
             check.feed([state])
 
@@ -330,8 +338,10 @@ def _fmt(x: float) -> str:
 
 
 def write_timeseries(run: Run, out_dir: Path) -> Path:
+    values = run.series
+    rows = [",".join([str(step), *map(_fmt, values[6 * step : 6 * step + 6])]) for step in range(run.steps)]
     path = out_dir / "timeseries.csv"
-    _write_text(path, "\n".join([TIMESERIES_HEADER, *run.rows]) + "\n")
+    _write_text(path, "\n".join([TIMESERIES_HEADER, *rows]) + "\n")
     return path
 
 
@@ -382,7 +392,7 @@ def cmd_run(args) -> int:
     try:
         run, reports = execute(doc)
     except EvolutionError as exc:  # its trajectory is the Run, with the accepted steps' rows
-        if exc.trajectory.rows:
+        if exc.trajectory.steps:
             write_timeseries(exc.trajectory, args.out)
         raise
 

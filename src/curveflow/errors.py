@@ -70,9 +70,9 @@ class IncompatibleClosedFlow(CurveFlowError):
 
 
 class EvolutionError(CurveFlowError):
-    """Base for time-stepping failures.  ``trajectory`` holds the states
-    accepted before the failure, ``t`` the time at which it occurred, which
-    the message names."""
+    """Base for time-stepping failures.  ``trajectory`` is ``evolve``'s sink
+    (``into``), which took the states accepted before the failure, ``t`` the
+    time at which it occurred, which the message names."""
 
     def __init__(self, message: str, t: float, trajectory=None):
         super().__init__(f"{message} (at t={t:.6g})")

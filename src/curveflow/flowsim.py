@@ -13,6 +13,11 @@ difference stencils rather than jets; the error budget is O(dt^4 + N^-2).
 Open curves evolve with free endpoints.  Points and velocities are
 component-major (n, N) grids, as everywhere in the package (see
 ``curvekit``).
+
+``evolve`` hands each accepted state to one sink as it is accepted, and by
+default that sink is a Trajectory that keeps every state.  ``cli``'s
+``run`` and ``convergence`` pass one that feeds the checks and the
+timeseries instead, so they hold a window of states, not the trajectory.
 """
 
 from __future__ import annotations
@@ -254,13 +259,12 @@ def evolve(initial: SimState, flow: FlowSpec, dt: float, steps: int, into=None):
     A scenario's time horizon is checked by its loader, ``cli._cross_validate``.
 
     Each accepted state, the initial one first, goes to ``into.add`` as it
-    is accepted, and ``into`` is returned.  By default it is a new
-    Trajectory, which keeps every state; ``cli.execute`` passes one that
-    feeds the checks and keeps a few states, so a run holds a window of
-    states.
+    is accepted, and ``into`` is returned: by default a new Trajectory,
+    which keeps every state (``cli.Run`` feeds the checks instead).
 
-    Every failure ends in an EvolutionError carrying its time ``t`` and
-    ``into`` as its ``trajectory``, the states accepted so far: NullCurveDeveloped if the tangent turns null,
+    Every failure ends in an EvolutionError carrying its time ``t`` and, as
+    its ``trajectory``, ``into`` with the states accepted so far:
+    NullCurveDeveloped if the tangent turns null,
     FrameBreakdown if the frame breaks down, StabilityError if the curve goes
     non-finite or changes total arclength by more than 50% in a step,
     UnresolvedClosedFlow if a closed curve rebuilt from points fails the

@@ -6,7 +6,8 @@ VerificationReport with named residuals, per-name convergence orders once
 multiple resolutions are merged, and a pass flag.  ``cli.execute`` feeds
 each state as ``evolve`` accepts it, so a run holds a window of states and
 not its trajectory; ``CHECKS[name](traj)`` and ``run_check`` feed a whole
-trajectory in one call.  It is the one walk either way, with one report.
+trajectory, as ``evolve`` on its own returns it, in one call.  It is the one
+walk either way, with one report.
 
 A check measures one identity with the central time difference over
 (t-1, t, t+1) (``_Window.central``, second order as in space).  The window
@@ -166,6 +167,9 @@ class _Check:
 
     identity = ""
 
+    def __init__(self, dt: float, flow: FlowSpec, tolerance=None):
+        self.dt, self.flow, self.tolerance, self.taken = dt, flow, tolerance, 0
+
     @classmethod
     def of(cls, traj: Trajectory, tolerance=None) -> VerificationReport:
         """The report on a whole trajectory."""
@@ -197,18 +201,18 @@ class _Window(_Check):
     their aligned frames (``_align``): the block's state r is
     ``states[r + 1]``.  ``flips`` counts the flipped vectors so far.  The
     jets of f_2, f_3, ... are taken to the derivative ``orders``; ``rows``
-    gives them with k and f at every state of the block.  ``block(w, buf)``
-    writes the block's (size, R, N) rows of ``results``, which are folded
-    into its maxima.  A window check declares its rows and returns its block
-    function from ``plan``, once the first state gives the sizes; a check
-    of the inextensible flows (``inextensible``) measures the gap too.
+    gives them with k and f at every state of the block.  A window check
+    declares its rows in ``results`` and returns its block function from
+    ``plan``, once the first state gives the sizes: ``block(w, buf)`` writes
+    the block's (size, R, N) rows, which are folded into their maxima.  A
+    check of the inextensible flows (``inextensible``) measures the gap too.
     """
 
     inextensible = False
+    orders: tuple[int, ...] = ()
 
-    def __init__(self, dt: float, flow: FlowSpec, tolerance=None, orders: tuple[int, ...] = (), block=None):
-        self.dt, self.flow, self.tolerance, self.taken = dt, flow, tolerance, 0
-        self.orders, self.block = orders, block
+    def __init__(self, dt: float, flow: FlowSpec, tolerance=None):
+        super().__init__(dt, flow, tolerance)
         self.results = _Rows()
         self.gap = _Gap() if self.inextensible else None
         self.flips, self.error = 0, None  # the first error of the walk, raised by ``finish``
@@ -218,7 +222,7 @@ class _Window(_Check):
         """Takes the next states and walks each block they complete.  The
         first error of the walk is held for ``finish``; the states after it
         are counted, and measured by the gap."""
-        if not self.taken:  # the first state sets the sizes and the signs
+        if not self.taken and states:  # the first state sets the sizes and the signs
             first = states[0]
             self.m, self.n, self.N = m, n, N = first.frenet.frame.shape
             signs = first.frenet.signs
@@ -228,8 +232,7 @@ class _Window(_Check):
             self.e = [float(x) for x in signs] + [1.0] * (n + 3 - m)
             self.interior = _interior(first.curve)
             self.frames, self.flip = [first.frenet.frame], None  # state 0 is never flipped
-            if self.block is None:
-                self.block = self.plan()
+            self.block = self.plan()
             # kept across blocks, rows nothing writes stay +0.0; jets[j - 1, i - 2, r]: d^j f_i/ds^j
             # at the block's state r
             self.jets = np.zeros((max(self.orders, default=0), n - 1, BLOCK_STATES, N))
@@ -254,7 +257,9 @@ class _Window(_Check):
     def finish(self) -> VerificationReport:
         """The report, once every state is in, or the first error: NotInextensible,
         InsufficientStates, then the error of the walk, the last block's included."""
-        violation = None if self.gap is None else self.gap.violation()
+        violation = None if self.gap is None else self.gap.finish()
+        if violation is not None and violation > INEXTENSIBILITY_PRECONDITION_TOL:
+            raise NotInextensible(violation, INEXTENSIBILITY_PRECONDITION_TOL)
         if self.taken < 3:
             raise InsufficientStates(f"need at least 3 states, trajectory has {self.taken}")
         if self.error is not None:
@@ -289,7 +294,7 @@ class _Window(_Check):
         buf = self.buf[:size]
         self.block(self, buf)
         self.results.fold(buf, self.interior)
-        self.frames = self.frames[-2:]
+        self.frames, self.states = self.frames[-2:], None
 
     def _align(self, chain, flip):
         """The aligned frames of chain[1:], and the flip signs of the last,
@@ -500,13 +505,6 @@ class _Gap:
         self.feed([], end=True)
         return self.rows.maxima()["pointwise"]
 
-    def violation(self) -> float:
-        """``finish``, or NotInextensible above INEXTENSIBILITY_PRECONDITION_TOL."""
-        violation = self.finish()
-        if violation > INEXTENSIBILITY_PRECONDITION_TOL:
-            raise NotInextensible(violation, INEXTENSIBILITY_PRECONDITION_TOL)
-        return violation
-
 
 def _tol(identity: str, tolerance):
     """The tolerance of a check: the caller's, else the default; a dict
@@ -529,7 +527,12 @@ def _tol(identity: str, tolerance):
 
 
 class SpeedEvolution(_Window):
-    """``check_speed_evolution``, fed state by state."""
+    """Central time difference of the speed against its predicted rate.
+
+    Gates on the metric-consistent right-hand side df1/du - e0 e1 f2 v k1;
+    the classical variant e0 df1/du - e1 f2 v k1 (their ratio is e0, so
+    the two coincide on spacelike curves) is recorded alongside.
+    """
 
     identity = "speed_evolution"
 
@@ -550,17 +553,23 @@ class SpeedEvolution(_Window):
 
 
 class IffCondition(_Check):
-    """``check_iff_condition``, fed state by state: the gap and the drift
-    are running maxima."""
+    """Biconditional: pointwise constraint small <=> arclength drift small.
+
+    Reports (a) the worst pointwise violation of df1/ds = e0 e1 f2 k1 and
+    (b) the arclength drift, both running maxima, then asserts their
+    equivalence against the thresholds.  Neither side alone decides the
+    outcome, and a NaN reading on either side fails it: NaN is neither
+    small nor large.
+    """
 
     identity = "iff_condition"
 
     def __init__(self, dt: float, flow: FlowSpec, tolerance=None):
-        self.dt, self.flow, self.tolerance, self.taken = dt, flow, tolerance, 0
+        super().__init__(dt, flow, tolerance)
         self.gap, self.drift = _Gap(), 0.0
 
     def feed(self, states: list[SimState]) -> None:
-        if not self.taken:
+        if not self.taken and states:
             self.N, self.first = states[0].curve.samples, states[0].curve.total_length
         self.taken += len(states)
         self.gap.feed(states)
@@ -580,7 +589,7 @@ class IffCondition(_Check):
 
 
 class PsiAntisymmetry(_Window):
-    """``check_psi_antisymmetry``, fed state by state."""
+    """Psi_kj + Psi_jk = 0 and Psi_jj = 0 at every interior step."""
 
     identity = "psi_antisymmetry"
 
@@ -600,7 +609,13 @@ class PsiAntisymmetry(_Window):
 
 
 class FrameEvolution(_Window):
-    """``check_frame_evolution``, fed state by state."""
+    """Frame evolution under an inextensible flow.
+
+    Residuals: the full tangent-vector equation; the predicted V1
+    coefficient of each higher frame vector's velocity; and the
+    reconstruction of those velocities from the psi coefficients, in both
+    the metric-consistent and the bare-projection reading.
+    """
 
     identity, inextensible = "frame_evolution", True
 
@@ -672,8 +687,16 @@ class FrameEvolution(_Window):
 
 
 class CurvaturePde(_Window):
-    """``check_curvature_pde``, fed state by state.  A frame of one vector
-    is a ConfigError, raised by ``finish`` after InsufficientStates."""
+    """Time evolution of the curvatures under an inextensible flow.
+
+    The first curvature is checked against its closed-form right-hand side
+    in the speeds (jet-exact f derivatives, stencil k derivatives); every
+    curvature is additionally checked against its psi-based equation, in
+    both the classical-convention ("classical") and the metric-consistent reading.
+    Equations whose coefficient curvatures vanish identically are flagged
+    as degenerate in the details but still measured.  A frame of one vector
+    is a ConfigError, raised by ``finish`` after InsufficientStates.
+    """
 
     identity, inextensible = "curvature_pde", True
 
@@ -741,66 +764,13 @@ class CurvaturePde(_Window):
         }
 
 
-def check_speed_evolution(traj: Trajectory, tolerance: float | None = None) -> VerificationReport:
-    """Central time difference of the speed against its predicted rate.
-
-    Gates on the metric-consistent right-hand side df1/du - e0 e1 f2 v k1;
-    the classical variant e0 df1/du - e1 f2 v k1 (their ratio is e0, so
-    the two coincide on spacelike curves) is recorded alongside.
-    """
-    return SpeedEvolution.of(traj, tolerance)
-
-
-def check_iff_condition(traj: Trajectory, tolerance: dict | None = None) -> VerificationReport:
-    """Biconditional: pointwise constraint small <=> arclength drift small.
-
-    Reports (a) the worst pointwise violation of df1/ds = e0 e1 f2 k1 and
-    (b) the arclength drift, then asserts their equivalence against the
-    thresholds.  Neither side alone decides the outcome, and a NaN reading
-    on either side fails it: NaN is neither small nor large.
-    """
-    return IffCondition.of(traj, tolerance)
-
-
-def check_psi_antisymmetry(traj: Trajectory, tolerance: float | None = None) -> VerificationReport:
-    """Psi_kj + Psi_jk = 0 and Psi_jj = 0 at every interior step."""
-    return PsiAntisymmetry.of(traj, tolerance)
-
-
-def check_frame_evolution(traj: Trajectory, tolerance: float | None = None) -> VerificationReport:
-    """Frame evolution under an inextensible flow.
-
-    Residuals: the full tangent-vector equation; the predicted V1
-    coefficient of each higher frame vector's velocity; and the
-    reconstruction of those velocities from the psi coefficients, in both
-    the metric-consistent and the bare-projection reading.
-    """
-    return FrameEvolution.of(traj, tolerance)
-
-
-def check_curvature_pde(traj: Trajectory, tolerance: float | None = None) -> VerificationReport:
-    """Time evolution of the curvatures under an inextensible flow.
-
-    The first curvature is checked against its closed-form right-hand side
-    in the speeds (jet-exact f derivatives, stencil k derivatives); every
-    curvature is additionally checked against its psi-based equation, in
-    both the classical-convention ("classical") and the metric-consistent reading.
-    Equations whose coefficient curvatures vanish identically are flagged
-    as degenerate in the details but still measured.
-    """
-    return CurvaturePde.of(traj, tolerance)
-
-
-CHECKS = {
-    "speed_evolution": check_speed_evolution,
-    "iff_condition": check_iff_condition,
-    "psi_antisymmetry": check_psi_antisymmetry,
-    "frame_evolution": check_frame_evolution,
-    "curvature_pde": check_curvature_pde,
-}
-
 # the checks as accumulators, by identity: what ``cli.execute`` feeds state by state
 ACCUMULATORS = {cls.identity: cls for cls in (SpeedEvolution, IffCondition, PsiAntisymmetry, FrameEvolution, CurvaturePde)}
+# each check on a whole trajectory, ``check(traj, tolerance=None)``: its accumulator's ``of``
+CHECKS = {name: cls.of for name, cls in ACCUMULATORS.items()}
+check_speed_evolution, check_iff_condition, check_psi_antisymmetry, check_frame_evolution, check_curvature_pde = (
+    CHECKS.values()
+)
 
 
 def run_check(name: str, traj: Trajectory, tolerance=None) -> VerificationReport:

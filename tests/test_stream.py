@@ -3,7 +3,7 @@
 a window of states, not the trajectory.  These tests hold the streamed
 reports to the whole-trajectory ones, the failure paths to their exit codes,
 stderr lines and written files, and ``execute``'s memory to a bound that
-does not grow with the step count beyond the timeseries rows."""
+does not grow with the step count beyond the timeseries numbers."""
 
 import dataclasses
 import json
@@ -78,7 +78,7 @@ def test_streamed_reports_equal_the_reports_of_the_whole_trajectory(name):
     doc = TIMELIKE_V4 if name == "timelike_v4" else _doc(name)
     run, reports = execute(doc)
     assert _texts(reports) == _texts(_whole(doc, _trajectory(doc)))
-    assert len(run.rows) == doc["integrator"]["steps"] + 1
+    assert run.steps == doc["integrator"]["steps"] + 1
 
 
 def test_streamed_reports_equal_the_whole_trajectory_reports_with_frame_flips(monkeypatch):
@@ -89,7 +89,7 @@ def test_streamed_reports_equal_the_whole_trajectory_reports_with_frame_flips(mo
     add = cli.Run.add
 
     def planted(run, state):
-        add(run, _plant_flips(state, len(run.rows)))
+        add(run, _plant_flips(state, run.steps))
 
     monkeypatch.setattr(cli.Run, "add", planted)
     _, reports = execute(doc)
@@ -205,12 +205,12 @@ def test_spec_is_validated_once_per_execute_and_per_ladder_level(tmp_path, monke
     assert calls == [32, 64, 128]
 
 
-# Bytes a timeseries row takes beyond the states: its text, about 100
-# characters in a str of 149 bytes at most, and its list slot of 8
-ROW_BYTES = 200
+# Bytes a step's timeseries row takes beyond the states: its six float64
+# numbers, 48 bytes, in an array that grows by about 1/16 at a time
+STEP_BYTES = 56
 # execute's peak at N = 64, n = 3, in frames of (3, 3, 64) floats: the
 # checks' buffers, the window's states, the RK stages evolve holds
-PEAK_FRAMES = 200
+PEAK_FRAMES = 160
 
 
 def _execute_peak(doc) -> int:
@@ -223,14 +223,14 @@ def _execute_peak(doc) -> int:
         tracemalloc.stop()
 
 
-def test_run_memory_does_not_grow_with_the_step_count_beyond_its_rows():
+def test_run_memory_does_not_grow_with_the_step_count_beyond_its_timeseries():
     # all five checks on the circle at N = 64: 300 more steps may add their
-    # timeseries rows and nothing else (the trajectory took 12 KB a step)
+    # timeseries numbers and nothing else (the trajectory took 12 KB a step)
     doc = _doc("circle_inextensible_sine.json")
     doc["curve"]["samples"] = 64
     at = {}
     for steps in (100, 400):
         at[steps] = _execute_peak({**doc, "integrator": {**doc["integrator"], "steps": steps}})
     frame_bytes = 3 * 3 * 64 * 8
-    assert at[400] <= at[100] + 300 * ROW_BYTES, (at[100], at[400])
+    assert at[400] <= at[100] + 300 * STEP_BYTES, (at[100], at[400])
     assert at[400] < PEAK_FRAMES * frame_bytes, at[400] / frame_bytes

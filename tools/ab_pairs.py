@@ -39,14 +39,14 @@ Each tree reads its scenarios with its own ``cli.load_scenario``.  A tree
 whose ``cli`` still finds its bundled files through the name ``curveflow``
 needs that name importable (``PYTHONPATH=src``).
 
-It prints the median of each side, the median pairwise change, the pairs
-the change won, each side's median minor page faults per operation, and
-whether the two trees' results were equal: every report's JSON text for
-``verify`` and ``run`` (``report_text``: keys in the report's own order, so
-a change that only reorders residuals is a change), for ``evolve`` and
-``run`` the bytes of every array each kept state holds (``state_bytes``;
-their SHA-256 for ``run``), and for ``run`` the text ``write_timeseries``
-writes of each ``execute``.
+It prints the median, quartiles and range of each side, the median
+pairwise change, the pairs the change won, each side's median minor page
+faults per operation, and whether the two trees' results were equal: every
+report's JSON text for ``verify`` and ``run`` (``report_text``: keys in the
+report's own order, so a change that only reorders residuals is a change),
+for ``evolve`` and ``run`` the bytes of every array each kept state holds
+(``state_bytes``; their SHA-256 for ``run``), and for ``run`` the text
+``write_timeseries`` writes of each ``execute``.
 For ``verify`` it also prints one line per ``CHECKS`` name with each side's
 median CPU seconds of that check over both trajectories.  For ``evolve`` it
 prints the MiB of the distinct arrays each side's trajectory keeps, the
@@ -304,8 +304,9 @@ def main(argv: list[str] | None = None) -> int:
     diffs = [(y - x) / x for x, y in zip(a, b)]
     won = sum(y < x for x, y in zip(a, b))
     print(f"op {args.op}: {args.pairs} pairs, CPU seconds per operation")
-    print(f"base   median {statistics.median(a):.4f} s (range {min(a):.4f}-{max(a):.4f})")
-    print(f"change median {statistics.median(b):.4f} s (range {min(b):.4f}-{max(b):.4f})")
+    for label, t in (("base  ", a), ("change", b)):
+        q1, _, q3 = statistics.quantiles(t, n=4) if len(t) > 1 else (t[0],) * 3
+        print(f"{label} median {statistics.median(t):.4f} s (IQR {q1:.4f}-{q3:.4f}, range {min(t):.4f}-{max(t):.4f})")
     print(f"median pairwise change {100 * statistics.median(diffs):+.1f}%, change faster in {won}/{args.pairs} pairs")
     print(f"minor faults per operation (median): base {statistics.median(faults[id(base)]):.0f} "
           f"change {statistics.median(faults[id(change)]):.0f}")
