@@ -21,10 +21,11 @@ across reruns of the same scenario: nothing here depends on wall clock or
 iteration order of hash maps.
 
 ``run`` and ``convergence`` stream: ``execute`` hands every state that
-``evolve`` accepts to the requested checks and to the timeseries as it
-arrives (``Run``), so they hold a window of states, the ``frames_at``
-states and the six timeseries numbers of each step, never the trajectory.  ``evolve``
-called on its own still returns every state.
+``evolve`` accepts to the timeseries as it arrives, and each block of
+states to the requested checks through ``verify.CHECKS`` (``Run``), so
+they hold a window of states, the ``frames_at`` states and the six
+timeseries numbers of each step, never the trajectory.  ``evolve`` called
+on its own still returns every state.
 
 A scenario states each fact once: its dimension n is the number of curve
 components, and ``integrator.dt``, which every scenario sets, is its step.
@@ -50,9 +51,9 @@ from . import catalog
 from .curvekit import CurveSpec, SampledCurve, seam_mismatch
 from .errors import ConfigError, CurveFlowError, EvolutionError, ParseError
 from .exprjet import eval_scalar, parse, variables
-from .flowsim import FlowSpec, SimState, evolve, initial_state, k1_terms
+from .flowsim import FlowSpec, SimState, Trajectory, evolve, initial_state, k1_terms
 from .frenet import FrenetData, frenet_apparatus, frenet_residuals, stencil_curvatures
-from .verify import ACCUMULATORS, CHECKS, VerificationReport, _tol, merge_reports
+from .verify import ACCUMULATORS, BLOCK_STATES, CHECKS, VerificationReport, _tol, merge_reports
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -218,19 +219,20 @@ def _check_seam(flow: FlowSpec, curve: SampledCurve) -> None:
 
 class Run:
     """What ``execute`` keeps of an evolution, which ``evolve`` hands each
-    accepted state as it comes (its ``into``): the state goes to every
-    requested check (``checks``, in the scenario's order) and gives the six
+    accepted state as it comes (its ``into``): the state gives the six
     numbers of its ``timeseries.csv`` row (``series``, ``steps`` rows), and
     only the states of ``output.frames_at`` stay (``states``, by step in
-    ``frames``).  So a run holds the states the checks' window still needs,
-    not its trajectory."""
+    ``frames``).  Every BLOCK_STATES states go to each requested check
+    (``checks``, in the scenario's order) through ``CHECKS``, and ``feed``
+    with ``end`` gives the rest and returns the reports.  So a run holds the
+    states the checks' window still needs, not its trajectory."""
 
     def __init__(self, doc: dict, flow: FlowSpec):
-        dt, tolerances = doc["integrator"]["dt"], doc.get("tolerances", {})
-        self.checks = [ACCUMULATORS[name](dt, flow, tolerances.get(name)) for name in doc.get("checks", [])]
+        self.dt, self.flow, tolerances = doc["integrator"]["dt"], flow, doc.get("tolerances", {})
+        self.checks = [(name, ACCUMULATORS[name](self.dt, flow, tolerances.get(name))) for name in doc.get("checks", [])]
         self.frames_at = doc.get("output", {}).get("frames_at", [])
         self.frames: dict[int, SimState] = {}
-        self.series, self.steps, self.drift = array("d"), 0, 0.0
+        self.series, self.steps, self.drift, self.block = array("d"), 0, 0.0, []
 
     @property
     def states(self) -> list[SimState]:
@@ -247,14 +249,24 @@ class Run:
         max_k1 = 0.0 if k1 is None else float(np.max(np.abs(k1)))
         self.series.extend((state.t, c.total_length, self.drift, float(np.min(c.speeds)), float(np.max(c.speeds)), max_k1))
         self.steps += 1
-        for check in self.checks:
-            check.feed([state])
+        self.block.append(state)
+        if len(self.block) == BLOCK_STATES:
+            self.feed()
+
+    def feed(self, end: bool = False) -> list[VerificationReport] | None:
+        """The states since the last call to every check; at the ``end``, the
+        reports, or the first check's error in the scenario's order."""
+        block = Trajectory(self.block, self.dt, self.flow)
+        self.block = []
+        reports = [CHECKS[name](block, into=check, end=end) for name, check in self.checks]
+        return reports if end else None
 
 
 def execute(doc: dict) -> tuple[Run, list[VerificationReport]]:
     """Evolve a scenario at its curve.samples by its integrator.dt and
-    steps, and run its checks on each state as it is accepted (``Run``).
-    Evolution errors come first, then the checks' in the scenario's order."""
+    steps, and run its checks on each block of states as it is accepted
+    (``Run``).  Evolution errors come first, then the checks' in the
+    scenario's order."""
     spec = build_curve_spec(doc)
     flow = build_flow(doc)
     integ = doc["integrator"]
@@ -262,7 +274,7 @@ def execute(doc: dict) -> tuple[Run, list[VerificationReport]]:
     _check_seam(flow, curve)
     with np.errstate(over="ignore", invalid="ignore"):  # once, not per stage; errors name non-finite values
         run = evolve(initial_state(curve, flow), flow, integ["dt"], integ["steps"], into=Run(doc, flow))
-        reports = [check.finish() for check in run.checks]
+        reports = run.feed(end=True)
     return run, reports
 
 

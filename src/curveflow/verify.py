@@ -3,11 +3,12 @@
 Each check is an accumulator of states: ``feed`` takes the next states of a
 trajectory in order, any number at a time, and ``finish`` returns a
 VerificationReport with named residuals, per-name convergence orders once
-multiple resolutions are merged, and a pass flag.  ``cli.execute`` feeds
-each state as ``evolve`` accepts it, so a run holds a window of states and
-not its trajectory; ``CHECKS[name](traj)`` and ``run_check`` feed a whole
-trajectory, as ``evolve`` on its own returns it, in one call.  It is the one
-walk either way, with one report.
+multiple resolutions are merged, and a pass flag.  ``CHECKS[name](traj)``
+and ``run_check`` feed a whole trajectory, as ``evolve`` on its own returns
+it, in one call.  ``cli.execute`` feeds a check each block of BLOCK_STATES
+states that ``evolve`` accepts through the same ``CHECKS[name]`` (its
+``into`` and ``end``), so a run holds a window of states and not its
+trajectory.  It is the one walk either way, with one report.
 
 A check measures one identity with the central time difference over
 (t-1, t, t+1) (``_Window.central``, second order as in space).  The window
@@ -171,11 +172,15 @@ class _Check:
         self.dt, self.flow, self.tolerance, self.taken = dt, flow, tolerance, 0
 
     @classmethod
-    def of(cls, traj: Trajectory, tolerance=None) -> VerificationReport:
-        """The report on a whole trajectory."""
-        check = cls(traj.dt, traj.flow, tolerance)
+    def of(cls, traj: Trajectory, tolerance=None, into=None, end: bool = True) -> VerificationReport | None:
+        """The report on a whole trajectory: ``traj.states`` fed to ``into``,
+        by default a new check of ``traj``'s step and flow, which is then
+        finished.  A streamed run (``cli.Run``) passes its own check as
+        ``into``, with its own tolerance, and each block of states as it
+        arrives, with ``end`` False (returning None) until the last."""
+        check = cls(traj.dt, traj.flow, tolerance) if into is None else into
         check.feed(traj.states)
-        return check.finish()
+        return check.finish() if end else None
 
     def _report(self, residuals, details, passed=None) -> VerificationReport:
         """One-resolution report.  Unless ``passed`` is given, the check passes
@@ -243,16 +248,13 @@ class _Window(_Check):
         if self.gap is not None:
             self.gap.feed(states)
         if self.error is None:
-            # no copy of a whole trajectory's list, which holds a pointer per state
-            chain, lo = self.pending + states if self.pending else states, 0
-            left = len(chain)
+            # each block: its steps' states with the states just before and after them
+            chain, starts, self.pending = _blocks(self.pending, states, BLOCK_STATES + 2, 2)
             try:
-                while left - lo > BLOCK_STATES + 1:
+                for lo in starts:
                     self._walk(chain[lo : lo + BLOCK_STATES + 2], BLOCK_STATES)
-                    lo += BLOCK_STATES
             except CurveFlowError as exc:
-                self.error, chain = exc, []
-            self.pending = chain[lo:]
+                self.error, self.pending = exc, []
 
     def finish(self) -> VerificationReport:
         """The report, once every state is in, or the first error: NotInextensible,
@@ -469,6 +471,20 @@ class _Rows:
         return {name: float(np.max(per_row[rows])) for name, rows in self.rows.items()}
 
 
+def _blocks(pending: list, states: list, length: int, overlap: int, end: bool = False) -> tuple[list, range, list]:
+    """States fed in order, cut into blocks of ``length`` states, the last
+    ``overlap`` of each starting the next: the states in so far
+    (``pending``) and the next ones as one list, the starts of the blocks
+    they complete, and the states from the next start on, which pend.  At
+    the ``end`` of a cut with no overlap, the partial block left is one
+    more.  The callers slice each block themselves, so a block costs the
+    package no call."""
+    chain = pending + states if pending else states  # no copy of a whole trajectory's list
+    step = length - overlap
+    starts = range(0, len(chain) if end else len(chain) - length + 1, step)
+    return chain, starts, chain[len(starts) * step :]
+
+
 class _Gap:
     """max |df1/ds - e0 e1 f2 k1| (``inextensibility_rhs``) over each state's
     interior, with df1/ds from a fourth-order stencil: sharp enough to keep
@@ -487,23 +503,23 @@ class _Gap:
     def feed(self, states: list[SimState], end: bool = False) -> None:
         """Measures each block of BLOCK_STATES states that ``states`` complete,
         and at the ``end`` of the trajectory the partial block left."""
-        if self.h is None:  # the first states
+        if self.h is None:  # the first states, if any
+            if not states:
+                return
             first = states[0].curve
             self.h, self.closed, self.interior = first.h, first.closed, _interior(first)
-        chain, lo = self.pending + states if self.pending else states, 0  # as ``_Window.feed``
-        left = len(chain)
-        while left - lo >= BLOCK_STATES or end and lo < left:
+        chain, starts, self.pending = _blocks(self.pending, states, BLOCK_STATES, 0, end)
+        for lo in starts:
             block = chain[lo : lo + BLOCK_STATES]
             f1 = np.array([st.f_values[0] for st in block])
             gap = d_du4(f1, self.h, self.closed) / np.array([st.curve.speeds for st in block])
             gap -= inextensibility_rhs(*stacked_rule_terms(block))
             self.rows.fold(gap[:, None], self.interior)
-            lo += BLOCK_STATES
-        self.pending = chain[lo:]
 
-    def finish(self) -> float:
+    def finish(self) -> float | None:
+        """The maximum; None if no state came."""
         self.feed([], end=True)
-        return self.rows.maxima()["pointwise"]
+        return None if self.h is None else self.rows.maxima()["pointwise"]
 
 
 def _tol(identity: str, tolerance):
@@ -569,7 +585,9 @@ class IffCondition(_Check):
         self.gap, self.drift = _Gap(), 0.0
 
     def feed(self, states: list[SimState]) -> None:
-        if not self.taken and states:
+        if not states:
+            return
+        if not self.taken:
             self.N, self.first = states[0].curve.samples, states[0].curve.total_length
         self.taken += len(states)
         self.gap.feed(states)
@@ -764,9 +782,10 @@ class CurvaturePde(_Window):
         }
 
 
-# the checks as accumulators, by identity: what ``cli.execute`` feeds state by state
+# the checks as accumulators, by identity: ``cli.Run`` makes one of each requested check
 ACCUMULATORS = {cls.identity: cls for cls in (SpeedEvolution, IffCondition, PsiAntisymmetry, FrameEvolution, CurvaturePde)}
-# each check on a whole trajectory, ``check(traj, tolerance=None)``: its accumulator's ``of``
+# each check on a whole trajectory, ``check(traj, tolerance=None)``, or fed a block into a
+# streamed run's check (``into``, ``end``): its accumulator's ``of``
 CHECKS = {name: cls.of for name, cls in ACCUMULATORS.items()}
 check_speed_evolution, check_iff_condition, check_psi_antisymmetry, check_frame_evolution, check_curvature_pde = (
     CHECKS.values()

@@ -132,10 +132,10 @@ def test_run_reports_a_nan_residual_as_nan(tmp_path, capsys, monkeypatch):
     # the summary line prints it rather than the largest finite residual
     from curveflow import verify
 
-    class Planted(verify.SpeedEvolution):  # fed state by state, as ``execute`` feeds it
+    class Planted(verify.SpeedEvolution):  # fed a block at a time, as ``execute`` feeds it
         def feed(self, states):
-            if self.taken == 2:
-                states[0].f1_s[5] = float("nan")
+            if self.taken <= 2 < self.taken + len(states):
+                states[2 - self.taken].f1_s[5] = float("nan")
             super().feed(states)
 
     monkeypatch.setitem(verify.ACCUMULATORS, "speed_evolution", Planted)

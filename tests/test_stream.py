@@ -71,9 +71,29 @@ def _plant_flips(state, step):
     return dataclasses.replace(state, frenet=dataclasses.replace(state.frenet, frame=frame))
 
 
+def test_execute_feeds_each_check_through_its_checks_entry(monkeypatch):
+    # a run passes each block of BLOCK_STATES states to ``CHECKS[name]`` with its
+    # own check as ``into``, and the rest with ``end``, so whatever wraps a
+    # ``CHECKS`` entry (the benchmark's tracer) sees all of a check's work
+    doc = _doc("circle_inextensible_sine.json")
+    calls = []
+    for name, check in list(verify.CHECKS.items()):
+        def recorded(traj, tolerance=None, into=None, end=True, name=name, check=check):
+            calls.append((name, len(traj.states), isinstance(into, verify.ACCUMULATORS[name]), end))
+            return check(traj, tolerance, into, end)
+
+        monkeypatch.setitem(verify.CHECKS, name, recorded)
+    _, reports = execute(doc)
+    full, rest = divmod(doc["integrator"]["steps"] + 1, verify.BLOCK_STATES)
+    for name in doc["checks"]:
+        fed = [call[1:] for call in calls if call[0] == name]
+        assert fed == [(verify.BLOCK_STATES, True, False)] * full + [(rest, True, True)], name
+    assert _texts(reports) == _texts(_whole(doc, _trajectory(doc)))
+
+
 @pytest.mark.parametrize("name", CHECKED + ["timelike_v4"])
 def test_streamed_reports_equal_the_reports_of_the_whole_trajectory(name):
-    # every report byte of ``execute``, which feeds the checks state by state,
+    # every report byte of ``execute``, which feeds the checks a block at a time,
     # is that of run_check on evolve's trajectory of the same inputs
     doc = TIMELIKE_V4 if name == "timelike_v4" else _doc(name)
     run, reports = execute(doc)

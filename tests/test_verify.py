@@ -8,7 +8,7 @@ import pytest
 from curveflow import exprjet, verify
 from curveflow.curvekit import CLOSED, OPEN, CurveSpec, d_ds, d_du4, sample
 from curveflow.errors import CurveFlowError, DomainError, InsufficientStates, NotInextensible
-from curveflow.flowsim import FlowSpec, arclength_drift, dv_dt_rhs, evolve, initial_state
+from curveflow.flowsim import FlowSpec, Trajectory, arclength_drift, dv_dt_rhs, evolve, initial_state
 from curveflow.minkowski import dot_many
 from curveflow.verify import (
     CHECKS,
@@ -50,6 +50,12 @@ def test_speed_evolution_shrink(shrink_traj):
     rep = check_speed_evolution(shrink_traj)
     assert rep.residuals[0]["speed_evolution"] < 1e-3
     assert rep.passed
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_an_empty_trajectory_has_insufficient_states(name):
+    with pytest.raises(InsufficientStates, match="needs at least 2" if name == "iff_condition" else "has 0"):
+        run_check(name, Trajectory([], 1e-3, catalog_flow("zero", 3)))
 
 
 def test_speed_evolution_needs_three_states(circle_256):
