@@ -253,13 +253,13 @@ class Run:
         if len(self.block) == BLOCK_STATES:
             self.feed()
 
-    def feed(self, end: bool = False) -> list[VerificationReport] | None:
-        """The states since the last call to every check; at the ``end``, the
-        reports, or the first check's error in the scenario's order."""
+    def feed(self, end: bool = False) -> list:
+        """Hands the states since the last call to every check; at the
+        ``end``, their reports, or the first check's error in the
+        scenario's order."""
         block = Trajectory(self.block, self.dt, self.flow)
         self.block = []
-        reports = [CHECKS[name](block, into=check, end=end) for name, check in self.checks]
-        return reports if end else None
+        return [CHECKS[name](block, into=check, end=end) for name, check in self.checks]
 
 
 def execute(doc: dict) -> tuple[Run, list[VerificationReport]]:

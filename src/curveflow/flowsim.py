@@ -17,7 +17,8 @@ component-major (n, N) grids, as everywhere in the package (see
 ``evolve`` hands each accepted state to one sink as it is accepted, and by
 default that sink is a Trajectory that keeps every state.  ``cli``'s
 ``run`` and ``convergence`` pass one that feeds the timeseries and, a
-block of states at a time, the checks instead, so they hold a window of states, not the trajectory.
+block of states at a time, the checks instead, so they hold a window of
+states, not the trajectory.
 """
 
 from __future__ import annotations

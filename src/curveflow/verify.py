@@ -472,13 +472,11 @@ class _Rows:
 
 
 def _blocks(pending: list, states: list, length: int, overlap: int, end: bool = False) -> tuple[list, range, list]:
-    """States fed in order, cut into blocks of ``length`` states, the last
-    ``overlap`` of each starting the next: the states in so far
-    (``pending``) and the next ones as one list, the starts of the blocks
-    they complete, and the states from the next start on, which pend.  At
-    the ``end`` of a cut with no overlap, the partial block left is one
-    more.  The callers slice each block themselves, so a block costs the
-    package no call."""
+    """States fed in order, cut into blocks of ``length`` states whose last
+    ``overlap`` start the next: ``pending`` and ``states`` as one list, the
+    starts of the blocks it completes (at the ``end`` of a cut with no
+    overlap, also of the partial block left) and the states that pend.
+    The callers slice the blocks, so a block costs the package no call."""
     chain = pending + states if pending else states  # no copy of a whole trajectory's list
     step = length - overlap
     starts = range(0, len(chain) if end else len(chain) - length + 1, step)
@@ -503,9 +501,7 @@ class _Gap:
     def feed(self, states: list[SimState], end: bool = False) -> None:
         """Measures each block of BLOCK_STATES states that ``states`` complete,
         and at the ``end`` of the trajectory the partial block left."""
-        if self.h is None:  # the first states, if any
-            if not states:
-                return
+        if self.h is None and states:  # the first states
             first = states[0].curve
             self.h, self.closed, self.interior = first.h, first.closed, _interior(first)
         chain, starts, self.pending = _blocks(self.pending, states, BLOCK_STATES, 0, end)
@@ -582,12 +578,10 @@ class IffCondition(_Check):
 
     def __init__(self, dt: float, flow: FlowSpec, tolerance=None):
         super().__init__(dt, flow, tolerance)
-        self.gap, self.drift = _Gap(), 0.0
+        self.gap, self.drift, self.first = _Gap(), 0.0, None
 
     def feed(self, states: list[SimState]) -> None:
-        if not states:
-            return
-        if not self.taken:
+        if not self.taken and states:
             self.N, self.first = states[0].curve.samples, states[0].curve.total_length
         self.taken += len(states)
         self.gap.feed(states)
